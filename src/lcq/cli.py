@@ -80,7 +80,7 @@ def _emit(args, records, manifest_extra: dict, t_start: float) -> None:
             print(",".join(f"{r.values[c]:.17g}" for c in columns))
     payload = {
         "version": __version__,
-        "argv": sys.argv[1:],
+        "argv": manifest_extra.pop("argv"),
         "config": manifest_extra.pop("config"),
         "wall_time_s": time.perf_counter() - t_start,
         **manifest_extra,
@@ -166,7 +166,7 @@ def main(argv=None) -> int:
         return 0 if exc.code in (0, None) else 2
     t_start = time.perf_counter()
     try:
-        return _dispatch(args, t_start)
+        return _dispatch(args, list(argv), t_start)
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
@@ -179,7 +179,7 @@ def main(argv=None) -> int:
         return 3
 
 
-def _dispatch(args, t_start: float) -> int:
+def _dispatch(args, argv: list[str], t_start: float) -> int:
     if args.command == "preset":
         text = json.dumps(scheme.preset_config(), indent=2) + "\n"
         if args.out:
@@ -198,6 +198,7 @@ def _dispatch(args, t_start: float) -> int:
     quad = _quad(args, sch, medium)
     threads = _threads(args)
     manifest = {
+        "argv": argv,
         "config": config_snapshot,
         "quadrature": {"rule": quad.rule, "n": quad.n, "wing_n": quad.wing_n,
                        "u_m_per_s": quad.u},

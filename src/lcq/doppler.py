@@ -20,13 +20,14 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass, replace
 from functools import lru_cache
+from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
 from scipy.integrate import quad as _adaptive_quad
 
 from . import liouville
-from .scheme import FieldConfig, LevelScheme, MediumParams, RelaxationSet
+from .scheme import RAD_PER_MHZ, FieldConfig, LevelScheme, MediumParams, RelaxationSet
 
 QUAD_RULES = ("core-refined", "trapezoid", "gauss-hermite")
 
@@ -101,31 +102,48 @@ class QuadratureSpec:
 
 
 def kahan_sum(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
-    """Compensated weighted sum over the leading axis, in fixed index order."""
-    shape = values.shape[1:]
-    total = np.zeros(shape, dtype=values.dtype)
-    comp = np.zeros(shape, dtype=values.dtype)
-    for i in range(values.shape[0]):
-        y = weights[i] * values[i] - comp
-        t = total + y
-        comp = (t - total) - y
-        total = t
-    return total
+    """Weighted sum over the leading axis, accurate to about one rounding.
+
+    Vectorized, with an order fixed by the array shapes, so results repeat
+    across runs and thread counts.  The name is that of the compensated loop
+    it replaced; the benchmark's tracer wraps this function by name.
+    """
+    return np.add(*_sum_parts(values, weights))
 
 
-class _KahanAccumulator:
-    """Streaming fixed-order compensated accumulator for chunked averages."""
+def _sum_parts(x: np.ndarray, weights: np.ndarray | None = None) -> tuple:
+    """Weighted sum over the leading axis as a pair adding up to it within (n eps)^2 max|x|.
 
-    def __init__(self, shape, dtype=complex):
-        self.total = np.zeros(shape, dtype=dtype)
-        self.comp = np.zeros(shape, dtype=dtype)
+    Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31,
+    2008): adding and subtracting sigma = 2^k >= (n + 2) max|x| splits each
+    term (the rounded product of weight and value) into a part on a common
+    grid, whose sum is exact in any order and comes first, and a remainder
+    below eps * sigma, summed pairwise.  Averages of symmetric integrands
+    that cancel keep no summation noise.  Real and imaginary parts are summed
+    apart; one sigma serves every sum, so a sum whose terms all lie below
+    about n eps max|x| gets plain pairwise accuracy.
+    """
+    n = x.shape[0]
+    flat = np.ascontiguousarray(x).reshape(n, -1)
+    if np.iscomplexobj(flat):
+        flat = flat.view(np.float64)
+    axis = 0
+    if flat.shape[1] < n:  # numpy reduces narrow arrays far faster along rows
+        flat, axis = flat.T, 1
+    w = 1.0 if weights is None else weights if axis else weights[:, None]
+    terms = np.multiply(flat, w, order="C")
+    peak = max(float(np.max(terms)), -float(np.min(terms)))
+    sigma = math.ldexp(1.0, math.frexp(peak)[1] + math.frexp(n + 2.0)[1])
+    high = terms + sigma
+    high -= sigma
+    terms -= high  # the remainders, exact
+    return tuple(np.sum(part, axis=axis).view(x.dtype).reshape(x.shape[1:])
+                 for part in (high, terms))
 
-    def add(self, values: np.ndarray, weights: np.ndarray) -> None:
-        for i in range(values.shape[0]):
-            y = weights[i] * values[i] - self.comp
-            t = self.total + y
-            self.comp = (t - self.total) - y
-            self.total = t
+
+def _add_chunk(total: tuple, x: np.ndarray, weights: np.ndarray) -> tuple:
+    """A running total, as such a pair, plus the weighted sum of ``x`` over its leading axis."""
+    return _sum_parts(np.array([*total, *_sum_parts(x, weights)]))
 
 
 @dataclass(frozen=True)
@@ -159,15 +177,10 @@ class AveragingError(RuntimeError):
     """A per-velocity solve failed during averaging; names the failing node."""
 
 
-def _locate_failing_node(relax, medium, om1p, om3p, G1, G3):
-    """First velocity index whose steady-state solve is singular, if any."""
-    for i in range(np.size(om1p)):
-        try:
-            liouville.drive_steady_state_batch(
-                relax, medium.p_n, om1p[i], om3p[i], G1, G3)
-        except liouville.SingularSystemError:
-            return i
-    return None
+def _averaging_failure(v: np.ndarray, exc: liouville.SingularSystemError) -> AveragingError:
+    i = exc.index
+    where = "batch" if i is None else f"velocity node {i} (v = {v[i]:.3f} m/s)"
+    return AveragingError(f"velocity averaging failed at {where}: {exc}")
 
 
 def _shifts(scheme: LevelScheme, v: np.ndarray) -> list[np.ndarray]:
@@ -187,8 +200,6 @@ def _drive_ratios(
     Lorentzian around the state driven by the other field, which keeps the
     effective drive susceptibility continuous down to G = 0.
     """
-    from .scheme import RAD_PER_MHZ
-
     G1b = np.broadcast_to(np.asarray(G1, dtype=complex), rho0.shape[:-2])
     G3b = np.broadcast_to(np.asarray(G3, dtype=complex), rho0.shape[:-2])
     d1pop = rho0[..., 0, 0] - rho0[..., 2, 2]
@@ -201,6 +212,56 @@ def _drive_ratios(
     return r1, r3
 
 
+class _DriveState(NamedTuple):
+    """What the averages need at one drive point that does not depend on omega4."""
+
+    v: np.ndarray
+    w: np.ndarray
+    om1p: np.ndarray
+    shift2: np.ndarray
+    shift4: np.ndarray
+    src: np.ndarray  # (6, nv) probe source elements, ordered as compact_sources
+    gl_ratio: complex
+    mn_ratio: complex
+
+
+@lru_cache(maxsize=16)
+def _drive_state(scheme, relax, medium, omega1, omega3, G1, G3, quad) -> _DriveState:
+    """Solve the 8x8 drive sector once per velocity class for one drive point.
+
+    Every point of a probe-detuning sweep reuses it; the arrays are read-only
+    because the cache hands the same ones to every caller.
+    """
+    v, w = quad.nodes()
+    sh = _shifts(scheme, v)
+    om1p = omega1 - sh[0]
+    om3p = omega3 - sh[2]
+    try:
+        rho0 = liouville.drive_steady_state_batch(relax, medium.p_n, om1p, om3p, G1, G3)
+    except liouville.SingularSystemError as exc:
+        raise _averaging_failure(v, exc) from exc
+    r1, r3 = _drive_ratios(rho0, om1p, om3p, G1, G3, relax)
+    src = np.stack(liouville.compact_sources(rho0))
+    arrays = (v, w, om1p, sh[1], sh[3], src)
+    for a in arrays:
+        a.flags.writeable = False
+    return _DriveState(*arrays, kahan_sum(r1, w), kahan_sum(r3, w))
+
+
+def _means(state: _DriveState, omega2, omega4, G1, G3, relax) -> dict:
+    """Velocity averages of the probe responses at one probe detuning, and the drive ratios."""
+    try:
+        responses = liouville.probe_response_compact(
+            tuple(state.src), state.om1p, omega2 - state.shift2, omega4 - state.shift4,
+            G1, G3, relax,
+        )
+    except liouville.SingularSystemError as exc:
+        raise _averaging_failure(state.v, exc) from exc
+    means = kahan_sum(np.stack(responses, axis=-1), state.w)
+    return {**dict(zip(("a4", "b4", "a2", "b2"), means)),
+            "gl_ratio": state.gl_ratio, "mn_ratio": state.mn_ratio}
+
+
 @lru_cache(maxsize=64)
 def _norm_constant(
     scheme: LevelScheme,
@@ -211,16 +272,11 @@ def _norm_constant(
     """Scale factor mapping microscopic responses to alpha40 units.
 
     Defined so that the averaged weak-field absorption of wave 4 at zero
-    detuning is exactly alpha40, using the same solver and quadrature code
-    path as production averages.
+    detuning is exactly alpha40, using the same drive state and probe-mean
+    code as production averages.
     """
-    v, w = quad.nodes()
-    sh = _shifts(scheme, v)
-    rho0 = liouville.drive_steady_state_batch(relax, medium.p_n, -sh[0], -sh[2], 0.0, 0.0)
-    a4, _, _, _ = liouville.probe_response_batch(
-        rho0, -sh[0], -sh[1], -sh[3], 0.0, 0.0, relax
-    )
-    mean_a4 = kahan_sum(a4, w)
+    state = _drive_state(scheme, relax, medium, 0.0, 0.0, 0j, 0j, quad)
+    mean_a4 = _means(state, 0.0, 0.0, 0j, 0j, relax)["a4"]
     k4 = 1.0  # relative wavenumber of wave 4
     d4 = scheme.dipoles[3]
     raw_alpha4 = 2.0 * float(np.imag(k4 * d4 * d4 * mean_a4))
@@ -244,35 +300,16 @@ def average_coefficients(
     only the detunings are shifted.  The drive self-coefficients sigma_1/3
     are effective (intensity-dependent) values defined through the exact
     drive coherences; the probe coefficients come from the first-order
-    response.
+    response.  Raises :class:`AveragingError` if a solve fails or a
+    coefficient is not finite.
     """
-    G1 = complex(G1)
-    G3 = complex(G3)
-    v, w = quad.nodes()
-    sh = _shifts(scheme, v)
-    om1p = fields.omega1 - sh[0]
-    om2p = fields.omega2 - sh[1]
-    om3p = fields.omega3 - sh[2]
-    om4p = fields.omega4 - sh[3]
-    try:
-        rho0 = liouville.drive_steady_state_batch(relax, medium.p_n, om1p, om3p, G1, G3)
-        a4, b4, a2, b2 = liouville.probe_response_batch(
-            rho0, om1p, om2p, om4p, G1, G3, relax
-        )
-    except liouville.SingularSystemError as exc:
-        node = _locate_failing_node(relax, medium, om1p, om3p, G1, G3)
-        where = f"velocity node {node} (v = {v[node]:.3f} m/s)" if node is not None else "batch"
-        raise AveragingError(f"velocity averaging failed at {where}: {exc}") from exc
-    r1, r3 = _drive_ratios(rho0, om1p, om3p, G1, G3, relax)
-    mean = {
-        "a4": kahan_sum(a4, w),
-        "b4": kahan_sum(b4, w),
-        "a2": kahan_sum(a2, w),
-        "b2": kahan_sum(b2, w),
-        "gl_ratio": kahan_sum(r1, w),
-        "mn_ratio": kahan_sum(r3, w),
-    }
-    return _assemble(scheme, relax, medium, quad, mean)
+    G1, G3 = complex(G1), complex(G3)
+    state = _drive_state(scheme, relax, medium, fields.omega1, fields.omega3, G1, G3, quad)
+    mc = _assemble(scheme, relax, medium, quad,
+                   _means(state, fields.omega2, fields.omega4, G1, G3, relax))
+    if not np.all(np.isfinite(list(vars(mc).values()))):
+        raise AveragingError(f"non-finite averaged coefficient: {mc}")
+    return mc
 
 
 def _assemble(
@@ -325,27 +362,6 @@ def quadrature_gate(
     return rel < rtol, rel
 
 
-def refine_until_converged(
-    scheme: LevelScheme,
-    relax: RelaxationSet,
-    medium: MediumParams,
-    fields: FieldConfig,
-    G1: complex,
-    G3: complex,
-    quad: QuadratureSpec,
-    rtol: float = 1e-6,
-    max_doublings: int = 3,
-) -> QuadratureSpec:
-    """Double quadrature density until the gate passes (bounded)."""
-    current = quad
-    for _ in range(max_doublings):
-        ok, _ = quadrature_gate(scheme, relax, medium, fields, G1, G3, current, rtol)
-        if ok:
-            return current
-        current = current.refined()
-    return current
-
-
 # ---------------------------------------------------------------------------
 # Grid evaluation used by the propagation coefficient cache.  The zeroth-order
 # sources over a (|G1|, |G3|) grid are independent of the probe detuning and
@@ -388,8 +404,7 @@ class DriveGrid:
         ng1 = self.g1_grid.size
         ng3 = self.g3_grid.size
         self.src = np.empty((nv, ng1, ng3, 6), dtype=complex)
-        gl_acc = _KahanAccumulator((ng1, ng3))
-        mn_acc = _KahanAccumulator((ng1, ng3))
+        gl = mn = (np.zeros((ng1, ng3), dtype=complex),) * 2  # (exact part, remainder)
         g1b = self.g1_grid[None, :, None]
         g3b = self.g3_grid[None, None, :]
         for start in range(0, nv, _VCHUNK):
@@ -405,10 +420,9 @@ class DriveGrid:
                 self.om1p[start:stop, None, None], self.om3p[start:stop, None, None],
                 g1b, g3b, relax,
             )
-            gl_acc.add(r1, self.w[start:stop])
-            mn_acc.add(r3, self.w[start:stop])
-        self.mean_gl_ratio = gl_acc.total
-        self.mean_mn_ratio = mn_acc.total
+            gl = _add_chunk(gl, r1, self.w[start:stop])
+            mn = _add_chunk(mn, r3, self.w[start:stop])
+        self.mean_gl_ratio, self.mean_mn_ratio = np.add(*gl), np.add(*mn)
 
     def coefficients_for(self, fields: FieldConfig) -> list[list[MacroscopicCoefficients]]:
         """Macroscopic coefficients on the drive grid for one probe detuning.
@@ -421,43 +435,29 @@ class DriveGrid:
         om2p = fields.omega2 - self.shift2
         om4p = fields.omega4 - self.shift4
         nv = self.v.size
-        ng1 = self.g1_grid.size
-        ng3 = self.g3_grid.size
-        acc = {key: _KahanAccumulator((ng1, ng3)) for key in ("a4", "b4", "a2", "b2")}
+        ng1, ng3 = self.mean_gl_ratio.shape
+        sums = [(np.zeros((ng1, ng3), dtype=complex),) * 2] * 4  # a4, b4, a2, b2 as pairs
         g1b = self.g1_grid[None, :, None]
         g3b = self.g3_grid[None, None, :]
         for start in range(0, nv, _VCHUNK):
             stop = min(start + _VCHUNK, nv)
-            chunk = self.src[start:stop]
-            a4, b4, a2, b2 = liouville.probe_response_compact(
-                tuple(chunk[..., i] for i in range(6)),
+            responses = liouville.probe_response_compact(
+                tuple(np.moveaxis(self.src[start:stop], -1, 0)),
                 self.om1p[start:stop, None, None],
                 om2p[start:stop, None, None],
                 om4p[start:stop, None, None],
                 g1b, g3b, self.relax,
             )
-            ws = self.w[start:stop]
-            acc["a4"].add(a4, ws)
-            acc["b4"].add(b4, ws)
-            acc["a2"].add(a2, ws)
-            acc["b2"].add(b2, ws)
-        out = []
-        for i in range(ng1):
-            row = []
-            for j in range(ng3):
-                mean = {
-                    "a4": acc["a4"].total[i, j],
-                    "b4": acc["b4"].total[i, j],
-                    "a2": acc["a2"].total[i, j],
-                    "b2": acc["b2"].total[i, j],
-                    "gl_ratio": self.mean_gl_ratio[i, j],
-                    "mn_ratio": self.mean_mn_ratio[i, j],
-                }
-                row.append(
-                    _assemble(self.scheme, self.relax, self.medium, self.quad, mean)
-                )
-            out.append(row)
-        return out
+            sums = [_add_chunk(total, x, self.w[start:stop]) for total, x in zip(sums, responses)]
+        totals = np.array([np.add(*total) for total in sums])
+        return [
+            [_assemble(self.scheme, self.relax, self.medium, self.quad, {
+                **dict(zip(("a4", "b4", "a2", "b2"), totals[:, i, j])),
+                "gl_ratio": self.mean_gl_ratio[i, j],
+                "mn_ratio": self.mean_mn_ratio[i, j],
+            }) for j in range(ng3)]
+            for i in range(ng1)
+        ]
 
 
 # ---------------------------------------------------------------------------

@@ -19,6 +19,7 @@ only inside the matrix builders.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -38,7 +39,11 @@ _TRACE_ROW[[0, 5, 10, 15]] = 1.0
 
 
 class SingularSystemError(RuntimeError):
-    """The steady-state linear system is rank deficient beyond the trace redundancy."""
+    """A steady-state system is singular; ``index`` is the first failing one, if known."""
+
+    def __init__(self, message: str, index: int | None = None):
+        super().__init__(message)
+        self.index = index
 
 
 @dataclass(frozen=True)
@@ -157,7 +162,10 @@ def _solve_chunked(matrices: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         try:
             out[start:stop] = np.linalg.solve(matrices[start:stop], rhs[start:stop])
         except np.linalg.LinAlgError as exc:
-            raise SingularSystemError(str(exc)) from exc
+            # LU meets an exactly zero pivot, so the determinant is exactly zero
+            hits = np.flatnonzero(np.linalg.det(matrices[start:stop]) == 0)
+            raise SingularSystemError(
+                str(exc), index=start + int(hits[0]) if hits.size else None) from exc
     return out[..., 0] if vector_rhs else out
 
 
@@ -184,36 +192,41 @@ def zeroth_order_batch(
     return rho.reshape(shape + (4, 4))
 
 
+def _probe_block_entries(om1p, om2p, om4p, G1, G3, relax: RelaxationSet) -> tuple:
+    """((M00, M11, M22, M33), p, q, r, s) of the probe block, at the arguments' shapes.
+
+    M[0,1] = M[2,3] = p = -i G1, M[1,0] = M[3,2] = q = -i conj(G1),
+    M[0,2] = M[1,3] = r = i conj(G3), M[2,0] = M[3,1] = s = i G3, and
+    M[0,3] = M[1,2] = M[2,1] = M[3,0] = 0.
+    """
+    om1p, om2p, om4p = (np.asarray(x, dtype=float) * RAD_PER_MHZ for x in (om1p, om2p, om4p))
+    G1, G3 = (np.asarray(x, dtype=complex) * RAD_PER_MHZ for x in (G1, G3))
+    h_nn = om2p - om1p          # level n in the rotating frame
+    h_gg = -om1p
+    h_mm = -om4p
+    diagonal = (
+        -1j * h_nn - relax.coh_nl,
+        -1j * (h_nn - h_gg) - relax.coh_gn,
+        -1j * h_mm - relax.coh_ml,
+        -1j * (h_mm - h_gg) - relax.coh_gm,
+    )
+    return diagonal, -1j * G1, -1j * np.conj(G1), 1j * np.conj(G3), 1j * G3
+
+
 def probe_block_matrix(om1p, om2p, om4p, G1, G3, relax: RelaxationSet) -> np.ndarray:
     """Evolution matrix of the probe coherence sector (rho_nl, rho_ng, rho_ml, rho_mg).
 
     This four-dimensional sector is closed under the drive Hamiltonian and
     carries the full first-order response to G4 and conj(G2).
     """
-    args = np.broadcast(np.asarray(om1p), np.asarray(om2p), np.asarray(om4p),
-                        np.asarray(G1), np.asarray(G3))
-    shape = args.shape
-    om1p = np.broadcast_to(np.asarray(om1p, dtype=float), shape) * RAD_PER_MHZ
-    om2p = np.broadcast_to(np.asarray(om2p, dtype=float), shape) * RAD_PER_MHZ
-    om4p = np.broadcast_to(np.asarray(om4p, dtype=float), shape) * RAD_PER_MHZ
-    G1 = np.broadcast_to(np.asarray(G1, dtype=complex), shape) * RAD_PER_MHZ
-    G3 = np.broadcast_to(np.asarray(G3, dtype=complex), shape) * RAD_PER_MHZ
-    h_nn = om2p - om1p          # level n in the rotating frame
-    h_gg = -om1p
-    h_mm = -om4p
+    (m00, m11, m22, m33), p, q, r, s = _probe_block_entries(om1p, om2p, om4p, G1, G3, relax)
+    entries = {(0, 0): m00, (1, 1): m11, (2, 2): m22, (3, 3): m33,
+               (0, 1): p, (2, 3): p, (1, 0): q, (3, 2): q,
+               (0, 2): r, (1, 3): r, (2, 0): s, (3, 1): s}
+    shape = np.broadcast_shapes(*(np.shape(x) for x in entries.values()))
     M = np.zeros(shape + (4, 4), dtype=complex)
-    M[..., 0, 0] = -1j * h_nn - relax.coh_nl
-    M[..., 0, 1] = -1j * G1
-    M[..., 0, 2] = 1j * np.conj(G3)
-    M[..., 1, 0] = -1j * np.conj(G1)
-    M[..., 1, 1] = -1j * (h_nn - h_gg) - relax.coh_gn
-    M[..., 1, 3] = 1j * np.conj(G3)
-    M[..., 2, 0] = 1j * G3
-    M[..., 2, 2] = -1j * h_mm - relax.coh_ml
-    M[..., 2, 3] = -1j * G1
-    M[..., 3, 1] = 1j * G3
-    M[..., 3, 2] = -1j * np.conj(G1)
-    M[..., 3, 3] = -1j * (h_mm - h_gg) - relax.coh_gm
+    for (i, j), x in entries.items():
+        M[..., i, j] = x
     return M
 
 
@@ -227,34 +240,63 @@ def probe_response_compact(
 
     ``src`` holds the six zeroth-order elements the probe sources need:
     (rho_ll - rho_mm, rho_gg - rho_nn, rho_lg, rho_gl, rho_nm, rho_mn).
+    Arguments broadcast; the systems are solved in chunks of at most
+    ``_CHUNK`` along the leading axis of the broadcast shape.
     """
-    d4pop, d2pop, rho_lg, rho_gl, rho_nm, rho_mn = src
-    M = probe_block_matrix(om1p, om2p, om4p, G1, G3, relax)
-    shape = M.shape[:-2]
-    # Source commutators of the unit-amplitude probe couplings with rho0,
-    # restricted to the probe sector; factor RAD_PER_MHZ converts a unit
-    # MHz probe amplitude to angular units.
-    sources = np.zeros(shape + (4, 2), dtype=complex)
-    sources[..., 0, 0] = -1j * rho_nm
-    sources[..., 2, 0] = 1j * d4pop
-    sources[..., 3, 0] = 1j * rho_lg
-    sources[..., 0, 1] = 1j * rho_gl
-    sources[..., 1, 1] = 1j * d2pop
-    sources[..., 3, 1] = -1j * rho_mn
-    sources *= RAD_PER_MHZ
-    flatM = M.reshape((-1, 4, 4))
-    flats = sources.reshape((-1, 4, 2))
-    n = flatM.shape[0]
-    x = np.empty((n, 4, 2), dtype=complex)
-    for start in range(0, n, _CHUNK):
-        stop = min(start + _CHUNK, n)
-        x[start:stop] = _solve4_cramer(flatM[start:stop], -flats[start:stop])
-    x = x.reshape(shape + (4, 2))
-    a4 = x[..., 2, 0]
-    b4 = x[..., 2, 1]
-    a2 = np.conj(x[..., 1, 1])
-    b2 = np.conj(x[..., 1, 0])
-    return a4, b4, a2, b2
+    diagonal, p, q, r, s = _probe_block_entries(om1p, om2p, om4p, G1, G3, relax)
+    args = (*diagonal, p, q, r, s, *src)
+    shape = np.broadcast_shapes(*(np.shape(a) for a in args))
+    full = shape or (1,)
+    # same number of axes everywhere; only arrays that vary along the first are sliced
+    args = [np.reshape(a, (1,) * (len(full) - np.ndim(a)) + np.shape(a)) for a in args]
+    inner = math.prod(full[1:])
+    step = max(1, _CHUNK // max(inner, 1))
+    out = np.empty((4,) + full, dtype=complex)
+    for start in range(0, full[0], step):
+        rows = slice(start, start + step)
+        out[:, rows] = _probe_rows(
+            start * inner, *(a[rows] if a.shape[0] > 1 else a for a in args))
+    return tuple(out[k].reshape(shape) for k in range(4))
+
+
+def _probe_rows(offset, m00, m11, m22, m33, p, q, r, s,
+                d4pop, d2pop, rho_lg, rho_gl, rho_nm, rho_mn) -> np.ndarray:
+    """Rows 1 and 2 of the probe-block solution for the two unit probe sources.
+
+    Closed-form Gaussian elimination: x0 and x3 go through the diagonal pivots
+    M00 and M33, then the 2x2 system in (x1, x2) through pivot S11, so without
+    drives x2 is exactly b2 / M22.  A zero or non-finite determinant (the
+    product of the pivots) raises :class:`SingularSystemError`, indexed from ``offset``.
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        i0 = 1.0 / m00
+        i3 = 1.0 / m33
+        pq = p * q
+        rs = r * s
+        s11 = m11 - pq * i0 - rs * i3
+        t = i0 + i3
+        s12 = -q * r * t
+        lower = -p * s * t / s11
+        s22 = m22 - rs * i0 - pq * i3 - lower * s12
+        det = m00 * m33 * s11 * s22
+
+        def rows12(b0, b1, b2, b3):
+            # b: minus the source commutator of a unit probe, in angular units
+            r1 = b1 - q * b0 * i0 - r * b3 * i3
+            r2 = b2 - s * b0 * i0 - p * b3 * i3
+            x2 = (r2 - lower * r1) / s22
+            return (r1 - s12 * x2) / s11, x2
+
+        c = 1j * RAD_PER_MHZ
+        x1_4, x2_4 = rows12(c * rho_nm, 0.0, -c * d4pop, -c * rho_lg)   # unit G4
+        x1_2, x2_2 = rows12(-c * rho_gl, -c * d2pop, 0.0, c * rho_mn)   # unit conj(G2)
+        out = np.stack(np.broadcast_arrays(x2_4, x2_2, np.conj(x1_2), np.conj(x1_4)))
+        bad = np.broadcast_to(~np.isfinite(det) | (det == 0), out.shape[1:])
+    if np.any(bad):
+        index = offset + int(np.flatnonzero(bad)[0])
+        raise SingularSystemError(
+            f"probe block determinant is zero or non-finite at system {index}", index=index)
+    return out
 
 
 def compact_sources(rho0: np.ndarray) -> tuple:
@@ -285,49 +327,6 @@ def probe_response_batch(
     return probe_response_compact(
         compact_sources(rho0), om1p, om2p, om4p, G1, G3, relax
     )
-
-
-def _solve4_cramer(A: np.ndarray, b: np.ndarray) -> np.ndarray:
-    """Closed-form batched solve of (..., 4, 4) systems with (..., 4, k) rhs.
-
-    Cofactor expansion by complementary 2x2 minors; an order of magnitude
-    faster than batched LAPACK for the small, well-damped probe blocks.
-    Agreement with the pivoted reference solve is covered by tests.
-    """
-    a = np.moveaxis(A, (-2, -1), (0, 1))
-    s0 = a[0, 0] * a[1, 1] - a[0, 1] * a[1, 0]
-    s1 = a[0, 0] * a[1, 2] - a[0, 2] * a[1, 0]
-    s2 = a[0, 0] * a[1, 3] - a[0, 3] * a[1, 0]
-    s3 = a[0, 1] * a[1, 2] - a[0, 2] * a[1, 1]
-    s4 = a[0, 1] * a[1, 3] - a[0, 3] * a[1, 1]
-    s5 = a[0, 2] * a[1, 3] - a[0, 3] * a[1, 2]
-    c5 = a[2, 2] * a[3, 3] - a[2, 3] * a[3, 2]
-    c4 = a[2, 1] * a[3, 3] - a[2, 3] * a[3, 1]
-    c3 = a[2, 1] * a[3, 2] - a[2, 2] * a[3, 1]
-    c2 = a[2, 0] * a[3, 3] - a[2, 3] * a[3, 0]
-    c1 = a[2, 0] * a[3, 2] - a[2, 2] * a[3, 0]
-    c0 = a[2, 0] * a[3, 1] - a[2, 1] * a[3, 0]
-    det = s0 * c5 - s1 * c4 + s2 * c3 + s3 * c2 - s4 * c1 + s5 * c0
-    adj = np.empty_like(a)
-    adj[0, 0] = a[1, 1] * c5 - a[1, 2] * c4 + a[1, 3] * c3
-    adj[0, 1] = -a[0, 1] * c5 + a[0, 2] * c4 - a[0, 3] * c3
-    adj[0, 2] = a[3, 1] * s5 - a[3, 2] * s4 + a[3, 3] * s3
-    adj[0, 3] = -a[2, 1] * s5 + a[2, 2] * s4 - a[2, 3] * s3
-    adj[1, 0] = -a[1, 0] * c5 + a[1, 2] * c2 - a[1, 3] * c1
-    adj[1, 1] = a[0, 0] * c5 - a[0, 2] * c2 + a[0, 3] * c1
-    adj[1, 2] = -a[3, 0] * s5 + a[3, 2] * s2 - a[3, 3] * s1
-    adj[1, 3] = a[2, 0] * s5 - a[2, 2] * s2 + a[2, 3] * s1
-    adj[2, 0] = a[1, 0] * c4 - a[1, 1] * c2 + a[1, 3] * c0
-    adj[2, 1] = -a[0, 0] * c4 + a[0, 1] * c2 - a[0, 3] * c0
-    adj[2, 2] = a[3, 0] * s4 - a[3, 1] * s2 + a[3, 3] * s0
-    adj[2, 3] = -a[2, 0] * s4 + a[2, 1] * s2 - a[2, 3] * s0
-    adj[3, 0] = -a[1, 0] * c3 + a[1, 1] * c1 - a[1, 2] * c0
-    adj[3, 1] = a[0, 0] * c3 - a[0, 1] * c1 + a[0, 2] * c0
-    adj[3, 2] = -a[3, 0] * s3 + a[3, 1] * s1 - a[3, 2] * s0
-    adj[3, 3] = a[2, 0] * s3 - a[2, 1] * s1 + a[2, 2] * s0
-    bb = np.moveaxis(b, (-2, -1), (0, 1))
-    x = np.einsum("ij...,jk...->ik...", adj, bb) / det
-    return np.moveaxis(x, (0, 1), (-2, -1))
 
 
 # Even-sector basis of the drive-only steady state: populations plus the two

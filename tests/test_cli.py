@@ -148,6 +148,26 @@ def test_numerical_error_exit_code(tmp_path):
     assert "numerical failure" in proc.stderr
 
 
+def test_zero_coherence_rate_is_a_numerical_failure(tmp_path):
+    # gamma_nl = 0 passes validation but leaves the probe block singular for
+    # the v = 0 class at zero drives, where the normalization is computed
+    cfg = tmp_path / "nl0.json"
+    cfg.write_text(json.dumps({"relaxation": {"gamma_coh_MHz": {"nl": 0.0}}}))
+    proc = run_cli(["spectra", "--config", str(cfg), "--omega4", "0:1:2",
+                    "--quad", "301"], tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert "numerical failure" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
+def test_manifest_records_argv_given_to_main(tmp_path):
+    out = tmp_path / "s.csv"
+    argv = ["spectra", "--omega4", "-10:10:3", "--quad", "301", "--out", str(out)]
+    assert cli.main(argv) == 0
+    manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
+    assert manifest["argv"] == argv
+
+
 def test_gainmap_deterministic_across_threads(tmp_path):
     digests = {}
     for threads in (1, 4, 8):

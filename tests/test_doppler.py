@@ -1,9 +1,14 @@
 """Velocity averaging, normalization and the independent Voigt oracle."""
 
+import math
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
 from lcq import doppler as dp
+from lcq import liouville as lv
+from lcq import scans
 from lcq.scheme import RAD_PER_MHZ, FieldConfig, na2_preset
 
 
@@ -63,6 +68,21 @@ def test_kahan_sum_matches_plain_sum():
     ref = np.tensordot(w, vals, axes=(0, 0))
     got = dp.kahan_sum(vals, w)
     assert np.max(np.abs(got - ref)) < 1e-12
+
+
+def test_kahan_sum_is_correctly_rounded_under_cancellation():
+    # terms spanning ten decades that cancel to a small total: each part of
+    # the sum matches math.fsum, which rounds the exact sum once
+    rng = np.random.default_rng(4)
+    for n in (1, 7, 1511, 4000):
+        x = rng.normal(size=(n, 2)) * 10.0 ** rng.uniform(-5, 5, (n, 2))
+        vals = np.concatenate([x, -x[::-1] * (1 + 1e-13 * rng.normal(size=(n, 2)))])
+        vals = (vals[:, 0] + 1j * vals[:, 1])[rng.permutation(2 * n)]
+        w = rng.uniform(0.5, 2.0, 2 * n)
+        got = dp.kahan_sum(vals, w)
+        terms = w * vals
+        assert got.real == math.fsum(terms.real)
+        assert got.imag == math.fsum(terms.imag)
 
 
 # --------------------------------------------------------------------------
@@ -178,6 +198,46 @@ def test_fixed_order_summation_reproducible(preset, quad):
     a = dp.average_coefficients(sch, relax, medium, fields, fields.g10, fields.g30, quad)
     b = dp.average_coefficients(sch, relax, medium, fields, fields.g10, fields.g30, quad)
     assert a == b  # bit-identical dataclasses
+
+
+def test_drive_state_cache_is_read_only_and_keyed(preset, quad):
+    sch, relax, medium, fields = preset
+    dp._drive_state.cache_clear()
+    key = (sch, relax, medium, fields.omega1, fields.omega3, 100.0 + 0j, 40.0 + 0j, quad)
+    state = dp._drive_state(*key)
+    for a in (state.v, state.w, state.om1p, state.shift2, state.shift4, state.src):
+        assert not a.flags.writeable
+        with pytest.raises(ValueError):
+            a[0] = 0
+    assert dp._drive_state(*key) is state
+    assert dp._drive_state.cache_info().misses == 1
+    # another G1, another relaxation set: both miss
+    dp._drive_state(sch, relax, medium, fields.omega1, fields.omega3, 99.0 + 0j, 40.0 + 0j, quad)
+    assert dp._drive_state.cache_info().misses == 2
+    other = replace(relax, coh_nl=16.0)
+    dp._drive_state(sch, other, medium, fields.omega1, fields.omega3, 100.0 + 0j, 40.0 + 0j, quad)
+    assert dp._drive_state.cache_info().misses == 3
+
+
+def test_sweep_solves_the_drive_sector_once(preset, quad):
+    # one drive point for the sweep plus one for the normalization
+    sch, relax, medium, fields = preset
+    dp._drive_state.cache_clear()
+    dp._norm_constant.cache_clear()
+    scans.spectra_scan(sch, relax, medium, fields, np.linspace(-20.0, 20.0, 5), quad=quad)
+    assert dp._drive_state.cache_info().misses == 2
+
+
+def test_non_finite_coefficient_raises(preset, quad, monkeypatch):
+    sch, relax, medium, fields = preset
+    dp._norm_constant(sch, relax, medium, quad)
+
+    def nan_responses(src, *args):
+        return tuple(np.full(np.shape(src[0]), np.nan + 0j) for _ in range(4))
+
+    monkeypatch.setattr(lv, "probe_response_compact", nan_responses)
+    with pytest.raises(dp.AveragingError, match="non-finite"):
+        dp.average_coefficients(sch, relax, medium, fields, 100.0, 40.0, quad)
 
 
 # --------------------------------------------------------------------------

@@ -7,12 +7,16 @@ integrator and compares against the zeroth-order plus linear-response
 prediction.
 """
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.linalg import expm
 
 from lcq import liouville as lv
-from lcq.scheme import RAD_PER_MHZ, FieldConfig, na2_preset
+from lcq.scheme import RAD_PER_MHZ, FieldConfig, RelaxationSet, na2_preset
 
 
 @pytest.fixture(scope="module")
@@ -228,6 +232,79 @@ def test_continuity_in_velocity(preset):
         diffs.append(abs(vals[1] - vals[0]))
     assert diffs[-1] < 1e-4
     assert all(b < a for a, b in zip(diffs, diffs[1:]))
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
+
+
+def dense_probe_solve(src, om1p, om2p, om4p, g1, g3, relax):
+    """(a4, b4, a2, b2) and the solution scale from a pivoted dense 4x4 solve."""
+    d4pop, d2pop, rho_lg, rho_gl, rho_nm, rho_mn = src
+    M = lv.probe_block_matrix(om1p, om2p, om4p, g1, g3, relax)
+    # minus the commutator sources of a unit G4 (column 0) and a unit
+    # conj(G2) (column 1), restricted to (rho_nl, rho_ng, rho_ml, rho_mg)
+    rhs = 1j * RAD_PER_MHZ * np.array([
+        [rho_nm, -rho_gl],
+        [0.0, -d2pop],
+        [-d4pop, 0.0],
+        [-rho_lg, rho_mn],
+    ])
+    x = np.linalg.solve(M, rhs)
+    return (x[2, 0], x[2, 1], np.conj(x[1, 1]), np.conj(x[1, 0])), np.max(np.abs(x))
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    om=st.tuples(_floats(-1000.0, 1000.0), _floats(-1000.0, 1000.0), _floats(-1000.0, 1000.0)),
+    drives=st.tuples(_floats(0.0, 200.0), _floats(0.0, 200.0),
+                     _floats(0.0, 2 * np.pi), _floats(0.0, 2 * np.pi)),
+    rates=st.tuples(*[_floats(5.0, 300.0)] * 4),
+    src=st.lists(st.tuples(_floats(-1.0, 1.0), _floats(-1.0, 1.0)), min_size=6, max_size=6),
+)
+def test_two_row_probe_solve_matches_dense_solve(om, drives, rates, src):
+    # the closed-form rows 1 and 2 against LAPACK on the dense block, over
+    # detunings, drives and positive coherence rates; the error is measured
+    # against the largest element of the dense solution
+    coh_nl, coh_gn, coh_ml, coh_gm = rates
+    relax = replace(RelaxationSet(), coh_nl=coh_nl, coh_gn=coh_gn, coh_ml=coh_ml, coh_gm=coh_gm)
+    g1 = drives[0] * np.exp(1j * drives[2])
+    g3 = drives[1] * np.exp(1j * drives[3])
+    src = tuple(complex(re, im) for re, im in src)
+    got = lv.probe_response_compact(src, *om, g1, g3, relax)
+    ref, scale = dense_probe_solve(src, *om, g1, g3, relax)
+    for g, r in zip(got, ref):
+        assert abs(g - r) <= 1e-12 * scale
+
+
+def test_probe_solve_batches_like_single_systems(preset):
+    # broadcasting and the chunked loop give each system its own solution
+    sch, relax, medium, _ = preset
+    rng = np.random.default_rng(29)
+    om1 = rng.uniform(-300, 300, (lv._CHUNK // 100 + 3, 1))
+    om2 = rng.uniform(-300, 300, (1, 100))
+    g1, g3 = 90 * np.exp(0.4j), 35 * np.exp(-2.0j)
+    rho0 = lv.drive_steady_state_batch(relax, medium.p_n, om1, 40.0, g1, g3)
+    src = lv.compact_sources(rho0)
+    batch = lv.probe_response_compact(src, om1, om2, 25.0, g1, g3, relax)
+    for i, j in ((0, 0), (7, 55), (om1.shape[0] - 1, 99)):
+        single = lv.probe_response_compact(
+            tuple(x[i, 0] for x in src), om1[i, 0], om2[0, j], 25.0, g1, g3, relax)
+        for b, s in zip(batch, single):
+            assert b[i, j] == s
+
+
+def test_singular_probe_block_raises():
+    # without coherence decay of rho_nl and without drives, the block has a
+    # zero diagonal entry, so its determinant is exactly zero where om2p = om1p
+    relax = replace(RelaxationSet(), coh_nl=0.0)
+    src = (1.0, 0.0, 0.0, 0.0, 0.0, 0.0)
+    om2p = np.array([10.0, -20.0, 30.0, 0.0, 40.0])
+    with pytest.raises(lv.SingularSystemError) as info:
+        lv.probe_response_compact(src, 0.0, om2p, 0.0, 0.0, 0.0, relax)
+    assert info.value.index == 3
+    with pytest.raises(lv.SingularSystemError):
+        lv.probe_response_compact(src, 0.0, 0.0, 0.0, 0.0, 0.0, relax)
 
 
 # --------------------------------------------------------------------------
