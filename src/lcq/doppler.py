@@ -31,9 +31,6 @@ from .scheme import RAD_PER_MHZ, FieldConfig, LevelScheme, MediumParams, Relaxat
 
 QUAD_RULES = ("core-refined", "trapezoid", "gauss-hermite")
 
-# Velocity chunk for streaming grid evaluations (bounds peak memory).
-_VCHUNK = 48
-
 
 @dataclass(frozen=True)
 class QuadratureSpec:
@@ -105,8 +102,10 @@ def kahan_sum(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weighted sum over the leading axis, accurate to about one rounding.
 
     Vectorized, with an order fixed by the array shapes, so results repeat
-    across runs and thread counts.  The name is that of the compensated loop
-    it replaced; the benchmark's tracer wraps this function by name.
+    across runs and thread counts.  It is the sum :func:`_velocity_sum`
+    gives for an array that fits in one chunk; the kernel itself keeps each
+    chunk's sum as a pair.  The name is that of the compensated loop it
+    replaced; the benchmark's tracer wraps this function by name.
     """
     return np.add(*_sum_parts(values, weights))
 
@@ -141,11 +140,6 @@ def _sum_parts(x: np.ndarray, weights: np.ndarray | None = None) -> tuple:
                  for part in (high, terms))
 
 
-def _add_chunk(total: tuple, x: np.ndarray, weights: np.ndarray) -> tuple:
-    """A running total, as such a pair, plus the weighted sum of ``x`` over its leading axis."""
-    return _sum_parts(np.array([*total, *_sum_parts(x, weights)]))
-
-
 @dataclass(frozen=True)
 class MacroscopicCoefficients:
     """Velocity-averaged propagation coefficients in alpha40 units.
@@ -172,20 +166,21 @@ class MacroscopicCoefficients:
         deltak = (self.deltak1, self.deltak2, self.deltak3, self.deltak4)[j - 1]
         return deltak + 0.5j * alpha
 
+    @classmethod
+    def from_vector(cls, vec: np.ndarray) -> "MacroscopicCoefficients":
+        """From a table row: real and imaginary parts of sigma1..sigma4, gamma4, gamma2."""
+        re, im = np.asarray(vec)[0::2].tolist(), np.asarray(vec)[1::2].tolist()
+        return cls(*(2.0 * x for x in im[:4]), *re[:4],
+                   complex(re[4], im[4]), complex(re[5], im[5]))
+
+    def to_vector(self) -> np.ndarray:
+        """The table row, which :meth:`from_vector` maps back exactly."""
+        s = [self.sigma(j) for j in (1, 2, 3, 4)] + [self.gamma4, self.gamma2]
+        return np.array(s, dtype=complex).view(np.float64)
+
 
 class AveragingError(RuntimeError):
-    """A per-velocity solve failed during averaging; names the failing node."""
-
-
-def _averaging_failure(v: np.ndarray, exc: liouville.SingularSystemError) -> AveragingError:
-    i = exc.index
-    where = "batch" if i is None else f"velocity node {i} (v = {v[i]:.3f} m/s)"
-    return AveragingError(f"velocity averaging failed at {where}: {exc}")
-
-
-def _shifts(scheme: LevelScheme, v: np.ndarray) -> list[np.ndarray]:
-    """Doppler shifts v/lambda_j in MHz for each wave."""
-    return [v / w * 1e-6 for w in scheme.wavelengths]
+    """A per-velocity solve failed during averaging, or a coefficient is not finite."""
 
 
 def _drive_ratios(
@@ -212,54 +207,98 @@ def _drive_ratios(
     return r1, r3
 
 
+def _velocity_sum(v: np.ndarray, w: np.ndarray, drive_shape: tuple, chunk) -> np.ndarray:
+    """Maxwell average over velocity of ``chunk(rows)``, at every drive point.
+
+    ``chunk`` returns its velocity classes ``rows`` along the leading axis.
+    The classes go in chunks of ``liouville._CHUNK`` systems over all drive
+    points, so a single drive point takes one chunk and an 80 x 32 grid six
+    classes at a time.  Chunk sums are carried as (exact part, remainder)
+    pairs and added in order.  A failed solve raises :class:`AveragingError`
+    naming its velocity node and, on a grid, its drive point.
+    """
+    points = math.prod(drive_shape)
+    step = max(1, liouville._CHUNK // points)
+    total = None
+    for start in range(0, v.size, step):
+        rows = slice(start, start + step)
+        try:
+            x = chunk(rows)
+        except liouville.SingularSystemError as exc:
+            where = "batch"
+            if exc.index is not None:
+                node, point = divmod(exc.index, points)
+                node += start
+                where = f"velocity node {node} (v = {v[node]:.3f} m/s)"
+                if drive_shape:
+                    point = tuple(map(int, np.unravel_index(point, drive_shape)))
+                    where += f", drive point {point}"
+            raise AveragingError(f"velocity averaging failed at {where}: {exc}") from exc
+        parts = _sum_parts(x, w[rows])
+        total = parts if total is None else _sum_parts(np.array([*total, *parts]))
+    return np.add(*total)
+
+
 class _DriveState(NamedTuple):
-    """What the averages need at one drive point that does not depend on omega4."""
+    """What the averages need over a drive shape that does not depend on omega4.
+
+    The velocity-indexed arrays carry one trailing unit axis per drive axis,
+    so they broadcast against G1 and G3.
+    """
 
     v: np.ndarray
     w: np.ndarray
     om1p: np.ndarray
     shift2: np.ndarray
     shift4: np.ndarray
-    src: np.ndarray  # (6, nv) probe source elements, ordered as compact_sources
-    gl_ratio: complex
-    mn_ratio: complex
+    src: np.ndarray  # (6, nv, *drive_shape) probe source elements, ordered as compact_sources
+    ratios: np.ndarray  # (2, *drive_shape) averaged drive ratios of waves 1 and 3
+    G1: complex | np.ndarray
+    G3: complex | np.ndarray
 
 
-@lru_cache(maxsize=16)
-def _drive_state(scheme, relax, medium, omega1, omega3, G1, G3, quad) -> _DriveState:
-    """Solve the 8x8 drive sector once per velocity class for one drive point.
+def _solve_drive_sector(scheme, relax, medium, omega1, omega3, G1, G3, quad) -> _DriveState:
+    """Solve the 8x8 drive sector of every velocity class at the drive amplitudes.
 
-    Every point of a probe-detuning sweep reuses it; the arrays are read-only
-    because the cache hands the same ones to every caller.
+    G1 and G3 broadcast to the drive shape: scalars for one drive point, or
+    ``g1_grid[:, None]`` and ``g3_grid[None, :]`` for a grid.  The arrays are
+    read-only, because :func:`_drive_state` hands the same ones to every caller.
     """
     v, w = quad.nodes()
-    sh = _shifts(scheme, v)
-    om1p = omega1 - sh[0]
-    om3p = omega3 - sh[2]
-    try:
-        rho0 = liouville.drive_steady_state_batch(relax, medium.p_n, om1p, om3p, G1, G3)
-    except liouville.SingularSystemError as exc:
-        raise _averaging_failure(v, exc) from exc
-    r1, r3 = _drive_ratios(rho0, om1p, om3p, G1, G3, relax)
-    src = np.stack(liouville.compact_sources(rho0))
-    arrays = (v, w, om1p, sh[1], sh[3], src)
-    for a in arrays:
+    drive_shape = np.broadcast_shapes(np.shape(G1), np.shape(G3))
+    sh = [x.reshape(-1, *(1,) * len(drive_shape)) for x in liouville.doppler_shifts(scheme, v)]
+    om1p, om3p = omega1 - sh[0], omega3 - sh[2]
+    src = np.empty((6, v.size, *drive_shape), dtype=complex)
+
+    def chunk(rows):
+        rho0 = liouville.drive_steady_state_batch(
+            relax, medium.p_n, om1p[rows], om3p[rows], G1, G3)
+        src[:, rows] = liouville.compact_sources(rho0)
+        return np.stack(_drive_ratios(rho0, om1p[rows], om3p[rows], G1, G3, relax), axis=1)
+
+    state = _DriveState(v, w, om1p, sh[1], sh[3], src,
+                        _velocity_sum(v, w, drive_shape, chunk), G1, G3)
+    for a in state[:7]:
         a.flags.writeable = False
-    return _DriveState(*arrays, kahan_sum(r1, w), kahan_sum(r3, w))
+    return state
 
 
-def _means(state: _DriveState, omega2, omega4, G1, G3, relax) -> dict:
-    """Velocity averages of the probe responses at one probe detuning, and the drive ratios."""
-    try:
-        responses = liouville.probe_response_compact(
-            tuple(state.src), state.om1p, omega2 - state.shift2, omega4 - state.shift4,
-            G1, G3, relax,
-        )
-    except liouville.SingularSystemError as exc:
-        raise _averaging_failure(state.v, exc) from exc
-    means = kahan_sum(np.stack(responses, axis=-1), state.w)
-    return {**dict(zip(("a4", "b4", "a2", "b2"), means)),
-            "gl_ratio": state.gl_ratio, "mn_ratio": state.mn_ratio}
+# Single drive points only, each shared by every point of a probe-detuning
+# sweep; a grid's state (371 MB at 80 x 32) never enters the cache.
+_drive_state = lru_cache(maxsize=16)(_solve_drive_sector)
+
+
+def _probe_means(state: _DriveState, omega2, omega4, relax) -> np.ndarray:
+    """Velocity averages (a4, b4, a2, b2) of the probe responses at every drive point."""
+    om2p, om4p = omega2 - state.shift2, omega4 - state.shift4
+
+    def chunk(rows):
+        return np.stack(liouville.probe_response_compact(
+            tuple(state.src[:, rows]), state.om1p[rows], om2p[rows], om4p[rows],
+            state.G1, state.G3, relax,
+        ), axis=1)
+
+    return _velocity_sum(state.v, state.w, state.src.shape[2:], chunk)
 
 
 @lru_cache(maxsize=64)
@@ -276,13 +315,28 @@ def _norm_constant(
     code as production averages.
     """
     state = _drive_state(scheme, relax, medium, 0.0, 0.0, 0j, 0j, quad)
-    mean_a4 = _means(state, 0.0, 0.0, 0j, 0j, relax)["a4"]
+    mean_a4 = _probe_means(state, 0.0, 0.0, relax)[0]
     k4 = 1.0  # relative wavenumber of wave 4
     d4 = scheme.dipoles[3]
     raw_alpha4 = 2.0 * float(np.imag(k4 * d4 * d4 * mean_a4))
     if raw_alpha4 <= 0:
         raise AveragingError("weak-field resonant absorption is not positive")
     return medium.alpha40 / raw_alpha4
+
+
+def _coefficient_table(scheme, relax, medium, quad, state: _DriveState,
+                       omega2, omega4) -> np.ndarray:
+    """Averaged coefficients at every drive point of ``state``, as (*drive_shape, 12) table rows.
+
+    Raises :class:`AveragingError` if a solve fails or a coefficient is not finite.
+    """
+    means = np.concatenate([_probe_means(state, omega2, omega4, relax), state.ratios])
+    table = _assemble(scheme, relax, medium, quad, means)
+    bad = np.argwhere(~np.isfinite(table))
+    if bad.size:
+        where = f" at drive point {tuple(bad[0, :-1].tolist())}" if table.ndim > 1 else ""
+        raise AveragingError(f"non-finite averaged coefficient{where}")
+    return table
 
 
 def average_coefficients(
@@ -303,13 +357,10 @@ def average_coefficients(
     response.  Raises :class:`AveragingError` if a solve fails or a
     coefficient is not finite.
     """
-    G1, G3 = complex(G1), complex(G3)
-    state = _drive_state(scheme, relax, medium, fields.omega1, fields.omega3, G1, G3, quad)
-    mc = _assemble(scheme, relax, medium, quad,
-                   _means(state, fields.omega2, fields.omega4, G1, G3, relax))
-    if not np.all(np.isfinite(list(vars(mc).values()))):
-        raise AveragingError(f"non-finite averaged coefficient: {mc}")
-    return mc
+    state = _drive_state(scheme, relax, medium, fields.omega1, fields.omega3,
+                         complex(G1), complex(G3), quad)
+    return MacroscopicCoefficients.from_vector(
+        _coefficient_table(scheme, relax, medium, quad, state, fields.omega2, fields.omega4))
 
 
 def _assemble(
@@ -317,32 +368,22 @@ def _assemble(
     relax: RelaxationSet,
     medium: MediumParams,
     quad: QuadratureSpec,
-    mean: dict,
-) -> MacroscopicCoefficients:
+    means: np.ndarray,
+) -> np.ndarray:
+    """Table rows from the stacked averages (a4, b4, a2, b2, gl_ratio, mn_ratio)."""
     scale = _norm_constant(scheme, relax, medium, quad)
     l1, l2, l3, l4 = scheme.wavelengths
     k1, k2, k3 = l4 / l1, l4 / l2, l4 / l3  # relative wavenumbers, k4 = 1
     d1, d2, d3, d4 = scheme.dipoles
-
-    sigma4 = scale * 1.0 * d4 * d4 * mean["a4"]
-    sigma2 = scale * k2 * d2 * d2 * mean["a2"]
-    gamma4 = scale * 1.0 * d4 * d2 * mean["b4"]
-    gamma2 = scale * k2 * d2 * d4 * mean["b2"]
-    sigma1 = scale * k1 * d1 * d1 * mean["gl_ratio"]
-    sigma3 = scale * k3 * d3 * d3 * mean["mn_ratio"]
-
-    return MacroscopicCoefficients(
-        alpha1=2.0 * float(np.imag(sigma1)),
-        alpha2=2.0 * float(np.imag(sigma2)),
-        alpha3=2.0 * float(np.imag(sigma3)),
-        alpha4=2.0 * float(np.imag(sigma4)),
-        deltak1=float(np.real(sigma1)),
-        deltak2=float(np.real(sigma2)),
-        deltak3=float(np.real(sigma3)),
-        deltak4=float(np.real(sigma4)),
-        gamma4=complex(gamma4),
-        gamma2=complex(gamma2),
-    )
+    a4, b4, a2, b2, gl_ratio, mn_ratio = means
+    return np.stack([
+        scale * k1 * d1 * d1 * gl_ratio,  # sigma1
+        scale * k2 * d2 * d2 * a2,        # sigma2
+        scale * k3 * d3 * d3 * mn_ratio,  # sigma3
+        scale * 1.0 * d4 * d4 * a4,       # sigma4
+        scale * 1.0 * d4 * d2 * b4,       # gamma4
+        scale * k2 * d2 * d4 * b2,        # gamma2
+    ], axis=-1).view(np.float64)
 
 
 def quadrature_gate(
@@ -362,18 +403,12 @@ def quadrature_gate(
     return rel < rtol, rel
 
 
-# ---------------------------------------------------------------------------
-# Grid evaluation used by the propagation coefficient cache.  The zeroth-order
-# sources over a (|G1|, |G3|) grid are independent of the probe detuning and
-# can be shared by many probe-frequency columns.
-# ---------------------------------------------------------------------------
-
 class DriveGrid:
-    """Zeroth-order solution tabulated over velocity and a real drive grid.
+    """Drive-sector state over velocity and a real (|G1|, |G3|) grid.
 
-    Holds the probe source elements for all (v, |G1|, |G3|) combinations and
-    the velocity-averaged drive coherences.  Intended to be built once and
-    reused by every probe-detuning column of a scan.
+    Built once and shared by every probe-detuning column of a scan, and kept
+    out of the drive-state cache: the probe sources of the default 80 x 32
+    grid take 371 MB.
     """
 
     def __init__(
@@ -390,74 +425,28 @@ class DriveGrid:
         self.relax = relax
         self.medium = medium
         self.fields = fields
+        self.quad = quad
         self.g1_grid = np.asarray(g1_grid, dtype=float)
         self.g3_grid = np.asarray(g3_grid, dtype=float)
-        self.quad = quad
-        self.v, self.w = quad.nodes()
-        sh = _shifts(scheme, self.v)
-        self.om1p = fields.omega1 - sh[0]
-        self.om3p = fields.omega3 - sh[2]
-        self.shift2 = sh[1]
-        self.shift4 = sh[3]
+        self.state = _solve_drive_sector(scheme, relax, medium, fields.omega1, fields.omega3,
+                                         self.g1_grid[:, None], self.g3_grid[None, :], quad)
 
-        nv = self.v.size
-        ng1 = self.g1_grid.size
-        ng3 = self.g3_grid.size
-        self.src = np.empty((nv, ng1, ng3, 6), dtype=complex)
-        gl = mn = (np.zeros((ng1, ng3), dtype=complex),) * 2  # (exact part, remainder)
-        g1b = self.g1_grid[None, :, None]
-        g3b = self.g3_grid[None, None, :]
-        for start in range(0, nv, _VCHUNK):
-            stop = min(start + _VCHUNK, nv)
-            rho0 = liouville.drive_steady_state_batch(
-                relax, medium.p_n,
-                self.om1p[start:stop, None, None], self.om3p[start:stop, None, None],
-                g1b, g3b,
-            )
-            self.src[start:stop] = np.stack(liouville.compact_sources(rho0), axis=-1)
-            r1, r3 = _drive_ratios(
-                rho0,
-                self.om1p[start:stop, None, None], self.om3p[start:stop, None, None],
-                g1b, g3b, relax,
-            )
-            gl = _add_chunk(gl, r1, self.w[start:stop])
-            mn = _add_chunk(mn, r3, self.w[start:stop])
-        self.mean_gl_ratio, self.mean_mn_ratio = np.add(*gl), np.add(*mn)
+    @property
+    def src(self) -> np.ndarray:
+        """Probe source elements, (6, nv, n1, n3)."""
+        return self.state.src
 
-    def coefficients_for(self, fields: FieldConfig) -> list[list[MacroscopicCoefficients]]:
-        """Macroscopic coefficients on the drive grid for one probe detuning.
+    def coefficients_for(self, fields: FieldConfig) -> np.ndarray:
+        """Coefficient table (n1, n3, 12) on the drive grid for one probe detuning.
 
+        Rows are read by :meth:`MacroscopicCoefficients.from_vector`.
         ``fields`` must share the drive detunings of the grid; only the probe
         detuning omega4 (and the slaved omega2) may differ.
         """
         if (fields.omega1, fields.omega3) != (self.fields.omega1, self.fields.omega3):
             raise ValueError("drive detunings differ from the tabulated grid")
-        om2p = fields.omega2 - self.shift2
-        om4p = fields.omega4 - self.shift4
-        nv = self.v.size
-        ng1, ng3 = self.mean_gl_ratio.shape
-        sums = [(np.zeros((ng1, ng3), dtype=complex),) * 2] * 4  # a4, b4, a2, b2 as pairs
-        g1b = self.g1_grid[None, :, None]
-        g3b = self.g3_grid[None, None, :]
-        for start in range(0, nv, _VCHUNK):
-            stop = min(start + _VCHUNK, nv)
-            responses = liouville.probe_response_compact(
-                tuple(np.moveaxis(self.src[start:stop], -1, 0)),
-                self.om1p[start:stop, None, None],
-                om2p[start:stop, None, None],
-                om4p[start:stop, None, None],
-                g1b, g3b, self.relax,
-            )
-            sums = [_add_chunk(total, x, self.w[start:stop]) for total, x in zip(sums, responses)]
-        totals = np.array([np.add(*total) for total in sums])
-        return [
-            [_assemble(self.scheme, self.relax, self.medium, self.quad, {
-                **dict(zip(("a4", "b4", "a2", "b2"), totals[:, i, j])),
-                "gl_ratio": self.mean_gl_ratio[i, j],
-                "mn_ratio": self.mean_mn_ratio[i, j],
-            }) for j in range(ng3)]
-            for i in range(ng1)
-        ]
+        return _coefficient_table(self.scheme, self.relax, self.medium, self.quad,
+                                  self.state, fields.omega2, fields.omega4)
 
 
 # ---------------------------------------------------------------------------

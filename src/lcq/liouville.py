@@ -19,7 +19,6 @@ only inside the matrix builders.
 
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -61,9 +60,14 @@ class VelocityDetunings:
     omega4p: float
 
 
+def doppler_shifts(scheme: LevelScheme, v) -> list:
+    """Doppler shifts v/lambda_j (MHz) of the four waves at velocity v (m/s), scalar or array."""
+    return [v / w * 1e-6 for w in scheme.wavelengths]
+
+
 def detune_for_velocity(fields: FieldConfig, scheme: LevelScheme, v: float) -> VelocityDetunings:
     """Doppler-shift all four detunings for velocity v (m/s)."""
-    shifts = [v / w * 1e-6 for w in scheme.wavelengths]
+    shifts = doppler_shifts(scheme, v)
     return VelocityDetunings(
         omega1p=fields.omega1 - shifts[0],
         omega2p=fields.omega2 - shifts[1],
@@ -236,37 +240,35 @@ def probe_response_compact(
     G1, G3,
     relax: RelaxationSet,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """Probe responses from precomputed zeroth-order source elements.
+    """First-order probe responses (a4, b4, a2, b2) per MHz of probe amplitude.
 
-    ``src`` holds the six zeroth-order elements the probe sources need:
-    (rho_ll - rho_mm, rho_gg - rho_nn, rho_lg, rho_gl, rho_nm, rho_mn).
-    Arguments broadcast; the systems are solved in chunks of at most
-    ``_CHUNK`` along the leading axis of the broadcast shape.
+    a4 (a2) is the self response of the coherence radiating at the probe
+    frequency w4 (w2) per unit own Rabi amplitude; b4 (b2) is the cross
+    response per unit conjugate partner amplitude and carries the
+    drive-product phase.  ``src`` holds the six zeroth-order elements the
+    probe sources need, as :func:`compact_sources` extracts them.  Arguments
+    broadcast, and all systems are solved at once, so callers bound the batch.
     """
     diagonal, p, q, r, s = _probe_block_entries(om1p, om2p, om4p, G1, G3, relax)
     args = (*diagonal, p, q, r, s, *src)
     shape = np.broadcast_shapes(*(np.shape(a) for a in args))
-    full = shape or (1,)
-    # same number of axes everywhere; only arrays that vary along the first are sliced
-    args = [np.reshape(a, (1,) * (len(full) - np.ndim(a)) + np.shape(a)) for a in args]
-    inner = math.prod(full[1:])
-    step = max(1, _CHUNK // max(inner, 1))
-    out = np.empty((4,) + full, dtype=complex)
-    for start in range(0, full[0], step):
-        rows = slice(start, start + step)
-        out[:, rows] = _probe_rows(
-            start * inner, *(a[rows] if a.shape[0] > 1 else a for a in args))
-    return tuple(out[k].reshape(shape) for k in range(4))
+    # all arguments as arrays of one rank: numpy's scalar arithmetic rounds some
+    # complex operations differently from its array loops, and a system must
+    # come out the same alone and in a batch
+    rank = max(len(shape), 1)
+    out = _probe_rows(*(np.reshape(a, (1,) * (rank - np.ndim(a)) + np.shape(a)) for a in args))
+    return tuple(x.reshape(shape) for x in out)
 
 
-def _probe_rows(offset, m00, m11, m22, m33, p, q, r, s,
+def _probe_rows(m00, m11, m22, m33, p, q, r, s,
                 d4pop, d2pop, rho_lg, rho_gl, rho_nm, rho_mn) -> np.ndarray:
     """Rows 1 and 2 of the probe-block solution for the two unit probe sources.
 
     Closed-form Gaussian elimination: x0 and x3 go through the diagonal pivots
     M00 and M33, then the 2x2 system in (x1, x2) through pivot S11, so without
     drives x2 is exactly b2 / M22.  A zero or non-finite determinant (the
-    product of the pivots) raises :class:`SingularSystemError`, indexed from ``offset``.
+    product of the pivots) raises :class:`SingularSystemError` with the flat
+    index of the first such system.
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         i0 = 1.0 / m00
@@ -293,9 +295,8 @@ def _probe_rows(offset, m00, m11, m22, m33, p, q, r, s,
         out = np.stack(np.broadcast_arrays(x2_4, x2_2, np.conj(x1_2), np.conj(x1_4)))
         bad = np.broadcast_to(~np.isfinite(det) | (det == 0), out.shape[1:])
     if np.any(bad):
-        index = offset + int(np.flatnonzero(bad)[0])
-        raise SingularSystemError(
-            f"probe block determinant is zero or non-finite at system {index}", index=index)
+        raise SingularSystemError("probe block determinant is zero or non-finite",
+                                  index=int(np.flatnonzero(bad)[0]))
     return out
 
 
@@ -308,24 +309,6 @@ def compact_sources(rho0: np.ndarray) -> tuple:
         rho0[..., 2, 0],
         rho0[..., 1, 3],
         rho0[..., 3, 1],
-    )
-
-
-def probe_response_batch(
-    rho0: np.ndarray,
-    om1p, om2p, om4p,
-    G1, G3,
-    relax: RelaxationSet,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-    """First-order probe responses (a4, b4, a2, b2) per MHz of probe amplitude.
-
-    a4 (a2) is the self response of the coherence radiating at the probe
-    frequency w4 (w2) per unit own Rabi amplitude; b4 (b2) is the
-    cross response per unit conjugate partner amplitude and carries the
-    drive-product phase.
-    """
-    return probe_response_compact(
-        compact_sources(rho0), om1p, om2p, om4p, G1, G3, relax
     )
 
 
@@ -478,8 +461,8 @@ def solve_probe_response(
     G3: complex,
 ) -> ProbeResponse:
     """Linear response of the probe coherences around a zeroth-order state."""
-    a4, b4, a2, b2 = probe_response_batch(
-        state.rho,
+    a4, b4, a2, b2 = probe_response_compact(
+        compact_sources(state.rho),
         det.omega1p, det.omega2p, det.omega4p,
         complex(G1), complex(G3),
         relax,

@@ -80,9 +80,6 @@ class PropagationTrace:
         return i
 
 
-# Cache field order: re/im pairs of sigma1..sigma4, gamma4, gamma2.
-_NFIELDS = 12
-
 # Power-law exponents of the cache grid spacing along |G1| and |G3|.
 _GRID_POWER1 = 1.4
 _GRID_POWER3 = 1.3
@@ -95,24 +92,6 @@ def cache_grids(
     g1 = margin * abs(fields.g10) * np.linspace(0.0, 1.0, n1) ** _GRID_POWER1
     g3 = margin * abs(fields.g30) * np.linspace(0.0, 1.0, n3) ** _GRID_POWER3
     return g1, g3
-
-
-def _coeffs_to_vector(mc: MacroscopicCoefficients) -> np.ndarray:
-    s = [mc.sigma(1), mc.sigma(2), mc.sigma(3), mc.sigma(4), mc.gamma4, mc.gamma2]
-    out = np.empty(_NFIELDS)
-    out[0::2] = [c.real for c in s]
-    out[1::2] = [c.imag for c in s]
-    return out
-
-
-def _vector_to_coeffs(vec: np.ndarray) -> MacroscopicCoefficients:
-    s = vec[0::2] + 1j * vec[1::2]
-    return MacroscopicCoefficients(
-        alpha1=2.0 * s[0].imag, alpha2=2.0 * s[1].imag,
-        alpha3=2.0 * s[2].imag, alpha4=2.0 * s[3].imag,
-        deltak1=s[0].real, deltak2=s[1].real, deltak3=s[2].real, deltak4=s[3].real,
-        gamma4=complex(s[4]), gamma2=complex(s[5]),
-    )
 
 
 class CacheValidationError(RuntimeError):
@@ -191,11 +170,7 @@ class CoefficientCache:
                     or not np.array_equal(drive_grid.g1_grid, g1_grid)
                     or not np.array_equal(drive_grid.g3_grid, g3_grid)):
                 raise ValueError("drive grid does not match the requested cache grid")
-        coeffs = drive_grid.coefficients_for(fields)
-        table = np.empty((n1, n3, _NFIELDS))
-        for i in range(n1):
-            for j in range(n3):
-                table[i, j] = _coeffs_to_vector(coeffs[i][j])
+        table = drive_grid.coefficients_for(fields)
         cache = cls(scheme, relax, medium, fields, quad, g1_grid, g3_grid, table)
         if validate_probes > 0:
             cache._validate(validate_probes, rtol)
@@ -212,11 +187,9 @@ class CoefficientCache:
         for _ in range(n_probes):
             g1 = rng.uniform(0.0, self.g1_grid[-1])
             g3 = rng.uniform(0.0, self.g3_grid[-1])
-            direct = _coeffs_to_vector(
-                doppler.average_coefficients(
-                    self.scheme, self.relax, self.medium, self.fields, g1, g3, self.quad
-                )
-            )
+            direct = doppler.average_coefficients(
+                self.scheme, self.relax, self.medium, self.fields, g1, g3, self.quad
+            ).to_vector()
             interp = self._raw_lookup(g1, g3)
             err = np.max(np.abs(interp - direct) / scale)
             worst = max(worst, float(err))
@@ -244,7 +217,7 @@ class CoefficientCache:
     def lookup(self, g1_abs: float, g3_abs: float) -> MacroscopicCoefficients:
         """Coefficients at real drive amplitudes; out-of-bounds goes direct."""
         if (0.0 <= g1_abs <= self.g1_grid[-1]) and (0.0 <= g3_abs <= self.g3_grid[-1]):
-            return _vector_to_coeffs(self._raw_lookup(g1_abs, g3_abs))
+            return MacroscopicCoefficients.from_vector(self._raw_lookup(g1_abs, g3_abs))
         self.fallbacks += 1
         return doppler.average_coefficients(
             self.scheme, self.relax, self.medium, self.fields, g1_abs, g3_abs, self.quad

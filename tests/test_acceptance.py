@@ -214,7 +214,8 @@ def test_criterion_05_density_matrix_sanity(preset):
     g1 = 300.0
     om2 = np.linspace(-700.0, 700.0, 1401)
     rho0 = lv.drive_steady_state_batch(relax, medium.p_n, 0.0, om2, g1, 0.0)
-    _, _, a2, _ = lv.probe_response_batch(rho0, 0.0, om2, -om2, g1, 0.0, relax)
+    _, _, a2, _ = lv.probe_response_compact(
+        lv.compact_sources(rho0), 0.0, om2, -om2, g1, 0.0, relax)
     absorption = np.imag(a2)
     mid = om2.size // 2
     left = om2[np.argmax(np.abs(absorption[:mid]))]

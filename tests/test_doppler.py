@@ -1,6 +1,7 @@
 """Velocity averaging, normalization and the independent Voigt oracle."""
 
 import math
+import re
 from dataclasses import replace
 
 import numpy as np
@@ -177,6 +178,23 @@ def test_averaging_reports_failing_node(preset, quad):
                    sp_gn=0.0, sp_gl=0.0)
     with pytest.raises(dp.AveragingError):
         dp.average_coefficients(sch, dead, medium, fields, 0.0, 0.0, quad)
+
+
+def test_grid_failure_names_the_velocity_node(preset, quad):
+    # without rho_nl coherence decay the probe block is singular where the
+    # Raman detuning vanishes, at v = 0 for omega4 = omega3; a drive grid
+    # names the same velocity node as a single drive point
+    sch, relax, medium, fields = preset
+    dead = replace(relax, coh_nl=0.0)
+    raman = fields.with_omega4(fields.omega3)
+    with pytest.raises(dp.AveragingError) as point:
+        dp.average_coefficients(sch, dead, medium, raman, 50.0, 20.0, quad)
+    grid = dp.DriveGrid(sch, dead, medium, raman, [0.0, 50.0, 100.0], [0.0, 20.0], quad)
+    with pytest.raises(dp.AveragingError) as info:
+        grid.coefficients_for(raman)
+    node = re.search(r"velocity node \d+ \(v = [-0-9.]+ m/s\)", str(point.value)).group()
+    assert node in str(info.value)
+    assert "drive point (0, 0)" in str(info.value)
 
 
 def test_mirror_symmetry_of_spectra(preset, quad):
