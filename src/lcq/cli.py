@@ -240,6 +240,7 @@ def _dispatch(args, argv: list[str], t_start: float) -> int:
         if n_invalid:
             manifest["warnings"].append(f"{n_invalid} grid cells invalid")
         manifest["max_gain"] = result.max_gain
+        manifest["cache_validation_error"] = result.validation_error
         manifest["argmax"] = dict(zip(("omega4_MHz", "length_L4"), result.argmax()))
         _emit(args, records, manifest, t_start)
         return 0

@@ -183,27 +183,17 @@ class AveragingError(RuntimeError):
     """A per-velocity solve failed during averaging, or a coefficient is not finite."""
 
 
-def _drive_ratios(
-    rho0: np.ndarray,
-    om1p, om3p,
-    G1, G3,
-    relax: RelaxationSet,
-) -> tuple[np.ndarray, np.ndarray]:
-    """Per-velocity drive coherences per unit Rabi amplitude.
+def _drive_ratios(rho0: np.ndarray, om1p, om3p, relax: RelaxationSet) -> tuple:
+    """Per-velocity drive coherences per unit Rabi amplitude, rho_gl / G1 and rho_mn / G3.
 
-    At zero amplitude the ratio continues smoothly into the linear-response
-    Lorentzian around the state driven by the other field, which keeps the
-    effective drive susceptibility continuous down to G = 0.
+    They follow from the populations alone, so they stay defined and
+    continuous down to zero amplitude, where they are the linear-response
+    Lorentzians around the state driven by the other field.
     """
-    G1b = np.broadcast_to(np.asarray(G1, dtype=complex), rho0.shape[:-2])
-    G3b = np.broadcast_to(np.asarray(G3, dtype=complex), rho0.shape[:-2])
     d1pop = rho0[..., 0, 0] - rho0[..., 2, 2]
     d3pop = rho0[..., 1, 1] - rho0[..., 3, 3]
-    lin1 = 1j * RAD_PER_MHZ * d1pop / (relax.coh_gl - 1j * RAD_PER_MHZ * np.asarray(om1p))
-    lin3 = 1j * RAD_PER_MHZ * d3pop / (relax.coh_mn - 1j * RAD_PER_MHZ * np.asarray(om3p))
-    with np.errstate(invalid="ignore", divide="ignore"):
-        r1 = np.where(G1b != 0, rho0[..., 2, 0] / np.where(G1b != 0, G1b, 1.0), lin1)
-        r3 = np.where(G3b != 0, rho0[..., 3, 1] / np.where(G3b != 0, G3b, 1.0), lin3)
+    r1 = 1j * RAD_PER_MHZ * d1pop / (relax.coh_gl - 1j * RAD_PER_MHZ * np.asarray(om1p))
+    r3 = 1j * RAD_PER_MHZ * d3pop / (relax.coh_mn - 1j * RAD_PER_MHZ * np.asarray(om3p))
     return r1, r3
 
 
@@ -258,7 +248,7 @@ class _DriveState(NamedTuple):
 
 
 def _solve_drive_sector(scheme, relax, medium, omega1, omega3, G1, G3, quad) -> _DriveState:
-    """Solve the 8x8 drive sector of every velocity class at the drive amplitudes.
+    """Solve the drive sector of every velocity class at the drive amplitudes.
 
     G1 and G3 broadcast to the drive shape: scalars for one drive point, or
     ``g1_grid[:, None]`` and ``g3_grid[None, :]`` for a grid.  The arrays are
@@ -274,7 +264,7 @@ def _solve_drive_sector(scheme, relax, medium, omega1, omega3, G1, G3, quad) -> 
         rho0 = liouville.drive_steady_state_batch(
             relax, medium.p_n, om1p[rows], om3p[rows], G1, G3)
         src[:, rows] = liouville.compact_sources(rho0)
-        return np.stack(_drive_ratios(rho0, om1p[rows], om3p[rows], G1, G3, relax), axis=1)
+        return np.stack(_drive_ratios(rho0, om1p[rows], om3p[rows], relax), axis=1)
 
     state = _DriveState(v, w, om1p, sh[1], sh[3], src,
                         _velocity_sum(v, w, drive_shape, chunk), G1, G3)

@@ -312,82 +312,66 @@ def compact_sources(rho0: np.ndarray) -> tuple:
     )
 
 
-# Even-sector basis of the drive-only steady state: populations plus the two
-# drive coherences and their conjugates.
-_EVEN = ("ll", "nn", "gg", "mm", "gl", "lg", "mn", "nm")
-
-
 def drive_steady_state_batch(
     relax: RelaxationSet,
     p_n: float,
     om1p, om3p,
     G1, G3,
 ) -> np.ndarray:
-    """Fast zeroth-order solve restricted to the closed even sector.
+    """Drive-only steady state by closed-form elimination, as (..., 4, 4) matrices.
 
     With both probes off, the cross coherences between the level groups
-    {l, g} and {n, m} are unsourced and vanish, so the steady state reduces
-    to an 8-dimensional linear system that depends on the drive detunings
-    only.  Agreement with the full 16x16 route of :func:`zeroth_order_batch`
-    is exact and covered by tests.
+    {l, g} and {n, m} are unsourced and vanish.  Each drive coherence follows
+    from its own row, rho_gl = -i a1 (rho_ll - rho_gg) / z_gl with the
+    complex rate z_gl = i om1p - Gamma_gl and a1 = G1 (angular units), and
+    rho_mn likewise.  Put into the population balances, they leave the real
+    pumping rates R1 = 2 Gamma_gl |a1|^2 / |z_gl|^2 and R3, so that
+    rho_gg = fg rho_ll and rho_mm = fm rho_nn, and the nn balance with the
+    trace is a 2x2 real system for rho_ll and rho_nn.  Every term is
+    non-negative, so nothing cancels.  A zero or non-finite z_gl, z_mn,
+    Gamma_g + R1, Gamma_m + R3 or trace denominator raises
+    :class:`SingularSystemError` with the flat index of the first such
+    system: for instance no relaxation at all, Gamma_g = 0 at G1 = 0, or
+    Gamma_gl = 0 at om1p = 0.  Agreement with the full 16x16 route of
+    :func:`zeroth_order_batch` is covered by tests.
     """
-    shape = np.broadcast(np.asarray(om1p), np.asarray(om3p),
-                         np.asarray(G1), np.asarray(G3)).shape
-    om1p = np.broadcast_to(np.asarray(om1p, dtype=float), shape)
-    om3p = np.broadcast_to(np.asarray(om3p, dtype=float), shape)
-    a1 = np.broadcast_to(np.asarray(G1, dtype=complex), shape) * RAD_PER_MHZ
-    a3 = np.broadcast_to(np.asarray(G3, dtype=complex), shape) * RAD_PER_MHZ
-    h_gg = -om1p * RAD_PER_MHZ
-    # only the difference h_mm - h_nn = -om3p enters the n-m sector
-    h_mm_nn = -om3p * RAD_PER_MHZ
-
     r = relax
-    qm, qg = r.reservoir_m, r.reservoir_g
-    M = np.zeros(shape + (8, 8), dtype=complex)
-    # trace condition replaces the (redundant) ll balance
-    M[..., 0, 0] = M[..., 0, 1] = M[..., 0, 2] = M[..., 0, 3] = 1.0
-    # nn balance
-    M[..., 1, 0] = r.gamma_n * p_n
-    M[..., 1, 1] = -r.gamma_n * (1.0 - p_n)
-    M[..., 1, 2] = r.sp_gn + p_n * qg
-    M[..., 1, 3] = r.sp_mn + p_n * qm
-    M[..., 1, 6] = 1j * np.conj(a3)
-    M[..., 1, 7] = -1j * a3
-    # gg balance
-    M[..., 2, 2] = -r.gamma_g
-    M[..., 2, 4] = -1j * np.conj(a1)
-    M[..., 2, 5] = 1j * a1
-    # mm balance
-    M[..., 3, 3] = -r.gamma_m
-    M[..., 3, 6] = -1j * np.conj(a3)
-    M[..., 3, 7] = 1j * a3
-    # drive coherences and conjugates
-    M[..., 4, 0] = 1j * a1
-    M[..., 4, 2] = -1j * a1
-    M[..., 4, 4] = -1j * h_gg - r.coh_gl
-    M[..., 5, 0] = -1j * np.conj(a1)
-    M[..., 5, 2] = 1j * np.conj(a1)
-    M[..., 5, 5] = 1j * h_gg - r.coh_gl
-    M[..., 6, 1] = 1j * a3
-    M[..., 6, 3] = -1j * a3
-    M[..., 6, 6] = -1j * h_mm_nn - r.coh_mn
-    M[..., 7, 1] = -1j * np.conj(a3)
-    M[..., 7, 3] = 1j * np.conj(a3)
-    M[..., 7, 7] = 1j * h_mm_nn - r.coh_mn
-
-    rhs = np.zeros(shape + (8,), dtype=complex)
-    rhs[..., 0] = 1.0
-    x = _solve_chunked(M.reshape((-1, 8, 8)), rhs.reshape((-1, 8))).reshape(shape + (8,))
-
-    rho = np.zeros(shape + (4, 4), dtype=complex)
-    rho[..., 0, 0] = x[..., 0]
-    rho[..., 1, 1] = x[..., 1]
-    rho[..., 2, 2] = x[..., 2]
-    rho[..., 3, 3] = x[..., 3]
-    rho[..., 2, 0] = x[..., 4]
-    rho[..., 0, 2] = x[..., 5]
-    rho[..., 3, 1] = x[..., 6]
-    rho[..., 1, 3] = x[..., 7]
+    om1p, om3p = (np.asarray(x, dtype=float) * RAD_PER_MHZ for x in (om1p, om3p))
+    a1, a3 = (np.asarray(x, dtype=complex) * RAD_PER_MHZ for x in (G1, G3))
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        z_gl = 1j * om1p - r.coh_gl
+        z_mn = 1j * om3p - r.coh_mn
+        pump1 = 2.0 * r.coh_gl * (a1.real**2 + a1.imag**2) / (r.coh_gl**2 + om1p**2)
+        pump3 = 2.0 * r.coh_mn * (a3.real**2 + a3.imag**2) / (r.coh_mn**2 + om3p**2)
+        sum_g = r.gamma_g + pump1
+        sum_m = r.gamma_m + pump3
+        fg = pump1 / sum_g  # rho_gg / rho_ll
+        fm = pump3 / sum_m  # rho_mm / rho_nn
+        # the nn balance A rho_ll = B rho_nn: refill of n from l and g against
+        # its thermalisation and its pumping through m into l
+        A = r.gamma_n * p_n + (r.sp_gn + p_n * r.reservoir_g) * fg
+        B = r.gamma_n * (1.0 - p_n) + (r.gamma_m - r.sp_mn - p_n * r.reservoir_m) * fm
+        D = B * (1.0 + fg) + A * (1.0 + fm)
+        ll = B / D
+        nn = A / D
+        # rho_gl / rho_ll, with rho_ll - rho_gg = rho_ll Gamma_g / (Gamma_g + R1)
+        # so that nothing cancels; likewise rho_mn / rho_nn
+        c1 = -1j * a1 * r.gamma_g / (sum_g * z_gl)
+        c3 = -1j * a3 * r.gamma_m / (sum_m * z_mn)
+        # a zero z or Gamma + R leaves a NaN pumping fraction, and so a NaN D
+        bad = ~np.isfinite(D) | (D == 0) | ~np.isfinite(c1) | ~np.isfinite(c3)
+    if np.any(bad):
+        raise SingularSystemError("drive sector is singular: zero or non-finite pivot",
+                                  index=int(np.flatnonzero(bad)[0]))
+    rho = np.zeros(bad.shape + (4, 4), dtype=complex)
+    rho[..., 0, 0] = ll
+    rho[..., 1, 1] = nn
+    rho[..., 2, 2] = fg * ll
+    rho[..., 3, 3] = fm * nn
+    rho[..., 2, 0] = gl = c1 * ll
+    rho[..., 0, 2] = np.conj(gl)
+    rho[..., 3, 1] = mn = c3 * nn
+    rho[..., 1, 3] = np.conj(mn)
     return rho
 
 

@@ -106,6 +106,8 @@ class CoefficientCache:
     piecewise-polynomial coefficients for all stored fields at once, which
     keeps a lookup far cheaper than a velocity average.  Queries outside the
     grid fall back to direct evaluation and are counted as warnings.
+    ``validation_error`` is the worst scaled error of the validation probes,
+    or None if the cache was not validated.
     """
 
     def __init__(
@@ -128,6 +130,7 @@ class CoefficientCache:
         self.g3_grid = g3_grid
         self.table = table
         self.fallbacks = 0
+        self.validation_error: float | None = None
         # two-pass cubic-spline fit: polynomial coefficients per grid cell,
         # laid out as (n1-1, n3-1, field, x power, y power)
         s1 = CubicSpline(g1_grid, table, axis=0)
@@ -193,6 +196,7 @@ class CoefficientCache:
             interp = self._raw_lookup(g1, g3)
             err = np.max(np.abs(interp - direct) / scale)
             worst = max(worst, float(err))
+        self.validation_error = worst
         if worst > rtol:
             raise CacheValidationError(
                 f"cache interpolation error {worst:.3e} exceeds {rtol:.1e}"
@@ -407,6 +411,7 @@ class GainMapResult:
     ratio: np.ndarray          # (n_omega4, n_lengths)
     valid: np.ndarray          # bool mask, False where integration aborted
     cache_fallbacks: int = 0
+    validation_error: float | None = None  # worst over the columns' cache validations
 
     @property
     def max_gain(self) -> float:
@@ -466,6 +471,7 @@ def gain_map(
     ratio = np.full((omega4_grid.size, length_grid.size), np.nan)
     valid = np.zeros((omega4_grid.size, length_grid.size), dtype=bool)
     fallbacks = [0] * omega4_grid.size
+    errors: list[float | None] = [None] * omega4_grid.size
 
     def column(i: int) -> None:
         f_col = FieldConfig(
@@ -480,6 +486,7 @@ def gain_map(
                 validate_probes=validate_probes_first if i == 0 else validate_probes_rest,
                 drive_grid=shared_grid,
             )
+            errors[i] = cache.validation_error
         i40 = abs(e40) ** 2
         if length_grid[0] == 0.0:
             ratio[i, 0] = 1.0
@@ -508,7 +515,9 @@ def gain_map(
         for i in range(omega4_grid.size):
             column(i)
 
+    checked = [e for e in errors if e is not None]
     return GainMapResult(
         omega4=omega4_grid, lengths=length_grid, ratio=ratio, valid=valid,
         cache_fallbacks=int(sum(fallbacks)),
+        validation_error=max(checked) if checked else None,
     )

@@ -2,6 +2,7 @@
 
 import json
 import hashlib
+import math
 import os
 import subprocess
 import sys
@@ -178,6 +179,15 @@ def test_gainmap_deterministic_across_threads(tmp_path):
         assert rc == 0
         digests[threads] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert len(set(digests.values())) == 1
+
+
+def test_gainmap_manifest_reports_cache_validation_error(tmp_path):
+    out = tmp_path / "gm.csv"
+    assert cli.main(["gainmap", "--omega4", "150:155:2", "--length", "0:6:3",
+                     "--steps", "400", "--quad", "301", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "gm.csv.manifest.json").read_text())
+    error = manifest["cache_validation_error"]
+    assert isinstance(error, float) and math.isfinite(error) and error < 1e-4
 
 
 def test_threads_env_variable(tmp_path):

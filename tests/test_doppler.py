@@ -197,6 +197,17 @@ def test_grid_failure_names_the_velocity_node(preset, quad):
     assert "drive point (0, 0)" in str(info.value)
 
 
+def test_singular_drive_sector_names_the_drive_point(preset, quad):
+    # without decay of level g the drive sector is singular wherever G1 = 0,
+    # from the first velocity node on; the grid names that drive point
+    sch, relax, medium, fields = preset
+    no_g_decay = replace(relax, gamma_g=0.0, sp_gn=0.0, sp_gl=0.0)
+    with pytest.raises(dp.AveragingError) as info:
+        dp.DriveGrid(sch, no_g_decay, medium, fields, [100.0, 50.0, 0.0], [0.0, 20.0], quad)
+    assert "velocity node 0 (v = " in str(info.value)
+    assert "drive point (2, 0)" in str(info.value)
+
+
 def test_mirror_symmetry_of_spectra(preset, quad):
     # detuning reflection with conjugated drives flips dispersion parts and
     # preserves absorption parts

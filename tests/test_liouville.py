@@ -11,7 +11,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 from scipy.linalg import expm
 
@@ -26,6 +26,10 @@ def preset():
 
 def closed_detunings(om1, om3, om4):
     return lv.VelocityDetunings(om1, om1 + om3 - om4, om3, om4)
+
+
+def _floats(lo, hi):
+    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
 # --------------------------------------------------------------------------
@@ -110,30 +114,97 @@ def test_trace_and_hermiticity_strong_drives(preset):
         assert np.all(pops > -1e-12) and np.all(pops < 1 + 1e-12)
 
 
-def test_fast_even_sector_matches_full_liouvillian(preset):
-    sch, relax, medium, _ = preset
-    rng = np.random.default_rng(17)
-    om1 = rng.uniform(-300, 300, 40)
-    om3 = rng.uniform(-300, 300, 40)
-    om4 = rng.uniform(-300, 300, 40)
+_RATES = ("gamma_m", "gamma_g", "gamma_n", "coh_ml", "coh_gl", "coh_mn",
+          "coh_gn", "coh_nl", "coh_gm", "sp_mn", "sp_ml", "sp_gn", "sp_gl")
+
+
+def _normal_floats(lo, hi, **kwargs):
+    # subnormal rates carry fewer significant bits than any tolerance below assumes
+    return st.floats(lo, hi, allow_subnormal=False, **kwargs)
+
+
+@st.composite
+def relaxation_sets(draw):
+    """Rates in [0, 300] whose spontaneous branches fit inside their level's decay."""
+    rates = {name: draw(_normal_floats(0.0, 300.0)) for name in _RATES[:9]}
+    for level, (a, b) in (("m", ("sp_mn", "sp_ml")), ("g", ("sp_gn", "sp_gl"))):
+        total = rates["gamma_" + level]
+        rates[a] = draw(_normal_floats(0.0, 1.0)) * total
+        rates[b] = draw(_normal_floats(0.0, 1.0)) * (total - rates[a])
+    return RelaxationSet(**rates)
+
+
+_drive_amplitudes = st.one_of(
+    st.just(0j),
+    st.builds(lambda r, phi: r * np.exp(1j * phi), _floats(0.0, 200.0), _floats(0.0, 2 * np.pi)))
+
+
+def _trace_replaced_liouvillian(relax, p_n, om1, om2, om4, g1, g3):
+    L = lv.full_liouvillian(lv.rotating_hamiltonian(om1, om2, om4, g1, g3),
+                            lv.relaxation_superop(relax, p_n))
+    L[lv.IDX["ll"]] = lv._TRACE_ROW
+    return L
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    relax=relaxation_sets(),
+    p_n=_normal_floats(0.0, 0.5, exclude_min=True, exclude_max=True),
+    om=st.tuples(*[_floats(-500.0, 500.0)] * 3),
+    g1=_drive_amplitudes,
+    g3=_drive_amplitudes,
+)
+@example(relax=RelaxationSet(), p_n=0.02, om=(120.0, -35.0, 60.0),
+         g1=90 * np.exp(0.7j), g3=37 * np.exp(-1.2j))
+def test_fast_even_sector_matches_full_liouvillian(relax, p_n, om, g1, g3):
+    # the closed-form drive sector against the 16x16 oracle.  The closed form
+    # may call a system singular only where the oracle's matrix is; draws the
+    # oracle reports singular, or where its own rounding error (up to about
+    # cond * eps) can exceed the tolerance, are not compared
+    om1, om3, om4 = om
     om2 = om1 + om3 - om4
-    g1 = 90 * np.exp(0.7j)
-    g3 = 37 * np.exp(-1.2j)
-    fast = lv.drive_steady_state_batch(relax, medium.p_n, om1, om3, g1, g3)
-    full = lv.zeroth_order_batch(relax, medium.p_n, om1, om2, om4, g1, g3)
-    assert np.max(np.abs(fast - full)) < 1e-12
+    cond = np.linalg.cond(_trace_replaced_liouvillian(relax, p_n, om1, om2, om4, g1, g3))
+    try:
+        fast = lv.drive_steady_state_batch(relax, p_n, om1, om3, g1, g3)
+    except lv.SingularSystemError:
+        assert cond > 1e12
+        return
+    assert abs(np.trace(fast) - 1.0) <= 1e-14
+    assert fast[0, 2] == np.conj(fast[2, 0]) and fast[1, 3] == np.conj(fast[3, 1])
+    pops = np.diagonal(fast)
+    assert np.all(pops.imag == 0) and np.all((pops.real >= 0) & (pops.real <= 1))
+    try:
+        full = lv.zeroth_order_batch(relax, p_n, om1, om2, om4, g1, g3)
+    except lv.SingularSystemError:
+        return
+    if cond <= 1e4:
+        assert np.max(np.abs(fast - full)) <= 1e-12 * max(1.0, np.max(np.abs(full)))
 
 
-def test_singular_system_raises():
-    relax = na2_preset()[1]
-    # all-zero relaxation makes the steady state non-unique
-    from dataclasses import replace
-    dead = replace(relax, gamma_m=0.0, gamma_g=0.0, gamma_n=0.0,
-                   coh_ml=0.0, coh_gl=0.0, coh_mn=0.0, coh_gn=0.0,
-                   coh_nl=0.0, coh_gm=0.0, sp_mn=0.0, sp_ml=0.0,
-                   sp_gn=0.0, sp_gl=0.0)
-    with pytest.raises(lv.SingularSystemError):
-        lv.zeroth_order_batch(dead, 0.02, 0.0, 0.0, 0.0, 0.0, 0.0)
+_DEAD = dict.fromkeys(_RATES, 0.0)
+
+
+@pytest.mark.parametrize("changes, om1, om3, g1, g3, index", [
+    # the steady state is not unique anywhere
+    pytest.param(_DEAD, np.array([10.0, 0.0, 5.0]), 3.0, 50.0, 20.0, 0, id="no-relaxation"),
+    # level g neither decays nor is pumped where G1 = 0
+    pytest.param(dict(gamma_g=0.0, sp_gn=0.0, sp_gl=0.0), 0.0, 0.0,
+                 np.array([40.0, 10.0, 0.0, 5.0]), 20.0, 2, id="no-g-decay-at-zero-G1"),
+    # an undamped drive coherence at exact resonance
+    pytest.param(dict(coh_gl=0.0), np.array([30.0, -20.0, 10.0, 0.0, 5.0]), 0.0, 50.0, 20.0, 3,
+                 id="undamped-gl-at-resonance"),
+])
+@pytest.mark.parametrize("route", ["drive-sector", "16x16"])
+def test_singular_system_raises(route, changes, om1, om3, g1, g3, index):
+    # both routes name the same first singular system
+    relax = replace(na2_preset()[1], **changes)
+    om4 = 25.0
+    with pytest.raises(lv.SingularSystemError) as info:
+        if route == "drive-sector":
+            lv.drive_steady_state_batch(relax, 0.02, om1, om3, g1, g3)
+        else:
+            lv.zeroth_order_batch(relax, 0.02, om1, np.add(om1, om3) - om4, om4, g1, g3)
+    assert info.value.index == index
 
 
 # --------------------------------------------------------------------------
@@ -233,10 +304,6 @@ def test_continuity_in_velocity(preset):
         diffs.append(abs(vals[1] - vals[0]))
     assert diffs[-1] < 1e-4
     assert all(b < a for a, b in zip(diffs, diffs[1:]))
-
-
-def _floats(lo, hi):
-    return st.floats(lo, hi, allow_nan=False, allow_infinity=False)
 
 
 def dense_probe_solve(src, om1p, om2p, om4p, g1, g3, relax):

@@ -205,6 +205,11 @@ def test_cache_validation_passes(preset, quad, dressed_fields):
     cache = pg.CoefficientCache.build(sch, relax, medium, dressed_fields, quad,
                                       validate_probes=50)
     assert cache.fallbacks == 0
+    assert 0.0 < cache.validation_error < 1e-4
+
+
+def test_unvalidated_cache_reports_no_error(dressed_cache):
+    assert dressed_cache.validation_error is None
 
 
 def test_cache_matches_direct_at_grid_nodes(preset, quad, dressed_fields, dressed_cache):
