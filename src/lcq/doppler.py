@@ -11,8 +11,9 @@ The integrands contain resonances that are far narrower than the thermal
 width (homogeneous widths are a percent of the Doppler width), so the
 default quadrature is a velocity grid with a finely sampled core and coarser
 wings; uniform trapezoid and Gauss-Hermite rules are available for
-cross-checks.  For resolved features the trapezoid weights converge
-exponentially, which the convergence gate verifies by node doubling.
+cross-checks.  The default rule joins uniform trapezoid segments with kinks
+at the core edges, so it converges only algebraically (about as n^-3.4 for
+the preset); the convergence gate measures the change under node doubling.
 """
 
 from __future__ import annotations

@@ -6,13 +6,17 @@ cross-coupled through gamma4/gamma2 (which include the drive product), and
 the drives carry the quadratic probe back-action term.  Coefficients are
 re-evaluated from the local drive amplitudes at every integration stage,
 either directly (velocity average per stage) or through a bicubic
-interpolation cache over (|G1|, |G3|) built once per probe detuning.
+interpolation cache over (|G1|, |G3|).  One fixed-step RK4 engine advances
+n trajectories in lockstep as an (n, 4) complex state [G1, G3, E4, E2],
+with one batched (n, 12) coefficient evaluation and one array right-hand
+side per stage: a single integration, the columns of a gain map and the
+points of a drive-amplitude sweep all run on it.
 
 Because the microscopic response at complex drive amplitudes equals the
 response at real amplitudes times the drive-product phase (a gauge
 transformation of the level phases), the cache stores coefficients at real
-non-negative drive amplitudes and the integrator re-applies the running
-phase of G1 G3 to the cross couplings.
+non-negative drive amplitudes and the engine re-applies the running phase
+of G1 G3 to the cross couplings.
 """
 
 from __future__ import annotations
@@ -26,7 +30,7 @@ from scipy.interpolate import CubicSpline
 
 from . import doppler
 from .doppler import DriveGrid, MacroscopicCoefficients, QuadratureSpec
-from .scheme import FieldConfig, LevelScheme, MediumParams, RelaxationSet
+from .scheme import ConfigError, FieldConfig, LevelScheme, MediumParams, RelaxationSet
 
 
 class PropagationError(RuntimeError):
@@ -35,17 +39,6 @@ class PropagationError(RuntimeError):
     def __init__(self, z: float):
         super().__init__(f"non-finite field amplitude at z = {z:.6g} L4")
         self.z = z
-
-
-@dataclass(frozen=True)
-class FieldStateZ:
-    """Complex amplitudes of the four waves at one position."""
-
-    z: float
-    g1: complex
-    g3: complex
-    e4: complex
-    e2: complex
 
 
 @dataclass
@@ -65,13 +58,6 @@ class PropagationTrace:
     e2: np.ndarray
     coefficients: list[MacroscopicCoefficients]
     error_estimate: float | None = None
-    cache_fallbacks: int = 0
-
-    def state(self, i: int) -> FieldStateZ:
-        return FieldStateZ(
-            z=float(self.z[i]), g1=complex(self.g1[i]), g3=complex(self.g3[i]),
-            e4=complex(self.e4[i]), e2=complex(self.e2[i]),
-        )
 
     def index_of(self, z: float) -> int:
         i = int(np.argmin(np.abs(self.z - z)))
@@ -99,15 +85,17 @@ class CacheValidationError(RuntimeError):
 
 
 class CoefficientCache:
-    """Bicubic interpolation table of macroscopic coefficients over drive amplitudes.
+    """Bicubic interpolation tables of macroscopic coefficients over drive amplitudes.
 
-    The table is a tensor-product cubic spline over a rectangular
-    (|G1|, |G3|) grid at fixed detunings; evaluation contracts precomputed
-    piecewise-polynomial coefficients for all stored fields at once, which
-    keeps a lookup far cheaper than a velocity average.  Queries outside the
-    grid fall back to direct evaluation and are counted as warnings.
-    ``validation_error`` is the worst scaled error of the validation probes,
-    or None if the cache was not validated.
+    One table per column (probe detuning) ``columns[k]``, all on one
+    rectangular (|G1|, |G3|) grid at fixed drive detunings; ``tables`` is
+    (columns, n1, n3, 12).  Each table is a tensor-product cubic spline;
+    :meth:`rows` evaluates the precomputed piecewise polynomials for a batch
+    of points at once, which keeps a lookup far cheaper than a velocity
+    average.  Queries outside the grid fall back to direct evaluation and
+    are counted in ``fallbacks``.  ``validation_error`` is the worst scaled
+    error of the validation probes over the validated columns, or None if
+    no column was validated.
     """
 
     def __init__(
@@ -115,30 +103,31 @@ class CoefficientCache:
         scheme: LevelScheme,
         relax: RelaxationSet,
         medium: MediumParams,
-        fields: FieldConfig,
+        columns: list[FieldConfig],
         quad: QuadratureSpec,
         g1_grid: np.ndarray,
         g3_grid: np.ndarray,
-        table: np.ndarray,
+        tables: np.ndarray,
     ):
         self.scheme = scheme
         self.relax = relax
         self.medium = medium
-        self.fields = fields
+        self.columns = list(columns)
         self.quad = quad
         self.g1_grid = g1_grid
         self.g3_grid = g3_grid
-        self.table = table
+        self.tables = tables
         self.fallbacks = 0
         self.validation_error: float | None = None
-        # two-pass cubic-spline fit: polynomial coefficients per grid cell,
-        # laid out as (n1-1, n3-1, field, x power, y power)
-        s1 = CubicSpline(g1_grid, table, axis=0)
-        c1 = np.moveaxis(s1.c, 0, -1)          # (n1-1, n3, 12, 4)
-        s2 = CubicSpline(g3_grid, c1, axis=1)  # .c: (4, n3-1, n1-1, 12, 4)
-        self._poly = np.ascontiguousarray(
-            np.moveaxis(s2.c, 0, -1).transpose(1, 0, 2, 3, 4)
-        )
+        # two-pass cubic-spline fit per column: polynomial coefficients per
+        # grid cell, laid out as (column, n1-1, n3-1, x power, y power, field);
+        # one column at a time keeps the fit's temporaries to one column
+        self._poly = np.empty((len(tables), g1_grid.size - 1, g3_grid.size - 1, 4, 4, 12))
+        for k, table in enumerate(tables):
+            s1 = CubicSpline(g1_grid, table, axis=0)
+            c1 = np.moveaxis(s1.c, 0, -1)          # (n1-1, n3, 12, 4)
+            s2 = CubicSpline(g3_grid, c1, axis=1)  # .c: (4, n3-1, n1-1, 12, 4)
+            self._poly[k] = s2.c.transpose(2, 1, 4, 0, 3)
 
     @classmethod
     def build(
@@ -155,7 +144,7 @@ class CoefficientCache:
         rtol: float = 1e-4,
         drive_grid: DriveGrid | None = None,
     ) -> "CoefficientCache":
-        """Tabulate coefficients over [0, margin*|G10|] x [0, margin*|G30|].
+        """One-column cache over [0, margin*|G10|] x [0, margin*|G30|].
 
         The grids are power-spaced (denser toward zero amplitude, where the
         coefficients curve most as the drives die out); uniform spacing at
@@ -168,143 +157,204 @@ class CoefficientCache:
         g1_grid, g3_grid = cache_grids(fields, n1, n3, margin)
         if drive_grid is None:
             drive_grid = DriveGrid(scheme, relax, medium, fields, g1_grid, g3_grid, quad)
-        else:
-            if (drive_grid.g1_grid.shape != g1_grid.shape
-                    or not np.array_equal(drive_grid.g1_grid, g1_grid)
-                    or not np.array_equal(drive_grid.g3_grid, g3_grid)):
-                raise ValueError("drive grid does not match the requested cache grid")
+        elif (drive_grid.g1_grid.shape != g1_grid.shape
+                or not np.array_equal(drive_grid.g1_grid, g1_grid)
+                or not np.array_equal(drive_grid.g3_grid, g3_grid)):
+            raise ValueError("drive grid does not match the requested cache grid")
         table = drive_grid.coefficients_for(fields)
-        cache = cls(scheme, relax, medium, fields, quad, g1_grid, g3_grid, table)
+        del drive_grid  # a grid built here is freed before the spline fit
+        cache = cls(scheme, relax, medium, [fields], quad, g1_grid, g3_grid, table[None])
         if validate_probes > 0:
-            cache._validate(validate_probes, rtol)
+            cache._validate(0, validate_probes, rtol)
         return cache
 
-    def _validate(self, n_probes: int, rtol: float) -> None:
-        # relative to each coefficient's scale over the table; a pointwise
-        # quotient is ill-conditioned near the interior zeros of the cross
-        # couplings
+    def _validate(self, col: int, n_probes: int, rtol: float = 1e-4) -> None:
+        # relative to each coefficient's scale over the column's table; a
+        # pointwise quotient is ill-conditioned near the interior zeros of
+        # the cross couplings.  Every column draws the same probe points.
         rng = np.random.default_rng(20230817)
-        scale = np.max(np.abs(self.table), axis=(0, 1))
-        scale = np.maximum(scale, 1e-12)
+        scale = np.maximum(np.max(np.abs(self.tables[col]), axis=(0, 1)), 1e-12)
+        probes = np.array([(rng.uniform(0.0, self.g1_grid[-1]), rng.uniform(0.0, self.g3_grid[-1]))
+                           for _ in range(n_probes)])
+        interp = self.rows(np.full(n_probes, col), probes[:, 0], probes[:, 1])
         worst = 0.0
-        for _ in range(n_probes):
-            g1 = rng.uniform(0.0, self.g1_grid[-1])
-            g3 = rng.uniform(0.0, self.g3_grid[-1])
+        for (g1, g3), row in zip(probes.tolist(), interp):
             direct = doppler.average_coefficients(
-                self.scheme, self.relax, self.medium, self.fields, g1, g3, self.quad
+                self.scheme, self.relax, self.medium, self.columns[col], g1, g3, self.quad
             ).to_vector()
-            interp = self._raw_lookup(g1, g3)
-            err = np.max(np.abs(interp - direct) / scale)
-            worst = max(worst, float(err))
-        self.validation_error = worst
+            worst = max(worst, float(np.max(np.abs(row - direct) / scale)))
+        self.validation_error = max(worst, self.validation_error or 0.0)
         if worst > rtol:
             raise CacheValidationError(
                 f"cache interpolation error {worst:.3e} exceeds {rtol:.1e}"
             )
 
-    def _raw_lookup(self, g1_abs: float, g3_abs: float) -> np.ndarray:
-        i = min(max(int(np.searchsorted(self.g1_grid, g1_abs) - 1), 0),
-                self.g1_grid.size - 2)
-        j = min(max(int(np.searchsorted(self.g3_grid, g3_abs) - 1), 0),
-                self.g3_grid.size - 2)
-        dx = g1_abs - self.g1_grid[i]
-        dy = g3_abs - self.g3_grid[j]
-        poly = self._poly[i, j]  # (12, 4, 4)
+    def rows(self, col: np.ndarray, g1_abs: np.ndarray, g3_abs: np.ndarray) -> np.ndarray:
+        """Table rows (n, 12) of columns ``col`` at real drive amplitudes.
+
+        Points outside the grid are averaged directly, one at a time.
+        """
+        i = np.minimum(np.maximum(self.g1_grid.searchsorted(g1_abs) - 1, 0), self.g1_grid.size - 2)
+        j = np.minimum(np.maximum(self.g3_grid.searchsorted(g3_abs) - 1, 0), self.g3_grid.size - 2)
+        dx = (g1_abs - self.g1_grid[i])[:, None, None]
+        dy = (g3_abs - self.g3_grid[j])[:, None]
+        poly = self._poly[col, i, j]  # (n, 4, 4, 12)
         acc = poly[:, 0]
         for a in range(1, 4):
             acc = acc * dx + poly[:, a]
         out = acc[:, 0]
         for b in range(1, 4):
             out = out * dy + acc[:, b]
+        outside = ~((g1_abs >= 0.0) & (g1_abs <= self.g1_grid[-1])
+                    & (g3_abs >= 0.0) & (g3_abs <= self.g3_grid[-1]))
+        for k in outside.nonzero()[0]:
+            self.fallbacks += 1
+            out[k] = doppler.average_coefficients(
+                self.scheme, self.relax, self.medium, self.columns[col[k]],
+                float(g1_abs[k]), float(g3_abs[k]), self.quad,
+            ).to_vector()
         return out
 
     def lookup(self, g1_abs: float, g3_abs: float) -> MacroscopicCoefficients:
-        """Coefficients at real drive amplitudes; out-of-bounds goes direct."""
-        if (0.0 <= g1_abs <= self.g1_grid[-1]) and (0.0 <= g3_abs <= self.g3_grid[-1]):
-            return MacroscopicCoefficients.from_vector(self._raw_lookup(g1_abs, g3_abs))
-        self.fallbacks += 1
-        return doppler.average_coefficients(
-            self.scheme, self.relax, self.medium, self.fields, g1_abs, g3_abs, self.quad
-        )
+        """Coefficients of column 0 at one real drive-amplitude pair."""
+        rows = self.rows(np.zeros(1, int), np.array([g1_abs]), np.array([g3_abs]))
+        return MacroscopicCoefficients.from_vector(rows[0])
 
 
-def rhs(state: FieldStateZ, coeffs: MacroscopicCoefficients, scheme: LevelScheme):
-    """Right-hand sides (dG1, dG3, dE4, dE2)/dz of the four coupled equations.
+def rhs(y: np.ndarray, rows: np.ndarray, scheme: LevelScheme) -> np.ndarray:
+    """Right-hand sides d[G1, G3, E4, E2]/dz of n states ``y`` (n, 4).
 
-    ``coeffs`` must be evaluated at the state's drive amplitudes with the
-    drive phases included in the cross couplings.  The drive equations carry
-    the quadratic probe back-action with the mixing response renormalized by
-    the respective wavenumber and dipole factors (the reverse conversion
-    cycle of the corresponding probe pathway).
+    ``rows`` are the states' (n, 12) :meth:`MacroscopicCoefficients.to_vector`
+    rows, with the drive phases included in the cross couplings.  The drive
+    equations carry the quadratic probe back-action with the mixing response
+    renormalized by the respective wavenumber and dipole factors (the
+    reverse conversion cycle of the corresponding probe pathway).
     """
     l1, l2, l3, l4 = scheme.wavelengths
     d1, d2, d3, d4 = scheme.dipoles
-    s1, s2, s3, s4 = (coeffs.sigma(j) for j in (1, 2, 3, 4))
-    dg1 = 1j * s1 * state.g1
-    dg3 = 1j * s3 * state.g3
-    if state.g1 != 0 and state.g3 != 0:
-        probe_prod = state.e4 * state.e2
-        r1 = (l4 / l1) * d1 * d1 / (1.0 * d4 * d2)
-        r3 = (l4 / l3) * d3 * d3 / ((l4 / l2) * d2 * d4)
-        dg1 = dg1 + 1j * r1 * np.conj(coeffs.gamma4) * probe_prod / np.conj(state.g1)
-        dg3 = dg3 + 1j * r3 * np.conj(coeffs.gamma2) * probe_prod / np.conj(state.g3)
-    de4 = 1j * s4 * state.e4 + 1j * coeffs.gamma4 * np.conj(state.e2)
-    de2 = 1j * s2 * state.e2 + 1j * coeffs.gamma2 * np.conj(state.e4)
-    return dg1, dg3, de4, de2
+    r = np.array([(l4 / l1) * d1 * d1 / (1.0 * d4 * d2),
+                  (l4 / l3) * d3 * d3 / ((l4 / l2) * d2 * d4)])
+    c = np.ascontiguousarray(rows).view(complex)  # sigma1..sigma4, gamma4, gamma2
+    gamma = c[:, 4:]
+    # self terms i sigma_j A_j, then the probe cross coupling i gamma4 E2*, i gamma2 E4*
+    d = 1j * c[:, [0, 2, 3, 1]] * y
+    d[:, 2:] += 1j * gamma * np.conj(y[:, [3, 2]])
+    # back-action on the drives, where both drives are on
+    probe_prod = (y[:, 2] * y[:, 3])[:, None]
+    on = (y[:, :2] != 0).all(axis=1)[:, None]
+    d[:, :2] += np.divide(1j * r * np.conj(gamma) * probe_prod, np.conj(y[:, :2]),
+                          out=np.zeros((y.shape[0], 2), dtype=complex), where=on)
+    return d
 
 
-def _drive_phase(g1: complex, g3: complex) -> complex:
-    prod = g1 * g3
-    mag = abs(prod)
-    return prod / mag if mag > 0 else 1.0 + 0.0j
+def _row_source(scheme, relax, medium, fields, quad, cache, freeze):
+    """Rows without drive phase of trajectories ``idx``: ``(idx, |G1|, |G3|) -> (len(idx), 12)``.
+
+    A one-column cache serves every trajectory of ``fields``, a cache with
+    several columns holds one per trajectory.  Direct mode memoises repeated
+    amplitudes (constant or zero drives).  With ``freeze`` every trajectory
+    keeps the rows of its boundary drives.
+    """
+    if cache is not None:
+        if len(cache.columns) not in (1, len(fields)):
+            raise ValueError("cache columns do not match the trajectories")
+        cols = np.arange(len(fields)) if len(cache.columns) > 1 else np.zeros(len(fields), int)
+
+        def source(idx, g1_abs, g3_abs):
+            return cache.rows(cols[idx], g1_abs, g3_abs)
+    else:
+        memo: dict[tuple[int, float, float], np.ndarray] = {}
+
+        def source(idx, g1_abs, g3_abs):
+            out = np.empty((len(idx), 12))
+            for r, key in enumerate(zip(idx.tolist(), g1_abs.tolist(), g3_abs.tolist())):
+                hit = memo.get(key)
+                if hit is None:
+                    hit = doppler.average_coefficients(
+                        scheme, relax, medium, fields[key[0]], key[1], key[2], quad,
+                    ).to_vector()
+                    if len(memo) < 65536:
+                        memo[key] = hit
+                out[r] = hit
+            return out
+    if not freeze:
+        return source
+    frozen = source(np.arange(len(fields)), np.array([abs(f.g10) for f in fields]),
+                    np.array([abs(f.g30) for f in fields]))
+    return lambda idx, g1_abs, g3_abs: frozen[idx]
 
 
-class _CoefficientProvider:
-    """Maps local drive amplitudes to phase-adjusted coefficients."""
+def _sample_positions(L: float, steps: int, record_at, min_samples: int) -> np.ndarray:
+    if L <= 0:
+        raise ValueError("medium length must be positive")
+    if steps < 100:
+        raise ValueError("need at least 100 integration steps")
+    sample_z = np.linspace(0.0, L, min_samples)
+    if record_at is not None:
+        record = np.asarray(record_at, dtype=float)
+        if np.any(record < 0) or np.any(record > L * (1 + 1e-12)):
+            raise ValueError("record positions must lie in [0, L]")
+        sample_z = np.union1d(sample_z, record)
+    return sample_z
 
-    def __init__(self, scheme, relax, medium, fields, quad, cache, freeze_at=None):
-        self.scheme = scheme
-        self.relax = relax
-        self.medium = medium
-        self.fields = fields
-        self.quad = quad
-        self.cache = cache
-        self.frozen = None
-        self._memo: dict[tuple[float, float], MacroscopicCoefficients] = {}
-        if freeze_at is not None:
-            self.frozen = self._evaluate(abs(freeze_at[0]), abs(freeze_at[1]))
 
-    def _evaluate(self, g1_abs: float, g3_abs: float) -> MacroscopicCoefficients:
-        if self.cache is not None:
-            return self.cache.lookup(g1_abs, g3_abs)
-        # direct mode: repeated queries at identical amplitudes (constant or
-        # zero drives) collapse to a single velocity average
-        key = (g1_abs, g3_abs)
-        hit = self._memo.get(key)
-        if hit is None:
-            hit = doppler.average_coefficients(
-                self.scheme, self.relax, self.medium, self.fields,
-                g1_abs, g3_abs, self.quad,
-            )
-            if len(self._memo) < 65536:
-                self._memo[key] = hit
-        return hit
+def _lockstep(y0: np.ndarray, sample_z: np.ndarray, steps: int, source, scheme):
+    """Fixed-step RK4 of the (n, 4) states ``y0`` from z = 0 through ``sample_z``.
 
-    def __call__(self, g1: complex, g3: complex) -> MacroscopicCoefficients:
-        base = self.frozen if self.frozen is not None else self._evaluate(abs(g1), abs(g3))
-        phase = _drive_phase(g1, g3)
-        if phase == 1.0:
-            return base
-        return MacroscopicCoefficients(
-            alpha1=base.alpha1, alpha2=base.alpha2, alpha3=base.alpha3, alpha4=base.alpha4,
-            deltak1=base.deltak1, deltak2=base.deltak2,
-            deltak3=base.deltak3, deltak4=base.deltak4,
-            gamma4=base.gamma4 * phase, gamma2=base.gamma2 * phase,
-        )
+    Returns the states (samples, n, 4) and coefficient rows (samples, n, 12)
+    at the samples, and where each trajectory turned non-finite (NaN if it
+    never did).  A failed trajectory leaves the batch; its later samples are NaN.
+    """
+    n = y0.shape[0]
+    states = np.full((sample_z.size, n, 4), np.nan, dtype=complex)
+    rows = np.full((sample_z.size, n, 12), np.nan)
+    failed_at = np.full(n, np.nan)
 
-    @property
-    def fallbacks(self) -> int:
-        return self.cache.fallbacks if self.cache is not None else 0
+    def coefficients(idx, y):
+        # a non-finite drive gets NaN rows instead of a direct average; its
+        # trajectory leaves the batch at the end of the step
+        drives = np.abs(y[:, :2])
+        ok = np.isfinite(drives).all(axis=1)
+        out = np.full((idx.size, 12), np.nan)
+        out[ok] = source(idx[ok], drives[ok, 0], drives[ok, 1])
+        prod = y[:, 0] * y[:, 1]
+        mag = np.abs(prod)
+        phase = np.divide(prod, mag, out=np.ones_like(prod), where=mag > 0)
+        out.view(complex)[:, 4:] *= phase[:, None]
+        return out
+
+    def f(idx, y):
+        return rhs(y, coefficients(idx, y), scheme)
+
+    live = np.arange(n)
+    y = np.array(y0, dtype=complex)
+    h_target = sample_z[-1] / steps
+    z = 0.0
+    # non-finite states are detected after every step and reported, so the
+    # overflow that produces them raises no floating-point warning
+    with np.errstate(over="ignore", invalid="ignore"):
+        states[0] = y
+        rows[0] = coefficients(live, y)
+        for k in range(1, sample_z.size):
+            seg = sample_z[k] - sample_z[k - 1]
+            n_sub = max(1, int(round(seg / h_target)))
+            h = seg / n_sub
+            for _ in range(n_sub):
+                k1 = f(live, y)
+                k2 = f(live, y + 0.5 * h * k1)
+                k3 = f(live, y + 0.5 * h * k2)
+                k4 = f(live, y + h * k3)
+                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+                z += h
+                bad = ~np.isfinite(y).all(axis=1)
+                if bad.any():
+                    failed_at[live[bad]] = z
+                    live, y = live[~bad], y[~bad]
+                    if not live.size:
+                        return states, rows, failed_at
+            states[k, live] = y
+            rows[k, live] = coefficients(live, y)
+    return states, rows, failed_at
 
 
 def integrate(
@@ -330,47 +380,21 @@ def integrate(
     ``min_samples`` evenly spaced positions plus every entry of
     ``record_at``.  With ``error_estimate`` the run is repeated at twice the
     step count and the maximum relative deviation of |E4| is attached.
+    A cache is read at its column 0.
     """
-    if L <= 0:
-        raise ValueError("medium length must be positive")
-    if steps < 100:
-        raise ValueError("need at least 100 integration steps")
+    sample_z = _sample_positions(L, steps, record_at, min_samples)
     if quad is None:
         quad = QuadratureSpec.for_medium(scheme, medium)
+    source = _row_source(scheme, relax, medium, [fields], quad, cache, freeze_coefficients)
+    y0 = np.array([[fields.g10, fields.g30, fields.e40, fields.e20]], dtype=complex)
 
-    provider = _CoefficientProvider(
-        scheme, relax, medium, fields, quad, cache,
-        freeze_at=(fields.g10, fields.g30) if freeze_coefficients else None,
-    )
-    sample_z = np.linspace(0.0, L, min_samples)
-    if record_at is not None:
-        record = np.asarray(record_at, dtype=float)
-        if np.any(record < 0) or np.any(record > L * (1 + 1e-12)):
-            raise ValueError("record positions must lie in [0, L]")
-        sample_z = np.union1d(sample_z, record)
+    def run(n_steps: int) -> tuple[np.ndarray, np.ndarray]:
+        states, rows, failed_at = _lockstep(y0, sample_z, n_steps, source, scheme)
+        if not np.isnan(failed_at[0]):
+            raise PropagationError(float(failed_at[0]))
+        return states[:, 0], rows[:, 0]
 
-    def run(n_steps: int) -> tuple[np.ndarray, ...]:
-        h_target = L / n_steps
-        y = np.array([fields.g10, fields.g30, fields.e40, fields.e20], dtype=complex)
-        out = np.empty((sample_z.size, 4), dtype=complex)
-        coeff_log: list[MacroscopicCoefficients] = []
-        out[0] = y
-        coeff_log.append(provider(y[0], y[1]))
-        z = 0.0
-        for k in range(1, sample_z.size):
-            seg = sample_z[k] - sample_z[k - 1]
-            n_sub = max(1, int(round(seg / h_target)))
-            h = seg / n_sub
-            for _ in range(n_sub):
-                y = _rk4_step(y, h, provider, scheme)
-                z += h
-                if not np.all(np.isfinite(y.view(float))):
-                    raise PropagationError(z)
-            out[k] = y
-            coeff_log.append(provider(y[0], y[1]))
-        return out, coeff_log
-
-    solution, coeff_log = run(steps)
+    solution, rows = run(steps)
     err = None
     if error_estimate:
         fine, _ = run(2 * steps)
@@ -383,23 +407,43 @@ def integrate(
         z=sample_z,
         g1=solution[:, 0], g3=solution[:, 1],
         e4=solution[:, 2], e2=solution[:, 3],
-        coefficients=coeff_log,
+        coefficients=[MacroscopicCoefficients.from_vector(r) for r in rows],
         error_estimate=err,
-        cache_fallbacks=provider.fallbacks,
     )
 
 
-def _rk4_step(y: np.ndarray, h: float, provider, scheme) -> np.ndarray:
-    def f(state_vec: np.ndarray) -> np.ndarray:
-        coeffs = provider(state_vec[0], state_vec[1])
-        state = FieldStateZ(0.0, state_vec[0], state_vec[1], state_vec[2], state_vec[3])
-        return np.array(rhs(state, coeffs, scheme), dtype=complex)
+def transmission(
+    scheme: LevelScheme,
+    relax: RelaxationSet,
+    medium: MediumParams,
+    fields: list[FieldConfig],
+    lengths: np.ndarray,
+    steps: int = 2000,
+    quad: QuadratureSpec | None = None,
+    cache: CoefficientCache | None = None,
+) -> tuple[np.ndarray, np.ndarray]:
+    """Probe transmission I4(L)/I40 of the trajectories ``fields``, integrated in lockstep.
 
-    k1 = f(y)
-    k2 = f(y + 0.5 * h * k1)
-    k3 = f(y + 0.5 * h * k2)
-    k4 = f(y + h * k3)
-    return y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
+    ``lengths`` ascends to the end of the medium.  A zero probe input E40 is
+    replaced by the small-signal probe 1e-3 |G10|.  Returns the
+    (n, len(lengths)) ratios and the position where each trajectory turned
+    non-finite (NaN where it stayed finite); a failed trajectory's ratios
+    beyond z = 0 are NaN.
+    """
+    lengths = np.asarray(lengths, dtype=float)
+    positive = lengths[lengths > 0]
+    sample_z = _sample_positions(float(lengths[-1]), steps, positive, 257)
+    if quad is None:
+        quad = QuadratureSpec.for_medium(scheme, medium)
+    e40 = np.array([f.e40 if f.e40 != 0 else 1e-3 * abs(f.g10) for f in fields], dtype=complex)
+    if np.any(e40 == 0):
+        raise ConfigError("transmission needs a non-zero probe input E40 or drive G10")
+    y0 = np.array([[f.g10, f.g30, e, f.e20] for f, e in zip(fields, e40)], dtype=complex)
+    source = _row_source(scheme, relax, medium, fields, quad, cache, False)
+    states, _, failed_at = _lockstep(y0, sample_z, steps, source, scheme)
+    e4 = states[np.searchsorted(sample_z, lengths), :, 2].T
+    e4[~np.isnan(failed_at)[:, None] & (lengths > 0)] = np.nan
+    return np.abs(e4) ** 2 / (np.abs(e40) ** 2)[:, None], failed_at
 
 
 @dataclass
@@ -442,12 +486,12 @@ def gain_map(
 ) -> GainMapResult:
     """Probe transmission over a (probe detuning, optical length) grid.
 
-    Each detuning column is a single integration to max(length_grid) with
-    the transmitted intensity read off at every requested length.  The
-    zeroth-order drive solution is tabulated once and shared by all columns;
-    the first column's cache receives the full random validation pass and
-    the remaining columns a spot check.  Columns run in parallel threads;
-    assembly order is fixed by the grid index.
+    Each detuning column is one trajectory to max(length_grid), and all
+    columns step together.  The zeroth-order drive solution is tabulated
+    once, and ``threads`` worker threads tabulate the columns' coefficients
+    from it.  Then the first column's table receives the full random
+    validation pass and the others a spot check, in column order.  A column
+    whose fields turn non-finite keeps only its L = 0 cell valid.
     """
     omega4_grid = np.asarray(omega4_grid, dtype=float)
     length_grid = np.asarray(length_grid, dtype=float)
@@ -460,64 +504,26 @@ def gain_map(
     if quad is None:
         quad = QuadratureSpec.for_medium(scheme, medium)
 
-    l_max = float(length_grid[-1])
-    positive_l = length_grid[length_grid > 0]
-    shared_grid = None
+    columns = [base.with_omega4(float(om)) for om in omega4_grid]
+    cache = None
     if use_cache:
         g1_grid, g3_grid = cache_grids(base, cache_n1, cache_n3)
-        shared_grid = DriveGrid(scheme, relax, medium, base, g1_grid, g3_grid, quad)
+        grid = DriveGrid(scheme, relax, medium, base, g1_grid, g3_grid, quad)
+        with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+            tables = np.stack(list(pool.map(grid.coefficients_for, columns)))
+        # the drive grid (371 MB at 80 x 32) goes before the splines are fitted
+        del grid
+        cache = CoefficientCache(scheme, relax, medium, columns, quad, g1_grid, g3_grid, tables)
+        for i in range(len(columns)):
+            probes = validate_probes_first if i == 0 else validate_probes_rest
+            if probes > 0:
+                cache._validate(i, probes)
 
-    e40 = base.e40 if base.e40 != 0 else 1e-3 * abs(base.g10)
-    ratio = np.full((omega4_grid.size, length_grid.size), np.nan)
-    valid = np.zeros((omega4_grid.size, length_grid.size), dtype=bool)
-    fallbacks = [0] * omega4_grid.size
-    errors: list[float | None] = [None] * omega4_grid.size
-
-    def column(i: int) -> None:
-        f_col = FieldConfig(
-            omega1=base.omega1, omega3=base.omega3, omega4=float(omega4_grid[i]),
-            g10=base.g10, g30=base.g30, e40=e40, e20=base.e20,
-        )
-        cache = None
-        if use_cache:
-            cache = CoefficientCache.build(
-                scheme, relax, medium, f_col, quad,
-                n1=cache_n1, n3=cache_n3,
-                validate_probes=validate_probes_first if i == 0 else validate_probes_rest,
-                drive_grid=shared_grid,
-            )
-            errors[i] = cache.validation_error
-        i40 = abs(e40) ** 2
-        if length_grid[0] == 0.0:
-            ratio[i, 0] = 1.0
-            valid[i, 0] = True
-        try:
-            trace = integrate(
-                scheme, relax, medium, f_col, l_max, steps=steps, quad=quad,
-                cache=cache, error_estimate=False, record_at=positive_l,
-            )
-        except PropagationError:
-            # cells of this column stay invalid; the scan continues
-            fallbacks[i] = cache.fallbacks if cache else 0
-            return
-        for j, L in enumerate(length_grid):
-            if L == 0.0:
-                continue
-            idx = trace.index_of(float(L))
-            ratio[i, j] = abs(trace.e4[idx]) ** 2 / i40
-            valid[i, j] = True
-        fallbacks[i] = trace.cache_fallbacks
-
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            list(pool.map(column, range(omega4_grid.size)))
-    else:
-        for i in range(omega4_grid.size):
-            column(i)
-
-    checked = [e for e in errors if e is not None]
+    ratio, failed_at = transmission(scheme, relax, medium, columns, length_grid,
+                                    steps=steps, quad=quad, cache=cache)
+    valid = np.isnan(failed_at)[:, None] | (length_grid == 0.0)[None, :]
     return GainMapResult(
         omega4=omega4_grid, lengths=length_grid, ratio=ratio, valid=valid,
-        cache_fallbacks=int(sum(fallbacks)),
-        validation_error=max(checked) if checked else None,
+        cache_fallbacks=cache.fallbacks if cache is not None else 0,
+        validation_error=cache.validation_error if cache is not None else None,
     )

@@ -14,7 +14,7 @@ import numpy as np
 
 from . import doppler, propagate
 from .doppler import QuadratureSpec
-from .scheme import FieldConfig, LevelScheme, MediumParams, RelaxationSet
+from .scheme import ConfigError, FieldConfig, LevelScheme, MediumParams, RelaxationSet
 
 UNITS = {
     "omega4": "MHz",
@@ -126,6 +126,8 @@ def spatial_dynamics(
     Emits I_j(z)/I_j(0) for the waves with non-zero input and the generated
     Stokes intensity normalized to the probe input I2(z)/I40.
     """
+    if fields.e40 == 0:
+        raise ConfigError("spatial dynamics needs a non-zero probe input E40")
     if quad is None:
         quad = QuadratureSpec.for_medium(scheme, medium)
     cache = None
@@ -138,8 +140,6 @@ def spatial_dynamics(
         cache=cache, error_estimate=False,
     )
     i40 = abs(fields.e40) ** 2
-    if i40 == 0:
-        raise ValueError("spatial dynamics needs a non-zero probe input E40")
     g10 = abs(fields.g10) ** 2
     g30 = abs(fields.g30) ** 2
     records = []
@@ -199,30 +199,23 @@ def switching_curve(
 
     # one cache spans the whole amplitude sweep: detunings are fixed and the
     # grid covers drives up to the largest swept value, with the node count
-    # scaled up to keep the spacing of the default grid
-    top = FieldConfig(
-        omega1=base.omega1, omega3=base.omega3, omega4=base.omega4,
-        g10=complex(np.max(sweep)), g30=base.g30, e40=base.e40, e20=base.e20,
-    )
+    # scaled up to keep the spacing of the default grid; the sweep points
+    # step together through it
     cache = None
     if use_cache:
         n1 = int(np.ceil(96 * max(1.0, np.max(sweep) / max(abs(base.g10), 1e-12))))
+        top = base.with_drives(np.max(sweep), base.g30)
         cache = propagate.CoefficientCache.build(
             scheme, relax, medium, top, quad, n1=n1, validate_probes=8
         )
-    i40 = abs(base.e40) ** 2
-    records = []
-    for value in sweep:
-        fields = top.with_drives(complex(value), base.g30)
-        trace = propagate.integrate(
-            scheme, relax, medium, fields, L, steps=steps, quad=quad,
-            cache=cache, error_estimate=False,
-        )
-        records.append(ScanRecord("switch", {
-            "g10": float(value),
-            "i4_ratio": float(abs(trace.e4[-1]) ** 2 / i40),
-        }))
-    return records
+    points = [base.with_drives(value, base.g30) for value in sweep]
+    ratio, failed_at = propagate.transmission(
+        scheme, relax, medium, points, np.array([L]), steps=steps, quad=quad, cache=cache)
+    failed = failed_at[~np.isnan(failed_at)]
+    if failed.size:
+        raise propagate.PropagationError(float(failed[0]))
+    return [ScanRecord("switch", {"g10": float(value), "i4_ratio": float(r)})
+            for value, r in zip(sweep, ratio[:, 0])]
 
 
 def transparency_crossings(records: list[ScanRecord], column: str) -> list[float]:

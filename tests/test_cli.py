@@ -119,6 +119,28 @@ def test_switch_subcommand_and_crossings(tmp_path):
     assert len(rows) == 4
 
 
+def test_g10_switch_without_probe_input(tmp_path):
+    # E40 = 0 gets the gain map's small-signal probe, 1e-3 |G10|
+    cfg = tmp_path / "noprobe.json"
+    cfg.write_text(json.dumps({"fields": {"E40": 0.0}}))
+    out = tmp_path / "sw.csv"
+    rc = cli.main(["switch", "--config", str(cfg), "--g10", "60:80:3", "--length", "2",
+                   "--steps", "200", "--quad", "101", "--out", str(out)])
+    assert rc == 0
+    rows = out.read_text().splitlines()
+    assert rows[0] == "g10[MHz],i4_ratio[1]" and len(rows) == 4
+    assert all(math.isfinite(float(r.split(",")[1])) for r in rows[1:])
+
+
+def test_dynamics_without_probe_input_is_a_config_error(tmp_path, capsys):
+    cfg = tmp_path / "noprobe.json"
+    cfg.write_text(json.dumps({"fields": {"E40": 0.0}}))
+    rc = cli.main(["dynamics", "--config", str(cfg), "--length", "2",
+                   "--steps", "200", "--quad", "101"])
+    assert rc == 2
+    assert "configuration error:" in capsys.readouterr().err
+
+
 def test_switch_requires_exactly_one_axis(tmp_path):
     assert cli.main(["switch", "--length", "9"]) == 2
     assert cli.main(["switch", "--length", "9", "--omega4", "0:1:2",

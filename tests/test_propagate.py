@@ -6,6 +6,7 @@ import pytest
 from lcq import coupledwave as cw
 from lcq import doppler as dp
 from lcq import propagate as pg
+from lcq import scans
 from lcq.scheme import FieldConfig, na2_preset
 
 
@@ -37,18 +38,21 @@ def dressed_cache(preset, quad, dressed_fields):
 # rhs
 # --------------------------------------------------------------------------
 
+def state(g1, g3, e4, e2):
+    return np.array([[g1, g3, e4, e2]], dtype=complex)
+
+
 def test_rhs_zero_coefficients(preset):
     sch = preset[0]
     coeffs = dp.MacroscopicCoefficients(0, 0, 0, 0, 0, 0, 0, 0, 0j, 0j)
-    state = pg.FieldStateZ(0.0, 80 + 1j, 30 - 2j, 0.1j, 0.05)
-    assert pg.rhs(state, coeffs, sch) == (0j, 0j, 0j, 0j)
+    d = pg.rhs(state(80 + 1j, 30 - 2j, 0.1j, 0.05), coeffs.to_vector()[None], sch)
+    assert d.shape == (1, 4) and np.all(d == 0j)
 
 
 def test_rhs_probes_off_drives_standalone(preset, quad, dressed_fields):
     sch, relax, medium, _ = preset
     mc = dp.average_coefficients(sch, relax, medium, dressed_fields, 100.0, 40.0, quad)
-    state = pg.FieldStateZ(0.0, 100.0, 40.0, 0.0, 0.0)
-    dg1, dg3, de4, de2 = pg.rhs(state, mc, sch)
+    dg1, dg3, de4, de2 = pg.rhs(state(100.0, 40.0, 0.0, 0.0), mc.to_vector()[None], sch)[0]
     assert dg1 == 1j * mc.sigma(1) * 100.0
     assert dg3 == 1j * mc.sigma(3) * 40.0
     assert de4 == 0 and de2 == 0
@@ -63,8 +67,7 @@ def test_rhs_probe_sector_matches_reduced_system(preset, quad, dressed_fields):
     for _ in range(100):
         e4 = complex(rng.normal(), rng.normal()) * 1e-3
         e2 = complex(rng.normal(), rng.normal()) * 1e-3
-        state = pg.FieldStateZ(0.0, 100.0, 40.0, e4, e2)
-        _, _, de4, de2 = pg.rhs(state, mc, sch)
+        _, _, de4, de2 = pg.rhs(state(100.0, 40.0, e4, e2), mc.to_vector()[None], sch)[0]
         ref4 = 1j * mc.sigma(4) * e4 + 1j * mc.gamma4 * np.conj(e2)
         ref2 = 1j * mc.sigma(2) * e2 + 1j * mc.gamma2 * np.conj(e4)
         assert abs(de4 - ref4) <= 1e-8 * max(abs(ref4), 1e-12)
@@ -74,10 +77,9 @@ def test_rhs_probe_sector_matches_reduced_system(preset, quad, dressed_fields):
 def test_rhs_back_action_present_and_quadratic(preset, quad, dressed_fields):
     sch, relax, medium, _ = preset
     mc = dp.average_coefficients(sch, relax, medium, dressed_fields, 100.0, 40.0, quad)
-    s1 = pg.FieldStateZ(0.0, 100.0, 40.0, 1e-2, 1e-2)
-    s2 = pg.FieldStateZ(0.0, 100.0, 40.0, 2e-2, 2e-2)
-    back1 = pg.rhs(s1, mc, sch)[0] - 1j * mc.sigma(1) * 100.0
-    back2 = pg.rhs(s2, mc, sch)[0] - 1j * mc.sigma(1) * 100.0
+    row = mc.to_vector()[None]
+    back1 = pg.rhs(state(100.0, 40.0, 1e-2, 1e-2), row, sch)[0, 0] - 1j * mc.sigma(1) * 100.0
+    back2 = pg.rhs(state(100.0, 40.0, 2e-2, 2e-2), row, sch)[0, 0] - 1j * mc.sigma(1) * 100.0
     assert abs(back1) > 0
     assert abs(back2 / back1) == pytest.approx(4.0, rel=1e-9)
 
@@ -163,21 +165,24 @@ def test_probe_scale_linearity(preset, quad, dressed_fields, dressed_cache):
     assert np.max(rel) < 1e-10
 
 
+# runaway artificial gain: amplitudes overflow within a few lengths
+RUNAWAY = dp.MacroscopicCoefficients(
+    alpha1=0.0, alpha2=-600.0, alpha3=0.0, alpha4=-600.0,
+    deltak1=0.0, deltak2=0.0, deltak3=0.0, deltak4=0.0,
+    gamma4=0j, gamma2=0j,
+)
+
+
 def test_nonfinite_abort_reports_position(preset, quad):
     sch, relax, medium, _ = preset
-    # runaway artificial gain: amplitudes overflow within a few lengths
-    runaway = dp.MacroscopicCoefficients(
-        alpha1=0.0, alpha2=-600.0, alpha3=0.0, alpha4=-600.0,
-        deltak1=0.0, deltak2=0.0, deltak3=0.0, deltak4=0.0,
-        gamma4=0j, gamma2=0j,
-    )
 
     class Exploding(pg.CoefficientCache):
         def __init__(self):
             self.fallbacks = 0
+            self.columns = [None]
 
-        def lookup(self, g1_abs, g3_abs):
-            return runaway
+        def rows(self, col, g1_abs, g3_abs):
+            return np.tile(RUNAWAY.to_vector(), (len(col), 1))
 
     fields = FieldConfig(omega1=0, omega3=100, omega4=0.0,
                          g10=10.0, g30=10.0, e40=1.0, e20=0.0)
@@ -216,7 +221,7 @@ def test_cache_matches_direct_at_grid_nodes(preset, quad, dressed_fields, dresse
     # all 12 table fields, at interior, corner and zero-drive nodes, within
     # 1e-12 of each field's scale over the table
     sch, relax, medium, _ = preset
-    scale = np.max(np.abs(dressed_cache.table), axis=(0, 1))
+    scale = np.max(np.abs(dressed_cache.tables[0]), axis=(0, 1))
     g1, g3 = dressed_cache.g1_grid, dressed_cache.g3_grid
     for i, j in ((17, 5), (-1, -1), (0, 0), (0, 9), (40, 0)):
         direct = dp.average_coefficients(sch, relax, medium, dressed_fields,
@@ -287,3 +292,71 @@ def test_gain_map_threads_deterministic(preset, quad):
     a = pg.gain_map(sch, relax, medium, fields, om4, lengths, threads=1, **kw)
     b = pg.gain_map(sch, relax, medium, fields, om4, lengths, threads=2, **kw)
     assert np.array_equal(a.ratio, b.ratio)
+
+
+@pytest.fixture(scope="module")
+def coarse_quad(preset):
+    sch, _, medium, _ = preset
+    return dp.QuadratureSpec.for_medium(sch, medium, n=301)
+
+
+def test_gain_map_column_matches_lone_trajectory(preset, coarse_quad):
+    # a column steps inside the batch exactly as it would alone on the same table
+    sch, relax, medium, fields = preset
+    om4 = np.array([150.0, 155.0, 160.0])
+    lengths = np.array([0.0, 3.0, 6.0])
+    res = pg.gain_map(sch, relax, medium, fields, om4, lengths, steps=400,
+                      quad=coarse_quad, cache_n1=40, cache_n3=24,
+                      validate_probes_first=0, validate_probes_rest=0)
+    assert res.valid.all()
+    for i, om in enumerate(om4):
+        f = fields.with_omega4(float(om))
+        cache = pg.CoefficientCache.build(sch, relax, medium, f, coarse_quad,
+                                          n1=40, n3=24, validate_probes=0)
+        trace = pg.integrate(sch, relax, medium, f, L=6.0, steps=400, quad=coarse_quad,
+                             cache=cache, error_estimate=False, record_at=lengths[1:])
+        for j, L in enumerate(lengths):
+            alone = abs(trace.e4[trace.index_of(float(L))]) ** 2 / abs(f.e40) ** 2
+            assert res.ratio[i, j] == pytest.approx(alone, rel=1e-12, abs=0.0)
+
+
+def test_g10_sweep_point_matches_lone_trajectory(preset, coarse_quad):
+    sch, relax, medium, fields = preset
+    base = fields.with_omega4(155.0)
+    sweep = np.array([70.0, 85.0, 100.0])
+    recs = scans.switching_curve(sch, relax, medium, base, L=4.0, sweep=sweep,
+                                 axis="g10", steps=300, quad=coarse_quad)
+    # the sweep's own cache: G1 nodes scaled with the largest swept drive
+    top = base.with_drives(100.0, base.g30)
+    cache = pg.CoefficientCache.build(sch, relax, medium, top, coarse_quad,
+                                      n1=96, validate_probes=0)
+    for rec, g10 in zip(recs, sweep):
+        f = base.with_drives(g10, base.g30)
+        trace = pg.integrate(sch, relax, medium, f, L=4.0, steps=300, quad=coarse_quad,
+                             cache=cache, error_estimate=False)
+        alone = abs(trace.e4[-1]) ** 2 / abs(f.e40) ** 2
+        assert rec.values["i4_ratio"] == pytest.approx(alone, rel=1e-12, abs=0.0)
+
+
+def test_runaway_column_leaves_the_others_alone(preset, coarse_quad, monkeypatch):
+    sch, relax, medium, fields = preset
+    om4 = np.array([150.0, 155.0, 160.0])
+    lengths = np.array([0.0, 3.0, 6.0])
+    kw = dict(steps=300, quad=coarse_quad, cache_n1=40, cache_n3=24,
+              validate_probes_first=0, validate_probes_rest=0)
+    clean = pg.gain_map(sch, relax, medium, fields, om4, lengths, **kw)
+    tabulate = dp.DriveGrid.coefficients_for
+
+    def runaway_at_155(grid, f):
+        table = tabulate(grid, f)
+        if f.omega4 == 155.0:
+            table[...] = RUNAWAY.to_vector()
+        return table
+
+    monkeypatch.setattr(dp.DriveGrid, "coefficients_for", runaway_at_155)
+    res = pg.gain_map(sch, relax, medium, fields, om4, lengths, **kw)
+    assert np.array_equal(res.valid[1], [True, False, False])
+    assert res.ratio[1, 0] == 1.0 and np.isnan(res.ratio[1, 1:]).all()
+    keep = [0, 2]
+    assert res.valid[keep].all()
+    assert np.array_equal(res.ratio[keep], clean.ratio[keep])
