@@ -28,7 +28,7 @@ from numpy.polynomial.hermite import hermgauss
 from scipy.integrate import quad as _adaptive_quad
 
 from . import liouville
-from .scheme import RAD_PER_MHZ, FieldConfig, LevelScheme, MediumParams, RelaxationSet
+from .scheme import RAD_PER_MHZ, ConfigError, FieldConfig, LevelScheme, MediumParams, RelaxationSet
 
 QUAD_RULES = ("core-refined", "trapezoid", "gauss-hermite")
 
@@ -53,13 +53,13 @@ class QuadratureSpec:
 
     def __post_init__(self) -> None:
         if self.rule not in QUAD_RULES:
-            raise ValueError(f"unknown quadrature rule {self.rule!r}")
+            raise ConfigError(f"unknown quadrature rule {self.rule!r}")
         if self.u < 0:
-            raise ValueError("thermal speed must be >= 0")
+            raise ConfigError("thermal speed must be >= 0")
         if self.u > 0 and self.n < 8:
-            raise ValueError("need at least 8 quadrature nodes")
+            raise ConfigError("need at least 8 quadrature nodes")
         if self.rule == "core-refined" and not (0 < self.core < self.span):
-            raise ValueError("core half-width must lie inside the span")
+            raise ConfigError("core half-width must lie inside the span")
 
     @classmethod
     def for_medium(cls, scheme: LevelScheme, medium: MediumParams, **kwargs) -> "QuadratureSpec":

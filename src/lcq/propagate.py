@@ -6,7 +6,9 @@ cross-coupled through gamma4/gamma2 (which include the drive product), and
 the drives carry the quadratic probe back-action term.  Coefficients are
 re-evaluated from the local drive amplitudes at every integration stage,
 either directly (velocity average per stage) or through a bicubic
-interpolation cache over (|G1|, |G3|).  One fixed-step RK4 engine advances
+interpolation cache over (|G1|, |G3|), which only
+:meth:`CoefficientCache.build` makes, and only where both boundary drives
+are on (:func:`drives_on`).  One fixed-step RK4 engine advances
 n trajectories in lockstep as an (n, 4) complex state [G1, G3, E4, E2],
 with one batched (n, 12) coefficient evaluation and one array right-hand
 side per stage: a single integration, the columns of a gain map and the
@@ -66,22 +68,21 @@ class PropagationTrace:
         return i
 
 
-# Power-law exponents of the cache grid spacing along |G1| and |G3|.
+# Power-law exponents of the cache grid spacing along |G1| and |G3|, the
+# grid's reach beyond the boundary drives, and the validation tolerance.
 _GRID_POWER1 = 1.4
 _GRID_POWER3 = 1.3
-
-
-def cache_grids(
-    fields: FieldConfig, n1: int, n3: int, margin: float = 1.05
-) -> tuple[np.ndarray, np.ndarray]:
-    """Power-spaced drive-amplitude grids covering the propagation range."""
-    g1 = margin * abs(fields.g10) * np.linspace(0.0, 1.0, n1) ** _GRID_POWER1
-    g3 = margin * abs(fields.g30) * np.linspace(0.0, 1.0, n3) ** _GRID_POWER3
-    return g1, g3
+_GRID_MARGIN = 1.05
+_VALIDATION_RTOL = 1e-4
 
 
 class CacheValidationError(RuntimeError):
     """Cache interpolation disagrees with direct evaluation beyond tolerance."""
+
+
+def drives_on(fields: FieldConfig) -> bool:
+    """Both boundary drives on; a zero drive would give a cache grid no width."""
+    return fields.g10 != 0 and fields.g30 != 0
 
 
 class CoefficientCache:
@@ -135,40 +136,41 @@ class CoefficientCache:
         scheme: LevelScheme,
         relax: RelaxationSet,
         medium: MediumParams,
-        fields: FieldConfig,
+        columns: list[FieldConfig],
         quad: QuadratureSpec,
         n1: int = 80,
         n3: int = 32,
-        margin: float = 1.05,
         validate_probes: int = 50,
-        rtol: float = 1e-4,
-        drive_grid: DriveGrid | None = None,
+        threads: int = 1,
     ) -> "CoefficientCache":
-        """One-column cache over [0, margin*|G10|] x [0, margin*|G30|].
+        """Cache of ``columns`` over [0, 1.05|G10|] x [0, 1.05|G30|] of ``columns[0]``.
 
-        The grids are power-spaced (denser toward zero amplitude, where the
-        coefficients curve most as the drives die out); uniform spacing at
-        the same node count fails the trace-level accuracy target by two
-        orders of magnitude.  A prebuilt :class:`DriveGrid` sharing the
-        drive detunings can be supplied to reuse the zeroth-order solution
-        across many probe detunings.  ``validate_probes`` random in-bounds
-        queries are compared against direct evaluation after the build.
+        The columns share the drives' detunings and boundary values, hence
+        one :class:`DriveGrid`, from which ``threads`` worker threads
+        tabulate them.  The grids are power-spaced (denser toward zero
+        amplitude, where the coefficients curve most as the drives die
+        out); uniform spacing at the same node count fails the trace-level
+        accuracy target by two orders of magnitude.  Column 0 is then
+        validated at ``validate_probes`` random points, the others at
+        min(validate_probes, 4), in column order.
         """
-        g1_grid, g3_grid = cache_grids(fields, n1, n3, margin)
-        if drive_grid is None:
-            drive_grid = DriveGrid(scheme, relax, medium, fields, g1_grid, g3_grid, quad)
-        elif (drive_grid.g1_grid.shape != g1_grid.shape
-                or not np.array_equal(drive_grid.g1_grid, g1_grid)
-                or not np.array_equal(drive_grid.g3_grid, g3_grid)):
-            raise ValueError("drive grid does not match the requested cache grid")
-        table = drive_grid.coefficients_for(fields)
-        del drive_grid  # a grid built here is freed before the spline fit
-        cache = cls(scheme, relax, medium, [fields], quad, g1_grid, g3_grid, table[None])
+        top = columns[0]
+        g1_grid = _GRID_MARGIN * abs(top.g10) * np.linspace(0.0, 1.0, n1) ** _GRID_POWER1
+        g3_grid = _GRID_MARGIN * abs(top.g30) * np.linspace(0.0, 1.0, n3) ** _GRID_POWER3
+        grid = DriveGrid(scheme, relax, medium, top, g1_grid, g3_grid, quad)
+        # one thread tabulates in place: a worker's malloc arena would add to peak memory
+        with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
+            tabulate = pool.map if threads > 1 else map
+            tables = np.stack(list(tabulate(grid.coefficients_for, columns)))
+        # the drive grid (371 MB at 80 x 32) goes before the splines are fitted
+        del grid
+        cache = cls(scheme, relax, medium, columns, quad, g1_grid, g3_grid, tables)
         if validate_probes > 0:
-            cache._validate(0, validate_probes, rtol)
+            for k in range(len(columns)):
+                cache._validate(k, validate_probes if k == 0 else min(validate_probes, 4))
         return cache
 
-    def _validate(self, col: int, n_probes: int, rtol: float = 1e-4) -> None:
+    def _validate(self, col: int, n_probes: int) -> None:
         # relative to each coefficient's scale over the column's table; a
         # pointwise quotient is ill-conditioned near the interior zeros of
         # the cross couplings.  Every column draws the same probe points.
@@ -184,9 +186,9 @@ class CoefficientCache:
             ).to_vector()
             worst = max(worst, float(np.max(np.abs(row - direct) / scale)))
         self.validation_error = max(worst, self.validation_error or 0.0)
-        if worst > rtol:
+        if worst > _VALIDATION_RTOL:
             raise CacheValidationError(
-                f"cache interpolation error {worst:.3e} exceeds {rtol:.1e}"
+                f"cache interpolation error {worst:.3e} exceeds {_VALIDATION_RTOL:.1e}"
             )
 
     def rows(self, col: np.ndarray, g1_abs: np.ndarray, g3_abs: np.ndarray) -> np.ndarray:
@@ -286,9 +288,9 @@ def _row_source(scheme, relax, medium, fields, quad, cache, freeze):
 
 def _sample_positions(L: float, steps: int, record_at, min_samples: int) -> np.ndarray:
     if L <= 0:
-        raise ValueError("medium length must be positive")
+        raise ConfigError("medium length must be positive")
     if steps < 100:
-        raise ValueError("need at least 100 integration steps")
+        raise ConfigError("need at least 100 integration steps")
     sample_z = np.linspace(0.0, L, min_samples)
     if record_at is not None:
         record = np.asarray(record_at, dtype=float)
@@ -477,48 +479,37 @@ def gain_map(
     length_grid: np.ndarray,
     steps: int = 2000,
     quad: QuadratureSpec | None = None,
-    use_cache: bool = True,
     threads: int = 1,
     cache_n1: int = 80,
     cache_n3: int = 32,
-    validate_probes_first: int = 50,
-    validate_probes_rest: int = 4,
+    validate_probes: int = 50,
 ) -> GainMapResult:
     """Probe transmission over a (probe detuning, optical length) grid.
 
     Each detuning column is one trajectory to max(length_grid), and all
-    columns step together.  The zeroth-order drive solution is tabulated
-    once, and ``threads`` worker threads tabulate the columns' coefficients
-    from it.  Then the first column's table receives the full random
-    validation pass and the others a spot check, in column order.  A column
-    whose fields turn non-finite keeps only its L = 0 cell valid.
+    columns step together.  Where both boundary drives are on, the columns
+    read one :meth:`CoefficientCache.build` cache, tabulated on ``threads``
+    worker threads and validated with ``validate_probes`` probes for the
+    first column; otherwise they average directly.  A column whose fields
+    turn non-finite keeps only its L = 0 cell valid.
     """
     omega4_grid = np.asarray(omega4_grid, dtype=float)
     length_grid = np.asarray(length_grid, dtype=float)
     if omega4_grid.size == 0 or length_grid.size == 0:
-        raise ValueError("scan grids must be non-empty")
+        raise ConfigError("scan grids must be non-empty")
     if np.any(np.diff(omega4_grid) <= 0) or np.any(np.diff(length_grid) <= 0):
-        raise ValueError("scan grids must be strictly ascending")
+        raise ConfigError("scan grids must be strictly ascending")
     if length_grid[0] < 0:
-        raise ValueError("lengths must be non-negative")
+        raise ConfigError("lengths must be non-negative")
     if quad is None:
         quad = QuadratureSpec.for_medium(scheme, medium)
 
     columns = [base.with_omega4(float(om)) for om in omega4_grid]
     cache = None
-    if use_cache:
-        g1_grid, g3_grid = cache_grids(base, cache_n1, cache_n3)
-        grid = DriveGrid(scheme, relax, medium, base, g1_grid, g3_grid, quad)
-        with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
-            tables = np.stack(list(pool.map(grid.coefficients_for, columns)))
-        # the drive grid (371 MB at 80 x 32) goes before the splines are fitted
-        del grid
-        cache = CoefficientCache(scheme, relax, medium, columns, quad, g1_grid, g3_grid, tables)
-        for i in range(len(columns)):
-            probes = validate_probes_first if i == 0 else validate_probes_rest
-            if probes > 0:
-                cache._validate(i, probes)
-
+    if drives_on(base):
+        cache = CoefficientCache.build(scheme, relax, medium, columns, quad, n1=cache_n1,
+                                       n3=cache_n3, validate_probes=validate_probes,
+                                       threads=threads)
     ratio, failed_at = transmission(scheme, relax, medium, columns, length_grid,
                                     steps=steps, quad=quad, cache=cache)
     valid = np.isnan(failed_at)[:, None] | (length_grid == 0.0)[None, :]

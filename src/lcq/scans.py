@@ -119,7 +119,6 @@ def spatial_dynamics(
     L: float,
     steps: int = 2000,
     quad: QuadratureSpec | None = None,
-    use_cache: bool = True,
 ) -> list[ScanRecord]:
     """Intensity evolution of all four waves along the medium.
 
@@ -131,9 +130,9 @@ def spatial_dynamics(
     if quad is None:
         quad = QuadratureSpec.for_medium(scheme, medium)
     cache = None
-    if use_cache and fields.g10 != 0 and fields.g30 != 0:
+    if propagate.drives_on(fields):
         cache = propagate.CoefficientCache.build(
-            scheme, relax, medium, fields, quad, validate_probes=4
+            scheme, relax, medium, [fields], quad, validate_probes=4
         )
     trace = propagate.integrate(
         scheme, relax, medium, fields, L, steps=steps, quad=quad,
@@ -164,7 +163,6 @@ def switching_curve(
     axis: str = "omega4",
     steps: int = 2000,
     quad: QuadratureSpec | None = None,
-    use_cache: bool = True,
     threads: int = 1,
 ) -> list[ScanRecord]:
     """Transmission I4(L)/I40 at fixed optical length versus a control knob.
@@ -177,14 +175,14 @@ def switching_curve(
     if sweep.size == 0:
         raise ValueError("sweep must be non-empty")
     if L <= 0:
-        raise ValueError("fixed length must be positive")
+        raise ConfigError("fixed length must be positive")
     if quad is None:
         quad = QuadratureSpec.for_medium(scheme, medium)
 
     if axis == "omega4":
         result = propagate.gain_map(
             scheme, relax, medium, base, sweep, np.array([L]),
-            steps=steps, quad=quad, use_cache=use_cache, threads=threads,
+            steps=steps, quad=quad, threads=threads,
         )
         return [
             ScanRecord("switch", {
@@ -198,15 +196,17 @@ def switching_curve(
         raise ValueError("axis must be 'omega4' or 'g10'")
 
     # one cache spans the whole amplitude sweep: detunings are fixed and the
-    # grid covers drives up to the largest swept value, with the node count
+    # grid covers drives up to the largest swept |G10|, with the node count
     # scaled up to keep the spacing of the default grid; the sweep points
     # step together through it
+    g10_max = float(np.max(np.abs(sweep)))
+    top = base.with_drives(g10_max, base.g30)
     cache = None
-    if use_cache:
-        n1 = int(np.ceil(96 * max(1.0, np.max(sweep) / max(abs(base.g10), 1e-12))))
-        top = base.with_drives(np.max(sweep), base.g30)
+    if propagate.drives_on(top):
+        scale = g10_max / abs(base.g10) if base.g10 != 0 else 1.0
         cache = propagate.CoefficientCache.build(
-            scheme, relax, medium, top, quad, n1=n1, validate_probes=8
+            scheme, relax, medium, [top], quad, n1=int(np.ceil(96 * max(1.0, scale))),
+            validate_probes=8,
         )
     points = [base.with_drives(value, base.g30) for value in sweep]
     ratio, failed_at = propagate.transmission(

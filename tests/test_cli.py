@@ -9,6 +9,7 @@ import sys
 from pathlib import Path
 
 import numpy as np
+import pytest
 
 import lcq
 from lcq import cli, doppler, scheme
@@ -139,6 +140,46 @@ def test_dynamics_without_probe_input_is_a_config_error(tmp_path, capsys):
                    "--steps", "200", "--quad", "101"])
     assert rc == 2
     assert "configuration error:" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("fields, args", [
+    ({"G30_MHz": 0.0}, ["gainmap", "--omega4", "150:160:2", "--length", "0:4:3"]),
+    ({"G10_MHz": 0.0, "G30_MHz": 0.0}, ["gainmap", "--omega4", "150:160:2", "--length", "0:4:3"]),
+    ({"G10_MHz": 0.0}, ["switch", "--omega4", "150:160:2", "--length", "4"]),
+    ({}, ["switch", "--g10", "0:0:1", "--length", "4"]),
+    ({"G10_MHz": 0.0}, ["switch", "--g10", "60:80:2", "--length", "4"]),
+])
+def test_zero_boundary_drive_gives_finite_csv(tmp_path, fields, args):
+    # a zero drive leaves no cache grid and the trajectories average
+    # directly; a G10 sweep from a zero configured G10 keeps the default
+    # G1 node count
+    cfg = tmp_path / "drives.json"
+    cfg.write_text(json.dumps({"fields": fields}))
+    out = tmp_path / "out.csv"
+    proc = run_cli([*args, "--config", str(cfg), "--quad", "301", "--steps", "200",
+                    "--out", str(out)], tmp_path)
+    assert proc.returncode == 0, proc.stderr
+    values = [float(x) for row in out.read_text().splitlines()[1:] for x in row.split(",")]
+    assert values and all(math.isfinite(v) for v in values)
+
+
+@pytest.mark.parametrize("args", [
+    ["gainmap", "--omega4", "150:155:2", "--length", "0:4:3", "--steps", "50"],
+    ["dynamics", "--length", "2", "--steps", "50"],
+    ["switch", "--omega4", "150:155:2", "--length", "2", "--steps", "50"],
+    ["gainmap", "--omega4", "150:155:2", "--length", "0"],
+    ["switch", "--g10", "60:80:2", "--length", "0"],
+])
+def test_out_of_range_flag_is_a_config_error(tmp_path, args):
+    proc = run_cli([*args, "--quad", "301"], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
+def test_too_few_quadrature_nodes_is_a_config_error(tmp_path):
+    proc = run_cli(["spectra", "--omega4", "0:1:2", "--quad", "5"], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
 def test_switch_requires_exactly_one_axis(tmp_path):

@@ -30,7 +30,7 @@ def dressed_fields():
 @pytest.fixture(scope="module")
 def dressed_cache(preset, quad, dressed_fields):
     sch, relax, medium, _ = preset
-    return pg.CoefficientCache.build(sch, relax, medium, dressed_fields, quad,
+    return pg.CoefficientCache.build(sch, relax, medium, [dressed_fields], quad,
                                      validate_probes=0)
 
 
@@ -207,7 +207,7 @@ def test_integrate_input_validation(preset, quad, dressed_fields):
 
 def test_cache_validation_passes(preset, quad, dressed_fields):
     sch, relax, medium, _ = preset
-    cache = pg.CoefficientCache.build(sch, relax, medium, dressed_fields, quad,
+    cache = pg.CoefficientCache.build(sch, relax, medium, [dressed_fields], quad,
                                       validate_probes=50)
     assert cache.fallbacks == 0
     assert 0.0 < cache.validation_error < 1e-4
@@ -264,8 +264,7 @@ def test_gain_map_drives_off_is_beer_lambert(preset, quad):
                        g10=0.0, g30=0.0, e40=0.1, e20=0.0)
     om4 = np.array([0.0, 150.0, 300.0])
     lengths = np.array([0.0, 2.0, 8.0])
-    res = pg.gain_map(sch, relax, medium, base, om4, lengths,
-                      steps=400, quad=quad, use_cache=False)
+    res = pg.gain_map(sch, relax, medium, base, om4, lengths, steps=400, quad=quad)
     assert res.valid.all()
     for i, om in enumerate(om4):
         mc = dp.average_coefficients(sch, relax, medium,
@@ -287,8 +286,7 @@ def test_gain_map_threads_deterministic(preset, quad):
     sch, relax, medium, fields = preset
     om4 = np.array([140.0, 160.0])
     lengths = np.array([0.0, 5.0, 11.0])
-    kw = dict(steps=400, quad=quad, cache_n1=40, cache_n3=24,
-              validate_probes_first=0, validate_probes_rest=0)
+    kw = dict(steps=400, quad=quad, cache_n1=40, cache_n3=24, validate_probes=0)
     a = pg.gain_map(sch, relax, medium, fields, om4, lengths, threads=1, **kw)
     b = pg.gain_map(sch, relax, medium, fields, om4, lengths, threads=2, **kw)
     assert np.array_equal(a.ratio, b.ratio)
@@ -306,12 +304,11 @@ def test_gain_map_column_matches_lone_trajectory(preset, coarse_quad):
     om4 = np.array([150.0, 155.0, 160.0])
     lengths = np.array([0.0, 3.0, 6.0])
     res = pg.gain_map(sch, relax, medium, fields, om4, lengths, steps=400,
-                      quad=coarse_quad, cache_n1=40, cache_n3=24,
-                      validate_probes_first=0, validate_probes_rest=0)
+                      quad=coarse_quad, cache_n1=40, cache_n3=24, validate_probes=0)
     assert res.valid.all()
     for i, om in enumerate(om4):
         f = fields.with_omega4(float(om))
-        cache = pg.CoefficientCache.build(sch, relax, medium, f, coarse_quad,
+        cache = pg.CoefficientCache.build(sch, relax, medium, [f], coarse_quad,
                                           n1=40, n3=24, validate_probes=0)
         trace = pg.integrate(sch, relax, medium, f, L=6.0, steps=400, quad=coarse_quad,
                              cache=cache, error_estimate=False, record_at=lengths[1:])
@@ -328,7 +325,7 @@ def test_g10_sweep_point_matches_lone_trajectory(preset, coarse_quad):
                                  axis="g10", steps=300, quad=coarse_quad)
     # the sweep's own cache: G1 nodes scaled with the largest swept drive
     top = base.with_drives(100.0, base.g30)
-    cache = pg.CoefficientCache.build(sch, relax, medium, top, coarse_quad,
+    cache = pg.CoefficientCache.build(sch, relax, medium, [top], coarse_quad,
                                       n1=96, validate_probes=0)
     for rec, g10 in zip(recs, sweep):
         f = base.with_drives(g10, base.g30)
@@ -342,8 +339,7 @@ def test_runaway_column_leaves_the_others_alone(preset, coarse_quad, monkeypatch
     sch, relax, medium, fields = preset
     om4 = np.array([150.0, 155.0, 160.0])
     lengths = np.array([0.0, 3.0, 6.0])
-    kw = dict(steps=300, quad=coarse_quad, cache_n1=40, cache_n3=24,
-              validate_probes_first=0, validate_probes_rest=0)
+    kw = dict(steps=300, quad=coarse_quad, cache_n1=40, cache_n3=24, validate_probes=0)
     clean = pg.gain_map(sch, relax, medium, fields, om4, lengths, **kw)
     tabulate = dp.DriveGrid.coefficients_for
 
@@ -360,3 +356,55 @@ def test_runaway_column_leaves_the_others_alone(preset, coarse_quad, monkeypatch
     keep = [0, 2]
     assert res.valid[keep].all()
     assert np.array_equal(res.ratio[keep], clean.ratio[keep])
+
+
+# --------------------------------------------------------------------------
+# cache builder
+# --------------------------------------------------------------------------
+
+def test_build_validates_columns_in_order(preset, coarse_quad, monkeypatch):
+    # column 0 gets the full probe count, every other column a spot check
+    sch, relax, medium, fields = preset
+    calls = []
+    monkeypatch.setattr(pg.CoefficientCache, "_validate",
+                        lambda cache, col, n_probes: calls.append((col, n_probes)))
+    pg.gain_map(sch, relax, medium, fields, np.array([150.0, 155.0, 160.0]),
+                np.array([0.0, 2.0]), steps=100, quad=coarse_quad, cache_n1=40, cache_n3=24)
+    assert calls == [(0, 50), (1, 4), (2, 4)]
+
+
+@pytest.mark.parametrize("threads", [1, 2])
+def test_build_tables_match_drive_grid(preset, coarse_quad, threads):
+    sch, relax, medium, fields = preset
+    columns = [fields.with_omega4(om) for om in (150.0, 155.0, 160.0)]
+    cache = pg.CoefficientCache.build(sch, relax, medium, columns, coarse_quad,
+                                      n1=40, n3=24, validate_probes=0, threads=threads)
+    assert cache.g1_grid[-1] == pytest.approx(1.05 * abs(fields.g10), rel=1e-15)
+    assert cache.g3_grid[-1] == pytest.approx(1.05 * abs(fields.g30), rel=1e-15)
+    grid = dp.DriveGrid(sch, relax, medium, fields, cache.g1_grid, cache.g3_grid, coarse_quad)
+    for table, f in zip(cache.tables, columns):
+        assert np.array_equal(table, grid.coefficients_for(f))
+
+
+def test_negative_g10_sweep_mirrors_positive(preset, coarse_quad, monkeypatch):
+    # the sweep's cache spans the largest |G10|, so no point of a negative
+    # sweep falls back, and G10 -> -G10 only flips the drive-product phase
+    sch, relax, medium, fields = preset
+    base = fields.with_omega4(155.0)
+    caches = []
+    build = pg.CoefficientCache.build.__func__
+
+    def spy(cls, *args, **kwargs):
+        caches.append(build(cls, *args, **kwargs))
+        return caches[-1]
+
+    monkeypatch.setattr(pg.CoefficientCache, "build", classmethod(spy))
+    ratios = {}
+    for sweep in (np.array([50.0, 100.0]), np.array([-100.0, -50.0])):
+        recs = scans.switching_curve(sch, relax, medium, base, L=1.0, sweep=sweep,
+                                     axis="g10", steps=100, quad=coarse_quad)
+        for rec in recs:
+            ratios.setdefault(abs(rec.values["g10"]), []).append(rec.values["i4_ratio"])
+    assert [c.fallbacks for c in caches] == [0, 0]
+    for positive, negative in ratios.values():
+        assert negative == pytest.approx(positive, rel=1e-12, abs=0.0)

@@ -165,8 +165,7 @@ def test_switching_curve_flat_without_drives(preset, quad):
                        g10=0.0, g30=0.0, e40=0.1, e20=0.0)
     sweep = np.linspace(140.0, 170.0, 4)
     recs = scans.switching_curve(sch, relax, medium, base, L=5.0, sweep=sweep,
-                                 axis="omega4", steps=400, quad=quad,
-                                 use_cache=False)
+                                 axis="omega4", steps=400, quad=quad)
     ratios = [r.values["i4_ratio"] for r in recs]
     mcs = [dp.average_coefficients(sch, relax, medium, base.with_omega4(float(om)),
                                    0.0, 0.0, quad) for om in sweep]
