@@ -10,7 +10,6 @@ __version__ = "0.1.0"
 
 from .coupledwave import BoundaryAmplitudes, OpaCoefficients, eta4_conversion, fwm_gain_limit, opa_solution, oscillation_threshold
 from .doppler import MacroscopicCoefficients, QuadratureSpec, average_coefficients, voigt_reference
-from .liouville import ProbeResponse, VelocityDetunings, ZerothOrderState, detune_for_velocity, solve_probe_response, solve_zeroth_order
 from .propagate import CoefficientCache, PropagationTrace, gain_map, integrate
 from .scans import ScanRecord, spatial_dynamics, spectra_scan, switching_curve
 from .scheme import (
@@ -27,8 +26,6 @@ __all__ = [
     "BoundaryAmplitudes", "OpaCoefficients", "eta4_conversion", "fwm_gain_limit",
     "opa_solution", "oscillation_threshold",
     "MacroscopicCoefficients", "QuadratureSpec", "average_coefficients", "voigt_reference",
-    "ProbeResponse", "VelocityDetunings", "ZerothOrderState", "detune_for_velocity",
-    "solve_probe_response", "solve_zeroth_order",
     "CoefficientCache", "PropagationTrace", "gain_map", "integrate",
     "ScanRecord", "spatial_dynamics", "spectra_scan", "switching_curve",
     "FieldConfig", "LevelScheme", "MediumParams", "RelaxationSet",

@@ -286,11 +286,19 @@ def _row_source(scheme, relax, medium, fields, quad, cache, freeze):
     return lambda idx, g1_abs, g3_abs: frozen[idx]
 
 
-def _sample_positions(L: float, steps: int, record_at, min_samples: int) -> np.ndarray:
+def check_run(L: float, steps: int) -> None:
+    """Reject a medium length or step count no integration accepts, with ``ConfigError``.
+
+    Callers that build a cache check first, so a bad flag costs no build.
+    """
     if L <= 0:
         raise ConfigError("medium length must be positive")
     if steps < 100:
         raise ConfigError("need at least 100 integration steps")
+
+
+def _sample_positions(L: float, steps: int, record_at, min_samples: int) -> np.ndarray:
+    check_run(L, steps)
     sample_z = np.linspace(0.0, L, min_samples)
     if record_at is not None:
         record = np.asarray(record_at, dtype=float)
@@ -501,6 +509,7 @@ def gain_map(
         raise ConfigError("scan grids must be strictly ascending")
     if length_grid[0] < 0:
         raise ConfigError("lengths must be non-negative")
+    check_run(float(length_grid[-1]), steps)
     if quad is None:
         quad = QuadratureSpec.for_medium(scheme, medium)
 

@@ -127,6 +127,7 @@ def spatial_dynamics(
     """
     if fields.e40 == 0:
         raise ConfigError("spatial dynamics needs a non-zero probe input E40")
+    propagate.check_run(L, steps)
     if quad is None:
         quad = QuadratureSpec.for_medium(scheme, medium)
     cache = None
@@ -195,17 +196,16 @@ def switching_curve(
     if axis != "g10":
         raise ValueError("axis must be 'omega4' or 'g10'")
 
+    propagate.check_run(L, steps)
     # one cache spans the whole amplitude sweep: detunings are fixed and the
-    # grid covers drives up to the largest swept |G10|, with the node count
-    # scaled up to keep the spacing of the default grid; the sweep points
-    # step together through it
+    # grid covers drives up to the largest swept |G10|, with 96 G1 nodes per
+    # 100 MHz of it and at least 96; the sweep points step together through it
     g10_max = float(np.max(np.abs(sweep)))
     top = base.with_drives(g10_max, base.g30)
     cache = None
     if propagate.drives_on(top):
-        scale = g10_max / abs(base.g10) if base.g10 != 0 else 1.0
         cache = propagate.CoefficientCache.build(
-            scheme, relax, medium, [top], quad, n1=int(np.ceil(96 * max(1.0, scale))),
+            scheme, relax, medium, [top], quad, n1=max(96, int(np.ceil(96 * g10_max / 100))),
             validate_probes=8,
         )
     points = [base.with_drives(value, base.g30) for value in sweep]

@@ -401,7 +401,3 @@ def load_config(path: str | Path) -> tuple[LevelScheme, RelaxationSet, MediumPar
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return config_to_params(data)
-
-
-def dump_config(config: dict, path: str | Path) -> None:
-    Path(path).write_text(json.dumps(config, indent=2) + "\n", encoding="utf-8")

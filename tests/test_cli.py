@@ -20,7 +20,7 @@ from lcq.scheme import RAD_PER_MHZ, na2_preset
 PACKAGE_ROOT = Path(lcq.__file__).resolve().parent.parent
 
 
-def run_cli(args, tmp_path=None, env_extra=None):
+def run_python(args, tmp_path=None, env_extra=None):
     # the child runs in tmp_path, where a relative PYTHONPATH entry such as
     # `src` resolves to nothing, so hand it the absolute package root first
     env = dict(os.environ)
@@ -29,12 +29,15 @@ def run_cli(args, tmp_path=None, env_extra=None):
         filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")]))
     if env_extra:
         env.update(env_extra)
-    proc = subprocess.run(
-        [sys.executable, "-m", "lcq.cli", *args],
+    return subprocess.run(
+        [sys.executable, *args],
         capture_output=True, text=True, env=env,
         cwd=str(tmp_path) if tmp_path else None,
     )
-    return proc
+
+
+def run_cli(args, tmp_path=None, env_extra=None):
+    return run_python(["-m", "lcq.cli", *args], tmp_path, env_extra)
 
 
 def test_preset_dump_matches_serialization(tmp_path):
@@ -268,6 +271,19 @@ def test_threads_env_variable(tmp_path):
 
 def test_validate_subcommand_passes():
     assert cli.main(["validate", "--quad", "1311"]) == 0
+
+
+def test_validate_runs_without_the_reference_oracle(tmp_path):
+    # `lcq validate` checks the production kernels: no CLI path loads the
+    # 16x16 oracle of lcq.reference
+    code = ("import sys\n"
+            "from lcq import cli\n"
+            "rc = cli.main(['validate'])\n"
+            "assert 'lcq.reference' not in sys.modules, 'lcq.reference was imported'\n"
+            "sys.exit(rc)\n")
+    proc = run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert "FAIL" not in proc.stdout
 
 
 def test_validate_fails_on_inconsistent_config(tmp_path, capsys):

@@ -97,21 +97,22 @@ def test_zero_thermal_speed_equals_single_class(preset):
     # same normalization applies; compare against a direct v = 0 evaluation
     # through the same machinery with a trivial two-node rule
     from lcq import liouville as lv
-    det = lv.detune_for_velocity(fields, sch, 0.0)
-    st = lv.solve_zeroth_order(sch, relax, medium, det, 50.0, 20.0)
-    pr = lv.solve_probe_response(st, sch, relax, det, 50.0, 20.0)
+    from lcq import reference
+
+    def a4_at_rest(f, g1, g3):
+        om1p, om2p, _, om4p = (w - s for w, s in zip(
+            (f.omega1, f.omega2, f.omega3, f.omega4), lv.doppler_shifts(sch, 0.0)))
+        rho = reference.zeroth_order_batch(relax, medium.p_n, om1p, om2p, om4p, g1, g3)
+        return lv.probe_response_compact(
+            lv.compact_sources(rho), om1p, om2p, om4p, g1, g3, relax)[0]
+
     mc0 = dp.average_coefficients(
         sch, relax, medium, fields.with_omega4(0.0), 0.0, 0.0, q0)
     assert mc0.alpha4 == pytest.approx(medium.alpha40)
     # alpha4 ratio equals the single-class ratio of absorption parts
-    base = lv.solve_probe_response(
-        lv.solve_zeroth_order(sch, relax, medium,
-                              lv.detune_for_velocity(fields.with_omega4(0.0), sch, 0.0),
-                              0.0, 0.0),
-        sch, relax,
-        lv.detune_for_velocity(fields.with_omega4(0.0), sch, 0.0), 0.0, 0.0)
     assert mc.alpha4 / medium.alpha40 == pytest.approx(
-        np.imag(pr.a4) / np.imag(base.a4), rel=1e-12)
+        np.imag(a4_at_rest(fields, 50.0, 20.0))
+        / np.imag(a4_at_rest(fields.with_omega4(0.0), 0.0, 0.0)), rel=1e-12)
 
 
 def test_normalization_is_exact(preset, quad):

@@ -7,7 +7,7 @@ from lcq import coupledwave as cw
 from lcq import doppler as dp
 from lcq import propagate as pg
 from lcq import scans
-from lcq.scheme import FieldConfig, na2_preset
+from lcq.scheme import ConfigError, FieldConfig, na2_preset
 
 
 @pytest.fixture(scope="module")
@@ -408,3 +408,54 @@ def test_negative_g10_sweep_mirrors_positive(preset, coarse_quad, monkeypatch):
     assert [c.fallbacks for c in caches] == [0, 0]
     for positive, negative in ratios.values():
         assert negative == pytest.approx(positive, rel=1e-12, abs=0.0)
+
+
+@pytest.mark.parametrize("run", [
+    pytest.param(lambda sch, relax, medium, f, quad: pg.gain_map(
+        sch, relax, medium, f, np.array([150.0, 155.0]), np.array([0.0, 2.0]),
+        steps=50, quad=quad), id="gain_map-steps"),
+    pytest.param(lambda sch, relax, medium, f, quad: pg.gain_map(
+        sch, relax, medium, f, np.array([150.0, 155.0]), np.array([0.0]),
+        quad=quad), id="gain_map-length"),
+    pytest.param(lambda sch, relax, medium, f, quad: scans.spatial_dynamics(
+        sch, relax, medium, f, L=2.0, steps=50, quad=quad), id="dynamics-steps"),
+    pytest.param(lambda sch, relax, medium, f, quad: scans.spatial_dynamics(
+        sch, relax, medium, f, L=0.0, quad=quad), id="dynamics-length"),
+    pytest.param(lambda sch, relax, medium, f, quad: scans.switching_curve(
+        sch, relax, medium, f, L=2.0, sweep=np.array([60.0, 100.0]), axis="g10",
+        steps=50, quad=quad), id="g10-sweep-steps"),
+])
+def test_bad_steps_or_length_fail_before_the_cache_is_built(preset, coarse_quad, monkeypatch, run):
+    sch, relax, medium, fields = preset
+
+    def build(cls, *args, **kwargs):
+        raise AssertionError("cache built before the step count and length were checked")
+
+    monkeypatch.setattr(pg.CoefficientCache, "build", classmethod(build))
+    with pytest.raises(ConfigError):
+        run(sch, relax, medium, fields.with_omega4(155.0), coarse_quad)
+
+
+@pytest.mark.parametrize("g10_config", [0.001, 0.0, 100.0])
+def test_g10_sweep_node_count_follows_the_sweep(preset, coarse_quad, monkeypatch, g10_config):
+    # the configured G10 plays no part in a G10 sweep: 96 G1 nodes per 100 MHz
+    # of the largest swept |G10|, at least 96.  The spy stops before any grid
+    # is allocated, whatever node count it is asked for
+    sch, relax, medium, fields = preset
+    asked = []
+
+    class Stop(Exception):
+        pass
+
+    def spy(cls, *args, n1=80, **kwargs):
+        asked.append(n1)
+        raise Stop
+
+    monkeypatch.setattr(pg.CoefficientCache, "build", classmethod(spy))
+    base = fields.with_drives(g10_config, fields.g30).with_omega4(155.0)
+    for sweep in (np.linspace(60.0, 100.0, 5), np.linspace(60.0, 105.0, 25),
+                  np.array([-120.0, 10.0]), np.array([5.0, 20.0])):
+        with pytest.raises(Stop):
+            scans.switching_curve(sch, relax, medium, base, L=10.0, sweep=sweep,
+                                  axis="g10", quad=coarse_quad)
+    assert asked == [96, 101, 116, 96]
