@@ -19,6 +19,9 @@ the preset); the convergence gate measures the change under node doubling.
 from __future__ import annotations
 
 import math
+import threading
+from collections import defaultdict
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
 from typing import NamedTuple
@@ -198,98 +201,113 @@ def _drive_ratios(rho0: np.ndarray, om1p, om3p, relax: RelaxationSet) -> tuple:
     return r1, r3
 
 
-def _velocity_sum(v: np.ndarray, w: np.ndarray, drive_shape: tuple, chunk) -> np.ndarray:
-    """Maxwell average over velocity of ``chunk(rows)``, at every drive point.
+def _velocity_sum(v: np.ndarray, w: np.ndarray, drive_shape: tuple, chunk,
+                  threads: int = 1) -> list:
+    """Maxwell averages of the arrays ``chunk(rows)`` yields, with classes ``rows`` leading.
 
-    ``chunk`` returns its velocity classes ``rows`` along the leading axis.
     The classes go in chunks of ``liouville._CHUNK`` systems over all drive
-    points, so a single drive point takes one chunk and an 80 x 32 grid six
-    classes at a time.  Chunk sums are carried as (exact part, remainder)
-    pairs and added in order.  A failed solve raises :class:`AveragingError`
-    naming its velocity node and, on a grid, its drive point.
+    points (one chunk for a single point, six classes on an 80 x 32 grid),
+    run by ``threads`` workers.  A worker adds its chunk's (exact part,
+    remainder) pair of each sum once the previous chunk's is in, so sums go
+    in chunk order whatever ``threads`` is.  A failed solve raises
+    :class:`AveragingError` naming its velocity node and, on a grid, its
+    drive point; of several, the one in the first chunk.
     """
     points = math.prod(drive_shape)
     step = max(1, liouville._CHUNK // points)
-    total = None
-    for start in range(0, v.size, step):
-        rows = slice(start, start + step)
+    totals = {}
+    turn = defaultdict(int)  # per sum, the chunk whose pair goes in next
+    failed = math.inf        # the first chunk that raised
+    ready = threading.Condition()
+
+    def add(k):
+        nonlocal failed
+        rows = slice(k * step, (k + 1) * step)
         try:
-            x = chunk(rows)
-        except liouville.SingularSystemError as exc:
+            for j, x in enumerate(chunk(rows)):
+                pair = _sum_parts(x, w[rows])
+                with ready:
+                    ready.wait_for(lambda: turn[j] == k or failed < k)
+                if failed < k:
+                    return  # an earlier chunk raised, and reports
+                totals[j] = pair if k == 0 else _sum_parts(np.array([*totals[j], *pair]))
+                with ready:
+                    turn[j] = k + 1
+                    ready.notify_all()
+        except BaseException as exc:
+            with ready:
+                failed = min(failed, k)
+                ready.notify_all()
+            if not isinstance(exc, liouville.SingularSystemError):
+                raise
             where = "batch"
             if exc.index is not None:
                 node, point = divmod(exc.index, points)
-                node += start
+                node += rows.start
                 where = f"velocity node {node} (v = {v[node]:.3f} m/s)"
                 if drive_shape:
                     point = tuple(map(int, np.unravel_index(point, drive_shape)))
                     where += f", drive point {point}"
             raise AveragingError(f"velocity averaging failed at {where}: {exc}") from exc
-        parts = _sum_parts(x, w[rows])
-        total = parts if total is None else _sum_parts(np.array([*total, *parts]))
-    return np.add(*total)
+
+    chunks = range(math.ceil(v.size / step))
+    if threads > 1:
+        with ThreadPoolExecutor(threads) as pool:
+            list(pool.map(add, chunks))  # raises the first chunk's error and drops the rest
+    else:
+        list(map(add, chunks))
+    return [np.add(*totals[j]) for j in range(len(totals))]
+
+
+def _drive_chunk(relax, medium, om1p, om3p, G1, G3) -> tuple:
+    """Probe sources (6, rows, ...) and drive ratios (rows, 2, ...) of a chunk of classes."""
+    rho0 = liouville.drive_steady_state_batch(relax, medium.p_n, om1p, om3p, G1, G3)
+    return (np.stack(liouville.compact_sources(rho0)),
+            np.stack(_drive_ratios(rho0, om1p, om3p, relax), axis=1))
 
 
 class _DriveState(NamedTuple):
-    """What the averages need over a drive shape that does not depend on omega4.
-
-    The velocity-indexed arrays carry one trailing unit axis per drive axis,
-    so they broadcast against G1 and G3.
-    """
+    """What the averages at one drive point need that does not depend on omega4."""
 
     v: np.ndarray
     w: np.ndarray
     om1p: np.ndarray
     shift2: np.ndarray
     shift4: np.ndarray
-    src: np.ndarray  # (6, nv, *drive_shape) probe source elements, ordered as compact_sources
-    ratios: np.ndarray  # (2, *drive_shape) averaged drive ratios of waves 1 and 3
-    G1: complex | np.ndarray
-    G3: complex | np.ndarray
+    src: np.ndarray  # (6, nv) probe source elements, ordered as compact_sources
+    ratios: np.ndarray  # (2,) averaged drive ratios of waves 1 and 3
+    G1: complex
+    G3: complex
 
 
-def _solve_drive_sector(scheme, relax, medium, omega1, omega3, G1, G3, quad) -> _DriveState:
-    """Solve the drive sector of every velocity class at the drive amplitudes.
-
-    G1 and G3 broadcast to the drive shape: scalars for one drive point, or
-    ``g1_grid[:, None]`` and ``g3_grid[None, :]`` for a grid.  The arrays are
-    read-only, because :func:`_drive_state` hands the same ones to every caller.
-    """
+@lru_cache(maxsize=16)
+def _drive_state(scheme, relax, medium, omega1, omega3, G1, G3, quad) -> _DriveState:
+    """Drive sector of every class at one drive point, read-only: a sweep shares it."""
     v, w = quad.nodes()
-    drive_shape = np.broadcast_shapes(np.shape(G1), np.shape(G3))
-    sh = [x.reshape(-1, *(1,) * len(drive_shape)) for x in liouville.doppler_shifts(scheme, v)]
-    om1p, om3p = omega1 - sh[0], omega3 - sh[2]
-    src = np.empty((6, v.size, *drive_shape), dtype=complex)
+    sh1, sh2, sh3, sh4 = liouville.doppler_shifts(scheme, v)
+    om1p, om3p = omega1 - sh1, omega3 - sh3
+    src = np.empty((6, v.size), dtype=complex)
 
     def chunk(rows):
-        rho0 = liouville.drive_steady_state_batch(
-            relax, medium.p_n, om1p[rows], om3p[rows], G1, G3)
-        src[:, rows] = liouville.compact_sources(rho0)
-        return np.stack(_drive_ratios(rho0, om1p[rows], om3p[rows], relax), axis=1)
+        src[:, rows], ratios = _drive_chunk(relax, medium, om1p[rows], om3p[rows], G1, G3)
+        yield ratios
 
-    state = _DriveState(v, w, om1p, sh[1], sh[3], src,
-                        _velocity_sum(v, w, drive_shape, chunk), G1, G3)
+    state = _DriveState(v, w, om1p, sh2, sh4, src, _velocity_sum(v, w, (), chunk)[0], G1, G3)
     for a in state[:7]:
         a.flags.writeable = False
     return state
 
 
-# Single drive points only, each shared by every point of a probe-detuning
-# sweep; a grid's state (371 MB at 80 x 32) never enters the cache.
-_drive_state = lru_cache(maxsize=16)(_solve_drive_sector)
-
-
 def _probe_means(state: _DriveState, omega2, omega4, relax) -> np.ndarray:
-    """Velocity averages (a4, b4, a2, b2) of the probe responses at every drive point."""
+    """Velocity averages (a4, b4, a2, b2) of the probe responses at the drive point of ``state``."""
     om2p, om4p = omega2 - state.shift2, omega4 - state.shift4
 
     def chunk(rows):
-        return np.stack(liouville.probe_response_compact(
+        yield np.stack(liouville.probe_response_compact(
             tuple(state.src[:, rows]), state.om1p[rows], om2p[rows], om4p[rows],
-            state.G1, state.G3, relax,
-        ), axis=1)
+            state.G1, state.G3, relax), axis=1)
 
-    return _velocity_sum(state.v, state.w, state.src.shape[2:], chunk)
+    return _velocity_sum(state.v, state.w, (), chunk)[0]
 
 
 @lru_cache(maxsize=64)
@@ -315,14 +333,24 @@ def _norm_constant(
     return medium.alpha40 / raw_alpha4
 
 
-def _coefficient_table(scheme, relax, medium, quad, state: _DriveState,
-                       omega2, omega4) -> np.ndarray:
-    """Averaged coefficients at every drive point of ``state``, as (*drive_shape, 12) table rows.
+def _coefficient_table(scheme, relax, medium, quad, probe_means, ratios) -> np.ndarray:
+    """Table rows (*drive_shape, 12) from the averages (a4, b4, a2, b2) and (gl_ratio, mn_ratio).
 
-    Raises :class:`AveragingError` if a solve fails or a coefficient is not finite.
+    Raises :class:`AveragingError` if a coefficient is not finite.
     """
-    means = np.concatenate([_probe_means(state, omega2, omega4, relax), state.ratios])
-    table = _assemble(scheme, relax, medium, quad, means)
+    scale = _norm_constant(scheme, relax, medium, quad)
+    l1, l2, l3, l4 = scheme.wavelengths
+    k1, k2, k3 = l4 / l1, l4 / l2, l4 / l3  # relative wavenumbers, k4 = 1
+    d1, d2, d3, d4 = scheme.dipoles
+    (a4, b4, a2, b2), (gl_ratio, mn_ratio) = probe_means, ratios
+    table = np.stack([
+        scale * k1 * d1 * d1 * gl_ratio,  # sigma1
+        scale * k2 * d2 * d2 * a2,        # sigma2
+        scale * k3 * d3 * d3 * mn_ratio,  # sigma3
+        scale * 1.0 * d4 * d4 * a4,       # sigma4
+        scale * 1.0 * d4 * d2 * b4,       # gamma4
+        scale * k2 * d2 * d4 * b2,        # gamma2
+    ], axis=-1).view(np.float64)
     bad = np.argwhere(~np.isfinite(table))
     if bad.size:
         where = f" at drive point {tuple(bad[0, :-1].tolist())}" if table.ndim > 1 else ""
@@ -350,31 +378,9 @@ def average_coefficients(
     """
     state = _drive_state(scheme, relax, medium, fields.omega1, fields.omega3,
                          complex(G1), complex(G3), quad)
+    means = _probe_means(state, fields.omega2, fields.omega4, relax)
     return MacroscopicCoefficients.from_vector(
-        _coefficient_table(scheme, relax, medium, quad, state, fields.omega2, fields.omega4))
-
-
-def _assemble(
-    scheme: LevelScheme,
-    relax: RelaxationSet,
-    medium: MediumParams,
-    quad: QuadratureSpec,
-    means: np.ndarray,
-) -> np.ndarray:
-    """Table rows from the stacked averages (a4, b4, a2, b2, gl_ratio, mn_ratio)."""
-    scale = _norm_constant(scheme, relax, medium, quad)
-    l1, l2, l3, l4 = scheme.wavelengths
-    k1, k2, k3 = l4 / l1, l4 / l2, l4 / l3  # relative wavenumbers, k4 = 1
-    d1, d2, d3, d4 = scheme.dipoles
-    a4, b4, a2, b2, gl_ratio, mn_ratio = means
-    return np.stack([
-        scale * k1 * d1 * d1 * gl_ratio,  # sigma1
-        scale * k2 * d2 * d2 * a2,        # sigma2
-        scale * k3 * d3 * d3 * mn_ratio,  # sigma3
-        scale * 1.0 * d4 * d4 * a4,       # sigma4
-        scale * 1.0 * d4 * d2 * b4,       # gamma4
-        scale * k2 * d2 * d4 * b2,        # gamma2
-    ], axis=-1).view(np.float64)
+        _coefficient_table(scheme, relax, medium, quad, means, state.ratios))
 
 
 def quadrature_gate(
@@ -395,11 +401,10 @@ def quadrature_gate(
 
 
 class DriveGrid:
-    """Drive-sector state over velocity and a real (|G1|, |G3|) grid.
+    """A real (|G1|, |G3|) grid at fixed drive detunings, tabulated by :meth:`tables`.
 
-    Built once and shared by every probe-detuning column of a scan, and kept
-    out of the drive-state cache: the probe sources of the default 80 x 32
-    grid take 371 MB.
+    ``src``, the probe sources kept between calls, is empty, (6, 0, n1, n3):
+    a call holds one velocity chunk per worker, whatever the node count.
     """
 
     def __init__(
@@ -419,25 +424,39 @@ class DriveGrid:
         self.quad = quad
         self.g1_grid = np.asarray(g1_grid, dtype=float)
         self.g3_grid = np.asarray(g3_grid, dtype=float)
-        self.state = _solve_drive_sector(scheme, relax, medium, fields.omega1, fields.omega3,
-                                         self.g1_grid[:, None], self.g3_grid[None, :], quad)
+        self.src = np.empty((6, 0, self.g1_grid.size, self.g3_grid.size), dtype=complex)
 
-    @property
-    def src(self) -> np.ndarray:
-        """Probe source elements, (6, nv, n1, n3)."""
-        return self.state.src
+    def tables(self, columns: list[FieldConfig], threads: int = 1) -> np.ndarray:
+        """Coefficient tables (len(columns), n1, n3, 12) on the drive grid, one per probe detuning.
+
+        Rows are read by :meth:`MacroscopicCoefficients.from_vector`.  The
+        columns must share the drive detunings of the grid; only the probe
+        detuning omega4 (and the slaved omega2) may differ.  One pass over
+        the velocity chunks, split among ``threads`` workers, solves each
+        chunk's drive sector and then every column's probe block from it.
+        """
+        if any((f.omega1, f.omega3) != (self.fields.omega1, self.fields.omega3) for f in columns):
+            raise ValueError("drive detunings differ from the tabulated grid")
+        G1, G3 = self.g1_grid[:, None], self.g3_grid[None, :]
+        v, w = self.quad.nodes()
+        sh1, sh2, sh3, sh4 = (x[:, None, None] for x in liouville.doppler_shifts(self.scheme, v))
+        om1p, om3p = self.fields.omega1 - sh1, self.fields.omega3 - sh3
+        probes = [(f.omega2 - sh2, f.omega4 - sh4) for f in columns]
+
+        def chunk(rows):
+            src, ratios = _drive_chunk(self.relax, self.medium, om1p[rows], om3p[rows], G1, G3)
+            yield ratios
+            for om2p, om4p in probes:
+                yield np.stack(liouville.probe_response_compact(
+                    tuple(src), om1p[rows], om2p[rows], om4p[rows], G1, G3, self.relax), axis=1)
+
+        ratios, *means = _velocity_sum(v, w, self.src.shape[2:], chunk, threads)
+        return np.stack([_coefficient_table(self.scheme, self.relax, self.medium, self.quad,
+                                            m, ratios) for m in means])
 
     def coefficients_for(self, fields: FieldConfig) -> np.ndarray:
-        """Coefficient table (n1, n3, 12) on the drive grid for one probe detuning.
-
-        Rows are read by :meth:`MacroscopicCoefficients.from_vector`.
-        ``fields`` must share the drive detunings of the grid; only the probe
-        detuning omega4 (and the slaved omega2) may differ.
-        """
-        if (fields.omega1, fields.omega3) != (self.fields.omega1, self.fields.omega3):
-            raise ValueError("drive detunings differ from the tabulated grid")
-        return _coefficient_table(self.scheme, self.relax, self.medium, self.quad,
-                                  self.state, fields.omega2, fields.omega4)
+        """Coefficient table (n1, n3, 12) for one probe detuning, as :meth:`tables` gives it."""
+        return self.tables([fields])[0]
 
 
 # ---------------------------------------------------------------------------

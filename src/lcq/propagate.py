@@ -24,8 +24,8 @@ of G1 G3 to the cross couplings.
 from __future__ import annotations
 
 import math
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from functools import lru_cache
 
 import numpy as np
 from scipy.interpolate import CubicSpline
@@ -146,25 +146,20 @@ class CoefficientCache:
         """Cache of ``columns`` over [0, 1.05|G10|] x [0, 1.05|G30|] of ``columns[0]``.
 
         The columns share the drives' detunings and boundary values, hence
-        one :class:`DriveGrid`, from which ``threads`` worker threads
-        tabulate them.  The grids are power-spaced (denser toward zero
-        amplitude, where the coefficients curve most as the drives die
-        out); uniform spacing at the same node count fails the trace-level
-        accuracy target by two orders of magnitude.  Column 0 is then
-        validated at ``validate_probes`` random points, the others at
-        min(validate_probes, 4), in column order.
+        one :class:`DriveGrid` pass over the velocity chunks, which
+        ``threads`` worker threads split.  The grids are power-spaced
+        (denser toward zero amplitude, where the coefficients curve most as
+        the drives die out); uniform spacing at the same node count fails
+        the trace-level accuracy target by two orders of magnitude.  Column
+        0 is then validated at ``validate_probes`` random points, the others
+        at min(validate_probes, 4), in column order.
         """
         top = columns[0]
         g1_grid = _GRID_MARGIN * abs(top.g10) * np.linspace(0.0, 1.0, n1) ** _GRID_POWER1
         g3_grid = _GRID_MARGIN * abs(top.g30) * np.linspace(0.0, 1.0, n3) ** _GRID_POWER3
         grid = DriveGrid(scheme, relax, medium, top, g1_grid, g3_grid, quad)
-        # one thread tabulates in place: a worker's malloc arena would add to peak memory
-        with ThreadPoolExecutor(max_workers=max(threads, 1)) as pool:
-            tabulate = pool.map if threads > 1 else map
-            tables = np.stack(list(tabulate(grid.coefficients_for, columns)))
-        # the drive grid (371 MB at 80 x 32) goes before the splines are fitted
-        del grid
-        cache = cls(scheme, relax, medium, columns, quad, g1_grid, g3_grid, tables)
+        cache = cls(scheme, relax, medium, columns, quad, g1_grid, g3_grid,
+                    grid.tables(columns, threads))
         if validate_probes > 0:
             for k in range(len(columns)):
                 cache._validate(k, validate_probes if k == 0 else min(validate_probes, 4))
@@ -232,10 +227,6 @@ def rhs(y: np.ndarray, rows: np.ndarray, scheme: LevelScheme) -> np.ndarray:
     renormalized by the respective wavenumber and dipole factors (the
     reverse conversion cycle of the corresponding probe pathway).
     """
-    l1, l2, l3, l4 = scheme.wavelengths
-    d1, d2, d3, d4 = scheme.dipoles
-    r = np.array([(l4 / l1) * d1 * d1 / (1.0 * d4 * d2),
-                  (l4 / l3) * d3 * d3 / ((l4 / l2) * d2 * d4)])
     c = np.ascontiguousarray(rows).view(complex)  # sigma1..sigma4, gamma4, gamma2
     gamma = c[:, 4:]
     # self terms i sigma_j A_j, then the probe cross coupling i gamma4 E2*, i gamma2 E4*
@@ -244,9 +235,18 @@ def rhs(y: np.ndarray, rows: np.ndarray, scheme: LevelScheme) -> np.ndarray:
     # back-action on the drives, where both drives are on
     probe_prod = (y[:, 2] * y[:, 3])[:, None]
     on = (y[:, :2] != 0).all(axis=1)[:, None]
-    d[:, :2] += np.divide(1j * r * np.conj(gamma) * probe_prod, np.conj(y[:, :2]),
+    d[:, :2] += np.divide(_backaction(scheme) * np.conj(gamma) * probe_prod, np.conj(y[:, :2]),
                           out=np.zeros((y.shape[0], 2), dtype=complex), where=on)
     return d
+
+
+@lru_cache(maxsize=16)
+def _backaction(scheme: LevelScheme) -> np.ndarray:
+    """i times the wavenumber and dipole ratios of the back-action on drives 1 and 3."""
+    l1, l2, l3, l4 = scheme.wavelengths
+    d1, d2, d3, d4 = scheme.dipoles
+    return 1j * np.array([(l4 / l1) * d1 * d1 / (1.0 * d4 * d2),
+                          (l4 / l3) * d3 * d3 / ((l4 / l2) * d2 * d4)])
 
 
 def _row_source(scheme, relax, medium, fields, quad, cache, freeze):
@@ -321,12 +321,13 @@ def _lockstep(y0: np.ndarray, sample_z: np.ndarray, steps: int, source, scheme):
     failed_at = np.full(n, np.nan)
 
     def coefficients(idx, y):
-        # a non-finite drive gets NaN rows instead of a direct average; its
-        # trajectory leaves the batch at the end of the step
         drives = np.abs(y[:, :2])
         ok = np.isfinite(drives).all(axis=1)
-        out = np.full((idx.size, 12), np.nan)
-        out[ok] = source(idx[ok], drives[ok, 0], drives[ok, 1])
+        if ok.all():  # fresh rows, which take the drive phase in place
+            out = source(idx, drives[:, 0], drives[:, 1])
+        else:  # NaN rows, not a direct average: the trajectory leaves after this step
+            out = np.full((idx.size, 12), np.nan)
+            out[ok] = source(idx[ok], drives[ok, 0], drives[ok, 1])
         prod = y[:, 0] * y[:, 1]
         mag = np.abs(prod)
         phase = np.divide(prod, mag, out=np.ones_like(prod), where=mag > 0)

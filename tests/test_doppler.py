@@ -2,6 +2,7 @@
 
 import math
 import re
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
@@ -203,10 +204,55 @@ def test_singular_drive_sector_names_the_drive_point(preset, quad):
     # from the first velocity node on; the grid names that drive point
     sch, relax, medium, fields = preset
     no_g_decay = replace(relax, gamma_g=0.0, sp_gn=0.0, sp_gl=0.0)
+    grid = dp.DriveGrid(sch, no_g_decay, medium, fields, [100.0, 50.0, 0.0], [0.0, 20.0], quad)
     with pytest.raises(dp.AveragingError) as info:
-        dp.DriveGrid(sch, no_g_decay, medium, fields, [100.0, 50.0, 0.0], [0.0, 20.0], quad)
+        grid.tables([fields])
     assert "velocity node 0 (v = " in str(info.value)
     assert "drive point (2, 0)" in str(info.value)
+
+
+def test_failure_in_a_later_chunk_on_a_worker_names_the_same_node(preset, quad):
+    # on a 40 x 24 grid a chunk holds 17 classes, so the singular probe
+    # block at v = 0 lies in none of the chunks the workers start with;
+    # whichever worker meets it, the error names what one thread names
+    sch, relax, medium, fields = preset
+    dead = replace(relax, coh_nl=0.0)
+    raman = fields.with_omega4(fields.omega3)
+    with pytest.raises(dp.AveragingError) as point:
+        dp.average_coefficients(sch, dead, medium, raman, 50.0, 20.0, quad)
+    node = re.search(r"velocity node (\d+) \(v = [-0-9.]+ m/s\)", str(point.value))
+    assert int(node.group(1)) // (lv._CHUNK // (40 * 24)) > 3
+    grid = dp.DriveGrid(sch, dead, medium, raman, np.linspace(0.0, 100.0, 40),
+                        np.linspace(0.0, 40.0, 24), quad)
+    messages = []
+    for threads in (1, 2, 3):
+        with pytest.raises(dp.AveragingError) as info:
+            grid.tables([fields, raman], threads=threads)
+        assert node.group() in str(info.value)
+        assert "drive point (0, 0)" in str(info.value)
+        messages.append(str(info.value))
+    assert len(set(messages)) == 1
+
+
+def test_grid_memory_stays_bounded_as_nodes_double(preset):
+    # the probe sources of every class at every drive point, which the grid
+    # no longer keeps, would take 6 nv n1 n3 complex numbers
+    sch, relax, medium, fields = preset
+    columns = [fields.with_omega4(150.0), fields.with_omega4(160.0)]
+    peaks = {}
+    for n in (1311, 2621):
+        quad = dp.QuadratureSpec.for_medium(sch, medium, n=n)
+        grid = dp.DriveGrid(sch, relax, medium, fields, np.linspace(0.0, 105.0, 40),
+                            np.linspace(0.0, 42.0, 24), quad)
+        tracemalloc.start()
+        try:
+            grid.tables(columns)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        sources = 6 * quad.nodes()[0].size * 40 * 24 * 16
+        assert peaks[n] < sources / 4, (n, peaks[n], sources)
+    assert peaks[2621] <= 1.1 * peaks[1311], peaks
 
 
 def test_mirror_symmetry_of_spectra(preset, quad):

@@ -341,15 +341,16 @@ def test_runaway_column_leaves_the_others_alone(preset, coarse_quad, monkeypatch
     lengths = np.array([0.0, 3.0, 6.0])
     kw = dict(steps=300, quad=coarse_quad, cache_n1=40, cache_n3=24, validate_probes=0)
     clean = pg.gain_map(sch, relax, medium, fields, om4, lengths, **kw)
-    tabulate = dp.DriveGrid.coefficients_for
+    tabulate = dp.DriveGrid.tables
 
-    def runaway_at_155(grid, f):
-        table = tabulate(grid, f)
-        if f.omega4 == 155.0:
-            table[...] = RUNAWAY.to_vector()
-        return table
+    def runaway_at_155(grid, columns, threads=1):
+        tables = tabulate(grid, columns, threads)
+        for table, f in zip(tables, columns):
+            if f.omega4 == 155.0:
+                table[...] = RUNAWAY.to_vector()
+        return tables
 
-    monkeypatch.setattr(dp.DriveGrid, "coefficients_for", runaway_at_155)
+    monkeypatch.setattr(dp.DriveGrid, "tables", runaway_at_155)
     res = pg.gain_map(sch, relax, medium, fields, om4, lengths, **kw)
     assert np.array_equal(res.valid[1], [True, False, False])
     assert res.ratio[1, 0] == 1.0 and np.isnan(res.ratio[1, 1:]).all()
@@ -373,15 +374,18 @@ def test_build_validates_columns_in_order(preset, coarse_quad, monkeypatch):
     assert calls == [(0, 50), (1, 4), (2, 4)]
 
 
-@pytest.mark.parametrize("threads", [1, 2])
+@pytest.mark.parametrize("threads", [1, 2, 3])
 def test_build_tables_match_drive_grid(preset, coarse_quad, threads):
+    # five columns divide by neither 2 nor 3 threads; every thread count
+    # gives the tables of a lone column on one thread, bit for bit
     sch, relax, medium, fields = preset
-    columns = [fields.with_omega4(om) for om in (150.0, 155.0, 160.0)]
+    columns = [fields.with_omega4(om) for om in (150.0, 152.5, 155.0, 157.5, 160.0)]
     cache = pg.CoefficientCache.build(sch, relax, medium, columns, coarse_quad,
                                       n1=40, n3=24, validate_probes=0, threads=threads)
     assert cache.g1_grid[-1] == pytest.approx(1.05 * abs(fields.g10), rel=1e-15)
     assert cache.g3_grid[-1] == pytest.approx(1.05 * abs(fields.g30), rel=1e-15)
     grid = dp.DriveGrid(sch, relax, medium, fields, cache.g1_grid, cache.g3_grid, coarse_quad)
+    assert np.array_equal(cache.tables, grid.tables(columns, threads=threads))
     for table, f in zip(cache.tables, columns):
         assert np.array_equal(table, grid.coefficients_for(f))
 
