@@ -8,6 +8,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import os
 import sys
 import time
@@ -18,7 +19,7 @@ from scipy.integrate import solve_ivp
 
 from . import __version__, coupledwave, doppler, liouville, propagate, scans, scheme
 from .doppler import QuadratureSpec
-from .scheme import ConfigError
+from .scheme import ConfigError, finite_float
 
 
 def _parse_grid(text: str) -> np.ndarray:
@@ -26,15 +27,23 @@ def _parse_grid(text: str) -> np.ndarray:
     parts = text.split(":")
     try:
         if len(parts) == 1:
-            return np.array([float(parts[0])])
+            return np.array([finite_float(parts[0])])
         if len(parts) == 3:
-            lo, hi, n = float(parts[0]), float(parts[1]), int(parts[2])
-            if n < 1 or hi < lo:
+            lo, hi, n = finite_float(parts[0]), finite_float(parts[1]), int(parts[2])
+            if n < 1 or not 0 <= hi - lo < math.inf:
                 raise ValueError
             return np.linspace(lo, hi, n)
     except ValueError:
         pass
     raise ConfigError(f"cannot parse sweep specification {text!r} (want MIN:MAX:N)")
+
+
+class _Parser(argparse.ArgumentParser):
+    """Usage errors, a bad number among them, are configuration errors."""
+
+    def error(self, message):
+        self.print_usage(sys.stderr)
+        raise ConfigError(message)
 
 
 def _load(args) -> tuple:
@@ -45,7 +54,7 @@ def _load(args) -> tuple:
 
 def _quad(args, sch, med) -> QuadratureSpec:
     kwargs = {}
-    if args.quad:
+    if args.quad is not None:
         kwargs["n"] = args.quad
     return QuadratureSpec.for_medium(sch, med, **kwargs)
 
@@ -75,10 +84,7 @@ def _emit(args, records, manifest_extra: dict, t_start: float) -> None:
     if args.out:
         scans.records_to_csv(records, args.out)
     else:
-        columns = list(records[0].values.keys())
-        print(",".join(scans.column_header(c) for c in columns))
-        for r in records:
-            print(",".join(f"{r.values[c]:.17g}" for c in columns))
+        sys.stdout.write(scans.csv_text(records))
     payload = {
         "version": __version__,
         "argv": manifest_extra.pop("argv"),
@@ -90,7 +96,7 @@ def _emit(args, records, manifest_extra: dict, t_start: float) -> None:
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="lcq",
         description=(
             "Coherence-controlled transparency and parametric gain in a "
@@ -114,13 +120,13 @@ def build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("spectra", help="coefficient spectra versus probe detuning")
     common(p)
     p.add_argument("--omega4", default="-400:400:801", help="probe detuning sweep MIN:MAX:N")
-    p.add_argument("--g1", type=float, help="override drive amplitude G1 (MHz)")
-    p.add_argument("--g3", type=float, help="override drive amplitude G3 (MHz)")
+    p.add_argument("--g1", type=finite_float, help="override drive amplitude G1 (MHz)")
+    p.add_argument("--g3", type=finite_float, help="override drive amplitude G3 (MHz)")
 
     p = sub.add_parser("dynamics", help="field intensities versus optical length")
     common(p)
-    p.add_argument("--omega4", type=float, help="probe detuning (MHz); default from config")
-    p.add_argument("--length", type=float, default=40.0, help="medium length (L4)")
+    p.add_argument("--omega4", type=finite_float, help="probe detuning (MHz); default from config")
+    p.add_argument("--length", type=finite_float, default=40.0, help="medium length (L4)")
 
     p = sub.add_parser("gainmap", help="transmission map over detuning and length")
     common(p)
@@ -131,7 +137,7 @@ def build_parser() -> argparse.ArgumentParser:
     common(p)
     p.add_argument("--omega4", help="probe detuning sweep MIN:MAX:N")
     p.add_argument("--g10", help="drive amplitude sweep MIN:MAX:N")
-    p.add_argument("--length", type=float, default=20.0,
+    p.add_argument("--length", type=finite_float, default=20.0,
                    help="fixed optical length (L4); the transmission-map optimum is a good choice")
 
     p = sub.add_parser("validate", help="run the invariant self-checks")
@@ -158,23 +164,17 @@ def _merge_negative_values(argv: list[str]) -> list[str]:
 
 
 def main(argv=None) -> int:
-    parser = build_parser()
-    if argv is None:
-        argv = sys.argv[1:]
-    try:
-        args = parser.parse_args(_merge_negative_values(list(argv)))
-    except SystemExit as exc:
-        return 0 if exc.code in (0, None) else 2
+    argv = sys.argv[1:] if argv is None else list(argv)
     t_start = time.perf_counter()
     try:
-        return _dispatch(args, list(argv), t_start)
+        args = build_parser().parse_args(_merge_negative_values(argv))
+        return _dispatch(args, argv, t_start)
+    except SystemExit as exc:  # --help and --version
+        return 0 if exc.code in (0, None) else 2
     except ConfigError as exc:
         print(f"configuration error: {exc}", file=sys.stderr)
         return 2
-    except propagate.PropagationError as exc:
-        print(f"numerical failure: {exc}", file=sys.stderr)
-        return 3
-    except (doppler.AveragingError, liouville.SingularSystemError,
+    except (propagate.PropagationError, doppler.AveragingError, liouville.SingularSystemError,
             propagate.CacheValidationError) as exc:
         print(f"numerical failure: {exc}", file=sys.stderr)
         return 3
@@ -211,7 +211,7 @@ def _dispatch(args, argv: list[str], t_start: float) -> int:
     if args.command == "spectra":
         sweep = _parse_grid(args.omega4)
         records = scans.spectra_scan(
-            sch, relax, medium, fields, sweep, axis="omega4",
+            sch, relax, medium, fields, sweep,
             G1=args.g1, G3=args.g3, quad=quad,
         )
         _emit(args, records, manifest, t_start)
@@ -308,7 +308,7 @@ def run_validation(sch, relax, medium, fields, quad) -> bool:
     rad = scheme.RAD_PER_MHZ
     width = medium.doppler_width(sch, 4)
     worst = 0.0
-    v0 = doppler.voigt_reference(0.0, relax.coh_gl * 0 + relax.coh_ml, width)
+    v0 = doppler.voigt_reference(0.0, relax.coh_ml, width)
     for om4 in (50.0, 150.0, 300.0):
         mc = doppler.average_coefficients(
             sch, relax, medium, fields.with_omega4(om4), 0.0, 0.0, quad)

@@ -7,6 +7,13 @@ distribution W(v) = exp(-v^2/u^2)/(u sqrt(pi)).  A single real scale factor,
 fixed by requiring alpha4 = 1 at zero drives and zero probe detuning, maps
 the microscopic responses to coefficients in alpha40 units.
 
+Every average is one pass, :func:`_average`, over the velocity classes in
+chunks: a chunk solves its drive sector once, at one drive point or on a
+whole drive grid, and then the probe block of every probe column from it.
+A single point (:func:`average_coefficients`), a probe-detuning sweep (one
+column per point) and the coefficient-cache grid (:class:`DriveGrid`) all
+go through it, and so does the normalization.
+
 The integrands contain resonances that are far narrower than the thermal
 width (homogeneous widths are a percent of the Doppler width), so the
 default quadrature is a velocity grid with a finely sampled core and coarser
@@ -20,11 +27,9 @@ from __future__ import annotations
 
 import math
 import threading
-from collections import defaultdict
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass, replace
 from functools import lru_cache
-from typing import NamedTuple
 
 import numpy as np
 from numpy.polynomial.hermite import hermgauss
@@ -209,15 +214,17 @@ def _velocity_sum(v: np.ndarray, w: np.ndarray, drive_shape: tuple, chunk,
     points (one chunk for a single point, six classes on an 80 x 32 grid),
     run by ``threads`` workers.  A worker adds its chunk's (exact part,
     remainder) pair of each sum once the previous chunk's is in, so sums go
-    in chunk order whatever ``threads`` is.  A failed solve raises
+    in chunk order whatever ``threads`` is; the last chunk leaves each sum
+    as one array, so a sum costs no more than its result.  A failed solve raises
     :class:`AveragingError` naming its velocity node and, on a grid, its
     drive point; of several, the one in the first chunk.
     """
     points = math.prod(drive_shape)
     step = max(1, liouville._CHUNK // points)
-    totals = {}
-    turn = defaultdict(int)  # per sum, the chunk whose pair goes in next
-    failed = math.inf        # the first chunk that raised
+    chunks = range(math.ceil(v.size / step))
+    totals = []           # per sum, the pair so far; after the last chunk, the sum
+    turn = []             # per sum, the chunk whose pair goes in next
+    failed = math.inf     # the first chunk that raised
     ready = threading.Condition()
 
     def add(k):
@@ -226,13 +233,19 @@ def _velocity_sum(v: np.ndarray, w: np.ndarray, drive_shape: tuple, chunk,
         try:
             for j, x in enumerate(chunk(rows)):
                 pair = _sum_parts(x, w[rows])
+                if k:  # chunk 0 opens each sum
+                    with ready:
+                        ready.wait_for(lambda: failed < k or j < len(turn) and turn[j] == k)
+                    if failed < k:
+                        return  # an earlier chunk raised, and reports
+                    pair = _sum_parts(np.array([*totals[j], *pair]))
+                total = np.add(*pair) if k == chunks[-1] else pair
                 with ready:
-                    ready.wait_for(lambda: turn[j] == k or failed < k)
-                if failed < k:
-                    return  # an earlier chunk raised, and reports
-                totals[j] = pair if k == 0 else _sum_parts(np.array([*totals[j], *pair]))
-                with ready:
-                    turn[j] = k + 1
+                    if k:
+                        totals[j], turn[j] = total, k + 1
+                    else:
+                        totals.append(total)
+                        turn.append(1)
                     ready.notify_all()
         except BaseException as exc:
             with ready:
@@ -250,64 +263,44 @@ def _velocity_sum(v: np.ndarray, w: np.ndarray, drive_shape: tuple, chunk,
                     where += f", drive point {point}"
             raise AveragingError(f"velocity averaging failed at {where}: {exc}") from exc
 
-    chunks = range(math.ceil(v.size / step))
     if threads > 1:
         with ThreadPoolExecutor(threads) as pool:
             list(pool.map(add, chunks))  # raises the first chunk's error and drops the rest
     else:
         list(map(add, chunks))
-    return [np.add(*totals[j]) for j in range(len(totals))]
+    return totals
 
 
-def _drive_chunk(relax, medium, om1p, om3p, G1, G3) -> tuple:
-    """Probe sources (6, rows, ...) and drive ratios (rows, 2, ...) of a chunk of classes."""
-    rho0 = liouville.drive_steady_state_batch(relax, medium.p_n, om1p, om3p, G1, G3)
-    return (np.stack(liouville.compact_sources(rho0)),
-            np.stack(_drive_ratios(rho0, om1p, om3p, relax), axis=1))
+def _average(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
+             threads: int = 1) -> tuple:
+    """Maxwell averages at the drives ``G1``, ``G3`` for every probe column, in one pass.
 
-
-class _DriveState(NamedTuple):
-    """What the averages at one drive point need that does not depend on omega4."""
-
-    v: np.ndarray
-    w: np.ndarray
-    om1p: np.ndarray
-    shift2: np.ndarray
-    shift4: np.ndarray
-    src: np.ndarray  # (6, nv) probe source elements, ordered as compact_sources
-    ratios: np.ndarray  # (2,) averaged drive ratios of waves 1 and 3
-    G1: complex
-    G3: complex
-
-
-@lru_cache(maxsize=16)
-def _drive_state(scheme, relax, medium, omega1, omega3, G1, G3, quad) -> _DriveState:
-    """Drive sector of every class at one drive point, read-only: a sweep shares it."""
+    The amplitudes (MHz, real or complex) broadcast to the drive shape: a
+    scalar for one point, ``g1[:, None]`` and ``g3[None, :]`` for a grid.
+    The drive detunings are those of ``columns[0]``; the columns differ only
+    in omega4 (and the slaved omega2).  Each chunk of velocity classes
+    solves its drive sector once, then every column's probe block from its
+    sources, so the sources and the probe detunings live for one chunk.
+    Returns the averaged drive ratios (2, *shape) and, per column, the
+    averaged probe responses (a4, b4, a2, b2) as (4, *shape).
+    """
+    shape = np.broadcast_shapes(np.shape(G1), np.shape(G3))
     v, w = quad.nodes()
-    sh1, sh2, sh3, sh4 = liouville.doppler_shifts(scheme, v)
-    om1p, om3p = omega1 - sh1, omega3 - sh3
-    src = np.empty((6, v.size), dtype=complex)
+    sh1, sh2, sh3, sh4 = (x.reshape(-1, *[1] * len(shape))
+                          for x in liouville.doppler_shifts(scheme, v))
+    om1p, om3p = columns[0].omega1 - sh1, columns[0].omega3 - sh3
 
     def chunk(rows):
-        src[:, rows], ratios = _drive_chunk(relax, medium, om1p[rows], om3p[rows], G1, G3)
-        yield ratios
+        rho0 = liouville.drive_steady_state_batch(relax, medium.p_n, om1p[rows], om3p[rows], G1, G3)
+        src = tuple(np.stack(liouville.compact_sources(rho0)))
+        yield np.stack(_drive_ratios(rho0, om1p[rows], om3p[rows], relax), axis=1)
+        for f in columns:
+            yield np.stack(liouville.probe_response_compact(
+                src, om1p[rows], f.omega2 - sh2[rows], f.omega4 - sh4[rows], G1, G3, relax),
+                axis=1)
 
-    state = _DriveState(v, w, om1p, sh2, sh4, src, _velocity_sum(v, w, (), chunk)[0], G1, G3)
-    for a in state[:7]:
-        a.flags.writeable = False
-    return state
-
-
-def _probe_means(state: _DriveState, omega2, omega4, relax) -> np.ndarray:
-    """Velocity averages (a4, b4, a2, b2) of the probe responses at the drive point of ``state``."""
-    om2p, om4p = omega2 - state.shift2, omega4 - state.shift4
-
-    def chunk(rows):
-        yield np.stack(liouville.probe_response_compact(
-            tuple(state.src[:, rows]), state.om1p[rows], om2p[rows], om4p[rows],
-            state.G1, state.G3, relax), axis=1)
-
-    return _velocity_sum(state.v, state.w, (), chunk)[0]
+    ratios, *means = _velocity_sum(v, w, shape, chunk, threads)
+    return ratios, means
 
 
 @lru_cache(maxsize=64)
@@ -320,42 +313,47 @@ def _norm_constant(
     """Scale factor mapping microscopic responses to alpha40 units.
 
     Defined so that the averaged weak-field absorption of wave 4 at zero
-    detuning is exactly alpha40, using the same drive state and probe-mean
-    code as production averages.
+    detuning is exactly alpha40, from the same pass as production averages.
     """
-    state = _drive_state(scheme, relax, medium, 0.0, 0.0, 0j, 0j, quad)
-    mean_a4 = _probe_means(state, 0.0, 0.0, relax)[0]
+    zero = FieldConfig(omega1=0.0, omega3=0.0, omega4=0.0)
+    _, (means,) = _average(scheme, relax, medium, quad, [zero], 0j, 0j)
     k4 = 1.0  # relative wavenumber of wave 4
     d4 = scheme.dipoles[3]
-    raw_alpha4 = 2.0 * float(np.imag(k4 * d4 * d4 * mean_a4))
+    raw_alpha4 = 2.0 * float(np.imag(k4 * d4 * d4 * means[0]))
     if raw_alpha4 <= 0:
         raise AveragingError("weak-field resonant absorption is not positive")
     return medium.alpha40 / raw_alpha4
 
 
-def _coefficient_table(scheme, relax, medium, quad, probe_means, ratios) -> np.ndarray:
-    """Table rows (*drive_shape, 12) from the averages (a4, b4, a2, b2) and (gl_ratio, mn_ratio).
+def coefficient_tables(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
+                       threads: int = 1) -> np.ndarray:
+    """Coefficient tables (len(columns), *shape, 12) from one :func:`_average` pass.
 
-    Raises :class:`AveragingError` if a coefficient is not finite.
+    Rows are read by :meth:`MacroscopicCoefficients.from_vector`.  Raises
+    :class:`AveragingError` if a solve fails or a coefficient is not finite.
     """
+    ratios, means = _average(scheme, relax, medium, quad, columns, G1, G3, threads)
     scale = _norm_constant(scheme, relax, medium, quad)
     l1, l2, l3, l4 = scheme.wavelengths
     k1, k2, k3 = l4 / l1, l4 / l2, l4 / l3  # relative wavenumbers, k4 = 1
     d1, d2, d3, d4 = scheme.dipoles
-    (a4, b4, a2, b2), (gl_ratio, mn_ratio) = probe_means, ratios
-    table = np.stack([
-        scale * k1 * d1 * d1 * gl_ratio,  # sigma1
-        scale * k2 * d2 * d2 * a2,        # sigma2
-        scale * k3 * d3 * d3 * mn_ratio,  # sigma3
-        scale * 1.0 * d4 * d4 * a4,       # sigma4
-        scale * 1.0 * d4 * d2 * b4,       # gamma4
-        scale * k2 * d2 * d4 * b2,        # gamma2
-    ], axis=-1).view(np.float64)
-    bad = np.argwhere(~np.isfinite(table))
-    if bad.size:
-        where = f" at drive point {tuple(bad[0, :-1].tolist())}" if table.ndim > 1 else ""
-        raise AveragingError(f"non-finite averaged coefficient{where}")
-    return table
+    gl_ratio, mn_ratio = ratios
+    tables = []
+    for a4, b4, a2, b2 in means:
+        table = np.stack([
+            scale * k1 * d1 * d1 * gl_ratio,  # sigma1
+            scale * k2 * d2 * d2 * a2,        # sigma2
+            scale * k3 * d3 * d3 * mn_ratio,  # sigma3
+            scale * 1.0 * d4 * d4 * a4,       # sigma4
+            scale * 1.0 * d4 * d2 * b4,       # gamma4
+            scale * k2 * d2 * d4 * b2,        # gamma2
+        ], axis=-1).view(np.float64)
+        bad = np.argwhere(~np.isfinite(table))
+        if bad.size:
+            where = f" at drive point {tuple(bad[0, :-1].tolist())}" if table.ndim > 1 else ""
+            raise AveragingError(f"non-finite averaged coefficient{where}")
+        tables.append(table)
+    return np.stack(tables)
 
 
 def average_coefficients(
@@ -376,11 +374,8 @@ def average_coefficients(
     response.  Raises :class:`AveragingError` if a solve fails or a
     coefficient is not finite.
     """
-    state = _drive_state(scheme, relax, medium, fields.omega1, fields.omega3,
-                         complex(G1), complex(G3), quad)
-    means = _probe_means(state, fields.omega2, fields.omega4, relax)
-    return MacroscopicCoefficients.from_vector(
-        _coefficient_table(scheme, relax, medium, quad, means, state.ratios))
+    return MacroscopicCoefficients.from_vector(coefficient_tables(
+        scheme, relax, medium, quad, [fields], complex(G1), complex(G3))[0])
 
 
 def quadrature_gate(
@@ -437,22 +432,8 @@ class DriveGrid:
         """
         if any((f.omega1, f.omega3) != (self.fields.omega1, self.fields.omega3) for f in columns):
             raise ValueError("drive detunings differ from the tabulated grid")
-        G1, G3 = self.g1_grid[:, None], self.g3_grid[None, :]
-        v, w = self.quad.nodes()
-        sh1, sh2, sh3, sh4 = (x[:, None, None] for x in liouville.doppler_shifts(self.scheme, v))
-        om1p, om3p = self.fields.omega1 - sh1, self.fields.omega3 - sh3
-        probes = [(f.omega2 - sh2, f.omega4 - sh4) for f in columns]
-
-        def chunk(rows):
-            src, ratios = _drive_chunk(self.relax, self.medium, om1p[rows], om3p[rows], G1, G3)
-            yield ratios
-            for om2p, om4p in probes:
-                yield np.stack(liouville.probe_response_compact(
-                    tuple(src), om1p[rows], om2p[rows], om4p[rows], G1, G3, self.relax), axis=1)
-
-        ratios, *means = _velocity_sum(v, w, self.src.shape[2:], chunk, threads)
-        return np.stack([_coefficient_table(self.scheme, self.relax, self.medium, self.quad,
-                                            m, ratios) for m in means])
+        return coefficient_tables(self.scheme, self.relax, self.medium, self.quad, columns,
+                                  self.g1_grid[:, None], self.g3_grid[None, :], threads)
 
     def coefficients_for(self, fields: FieldConfig) -> np.ndarray:
         """Coefficient table (n1, n3, 12) for one probe detuning, as :meth:`tables` gives it."""

@@ -291,8 +291,8 @@ def check_run(L: float, steps: int) -> None:
 
     Callers that build a cache check first, so a bad flag costs no build.
     """
-    if L <= 0:
-        raise ConfigError("medium length must be positive")
+    if not (math.isfinite(L) and L > 0):
+        raise ConfigError("medium length must be positive and finite")
     if steps < 100:
         raise ConfigError("need at least 100 integration steps")
 

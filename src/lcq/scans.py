@@ -65,35 +65,31 @@ def spectra_scan(
     medium: MediumParams,
     base: FieldConfig,
     sweep: np.ndarray,
-    axis: str = "omega4",
     G1: complex | None = None,
     G3: complex | None = None,
     quad: QuadratureSpec | None = None,
 ) -> list[ScanRecord]:
-    """Macroscopic coefficient spectra along a probe-detuning sweep.
+    """Macroscopic coefficient spectra along a probe-detuning (omega4) sweep.
 
-    The Stokes detuning is always slaved to omega2 = omega1 + omega3 -
-    omega4; sweeping ``axis="omega2"`` simply re-parameterizes the same
-    physical scan.  Drive amplitudes default to the boundary values of
-    ``base`` and can be overridden (for spectra at partially depleted
-    drives).
+    The Stokes detuning is slaved to omega2 = omega1 + omega3 - omega4.
+    Drive amplitudes default to the boundary values of ``base`` and can be
+    overridden (for spectra at partially depleted drives).  The whole sweep
+    is one velocity-averaging pass with one probe column per point.
     """
     sweep = np.asarray(sweep, dtype=float)
     if sweep.size == 0:
         raise ValueError("sweep must be non-empty")
-    if axis not in ("omega4", "omega2"):
-        raise ValueError("axis must be 'omega4' or 'omega2'")
     if quad is None:
         quad = QuadratureSpec.for_medium(scheme, medium)
-    g1 = base.g10 if G1 is None else complex(G1)
-    g3 = base.g30 if G3 is None else complex(G3)
+    columns = [base.with_omega4(float(value)) for value in sweep]
+    tables = doppler.coefficient_tables(
+        scheme, relax, medium, quad, columns,
+        complex(base.g10 if G1 is None else G1), complex(base.g30 if G3 is None else G3))
     records = []
-    for value in sweep:
-        omega4 = float(value) if axis == "omega4" else base.omega1 + base.omega3 - float(value)
-        fields = base.with_omega4(omega4)
-        mc = doppler.average_coefficients(scheme, relax, medium, fields, g1, g3, quad)
+    for fields, row in zip(columns, tables):
+        mc = doppler.MacroscopicCoefficients.from_vector(row)
         records.append(ScanRecord("spectra", {
-            "omega4": omega4,
+            "omega4": fields.omega4,
             "omega2": fields.omega2,
             "alpha1": mc.alpha1,
             "alpha2": mc.alpha2,
@@ -249,8 +245,8 @@ def gain_map_records(result: propagate.GainMapResult) -> list[ScanRecord]:
     return records
 
 
-def records_to_csv(records: list[ScanRecord], path) -> None:
-    """Write records as CSV with name[unit] headers and 17 significant digits."""
+def csv_text(records: list[ScanRecord]) -> str:
+    """Records as CSV text with name[unit] headers and 17 significant digits."""
     if not records:
         raise ValueError("no records to write")
     columns = list(records[0].values.keys())
@@ -260,5 +256,11 @@ def records_to_csv(records: list[ScanRecord], path) -> None:
     lines = [",".join(column_header(c) for c in columns)]
     for r in records:
         lines.append(",".join(f"{r.values[c]:.17g}" for c in columns))
+    return "\n".join(lines) + "\n"
+
+
+def records_to_csv(records: list[ScanRecord], path) -> None:
+    """Write :func:`csv_text` of the records to ``path``."""
+    text = csv_text(records)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
-        fh.write("\n".join(lines) + "\n")
+        fh.write(text)

@@ -391,13 +391,21 @@ def config_to_params(
     return scheme, relax, medium, fields
 
 
+def finite_float(text: str) -> float:
+    """A number read from input: ``float(text)``, or ConfigError unless finite."""
+    value = float(text)
+    if not math.isfinite(value):
+        raise ConfigError(f"not a finite number: {text}")
+    return value
+
+
 def load_config(path: str | Path) -> tuple[LevelScheme, RelaxationSet, MediumParams, FieldConfig]:
     try:
         text = Path(path).read_text(encoding="utf-8")
     except OSError as exc:
         raise ConfigError(f"cannot read configuration file {path}: {exc}") from exc
     try:
-        data = json.loads(text)
+        data = json.loads(text, parse_constant=finite_float, parse_float=finite_float)
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return config_to_params(data)

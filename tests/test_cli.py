@@ -179,6 +179,30 @@ def test_out_of_range_flag_is_a_config_error(tmp_path, args):
     assert "configuration error:" in proc.stderr and "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("args, config", [
+    (["switch", "--g10", "nan", "--length", "4"], None),
+    (["dynamics", "--length", "nan"], None),
+    (["spectra", "--omega4", "nan"], None),
+    (["spectra", "--omega4", "inf"], None),
+    (["spectra", "--omega4=-1e308:1e308:3"], None),
+    (["spectra", "--omega4", "0:1:2", "--g1", "nan"], None),
+    (["gainmap", "--omega4", "nan", "--length", "0:4:3"], None),
+    (["spectra", "--omega4", "0:1:2", "--quad", "0"], None),
+    (["spectra", "--omega4", "0:1:2"], '{"fields": {"Omega4_MHz": NaN}}'),
+    (["spectra", "--omega4", "0:1:2"], '{"fields": {"G10_MHz": Infinity}}'),
+    (["spectra", "--omega4", "0:1:2"], '{"fields": {"G30_MHz": 1e400}}'),
+], ids=["switch-g10-nan", "dynamics-length-nan", "spectra-omega4-nan", "spectra-omega4-inf",
+        "spectra-omega4-span-overflows", "spectra-g1-nan", "gainmap-omega4-nan", "quad-0",
+        "config-nan", "config-infinity", "config-1e400"])
+def test_invalid_number_is_a_config_error(tmp_path, args, config):
+    if config is not None:
+        (tmp_path / "bad.json").write_text(config)
+        args = [*args, "--config", "bad.json"]
+    proc = run_cli(args, tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    assert "configuration error:" in proc.stderr and "Traceback" not in proc.stderr
+
+
 def test_too_few_quadrature_nodes_is_a_config_error(tmp_path):
     proc = run_cli(["spectra", "--omega4", "0:1:2", "--quad", "5"], tmp_path)
     assert proc.returncode == 2, proc.stderr

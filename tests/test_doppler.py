@@ -2,6 +2,7 @@
 
 import math
 import re
+import sys
 import tracemalloc
 from dataclasses import replace
 
@@ -276,32 +277,42 @@ def test_fixed_order_summation_reproducible(preset, quad):
     assert a == b  # bit-identical dataclasses
 
 
-def test_drive_state_cache_is_read_only_and_keyed(preset, quad):
+def test_sweep_solves_the_drive_sector_once(preset, quad, monkeypatch):
+    # one velocity set for the whole sweep plus one for the normalization
     sch, relax, medium, fields = preset
-    dp._drive_state.cache_clear()
-    key = (sch, relax, medium, fields.omega1, fields.omega3, 100.0 + 0j, 40.0 + 0j, quad)
-    state = dp._drive_state(*key)
-    for a in (state.v, state.w, state.om1p, state.shift2, state.shift4, state.src):
-        assert not a.flags.writeable
-        with pytest.raises(ValueError):
-            a[0] = 0
-    assert dp._drive_state(*key) is state
-    assert dp._drive_state.cache_info().misses == 1
-    # another G1, another relaxation set: both miss
-    dp._drive_state(sch, relax, medium, fields.omega1, fields.omega3, 99.0 + 0j, 40.0 + 0j, quad)
-    assert dp._drive_state.cache_info().misses == 2
-    other = replace(relax, coh_nl=16.0)
-    dp._drive_state(sch, other, medium, fields.omega1, fields.omega3, 100.0 + 0j, 40.0 + 0j, quad)
-    assert dp._drive_state.cache_info().misses == 3
-
-
-def test_sweep_solves_the_drive_sector_once(preset, quad):
-    # one drive point for the sweep plus one for the normalization
-    sch, relax, medium, fields = preset
-    dp._drive_state.cache_clear()
     dp._norm_constant.cache_clear()
+    solve = lv.drive_steady_state_batch
+    systems = []
+
+    def counted(relax, p_n, om1p, om3p, G1, G3):
+        systems.append(np.broadcast(om1p, om3p, G1, G3).size)
+        return solve(relax, p_n, om1p, om3p, G1, G3)
+
+    monkeypatch.setattr(lv, "drive_steady_state_batch", counted)
     scans.spectra_scan(sch, relax, medium, fields, np.linspace(-20.0, 20.0, 5), quad=quad)
-    assert dp._drive_state.cache_info().misses == 2
+    assert sum(systems) == 2 * quad.nodes()[0].size
+
+
+def test_pass_memory_does_not_grow_with_the_columns(preset, quad):
+    # a sweep's probe detunings and sources live for one chunk, so 800
+    # columns cost what 100 do plus their averages
+    sch, relax, medium, fields = preset
+
+    def columns(n):
+        return [fields.with_omega4(float(x)) for x in np.linspace(-400.0, 400.0, n)]
+
+    dp._average(sch, relax, medium, quad, columns(800), fields.g10, fields.g30)  # warm caches
+    peaks, out = {}, {}
+    for n in (100, 800):
+        cols = columns(n)
+        tracemalloc.start()
+        try:
+            _, means = dp._average(sch, relax, medium, quad, cols, fields.g10, fields.g30)
+            peaks[n] = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        out[n] = sum(sys.getsizeof(m) for m in means)
+    assert peaks[800] <= 1.1 * peaks[100] + out[800], (peaks, out)
 
 
 def test_non_finite_coefficient_raises(preset, quad, monkeypatch):

@@ -45,11 +45,10 @@ def test_spectra_matches_standalone_average(preset, quad, preset_spectra):
 
 
 def test_spectra_ends_and_middle_match_fresh_average_bitwise(preset, quad, preset_spectra):
-    # the sweep reuses one cached drive state; a standalone call that solves
-    # the drive sector afresh gives the same record at both ends and mid-sweep
+    # the sweep is one pass over all its columns; a standalone call gives the
+    # same record at both ends and mid-sweep
     sch, relax, medium, fields = preset
     for rec in (preset_spectra[0], preset_spectra[len(preset_spectra) // 2], preset_spectra[-1]):
-        dp._drive_state.cache_clear()
         mc = dp.average_coefficients(
             sch, relax, medium, fields.with_omega4(rec.values["omega4"]),
             fields.g10, fields.g30, quad)
@@ -66,16 +65,6 @@ def test_spectra_omega2_slaved(preset, preset_spectra):
     for rec in preset_spectra[::40]:
         assert rec.values["omega2"] == pytest.approx(
             fields.omega1 + fields.omega3 - rec.values["omega4"])
-
-
-def test_spectra_omega2_axis_matches_omega4_axis(preset, quad):
-    sch, relax, medium, fields = preset
-    om2_sweep = np.array([-60.0, 0.0, 55.0])
-    a = scans.spectra_scan(sch, relax, medium, fields, om2_sweep, axis="omega2", quad=quad)
-    om4_sweep = fields.omega1 + fields.omega3 - om2_sweep
-    b = scans.spectra_scan(sch, relax, medium, fields, om4_sweep, axis="omega4", quad=quad)
-    for ra, rb in zip(a, b):
-        assert ra.values == rb.values
 
 
 def test_preset_spectra_show_stokes_gain_and_transparency(preset_spectra):
