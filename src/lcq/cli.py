@@ -220,7 +220,7 @@ def _dispatch(args, argv: list[str], t_start: float) -> int:
     if args.command == "dynamics":
         f = fields if args.omega4 is None else fields.with_omega4(args.omega4)
         records = scans.spatial_dynamics(
-            sch, relax, medium, f, L=args.length, steps=args.steps, quad=quad,
+            sch, relax, medium, f, L=args.length, steps=args.steps, quad=quad, threads=threads,
         )
         _emit(args, records, manifest, t_start)
         return 0

@@ -181,7 +181,6 @@ def oscillation_threshold(
         return 0.0
     n_scan = 4000
     grid = np.linspace(0.0, L_max, n_scan + 1)[1:]
-    values = np.empty(grid.shape)
     e4, _ = opa_solution(c, boundary, grid)
     values = np.abs(e4) ** 2 - 1.0
     crossing = np.nonzero(values >= 0.0)[0]

@@ -17,10 +17,10 @@ go through it, and so does the normalization.
 The integrands contain resonances that are far narrower than the thermal
 width (homogeneous widths are a percent of the Doppler width), so the
 default quadrature is a velocity grid with a finely sampled core and coarser
-wings; uniform trapezoid and Gauss-Hermite rules are available for
-cross-checks.  The default rule joins uniform trapezoid segments with kinks
-at the core edges, so it converges only algebraically (about as n^-3.4 for
-the preset); the convergence gate measures the change under node doubling.
+wings; a uniform trapezoid rule is available for cross-checks.  The
+default rule joins uniform trapezoid segments with kinks at the core edges,
+so it converges only algebraically (about as n^-3.4 for the preset); the
+convergence gate measures the change under node doubling.
 """
 
 from __future__ import annotations
@@ -32,13 +32,12 @@ from dataclasses import dataclass, replace
 from functools import lru_cache
 
 import numpy as np
-from numpy.polynomial.hermite import hermgauss
 from scipy.integrate import quad as _adaptive_quad
 
 from . import liouville
 from .scheme import RAD_PER_MHZ, ConfigError, FieldConfig, LevelScheme, MediumParams, RelaxationSet
 
-QUAD_RULES = ("core-refined", "trapezoid", "gauss-hermite")
+QUAD_RULES = ("core-refined", "trapezoid")
 
 
 @dataclass(frozen=True)
@@ -77,9 +76,6 @@ class QuadratureSpec:
         """Velocity nodes (m/s) and Maxwell-weighted quadrature weights."""
         if self.u == 0.0:
             return np.array([0.0]), np.array([1.0])
-        if self.rule == "gauss-hermite":
-            x, w = hermgauss(self.n)
-            return x * self.u, w / math.sqrt(math.pi)
         if self.rule == "trapezoid":
             v = np.linspace(-self.span * self.u, self.span * self.u, self.n)
             return v, self._trapezoid_weights(v)
@@ -102,8 +98,6 @@ class QuadratureSpec:
 
     def refined(self) -> "QuadratureSpec":
         """Nested refinement: roughly double the node density everywhere."""
-        if self.rule == "gauss-hermite":
-            return replace(self, n=2 * self.n)
         return replace(self, n=2 * self.n - 1, wing_n=2 * self.wing_n)
 
 
@@ -278,9 +272,13 @@ def _average(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
     The amplitudes (MHz, real or complex) broadcast to the drive shape: a
     scalar for one point, ``g1[:, None]`` and ``g3[None, :]`` for a grid.
     The drive detunings are those of ``columns[0]``; the columns differ only
-    in omega4 (and the slaved omega2).  Each chunk of velocity classes
-    solves its drive sector once, then every column's probe block from its
-    sources, so the sources and the probe detunings live for one chunk.
+    in omega4 (and the slaved omega2).  A column's omega4 may itself be an
+    array of the drive shape: it broadcasts against the drive amplitudes
+    element by element, so n points that each carry their own probe
+    detuning make one paired column, omega4 and G1, G3 all of shape (n,).
+    Each chunk of velocity classes solves its drive sector once, then every
+    column's probe block from its sources, so the sources and the probe
+    detunings live for one chunk.
     Returns the averaged drive ratios (2, *shape) and, per column, the
     averaged probe responses (a4, b4, a2, b2) as (4, *shape).
     """

@@ -5,8 +5,8 @@ under its own intensity-dependent sigma coefficient, the probe pair is
 cross-coupled through gamma4/gamma2 (which include the drive product), and
 the drives carry the quadratic probe back-action term.  Coefficients are
 re-evaluated from the local drive amplitudes at every integration stage,
-either directly (velocity average per stage) or through a bicubic
-interpolation cache over (|G1|, |G3|), which only
+either directly (one velocity-averaging pass per stage for the whole batch)
+or through a bicubic interpolation cache over (|G1|, |G3|), which only
 :meth:`CoefficientCache.build` makes, and only where both boundary drives
 are on (:func:`drives_on`).  One fixed-step RK4 engine advances
 n trajectories in lockstep as an (n, 4) complex state [G1, G3, E4, E2],
@@ -45,10 +45,8 @@ class PropagationError(RuntimeError):
 
 @dataclass
 class PropagationTrace:
-    """Sampled field evolution along the medium.
+    """Sampled field amplitudes along the medium.
 
-    ``coefficients`` holds the macroscopic coefficients that were in effect
-    at each sample (cross couplings carry the local drive phases).
     ``error_estimate`` is the maximum relative deviation of |E4| between the
     nominal and a doubled step count, when requested.
     """
@@ -58,7 +56,6 @@ class PropagationTrace:
     g3: np.ndarray
     e4: np.ndarray
     e2: np.ndarray
-    coefficients: list[MacroscopicCoefficients]
     error_estimate: float | None = None
 
     def index_of(self, z: float) -> int:
@@ -173,13 +170,11 @@ class CoefficientCache:
         scale = np.maximum(np.max(np.abs(self.tables[col]), axis=(0, 1)), 1e-12)
         probes = np.array([(rng.uniform(0.0, self.g1_grid[-1]), rng.uniform(0.0, self.g3_grid[-1]))
                            for _ in range(n_probes)])
-        interp = self.rows(np.full(n_probes, col), probes[:, 0], probes[:, 1])
-        worst = 0.0
-        for (g1, g3), row in zip(probes.tolist(), interp):
-            direct = doppler.average_coefficients(
-                self.scheme, self.relax, self.medium, self.columns[col], g1, g3, self.quad
-            ).to_vector()
-            worst = max(worst, float(np.max(np.abs(row - direct) / scale)))
+        cols = np.full(n_probes, col)
+        interp = self.rows(cols, probes[:, 0], probes[:, 1])
+        direct = _direct_rows(self.scheme, self.relax, self.medium, self.quad, self.columns,
+                              cols, probes[:, 0], probes[:, 1])
+        worst = float(np.max(np.abs(interp - direct) / scale))
         self.validation_error = max(worst, self.validation_error or 0.0)
         if worst > _VALIDATION_RTOL:
             raise CacheValidationError(
@@ -189,7 +184,8 @@ class CoefficientCache:
     def rows(self, col: np.ndarray, g1_abs: np.ndarray, g3_abs: np.ndarray) -> np.ndarray:
         """Table rows (n, 12) of columns ``col`` at real drive amplitudes.
 
-        Points outside the grid are averaged directly, one at a time.
+        Points outside the grid are averaged directly, all in one
+        :func:`_direct_rows` pass, and counted in ``fallbacks``.
         """
         i = np.minimum(np.maximum(self.g1_grid.searchsorted(g1_abs) - 1, 0), self.g1_grid.size - 2)
         j = np.minimum(np.maximum(self.g3_grid.searchsorted(g3_abs) - 1, 0), self.g3_grid.size - 2)
@@ -204,12 +200,11 @@ class CoefficientCache:
             out = out * dy + acc[:, b]
         outside = ~((g1_abs >= 0.0) & (g1_abs <= self.g1_grid[-1])
                     & (g3_abs >= 0.0) & (g3_abs <= self.g3_grid[-1]))
-        for k in outside.nonzero()[0]:
-            self.fallbacks += 1
-            out[k] = doppler.average_coefficients(
-                self.scheme, self.relax, self.medium, self.columns[col[k]],
-                float(g1_abs[k]), float(g3_abs[k]), self.quad,
-            ).to_vector()
+        if outside.any():
+            self.fallbacks += int(np.count_nonzero(outside))
+            out[outside] = _direct_rows(self.scheme, self.relax, self.medium, self.quad,
+                                        self.columns, col[outside], g1_abs[outside],
+                                        g3_abs[outside])
         return out
 
     def lookup(self, g1_abs: float, g3_abs: float) -> MacroscopicCoefficients:
@@ -249,41 +244,47 @@ def _backaction(scheme: LevelScheme) -> np.ndarray:
                           (l4 / l3) * d3 * d3 / ((l4 / l2) * d2 * d4)])
 
 
-def _row_source(scheme, relax, medium, fields, quad, cache, freeze):
+def _direct_rows(scheme, relax, medium, quad, fields: list[FieldConfig], idx: np.ndarray,
+                 g1_abs: np.ndarray, g3_abs: np.ndarray) -> np.ndarray:
+    """Rows (n, 12) of n points averaged directly, in one velocity pass.
+
+    Point k is at the drives (``g1_abs[k]``, ``g3_abs[k]``) and the probe
+    detuning of ``fields[idx[k]]``; the drive detunings are those of
+    ``fields[0]``.  The points make one paired column of
+    :func:`doppler.coefficient_tables`: its omega4 is the array of the
+    points' detunings, which broadcasts point by point against the drive
+    arrays, so each row equals a one-point average at that point bit for bit.
+    """
+    column = fields[0].with_omega4(np.array([fields[k].omega4 for k in idx.tolist()]))
+    return doppler.coefficient_tables(scheme, relax, medium, quad, [column], g1_abs, g3_abs)[0]
+
+
+def _row_source(scheme, relax, medium, fields, quad, cache):
     """Rows without drive phase of trajectories ``idx``: ``(idx, |G1|, |G3|) -> (len(idx), 12)``.
 
     A one-column cache serves every trajectory of ``fields``, a cache with
-    several columns holds one per trajectory.  Direct mode memoises repeated
-    amplitudes (constant or zero drives).  With ``freeze`` every trajectory
-    keeps the rows of its boundary drives.
+    several columns holds one per trajectory; either way the rows come from
+    :meth:`CoefficientCache.rows`.  Without a cache each call is one
+    :func:`_direct_rows` pass over the whole batch.  When every boundary
+    drive is zero the drives stay exactly zero, so the trajectories keep
+    their boundary rows, averaged once.
     """
     if cache is not None:
         if len(cache.columns) not in (1, len(fields)):
             raise ValueError("cache columns do not match the trajectories")
         cols = np.arange(len(fields)) if len(cache.columns) > 1 else np.zeros(len(fields), int)
+        return lambda idx, g1_abs, g3_abs: cache.rows(cols[idx], g1_abs, g3_abs)
+    if any((f.omega1, f.omega3) != (fields[0].omega1, fields[0].omega3) for f in fields):
+        raise ValueError("trajectories differ in their drive detunings")
 
-        def source(idx, g1_abs, g3_abs):
-            return cache.rows(cols[idx], g1_abs, g3_abs)
-    else:
-        memo: dict[tuple[int, float, float], np.ndarray] = {}
+    def source(idx, g1_abs, g3_abs):
+        return _direct_rows(scheme, relax, medium, quad, fields, idx, g1_abs, g3_abs)
 
-        def source(idx, g1_abs, g3_abs):
-            out = np.empty((len(idx), 12))
-            for r, key in enumerate(zip(idx.tolist(), g1_abs.tolist(), g3_abs.tolist())):
-                hit = memo.get(key)
-                if hit is None:
-                    hit = doppler.average_coefficients(
-                        scheme, relax, medium, fields[key[0]], key[1], key[2], quad,
-                    ).to_vector()
-                    if len(memo) < 65536:
-                        memo[key] = hit
-                out[r] = hit
-            return out
-    if not freeze:
+    if any(f.g10 != 0 or f.g30 != 0 for f in fields):
         return source
-    frozen = source(np.arange(len(fields)), np.array([abs(f.g10) for f in fields]),
-                    np.array([abs(f.g30) for f in fields]))
-    return lambda idx, g1_abs, g3_abs: frozen[idx]
+    everyone, zero = np.arange(len(fields)), np.zeros(len(fields))
+    boundary = source(everyone, zero, zero)
+    return lambda idx, g1_abs, g3_abs: boundary[idx]
 
 
 def check_run(L: float, steps: int) -> None:
@@ -311,13 +312,13 @@ def _sample_positions(L: float, steps: int, record_at, min_samples: int) -> np.n
 def _lockstep(y0: np.ndarray, sample_z: np.ndarray, steps: int, source, scheme):
     """Fixed-step RK4 of the (n, 4) states ``y0`` from z = 0 through ``sample_z``.
 
-    Returns the states (samples, n, 4) and coefficient rows (samples, n, 12)
-    at the samples, and where each trajectory turned non-finite (NaN if it
+    Each RK4 stage reads its (n, 12) coefficient rows with one ``source``
+    call, and nothing else reads them.  Returns the states (samples, n, 4)
+    at the samples and where each trajectory turned non-finite (NaN if it
     never did).  A failed trajectory leaves the batch; its later samples are NaN.
     """
     n = y0.shape[0]
     states = np.full((sample_z.size, n, 4), np.nan, dtype=complex)
-    rows = np.full((sample_z.size, n, 12), np.nan)
     failed_at = np.full(n, np.nan)
 
     def coefficients(idx, y):
@@ -327,7 +328,8 @@ def _lockstep(y0: np.ndarray, sample_z: np.ndarray, steps: int, source, scheme):
             out = source(idx, drives[:, 0], drives[:, 1])
         else:  # NaN rows, not a direct average: the trajectory leaves after this step
             out = np.full((idx.size, 12), np.nan)
-            out[ok] = source(idx[ok], drives[ok, 0], drives[ok, 1])
+            if ok.any():
+                out[ok] = source(idx[ok], drives[ok, 0], drives[ok, 1])
         prod = y[:, 0] * y[:, 1]
         mag = np.abs(prod)
         phase = np.divide(prod, mag, out=np.ones_like(prod), where=mag > 0)
@@ -345,7 +347,6 @@ def _lockstep(y0: np.ndarray, sample_z: np.ndarray, steps: int, source, scheme):
     # overflow that produces them raises no floating-point warning
     with np.errstate(over="ignore", invalid="ignore"):
         states[0] = y
-        rows[0] = coefficients(live, y)
         for k in range(1, sample_z.size):
             seg = sample_z[k] - sample_z[k - 1]
             n_sub = max(1, int(round(seg / h_target)))
@@ -362,10 +363,9 @@ def _lockstep(y0: np.ndarray, sample_z: np.ndarray, steps: int, source, scheme):
                     failed_at[live[bad]] = z
                     live, y = live[~bad], y[~bad]
                     if not live.size:
-                        return states, rows, failed_at
+                        return states, failed_at
             states[k, live] = y
-            rows[k, live] = coefficients(live, y)
-    return states, rows, failed_at
+    return states, failed_at
 
 
 def integrate(
@@ -377,7 +377,6 @@ def integrate(
     steps: int = 2000,
     quad: QuadratureSpec | None = None,
     cache: CoefficientCache | None = None,
-    freeze_coefficients: bool = False,
     error_estimate: bool = True,
     record_at: np.ndarray | None = None,
     min_samples: int = 257,
@@ -385,9 +384,7 @@ def integrate(
     """Fixed-step 4th-order integration of the four coupled waves to z = L.
 
     Coefficients are re-evaluated at every stage from the local drive
-    amplitudes (or pinned to their z = 0 values with
-    ``freeze_coefficients``, which reduces the probe pair to the
-    constant-coefficient solution).  The trace records at least
+    amplitudes, through ``cache`` or directly.  The trace records at least
     ``min_samples`` evenly spaced positions plus every entry of
     ``record_at``.  With ``error_estimate`` the run is repeated at twice the
     step count and the maximum relative deviation of |E4| is attached.
@@ -396,19 +393,19 @@ def integrate(
     sample_z = _sample_positions(L, steps, record_at, min_samples)
     if quad is None:
         quad = QuadratureSpec.for_medium(scheme, medium)
-    source = _row_source(scheme, relax, medium, [fields], quad, cache, freeze_coefficients)
+    source = _row_source(scheme, relax, medium, [fields], quad, cache)
     y0 = np.array([[fields.g10, fields.g30, fields.e40, fields.e20]], dtype=complex)
 
-    def run(n_steps: int) -> tuple[np.ndarray, np.ndarray]:
-        states, rows, failed_at = _lockstep(y0, sample_z, n_steps, source, scheme)
+    def run(n_steps: int) -> np.ndarray:
+        states, failed_at = _lockstep(y0, sample_z, n_steps, source, scheme)
         if not np.isnan(failed_at[0]):
             raise PropagationError(float(failed_at[0]))
-        return states[:, 0], rows[:, 0]
+        return states[:, 0]
 
-    solution, rows = run(steps)
+    solution = run(steps)
     err = None
     if error_estimate:
-        fine, _ = run(2 * steps)
+        fine = run(2 * steps)
         scale = np.max(np.abs(solution[:, 2]))
         if scale > 0:
             err = float(np.max(np.abs(np.abs(solution[:, 2]) - np.abs(fine[:, 2]))) / scale)
@@ -418,7 +415,6 @@ def integrate(
         z=sample_z,
         g1=solution[:, 0], g3=solution[:, 1],
         e4=solution[:, 2], e2=solution[:, 3],
-        coefficients=[MacroscopicCoefficients.from_vector(r) for r in rows],
         error_estimate=err,
     )
 
@@ -450,8 +446,8 @@ def transmission(
     if np.any(e40 == 0):
         raise ConfigError("transmission needs a non-zero probe input E40 or drive G10")
     y0 = np.array([[f.g10, f.g30, e, f.e20] for f, e in zip(fields, e40)], dtype=complex)
-    source = _row_source(scheme, relax, medium, fields, quad, cache, False)
-    states, _, failed_at = _lockstep(y0, sample_z, steps, source, scheme)
+    source = _row_source(scheme, relax, medium, fields, quad, cache)
+    states, failed_at = _lockstep(y0, sample_z, steps, source, scheme)
     e4 = states[np.searchsorted(sample_z, lengths), :, 2].T
     e4[~np.isnan(failed_at)[:, None] & (lengths > 0)] = np.nan
     return np.abs(e4) ** 2 / (np.abs(e40) ** 2)[:, None], failed_at

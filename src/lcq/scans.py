@@ -115,11 +115,13 @@ def spatial_dynamics(
     L: float,
     steps: int = 2000,
     quad: QuadratureSpec | None = None,
+    threads: int = 1,
 ) -> list[ScanRecord]:
     """Intensity evolution of all four waves along the medium.
 
     Emits I_j(z)/I_j(0) for the waves with non-zero input and the generated
-    Stokes intensity normalized to the probe input I2(z)/I40.
+    Stokes intensity normalized to the probe input I2(z)/I40.  The cache
+    build, if any, runs on ``threads`` worker threads.
     """
     if fields.e40 == 0:
         raise ConfigError("spatial dynamics needs a non-zero probe input E40")
@@ -129,7 +131,7 @@ def spatial_dynamics(
     cache = None
     if propagate.drives_on(fields):
         cache = propagate.CoefficientCache.build(
-            scheme, relax, medium, [fields], quad, validate_probes=4
+            scheme, relax, medium, [fields], quad, validate_probes=4, threads=threads
         )
     trace = propagate.integrate(
         scheme, relax, medium, fields, L, steps=steps, quad=quad,
@@ -165,7 +167,8 @@ def switching_curve(
     """Transmission I4(L)/I40 at fixed optical length versus a control knob.
 
     ``axis`` selects the swept control: the probe detuning or the drive
-    boundary amplitude G10.  Use :func:`transparency_crossings` to locate
+    boundary amplitude G10.  Either way the cache build runs on ``threads``
+    worker threads.  Use :func:`transparency_crossings` to locate
     the points where the curve passes through unity.
     """
     sweep = np.asarray(sweep, dtype=float)
@@ -202,7 +205,7 @@ def switching_curve(
     if propagate.drives_on(top):
         cache = propagate.CoefficientCache.build(
             scheme, relax, medium, [top], quad, n1=max(96, int(np.ceil(96 * g10_max / 100))),
-            validate_probes=8,
+            validate_probes=8, threads=threads,
         )
     points = [base.with_drives(value, base.g30) for value in sweep]
     ratio, failed_at = propagate.transmission(

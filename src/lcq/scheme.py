@@ -62,7 +62,6 @@ class LevelScheme:
     wavelengths: tuple[float, float, float, float]
     dipoles: tuple[float, float, float, float] = (1.0, 1.0, 1.0, 1.0)
     mass: float = NA2_MASS_KG
-    labels: tuple[str, str, str, str] = ("l", "n", "g", "m")
 
     def __post_init__(self) -> None:
         _require(len(self.wavelengths) == 4, "need four wavelengths")

@@ -1,18 +1,23 @@
 """Command-line interface: subcommands, exit codes, CSV and manifest output."""
 
+import contextlib
+import io
 import json
 import hashlib
 import math
 import os
 import subprocess
 import sys
+import tempfile
 from pathlib import Path
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 import lcq
-from lcq import cli, doppler, scheme
+from lcq import cli, doppler, propagate, scheme
 from lcq.scheme import RAD_PER_MHZ, na2_preset
 
 # directory that holds the imported `lcq` package: `src` in a checkout,
@@ -269,6 +274,82 @@ def test_gainmap_deterministic_across_threads(tmp_path):
         assert rc == 0
         digests[threads] = hashlib.sha256(out.read_bytes()).hexdigest()
     assert len(set(digests.values())) == 1
+
+
+@pytest.mark.parametrize("args", [
+    ["dynamics", "--length", "4"],
+    ["switch", "--g10", "60:100:3", "--length", "4"],
+], ids=["dynamics", "switch-g10"])
+def test_threads_reach_one_column_builds(tmp_path, monkeypatch, args):
+    # --threads splits the cache build of dynamics and of a G10 sweep, and
+    # the CSV bytes do not depend on it
+    build = propagate.CoefficientCache.build.__func__
+    asked = []
+
+    def spy(cls, *a, threads=1, **kw):
+        asked.append(threads)
+        return build(cls, *a, threads=threads, **kw)
+
+    monkeypatch.setattr(propagate.CoefficientCache, "build", classmethod(spy))
+    csv = {}
+    for threads in (1, 2):
+        out = tmp_path / f"t{threads}.csv"
+        assert cli.main([*args, "--quad", "101", "--steps", "200", "--threads", str(threads),
+                         "--out", str(out)]) == 0
+        csv[threads] = out.read_bytes()
+    assert asked == [1, 2]
+    assert csv[1] == csv[2]
+
+
+def _drive():
+    polar = st.tuples(st.floats(1.0, 150.0), st.floats(0.0, 2 * math.pi))
+    return st.one_of(st.just(0.0), polar.map(lambda p: [p[0] * math.cos(p[1]),
+                                                        p[0] * math.sin(p[1])]))
+
+
+def _probe():
+    polar = st.tuples(st.floats(1e-3, 1.0), st.floats(0.0, 2 * math.pi))
+    return st.one_of(st.just(0.0), polar.map(lambda p: [p[0] * math.cos(p[1]),
+                                                        p[0] * math.sin(p[1])]))
+
+
+_DETUNING = st.floats(-300.0, 300.0)
+
+
+@settings(max_examples=4, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fields=st.fixed_dictionaries({
+    "Omega1_MHz": _DETUNING, "Omega3_MHz": _DETUNING, "Omega4_MHz": _DETUNING,
+    "G10_MHz": _drive(), "G30_MHz": _drive(), "E40": _probe(), "E20": _probe(),
+}))
+def test_any_valid_fields_give_finite_csv_or_a_named_error(fields):
+    # every configuration that passes validation either runs to a finite CSV
+    # or fails with exit 2 or 3 and one named error line, never a traceback
+    omega4 = fields["Omega4_MHz"]
+    runs = [
+        ["dynamics", "--length", "2"],
+        ["gainmap", "--omega4", f"{omega4}:{omega4 + 10}:2", "--length", "0:2:2"],
+        ["switch", "--g10", "60:100:2", "--length", "2"],
+    ]
+    with tempfile.TemporaryDirectory() as tmp:
+        cfg = Path(tmp) / "fields.json"
+        cfg.write_text(json.dumps({"fields": fields}))
+        for args in runs:
+            out = Path(tmp) / "out.csv"
+            out.unlink(missing_ok=True)
+            err = io.StringIO()
+            with contextlib.redirect_stderr(err):
+                rc = cli.main([*args, "--config", str(cfg), "--quad", "101", "--steps", "100",
+                               "--out", str(out)])
+            lines = err.getvalue().splitlines()
+            if rc == 0:
+                rows = out.read_text().splitlines()[1:]
+                values = [float(x) for row in rows for x in row.split(",")]
+                assert values and all(math.isfinite(v) for v in values), args
+            else:
+                prefix = "configuration error:" if rc == 2 else "numerical failure:"
+                assert rc in (2, 3) and len(lines) == 1 and lines[0].startswith(prefix), \
+                    (args, rc, lines)
 
 
 def test_gainmap_manifest_reports_cache_validation_error(tmp_path):

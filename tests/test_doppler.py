@@ -55,15 +55,6 @@ def test_rule_validation():
         dp.QuadratureSpec(u=500.0, core=5.0, span=4.5)
 
 
-def test_gauss_hermite_rule_basics():
-    q = dp.QuadratureSpec(u=500.0, rule="gauss-hermite", n=64)
-    v, w = q.nodes()
-    assert v.size == 64
-    assert abs(np.sum(w) - 1.0) < 1e-12
-    # second moment of the Maxwell distribution: <v^2> = u^2/2
-    assert np.sum(w * v**2) == pytest.approx(500.0**2 / 2, rel=1e-12)
-
-
 def test_kahan_sum_matches_plain_sum():
     rng = np.random.default_rng(0)
     vals = rng.normal(size=(500, 3)) + 1j * rng.normal(size=(500, 3))

@@ -103,13 +103,27 @@ def test_beer_lambert_drives_off(preset, quad):
         assert np.max(np.abs(ratio - expected) / expected) < 1e-6
 
 
+class ConstantRows(pg.CoefficientCache):
+    """A one-column stub cache whose rows are ``mc`` at every drive amplitude."""
+
+    def __init__(self, mc):
+        self.fallbacks = 0
+        self.columns = [None]
+        self.row = mc.to_vector()
+
+    def rows(self, col, g1_abs, g3_abs):
+        return np.tile(self.row, (len(col), 1))
+
+
 def test_frozen_coefficients_reproduce_closed_form(preset, quad):
+    # rows pinned to their z = 0 values reduce the probe pair to the
+    # constant-coefficient solution
     sch, relax, medium, _ = preset
     fields = FieldConfig(omega1=0.0, omega3=100.0, omega4=160.0,
                          g10=100.0, g30=40.0, e40=1e-3, e20=2e-4j)
-    trace = pg.integrate(sch, relax, medium, fields, L=10.0, steps=4000,
-                         quad=quad, freeze_coefficients=True, error_estimate=False)
     mc = dp.average_coefficients(sch, relax, medium, fields, 100.0, 40.0, quad)
+    trace = pg.integrate(sch, relax, medium, fields, L=10.0, steps=4000,
+                         quad=quad, cache=ConstantRows(mc), error_estimate=False)
     c = cw.OpaCoefficients.from_macroscopic(mc)
     e4ref, e2cref = cw.opa_solution(
         c, cw.BoundaryAmplitudes(fields.e40, fields.e20), trace.z)
@@ -131,7 +145,8 @@ def test_trace_structure(preset, quad, dressed_fields, dressed_cache):
     assert trace.z.size >= 257
     assert trace.g1[0] == dressed_fields.g10
     assert trace.e4[0] == dressed_fields.e40
-    assert len(trace.coefficients) == trace.z.size
+    for amplitudes in (trace.g1, trace.g3, trace.e4, trace.e2):
+        assert amplitudes.shape == trace.z.shape and np.isfinite(amplitudes).all()
     for ztarget in (1.25, 3.3):
         idx = trace.index_of(ztarget)
         assert trace.z[idx] == ztarget
@@ -176,20 +191,12 @@ RUNAWAY = dp.MacroscopicCoefficients(
 def test_nonfinite_abort_reports_position(preset, quad):
     sch, relax, medium, _ = preset
 
-    class Exploding(pg.CoefficientCache):
-        def __init__(self):
-            self.fallbacks = 0
-            self.columns = [None]
-
-        def rows(self, col, g1_abs, g3_abs):
-            return np.tile(RUNAWAY.to_vector(), (len(col), 1))
-
     fields = FieldConfig(omega1=0, omega3=100, omega4=0.0,
                          g10=10.0, g30=10.0, e40=1.0, e20=0.0)
     with pytest.raises(pg.PropagationError) as err:
         with np.errstate(over="ignore", invalid="ignore"):
             pg.integrate(sch, relax, medium, fields, L=20.0, steps=200,
-                         quad=quad, cache=Exploding(), error_estimate=False)
+                         quad=quad, cache=ConstantRows(RUNAWAY), error_estimate=False)
     assert 0.0 < err.value.z <= 20.0
 
 
@@ -463,3 +470,108 @@ def test_g10_sweep_node_count_follows_the_sweep(preset, coarse_quad, monkeypatch
             scans.switching_curve(sch, relax, medium, base, L=10.0, sweep=sweep,
                                   axis="g10", quad=coarse_quad)
     assert asked == [96, 101, 116, 96]
+
+
+# --------------------------------------------------------------------------
+# one coefficient path
+# --------------------------------------------------------------------------
+
+@pytest.mark.parametrize("n, drives", [(1, True), (50, True), (4, False)])
+def test_paired_column_matches_pointwise_average_bitwise(preset, quad, n, drives):
+    # n points, each at its own probe detuning and drives (some or all of
+    # them zero), make one paired column whose rows are the lone averages
+    sch, relax, medium, fields = preset
+    rng = np.random.default_rng(n)
+    om4 = rng.uniform(-300.0, 300.0, n)
+    g1, g3 = rng.uniform(0.0, 150.0, (2, n)) * drives
+    g1[1::7], g3[2::5] = 0.0, 0.0
+    paired = dp.coefficient_tables(sch, relax, medium, quad, [fields.with_omega4(om4)], g1, g3)[0]
+    for k in range(n):
+        lone = dp.average_coefficients(sch, relax, medium, fields.with_omega4(float(om4[k])),
+                                       float(g1[k]), float(g3[k]), quad)
+        assert np.array_equal(paired[k], lone.to_vector())
+
+
+@pytest.mark.parametrize("error_estimate", [False, True])
+def test_rows_are_read_only_by_rk4_stages(preset, quad, error_estimate):
+    # four rows calls per RK4 step and none at the trace samples
+    sch, relax, medium, fields = preset
+    mc = dp.average_coefficients(sch, relax, medium, fields, 100.0, 40.0, quad)
+
+    class Counting(ConstantRows):
+        calls = 0
+
+        def rows(self, col, g1_abs, g3_abs):
+            Counting.calls += 1
+            return super().rows(col, g1_abs, g3_abs)
+
+    pg.integrate(sch, relax, medium, fields, L=4.0, steps=200, quad=quad, cache=Counting(mc),
+                 error_estimate=error_estimate, min_samples=5)
+    assert Counting.calls == 4 * 200 * (3 if error_estimate else 1)
+
+
+def count_passes(monkeypatch):
+    passes = []
+    tabulate = dp.coefficient_tables
+
+    def spy(*args, **kwargs):
+        passes.append(args)
+        return tabulate(*args, **kwargs)
+
+    monkeypatch.setattr(dp, "coefficient_tables", spy)
+    return passes
+
+
+def test_zero_drive_run_averages_once(preset, coarse_quad, monkeypatch):
+    # zero drives stay exactly zero, so a cache-free run keeps its boundary rows
+    sch, relax, medium, _ = preset
+    base = FieldConfig(omega1=0, omega3=100, omega4=0.0, g10=0.0, g30=0.0, e40=0.1, e20=0.05)
+    passes = count_passes(monkeypatch)
+    pg.integrate(sch, relax, medium, base, L=5.0, steps=200, quad=coarse_quad)
+    assert len(passes) == 1
+    res = pg.gain_map(sch, relax, medium, base, np.array([0.0, 150.0, 300.0]),
+                      np.array([0.0, 5.0]), steps=200, quad=coarse_quad)
+    assert len(passes) == 2 and res.valid.all()
+
+
+def test_cache_free_run_averages_once_per_stage(preset, coarse_quad, monkeypatch):
+    # with G30 = 0 there is no cache: every stage is one pass for the whole
+    # batch.  The map's 257 trace samples make 256 steps
+    sch, relax, medium, fields = preset
+    base = fields.with_drives(fields.g10, 0.0)
+    passes = count_passes(monkeypatch)
+    pg.gain_map(sch, relax, medium, base, np.array([150.0, 155.0, 160.0]),
+                np.array([0.0, 2.0]), steps=100, quad=coarse_quad)
+    assert len(passes) == 4 * 256
+    assert all(np.shape(args[5]) == (3,) for args in passes)
+
+
+def test_g30_zero_gain_map_column_matches_lone_direct_run(preset, coarse_quad):
+    sch, relax, medium, fields = preset
+    base = fields.with_drives(fields.g10, 0.0)
+    om4 = np.array([150.0, 155.0, 160.0])
+    lengths = np.array([0.0, 1.5, 3.0])
+    res = pg.gain_map(sch, relax, medium, base, om4, lengths, steps=200, quad=coarse_quad)
+    assert res.valid.all() and res.validation_error is None
+    for i, om in enumerate(om4):
+        f = base.with_omega4(float(om))
+        trace = pg.integrate(sch, relax, medium, f, L=3.0, steps=200, quad=coarse_quad,
+                             cache=None, error_estimate=False, record_at=lengths[1:])
+        for j, L in enumerate(lengths):
+            alone = abs(trace.e4[trace.index_of(float(L))]) ** 2 / abs(f.e40) ** 2
+            assert res.ratio[i, j] == pytest.approx(alone, rel=1e-12, abs=0.0)
+
+
+def test_out_of_grid_points_fall_back_in_one_pass(preset, quad, dressed_fields, dressed_cache,
+                                                  monkeypatch):
+    sch, relax, medium, _ = preset
+    g1 = np.array([150.0, 50.0, 120.0, 10.0])
+    g3 = np.array([10.0, 20.0, 60.0, 50.0])
+    before = dressed_cache.fallbacks
+    passes = count_passes(monkeypatch)
+    rows = dressed_cache.rows(np.zeros(4, int), g1, g3)
+    assert len(passes) == 1 and dressed_cache.fallbacks == before + 3
+    for k in (0, 2, 3):
+        direct = dp.average_coefficients(sch, relax, medium, dressed_fields,
+                                         float(g1[k]), float(g3[k]), quad)
+        assert np.array_equal(rows[k], direct.to_vector())
