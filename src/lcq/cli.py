@@ -1,12 +1,14 @@
 """Command-line front end: config loading, scan subcommands, CSV/manifest output.
 
-Exit codes: 0 on success, 2 for configuration/usage errors, 3 for numerical
-failures (the failing position or cell is reported on stderr).
+Exit codes: 0 on success, 2 for configuration/usage errors (a missing output
+directory or a failed write among them), 3 for numerical failures (the
+failing position or cell is reported on stderr).
 """
 
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import math
 import os
@@ -71,18 +73,36 @@ def _threads(args) -> int:
     return 1
 
 
+def _check_output_dirs(args) -> None:
+    """Reject an output path whose directory does not exist, before any computation."""
+    for path in (args.out, getattr(args, "manifest", None)):
+        if path and not Path(path).parent.is_dir():
+            raise ConfigError(f"output directory {Path(path).parent} does not exist")
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """An ``OSError`` raised inside becomes a configuration error that names ``path``."""
+    try:
+        yield
+    except OSError as exc:
+        raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
+
+
 def _write_manifest(args, payload: dict) -> None:
     path = args.manifest
     if path is None and args.out:
         path = str(args.out) + ".manifest.json"
     if path is None:
         return
-    Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
+    with _writing(path):
+        Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
 def _emit(args, records, manifest_extra: dict, t_start: float) -> None:
     if args.out:
-        scans.records_to_csv(records, args.out)
+        with _writing(args.out):
+            scans.records_to_csv(records, args.out)
     else:
         sys.stdout.write(scans.csv_text(records))
     payload = {
@@ -181,10 +201,12 @@ def main(argv=None) -> int:
 
 
 def _dispatch(args, argv: list[str], t_start: float) -> int:
+    _check_output_dirs(args)
     if args.command == "preset":
         text = json.dumps(scheme.preset_config(), indent=2) + "\n"
         if args.out:
-            Path(args.out).write_text(text, encoding="utf-8")
+            with _writing(args.out):
+                Path(args.out).write_text(text, encoding="utf-8")
         else:
             sys.stdout.write(text)
         return 0

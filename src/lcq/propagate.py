@@ -6,9 +6,9 @@ cross-coupled through gamma4/gamma2 (which include the drive product), and
 the drives carry the quadratic probe back-action term.  Coefficients are
 re-evaluated from the local drive amplitudes at every integration stage,
 either directly (one velocity-averaging pass per stage for the whole batch)
-or through a bicubic interpolation cache over (|G1|, |G3|), which only
-:meth:`CoefficientCache.build` makes, and only where both boundary drives
-are on (:func:`drives_on`).  One fixed-step RK4 engine advances
+or through a tensor-product cubic-spline cache over (|G1|, |G3|), which
+only :meth:`CoefficientCache.build` makes, and only where both boundary
+drives are on (:func:`drives_on`).  One fixed-step RK4 engine advances
 n trajectories in lockstep as an (n, 4) complex state [G1, G3, E4, E2],
 with one batched (n, 12) coefficient evaluation and one array right-hand
 side per stage: a single integration, the columns of a gain map and the
@@ -28,7 +28,7 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import CubicSpline
+from scipy.interpolate import NdBSpline, make_interp_spline
 
 from . import doppler
 from .doppler import DriveGrid, MacroscopicCoefficients, QuadratureSpec
@@ -83,17 +83,19 @@ def drives_on(fields: FieldConfig) -> bool:
 
 
 class CoefficientCache:
-    """Bicubic interpolation tables of macroscopic coefficients over drive amplitudes.
+    """Cubic-spline interpolation of macroscopic coefficients over drive amplitudes.
 
     One table per column (probe detuning) ``columns[k]``, all on one
     rectangular (|G1|, |G3|) grid at fixed drive detunings; ``tables`` is
-    (columns, n1, n3, 12).  Each table is a tensor-product cubic spline;
-    :meth:`rows` evaluates the precomputed piecewise polynomials for a batch
-    of points at once, which keeps a lookup far cheaper than a velocity
-    average.  Queries outside the grid fall back to direct evaluation and
-    are counted in ``fallbacks``.  ``validation_error`` is the worst scaled
-    error of the validation probes over the validated columns, or None if
-    no column was validated.
+    (columns, n1, n3, 12).  Each column is interpolated by the not-a-knot
+    tensor-product cubic spline through its table, held as one
+    :class:`~scipy.interpolate.NdBSpline` whose B-spline coefficients are
+    as large as the tables (de Boor, *A Practical Guide to Splines*, 1978);
+    :meth:`rows` evaluates it for a batch of points at once, which keeps a
+    lookup far cheaper than a velocity average.  Queries outside the grid
+    fall back to direct evaluation and are counted in ``fallbacks``.
+    ``validation_error`` is the worst scaled error of the validation probes
+    over the validated columns, or None if no column was validated.
     """
 
     def __init__(
@@ -117,15 +119,12 @@ class CoefficientCache:
         self.tables = tables
         self.fallbacks = 0
         self.validation_error: float | None = None
-        # two-pass cubic-spline fit per column: polynomial coefficients per
-        # grid cell, laid out as (column, n1-1, n3-1, x power, y power, field);
-        # one column at a time keeps the fit's temporaries to one column
-        self._poly = np.empty((len(tables), g1_grid.size - 1, g3_grid.size - 1, 4, 4, 12))
-        for k, table in enumerate(tables):
-            s1 = CubicSpline(g1_grid, table, axis=0)
-            c1 = np.moveaxis(s1.c, 0, -1)          # (n1-1, n3, 12, 4)
-            s2 = CubicSpline(g3_grid, c1, axis=1)  # .c: (4, n3-1, n1-1, 12, 4)
-            self._poly[k] = s2.c.transpose(2, 1, 4, 0, 3)
+        # B-spline coefficients (n1, n3, column, 12): cubic along |G1| and
+        # |G3|, degree 0 on the knots 0, 1, ..., columns along the column axis
+        s1 = make_interp_spline(g1_grid, tables.transpose(1, 2, 0, 3), k=3)
+        s3 = make_interp_spline(g3_grid, s1.c, k=3, axis=1)
+        self._spline = NdBSpline((s1.t, s3.t, np.arange(len(tables) + 1.0)),
+                                 s3.c.swapaxes(0, 1), (3, 3, 0))
 
     @classmethod
     def build(
@@ -184,20 +183,12 @@ class CoefficientCache:
     def rows(self, col: np.ndarray, g1_abs: np.ndarray, g3_abs: np.ndarray) -> np.ndarray:
         """Table rows (n, 12) of columns ``col`` at real drive amplitudes.
 
-        Points outside the grid are averaged directly, all in one
-        :func:`_direct_rows` pass, and counted in ``fallbacks``.
+        One spline call reads every point at (|G1|, |G3|, col + 0.5), so each
+        point reads its own column and each row is independent of the rest
+        of the batch.  Points outside the grid are averaged directly, all in
+        one :func:`_direct_rows` pass, and counted in ``fallbacks``.
         """
-        i = np.minimum(np.maximum(self.g1_grid.searchsorted(g1_abs) - 1, 0), self.g1_grid.size - 2)
-        j = np.minimum(np.maximum(self.g3_grid.searchsorted(g3_abs) - 1, 0), self.g3_grid.size - 2)
-        dx = (g1_abs - self.g1_grid[i])[:, None, None]
-        dy = (g3_abs - self.g3_grid[j])[:, None]
-        poly = self._poly[col, i, j]  # (n, 4, 4, 12)
-        acc = poly[:, 0]
-        for a in range(1, 4):
-            acc = acc * dx + poly[:, a]
-        out = acc[:, 0]
-        for b in range(1, 4):
-            out = out * dy + acc[:, b]
+        out = self._spline(np.column_stack([g1_abs, g3_abs, col + 0.5]))
         outside = ~((g1_abs >= 0.0) & (g1_abs <= self.g1_grid[-1])
                     & (g3_abs >= 0.0) & (g3_abs <= self.g3_grid[-1]))
         if outside.any():

@@ -256,6 +256,36 @@ def test_zero_coherence_rate_is_a_numerical_failure(tmp_path):
     assert "Traceback" not in proc.stderr
 
 
+@pytest.mark.parametrize("args", [
+    ["spectra", "--omega4", "0:10:3", "--out", "{missing}/x.csv"],
+    ["gainmap", "--omega4", "150:155:2", "--length", "0:2:2", "--manifest", "{missing}/m.json"],
+    ["preset", "--out", "{missing}/p.json"],
+], ids=["out", "manifest", "preset"])
+def test_missing_output_directory_fails_before_any_averaging(tmp_path, monkeypatch, capsys,
+                                                            args):
+    averaged = []
+    monkeypatch.setattr(doppler, "_average", lambda *a, **kw: averaged.append(a))
+    missing = tmp_path / "missing"
+    rc = cli.main([a.format(missing=missing) for a in args])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == 2 and averaged == []
+    assert len(err) == 1 and err[0].startswith("configuration error: output directory")
+    assert not missing.exists()
+
+
+@pytest.mark.parametrize("args", [
+    ["spectra", "--omega4", "0:10:3", "--quad", "301", "--out", "{dir}"],
+    ["spectra", "--omega4", "0:10:3", "--quad", "301", "--manifest", "{dir}"],
+    ["preset", "--out", "{dir}"],
+], ids=["out", "manifest", "preset"])
+def test_failed_write_is_a_config_error(tmp_path, args):
+    # a directory where the file should go: the run computes, then the write fails
+    proc = run_cli([a.format(dir=tmp_path) for a in args], tmp_path)
+    assert proc.returncode == 2, proc.stderr
+    err = proc.stderr.splitlines()
+    assert len(err) == 1 and err[0].startswith("configuration error: cannot write"), err
+
+
 def test_manifest_records_argv_given_to_main(tmp_path):
     out = tmp_path / "s.csv"
     argv = ["spectra", "--omega4", "-10:10:3", "--quad", "301", "--out", str(out)]

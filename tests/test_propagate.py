@@ -1,7 +1,10 @@
 """Four-wave integration, coefficient cache and gain map plumbing."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
+from scipy.interpolate import CubicSpline
 
 from lcq import coupledwave as cw
 from lcq import doppler as dp
@@ -245,6 +248,72 @@ def test_cache_out_of_bounds_falls_back(preset, quad, dressed_fields, dressed_ca
     got = dressed_cache.lookup(150.0, 10.0)
     assert dressed_cache.fallbacks == before + 1
     assert got.alpha4 == direct.alpha4
+
+
+@pytest.fixture(scope="module")
+def three_column_cache(preset, coarse_quad):
+    sch, relax, medium, fields = preset
+    columns = [fields.with_omega4(om) for om in (150.0, 155.0, 170.0)]
+    return pg.CoefficientCache.build(sch, relax, medium, columns, coarse_quad,
+                                     n1=40, n3=24, validate_probes=0)
+
+
+def spline_oracle(cache, col, g1_abs, g3_abs):
+    """Not-a-knot cubic spline of column ``col`` through |G1|, then through |G3|, per point."""
+    along_g1 = CubicSpline(cache.g1_grid, cache.tables[col], axis=0)(g1_abs)  # (n, n3, 12)
+    return np.array([CubicSpline(cache.g3_grid, rows, axis=0)(y)
+                     for rows, y in zip(along_g1, g3_abs)])
+
+
+def test_rows_are_the_tensor_product_cubic_spline(three_column_cache):
+    # random points, every node, the grid's edges and its corners, each
+    # within 1e-13 of each field's scale over its column
+    cache = three_column_cache
+    g1, g3 = cache.g1_grid, cache.g3_grid
+    rng = np.random.default_rng(5)
+    nodes1, nodes3 = np.meshgrid(g1, g3, indexing="ij")
+    edge1, edge3 = rng.uniform(0.0, g1[-1], 10), rng.uniform(0.0, g3[-1], 10)
+    points = np.concatenate([
+        np.column_stack([rng.uniform(0.0, g1[-1], 200), rng.uniform(0.0, g3[-1], 200)]),
+        np.column_stack([nodes1.ravel(), nodes3.ravel()]),
+        np.column_stack([edge1, np.zeros(10)]), np.column_stack([edge1, np.full(10, g3[-1])]),
+        np.column_stack([np.zeros(10), edge3]), np.column_stack([np.full(10, g1[-1]), edge3]),
+        [(0.0, 0.0), (0.0, g3[-1]), (g1[-1], 0.0), (g1[-1], g3[-1])],
+    ])
+    for col in range(len(cache.columns)):
+        scale = np.max(np.abs(cache.tables[col]), axis=(0, 1))
+        got = cache.rows(np.full(len(points), col), points[:, 0], points[:, 1])
+        want = spline_oracle(cache, col, points[:, 0], points[:, 1])
+        assert np.all(np.abs(got - want) <= 1e-13 * scale)
+    assert cache.fallbacks == 0
+
+
+def test_rows_of_a_batch_equal_lone_rows_bitwise(three_column_cache):
+    cache = three_column_cache
+    rng = np.random.default_rng(6)
+    col = rng.integers(0, len(cache.columns), 40)
+    g1 = rng.uniform(0.0, cache.g1_grid[-1], 40)
+    g3 = rng.uniform(0.0, cache.g3_grid[-1], 40)
+    batch = cache.rows(col, g1, g3)
+    assert len(set(col.tolist())) == len(cache.columns)
+    for k in range(40):
+        assert np.array_equal(batch[k], cache.rows(col[k:k + 1], g1[k:k + 1], g3[k:k + 1])[0])
+
+
+def test_cache_retains_little_beyond_its_tables(preset, coarse_quad):
+    # the interpolant's coefficients have the size of the node tables; a
+    # piecewise-polynomial layout would keep 16 coefficients per cell
+    sch, relax, medium, fields = preset
+    columns = [fields.with_omega4(om) for om in np.linspace(140.0, 170.0, 16)]
+    tracemalloc.start()
+    try:
+        before = tracemalloc.get_traced_memory()[0]
+        cache = pg.CoefficientCache.build(sch, relax, medium, columns, coarse_quad,
+                                          n1=40, n3=24, validate_probes=0)
+        retained = tracemalloc.get_traced_memory()[0] - before
+    finally:
+        tracemalloc.stop()
+    assert retained <= 3 * cache.tables.nbytes
 
 
 def test_cache_on_off_trace_agreement(preset, quad, dressed_fields, dressed_cache):
