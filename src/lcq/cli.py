@@ -74,10 +74,15 @@ def _threads(args) -> int:
 
 
 def _check_output_dirs(args) -> None:
-    """Reject an output path whose directory does not exist, before any computation."""
-    for path in (args.out, getattr(args, "manifest", None)):
+    """Reject an output path that cannot be a file to write, before any computation.
+
+    Its directory must exist, and the path itself must not be a directory.
+    """
+    for path in (args.out, _manifest_path(args)):
         if path and not Path(path).parent.is_dir():
             raise ConfigError(f"output directory {Path(path).parent} does not exist")
+        if path and Path(path).is_dir():
+            raise ConfigError(f"cannot write {path}: it is a directory")
 
 
 @contextlib.contextmanager
@@ -89,17 +94,24 @@ def _writing(path):
         raise ConfigError(f"cannot write {path}: {exc.strerror or exc}") from exc
 
 
+def _manifest_path(args) -> str | None:
+    if args.command == "preset":
+        return None
+    if args.manifest is None and args.out:
+        return str(args.out) + ".manifest.json"
+    return args.manifest
+
+
 def _write_manifest(args, payload: dict) -> None:
-    path = args.manifest
-    if path is None and args.out:
-        path = str(args.out) + ".manifest.json"
+    path = _manifest_path(args)
     if path is None:
         return
     with _writing(path):
         Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
-def _emit(args, records, manifest_extra: dict, t_start: float) -> None:
+def _emit(args, records, manifest_extra: dict, t_start: float,
+          stats: doppler.PoleStats) -> None:
     if args.out:
         with _writing(args.out):
             scans.records_to_csv(records, args.out)
@@ -112,6 +124,8 @@ def _emit(args, records, manifest_extra: dict, t_start: float) -> None:
         "wall_time_s": time.perf_counter() - t_start,
         **manifest_extra,
     }
+    payload["quadrature"].update(exceptional_points=stats.exceptional,
+                                 worst_pole_condition=stats.worst_condition)
     _write_manifest(args, payload)
 
 
@@ -128,7 +142,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     def common(p):
         p.add_argument("--config", help="configuration file (JSON); defaults to the preset")
-        p.add_argument("--quad", type=int, help="velocity quadrature core node count")
+        p.add_argument("--quad", type=int,
+                       help="velocity nodes of the sinh rule that checks the exact average "
+                            "and averages exceptional points")
         p.add_argument("--steps", type=int, default=2000, help="integration steps")
         p.add_argument("--threads", type=int, help="worker threads (default LCQ_THREADS or 1)")
         p.add_argument("--out", help="output CSV path (default stdout)")
@@ -188,7 +204,8 @@ def main(argv=None) -> int:
     t_start = time.perf_counter()
     try:
         args = build_parser().parse_args(_merge_negative_values(argv))
-        return _dispatch(args, argv, t_start)
+        with doppler.pole_stats() as stats:
+            return _dispatch(args, argv, t_start, stats)
     except SystemExit as exc:  # --help and --version
         return 0 if exc.code in (0, None) else 2
     except ConfigError as exc:
@@ -200,7 +217,7 @@ def main(argv=None) -> int:
         return 3
 
 
-def _dispatch(args, argv: list[str], t_start: float) -> int:
+def _dispatch(args, argv: list[str], t_start: float, stats: doppler.PoleStats) -> int:
     _check_output_dirs(args)
     if args.command == "preset":
         text = json.dumps(scheme.preset_config(), indent=2) + "\n"
@@ -223,8 +240,8 @@ def _dispatch(args, argv: list[str], t_start: float) -> int:
     manifest = {
         "argv": argv,
         "config": config_snapshot,
-        "quadrature": {"rule": quad.rule, "n": quad.n, "wing_n": quad.wing_n,
-                       "u_m_per_s": quad.u},
+        "quadrature": {"method": "pole sums of Faddeeva functions", "rule": quad.rule,
+                       "n": quad.n, "wing_n": quad.wing_n, "u_m_per_s": quad.u},
         "steps": args.steps,
         "threads": threads,
         "warnings": [],
@@ -236,7 +253,7 @@ def _dispatch(args, argv: list[str], t_start: float) -> int:
             sch, relax, medium, fields, sweep,
             G1=args.g1, G3=args.g3, quad=quad,
         )
-        _emit(args, records, manifest, t_start)
+        _emit(args, records, manifest, t_start, stats)
         return 0
 
     if args.command == "dynamics":
@@ -244,7 +261,7 @@ def _dispatch(args, argv: list[str], t_start: float) -> int:
         records = scans.spatial_dynamics(
             sch, relax, medium, f, L=args.length, steps=args.steps, quad=quad, threads=threads,
         )
-        _emit(args, records, manifest, t_start)
+        _emit(args, records, manifest, t_start, stats)
         return 0
 
     if args.command == "gainmap":
@@ -265,7 +282,7 @@ def _dispatch(args, argv: list[str], t_start: float) -> int:
         manifest["max_gain"] = result.max_gain
         manifest["cache_validation_error"] = result.validation_error
         manifest["argmax"] = dict(zip(("omega4_MHz", "length_L4"), result.argmax()))
-        _emit(args, records, manifest, t_start)
+        _emit(args, records, manifest, t_start, stats)
         return 0
 
     if args.command == "switch":
@@ -279,7 +296,7 @@ def _dispatch(args, argv: list[str], t_start: float) -> int:
         )
         crossings = scans.transparency_crossings(records, axis)
         manifest["transparency_crossings"] = crossings
-        _emit(args, records, manifest, t_start)
+        _emit(args, records, manifest, t_start, stats)
         return 0
 
     raise ConfigError(f"unknown command {args.command!r}")
@@ -338,9 +355,21 @@ def run_validation(sch, relax, medium, fields, quad) -> bool:
         worst = max(worst, abs(mc.alpha4 - ref * medium.alpha40) / abs(ref))
     check("voigt oracle agreement", worst < 1e-3, f"worst rel {worst:.1e}")
 
-    ok_gate, rel = doppler.quadrature_gate(
-        sch, relax, medium, fields, fields.g10, fields.g30, quad)
-    check("quadrature convergence gate", ok_gate, f"doubling changes alpha4 by {rel:.1e}")
+    # the pole sums against the velocity rule, relative to each field's
+    # Maxwell-averaged modulus, at the preset drives
+    columns = [fields.with_omega4(om4) for om4 in (50.0, 150.0, 300.0)]
+    with doppler.pole_stats() as stats:
+        poles = doppler._average(sch, relax, medium, quad, columns, fields.g10, fields.g30)
+    rule = doppler._node_sums(sch, relax, medium, quad, columns, fields.g10, fields.g30)
+    scale = doppler._node_sums(sch, relax, medium, quad, columns, fields.g10, fields.g30,
+                               modulus=True)
+    worst = max(float(np.max(np.abs(a - b) / s.real))
+                for a, b, s in zip((poles[0], *poles[1]), (rule[0], *rule[1]),
+                                   (scale[0], *scale[1])))
+    check("pole sums vs velocity rule", worst < 1e-8,
+          f"worst {worst:.1e} of a field's scale, {quad.n} nodes")
+    check("pole conditioning", stats.worst_condition <= doppler._COALESCING,
+          f"worst eigenvector condition number {stats.worst_condition:.1e}")
 
     rng = np.random.default_rng(11)
     worst = 0.0

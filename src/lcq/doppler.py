@@ -7,55 +7,72 @@ distribution W(v) = exp(-v^2/u^2)/(u sqrt(pi)).  A single real scale factor,
 fixed by requiring alpha4 = 1 at zero drives and zero probe detuning, maps
 the microscopic responses to coefficients in alpha40 units.
 
-Every average is one pass, :func:`_average`, over the velocity classes in
-chunks: a chunk solves its drive sector once, at one drive point or on a
-whole drive grid, and then the probe block of every probe column from it.
-A single point (:func:`average_coefficients`), a probe-detuning sweep (one
-column per point) and the coefficient-cache grid (:class:`DriveGrid`) all
-go through it, and so does the normalization.
+Every detuning is linear in x = v/u, so each averaged field (the two drive
+ratios and the probe responses a4, b4, a2, b2) is a rational function of x
+that vanishes at infinity, and its Maxwell average is exact as a sum over
+its poles p_k with residues r_k: sum r_k Z(p_k), where Z is the plasma
+dispersion function, i sqrt(pi) w(p) above the real axis and its mirror
+below (Fried and Conte, *The Plasma Dispersion Function*, 1961; w by
+``scipy.special.wofz``, Weideman, SIAM J. Numer. Anal. 31, 1994).  The
+drive sector has four poles per drive point, the roots of the quartic
+D P1 P3 of :func:`lcq.liouville.drive_steady_state_batch`'s closed form,
+with residues from partial fractions.  The probe block adds four per drive
+point and probe column, the eigenvalues of its pencil M0 + x M1, with
+residues from the eigenvectors.
 
-The integrands contain resonances that are far narrower than the thermal
-width (homogeneous widths are a percent of the Doppler width), so the
-default quadrature is a velocity grid with a finely sampled core and coarser
-wings; a uniform trapezoid rule is available for cross-checks.  The
-default rule joins uniform trapezoid segments with kinks at the core edges,
-so it converges only algebraically (about as n^-3.4 for the preset); the
-convergence gate measures the change under node doubling.
+Every average is one pass, :func:`_average`: the drive poles of every drive
+point once, then the probe poles of every column.  A single point
+(:func:`average_coefficients`), a probe-detuning sweep (one column per
+point) and the coefficient-cache grid (:class:`DriveGrid`) all go through
+it, and so does the normalization.  Where poles coalesce (an exceptional
+point, detected by the eigenvector condition number) the residues grow
+and cancel, so such a point alone is averaged by the velocity rule of
+:class:`QuadratureSpec` instead, :func:`_node_sums`, and counted in the
+:func:`pole_stats` of the run.  The oracle :mod:`lcq.reference` sums the
+same rule over every class.
 """
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 import threading
 from concurrent.futures import ThreadPoolExecutor
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
 from scipy.integrate import quad as _adaptive_quad
+from scipy.special import wofz
 
 from . import liouville
 from .scheme import RAD_PER_MHZ, ConfigError, FieldConfig, LevelScheme, MediumParams, RelaxationSet
 
-QUAD_RULES = ("core-refined", "trapezoid")
+QUAD_RULES = ("sinh", "trapezoid")
+_SINH_SCALE = 0.6   # v / u = 0.6 sinh(t): nodes 0.6 h apart at the line centre
+_SQRT_PI = math.sqrt(math.pi)
+# relative size, against the terms' moduli, below which a pole sum is rounding noise
+_NOISE = 1e-13
 
 
 @dataclass(frozen=True)
 class QuadratureSpec:
-    """Velocity quadrature: rule, node counts and thermal speed.
+    """Thermal speed, and the velocity rule of the oracle and of exceptional points.
 
-    ``u`` is the most probable speed sqrt(2 kB T / M) in m/s.  ``u = 0``
-    collapses the average to the single v = 0 class.  For the core-refined
-    rule, ``n`` nodes cover the central +-core*u where all drive, probe and
-    two-photon resonances of the supported scans live, and ``wing_n`` nodes
-    per side cover the smooth Maxwell wings out to +-span*u.
+    ``u`` is the most probable speed sqrt(2 kB T / M) in m/s; ``u = 0``
+    collapses the average to the single v = 0 class.  The pole sums need
+    nothing else.  The velocity rule has ``n`` nodes out to +-span*u: the
+    sinh rule v = 0.6 u sinh(t), trapezoidal in t (Trefethen and
+    Weideman, SIAM Review 56, 2014), or the uniform trapezoid rule.
+    ``wing_n`` sized the wings of an earlier rule; it is kept so that run
+    manifests keep their fields, and has no effect.
     """
 
     u: float
-    rule: str = "core-refined"
+    rule: str = "sinh"
     n: int = 1311
     span: float = 4.5
-    core: float = 1.6
     wing_n: int = 100
 
     def __post_init__(self) -> None:
@@ -65,8 +82,8 @@ class QuadratureSpec:
             raise ConfigError("thermal speed must be >= 0")
         if self.u > 0 and self.n < 8:
             raise ConfigError("need at least 8 quadrature nodes")
-        if self.rule == "core-refined" and not (0 < self.core < self.span):
-            raise ConfigError("core half-width must lie inside the span")
+        if not self.span > 0:
+            raise ConfigError("quadrature span must be positive")
 
     @classmethod
     def for_medium(cls, scheme: LevelScheme, medium: MediumParams, **kwargs) -> "QuadratureSpec":
@@ -77,38 +94,22 @@ class QuadratureSpec:
         if self.u == 0.0:
             return np.array([0.0]), np.array([1.0])
         if self.rule == "trapezoid":
-            v = np.linspace(-self.span * self.u, self.span * self.u, self.n)
-            return v, self._trapezoid_weights(v)
-        vc = np.linspace(-self.core * self.u, self.core * self.u, self.n)
-        vl = np.linspace(-self.span * self.u, -self.core * self.u, self.wing_n + 1)
-        vr = np.linspace(self.core * self.u, self.span * self.u, self.wing_n + 1)
-        v = np.concatenate([vl[:-1], vc, vr[1:]])
-        w = np.zeros_like(v)
-        nl = self.wing_n
-        for seg in (slice(0, nl + 1), slice(nl, nl + self.n), slice(nl + self.n - 1, None)):
-            w[seg] += self._trapezoid_weights(v[seg])
-        return v, w
-
-    def _trapezoid_weights(self, v: np.ndarray) -> np.ndarray:
-        h = np.diff(v)
-        w = np.zeros_like(v)
-        w[:-1] += 0.5 * h
-        w[1:] += 0.5 * h
-        return w * np.exp(-((v / self.u) ** 2)) / (self.u * math.sqrt(math.pi))
-
-    def refined(self) -> "QuadratureSpec":
-        """Nested refinement: roughly double the node density everywhere."""
-        return replace(self, n=2 * self.n - 1, wing_n=2 * self.wing_n)
+            v = np.linspace(-self.span, self.span, self.n)
+            dv = np.full(self.n, v[1] - v[0])
+        else:
+            t = np.linspace(-1.0, 1.0, self.n) * math.asinh(self.span / _SINH_SCALE)
+            v = _SINH_SCALE * np.sinh(t)
+            dv = _SINH_SCALE * np.cosh(t) * (t[1] - t[0])
+        dv[[0, -1]] *= 0.5
+        return v * self.u, dv * np.exp(-v * v) / _SQRT_PI
 
 
 def kahan_sum(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weighted sum over the leading axis, accurate to about one rounding.
 
     Vectorized, with an order fixed by the array shapes, so results repeat
-    across runs and thread counts.  It is the sum :func:`_velocity_sum`
-    gives for an array that fits in one chunk; the kernel itself keeps each
-    chunk's sum as a pair.  The name is that of the compensated loop it
-    replaced; the benchmark's tracer wraps this function by name.
+    across runs and thread counts.  The name is that of the compensated loop
+    it replaced; the benchmark's tracer wraps this function by name.
     """
     return np.add(*_sum_parts(values, weights))
 
@@ -200,69 +201,269 @@ def _drive_ratios(rho0: np.ndarray, om1p, om3p, relax: RelaxationSet) -> tuple:
     return r1, r3
 
 
-def _velocity_sum(v: np.ndarray, w: np.ndarray, drive_shape: tuple, chunk,
-                  threads: int = 1) -> list:
-    """Maxwell averages of the arrays ``chunk(rows)`` yields, with classes ``rows`` leading.
+# Polynomials in x = v/u are coefficient arrays (points, degree + 1), lowest first.
 
-    The classes go in chunks of ``liouville._CHUNK`` systems over all drive
-    points (one chunk for a single point, six classes on an 80 x 32 grid),
-    run by ``threads`` workers.  A worker adds its chunk's (exact part,
-    remainder) pair of each sum once the previous chunk's is in, so sums go
-    in chunk order whatever ``threads`` is; the last chunk leaves each sum
-    as one array, so a sum costs no more than its result.  A failed solve raises
-    :class:`AveragingError` naming its velocity node and, on a grid, its
-    drive point; of several, the one in the first chunk.
+def _polymul(a, b) -> np.ndarray:
+    out = np.zeros((len(a), a.shape[1] + b.shape[1] - 1), dtype=np.result_type(a, b))
+    for k in range(a.shape[1]):
+        out[:, k:k + b.shape[1]] += a[:, k, None] * b
+    return out
+
+
+def _polyval(c: np.ndarray, x: np.ndarray) -> np.ndarray:
+    """Polynomials c (points, k) at the points' arguments x (points, m), by Horner's rule."""
+    out = np.zeros(x.shape, dtype=complex) + c[:, -1, None]
+    for k in range(c.shape[1] - 2, -1, -1):
+        out = out * x + c[:, k, None]
+    return out
+
+
+def _poly(points: int, *coefficients) -> np.ndarray:
+    """The polynomial with ``coefficients`` (scalars or (points,) arrays) at every point."""
+    return np.column_stack(np.broadcast_arrays(*coefficients, np.empty(points))[:-1])
+
+
+def _plasma_z(p: np.ndarray) -> np.ndarray:
+    """Z(p) = pi^-1/2 int exp(-x^2) / (x - p) dx over the real line, for p off it.
+
+    i sqrt(pi) w(p) above the axis and its mirror -i sqrt(pi) w(-p) below.
     """
-    points = math.prod(drive_shape)
-    step = max(1, liouville._CHUNK // points)
-    chunks = range(math.ceil(v.size / step))
-    totals = []           # per sum, the pair so far; after the last chunk, the sum
-    turn = []             # per sum, the chunk whose pair goes in next
-    failed = math.inf     # the first chunk that raised
-    ready = threading.Condition()
+    sign = np.where(p.imag < 0, -1.0, 1.0)
+    return 1j * _SQRT_PI * sign * wofz(sign * p)
 
-    def add(k):
-        nonlocal failed
-        rows = slice(k * step, (k + 1) * step)
-        try:
-            for j, x in enumerate(chunk(rows)):
-                pair = _sum_parts(x, w[rows])
-                if k:  # chunk 0 opens each sum
-                    with ready:
-                        ready.wait_for(lambda: failed < k or j < len(turn) and turn[j] == k)
-                    if failed < k:
-                        return  # an earlier chunk raised, and reports
-                    pair = _sum_parts(np.array([*totals[j], *pair]))
-                total = np.add(*pair) if k == chunks[-1] else pair
-                with ready:
-                    if k:
-                        totals[j], turn[j] = total, k + 1
-                    else:
-                        totals.append(total)
-                        turn.append(1)
-                    ready.notify_all()
-        except BaseException as exc:
-            with ready:
-                failed = min(failed, k)
-                ready.notify_all()
-            if not isinstance(exc, liouville.SingularSystemError):
-                raise
-            where = "batch"
-            if exc.index is not None:
-                node, point = divmod(exc.index, points)
-                node += rows.start
-                where = f"velocity node {node} (v = {v[node]:.3f} m/s)"
-                if drive_shape:
-                    point = tuple(map(int, np.unravel_index(point, drive_shape)))
-                    where += f", drive point {point}"
-            raise AveragingError(f"velocity averaging failed at {where}: {exc}") from exc
 
-    if threads > 1:
-        with ThreadPoolExecutor(threads) as pool:
-            list(pool.map(add, chunks))  # raises the first chunk's error and drops the rest
-    else:
-        list(map(add, chunks))
-    return totals
+def _lorentzian(c, m0, slope) -> np.ndarray:
+    """Maxwell average of c / (m0 + slope x), a single pole."""
+    return c / slope * _plasma_z(np.asarray(-m0 / slope, dtype=complex))
+
+
+def _pole_sum(terms: np.ndarray) -> np.ndarray:
+    """Sum of pole terms r_k Z(p_k) over the last axis, with rounding noise as 0.
+
+    A real or imaginary part below ``_NOISE`` times the sum of the terms'
+    moduli is no larger than the rounding error of the terms themselves,
+    and comes out 0: the parts that a symmetry in v cancels, as the
+    dispersion does at the all-resonant configuration, are exactly 0.
+    """
+    total = np.sum(terms, axis=-1)
+    noise = _NOISE * np.sum(np.abs(terms), axis=-1)
+    return (np.where(np.abs(total.real) > noise, total.real, 0.0)
+            + 1j * np.where(np.abs(total.imag) > noise, total.imag, 0.0))
+
+
+def _condition(V: np.ndarray) -> np.ndarray:
+    """Frobenius condition numbers of eigenvector matrices V (P, n, n); inf where V is singular."""
+    try:
+        return np.linalg.norm(V, axis=(1, 2)) * np.linalg.norm(np.linalg.inv(V), axis=(1, 2))
+    except np.linalg.LinAlgError:  # an exactly defective pole set: one matrix at a time
+        if len(V) == 1:
+            return np.array([np.inf])
+        return np.concatenate([_condition(V[k:k + 1]) for k in range(len(V))])
+
+
+@dataclass
+class _DriveSector:
+    """The drive sector at P drive points as rational functions of x = v/u.
+
+    Every element is a polynomial over the quartic ``Q`` (P, 5): the
+    sources (d4pop, d2pop, rho_lg, rho_gl, rho_nm, rho_mn) of
+    :func:`lcq.liouville.compact_sources` in ``sources`` (6, P, 5) and the
+    drive ratios rho_gl / G1 and rho_mn / G3 in ``ratios`` (2, P, 4).
+    ``poles`` (P, 4) are the roots of Q, ``weights`` = Z(pole) / Q'(pole)
+    and ``condition`` the eigenvector condition number of the roots.
+    """
+
+    Q: np.ndarray
+    sources: np.ndarray
+    ratios: np.ndarray
+    poles: np.ndarray
+    weights: np.ndarray
+    condition: np.ndarray
+
+
+def _drive_sector(relax: RelaxationSet, p_n: float, alpha, beta, G1, G3) -> _DriveSector:
+    """The drive sector at drive points G1, G3 (P,), MHz.
+
+    The closed form of :func:`lcq.liouville.drive_steady_state_batch`, with
+    the drive detunings Omega_j' = alpha_j - beta_j x in rad/us: the pumping
+    fractions are fg = K1 / P1 and fm = K3 / P3 with K1 = 2 Gamma_gl |a1|^2
+    and P1 = Gamma_g (Gamma_gl^2 + Omega_1'^2) + K1 (likewise K3, P3), and
+    P1 P3 cancels from every element, which leaves the quartic
+    Q = D P1 P3.  It is positive on the real axis, so its roots come in
+    conjugate pairs off it.  They are the eigenvalues of its companion
+    matrix, scaled so that they are of order one, and polished by a Newton
+    step; the residues are partial fractions.
+    """
+    r = relax
+    P = len(G1)
+    (a1, a3), (b1, b3) = alpha, beta
+    K1 = 2.0 * r.coh_gl * RAD_PER_MHZ**2 * np.abs(G1) ** 2
+    K3 = 2.0 * r.coh_mn * RAD_PER_MHZ**2 * np.abs(G3) ** 2
+
+    P1 = _poly(P, r.gamma_g * (r.coh_gl**2 + a1 * a1) + K1, -2.0 * r.gamma_g * a1 * b1,
+               r.gamma_g * b1 * b1)
+    P3 = _poly(P, r.gamma_m * (r.coh_mn**2 + a3 * a3) + K3, -2.0 * r.gamma_m * a3 * b3,
+               r.gamma_m * b3 * b3)
+    Bt = r.gamma_n * (1.0 - p_n) * P3                   # B P3, with B of the nn balance
+    Bt[:, 0] += (r.gamma_m - r.sp_mn - p_n * r.reservoir_m) * K3
+    At = r.gamma_n * p_n * P1                           # A P1
+    At[:, 0] += (r.sp_gn + p_n * r.reservoir_g) * K1
+    P1K, P3K = P1.copy(), P3.copy()
+    P1K[:, 0] += K1
+    P3K[:, 0] += K3
+    Q = _polymul(Bt, P1K) + _polymul(At, P3K)
+    ratio1 = _polymul(_poly(P, r.coh_gl + 1j * a1, -1j * b1) * (1j * RAD_PER_MHZ * r.gamma_g), Bt)
+    ratio3 = _polymul(_poly(P, r.coh_mn + 1j * a3, -1j * b3) * (1j * RAD_PER_MHZ * r.gamma_m), At)
+    g1, g3 = G1[:, None], G3[:, None]
+    sources = np.zeros((6, P, 5), dtype=complex)
+    sources[0] = _polymul(Bt, P1)                       # rho_ll - rho_mm
+    sources[0, :, :3] -= K3[:, None] * At
+    sources[1, :, :3] = K1[:, None] * Bt                # rho_gg - rho_nn
+    sources[1] -= _polymul(At, P3)
+    sources[2, :, :4] = np.conj(g1) * ratio1.conj()     # rho_lg
+    sources[3, :, :4] = g1 * ratio1                     # rho_gl
+    sources[4, :, :4] = np.conj(g3) * ratio3.conj()     # rho_nm
+    sources[5, :, :4] = g3 * ratio3                     # rho_mn
+
+    scale = (Q[:, 0] / Q[:, 4]) ** 0.25
+    companion = np.zeros((P, 4, 4))
+    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    companion[:, :, 3] = -Q[:, :4] / Q[:, 4:] * scale[:, None] ** np.arange(-4, 0)
+    roots, V = np.linalg.eig(companion)
+    condition = _condition(V)
+    dQ = Q[:, 1:] * np.arange(1, 5)
+    poles = scale[:, None] * roots
+    poles = poles - _polyval(Q, poles) / _polyval(dQ, poles)
+    weights = _plasma_z(poles) / _polyval(dQ, poles)
+    return _DriveSector(Q, sources, np.stack([ratio1, ratio3]), poles, weights, condition)
+
+
+def _probe_means(drive: _DriveSector, block, slopes) -> tuple:
+    """Averaged probe responses (a4, b4, a2, b2), each (P,), and their condition numbers (P,).
+
+    ``block`` holds :func:`lcq.liouville.probe_block`'s parts at x = 0 and
+    ``slopes`` the derivatives of its diagonal in x, so that the block is
+    the pencil M(x) = M0 + x M1 with M1 = diag(slopes).  Its poles are the
+    eigenvalues lambda_k of K = -M1^-1 M0, and det M(x) = det M1
+    prod_k (x - lambda_k).  By Cramer's rule, row i of M^-1 b for a source
+    b = n / Q is N_i / (det M Q) with N_i = sum_j n_j C_ji over the
+    cofactors C of M, written out for the block's structural zeros, so
+    that a response that vanishes with a drive carries that drive as a
+    factor.  Its residue at lambda_k is N_i / (det' M Q) there and at a
+    drive pole q_j N_i / (det M Q') there.  The condition number is that of
+    the eigenvectors of K, or, if larger, the largest (|Im p| + |Im p'|) /
+    |p - p'| over the eight poles: coalescing poles have residues that grow
+    as they approach and cancel.
+    """
+    lam, V = np.linalg.eig(-liouville.probe_matrix(*block) / slopes[:, None])
+    condition = _condition(V)
+    poles = np.concatenate([lam, drive.poles], axis=1)                      # (P, 8)
+    m0, m1, m2, m3 = (block[j][:, None] + slopes[j] * poles for j in range(4))
+    p, q, r, s = (c[:, None] for c in block[4:])
+    pq, rs = p * q, r * s
+    cofactors = (
+        (-q * (m2 * m3 - pq + rs), m0 * (m2 * m3 - pq) - rs * m3,           # C_j1
+         r * q * (m0 + m3), -r * (m0 * m2 + pq - rs)),
+        (-s * (m1 * m3 + pq - rs), p * s * (m0 + m3),                       # C_j2
+         m0 * (m1 * m3 - rs) - pq * m3, -p * (m0 * m1 - pq + rs)),
+    )
+    gap = poles[:, :, None] - poles[:, None, :]                              # (P, 8, 8)
+    width = np.abs(poles.imag)
+    eye = np.eye(8, dtype=bool)
+    spread = (width[:, :, None] + width[:, None, :]) / np.abs(np.where(eye, np.inf, gap))
+    condition = np.maximum(condition, np.max(spread, axis=(1, 2)))
+    det = np.prod(slopes) * np.prod(np.where(eye[:, :4], 1.0, gap[:, :, :4]), axis=2)
+    weights = np.concatenate([_plasma_z(lam) / _polyval(drive.Q, lam), drive.weights], axis=1) / det
+    src = [_polyval(c, poles) for c in drive.sources]
+    # the unit sources have a structural zero each, a scalar 0.0
+    rows = [_pole_sum(sum(n * c for n, c in zip(unit, cof) if np.ndim(n)) * weights)
+            for unit in liouville.probe_sources(*src) for cof in cofactors]
+    x1_4, x2_4, x1_2, x2_2 = rows
+    return (x2_4, x2_2, np.conj(x1_2), np.conj(x1_4)), condition
+
+
+def _node_sums(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
+               rows: slice = slice(None), modulus: bool = False) -> tuple:
+    """Maxwell sums over the velocity nodes ``quad.nodes()[rows]``, as :func:`_average` returns.
+
+    Each node is one velocity class, solved by
+    :func:`lcq.liouville.drive_steady_state_batch` and
+    :func:`lcq.liouville.probe_response_compact` at once for every drive
+    point and column and summed by :func:`kahan_sum`; with ``modulus`` the
+    sums are of the responses' moduli.  Exceptional points and ``u = 0``
+    take this route, and the oracle :mod:`lcq.reference` sums every node.
+    A failed solve raises :class:`AveragingError` naming its velocity node
+    and, if there are drive points, the drive point.
+    """
+    shape = np.broadcast_shapes(np.shape(G1), np.shape(G3))
+    v, w = (a[rows] for a in quad.nodes())
+    sh1, sh2, sh3, sh4 = (x.reshape(-1, *[1] * len(shape))
+                          for x in liouville.doppler_shifts(scheme, v))
+    om1p, om3p = columns[0].omega1 - sh1, columns[0].omega3 - sh3
+
+    def responses():
+        rho0 = liouville.drive_steady_state_batch(relax, medium.p_n, om1p, om3p, G1, G3)
+        src = tuple(np.stack(liouville.compact_sources(rho0)))
+        yield np.stack(_drive_ratios(rho0, om1p, om3p, relax), axis=1)
+        for f in columns:
+            yield np.stack(liouville.probe_response_compact(
+                src, om1p, f.omega2 - sh2, f.omega4 - sh4, G1, G3, relax), axis=1)
+
+    try:
+        ratios, *means = (kahan_sum(np.abs(x) if modulus else x, w) for x in responses())
+    except liouville.SingularSystemError as exc:
+        where = "batch"
+        if exc.index is not None:
+            node, point = divmod(exc.index, math.prod(shape))
+            where = f"velocity node {(rows.start or 0) + node} (v = {v[node]:.3f} m/s)"
+            if shape:
+                where += f", drive point {tuple(map(int, np.unravel_index(point, shape)))}"
+        raise AveragingError(f"velocity averaging failed at {where}: {exc}") from exc
+    return ratios, means
+
+
+# eigenvector condition number above which poles count as coalescing
+_COALESCING = 1e4
+# The rates the pole sums need positive.  Without Gamma_m, Gamma_g or Gamma_n
+# the zero-drive steady state is not unique, and a zero coherence rate puts a
+# pole of the per-class response on the real velocity axis, where the Maxwell
+# average is defined only as the limit of a vanishing rate.  A spontaneous
+# rate may be zero.
+_DAMPING = ("gamma_m", "gamma_g", "gamma_n", "coh_ml", "coh_gl", "coh_mn", "coh_gn", "coh_nl",
+            "coh_gm")
+_POINTS_PER_BATCH = 2048
+
+
+class PoleStats:
+    """Exceptional points met, and the worst condition number of the poles, in :func:`pole_stats`.
+
+    An exceptional point is a drive point, or a drive point of one probe
+    column, whose poles coalesce, and which the velocity rule averages.
+    """
+
+    def __init__(self):
+        self.lock = threading.Lock()
+        self.exceptional, self.worst_condition = 0, 0.0
+
+    def add(self, condition: np.ndarray, exceptional: int = 0) -> None:
+        worst = float(np.max(np.nan_to_num(condition, nan=np.inf), initial=0.0))
+        with self.lock:
+            self.exceptional += exceptional
+            self.worst_condition = max(self.worst_condition, worst)
+
+
+_POLE_STATS = contextvars.ContextVar("lcq_pole_stats", default=None)
+
+
+@contextlib.contextmanager
+def pole_stats():
+    """A fresh :class:`PoleStats`, which every average made inside the block adds to."""
+    stats = PoleStats()
+    token = _POLE_STATS.set(stats)
+    try:
+        yield stats
+    finally:
+        _POLE_STATS.reset(token)
 
 
 def _average(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
@@ -276,29 +477,82 @@ def _average(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
     array of the drive shape: it broadcasts against the drive amplitudes
     element by element, so n points that each carry their own probe
     detuning make one paired column, omega4 and G1, G3 all of shape (n,).
-    Each chunk of velocity classes solves its drive sector once, then every
-    column's probe block from its sources, so the sources and the probe
-    detunings live for one chunk.
+    The drive points go in batches, split among ``threads`` workers; each
+    batch finds its drive poles once and then every column's probe poles,
+    and every point's averages depend on that point alone.
     Returns the averaged drive ratios (2, *shape) and, per column, the
     averaged probe responses (a4, b4, a2, b2) as (4, *shape).
     """
     shape = np.broadcast_shapes(np.shape(G1), np.shape(G3))
-    v, w = quad.nodes()
-    sh1, sh2, sh3, sh4 = (x.reshape(-1, *[1] * len(shape))
-                          for x in liouville.doppler_shifts(scheme, v))
-    om1p, om3p = columns[0].omega1 - sh1, columns[0].omega3 - sh3
+    if quad.u == 0.0:
+        return _node_sums(scheme, relax, medium, quad, columns, G1, G3)
+    undamped = [name for name in _DAMPING if getattr(relax, name) == 0]
+    if undamped:
+        raise AveragingError(
+            f"velocity averaging needs positive rates, not {', '.join(undamped)} = 0")
+    g1, g3 = (np.broadcast_to(np.asarray(g, dtype=complex), shape).ravel() for g in (G1, G3))
+    def omega4(c: int) -> np.ndarray:
+        return np.broadcast_to(np.asarray(columns[c].omega4, dtype=float), shape).reshape(-1)
 
-    def chunk(rows):
-        rho0 = liouville.drive_steady_state_batch(relax, medium.p_n, om1p[rows], om3p[rows], G1, G3)
-        src = tuple(np.stack(liouville.compact_sources(rho0)))
-        yield np.stack(_drive_ratios(rho0, om1p[rows], om3p[rows], relax), axis=1)
-        for f in columns:
-            yield np.stack(liouville.probe_response_compact(
-                src, om1p[rows], f.omega2 - sh2[rows], f.omega4 - sh4[rows], G1, G3, relax),
-                axis=1)
+    top, p_n = columns[0], medium.p_n
+    d1, d2, d3, d4 = liouville.doppler_shifts(scheme, quad.u)   # MHz per unit x
+    slopes = np.array(liouville.probe_block(-d1, -d2, -d4, 0.0, 0.0, (0.0,) * 4)[:4])
+    rad, rates = RAD_PER_MHZ, liouville.probe_rates(relax)
+    stats = _POLE_STATS.get() or PoleStats()
+    ratios = np.empty((2, g1.size), dtype=complex)
+    means = [np.empty((4, *shape), dtype=complex) for _ in columns]
 
-    ratios, *means = _velocity_sum(v, w, shape, chunk, threads)
-    return ratios, means
+    def by_rule(k: np.ndarray, cols: list[int], drive: bool) -> None:
+        # the exceptional drive points k of the columns cols, and of the drive ratios
+        if k.size:
+            r, m = _node_sums(scheme, relax, medium, quad,
+                              [columns[c].with_omega4(omega4(c)[k]) for c in cols], g1[k], g3[k])
+            for c, value in zip(cols, m):
+                means[c].reshape(4, -1)[:, k] = value
+            if drive:
+                ratios[:, k] = r
+            stats.add((), k.size)
+
+    def batch(rows: slice) -> None:
+        # coalescing poles leave infinite or NaN residues, which the velocity rule replaces
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            drive = _drive_sector(relax, p_n, (rad * top.omega1, rad * top.omega3),
+                                  (rad * d1, rad * d3), g1[rows], g3[rows])
+            ratios[:, rows] = [_pole_sum(_polyval(c, drive.poles) * drive.weights)
+                               for c in drive.ratios]
+            # without drives each response is a single Lorentzian, with a pole of its own
+            idle = (g1[rows] == 0) & (g3[rows] == 0)
+            ratios[:, rows][:, idle] = np.array([
+                _lorentzian(1j * rad * pop, rate - 1j * rad * omega, 1j * rad * d)
+                for pop, rate, omega, d in ((1 - p_n, relax.coh_gl, top.omega1, d1),
+                                            (p_n, relax.coh_mn, top.omega3, d3))
+            ])[:, None]
+            bad = ~(drive.condition <= _COALESCING) & ~idle
+            for c in range(len(columns)):
+                w4 = omega4(c)
+                block = liouville.probe_block(top.omega1, top.omega1 + top.omega3 - w4[rows],
+                                              w4[rows], g1[rows], g3[rows], rates)
+                out = means[c].reshape(4, -1)[:, rows]
+                out[:], condition = _probe_means(drive, block, slopes)
+                out[:, idle] = np.stack(np.broadcast_arrays(
+                    _lorentzian(-1j * rad * (1.0 - p_n), block[2][idle], slopes[2]), 0.0,
+                    np.conj(_lorentzian(1j * rad * p_n, block[1][idle], slopes[1])), 0.0))
+                condition = np.where(idle, 0.0, np.maximum(drive.condition, condition))
+                stats.add(condition)
+                by_rule(rows.start + np.flatnonzero(~bad & ~(condition <= _COALESCING)), [c], False)
+        by_rule(rows.start + np.flatnonzero(bad), list(range(len(columns))), True)
+
+    edges = np.linspace(0, g1.size, max(threads, -(-g1.size // _POINTS_PER_BATCH)) + 1)
+    batches = [slice(a, b) for a, b in zip(edges[:-1].astype(int), edges[1:].astype(int)) if b > a]
+    try:
+        if threads > 1 and len(batches) > 1:
+            with ThreadPoolExecutor(threads) as pool:
+                list(pool.map(batch, batches))
+        else:
+            list(map(batch, batches))
+    except np.linalg.LinAlgError as exc:
+        raise AveragingError(f"pole search failed: {exc}") from exc
+    return ratios.reshape(2, *shape), means
 
 
 @lru_cache(maxsize=64)
@@ -308,10 +562,11 @@ def _norm_constant(
     medium: MediumParams,
     quad: QuadratureSpec,
 ) -> float:
-    """Scale factor mapping microscopic responses to alpha40 units.
+    """Divisor mapping microscopic responses to alpha40 units.
 
-    Defined so that the averaged weak-field absorption of wave 4 at zero
-    detuning is exactly alpha40, from the same pass as production averages.
+    The averaged weak-field absorption of wave 4 at zero detuning per
+    alpha40, from the same pass as production averages, so that dividing
+    by it gives exactly alpha40 there.
     """
     zero = FieldConfig(omega1=0.0, omega3=0.0, omega4=0.0)
     _, (means,) = _average(scheme, relax, medium, quad, [zero], 0j, 0j)
@@ -320,7 +575,7 @@ def _norm_constant(
     raw_alpha4 = 2.0 * float(np.imag(k4 * d4 * d4 * means[0]))
     if raw_alpha4 <= 0:
         raise AveragingError("weak-field resonant absorption is not positive")
-    return medium.alpha40 / raw_alpha4
+    return raw_alpha4 / medium.alpha40
 
 
 def coefficient_tables(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
@@ -331,7 +586,7 @@ def coefficient_tables(scheme, relax, medium, quad, columns: list[FieldConfig], 
     :class:`AveragingError` if a solve fails or a coefficient is not finite.
     """
     ratios, means = _average(scheme, relax, medium, quad, columns, G1, G3, threads)
-    scale = _norm_constant(scheme, relax, medium, quad)
+    norm = _norm_constant(scheme, relax, medium, quad)
     l1, l2, l3, l4 = scheme.wavelengths
     k1, k2, k3 = l4 / l1, l4 / l2, l4 / l3  # relative wavenumbers, k4 = 1
     d1, d2, d3, d4 = scheme.dipoles
@@ -339,13 +594,13 @@ def coefficient_tables(scheme, relax, medium, quad, columns: list[FieldConfig], 
     tables = []
     for a4, b4, a2, b2 in means:
         table = np.stack([
-            scale * k1 * d1 * d1 * gl_ratio,  # sigma1
-            scale * k2 * d2 * d2 * a2,        # sigma2
-            scale * k3 * d3 * d3 * mn_ratio,  # sigma3
-            scale * 1.0 * d4 * d4 * a4,       # sigma4
-            scale * 1.0 * d4 * d2 * b4,       # gamma4
-            scale * k2 * d2 * d4 * b2,        # gamma2
-        ], axis=-1).view(np.float64)
+            k1 * d1 * d1 * gl_ratio,  # sigma1
+            k2 * d2 * d2 * a2,        # sigma2
+            k3 * d3 * d3 * mn_ratio,  # sigma3
+            1.0 * d4 * d4 * a4,       # sigma4
+            1.0 * d4 * d2 * b4,       # gamma4
+            k2 * d2 * d4 * b2,        # gamma2
+        ], axis=-1).view(np.float64) / norm
         bad = np.argwhere(~np.isfinite(table))
         if bad.size:
             where = f" at drive point {tuple(bad[0, :-1].tolist())}" if table.ndim > 1 else ""
@@ -376,28 +631,11 @@ def average_coefficients(
         scheme, relax, medium, quad, [fields], complex(G1), complex(G3))[0])
 
 
-def quadrature_gate(
-    scheme: LevelScheme,
-    relax: RelaxationSet,
-    medium: MediumParams,
-    fields: FieldConfig,
-    G1: complex,
-    G3: complex,
-    quad: QuadratureSpec,
-    rtol: float = 1e-6,
-) -> tuple[bool, float]:
-    """Convergence gate: relative change of alpha4 under node doubling."""
-    coarse = average_coefficients(scheme, relax, medium, fields, G1, G3, quad)
-    fine = average_coefficients(scheme, relax, medium, fields, G1, G3, quad.refined())
-    rel = abs(coarse.alpha4 - fine.alpha4) / max(abs(fine.alpha4), 1e-300)
-    return rel < rtol, rel
-
-
 class DriveGrid:
     """A real (|G1|, |G3|) grid at fixed drive detunings, tabulated by :meth:`tables`.
 
     ``src``, the probe sources kept between calls, is empty, (6, 0, n1, n3):
-    a call holds one velocity chunk per worker, whatever the node count.
+    the pole sums keep no per-class state.
     """
 
     def __init__(
@@ -425,8 +663,8 @@ class DriveGrid:
         Rows are read by :meth:`MacroscopicCoefficients.from_vector`.  The
         columns must share the drive detunings of the grid; only the probe
         detuning omega4 (and the slaved omega2) may differ.  One pass over
-        the velocity chunks, split among ``threads`` workers, solves each
-        chunk's drive sector and then every column's probe block from it.
+        batches of drive points, split among ``threads`` workers, finds each
+        point's drive poles and then every column's probe poles.
         """
         if any((f.omega1, f.omega3) != (self.fields.omega1, self.fields.omega3) for f in columns):
             raise ValueError("drive detunings differ from the tabulated grid")
@@ -440,7 +678,7 @@ class DriveGrid:
 
 # ---------------------------------------------------------------------------
 # Independent Voigt oracle (direct adaptive quadrature; does not reuse the
-# velocity-grid machinery above).
+# averaging machinery above).
 # ---------------------------------------------------------------------------
 
 def voigt_reference(omega: float, gamma_coh: float, doppler_width: float) -> complex:

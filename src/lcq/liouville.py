@@ -57,19 +57,8 @@ def probe_response_compact(
     probe sources need, as :func:`compact_sources` extracts them.  Arguments
     broadcast, and all systems are solved at once, so callers bound the batch.
     """
-    om1p, om2p, om4p = (np.asarray(x, dtype=float) * RAD_PER_MHZ for x in (om1p, om2p, om4p))
-    G1, G3 = (np.asarray(x, dtype=complex) * RAD_PER_MHZ for x in (G1, G3))
-    h_nn = om2p - om1p          # level n in the rotating frame
-    h_gg = -om1p
-    h_mm = -om4p
-    args = (
-        -1j * h_nn - relax.coh_nl,
-        -1j * (h_nn - h_gg) - relax.coh_gn,
-        -1j * h_mm - relax.coh_ml,
-        -1j * (h_mm - h_gg) - relax.coh_gm,
-        -1j * G1, -1j * np.conj(G1), 1j * np.conj(G3), 1j * G3,
-        *src,
-    )
+    om1p, om2p, om4p = (np.asarray(x, dtype=float) for x in (om1p, om2p, om4p))
+    args = (*probe_block(om1p, om2p, om4p, G1, G3, probe_rates(relax)), *src)
     shape = np.broadcast_shapes(*(np.shape(a) for a in args))
     # all arguments as arrays of one rank: numpy's scalar arithmetic rounds some
     # complex operations differently from its array loops, and a system must
@@ -77,6 +66,55 @@ def probe_response_compact(
     rank = max(len(shape), 1)
     out = _probe_rows(*(np.reshape(a, (1,) * (rank - np.ndim(a)) + np.shape(a)) for a in args))
     return tuple(x.reshape(shape) for x in out)
+
+
+def probe_rates(relax: RelaxationSet) -> tuple:
+    """Decay rates of the probe-block coherences (rho_nl, rho_ng, rho_ml, rho_mg)."""
+    return relax.coh_nl, relax.coh_gn, relax.coh_ml, relax.coh_gm
+
+
+def probe_block(om1p, om2p, om4p, G1, G3, rates) -> tuple:
+    """The probe block's diagonal M00..M33 and couplings p, q, r, s in rad/us.
+
+    Detunings and amplitudes are in MHz and may be complex; ``rates`` are
+    :func:`probe_rates`.  The layout is that of :func:`_probe_rows`.
+    """
+    om1p, om2p, om4p = (np.asarray(x) * RAD_PER_MHZ for x in (om1p, om2p, om4p))
+    G1, G3 = (np.asarray(x, dtype=complex) * RAD_PER_MHZ for x in (G1, G3))
+    h_nn = om2p - om1p          # level n in the rotating frame
+    h_gg = -om1p
+    h_mm = -om4p
+    return (
+        -1j * h_nn - rates[0],
+        -1j * (h_nn - h_gg) - rates[1],
+        -1j * h_mm - rates[2],
+        -1j * (h_mm - h_gg) - rates[3],
+        -1j * G1, -1j * np.conj(G1), 1j * np.conj(G3), 1j * G3,
+    )
+
+
+def probe_matrix(m00, m11, m22, m33, p, q, r, s) -> np.ndarray:
+    """The probe block (..., 4, 4) from the parts :func:`probe_block` gives."""
+    parts = np.broadcast_arrays(m00, m11, m22, m33, p, q, r, s)
+    M = np.zeros(parts[0].shape + (4, 4), dtype=complex)
+    for j in range(4):
+        M[..., j, j] = parts[j]
+    M[..., 0, 1] = M[..., 2, 3] = parts[4]
+    M[..., 1, 0] = M[..., 3, 2] = parts[5]
+    M[..., 0, 2] = M[..., 1, 3] = parts[6]
+    M[..., 2, 0] = M[..., 3, 1] = parts[7]
+    return M
+
+
+def probe_sources(d4pop, d2pop, rho_lg, rho_gl, rho_nm, rho_mn) -> tuple:
+    """Right-hand sides (b0, b1, b2, b3) of the probe block for a unit G4 and a unit conj(G2).
+
+    Each is minus the source commutator of the unit probe, in angular
+    units; the arguments are those :func:`compact_sources` extracts.
+    """
+    c = 1j * RAD_PER_MHZ
+    return ((c * rho_nm, 0.0, -c * d4pop, -c * rho_lg),
+            (-c * rho_gl, -c * d2pop, 0.0, c * rho_mn))
 
 
 def _probe_rows(m00, m11, m22, m33, p, q, r, s,
@@ -107,15 +145,14 @@ def _probe_rows(m00, m11, m22, m33, p, q, r, s,
         det = m00 * m33 * s11 * s22
 
         def rows12(b0, b1, b2, b3):
-            # b: minus the source commutator of a unit probe, in angular units
             r1 = b1 - q * b0 * i0 - r * b3 * i3
             r2 = b2 - s * b0 * i0 - p * b3 * i3
             x2 = (r2 - lower * r1) / s22
             return (r1 - s12 * x2) / s11, x2
 
-        c = 1j * RAD_PER_MHZ
-        x1_4, x2_4 = rows12(c * rho_nm, 0.0, -c * d4pop, -c * rho_lg)   # unit G4
-        x1_2, x2_2 = rows12(-c * rho_gl, -c * d2pop, 0.0, c * rho_mn)   # unit conj(G2)
+        unit_g4, unit_g2 = probe_sources(d4pop, d2pop, rho_lg, rho_gl, rho_nm, rho_mn)
+        x1_4, x2_4 = rows12(*unit_g4)
+        x1_2, x2_2 = rows12(*unit_g2)
         out = np.stack(np.broadcast_arrays(x2_4, x2_2, np.conj(x1_2), np.conj(x1_4)))
         bad = np.broadcast_to(~np.isfinite(det) | (det == 0), out.shape[1:])
     if np.any(bad):

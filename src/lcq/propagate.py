@@ -5,7 +5,7 @@ under its own intensity-dependent sigma coefficient, the probe pair is
 cross-coupled through gamma4/gamma2 (which include the drive product), and
 the drives carry the quadratic probe back-action term.  Coefficients are
 re-evaluated from the local drive amplitudes at every integration stage,
-either directly (one velocity-averaging pass per stage for the whole batch)
+either directly (one Doppler-averaging pass per stage for the whole batch)
 or through a tensor-product cubic-spline cache over (|G1|, |G3|), which
 only :meth:`CoefficientCache.build` makes, and only where both boundary
 drives are on (:func:`drives_on`).  One fixed-step RK4 engine advances
@@ -142,7 +142,7 @@ class CoefficientCache:
         """Cache of ``columns`` over [0, 1.05|G10|] x [0, 1.05|G30|] of ``columns[0]``.
 
         The columns share the drives' detunings and boundary values, hence
-        one :class:`DriveGrid` pass over the velocity chunks, which
+        one :class:`DriveGrid` pass over the drive points, which
         ``threads`` worker threads split.  The grids are power-spaced
         (denser toward zero amplitude, where the coefficients curve most as
         the drives die out); uniform spacing at the same node count fails
@@ -237,7 +237,7 @@ def _backaction(scheme: LevelScheme) -> np.ndarray:
 
 def _direct_rows(scheme, relax, medium, quad, fields: list[FieldConfig], idx: np.ndarray,
                  g1_abs: np.ndarray, g3_abs: np.ndarray) -> np.ndarray:
-    """Rows (n, 12) of n points averaged directly, in one velocity pass.
+    """Rows (n, 12) of n points averaged directly, in one Doppler-averaging pass.
 
     Point k is at the drives (``g1_abs[k]``, ``g3_abs[k]``) and the probe
     detuning of ``fields[idx[k]]``; the drive detunings are those of

@@ -74,7 +74,7 @@ def spectra_scan(
     The Stokes detuning is slaved to omega2 = omega1 + omega3 - omega4.
     Drive amplitudes default to the boundary values of ``base`` and can be
     overridden (for spectra at partially depleted drives).  The whole sweep
-    is one velocity-averaging pass with one probe column per point.
+    is one Doppler-averaging pass with one probe column per point.
     """
     sweep = np.asarray(sweep, dtype=float)
     if sweep.size == 0:

@@ -279,11 +279,66 @@ def test_missing_output_directory_fails_before_any_averaging(tmp_path, monkeypat
     ["preset", "--out", "{dir}"],
 ], ids=["out", "manifest", "preset"])
 def test_failed_write_is_a_config_error(tmp_path, args):
-    # a directory where the file should go: the run computes, then the write fails
+    # a directory where the file should go
     proc = run_cli([a.format(dir=tmp_path) for a in args], tmp_path)
     assert proc.returncode == 2, proc.stderr
     err = proc.stderr.splitlines()
     assert len(err) == 1 and err[0].startswith("configuration error: cannot write"), err
+
+
+@pytest.mark.parametrize("flag", ["--out", "--manifest"])
+def test_directory_as_output_fails_before_any_averaging(tmp_path, monkeypatch, capsys, flag):
+    averaged = []
+    monkeypatch.setattr(doppler, "_average", lambda *a, **kw: averaged.append(a))
+    rc = cli.main(["spectra", "--omega4", "0:10:3", flag, str(tmp_path)])
+    captured = capsys.readouterr()
+    err = captured.err.splitlines()
+    assert rc == 2 and averaged == [] and captured.out == ""
+    assert len(err) == 1 and err[0].startswith("configuration error: cannot write"), err
+
+
+_RATE_KEYS = {
+    "gamma_m": ("gamma_pop_MHz", "m"), "gamma_g": ("gamma_pop_MHz", "g"),
+    "gamma_n": ("gamma_pop_MHz", "n"),
+    **{f"coh_{k}": ("gamma_coh_MHz", k) for k in ("ml", "gl", "mn", "gn", "nl", "gm")},
+    **{f"sp_{k}": ("gamma_spont_MHz", k) for k in ("mn", "ml", "gn", "gl")},
+}
+# a spontaneous rate may be zero; Gamma_m or Gamma_g alone cannot, as their
+# level's branches would exceed them; any other zero rate leaves the
+# velocity average undefined
+_ZERO_RATE_EXIT = {**dict.fromkeys(_RATE_KEYS, 3), "gamma_m": 2, "gamma_g": 2,
+                   **dict.fromkeys(("sp_mn", "sp_ml", "sp_gn", "sp_gl"), 0)}
+
+
+@pytest.mark.parametrize("command", [
+    ["spectra", "--omega4", "0:10:3"],
+    ["gainmap", "--omega4", "150:155:2", "--length", "0:2:2", "--steps", "100"],
+], ids=["spectra", "gainmap"])
+@pytest.mark.parametrize("rate", list(_RATE_KEYS))
+def test_zero_rate_gives_finite_csv_or_a_named_error(tmp_path, capsys, rate, command):
+    group, key = _RATE_KEYS[rate]
+    cfg = tmp_path / "rates.json"
+    cfg.write_text(json.dumps({"relaxation": {group: {key: 0.0}}}))
+    out = tmp_path / "out.csv"
+    rc = cli.main([*command, "--config", str(cfg), "--quad", "101", "--out", str(out)])
+    err = capsys.readouterr().err.splitlines()
+    assert rc == _ZERO_RATE_EXIT[rate], err
+    if rc == 0:
+        rows = out.read_text().splitlines()[1:]
+        assert rows and all(math.isfinite(float(x)) for row in rows for x in row.split(","))
+    else:
+        prefix = "configuration error:" if rc == 2 else "numerical failure:"
+        assert len(err) == 1 and err[0].startswith(prefix) and not out.exists(), err
+
+
+def test_manifest_records_the_averaging_method(tmp_path):
+    out = tmp_path / "s.csv"
+    assert cli.main(["spectra", "--omega4", "0:10:2", "--quad", "301", "--out", str(out)]) == 0
+    quadrature = json.loads((tmp_path / "s.csv.manifest.json").read_text())["quadrature"]
+    assert quadrature["method"] == "pole sums of Faddeeva functions"
+    assert quadrature["exceptional_points"] == 0
+    assert 1.0 <= quadrature["worst_pole_condition"] <= doppler._COALESCING
+    assert {"n", "wing_n", "rule"} <= set(quadrature)
 
 
 def test_manifest_records_argv_given_to_main(tmp_path):

@@ -1,4 +1,4 @@
-"""Velocity averaging, normalization and the independent Voigt oracle."""
+"""Velocity averaging by pole sums, normalization, the velocity-sum oracle and the Voigt oracle."""
 
 import math
 import re
@@ -8,11 +8,13 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from lcq import doppler as dp
 from lcq import liouville as lv
-from lcq import scans
-from lcq.scheme import RAD_PER_MHZ, FieldConfig, na2_preset
+from lcq import reference, scans
+from lcq.scheme import RAD_PER_MHZ, FieldConfig, RelaxationSet, na2_preset
 
 
 @pytest.fixture(scope="module")
@@ -31,9 +33,8 @@ def quad(preset):
 # --------------------------------------------------------------------------
 
 def test_nodes_cover_unit_mass(quad):
-    # wing panels carry plain trapezoid (second-order) weights, so the total
-    # Maxwell mass is recovered to the 1e-5 level; the absolute scale cancels
-    # against the normalization computed with the same rule
+    # the sinh rule's trapezoid weights recover the Maxwell mass inside
+    # +-4.5 u, which misses only erfc(4.5) = 2e-10 of it
     v, w = quad.nodes()
     assert np.all(np.diff(v) > 0)
     assert abs(np.sum(w) - 1.0) < 1e-4
@@ -52,7 +53,7 @@ def test_rule_validation():
     with pytest.raises(ValueError):
         dp.QuadratureSpec(u=500.0, n=4)
     with pytest.raises(ValueError):
-        dp.QuadratureSpec(u=500.0, core=5.0, span=4.5)
+        dp.QuadratureSpec(u=500.0, span=0.0)
 
 
 def test_kahan_sum_matches_plain_sum():
@@ -141,26 +142,136 @@ def test_zero_drive_alpha4_matches_voigt(preset):
         assert abs(mc.alpha4 - expected) / expected < 1e-3
 
 
-def test_quadrature_gate_at_preset(preset, quad):
+def _fields(ratios, means):
+    return [ratios, *means]
+
+
+def _worst(poles, oracle, scale) -> float:
+    """Largest |pole sum - oracle| over each field's Maxwell-averaged modulus."""
+    worst = 0.0
+    for p, o, s in zip(_fields(*poles), _fields(*oracle), _fields(*scale)):
+        err = np.abs(p - o)
+        assert np.all(err[s.real == 0] == 0)  # a field that vanishes does so exactly
+        worst = max(worst, float(np.max(err / np.where(s.real > 0, s.real, 1.0))))
+    return worst
+
+
+def test_quadrature_gate_at_preset(preset):
+    # the oracle's velocity sum converges onto the pole sums at the preset:
+    # doubling its nodes moves it from about 1e-10 to below 1e-12 of each
+    # field's scale
     sch, relax, medium, fields = preset
-    ok, rel = dp.quadrature_gate(sch, relax, medium, fields,
-                                 fields.g10, fields.g30, quad)
-    assert ok, f"doubling the velocity nodes changed alpha4 by {rel:.2e}"
+    columns = [fields.with_omega4(om) for om in (0.0, 35.0, 155.0, 300.0)]
+    poles = dp._average(sch, relax, medium, dp.QuadratureSpec.for_medium(sch, medium),
+                        columns, fields.g10, fields.g30)
+    errors = []
+    for n in (1311, 2621):
+        quad = dp.QuadratureSpec.for_medium(sch, medium, n=n)
+        oracle = reference.velocity_average(sch, relax, medium, quad, columns,
+                                            fields.g10, fields.g30)
+        scale = reference.velocity_average(sch, relax, medium, quad, columns,
+                                           fields.g10, fields.g30, modulus=True)
+        errors.append(_worst(poles, oracle, scale))
+    assert errors[0] < 1e-9 and errors[1] < 1e-12, errors
 
 
 def test_rule_independence_on_preset(preset):
-    # two structurally different resolved rules agree on dressed spectra
+    # the pole sums read only the thermal speed of the quadrature spec, and
+    # the oracle's two rules, sinh and uniform trapezoid, agree with them
     sch, relax, medium, fields = preset
     u = medium.thermal_speed(sch)
-    q_core = dp.QuadratureSpec(u=u)
+    q_sinh = dp.QuadratureSpec(u=u)
     q_trap = dp.QuadratureSpec(u=u, rule="trapezoid", n=8191)
     for om4 in (0.0, 35.0, 160.0):
-        a = dp.average_coefficients(sch, relax, medium, fields.with_omega4(om4),
-                                    fields.g10, fields.g30, q_core)
-        b = dp.average_coefficients(sch, relax, medium, fields.with_omega4(om4),
-                                    fields.g10, fields.g30, q_trap)
-        assert abs(a.alpha4 - b.alpha4) / abs(b.alpha4) < 1e-5
-        assert abs(a.alpha2 - b.alpha2) / max(abs(b.alpha2), 1e-3) < 1e-4
+        f = fields.with_omega4(om4)
+        a = dp.average_coefficients(sch, relax, medium, f, fields.g10, fields.g30, q_sinh)
+        b = dp.average_coefficients(sch, relax, medium, f, fields.g10, fields.g30, q_trap)
+        assert a == b
+        for quad, rtol in ((q_sinh, 1e-9), (q_trap, 1e-5)):
+            ratios, (means,) = reference.velocity_average(sch, relax, medium, quad, [f],
+                                                         fields.g10, fields.g30)
+            poles, (exact,) = dp._average(sch, relax, medium, quad, [f], fields.g10, fields.g30)
+            assert abs(means[0] - exact[0]) < rtol * abs(exact[0])
+            assert abs(means[2] - exact[2]) < rtol * abs(exact[2])
+
+
+@st.composite
+def damped_relaxation_sets(draw):
+    """Positive rates in [20, 300] whose spontaneous branches fit inside their level's decay."""
+    names = ("gamma_m", "gamma_g", "gamma_n", "coh_ml", "coh_gl", "coh_mn", "coh_gn",
+             "coh_nl", "coh_gm")
+    rates = {name: draw(st.floats(20.0, 300.0)) for name in names}
+    for level, (a, b) in (("m", ("sp_mn", "sp_ml")), ("g", ("sp_gn", "sp_gl"))):
+        total = rates["gamma_" + level]
+        rates[a] = draw(st.floats(0.0, 1.0)) * total
+        rates[b] = draw(st.floats(0.0, 1.0)) * (total - rates[a])
+    return RelaxationSet(**rates)
+
+
+# zero, or above 1e-6 MHz: the cross couplings scale as G1 G3, and their
+# averages lose digits to underflow once that product nears the subnormals
+_drive = st.builds(lambda r, phi: r * np.exp(1j * phi),
+                   st.one_of(st.just(0.0), st.floats(1e-6, 150.0)), st.floats(0.0, 2 * np.pi))
+_detuning = st.floats(-300.0, 300.0)
+
+
+@settings(max_examples=25, deadline=None)
+@given(relax=damped_relaxation_sets(), g1=_drive, g3=_drive,
+       om=st.tuples(_detuning, _detuning, _detuning, _detuning))
+def test_pole_sums_match_the_velocity_sum(relax, g1, g3, om):
+    # every field of the exact average against the oracle's 6001-node sinh
+    # rule, to 1e-10 of the Maxwell average of the field's modulus.  The
+    # rule reaches out to 6 u: cutting it at 4.5 u misses up to 2e-11 of a
+    # strongly driven field's scale
+    sch, _, medium, _ = na2_preset()
+    quad = dp.QuadratureSpec.for_medium(sch, medium, n=6001, span=6.0)
+    columns = [FieldConfig(omega1=om[0], omega3=om[1], omega4=w4) for w4 in om[2:]]
+    poles = dp._average(sch, relax, medium, quad, columns, g1, g3)
+    oracle = reference.velocity_average(sch, relax, medium, quad, columns, g1, g3)
+    scale = reference.velocity_average(sch, relax, medium, quad, columns, g1, g3, modulus=True)
+    assert _worst(poles, oracle, scale) <= 1e-10
+
+
+def _exceptional_point(sch, relax, medium, fields):
+    """Probe detuning and G3 at which, with G1 = 0, the poles of rho_nl and rho_ml coalesce.
+
+    With G1 = 0 the pair couples through G3 alone, as the 2 x 2 pencil
+    block [[K00, K02], [K20, K22]] of K = -M1^-1 M0.  Its eigenvalues meet
+    where Re K00 = Re K22, which fixes omega4, and |Im (K00 - K22)| =
+    2 sqrt(K02 K20), which fixes |G3|.
+    """
+    d1, d2, _, d4 = lv.doppler_shifts(sch, medium.thermal_speed(sch))
+    omega4 = (fields.omega3 - fields.omega1) * d4 / (d4 + d2 - d1)
+    gap = relax.coh_nl / (2 * math.pi * abs(d2 - d1)) - relax.coh_ml / (2 * math.pi * d4)
+    return omega4, abs(gap) * math.sqrt(abs(d2 - d1) * d4) / 2
+
+
+def test_coalescing_poles_are_averaged_by_the_rule_and_counted(preset, quad):
+    sch, relax, medium, fields = preset
+    omega4, g3 = _exceptional_point(sch, relax, medium, fields)
+    column = [fields.with_omega4(omega4)]
+    with dp.pole_stats() as stats:
+        got = dp._average(sch, relax, medium, quad, column, 0.0, g3)
+    assert stats.exceptional == 1 and stats.worst_condition > dp._COALESCING
+    # the probe responses there are the oracle's sum over the same rule,
+    # while the drive poles, which do not coalesce, still give the ratios
+    oracle = reference.velocity_average(sch, relax, medium, quad, column, 0.0, g3)
+    assert np.array_equal(got[1][0], oracle[1][0])
+    fine = dp.QuadratureSpec.for_medium(sch, medium, n=8001)
+    oracle = reference.velocity_average(sch, relax, medium, fine, column, 0.0, g3)
+    scale = reference.velocity_average(sch, relax, medium, fine, column, 0.0, g3, modulus=True)
+    assert _worst(got, oracle, scale) < 1e-12
+    # a little way off, the poles are apart enough for the pole sums, which
+    # the fine oracle confirms
+    for shift in (1e-3, 1e-5):
+        with dp.pole_stats() as stats:
+            got = dp._average(sch, relax, medium, quad, column, 0.0, g3 * (1 + shift))
+        assert stats.exceptional == 0
+        oracle = reference.velocity_average(sch, relax, medium, fine, column, 0.0,
+                                            g3 * (1 + shift))
+        scale = reference.velocity_average(sch, relax, medium, fine, column, 0.0,
+                                           g3 * (1 + shift), modulus=True)
+        assert _worst(got, oracle, scale) < 1e-10
 
 
 def test_averaging_reports_failing_node(preset, quad):
@@ -172,20 +283,36 @@ def test_averaging_reports_failing_node(preset, quad):
                    sp_gn=0.0, sp_gl=0.0)
     with pytest.raises(dp.AveragingError):
         dp.average_coefficients(sch, dead, medium, fields, 0.0, 0.0, quad)
+    # the oracle names the velocity node where the class solve fails
+    with pytest.raises(dp.AveragingError, match=r"velocity node \d+"):
+        reference.velocity_average(sch, dead, medium, quad, [fields], 0.0, 0.0)
+
+
+@pytest.mark.parametrize("rate", ["gamma_m", "gamma_g", "gamma_n", "coh_ml", "coh_gl", "coh_mn",
+                                  "coh_gn", "coh_nl", "coh_gm"])
+def test_zero_damping_rate_is_a_named_error(preset, quad, rate):
+    # the pole sums need every population and coherence rate positive; a
+    # level that does not decay has no spontaneous branches either
+    sch, relax, medium, fields = preset
+    branches = {"gamma_m": ("sp_mn", "sp_ml"), "gamma_g": ("sp_gn", "sp_gl")}.get(rate, ())
+    dead = replace(relax, **dict.fromkeys((rate, *branches), 0.0))
+    with pytest.raises(dp.AveragingError, match=f"{rate} = 0"):
+        dp._average(sch, dead, medium, quad, [fields], 50.0, 20.0)
 
 
 def test_grid_failure_names_the_velocity_node(preset, quad):
     # without rho_nl coherence decay the probe block is singular where the
-    # Raman detuning vanishes, at v = 0 for omega4 = omega3; a drive grid
-    # names the same velocity node as a single drive point
+    # Raman detuning vanishes, at v = 0 for omega4 = omega3; the oracle on a
+    # drive grid names the same velocity node as at a single drive point
     sch, relax, medium, fields = preset
     dead = replace(relax, coh_nl=0.0)
     raman = fields.with_omega4(fields.omega3)
     with pytest.raises(dp.AveragingError) as point:
-        dp.average_coefficients(sch, dead, medium, raman, 50.0, 20.0, quad)
-    grid = dp.DriveGrid(sch, dead, medium, raman, [0.0, 50.0, 100.0], [0.0, 20.0], quad)
+        reference.velocity_average(sch, dead, medium, quad, [raman], 50.0, 20.0)
     with pytest.raises(dp.AveragingError) as info:
-        grid.coefficients_for(raman)
+        reference.velocity_average(sch, dead, medium, quad, [raman],
+                                   np.array([0.0, 50.0, 100.0])[:, None],
+                                   np.array([0.0, 20.0])[None, :])
     node = re.search(r"velocity node \d+ \(v = [-0-9.]+ m/s\)", str(point.value)).group()
     assert node in str(info.value)
     assert "drive point (0, 0)" in str(info.value)
@@ -193,52 +320,51 @@ def test_grid_failure_names_the_velocity_node(preset, quad):
 
 def test_singular_drive_sector_names_the_drive_point(preset, quad):
     # without decay of level g the drive sector is singular wherever G1 = 0,
-    # from the first velocity node on; the grid names that drive point
+    # from the first velocity node on; the oracle names that drive point
     sch, relax, medium, fields = preset
     no_g_decay = replace(relax, gamma_g=0.0, sp_gn=0.0, sp_gl=0.0)
-    grid = dp.DriveGrid(sch, no_g_decay, medium, fields, [100.0, 50.0, 0.0], [0.0, 20.0], quad)
     with pytest.raises(dp.AveragingError) as info:
-        grid.tables([fields])
+        reference.velocity_average(sch, no_g_decay, medium, quad, [fields],
+                                   np.array([100.0, 50.0, 0.0])[:, None],
+                                   np.array([0.0, 20.0])[None, :])
     assert "velocity node 0 (v = " in str(info.value)
     assert "drive point (2, 0)" in str(info.value)
 
 
 def test_failure_in_a_later_chunk_on_a_worker_names_the_same_node(preset, quad):
-    # on a 40 x 24 grid a chunk holds 17 classes, so the singular probe
-    # block at v = 0 lies in none of the chunks the workers start with;
-    # whichever worker meets it, the error names what one thread names
+    # on a 40 x 24 grid an oracle chunk holds 17 classes, so the singular
+    # probe block at v = 0 lies in a later chunk, and the grid names the
+    # node a single point names.  The pole sums split the grid among
+    # workers: every thread count gives the same tables, bit for bit
     sch, relax, medium, fields = preset
     dead = replace(relax, coh_nl=0.0)
     raman = fields.with_omega4(fields.omega3)
+    g1, g3 = np.linspace(0.0, 100.0, 40), np.linspace(0.0, 40.0, 24)
     with pytest.raises(dp.AveragingError) as point:
-        dp.average_coefficients(sch, dead, medium, raman, 50.0, 20.0, quad)
+        reference.velocity_average(sch, dead, medium, quad, [raman], 50.0, 20.0)
     node = re.search(r"velocity node (\d+) \(v = [-0-9.]+ m/s\)", str(point.value))
     assert int(node.group(1)) // (lv._CHUNK // (40 * 24)) > 3
-    grid = dp.DriveGrid(sch, dead, medium, raman, np.linspace(0.0, 100.0, 40),
-                        np.linspace(0.0, 40.0, 24), quad)
-    messages = []
-    for threads in (1, 2, 3):
-        with pytest.raises(dp.AveragingError) as info:
-            grid.tables([fields, raman], threads=threads)
-        assert node.group() in str(info.value)
-        assert "drive point (0, 0)" in str(info.value)
-        messages.append(str(info.value))
-    assert len(set(messages)) == 1
+    with pytest.raises(dp.AveragingError) as info:
+        reference.velocity_average(sch, dead, medium, quad, [fields, raman],
+                                   g1[:, None], g3[None, :])
+    assert node.group() in str(info.value) and "drive point (0, 0)" in str(info.value)
+    grid = dp.DriveGrid(sch, relax, medium, fields, g1, g3, quad)
+    tables = [grid.tables([fields, raman], threads=threads) for threads in (1, 2, 3)]
+    assert all(np.array_equal(t, tables[0]) for t in tables)
 
 
 def test_grid_memory_stays_bounded_as_nodes_double(preset):
-    # the probe sources of every class at every drive point, which the grid
-    # no longer keeps, would take 6 nv n1 n3 complex numbers
+    # the oracle keeps one chunk of classes at a time: the probe sources of
+    # every class at every drive point would take 6 nv n1 n3 complex numbers
     sch, relax, medium, fields = preset
     columns = [fields.with_omega4(150.0), fields.with_omega4(160.0)]
+    g1, g3 = np.linspace(0.0, 105.0, 40)[:, None], np.linspace(0.0, 42.0, 24)[None, :]
     peaks = {}
     for n in (1311, 2621):
         quad = dp.QuadratureSpec.for_medium(sch, medium, n=n)
-        grid = dp.DriveGrid(sch, relax, medium, fields, np.linspace(0.0, 105.0, 40),
-                            np.linspace(0.0, 42.0, 24), quad)
         tracemalloc.start()
         try:
-            grid.tables(columns)
+            reference.velocity_average(sch, relax, medium, quad, columns, g1, g3)
             peaks[n] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -269,19 +395,33 @@ def test_fixed_order_summation_reproducible(preset, quad):
 
 
 def test_sweep_solves_the_drive_sector_once(preset, quad, monkeypatch):
-    # one velocity set for the whole sweep plus one for the normalization
+    # the pole sums find the drive poles once for the whole sweep and once
+    # for the normalization; the oracle solves each velocity class once
     sch, relax, medium, fields = preset
     dp._norm_constant.cache_clear()
+    sector = dp._drive_sector
+    points = []
+
+    def counted(relax, p_n, alpha, beta, G1, G3):
+        points.append(len(G1))
+        return sector(relax, p_n, alpha, beta, G1, G3)
+
+    monkeypatch.setattr(dp, "_drive_sector", counted)
+    sweep = np.linspace(-20.0, 20.0, 5)
+    scans.spectra_scan(sch, relax, medium, fields, sweep, quad=quad)
+    assert points == [1, 1]
+
     solve = lv.drive_steady_state_batch
     systems = []
 
-    def counted(relax, p_n, om1p, om3p, G1, G3):
+    def solved(relax, p_n, om1p, om3p, G1, G3):
         systems.append(np.broadcast(om1p, om3p, G1, G3).size)
         return solve(relax, p_n, om1p, om3p, G1, G3)
 
-    monkeypatch.setattr(lv, "drive_steady_state_batch", counted)
-    scans.spectra_scan(sch, relax, medium, fields, np.linspace(-20.0, 20.0, 5), quad=quad)
-    assert sum(systems) == 2 * quad.nodes()[0].size
+    monkeypatch.setattr(lv, "drive_steady_state_batch", solved)
+    reference.velocity_average(sch, relax, medium, quad,
+                               [fields.with_omega4(x) for x in sweep], fields.g10, fields.g30)
+    assert sum(systems) == quad.nodes()[0].size
 
 
 def test_pass_memory_does_not_grow_with_the_columns(preset, quad):
@@ -310,10 +450,11 @@ def test_non_finite_coefficient_raises(preset, quad, monkeypatch):
     sch, relax, medium, fields = preset
     dp._norm_constant(sch, relax, medium, quad)
 
-    def nan_responses(src, *args):
-        return tuple(np.full(np.shape(src[0]), np.nan + 0j) for _ in range(4))
+    def nan_means(drive, block, slopes):
+        n = len(block[0])
+        return tuple(np.full(n, np.nan + 0j) for _ in range(4)), np.zeros(n)
 
-    monkeypatch.setattr(lv, "probe_response_compact", nan_responses)
+    monkeypatch.setattr(dp, "_probe_means", nan_means)
     with pytest.raises(dp.AveragingError, match="non-finite"):
         dp.average_coefficients(sch, relax, medium, fields, 100.0, 40.0, quad)
 
