@@ -338,9 +338,10 @@ def _drive_sector(relax: RelaxationSet, p_n: float, alpha, beta, G1, G3) -> _Dri
     return _DriveSector(Q, sources, np.stack([ratio1, ratio3]), poles, weights, condition)
 
 
-def _probe_means(drive: _DriveSector, block, slopes) -> tuple:
-    """Averaged probe responses (a4, b4, a2, b2), each (P,), and their condition numbers (P,).
+def _probe_means(drive: _DriveSector, point: np.ndarray, block, slopes) -> tuple:
+    """Averaged probe responses (4, B) of B probe blocks, and their condition numbers (B,).
 
+    Block k is at the drive point ``point[k]`` of ``drive``.
     ``block`` holds :func:`lcq.liouville.probe_block`'s parts at x = 0 and
     ``slopes`` the derivatives of its diagonal in x, so that the block is
     the pencil M(x) = M0 + x M1 with M1 = diag(slopes).  Its poles are the
@@ -357,7 +358,7 @@ def _probe_means(drive: _DriveSector, block, slopes) -> tuple:
     """
     lam, V = np.linalg.eig(-liouville.probe_matrix(*block) / slopes[:, None])
     condition = _condition(V)
-    poles = np.concatenate([lam, drive.poles], axis=1)                      # (P, 8)
+    poles = np.concatenate([lam, drive.poles[point]], axis=1)               # (B, 8)
     m0, m1, m2, m3 = (block[j][:, None] + slopes[j] * poles for j in range(4))
     p, q, r, s = (c[:, None] for c in block[4:])
     pq, rs = p * q, r * s
@@ -367,19 +368,20 @@ def _probe_means(drive: _DriveSector, block, slopes) -> tuple:
         (-s * (m1 * m3 + pq - rs), p * s * (m0 + m3),                       # C_j2
          m0 * (m1 * m3 - rs) - pq * m3, -p * (m0 * m1 - pq + rs)),
     )
-    gap = poles[:, :, None] - poles[:, None, :]                              # (P, 8, 8)
+    gap = poles[:, :, None] - poles[:, None, :]                              # (B, 8, 8)
     width = np.abs(poles.imag)
     eye = np.eye(8, dtype=bool)
     spread = (width[:, :, None] + width[:, None, :]) / np.abs(np.where(eye, np.inf, gap))
     condition = np.maximum(condition, np.max(spread, axis=(1, 2)))
     det = np.prod(slopes) * np.prod(np.where(eye[:, :4], 1.0, gap[:, :, :4]), axis=2)
-    weights = np.concatenate([_plasma_z(lam) / _polyval(drive.Q, lam), drive.weights], axis=1) / det
-    src = [_polyval(c, poles) for c in drive.sources]
+    weights = np.concatenate([_plasma_z(lam) / _polyval(drive.Q[point], lam),
+                              drive.weights[point]], axis=1) / det
+    src = [_polyval(c[point], poles) for c in drive.sources]
     # the unit sources have a structural zero each, a scalar 0.0
     rows = [_pole_sum(sum(n * c for n, c in zip(unit, cof) if np.ndim(n)) * weights)
             for unit in liouville.probe_sources(*src) for cof in cofactors]
     x1_4, x2_4, x1_2, x2_2 = rows
-    return (x2_4, x2_2, np.conj(x1_2), np.conj(x1_4)), condition
+    return np.stack([x2_4, x2_2, np.conj(x1_2), np.conj(x1_4)]), condition
 
 
 def _node_sums(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
@@ -424,6 +426,8 @@ def _node_sums(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
 
 # eigenvector condition number above which poles count as coalescing
 _COALESCING = 1e4
+_POINTS_PER_BATCH = 2048
+_GROUP_BLOCKS = 64
 # The rates the pole sums need positive.  Without Gamma_m, Gamma_g or Gamma_n
 # the zero-drive steady state is not unique, and a zero coherence rate puts a
 # pole of the per-class response on the real velocity axis, where the Maxwell
@@ -431,7 +435,6 @@ _COALESCING = 1e4
 # rate may be zero.
 _DAMPING = ("gamma_m", "gamma_g", "gamma_n", "coh_ml", "coh_gl", "coh_mn", "coh_gn", "coh_nl",
             "coh_gm")
-_POINTS_PER_BATCH = 2048
 
 
 class PoleStats:
@@ -528,18 +531,26 @@ def _average(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
                                             (p_n, relax.coh_mn, top.omega3, d3))
             ])[:, None]
             bad = ~(drive.condition <= _COALESCING) & ~idle
-            for c in range(len(columns)):
-                w4 = omega4(c)
-                block = liouville.probe_block(top.omega1, top.omega1 + top.omega3 - w4[rows],
-                                              w4[rows], g1[rows], g3[rows], rates)
-                out = means[c].reshape(4, -1)[:, rows]
-                out[:], condition = _probe_means(drive, block, slopes)
-                out[:, idle] = np.stack(np.broadcast_arrays(
-                    _lorentzian(-1j * rad * (1.0 - p_n), block[2][idle], slopes[2]), 0.0,
-                    np.conj(_lorentzian(1j * rad * p_n, block[1][idle], slopes[1])), 0.0))
-                condition = np.where(idle, 0.0, np.maximum(drive.condition, condition))
+            n = len(idle)
+            # columns go in groups of about _GROUP_BLOCKS probe blocks, each a block per drive point
+            group = max(1, _GROUP_BLOCKS // n)
+            for first in range(0, len(columns), group):
+                cols = range(first, min(first + group, len(columns)))
+                w4 = np.concatenate([omega4(c)[rows] for c in cols])
+                point = np.tile(np.arange(n), len(cols))
+                block = liouville.probe_block(top.omega1, top.omega1 + top.omega3 - w4, w4,
+                                              g1[rows][point], g3[rows][point], rates)
+                values, condition = _probe_means(drive, point, block, slopes)
+                still = np.tile(idle, len(cols))
+                values[:, still] = np.stack(np.broadcast_arrays(
+                    _lorentzian(-1j * rad * (1.0 - p_n), block[2][still], slopes[2]), 0.0,
+                    np.conj(_lorentzian(1j * rad * p_n, block[1][still], slopes[1])), 0.0))
+                condition = np.where(still, 0.0, np.maximum(drive.condition[point], condition))
                 stats.add(condition)
-                by_rule(rows.start + np.flatnonzero(~bad & ~(condition <= _COALESCING)), [c], False)
+                for i, c in enumerate(cols):
+                    means[c].reshape(4, -1)[:, rows] = values[:, i * n:(i + 1) * n]
+                    flagged = ~(condition[i * n:(i + 1) * n] <= _COALESCING)
+                    by_rule(rows.start + np.flatnonzero(~bad & flagged), [c], False)
         by_rule(rows.start + np.flatnonzero(bad), list(range(len(columns))), True)
 
     edges = np.linspace(0, g1.size, max(threads, -(-g1.size // _POINTS_PER_BATCH)) + 1)

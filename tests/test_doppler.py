@@ -450,9 +450,8 @@ def test_non_finite_coefficient_raises(preset, quad, monkeypatch):
     sch, relax, medium, fields = preset
     dp._norm_constant(sch, relax, medium, quad)
 
-    def nan_means(drive, block, slopes):
-        n = len(block[0])
-        return tuple(np.full(n, np.nan + 0j) for _ in range(4)), np.zeros(n)
+    def nan_means(drive, point, block, slopes):
+        return np.full((4, len(point)), np.nan + 0j), np.zeros(len(point))
 
     monkeypatch.setattr(dp, "_probe_means", nan_means)
     with pytest.raises(dp.AveragingError, match="non-finite"):
