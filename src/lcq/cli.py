@@ -368,8 +368,9 @@ def run_validation(sch, relax, medium, fields, quad) -> bool:
                                    (scale[0], *scale[1])))
     check("pole sums vs velocity rule", worst < 1e-8,
           f"worst {worst:.1e} of a field's scale, {quad.n} nodes")
-    check("pole conditioning", stats.worst_condition <= doppler._COALESCING,
-          f"worst eigenvector condition number {stats.worst_condition:.1e}")
+    check("pole conditioning", stats.exceptional == 0,
+          f"worst condition number {stats.worst_condition:.1e}, "
+          f"{stats.exceptional} exceptional points")
 
     rng = np.random.default_rng(11)
     worst = 0.0

@@ -18,18 +18,20 @@ drive sector has four poles per drive point, the roots of the quartic
 D P1 P3 of :func:`lcq.liouville.drive_steady_state_batch`'s closed form,
 with residues from partial fractions.  The probe block adds four per drive
 point and probe column, the eigenvalues of its pencil M0 + x M1, with
-residues from the eigenvectors.
+residues from Cramer's rule.
 
 Every average is one pass, :func:`_average`: the drive poles of every drive
 point once, then the probe poles of every column.  A single point
 (:func:`average_coefficients`), a probe-detuning sweep (one column per
 point) and the coefficient-cache grid (:class:`DriveGrid`) all go through
 it, and so does the normalization.  Where poles coalesce (an exceptional
-point, detected by the eigenvector condition number) the residues grow
-and cancel, so such a point alone is averaged by the velocity rule of
-:class:`QuadratureSpec` instead, :func:`_node_sums`, and counted in the
-:func:`pole_stats` of the run.  The oracle :mod:`lcq.reference` sums the
-same rule over every class.
+point, detected by the eigenvector condition number and the poles'
+separation) the residues grow and cancel, so such a point alone is
+averaged by the velocity rule of :class:`QuadratureSpec` instead,
+:func:`_node_sums`, and counted in the :func:`pole_stats` of the run.  The
+oracle :mod:`lcq.reference` sums the same rule over every class, and
+``lcq validate`` checks the pole sums against it; ``--quad`` sizes it and
+nothing else.  ``threads`` workers split the batches of drive points.
 """
 
 from __future__ import annotations
@@ -438,10 +440,11 @@ _DAMPING = ("gamma_m", "gamma_g", "gamma_n", "coh_ml", "coh_gl", "coh_mn", "coh_
 
 
 class PoleStats:
-    """Exceptional points met, and the worst condition number of the poles, in :func:`pole_stats`.
+    """Exceptional points, and the worst condition number of the poles summed, in `pole_stats`.
 
     An exceptional point is a drive point, or a drive point of one probe
-    column, whose poles coalesce, and which the velocity rule averages.
+    column, whose poles coalesce, and which the velocity rule averages
+    instead; ``worst_condition`` is over the poles the pole sums used.
     """
 
     def __init__(self):
@@ -449,7 +452,7 @@ class PoleStats:
         self.exceptional, self.worst_condition = 0, 0.0
 
     def add(self, condition: np.ndarray, exceptional: int = 0) -> None:
-        worst = float(np.max(np.nan_to_num(condition, nan=np.inf), initial=0.0))
+        worst = float(np.max(condition, initial=0.0))
         with self.lock:
             self.exceptional += exceptional
             self.worst_condition = max(self.worst_condition, worst)
@@ -546,7 +549,7 @@ def _average(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
                     _lorentzian(-1j * rad * (1.0 - p_n), block[2][still], slopes[2]), 0.0,
                     np.conj(_lorentzian(1j * rad * p_n, block[1][still], slopes[1])), 0.0))
                 condition = np.where(still, 0.0, np.maximum(drive.condition[point], condition))
-                stats.add(condition)
+                stats.add(np.where(condition <= _COALESCING, condition, 0.0))
                 for i, c in enumerate(cols):
                     means[c].reshape(4, -1)[:, rows] = values[:, i * n:(i + 1) * n]
                     flagged = ~(condition[i * n:(i + 1) * n] <= _COALESCING)
