@@ -497,6 +497,7 @@ def _average(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
         raise AveragingError(
             f"velocity averaging needs positive rates, not {', '.join(undamped)} = 0")
     g1, g3 = (np.broadcast_to(np.asarray(g, dtype=complex), shape).ravel() for g in (G1, G3))
+
     def omega4(c: int) -> np.ndarray:
         return np.broadcast_to(np.asarray(columns[c].omega4, dtype=float), shape).reshape(-1)
 

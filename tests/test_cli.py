@@ -326,9 +326,11 @@ def test_zero_rate_gives_finite_csv_or_a_named_error(tmp_path, capsys, rate, com
     if rc == 0:
         rows = out.read_text().splitlines()[1:]
         assert rows and all(math.isfinite(float(x)) for row in rows for x in row.split(","))
-    else:
-        prefix = "configuration error:" if rc == 2 else "numerical failure:"
-        assert len(err) == 1 and err[0].startswith(prefix) and not out.exists(), err
+    elif rc == 2:
+        assert len(err) == 1 and err[0].startswith("configuration error:"), err
+    else:  # the averaging names the rate it needs positive
+        assert len(err) == 1 and err[0].startswith("numerical failure:"), err
+        assert f"{rate} = 0" in err[0] and not out.exists(), err
 
 
 def test_manifest_records_the_averaging_method(tmp_path):

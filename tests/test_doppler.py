@@ -288,18 +288,6 @@ def test_averaging_reports_failing_node(preset, quad):
         reference.velocity_average(sch, dead, medium, quad, [fields], 0.0, 0.0)
 
 
-@pytest.mark.parametrize("rate", ["gamma_m", "gamma_g", "gamma_n", "coh_ml", "coh_gl", "coh_mn",
-                                  "coh_gn", "coh_nl", "coh_gm"])
-def test_zero_damping_rate_is_a_named_error(preset, quad, rate):
-    # the pole sums need every population and coherence rate positive; a
-    # level that does not decay has no spontaneous branches either
-    sch, relax, medium, fields = preset
-    branches = {"gamma_m": ("sp_mn", "sp_ml"), "gamma_g": ("sp_gn", "sp_gl")}.get(rate, ())
-    dead = replace(relax, **dict.fromkeys((rate, *branches), 0.0))
-    with pytest.raises(dp.AveragingError, match=f"{rate} = 0"):
-        dp._average(sch, dead, medium, quad, [fields], 50.0, 20.0)
-
-
 def test_grid_failure_names_the_velocity_node(preset, quad):
     # without rho_nl coherence decay the probe block is singular where the
     # Raman detuning vanishes, at v = 0 for omega4 = omega3; the oracle on a
