@@ -274,6 +274,25 @@ def test_coalescing_poles_are_averaged_by_the_rule_and_counted(preset, quad):
         assert _worst(got, oracle, scale) < 1e-10
 
 
+def test_coalescing_drive_poles_are_averaged_by_the_rule(preset, quad):
+    # with Gamma_mn / D3 = Gamma_gl / D1 and Omega3 / D3 = Omega1 / D1 the two
+    # drive Lorentzians share their poles, which weak drives barely split:
+    # the drive point, ratios and every column, goes to the velocity rule
+    sch, relax, medium, _ = preset
+    d1, _, d3, _ = lv.doppler_shifts(sch, quad.u)
+    twin = replace(relax, coh_mn=relax.coh_gl * d3 / d1)
+    columns = [FieldConfig(omega1=30.0, omega3=30.0 * d3 / d1, omega4=w4) for w4 in (50.0, 100.0)]
+    with dp.pole_stats() as stats:
+        got = dp._average(sch, twin, medium, quad, columns, 1e-3, 1e-3)
+    assert stats.exceptional == 1
+    assert all(np.array_equal(a, b) for a, b in zip(
+        _fields(*got), _fields(*dp._node_sums(sch, twin, medium, quad, columns, 1e-3, 1e-3))))
+    fine = dp.QuadratureSpec.for_medium(sch, medium, n=8001, span=6.0)
+    oracle = reference.velocity_average(sch, twin, medium, fine, columns, 1e-3, 1e-3)
+    scale = reference.velocity_average(sch, twin, medium, fine, columns, 1e-3, 1e-3, modulus=True)
+    assert _worst(got, oracle, scale) < 1e-12
+
+
 def test_averaging_reports_failing_node(preset, quad):
     from dataclasses import replace
     sch, relax, medium, fields = preset
