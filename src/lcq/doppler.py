@@ -213,16 +213,19 @@ def _polymul(a, b) -> np.ndarray:
 
 
 def _polyval(c: np.ndarray, x: np.ndarray) -> np.ndarray:
-    """Polynomials c (points, k) at the points' arguments x (points, m), by Horner's rule."""
-    out = np.zeros(x.shape, dtype=complex) + c[:, -1, None]
-    for k in range(c.shape[1] - 2, -1, -1):
-        out = out * x + c[:, k, None]
+    """Polynomials c (..., points, k) at the points' arguments x (points, m), by Horner's rule."""
+    out = np.zeros(x.shape, dtype=complex) + c[..., -1, None]
+    for k in range(c.shape[-1] - 2, -1, -1):
+        out = out * x + c[..., k, None]
     return out
 
 
 def _poly(points: int, *coefficients) -> np.ndarray:
     """The polynomial with ``coefficients`` (scalars or (points,) arrays) at every point."""
-    return np.column_stack(np.broadcast_arrays(*coefficients, np.empty(points))[:-1])
+    out = np.empty((points, len(coefficients)), dtype=np.result_type(*coefficients))
+    for k, c in enumerate(coefficients):
+        out[:, k] = c
+    return out
 
 
 def _plasma_z(p: np.ndarray) -> np.ndarray:
@@ -378,11 +381,11 @@ def _probe_means(drive: _DriveSector, point: np.ndarray, block, slopes) -> tuple
     det = np.prod(slopes) * np.prod(np.where(eye[:, :4], 1.0, gap[:, :, :4]), axis=2)
     weights = np.concatenate([_plasma_z(lam) / _polyval(drive.Q[point], lam),
                               drive.weights[point]], axis=1) / det
-    src = [_polyval(c[point], poles) for c in drive.sources]
+    src = _polyval(drive.sources[:, point], poles)
     # the unit sources have a structural zero each, a scalar 0.0
-    rows = [_pole_sum(sum(n * c for n, c in zip(unit, cof) if np.ndim(n)) * weights)
-            for unit in liouville.probe_sources(*src) for cof in cofactors]
-    x1_4, x2_4, x1_2, x2_2 = rows
+    x1_4, x2_4, x1_2, x2_2 = _pole_sum(np.stack([
+        sum(n * c for n, c in zip(unit, cof) if np.ndim(n))
+        for unit in liouville.probe_sources(*src) for cof in cofactors]) * weights)
     return np.stack([x2_4, x2_2, np.conj(x1_2), np.conj(x1_4)]), condition
 
 
@@ -525,15 +528,15 @@ def _average(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             drive = _drive_sector(relax, p_n, (rad * top.omega1, rad * top.omega3),
                                   (rad * d1, rad * d3), g1[rows], g3[rows])
-            ratios[:, rows] = [_pole_sum(_polyval(c, drive.poles) * drive.weights)
-                               for c in drive.ratios]
+            ratios[:, rows] = _pole_sum(_polyval(drive.ratios, drive.poles) * drive.weights)
             # without drives each response is a single Lorentzian, with a pole of its own
             idle = (g1[rows] == 0) & (g3[rows] == 0)
-            ratios[:, rows][:, idle] = np.array([
-                _lorentzian(1j * rad * pop, rate - 1j * rad * omega, 1j * rad * d)
-                for pop, rate, omega, d in ((1 - p_n, relax.coh_gl, top.omega1, d1),
-                                            (p_n, relax.coh_mn, top.omega3, d3))
-            ])[:, None]
+            if idle.any():
+                ratios[:, rows][:, idle] = np.array([
+                    _lorentzian(1j * rad * pop, rate - 1j * rad * omega, 1j * rad * d)
+                    for pop, rate, omega, d in ((1 - p_n, relax.coh_gl, top.omega1, d1),
+                                                (p_n, relax.coh_mn, top.omega3, d3))
+                ])[:, None]
             bad = ~(drive.condition <= _COALESCING) & ~idle
             n = len(idle)
             # columns go in groups of about _GROUP_BLOCKS probe blocks, each a block per drive point
@@ -546,9 +549,10 @@ def _average(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
                                               g1[rows][point], g3[rows][point], rates)
                 values, condition = _probe_means(drive, point, block, slopes)
                 still = np.tile(idle, len(cols))
-                values[:, still] = np.stack(np.broadcast_arrays(
-                    _lorentzian(-1j * rad * (1.0 - p_n), block[2][still], slopes[2]), 0.0,
-                    np.conj(_lorentzian(1j * rad * p_n, block[1][still], slopes[1])), 0.0))
+                if still.any():
+                    values[:, still] = np.stack(np.broadcast_arrays(
+                        _lorentzian(-1j * rad * (1.0 - p_n), block[2][still], slopes[2]), 0.0,
+                        np.conj(_lorentzian(1j * rad * p_n, block[1][still], slopes[1])), 0.0))
                 condition = np.where(still, 0.0, np.maximum(drive.condition[point], condition))
                 stats.add(np.where(condition <= _COALESCING, condition, 0.0))
                 for i, c in enumerate(cols):

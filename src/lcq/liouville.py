@@ -95,14 +95,14 @@ def probe_block(om1p, om2p, om4p, G1, G3, rates) -> tuple:
 
 def probe_matrix(m00, m11, m22, m33, p, q, r, s) -> np.ndarray:
     """The probe block (..., 4, 4) from the parts :func:`probe_block` gives."""
-    parts = np.broadcast_arrays(m00, m11, m22, m33, p, q, r, s)
-    M = np.zeros(parts[0].shape + (4, 4), dtype=complex)
-    for j in range(4):
-        M[..., j, j] = parts[j]
-    M[..., 0, 1] = M[..., 2, 3] = parts[4]
-    M[..., 1, 0] = M[..., 3, 2] = parts[5]
-    M[..., 0, 2] = M[..., 1, 3] = parts[6]
-    M[..., 2, 0] = M[..., 3, 1] = parts[7]
+    M = np.zeros(np.broadcast_shapes(*map(np.shape, (m00, m11, m22, m33, p, q, r, s)))
+                 + (4, 4), dtype=complex)
+    for j, m in enumerate((m00, m11, m22, m33)):
+        M[..., j, j] = m
+    M[..., 0, 1] = M[..., 2, 3] = p
+    M[..., 1, 0] = M[..., 3, 2] = q
+    M[..., 0, 2] = M[..., 1, 3] = r
+    M[..., 2, 0] = M[..., 3, 1] = s
     return M
 
 
