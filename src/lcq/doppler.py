@@ -431,7 +431,7 @@ def _node_sums(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
 
 # eigenvector condition number above which poles count as coalescing
 _COALESCING = 1e4
-_POINTS_PER_BATCH = 2048
+_POINTS_PER_BATCH = 1024
 _GROUP_BLOCKS = 64
 # The rates the pole sums need positive.  Without Gamma_m, Gamma_g or Gamma_n
 # the zero-drive steady state is not unique, and a zero coherence rate puts a
@@ -561,7 +561,8 @@ def _average(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
                     by_rule(rows.start + np.flatnonzero(~bad & flagged), [c], False)
         by_rule(rows.start + np.flatnonzero(bad), list(range(len(columns))), True)
 
-    edges = np.linspace(0, g1.size, max(threads, -(-g1.size // _POINTS_PER_BATCH)) + 1)
+    count = -(-g1.size // _POINTS_PER_BATCH)           # batches, a multiple of the workers
+    edges = np.linspace(0, g1.size, threads * -(-count // threads) + 1)
     batches = [slice(a, b) for a, b in zip(edges[:-1].astype(int), edges[1:].astype(int)) if b > a]
     try:
         if threads > 1 and len(batches) > 1:
