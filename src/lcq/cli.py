@@ -17,7 +17,6 @@ import time
 from pathlib import Path
 
 import numpy as np
-from scipy.integrate import solve_ivp
 
 from . import __version__, coupledwave, doppler, liouville, propagate, scans, scheme
 from .doppler import QuadratureSpec
@@ -409,6 +408,8 @@ def run_validation(sch, relax, medium, fields, quad) -> bool:
 
 def _ode_reference(c, b, L):
     """The reduced two-wave equations integrated by DOP853, as an independent check."""
+    from scipy.integrate import solve_ivp  # only ``lcq validate`` needs it
+
     g2c = np.conj(c.gamma2)
 
     def f(z, y):

@@ -9,10 +9,22 @@ either directly (one Doppler-averaging pass per stage for the whole batch)
 or through a tensor-product cubic-spline cache over (|G1|, |G3|), which
 only :meth:`CoefficientCache.build` makes, and only where both boundary
 drives are on (:func:`drives_on`).  One fixed-step RK4 engine advances
-n trajectories in lockstep as an (n, 4) complex state [G1, G3, E4, E2],
-with one batched (n, 12) coefficient evaluation and one array right-hand
-side per stage: a single integration, the columns of a gain map and the
-points of a drive-amplitude sweep all run on it.
+n trajectories in lockstep as an (n, 4) complex state [G1, G3, E4, E2]: a
+single integration, the columns of a gain map and the points of a
+drive-amplitude sweep all run on it.
+
+At the batch sizes of a map or sweep the fixed cost of a numpy call, not
+the arithmetic, sets the time of a stage, so a stage makes as few calls
+as its arithmetic needs.  What stays fixed for a batch (each trajectory's
+cache column and the reader of its rows) is built once, and again only
+when a trajectory leaves the batch.  Per stage there is one
+:meth:`CoefficientCache.rows` call, whose spline returns NaN off the
+grid, so one sum of its output checks the whole batch; the drive phase
+and the back-action divide without masks when every drive is non-zero;
+and the state is kept in column-major order, so :func:`rhs` works on
+contiguous (k, n) component blocks.  Points off the grid, non-finite
+drives and zero drives take the general branch, row by row, so each row
+depends on its own trajectory alone.
 
 Because the microscopic response at complex drive amplitudes equals the
 response at real amplitudes times the drive-product phase (a gauge
@@ -120,11 +132,13 @@ class CoefficientCache:
         self.fallbacks = 0
         self.validation_error: float | None = None
         # B-spline coefficients (n1, n3, column, 12): cubic along |G1| and
-        # |G3|, degree 0 on the knots 0, 1, ..., columns along the column axis
+        # |G3|, degree 0 on the knots -0.5, 0.5, ..., columns - 0.5 along the
+        # column axis, so column k reads at k, in the middle of its interval.
+        # Off the grid, and at a non-finite point, the spline gives NaN
         s1 = make_interp_spline(g1_grid, tables.transpose(1, 2, 0, 3), k=3)
         s3 = make_interp_spline(g3_grid, s1.c, k=3, axis=1)
-        self._spline = NdBSpline((s1.t, s3.t, np.arange(len(tables) + 1.0)),
-                                 s3.c.swapaxes(0, 1), (3, 3, 0))
+        self._spline = NdBSpline((s1.t, s3.t, np.arange(len(tables) + 1.0) - 0.5),
+                                 s3.c.swapaxes(0, 1), (3, 3, 0), extrapolate=False)
 
     @classmethod
     def build(
@@ -183,14 +197,18 @@ class CoefficientCache:
     def rows(self, col: np.ndarray, g1_abs: np.ndarray, g3_abs: np.ndarray) -> np.ndarray:
         """Table rows (n, 12) of columns ``col`` at real drive amplitudes.
 
-        One spline call reads every point at (|G1|, |G3|, col + 0.5), so each
+        One spline call reads every point at (|G1|, |G3|, col), so each
         point reads its own column and each row is independent of the rest
-        of the batch.  Points outside the grid are averaged directly, all in
-        one :func:`_direct_rows` pass, and counted in ``fallbacks``.
+        of the batch.  The spline gives NaN rows off the grid, so one sum of
+        its output tells whether every point was on it; then that call is
+        all there is.  Otherwise points outside the grid are averaged
+        directly, all in one :func:`_direct_rows` pass, and counted in
+        ``fallbacks``; points with a non-finite amplitude keep NaN rows.
         """
-        out = self._spline(np.column_stack([g1_abs, g3_abs, col + 0.5]))
-        outside = ~((g1_abs >= 0.0) & (g1_abs <= self.g1_grid[-1])
-                    & (g3_abs >= 0.0) & (g3_abs <= self.g3_grid[-1]))
+        out = self._spline(np.array((g1_abs, g3_abs, col), dtype=float).T)
+        if math.isfinite(out.sum()):
+            return out
+        outside = np.isnan(out[:, 0]) & np.isfinite(g1_abs) & np.isfinite(g3_abs)
         if outside.any():
             self.fallbacks += int(np.count_nonzero(outside))
             out[outside] = _direct_rows(self.scheme, self.relax, self.medium, self.quad,
@@ -204,6 +222,11 @@ class CoefficientCache:
         return MacroscopicCoefficients.from_vector(rows[0])
 
 
+# the rows of rhs's component-major coefficients: the self coefficient of
+# each state component (sigma1, sigma3, sigma4, sigma2), then gamma4, gamma2
+_ORDER = np.array([0, 2, 3, 1, 4, 5])
+
+
 def rhs(y: np.ndarray, rows: np.ndarray, scheme: LevelScheme) -> np.ndarray:
     """Right-hand sides d[G1, G3, E4, E2]/dz of n states ``y`` (n, 4).
 
@@ -212,27 +235,35 @@ def rhs(y: np.ndarray, rows: np.ndarray, scheme: LevelScheme) -> np.ndarray:
     equations carry the quadratic probe back-action with the mixing response
     renormalized by the respective wavenumber and dipole factors (the
     reverse conversion cycle of the corresponding probe pathway).
+
+    The work runs component by component, on (k, n) arrays, and the result
+    is the transpose of one: a state array in column-major order, as
+    :func:`_lockstep` keeps its states, makes every operation one
+    contiguous run.
     """
-    c = np.ascontiguousarray(rows).view(complex)  # sigma1..sigma4, gamma4, gamma2
-    gamma = c[:, 4:]
+    coef = np.ascontiguousarray(rows).view(complex).T.take(_ORDER, axis=0)
+    sigma, gamma = coef[:4], coef[4:]
+    y = y.T
+    y_conj = np.conj(y)
     # self terms i sigma_j A_j, then the probe cross coupling i gamma4 E2*, i gamma2 E4*
-    d = 1j * c[:, [0, 2, 3, 1]] * y
-    d[:, 2:] += 1j * gamma * np.conj(y[:, [3, 2]])
+    d = 1j * sigma * y
+    d[2:] += 1j * gamma * y_conj[3:1:-1]
     # back-action on the drives, where both drives are on
-    probe_prod = (y[:, 2] * y[:, 3])[:, None]
-    on = (y[:, :2] != 0).all(axis=1)[:, None]
-    d[:, :2] += np.divide(_backaction(scheme) * np.conj(gamma) * probe_prod, np.conj(y[:, :2]),
-                          out=np.zeros((y.shape[0], 2), dtype=complex), where=on)
-    return d
+    back = _backaction(scheme) * np.conj(gamma) * (y[2] * y[3])
+    if y[:2].all():
+        d[:2] += back / y_conj[:2]
+    else:
+        d[:2] += np.divide(back, y_conj[:2], out=np.zeros_like(back), where=y[:2].all(axis=0))
+    return d.T
 
 
 @lru_cache(maxsize=16)
 def _backaction(scheme: LevelScheme) -> np.ndarray:
-    """i times the wavenumber and dipole ratios of the back-action on drives 1 and 3."""
+    """i times the wavenumber and dipole ratios of the back-action on drives 1 and 3, (2, 1)."""
     l1, l2, l3, l4 = scheme.wavelengths
     d1, d2, d3, d4 = scheme.dipoles
-    return 1j * np.array([(l4 / l1) * d1 * d1 / (1.0 * d4 * d2),
-                          (l4 / l3) * d3 * d3 / ((l4 / l2) * d2 * d4)])
+    return 1j * np.array([[(l4 / l1) * d1 * d1 / (1.0 * d4 * d2)],
+                          [(l4 / l3) * d3 * d3 / ((l4 / l2) * d2 * d4)]])
 
 
 def _direct_rows(scheme, relax, medium, quad, fields: list[FieldConfig], idx: np.ndarray,
@@ -251,12 +282,16 @@ def _direct_rows(scheme, relax, medium, quad, fields: list[FieldConfig], idx: np
 
 
 def _row_source(scheme, relax, medium, fields, quad, cache):
-    """Rows without drive phase of trajectories ``idx``: ``(idx, |G1|, |G3|) -> (len(idx), 12)``.
+    """Readers of rows without drive phase: ``bind(idx)`` gives ``read(a)``.
 
-    A one-column cache serves every trajectory of ``fields``, a cache with
+    ``read(a)`` returns fresh (len(idx), 12) rows of trajectories ``idx``
+    at the drive amplitudes ``a`` = (|G1|, |G3|), shape (len(idx), 2), and
+    NaN rows where an amplitude is not finite.  ``bind`` does the
+    per-batch work, so a reader is made once per batch, not per stage.  A
+    one-column cache serves every trajectory of ``fields``, a cache with
     several columns holds one per trajectory; either way the rows come from
-    :meth:`CoefficientCache.rows`.  Without a cache each call is one
-    :func:`_direct_rows` pass over the whole batch.  When every boundary
+    one :meth:`CoefficientCache.rows` call.  Without a cache each read is
+    one :func:`_direct_rows` pass over the whole batch.  When every boundary
     drive is zero the drives stay exactly zero, so the trajectories keep
     their boundary rows, averaged once.
     """
@@ -264,18 +299,31 @@ def _row_source(scheme, relax, medium, fields, quad, cache):
         if len(cache.columns) not in (1, len(fields)):
             raise ValueError("cache columns do not match the trajectories")
         cols = np.arange(len(fields)) if len(cache.columns) > 1 else np.zeros(len(fields), int)
-        return lambda idx, g1_abs, g3_abs: cache.rows(cols[idx], g1_abs, g3_abs)
+
+        def bind(idx):
+            col = cols[idx]
+            return lambda a: cache.rows(col, a[:, 0], a[:, 1])
+
+        return bind
     if any((f.omega1, f.omega3) != (fields[0].omega1, fields[0].omega3) for f in fields):
         raise ValueError("trajectories differ in their drive detunings")
+    if all(f.g10 == 0 and f.g30 == 0 for f in fields):
+        everyone, zero = np.arange(len(fields)), np.zeros(len(fields))
+        boundary = _direct_rows(scheme, relax, medium, quad, fields, everyone, zero, zero)
+        return lambda idx: lambda a: boundary[idx]
 
-    def source(idx, g1_abs, g3_abs):
-        return _direct_rows(scheme, relax, medium, quad, fields, idx, g1_abs, g3_abs)
+    def bind(idx):
+        def read(a):
+            out = np.full((idx.size, 12), np.nan)
+            finite = np.isfinite(a).all(axis=1)
+            if finite.any():
+                out[finite] = _direct_rows(scheme, relax, medium, quad, fields, idx[finite],
+                                           a[finite, 0], a[finite, 1])
+            return out
 
-    if any(f.g10 != 0 or f.g30 != 0 for f in fields):
-        return source
-    everyone, zero = np.arange(len(fields)), np.zeros(len(fields))
-    boundary = source(everyone, zero, zero)
-    return lambda idx, g1_abs, g3_abs: boundary[idx]
+        return read
+
+    return bind
 
 
 def check_run(L: float, steps: int) -> None:
@@ -303,35 +351,34 @@ def _sample_positions(L: float, steps: int, record_at, min_samples: int) -> np.n
 def _lockstep(y0: np.ndarray, sample_z: np.ndarray, steps: int, source, scheme):
     """Fixed-step RK4 of the (n, 4) states ``y0`` from z = 0 through ``sample_z``.
 
-    Each RK4 stage reads its (n, 12) coefficient rows with one ``source``
-    call, and nothing else reads them.  Returns the states (samples, n, 4)
-    at the samples and where each trajectory turned non-finite (NaN if it
-    never did).  A failed trajectory leaves the batch; its later samples are NaN.
+    ``source`` is a :func:`_row_source` binder.  Each RK4 stage reads its
+    (n, 12) coefficient rows with one call of the batch's reader, and
+    nothing else reads them.  Returns the states (samples, n, 4) at the
+    samples and where each trajectory turned non-finite (NaN if it never
+    did).  A failed trajectory leaves the batch; its later samples are NaN.
     """
     n = y0.shape[0]
     states = np.full((sample_z.size, n, 4), np.nan, dtype=complex)
     failed_at = np.full(n, np.nan)
 
-    def coefficients(idx, y):
-        drives = np.abs(y[:, :2])
-        ok = np.isfinite(drives).all(axis=1)
-        if ok.all():  # fresh rows, which take the drive phase in place
-            out = source(idx, drives[:, 0], drives[:, 1])
-        else:  # NaN rows, not a direct average: the trajectory leaves after this step
-            out = np.full((idx.size, 12), np.nan)
-            if ok.any():
-                out[ok] = source(idx[ok], drives[ok, 0], drives[ok, 1])
-        prod = y[:, 0] * y[:, 1]
+    def f(y):
+        out = read(np.abs(y[:, :2]))
+        # the drive phase of G1 G3, 1 where a drive is zero.  numpy rounds a
+        # complex product differently in different kernels; an (n, 2) block
+        # times an (n, 1) column takes the same one at every n, so a row's
+        # bits do not depend on the batch size
+        prod = y[:, :1] * y[:, 1:2]
         mag = np.abs(prod)
-        phase = np.divide(prod, mag, out=np.ones_like(prod), where=mag > 0)
-        out.view(complex)[:, 4:] *= phase[:, None]
-        return out
-
-    def f(idx, y):
-        return rhs(y, coefficients(idx, y), scheme)
+        if mag.all():
+            phase = prod / mag
+        else:
+            phase = np.divide(prod, mag, out=np.ones_like(prod), where=mag > 0)
+        out.view(complex)[:, 4:] *= phase
+        return rhs(y, out, scheme)
 
     live = np.arange(n)
-    y = np.array(y0, dtype=complex)
+    read = source(live)
+    y = np.array(y0, dtype=complex, order="F")  # each component one contiguous run
     h_target = sample_z[-1] / steps
     z = 0.0
     # non-finite states are detected after every step and reported, so the
@@ -343,18 +390,19 @@ def _lockstep(y0: np.ndarray, sample_z: np.ndarray, steps: int, source, scheme):
             n_sub = max(1, int(round(seg / h_target)))
             h = seg / n_sub
             for _ in range(n_sub):
-                k1 = f(live, y)
-                k2 = f(live, y + 0.5 * h * k1)
-                k3 = f(live, y + 0.5 * h * k2)
-                k4 = f(live, y + h * k3)
+                k1 = f(y)
+                k2 = f(y + 0.5 * h * k1)
+                k3 = f(y + 0.5 * h * k2)
+                k4 = f(y + h * k3)
                 y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 z += h
-                bad = ~np.isfinite(y).all(axis=1)
-                if bad.any():
+                if not np.isfinite(y).all():
+                    bad = ~np.isfinite(y).all(axis=1)
                     failed_at[live[bad]] = z
-                    live, y = live[~bad], y[~bad]
+                    live, y = live[~bad], np.asfortranarray(y[~bad])
                     if not live.size:
                         return states, failed_at
+                    read = source(live)
             states[k, live] = y
     return states, failed_at
 

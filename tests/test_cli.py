@@ -478,6 +478,16 @@ def test_validate_runs_without_the_reference_oracle(tmp_path):
     assert "FAIL" not in proc.stdout
 
 
+def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
+    # only `lcq validate` (solve_ivp) and the Voigt oracle (quad) integrate,
+    # and each imports scipy.integrate itself
+    code = ("import sys\n"
+            "import lcq.cli\n"
+            "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate was imported'\n")
+    proc = run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_validate_fails_on_inconsistent_config(tmp_path, capsys):
     # a cold medium contradicts the stated thermal population of level n
     cfg = tmp_path / "cold.json"

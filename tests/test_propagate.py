@@ -1,6 +1,7 @@
 """Four-wave integration, coefficient cache and gain map plumbing."""
 
 import tracemalloc
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -581,6 +582,77 @@ def test_rows_are_read_only_by_rk4_stages(preset, quad, error_estimate):
     pg.integrate(sch, relax, medium, fields, L=4.0, steps=200, quad=quad, cache=Counting(mc),
                  error_estimate=error_estimate, min_samples=5)
     assert Counting.calls == 4 * 200 * (3 if error_estimate else 1)
+
+
+def test_rhs_is_called_four_times_per_step(preset, coarse_quad, monkeypatch):
+    # the benchmark's tracer counts RK4 steps as the calls of the
+    # module-level rhs over four, with a cache or without one
+    sch, relax, medium, fields = preset
+    calls = []
+    rhs = pg.rhs
+
+    def counting(*args, **kwargs):
+        calls.append(None)
+        return rhs(*args, **kwargs)
+
+    monkeypatch.setattr(pg, "rhs", counting)
+    base = fields.with_omega4(155.0)
+    cache = pg.CoefficientCache.build(sch, relax, medium, [base], coarse_quad,
+                                      n1=40, n3=24, validate_probes=0)
+    pg.integrate(sch, relax, medium, base, L=2.0, steps=200, quad=coarse_quad, cache=cache,
+                 error_estimate=False, min_samples=5)
+    assert len(calls) == 4 * 200
+    # 257 trace samples: 512 steps make two per sample interval, 256 one
+    pg.transmission(sch, relax, medium, [base, base.with_omega4(160.0)], np.array([0.0, 2.0]),
+                    steps=512, quad=coarse_quad, cache=cache)
+    assert len(calls) == 4 * (200 + 512)
+    pg.transmission(sch, relax, medium, [base.with_drives(base.g10, 0.0)], np.array([2.0]),
+                    steps=256, quad=coarse_quad)
+    assert len(calls) == 4 * (200 + 512 + 256)
+
+
+def _assert_lone_runs_equal_the_batch(preset, quad, batch, cache):
+    sch, relax, medium, _ = preset
+    lengths = np.array([0.0, 1.0, 2.0])
+    ratio, failed_at = pg.transmission(sch, relax, medium, batch, lengths, steps=256,
+                                       quad=quad, cache=cache)
+    for k, f in enumerate(batch):
+        lone, lone_failed_at = pg.transmission(sch, relax, medium, [f], lengths, steps=256,
+                                               quad=quad, cache=cache)
+        assert np.array_equal(ratio[k], lone[0], equal_nan=True)
+        assert np.array_equal(failed_at[k], lone_failed_at[0], equal_nan=True)
+    return ratio, failed_at
+
+
+def test_general_branches_leave_each_trajectory_its_lone_run(preset, coarse_quad):
+    # a stage takes its general branch when a point leaves the cache's grid,
+    # a drive is zero or an amplitude is not finite; every row of it is
+    # still computed on its own, so each trajectory of a batch gives the
+    # bits of its lone run.  Alone, the first trajectory takes the fast
+    # path at every stage, in the batch the general one.  The probe inputs
+    # 1e150 and 1e200 overflow the back-action at once, so those drives
+    # turn infinite in one stage
+    sch, relax, medium, fields = preset
+    base = fields.with_omega4(155.0)
+    cache = pg.CoefficientCache.build(sch, relax, medium, [base], coarse_quad,
+                                      n1=40, n3=24, validate_probes=0)
+    batch = [
+        base,
+        base.with_drives(1.1 * base.g10, base.g30),  # starts above the grid: falls back
+        replace(base, e40=0.0, e20=0.0),             # zero probes: E40 becomes 1e-3 |G10|
+        base.with_drives(0.0, base.g30),             # a zero drive
+        replace(base, e40=1e150, e20=1e200),         # runaway
+    ]
+    before = cache.fallbacks
+    ratio, failed_at = _assert_lone_runs_equal_the_batch(preset, coarse_quad, batch, cache)
+    assert cache.fallbacks > before
+    assert np.isnan(failed_at[:4]).all() and np.isfinite(ratio[:4]).all()
+    assert 0.0 < failed_at[4] <= 2.0 and np.isnan(ratio[4, 1:]).all()
+    # without a cache (G30 = 0) every row is a direct average, and a drive is zero
+    free = base.with_drives(base.g10, 0.0)
+    ratio, failed_at = _assert_lone_runs_equal_the_batch(
+        preset, coarse_quad, [free, replace(free.with_omega4(160.0), e40=0.0)], None)
+    assert np.isnan(failed_at).all() and np.isfinite(ratio).all()
 
 
 def count_passes(monkeypatch):
