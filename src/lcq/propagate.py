@@ -242,14 +242,14 @@ def rhs(y: np.ndarray, rows: np.ndarray, scheme: LevelScheme) -> np.ndarray:
     contiguous run.
     """
     coef = np.ascontiguousarray(rows).view(complex).T.take(_ORDER, axis=0)
-    sigma, gamma = coef[:4], coef[4:]
+    i_coef = 1j * coef
     y = y.T
     y_conj = np.conj(y)
     # self terms i sigma_j A_j, then the probe cross coupling i gamma4 E2*, i gamma2 E4*
-    d = 1j * sigma * y
-    d[2:] += 1j * gamma * y_conj[3:1:-1]
+    d = i_coef[:4] * y
+    d[2:] += i_coef[4:] * y_conj[3:1:-1]
     # back-action on the drives, where both drives are on
-    back = _backaction(scheme) * np.conj(gamma) * (y[2] * y[3])
+    back = _backaction(scheme) * np.conj(coef[4:]) * (y[2] * y[3])
     if y[:2].all():
         d[:2] += back / y_conj[:2]
     else:
