@@ -17,14 +17,16 @@ At the batch sizes of a map or sweep the fixed cost of a numpy call, not
 the arithmetic, sets the time of a stage, so a stage makes as few calls
 as its arithmetic needs.  What stays fixed for a batch (each trajectory's
 cache column and the reader of its rows) is built once, and again only
-when a trajectory leaves the batch.  Per stage there is one
-:meth:`CoefficientCache.rows` call, whose spline returns NaN off the
-grid, so one sum of its output checks the whole batch; the drive phase
-and the back-action divide without masks when every drive is non-zero;
-and the state is kept in column-major order, so :func:`rhs` works on
-contiguous (k, n) component blocks.  Points off the grid, non-finite
-drives and zero drives take the general branch, row by row, so each row
-depends on its own trajectory alone.
+when a trajectory leaves the batch.  The reader
+(:meth:`CoefficientCache.reader`) keeps each trajectory's spline cell, so
+while every trajectory stays in its cell a stage's rows cost one
+subtraction, one in-cell check, one division by the cell widths and one
+evaluation of the cells' local polynomials; only the trajectories that
+left their cells are located again.  The drive phase and the back-action divide without masks when
+every drive is non-zero, and the state is kept in column-major order, so
+:func:`rhs` works on contiguous (k, n) component blocks.  Points off the
+grid, non-finite drives and zero drives take the general branch, row by
+row, so each row depends on its own trajectory alone.
 
 Because the microscopic response at complex drive amplitudes equals the
 response at real amplitudes times the drive-product phase (a gauge
@@ -40,7 +42,6 @@ from dataclasses import dataclass
 from functools import lru_cache
 
 import numpy as np
-from scipy.interpolate import NdBSpline, make_interp_spline
 
 from . import doppler
 from .doppler import DriveGrid, MacroscopicCoefficients, QuadratureSpec
@@ -83,6 +84,9 @@ _GRID_POWER1 = 1.4
 _GRID_POWER3 = 1.3
 _GRID_MARGIN = 1.05
 _VALIDATION_RTOL = 1e-4
+# Drives this many times the grid's top are runaways: their rows stay NaN, as
+# at a non-finite drive, since a direct average there overflows
+_RUNAWAY = 1e6
 
 
 class CacheValidationError(RuntimeError):
@@ -94,18 +98,88 @@ def drives_on(fields: FieldConfig) -> bool:
     return fields.g10 != 0 and fields.g30 != 0
 
 
+def _cubic_cells(grid: np.ndarray):
+    """The not-a-knot cubic B-splines on ``grid``, cell by cell.
+
+    The knots are the first and last grid points four times each and the
+    inner points but the second and second last once (de Boor, *A Practical
+    Guide to Splines*, 1978), so the cells, the spline's polynomial pieces,
+    are [x0, x2], [x2, x3], ..., [x(n-3), x(n-1)].  Returns the cells'
+    lower bounds and widths, the (cells, 4, 4) matrices whose [j, r, p]
+    entry is the coefficient of u**p, u = (x - lower[j]) / width[j], in
+    B-spline j + r on cell j (the Cox-de Boor recursion on polynomial
+    coefficients; in u they do not scale with the grid), and the (n, n)
+    collocation matrix of the B-splines at the grid points.
+    """
+    n = grid.size
+    if n < 4:
+        raise ValueError("a cubic spline needs at least 4 grid points")
+    t = np.concatenate([np.repeat(grid[0], 4), grid[2:-2], np.repeat(grid[-1], 4)])
+    lower, width, j = t[3:n], t[4:n + 1] - t[3:n], np.arange(n - 3)
+
+    def ratio(num, den):  # a term over a zero-length knot span is dropped
+        return np.divide(num, den, out=np.zeros(n - 3), where=den > 0)[:, None]
+
+    # poly[j, r, p]: the u**p coefficient of B-spline j + r of the current
+    # degree on cell j; slot r = 4 stays zero
+    poly = np.zeros((n - 3, 5, 4))
+    poly[:, 3, 0] = 1.0
+    for k in (1, 2, 3):
+        up = np.zeros_like(poly)  # times u
+        up[:, :, 1:] = poly[:, :, :3]
+        nxt = np.zeros_like(poly)
+        for r in range(3 - k, 4):
+            i = j + r
+            left, right = t[i + k] - t[i], t[i + k + 1] - t[i + 1]
+            # (x - t_i) / left B(i, k-1) + (t_(i+k+1) - x) / right B(i+1, k-1)
+            # with x = lower + width u
+            nxt[:, r] = (ratio(lower - t[i], left) * poly[:, r] + ratio(width, left) * up[:, r]
+                         + ratio(t[i + k + 1] - lower, right) * poly[:, r + 1]
+                         - ratio(width, right) * up[:, r + 1])
+        poly = nxt
+    to_powers = poly[:, :4]
+    cell = np.searchsorted(lower, grid, "right") - 1
+    powers = ((grid - lower[cell]) / width[cell])[:, None] ** np.arange(4)
+    colloc = np.zeros((n, n))
+    colloc[np.arange(n)[:, None], cell[:, None] + np.arange(4)] = np.einsum(
+        "krp,kp->kr", to_powers[cell], powers)
+    return lower, width, to_powers, colloc
+
+
+def _evaluate(u: np.ndarray, poly: np.ndarray) -> np.ndarray:
+    """Rows (n, 12) of local polynomials ``poly`` (n, 16, 12) at local coordinates ``u`` (n, 2).
+
+    Powers by repeated products, not ``**``, whose vector and scalar
+    kernels may round differently, so each row's bits are its own.
+    """
+    n = len(u)
+    powers = np.empty((4, 2, n))  # [p, axis, point]: u**p
+    powers[0] = 1.0
+    powers[1] = u.T
+    np.multiply(powers[1], powers[1], out=powers[2])
+    np.multiply(powers[2], powers[1], out=powers[3])
+    basis = powers[:, 0, None] * powers[None, :, 1]  # [p, q, point]: u1**p u3**q
+    return (basis.reshape(16, n).T[:, None] @ poly).reshape(n, 12)
+
+
 class CoefficientCache:
     """Cubic-spline interpolation of macroscopic coefficients over drive amplitudes.
 
     One table per column (probe detuning) ``columns[k]``, all on one
     rectangular (|G1|, |G3|) grid at fixed drive detunings; ``tables`` is
     (columns, n1, n3, 12).  Each column is interpolated by the not-a-knot
-    tensor-product cubic spline through its table, held as one
-    :class:`~scipy.interpolate.NdBSpline` whose B-spline coefficients are
-    as large as the tables (de Boor, *A Practical Guide to Splines*, 1978);
-    :meth:`rows` evaluates it for a batch of points at once, which keeps a
-    lookup far cheaper than a velocity average.  Queries outside the grid
-    fall back to direct evaluation and are counted in ``fallbacks``.
+    tensor-product cubic spline through its table.  Its B-spline
+    coefficients, as large as the tables, come from one solve of the
+    collocation system along each axis (:func:`_cubic_cells`); a point is
+    read from the polynomial of its cell, 16 x 12 coefficients of the
+    powers of its local coordinates (0 at the cell's lower corner, 1 at
+    the upper), which one 4 x 4 matrix per axis makes from the cell's
+    4 x 4 B-spline coefficients.
+    :meth:`rows` locates and reads a batch of points at once, and
+    :meth:`reader` keeps each trajectory's cell from one read to the
+    next; either keeps a lookup far cheaper than a velocity average.
+    Queries outside the grid fall back to direct evaluation and are
+    counted in ``fallbacks``.
     ``validation_error`` is the worst scaled error of the validation probes
     over the validated columns, or None if no column was validated.
     """
@@ -131,14 +205,22 @@ class CoefficientCache:
         self.tables = tables
         self.fallbacks = 0
         self.validation_error: float | None = None
-        # B-spline coefficients (n1, n3, column, 12): cubic along |G1| and
-        # |G3|, degree 0 on the knots -0.5, 0.5, ..., columns - 0.5 along the
-        # column axis, so column k reads at k, in the middle of its interval.
-        # Off the grid, and at a non-finite point, the spline gives NaN
-        s1 = make_interp_spline(g1_grid, tables.transpose(1, 2, 0, 3), k=3)
-        s3 = make_interp_spline(g3_grid, s1.c, k=3, axis=1)
-        self._spline = NdBSpline((s1.t, s3.t, np.arange(len(tables) + 1.0) - 0.5),
-                                 s3.c.swapaxes(0, 1), (3, 3, 0), extrapolate=False)
+        (lo1, w1, m1, colloc1), (lo3, w3, m3, colloc3) = (
+            _cubic_cells(np.asarray(g, dtype=float)) for g in (g1_grid, g3_grid))
+        self._lower, self._width = (lo1, lo3), (w1, w3)
+        # (cells, power, B-spline): they multiply a cell's coefficients from the left
+        self._to_powers = (np.ascontiguousarray(m1.transpose(0, 2, 1)),
+                           np.ascontiguousarray(m3.transpose(0, 2, 1)))
+        self._top = np.array([g1_grid[-1], g3_grid[-1]], dtype=float)
+        # B-spline coefficients (columns, n1, n3, 12): interpolate along
+        # |G1|, then along |G3|, each one solve of a collocation system
+        n_col, n1, n3, n_f = tables.shape
+        coef = np.linalg.solve(colloc1, tables.transpose(1, 0, 2, 3).reshape(n1, -1))
+        coef = coef.reshape(n1, n_col, n3, n_f).transpose(2, 1, 0, 3).reshape(n3, -1)
+        coef = np.linalg.solve(colloc3, coef).reshape(n3, n_col, n1, n_f)
+        self._coef = np.ascontiguousarray(coef.transpose(1, 2, 0, 3))
+        # flat-row offsets of a cell's 4 x 4 coefficients from its corner
+        self._block = np.arange(4)[:, None] * n3 + np.arange(4)
 
     @classmethod
     def build(
@@ -197,23 +279,78 @@ class CoefficientCache:
     def rows(self, col: np.ndarray, g1_abs: np.ndarray, g3_abs: np.ndarray) -> np.ndarray:
         """Table rows (n, 12) of columns ``col`` at real drive amplitudes.
 
-        One spline call reads every point at (|G1|, |G3|, col), so each
-        point reads its own column and each row is independent of the rest
-        of the batch.  The spline gives NaN rows off the grid, so one sum of
-        its output tells whether every point was on it; then that call is
-        all there is.  Otherwise points outside the grid are averaged
-        directly, all in one :func:`_direct_rows` pass, and counted in
-        ``fallbacks``; points with a non-finite amplitude keep NaN rows.
+        The first read of a fresh :meth:`reader`: each point is located in
+        its cell of its own column and read from that cell's polynomial, so
+        each row is independent of the rest of the batch.  Points outside
+        the grid are averaged directly, all in one :func:`_direct_rows`
+        pass, and counted in ``fallbacks``; points with a non-finite
+        amplitude, or one over a million times the grid's top, keep NaN
+        rows.
         """
-        out = self._spline(np.array((g1_abs, g3_abs, col), dtype=float).T)
-        if math.isfinite(out.sum()):
+        return self.reader(col)(np.column_stack((g1_abs, g3_abs)).astype(float, copy=False))
+
+    def reader(self, col: np.ndarray):
+        """``read(a)``: the rows of :meth:`rows` for trajectories in columns ``col``.
+
+        ``a`` is (len(col), 2), the trajectories' current (|G1|, |G3|).  The
+        reader keeps each trajectory's cell, its bounds and its local
+        polynomial, so a read while every trajectory stays in its cell is
+        one subtraction, one check, one division by the cell widths and one
+        :func:`_evaluate`; only the trajectories that left their cells are
+        located again.  A cell is half-open, [lower, lower + width), so a
+        kept cell is the one :meth:`rows` would locate, and a read gives the
+        bits of :meth:`rows`; a point on the grid's top is located at every
+        read.
+        """
+        n = len(col)
+        lower, width, poly = np.full((n, 2), np.nan), np.zeros((n, 2)), np.zeros((n, 16, 12))
+
+        def read(a):
+            d = a - lower
+            inside = (d >= 0.0) & (d < width)
+            if np.count_nonzero(inside) == inside.size:
+                return _evaluate(d / width, poly)
+            moved = ~inside.all(axis=1)
+            lower[moved], width[moved], poly[moved] = self._cells(col[moved], a[moved])
+            return self._off_grid(col, a, lower, _evaluate((a - lower) / width, poly))
+
+        return read
+
+    def _cells(self, col: np.ndarray, a: np.ndarray):
+        """Cells of the points ``a`` (n, 2) in columns ``col``.
+
+        Returns their lower bounds and widths (n, 2), NaN bounds for points
+        off the grid or not finite, and their polynomials (n, 16, 12) in
+        the local coordinates u = (a - lower) / width: entry [4p + q] is
+        the coefficient of u1**p u3**q.
+        """
+        n = len(col)
+        (lo1, lo3), (w1, w3) = self._lower, self._width
+        # the number of inner cell bounds at or below a point is its cell:
+        # the last one at the grid's top, above it and at NaN
+        i1 = np.searchsorted(lo1[1:], a[:, 0], "right")
+        i3 = np.searchsorted(lo3[1:], a[:, 1], "right")
+        lower = np.where((a >= 0.0) & (a <= self._top), np.column_stack((lo1[i1], lo3[i3])), np.nan)
+        # the cell's 4 x 4 B-spline coefficients, as rows of the flat table
+        _, n1, n3, _ = self._coef.shape
+        corner = (col * n1 + i1) * n3 + i3
+        block = self._coef.reshape(-1, 12)[corner[:, None, None] + self._block]  # (n, 4, 4, 12)
+        m1, m3 = self._to_powers
+        poly = m1[i1] @ (m3[i3][:, None] @ block).reshape(n, 4, 48)  # (n, p, 12 q + k)
+        return lower, np.column_stack((w1[i1], w3[i3])), poly.reshape(n, 16, 12)
+
+    def _off_grid(self, col: np.ndarray, a: np.ndarray, lower: np.ndarray,
+                  out: np.ndarray) -> np.ndarray:
+        """``out`` with the rows of the points off the grid (a NaN ``lower``) replaced."""
+        off = np.isnan(lower).any(axis=1)
+        if not off.any():
             return out
-        outside = np.isnan(out[:, 0]) & np.isfinite(g1_abs) & np.isfinite(g3_abs)
-        if outside.any():
-            self.fallbacks += int(np.count_nonzero(outside))
-            out[outside] = _direct_rows(self.scheme, self.relax, self.medium, self.quad,
-                                        self.columns, col[outside], g1_abs[outside],
-                                        g3_abs[outside])
+        out[off] = np.nan
+        direct = off & (a <= _RUNAWAY * self._top).all(axis=1)
+        if direct.any():
+            self.fallbacks += int(np.count_nonzero(direct))
+            out[direct] = _direct_rows(self.scheme, self.relax, self.medium, self.quad,
+                                       self.columns, col[direct], a[direct, 0], a[direct, 1])
         return out
 
     def lookup(self, g1_abs: float, g3_abs: float) -> MacroscopicCoefficients:
@@ -286,11 +423,13 @@ def _row_source(scheme, relax, medium, fields, quad, cache):
 
     ``read(a)`` returns fresh (len(idx), 12) rows of trajectories ``idx``
     at the drive amplitudes ``a`` = (|G1|, |G3|), shape (len(idx), 2), and
-    NaN rows where an amplitude is not finite.  ``bind`` does the
-    per-batch work, so a reader is made once per batch, not per stage.  A
-    one-column cache serves every trajectory of ``fields``, a cache with
-    several columns holds one per trajectory; either way the rows come from
-    one :meth:`CoefficientCache.rows` call.  Without a cache each read is
+    NaN rows where an amplitude is not finite (with a cache, also where it
+    is over a million times the grid's top).  ``bind`` does the per-batch
+    work, so a reader is made once per batch, not per stage.  A one-column
+    cache serves every trajectory of ``fields``, a cache with several
+    columns holds one per trajectory; either way the reader is the cache's
+    :meth:`CoefficientCache.reader`, which keeps each trajectory's spline
+    cell from stage to stage.  Without a cache each read is
     one :func:`_direct_rows` pass over the whole batch.  When every boundary
     drive is zero the drives stay exactly zero, so the trajectories keep
     their boundary rows, averaged once.
@@ -300,11 +439,7 @@ def _row_source(scheme, relax, medium, fields, quad, cache):
             raise ValueError("cache columns do not match the trajectories")
         cols = np.arange(len(fields)) if len(cache.columns) > 1 else np.zeros(len(fields), int)
 
-        def bind(idx):
-            col = cols[idx]
-            return lambda a: cache.rows(col, a[:, 0], a[:, 1])
-
-        return bind
+        return lambda idx: cache.reader(cols[idx])
     if any((f.omega1, f.omega3) != (fields[0].omega1, fields[0].omega3) for f in fields):
         raise ValueError("trajectories differ in their drive detunings")
     if all(f.g10 == 0 and f.g30 == 0 for f in fields):

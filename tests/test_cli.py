@@ -244,6 +244,18 @@ def test_numerical_error_exit_code(tmp_path):
     assert "numerical failure" in proc.stderr
 
 
+def test_lone_runaway_trajectory_is_a_numerical_failure(tmp_path):
+    # the probe lifts the drives far above the cache's grid; the trajectory
+    # fails there instead of overflowing a direct average
+    cfg = tmp_path / "runaway.json"
+    cfg.write_text(json.dumps({"fields": {"E40": 1e150, "Omega4_MHz": 155.0}}))
+    proc = run_cli(["dynamics", "--config", str(cfg), "--length", "2", "--steps", "256",
+                    "--quad", "301", "--out", str(tmp_path / "dyn.csv")], tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert "numerical failure: non-finite field amplitude" in proc.stderr
+    assert "Traceback" not in proc.stderr
+
+
 def test_zero_coherence_rate_is_a_numerical_failure(tmp_path):
     # gamma_nl = 0 passes validation but leaves the probe block singular for
     # the v = 0 class at zero drives, where the normalization is computed
@@ -480,10 +492,12 @@ def test_validate_runs_without_the_reference_oracle(tmp_path):
 
 def test_cli_import_leaves_scipy_integrate_unloaded(tmp_path):
     # only `lcq validate` (solve_ivp) and the Voigt oracle (quad) integrate,
-    # and each imports scipy.integrate itself
+    # and each imports scipy.integrate itself; the cache's spline is numpy's
+    # own, so nothing imports scipy.interpolate or the scipy.optimize it pulls in
     code = ("import sys\n"
             "import lcq.cli\n"
-            "assert 'scipy.integrate' not in sys.modules, 'scipy.integrate was imported'\n")
+            "for name in ('scipy.integrate', 'scipy.interpolate', 'scipy.optimize'):\n"
+            "    assert name not in sys.modules, f'{name} was imported'\n")
     proc = run_python(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
 

@@ -119,8 +119,8 @@ class ConstantRows(pg.CoefficientCache):
         self.columns = [None]
         self.row = mc.to_vector()
 
-    def rows(self, col, g1_abs, g3_abs):
-        return np.tile(self.row, (len(col), 1))
+    def reader(self, col):
+        return lambda a: np.tile(self.row, (len(col), 1))
 
 
 def test_frozen_coefficients_reproduce_closed_form(preset, quad):
@@ -303,6 +303,24 @@ def test_rows_of_a_batch_equal_lone_rows_bitwise(three_column_cache):
     assert len(set(col.tolist())) == len(cache.columns)
     for k in range(40):
         assert np.array_equal(batch[k], cache.rows(col[k:k + 1], g1[k:k + 1], g3[k:k + 1])[0])
+
+
+@pytest.mark.parametrize("scale", [1e-200, 1e200])
+def test_rows_do_not_depend_on_the_grid_scale(three_column_cache, scale):
+    # the cells' polynomials are in coordinates from 0 to 1 across a cell,
+    # so drives of 1e-200 MHz neither overflow nor lose the spline
+    cache = three_column_cache
+    scaled = pg.CoefficientCache(cache.scheme, cache.relax, cache.medium, cache.columns,
+                                 cache.quad, scale * cache.g1_grid, scale * cache.g3_grid,
+                                 cache.tables)
+    rng = np.random.default_rng(7)
+    col = rng.integers(0, len(cache.columns), 100)
+    g1 = rng.uniform(0.0, cache.g1_grid[-1], 100)
+    g3 = rng.uniform(0.0, cache.g3_grid[-1], 100)
+    field_scale = np.max(np.abs(cache.tables), axis=(0, 1, 2))
+    got = scaled.rows(col, scale * g1, scale * g3)
+    assert np.all(np.abs(got - cache.rows(col, g1, g3)) <= 1e-13 * field_scale)
+    assert scaled.fallbacks == 0
 
 
 def test_cache_retains_little_beyond_its_tables(preset, coarse_quad):
@@ -568,16 +586,21 @@ def test_paired_column_matches_pointwise_average_bitwise(preset, quad, n, drives
 
 @pytest.mark.parametrize("error_estimate", [False, True])
 def test_rows_are_read_only_by_rk4_stages(preset, quad, error_estimate):
-    # four rows calls per RK4 step and none at the trace samples
+    # four reads per RK4 step and none at the trace samples
     sch, relax, medium, fields = preset
     mc = dp.average_coefficients(sch, relax, medium, fields, 100.0, 40.0, quad)
 
     class Counting(ConstantRows):
         calls = 0
 
-        def rows(self, col, g1_abs, g3_abs):
-            Counting.calls += 1
-            return super().rows(col, g1_abs, g3_abs)
+        def reader(self, col):
+            read = super().reader(col)
+
+            def counting(a):
+                Counting.calls += 1
+                return read(a)
+
+            return counting
 
     pg.integrate(sch, relax, medium, fields, L=4.0, steps=200, quad=quad, cache=Counting(mc),
                  error_estimate=error_estimate, min_samples=5)
@@ -653,6 +676,65 @@ def test_general_branches_leave_each_trajectory_its_lone_run(preset, coarse_quad
     ratio, failed_at = _assert_lone_runs_equal_the_batch(
         preset, coarse_quad, [free, replace(free.with_omega4(160.0), e40=0.0)], None)
     assert np.isnan(failed_at).all() and np.isfinite(ratio).all()
+
+
+def test_runaway_drive_leaves_the_batch_as_failed(preset, coarse_quad):
+    # the probe input 1e150 lifts the drives far above the grid while they
+    # stay finite; a direct average there would overflow, so such a drive
+    # counts as non-finite and only its trajectory fails
+    sch, relax, medium, fields = preset
+    base = fields.with_omega4(155.0)
+    cache = pg.CoefficientCache.build(sch, relax, medium, [base], coarse_quad,
+                                      n1=40, n3=24, validate_probes=0)
+    ratio, failed_at = _assert_lone_runs_equal_the_batch(
+        preset, coarse_quad, [base, replace(base, e40=1e150)], cache)
+    assert np.isnan(failed_at[0]) and np.isfinite(ratio[0]).all()
+    assert 0.0 < failed_at[1] <= 2.0 and np.isnan(ratio[1, 1:]).all()
+
+
+def test_reader_gives_the_rows_of_rows_along_a_trajectory(preset, coarse_quad, monkeypatch):
+    # G1 starts on the grid's top; the strong probe drains G1 and G3 across
+    # their cell lines, then lifts G3 off the grid.  A kept cell is the one
+    # rows locates, so every read has the bits of the stateless rows
+    sch, relax, medium, fields = preset
+    base = fields.with_omega4(155.0)
+    cache = pg.CoefficientCache.build(sch, relax, medium, [base], coarse_quad,
+                                      n1=40, n3=24, validate_probes=0)
+    points, reads = [], []
+    reader = cache.reader
+
+    def recording(col):
+        read = reader(col)
+
+        def record(a):
+            rows = read(a)
+            points.append(a.copy())
+            reads.append(rows.copy())
+            return rows
+
+        return record
+
+    monkeypatch.setattr(cache, "reader", recording)
+    f = replace(base.with_drives(cache.g1_grid[-1], base.g30), e40=150.0)
+    _, failed_at = pg.transmission(sch, relax, medium, [f], np.array([10.0]), steps=256,
+                                   quad=coarse_quad, cache=cache)
+    assert np.isnan(failed_at).all()
+    monkeypatch.undo()
+    a, got = np.concatenate(points), np.concatenate(reads)
+    # the cells' lower bounds are the grid points but the second and the last two
+    cells = [np.searchsorted(grid[[0, *range(2, grid.size - 2)]], a[:, axis], "right")
+             for axis, grid in enumerate((cache.g1_grid, cache.g3_grid))]
+    assert a[0, 0] == cache.g1_grid[-1]
+    assert min(np.count_nonzero(np.diff(c)) for c in cells) > 10
+    assert np.any(a[:, 1] > cache.g3_grid[-1])
+    before = cache.fallbacks
+    want = cache.rows(np.zeros(len(a), int), a[:, 0], a[:, 1])
+    assert cache.fallbacks - before == np.count_nonzero(a[:, 1] > cache.g3_grid[-1])
+    assert np.array_equal(got, want)
+    # a kept cell is half-open: its upper bound is the next cell's lower one
+    read, col = cache.reader(np.zeros(1, int)), np.zeros(1, int)
+    for g1 in (cache.g1_grid[2:4].mean(), cache.g1_grid[3]):
+        assert np.array_equal(read(np.array([[g1, 10.0]])), cache.rows(col, [g1], [10.0]))
 
 
 def count_passes(monkeypatch):
