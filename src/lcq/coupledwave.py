@@ -124,38 +124,37 @@ def opa_solution(c: OpaCoefficients, b: BoundaryAmplitudes, z):
     return e4, e2c
 
 
+def _weak_coupling(c: OpaCoefficients) -> tuple[complex, bool]:
+    """beta of the weak-coupling expansion and whether the expansion is valid there."""
+    beta = c.beta
+    if beta == 0:
+        raise ZeroDivisionError("beta = 0: the weak-coupling expansion is undefined")
+    coupling = abs(c.gamma_sq) / abs(beta) ** 2
+    scale = abs(c.alpha4) + abs(c.alpha2) + abs(c.delta_k)
+    return beta, coupling <= 1e-2 and abs(c.delta_k) <= 1e-12 * max(scale, 1.0)
+
+
 def fwm_gain_limit(c: OpaCoefficients, L: float) -> tuple[float, bool]:
     """Weak-coupling transmission I4/I40 for E20 = 0, with a validity flag.
 
     Valid when the coupling is perturbative (|gamma^2/beta^2| << 1) and the
     phase mismatch vanishes; the value is computed regardless.
     """
-    beta = c.beta
-    if beta == 0:
-        raise ZeroDivisionError("beta = 0: the weak-coupling expansion is undefined")
+    beta, valid = _weak_coupling(c)
     g2_gain = -c.alpha2
     ratio = c.gamma_sq / (4.0 * beta * beta)
     amp = cmath.exp(-0.5 * c.alpha4 * L) + ratio * (
         cmath.exp(0.5 * g2_gain * L) - cmath.exp(-0.5 * c.alpha4 * L)
     )
-    coupling = abs(c.gamma_sq) / abs(beta) ** 2
-    scale = abs(c.alpha4) + abs(c.alpha2) + abs(c.delta_k)
-    valid = coupling <= 1e-2 and abs(c.delta_k) <= 1e-12 * max(scale, 1.0)
     return abs(amp) ** 2, valid
 
 
 def eta4_conversion(c: OpaCoefficients, L: float) -> tuple[float, bool]:
     """Conversion efficiency I4/I20 for E40 = 0 in the same weak-coupling limit."""
-    beta = c.beta
-    if beta == 0:
-        raise ZeroDivisionError("beta = 0: the weak-coupling expansion is undefined")
+    beta, valid = _weak_coupling(c)
     g2_gain = -c.alpha2
     bracket = abs(cmath.exp(0.5 * g2_gain * L) - cmath.exp(-0.5 * c.alpha4 * L)) ** 2
-    value = abs(c.gamma4) ** 2 / abs(2.0 * beta) ** 2 * bracket
-    coupling = abs(c.gamma_sq) / abs(beta) ** 2
-    scale = abs(c.alpha4) + abs(c.alpha2) + abs(c.delta_k)
-    valid = coupling <= 1e-2 and abs(c.delta_k) <= 1e-12 * max(scale, 1.0)
-    return value, valid
+    return abs(c.gamma4) ** 2 / abs(2.0 * beta) ** 2 * bracket, valid
 
 
 def oscillation_threshold(

@@ -78,11 +78,14 @@ class PropagationTrace:
         return i
 
 
-# Power-law exponents of the cache grid spacing along |G1| and |G3|, the
-# grid's reach beyond the boundary drives, and the validation tolerance.
-_GRID_POWER1 = 1.4
-_GRID_POWER3 = 1.3
+# The one cache policy, which CoefficientCache.build states: grid size, power
+# spacing and reach, and the probes and tolerance of every column's check
+_GRID_N1_PER_MHZ = 0.9
+_GRID_N1_MIN = 90
+_GRID_N3 = 28
+_GRID_POWER = 1.2
 _GRID_MARGIN = 1.05
+_VALIDATION_PROBES = 50
 _VALIDATION_RTOL = 1e-4
 # Drives this many times the grid's top are runaways: their rows stay NaN, as
 # at a non-finite drive, since a direct average there overflows
@@ -181,7 +184,8 @@ class CoefficientCache:
     Queries outside the grid fall back to direct evaluation and are
     counted in ``fallbacks``.
     ``validation_error`` is the worst scaled error of the validation probes
-    over the validated columns, or None if no column was validated.
+    over the columns after :meth:`build`, and None for a cache made
+    directly from its tables, which nothing validates.
     """
 
     def __init__(
@@ -230,50 +234,50 @@ class CoefficientCache:
         medium: MediumParams,
         columns: list[FieldConfig],
         quad: QuadratureSpec,
-        n1: int = 80,
-        n3: int = 32,
-        validate_probes: int = 50,
         threads: int = 1,
     ) -> "CoefficientCache":
-        """Cache of ``columns`` over [0, 1.05|G10|] x [0, 1.05|G30|] of ``columns[0]``.
+        """Validated cache of ``columns`` over [0, 1.05|G10|] x [0, 1.05|G30|] of ``columns[0]``.
 
         The columns share the drives' detunings and boundary values, hence
         one :class:`DriveGrid` pass over the drive points, which
-        ``threads`` worker threads split.  The grids are power-spaced
-        (denser toward zero amplitude, where the coefficients curve most as
-        the drives die out); uniform spacing at the same node count fails
-        the trace-level accuracy target by two orders of magnitude.  Column
-        0 is then validated at ``validate_probes`` random points, the others
-        at min(validate_probes, 4), in column order.
+        ``threads`` worker threads split.  One policy, with no settings:
+        max(90, ceil(0.9 |G10| / 1 MHz)) |G1| by 28 |G3| nodes, power-spaced
+        with exponent 1.2 (denser toward zero amplitude, where the
+        coefficients curve most as the drives die out; uniform spacing fails
+        the trace-level accuracy target by two orders of magnitude), and
+        every column checked at the same 50 random points, where an error
+        over 1e-4 of a coefficient's scale raises :class:`CacheValidationError`.
         """
         top = columns[0]
-        g1_grid = _GRID_MARGIN * abs(top.g10) * np.linspace(0.0, 1.0, n1) ** _GRID_POWER1
-        g3_grid = _GRID_MARGIN * abs(top.g30) * np.linspace(0.0, 1.0, n3) ** _GRID_POWER3
+        n1 = max(_GRID_N1_MIN, math.ceil(_GRID_N1_PER_MHZ * abs(top.g10)))
+        g1_grid = _GRID_MARGIN * abs(top.g10) * np.linspace(0.0, 1.0, n1) ** _GRID_POWER
+        g3_grid = _GRID_MARGIN * abs(top.g30) * np.linspace(0.0, 1.0, _GRID_N3) ** _GRID_POWER
         grid = DriveGrid(scheme, relax, medium, top, g1_grid, g3_grid, quad)
         cache = cls(scheme, relax, medium, columns, quad, g1_grid, g3_grid,
                     grid.tables(columns, threads))
-        if validate_probes > 0:
-            for k in range(len(columns)):
-                cache._validate(k, validate_probes if k == 0 else min(validate_probes, 4))
+        cache._validate()
         return cache
 
-    def _validate(self, col: int, n_probes: int) -> None:
-        # relative to each coefficient's scale over the column's table; a
-        # pointwise quotient is ill-conditioned near the interior zeros of
-        # the cross couplings.  Every column draws the same probe points.
+    def _validate(self) -> None:
+        # every column at the same points, in one direct pass; errors are
+        # relative to each coefficient's scale over its column's table, as a
+        # pointwise quotient is ill-conditioned at the cross couplings' zeros
         rng = np.random.default_rng(20230817)
-        scale = np.maximum(np.max(np.abs(self.tables[col]), axis=(0, 1)), 1e-12)
-        probes = np.array([(rng.uniform(0.0, self.g1_grid[-1]), rng.uniform(0.0, self.g3_grid[-1]))
-                           for _ in range(n_probes)])
-        cols = np.full(n_probes, col)
-        interp = self.rows(cols, probes[:, 0], probes[:, 1])
+        probes = rng.uniform(0.0, self._top, (_VALIDATION_PROBES, 2))
+        n_col = len(self.columns)
+        cols = np.repeat(np.arange(n_col), _VALIDATION_PROBES)
+        g1, g3 = np.tile(probes, (n_col, 1)).T
+        interp = self.rows(cols, g1, g3)
         direct = _direct_rows(self.scheme, self.relax, self.medium, self.quad, self.columns,
-                              cols, probes[:, 0], probes[:, 1])
-        worst = float(np.max(np.abs(interp - direct) / scale))
-        self.validation_error = max(worst, self.validation_error or 0.0)
-        if worst > _VALIDATION_RTOL:
+                              cols, g1, g3)
+        scale = np.maximum(np.max(np.abs(self.tables), axis=(1, 2)), 1e-12)[cols]
+        errors = np.max(np.abs(interp - direct) / scale, axis=1).reshape(n_col, -1).max(axis=1)
+        worst = int(np.argmax(errors))
+        self.validation_error = float(errors[worst])
+        if self.validation_error > _VALIDATION_RTOL:
             raise CacheValidationError(
-                f"cache interpolation error {worst:.3e} exceeds {_VALIDATION_RTOL:.1e}"
+                f"cache interpolation error {self.validation_error:.3e} exceeds "
+                f"{_VALIDATION_RTOL:.1e} at omega4 = {self.columns[worst].omega4:.6g} MHz"
             )
 
     def rows(self, col: np.ndarray, g1_abs: np.ndarray, g3_abs: np.ndarray) -> np.ndarray:
@@ -659,18 +663,15 @@ def gain_map(
     steps: int = 2000,
     quad: QuadratureSpec | None = None,
     threads: int = 1,
-    cache_n1: int = 80,
-    cache_n3: int = 32,
-    validate_probes: int = 50,
 ) -> GainMapResult:
     """Probe transmission over a (probe detuning, optical length) grid.
 
     Each detuning column is one trajectory to max(length_grid), and all
     columns step together.  Where both boundary drives are on, the columns
     read one :meth:`CoefficientCache.build` cache, tabulated on ``threads``
-    worker threads and validated with ``validate_probes`` probes for the
-    first column; otherwise they average directly.  A column whose fields
-    turn non-finite keeps only its L = 0 cell valid.
+    worker threads, its grid sized from the drives and every column
+    validated at the same 50 probes; otherwise they average directly.  A
+    column whose fields turn non-finite keeps only its L = 0 cell valid.
     """
     omega4_grid = np.asarray(omega4_grid, dtype=float)
     length_grid = np.asarray(length_grid, dtype=float)
@@ -687,9 +688,7 @@ def gain_map(
     columns = [base.with_omega4(float(om)) for om in omega4_grid]
     cache = None
     if drives_on(base):
-        cache = CoefficientCache.build(scheme, relax, medium, columns, quad, n1=cache_n1,
-                                       n3=cache_n3, validate_probes=validate_probes,
-                                       threads=threads)
+        cache = CoefficientCache.build(scheme, relax, medium, columns, quad, threads=threads)
     ratio, failed_at = transmission(scheme, relax, medium, columns, length_grid,
                                     steps=steps, quad=quad, cache=cache)
     valid = np.isnan(failed_at)[:, None] | (length_grid == 0.0)[None, :]

@@ -130,9 +130,8 @@ def spatial_dynamics(
         quad = QuadratureSpec.for_medium(scheme, medium)
     cache = None
     if propagate.drives_on(fields):
-        cache = propagate.CoefficientCache.build(
-            scheme, relax, medium, [fields], quad, validate_probes=4, threads=threads
-        )
+        cache = propagate.CoefficientCache.build(scheme, relax, medium, [fields], quad,
+                                                 threads=threads)
     trace = propagate.integrate(
         scheme, relax, medium, fields, L, steps=steps, quad=quad,
         cache=cache, error_estimate=False,
@@ -197,16 +196,13 @@ def switching_curve(
 
     propagate.check_run(L, steps)
     # one cache spans the whole amplitude sweep: detunings are fixed and the
-    # grid covers drives up to the largest swept |G10|, with 96 G1 nodes per
-    # 100 MHz of it and at least 96; the sweep points step together through it
-    g10_max = float(np.max(np.abs(sweep)))
-    top = base.with_drives(g10_max, base.g30)
+    # cache is built for the largest swept |G10|, so the builder's one policy
+    # sizes its grid to reach it; the sweep points step together through it
+    top = base.with_drives(float(np.max(np.abs(sweep))), base.g30)
     cache = None
     if propagate.drives_on(top):
-        cache = propagate.CoefficientCache.build(
-            scheme, relax, medium, [top], quad, n1=max(96, int(np.ceil(96 * g10_max / 100))),
-            validate_probes=8, threads=threads,
-        )
+        cache = propagate.CoefficientCache.build(scheme, relax, medium, [top], quad,
+                                                 threads=threads)
     points = [base.with_drives(value, base.g30) for value in sweep]
     ratio, failed_at = propagate.transmission(
         scheme, relax, medium, points, np.array([L]), steps=steps, quad=quad, cache=cache)

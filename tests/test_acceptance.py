@@ -361,7 +361,7 @@ def test_criterion_10_spatial_dynamics_shape(preset, quad):
     t0 = time.perf_counter()
     sch, relax, medium, fields = preset
     f = fields.with_omega4(160.0)
-    cache = pg.CoefficientCache.build(sch, relax, medium, [f], quad, validate_probes=4)
+    cache = pg.CoefficientCache.build(sch, relax, medium, [f], quad)
     trace = pg.integrate(sch, relax, medium, f, L=20.0, steps=2000, quad=quad,
                          cache=cache, error_estimate=False, min_samples=801)
     i4 = np.abs(trace.e4) ** 2 / abs(f.e40) ** 2

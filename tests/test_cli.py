@@ -460,6 +460,24 @@ def test_gainmap_manifest_reports_cache_validation_error(tmp_path):
     assert isinstance(error, float) and math.isfinite(error) and error < 1e-4
 
 
+@pytest.mark.parametrize("fields, args", [
+    (None, ["--omega4", "170:172:2"]),
+    ({"G10_MHz": 150.0}, ["--omega4=-5:5:2"]),
+], ids=["170MHz", "G10-150MHz"])
+def test_gainmap_whose_first_column_curves_hard_passes_validation(tmp_path, fields, args):
+    # first columns where an 80 x 32 grid missed the tolerance (errors 5.6e-4
+    # and 1.6e-3); the grid sized from the drives passes every column
+    config = []
+    if fields is not None:
+        (tmp_path / "fields.json").write_text(json.dumps({"fields": fields}))
+        config = ["--config", str(tmp_path / "fields.json")]
+    out = tmp_path / "gm.csv"
+    assert cli.main(["gainmap", *args, "--length", "0:10:3", "--steps", "200", *config,
+                     "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "gm.csv.manifest.json").read_text())
+    assert manifest["cache_validation_error"] <= 1e-4
+
+
 def test_threads_env_variable(tmp_path):
     out = tmp_path / "env.csv"
     proc = run_cli(["gainmap", "--omega4", "150:155:2", "--length", "0:6:3",

@@ -34,8 +34,7 @@ def dressed_fields():
 @pytest.fixture(scope="module")
 def dressed_cache(preset, quad, dressed_fields):
     sch, relax, medium, _ = preset
-    return pg.CoefficientCache.build(sch, relax, medium, [dressed_fields], quad,
-                                     validate_probes=0)
+    return pg.CoefficientCache.build(sch, relax, medium, [dressed_fields], quad)
 
 
 # --------------------------------------------------------------------------
@@ -222,14 +221,17 @@ def test_integrate_input_validation(preset, quad, dressed_fields):
 
 def test_cache_validation_passes(preset, quad, dressed_fields):
     sch, relax, medium, _ = preset
-    cache = pg.CoefficientCache.build(sch, relax, medium, [dressed_fields], quad,
-                                      validate_probes=50)
+    cache = pg.CoefficientCache.build(sch, relax, medium, [dressed_fields], quad)
     assert cache.fallbacks == 0
     assert 0.0 < cache.validation_error < 1e-4
 
 
 def test_unvalidated_cache_reports_no_error(dressed_cache):
-    assert dressed_cache.validation_error is None
+    # only build validates; a cache made from its tables reports no error
+    c = dressed_cache
+    cache = pg.CoefficientCache(c.scheme, c.relax, c.medium, c.columns, c.quad,
+                                c.g1_grid, c.g3_grid, c.tables)
+    assert cache.validation_error is None
 
 
 def test_cache_matches_direct_at_grid_nodes(preset, quad, dressed_fields, dressed_cache):
@@ -259,8 +261,7 @@ def test_cache_out_of_bounds_falls_back(preset, quad, dressed_fields, dressed_ca
 def three_column_cache(preset, coarse_quad):
     sch, relax, medium, fields = preset
     columns = [fields.with_omega4(om) for om in (150.0, 155.0, 170.0)]
-    return pg.CoefficientCache.build(sch, relax, medium, columns, coarse_quad,
-                                     n1=40, n3=24, validate_probes=0)
+    return pg.CoefficientCache.build(sch, relax, medium, columns, coarse_quad)
 
 
 def spline_oracle(cache, col, g1_abs, g3_abs):
@@ -331,8 +332,7 @@ def test_cache_retains_little_beyond_its_tables(preset, coarse_quad):
     tracemalloc.start()
     try:
         before = tracemalloc.get_traced_memory()[0]
-        cache = pg.CoefficientCache.build(sch, relax, medium, columns, coarse_quad,
-                                          n1=40, n3=24, validate_probes=0)
+        cache = pg.CoefficientCache.build(sch, relax, medium, columns, coarse_quad)
         retained = tracemalloc.get_traced_memory()[0] - before
     finally:
         tracemalloc.stop()
@@ -385,7 +385,7 @@ def test_gain_map_threads_deterministic(preset, quad):
     sch, relax, medium, fields = preset
     om4 = np.array([140.0, 160.0])
     lengths = np.array([0.0, 5.0, 11.0])
-    kw = dict(steps=400, quad=quad, cache_n1=40, cache_n3=24, validate_probes=0)
+    kw = dict(steps=400, quad=quad)
     a = pg.gain_map(sch, relax, medium, fields, om4, lengths, threads=1, **kw)
     b = pg.gain_map(sch, relax, medium, fields, om4, lengths, threads=2, **kw)
     assert np.array_equal(a.ratio, b.ratio)
@@ -402,13 +402,11 @@ def test_gain_map_column_matches_lone_trajectory(preset, coarse_quad):
     sch, relax, medium, fields = preset
     om4 = np.array([150.0, 155.0, 160.0])
     lengths = np.array([0.0, 3.0, 6.0])
-    res = pg.gain_map(sch, relax, medium, fields, om4, lengths, steps=400,
-                      quad=coarse_quad, cache_n1=40, cache_n3=24, validate_probes=0)
+    res = pg.gain_map(sch, relax, medium, fields, om4, lengths, steps=400, quad=coarse_quad)
     assert res.valid.all()
     for i, om in enumerate(om4):
         f = fields.with_omega4(float(om))
-        cache = pg.CoefficientCache.build(sch, relax, medium, [f], coarse_quad,
-                                          n1=40, n3=24, validate_probes=0)
+        cache = pg.CoefficientCache.build(sch, relax, medium, [f], coarse_quad)
         trace = pg.integrate(sch, relax, medium, f, L=6.0, steps=400, quad=coarse_quad,
                              cache=cache, error_estimate=False, record_at=lengths[1:])
         for j, L in enumerate(lengths):
@@ -422,10 +420,9 @@ def test_g10_sweep_point_matches_lone_trajectory(preset, coarse_quad):
     sweep = np.array([70.0, 85.0, 100.0])
     recs = scans.switching_curve(sch, relax, medium, base, L=4.0, sweep=sweep,
                                  axis="g10", steps=300, quad=coarse_quad)
-    # the sweep's own cache: G1 nodes scaled with the largest swept drive
+    # the sweep's own cache, built for the largest swept drive
     top = base.with_drives(100.0, base.g30)
-    cache = pg.CoefficientCache.build(sch, relax, medium, [top], coarse_quad,
-                                      n1=96, validate_probes=0)
+    cache = pg.CoefficientCache.build(sch, relax, medium, [top], coarse_quad)
     for rec, g10 in zip(recs, sweep):
         f = base.with_drives(g10, base.g30)
         trace = pg.integrate(sch, relax, medium, f, L=4.0, steps=300, quad=coarse_quad,
@@ -438,8 +435,11 @@ def test_runaway_column_leaves_the_others_alone(preset, coarse_quad, monkeypatch
     sch, relax, medium, fields = preset
     om4 = np.array([150.0, 155.0, 160.0])
     lengths = np.array([0.0, 3.0, 6.0])
-    kw = dict(steps=300, quad=coarse_quad, cache_n1=40, cache_n3=24, validate_probes=0)
+    kw = dict(steps=300, quad=coarse_quad)
     clean = pg.gain_map(sch, relax, medium, fields, om4, lengths, **kw)
+    # the runaway table would fail its column's validation; the point here
+    # is the propagation, so the build skips it
+    monkeypatch.setattr(pg.CoefficientCache, "_validate", lambda cache: None)
     tabulate = dp.DriveGrid.tables
 
     def runaway_at_155(grid, columns, threads=1):
@@ -463,14 +463,24 @@ def test_runaway_column_leaves_the_others_alone(preset, coarse_quad, monkeypatch
 # --------------------------------------------------------------------------
 
 def test_build_validates_columns_in_order(preset, coarse_quad, monkeypatch):
-    # column 0 gets the full probe count, every other column a spot check
+    # every column gets the same 50 probe points, in column order, in the
+    # build's one direct-averaging pass
     sch, relax, medium, fields = preset
     calls = []
-    monkeypatch.setattr(pg.CoefficientCache, "_validate",
-                        lambda cache, col, n_probes: calls.append((col, n_probes)))
-    pg.gain_map(sch, relax, medium, fields, np.array([150.0, 155.0, 160.0]),
-                np.array([0.0, 2.0]), steps=100, quad=coarse_quad, cache_n1=40, cache_n3=24)
-    assert calls == [(0, 50), (1, 4), (2, 4)]
+    direct = pg._direct_rows
+
+    def spy(*args):
+        calls.append(args[5:])
+        return direct(*args)
+
+    monkeypatch.setattr(pg, "_direct_rows", spy)
+    res = pg.gain_map(sch, relax, medium, fields, np.array([150.0, 155.0, 160.0]),
+                      np.array([0.0, 2.0]), steps=100, quad=coarse_quad)
+    idx, g1, g3 = calls[0]
+    assert np.array_equal(idx, np.repeat(np.arange(3), 50))
+    points = np.column_stack((g1, g3)).reshape(3, 50, 2)
+    assert np.array_equal(points, np.broadcast_to(points[0], points.shape))
+    assert 0.0 < res.validation_error < 1e-4
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -480,7 +490,7 @@ def test_build_tables_match_drive_grid(preset, coarse_quad, threads):
     sch, relax, medium, fields = preset
     columns = [fields.with_omega4(om) for om in (150.0, 152.5, 155.0, 157.5, 160.0)]
     cache = pg.CoefficientCache.build(sch, relax, medium, columns, coarse_quad,
-                                      n1=40, n3=24, validate_probes=0, threads=threads)
+                                      threads=threads)
     assert cache.g1_grid[-1] == pytest.approx(1.05 * abs(fields.g10), rel=1e-15)
     assert cache.g3_grid[-1] == pytest.approx(1.05 * abs(fields.g30), rel=1e-15)
     grid = dp.DriveGrid(sch, relax, medium, fields, cache.g1_grid, cache.g3_grid, coarse_quad)
@@ -541,17 +551,18 @@ def test_bad_steps_or_length_fail_before_the_cache_is_built(preset, coarse_quad,
 
 @pytest.mark.parametrize("g10_config", [0.001, 0.0, 100.0])
 def test_g10_sweep_node_count_follows_the_sweep(preset, coarse_quad, monkeypatch, g10_config):
-    # the configured G10 plays no part in a G10 sweep: 96 G1 nodes per 100 MHz
-    # of the largest swept |G10|, at least 96.  The spy stops before any grid
-    # is allocated, whatever node count it is asked for
+    # the configured G10 plays no part in a G10 sweep: the cache has 0.9 G1
+    # nodes per MHz of the largest swept |G10|, at least 90.  The spy reads
+    # the count from the built cache and stops before the propagation
     sch, relax, medium, fields = preset
     asked = []
+    build = pg.CoefficientCache.build.__func__
 
     class Stop(Exception):
         pass
 
-    def spy(cls, *args, n1=80, **kwargs):
-        asked.append(n1)
+    def spy(cls, *args, **kwargs):
+        asked.append(build(cls, *args, **kwargs).g1_grid.size)
         raise Stop
 
     monkeypatch.setattr(pg.CoefficientCache, "build", classmethod(spy))
@@ -561,7 +572,7 @@ def test_g10_sweep_node_count_follows_the_sweep(preset, coarse_quad, monkeypatch
         with pytest.raises(Stop):
             scans.switching_curve(sch, relax, medium, base, L=10.0, sweep=sweep,
                                   axis="g10", quad=coarse_quad)
-    assert asked == [96, 101, 116, 96]
+    assert asked == [90, 95, 108, 90]
 
 
 # --------------------------------------------------------------------------
@@ -620,8 +631,7 @@ def test_rhs_is_called_four_times_per_step(preset, coarse_quad, monkeypatch):
 
     monkeypatch.setattr(pg, "rhs", counting)
     base = fields.with_omega4(155.0)
-    cache = pg.CoefficientCache.build(sch, relax, medium, [base], coarse_quad,
-                                      n1=40, n3=24, validate_probes=0)
+    cache = pg.CoefficientCache.build(sch, relax, medium, [base], coarse_quad)
     pg.integrate(sch, relax, medium, base, L=2.0, steps=200, quad=coarse_quad, cache=cache,
                  error_estimate=False, min_samples=5)
     assert len(calls) == 4 * 200
@@ -657,8 +667,7 @@ def test_general_branches_leave_each_trajectory_its_lone_run(preset, coarse_quad
     # turn infinite in one stage
     sch, relax, medium, fields = preset
     base = fields.with_omega4(155.0)
-    cache = pg.CoefficientCache.build(sch, relax, medium, [base], coarse_quad,
-                                      n1=40, n3=24, validate_probes=0)
+    cache = pg.CoefficientCache.build(sch, relax, medium, [base], coarse_quad)
     batch = [
         base,
         base.with_drives(1.1 * base.g10, base.g30),  # starts above the grid: falls back
@@ -684,8 +693,7 @@ def test_runaway_drive_leaves_the_batch_as_failed(preset, coarse_quad):
     # counts as non-finite and only its trajectory fails
     sch, relax, medium, fields = preset
     base = fields.with_omega4(155.0)
-    cache = pg.CoefficientCache.build(sch, relax, medium, [base], coarse_quad,
-                                      n1=40, n3=24, validate_probes=0)
+    cache = pg.CoefficientCache.build(sch, relax, medium, [base], coarse_quad)
     ratio, failed_at = _assert_lone_runs_equal_the_batch(
         preset, coarse_quad, [base, replace(base, e40=1e150)], cache)
     assert np.isnan(failed_at[0]) and np.isfinite(ratio[0]).all()
@@ -698,8 +706,7 @@ def test_reader_gives_the_rows_of_rows_along_a_trajectory(preset, coarse_quad, m
     # rows locates, so every read has the bits of the stateless rows
     sch, relax, medium, fields = preset
     base = fields.with_omega4(155.0)
-    cache = pg.CoefficientCache.build(sch, relax, medium, [base], coarse_quad,
-                                      n1=40, n3=24, validate_probes=0)
+    cache = pg.CoefficientCache.build(sch, relax, medium, [base], coarse_quad)
     points, reads = [], []
     reader = cache.reader
 
