@@ -6,12 +6,14 @@ cross-coupled through gamma4/gamma2 (which include the drive product), and
 the drives carry the quadratic probe back-action term.  Coefficients are
 re-evaluated from the local drive amplitudes at every integration stage,
 either directly (one Doppler-averaging pass per stage for the whole batch)
-or through a tensor-product cubic-spline cache over (|G1|, |G3|), which
-only :meth:`CoefficientCache.build` makes, and only where both boundary
-drives are on (:func:`drives_on`).  One fixed-step RK4 engine advances
-n trajectories in lockstep as an (n, 4) complex state [G1, G3, E4, E2]: a
-single integration, the columns of a gain map and the points of a
-drive-amplitude sweep all run on it.
+or through a tensor-product cubic-spline cache over (|G1|, |G3|).
+:func:`cache_for` decides whether a run gets one, and only
+:meth:`CoefficientCache.build` makes it: one column per probe detuning,
+its grid sized from the run's largest drives.  :func:`_row_source` gives
+each trajectory the column of its detunings.  One fixed-step RK4 engine
+advances n trajectories in lockstep as an (n, 4) complex state
+[G1, G3, E4, E2]: a single integration, the columns of a gain map and the
+points of a switching curve on either axis all run on it.
 
 At the batch sizes of a map or sweep the fixed cost of a numpy call, not
 the arithmetic, sets the time of a stage, so a stage makes as few calls
@@ -94,11 +96,6 @@ _RUNAWAY = 1e6
 
 class CacheValidationError(RuntimeError):
     """Cache interpolation disagrees with direct evaluation beyond tolerance."""
-
-
-def drives_on(fields: FieldConfig) -> bool:
-    """Both boundary drives on; a zero drive would give a cache grid no width."""
-    return fields.g10 != 0 and fields.g30 != 0
 
 
 def _cubic_cells(grid: np.ndarray):
@@ -232,15 +229,18 @@ class CoefficientCache:
         scheme: LevelScheme,
         relax: RelaxationSet,
         medium: MediumParams,
-        columns: list[FieldConfig],
+        trajectories: list[FieldConfig],
         quad: QuadratureSpec,
         threads: int = 1,
     ) -> "CoefficientCache":
-        """Validated cache of ``columns`` over [0, 1.05|G10|] x [0, 1.05|G30|] of ``columns[0]``.
+        """Validated cache for ``trajectories`` over [0, 1.05|G10|] x [0, 1.05|G30|].
 
-        The columns share the drives' detunings and boundary values, hence
-        one :class:`DriveGrid` pass over the drive points, which
-        ``threads`` worker threads split.  One policy, with no settings:
+        One column per distinct probe detuning of the trajectories, in order
+        of first appearance; |G10| and |G30| are the largest of the
+        trajectories, so every trajectory starts on the grid.  The
+        trajectories share the drives' detunings, hence one
+        :class:`DriveGrid` pass over the drive points, which ``threads``
+        worker threads split.  One policy, with no settings:
         max(90, ceil(0.9 |G10| / 1 MHz)) |G1| by 28 |G3| nodes, power-spaced
         with exponent 1.2 (denser toward zero amplitude, where the
         coefficients curve most as the drives die out; uniform spacing fails
@@ -248,11 +248,13 @@ class CoefficientCache:
         every column checked at the same 50 random points, where an error
         over 1e-4 of a coefficient's scale raises :class:`CacheValidationError`.
         """
-        top = columns[0]
-        n1 = max(_GRID_N1_MIN, math.ceil(_GRID_N1_PER_MHZ * abs(top.g10)))
-        g1_grid = _GRID_MARGIN * abs(top.g10) * np.linspace(0.0, 1.0, n1) ** _GRID_POWER
-        g3_grid = _GRID_MARGIN * abs(top.g30) * np.linspace(0.0, 1.0, _GRID_N3) ** _GRID_POWER
-        grid = DriveGrid(scheme, relax, medium, top, g1_grid, g3_grid, quad)
+        columns = list({f.omega4: f for f in trajectories}.values())
+        g10 = max(abs(f.g10) for f in trajectories)
+        g30 = max(abs(f.g30) for f in trajectories)
+        n1 = max(_GRID_N1_MIN, math.ceil(_GRID_N1_PER_MHZ * g10))
+        g1_grid = _GRID_MARGIN * g10 * np.linspace(0.0, 1.0, n1) ** _GRID_POWER
+        g3_grid = _GRID_MARGIN * g30 * np.linspace(0.0, 1.0, _GRID_N3) ** _GRID_POWER
+        grid = DriveGrid(scheme, relax, medium, columns[0], g1_grid, g3_grid, quad)
         cache = cls(scheme, relax, medium, columns, quad, g1_grid, g3_grid,
                     grid.tables(columns, threads))
         cache._validate()
@@ -422,6 +424,18 @@ def _direct_rows(scheme, relax, medium, quad, fields: list[FieldConfig], idx: np
     return doppler.coefficient_tables(scheme, relax, medium, quad, [column], g1_abs, g3_abs)[0]
 
 
+def cache_for(scheme, relax, medium, trajectories: list[FieldConfig], quad,
+              threads: int) -> CoefficientCache | None:
+    """The :meth:`CoefficientCache.build` cache of a run of ``trajectories``, built on ``threads``.
+
+    None, and the run averages directly, where the largest |G10| or |G30|
+    of the trajectories is zero: such a drive would give the grid no width.
+    """
+    if max(abs(f.g10) for f in trajectories) and max(abs(f.g30) for f in trajectories):
+        return CoefficientCache.build(scheme, relax, medium, trajectories, quad, threads=threads)
+    return None
+
+
 def _row_source(scheme, relax, medium, fields, quad, cache):
     """Readers of rows without drive phase: ``bind(idx)`` gives ``read(a)``.
 
@@ -429,20 +443,21 @@ def _row_source(scheme, relax, medium, fields, quad, cache):
     at the drive amplitudes ``a`` = (|G1|, |G3|), shape (len(idx), 2), and
     NaN rows where an amplitude is not finite (with a cache, also where it
     is over a million times the grid's top).  ``bind`` does the per-batch
-    work, so a reader is made once per batch, not per stage.  A one-column
-    cache serves every trajectory of ``fields``, a cache with several
-    columns holds one per trajectory; either way the reader is the cache's
-    :meth:`CoefficientCache.reader`, which keeps each trajectory's spline
-    cell from stage to stage.  Without a cache each read is
-    one :func:`_direct_rows` pass over the whole batch.  When every boundary
+    work, so a reader is made once per batch, not per stage.  With a cache
+    each trajectory of ``fields`` reads the column of its (omega1, omega3,
+    omega4), and ``ValueError`` is raised where no column has them; the
+    reader is the cache's :meth:`CoefficientCache.reader`, which keeps each
+    trajectory's spline cell from stage to stage.  Without a cache each
+    read is one :func:`_direct_rows` pass over the whole batch.  When every boundary
     drive is zero the drives stay exactly zero, so the trajectories keep
     their boundary rows, averaged once.
     """
     if cache is not None:
-        if len(cache.columns) not in (1, len(fields)):
-            raise ValueError("cache columns do not match the trajectories")
-        cols = np.arange(len(fields)) if len(cache.columns) > 1 else np.zeros(len(fields), int)
-
+        column = {(f.omega1, f.omega3, f.omega4): k for k, f in enumerate(cache.columns)}
+        try:
+            cols = np.array([column[f.omega1, f.omega3, f.omega4] for f in fields], dtype=int)
+        except KeyError:
+            raise ValueError("no cache column has a trajectory's detunings") from None
         return lambda idx: cache.reader(cols[idx])
     if any((f.omega1, f.omega3) != (fields[0].omega1, fields[0].omega3) for f in fields):
         raise ValueError("trajectories differ in their drive detunings")
@@ -566,7 +581,7 @@ def integrate(
     ``min_samples`` evenly spaced positions plus every entry of
     ``record_at``.  With ``error_estimate`` the run is repeated at twice the
     step count and the maximum relative deviation of |E4| is attached.
-    A cache is read at its column 0.
+    A cache is read at the column of the fields' detunings.
     """
     sample_z = _sample_positions(L, steps, record_at, min_samples)
     if quad is None:
@@ -667,11 +682,10 @@ def gain_map(
     """Probe transmission over a (probe detuning, optical length) grid.
 
     Each detuning column is one trajectory to max(length_grid), and all
-    columns step together.  Where both boundary drives are on, the columns
-    read one :meth:`CoefficientCache.build` cache, tabulated on ``threads``
-    worker threads, its grid sized from the drives and every column
-    validated at the same 50 probes; otherwise they average directly.  A
-    column whose fields turn non-finite keeps only its L = 0 cell valid.
+    columns step together.  The columns read the :func:`cache_for` cache,
+    tabulated on ``threads`` worker threads, or average directly.  A
+    column whose fields turn non-finite keeps only its L = 0 cell valid;
+    a map without a single valid cell raises :class:`PropagationError`.
     """
     omega4_grid = np.asarray(omega4_grid, dtype=float)
     length_grid = np.asarray(length_grid, dtype=float)
@@ -686,12 +700,12 @@ def gain_map(
         quad = QuadratureSpec.for_medium(scheme, medium)
 
     columns = [base.with_omega4(float(om)) for om in omega4_grid]
-    cache = None
-    if drives_on(base):
-        cache = CoefficientCache.build(scheme, relax, medium, columns, quad, threads=threads)
+    cache = cache_for(scheme, relax, medium, columns, quad, threads)
     ratio, failed_at = transmission(scheme, relax, medium, columns, length_grid,
                                     steps=steps, quad=quad, cache=cache)
     valid = np.isnan(failed_at)[:, None] | (length_grid == 0.0)[None, :]
+    if not valid.any():
+        raise PropagationError(float(failed_at[0]))
     return GainMapResult(
         omega4=omega4_grid, lengths=length_grid, ratio=ratio, valid=valid,
         cache_fallbacks=cache.fallbacks if cache is not None else 0,

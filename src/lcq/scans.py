@@ -120,21 +120,19 @@ def spatial_dynamics(
     """Intensity evolution of all four waves along the medium.
 
     Emits I_j(z)/I_j(0) for the waves with non-zero input and the generated
-    Stokes intensity normalized to the probe input I2(z)/I40.  The cache
-    build, if any, runs on ``threads`` worker threads.
+    Stokes intensity normalized to the probe input I2(z)/I40.  The
+    :func:`propagate.cache_for` build, if any, runs on ``threads`` worker
+    threads.
     """
     if fields.e40 == 0:
         raise ConfigError("spatial dynamics needs a non-zero probe input E40")
     propagate.check_run(L, steps)
     if quad is None:
         quad = QuadratureSpec.for_medium(scheme, medium)
-    cache = None
-    if propagate.drives_on(fields):
-        cache = propagate.CoefficientCache.build(scheme, relax, medium, [fields], quad,
-                                                 threads=threads)
     trace = propagate.integrate(
         scheme, relax, medium, fields, L, steps=steps, quad=quad,
-        cache=cache, error_estimate=False,
+        cache=propagate.cache_for(scheme, relax, medium, [fields], quad, threads),
+        error_estimate=False,
     )
     i40 = abs(fields.e40) ** 2
     g10 = abs(fields.g10) ** 2
@@ -166,50 +164,32 @@ def switching_curve(
     """Transmission I4(L)/I40 at fixed optical length versus a control knob.
 
     ``axis`` selects the swept control: the probe detuning or the drive
-    boundary amplitude G10.  Either way the cache build runs on ``threads``
-    worker threads.  Use :func:`transparency_crossings` to locate
-    the points where the curve passes through unity.
+    boundary amplitude G10.  Either way the sweep points are trajectories
+    of one :func:`propagate.transmission` run, which reads the
+    :func:`propagate.cache_for` cache built on ``threads`` worker threads,
+    and a point whose fields turn non-finite raises
+    :class:`propagate.PropagationError`.  Use :func:`transparency_crossings`
+    to locate the points where the curve passes through unity.
     """
     sweep = np.asarray(sweep, dtype=float)
     if sweep.size == 0:
         raise ValueError("sweep must be non-empty")
-    if L <= 0:
-        raise ConfigError("fixed length must be positive")
+    if axis == "omega4":
+        points = [base.with_omega4(float(value)) for value in sweep]
+    elif axis == "g10":
+        points = [base.with_drives(value, base.g30) for value in sweep]
+    else:
+        raise ValueError("axis must be 'omega4' or 'g10'")
+    propagate.check_run(L, steps)
     if quad is None:
         quad = QuadratureSpec.for_medium(scheme, medium)
-
-    if axis == "omega4":
-        result = propagate.gain_map(
-            scheme, relax, medium, base, sweep, np.array([L]),
-            steps=steps, quad=quad, threads=threads,
-        )
-        return [
-            ScanRecord("switch", {
-                "omega4": float(sweep[i]),
-                "i4_ratio": float(result.ratio[i, 0]),
-            })
-            for i in range(sweep.size)
-            if result.valid[i, 0]
-        ]
-    if axis != "g10":
-        raise ValueError("axis must be 'omega4' or 'g10'")
-
-    propagate.check_run(L, steps)
-    # one cache spans the whole amplitude sweep: detunings are fixed and the
-    # cache is built for the largest swept |G10|, so the builder's one policy
-    # sizes its grid to reach it; the sweep points step together through it
-    top = base.with_drives(float(np.max(np.abs(sweep))), base.g30)
-    cache = None
-    if propagate.drives_on(top):
-        cache = propagate.CoefficientCache.build(scheme, relax, medium, [top], quad,
-                                                 threads=threads)
-    points = [base.with_drives(value, base.g30) for value in sweep]
+    cache = propagate.cache_for(scheme, relax, medium, points, quad, threads)
     ratio, failed_at = propagate.transmission(
         scheme, relax, medium, points, np.array([L]), steps=steps, quad=quad, cache=cache)
     failed = failed_at[~np.isnan(failed_at)]
     if failed.size:
         raise propagate.PropagationError(float(failed[0]))
-    return [ScanRecord("switch", {"g10": float(value), "i4_ratio": float(r)})
+    return [ScanRecord("switch", {axis: float(value), "i4_ratio": float(r)})
             for value, r in zip(sweep, ratio[:, 0])]
 
 

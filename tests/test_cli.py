@@ -244,16 +244,23 @@ def test_numerical_error_exit_code(tmp_path):
     assert "numerical failure" in proc.stderr
 
 
-def test_lone_runaway_trajectory_is_a_numerical_failure(tmp_path):
+@pytest.mark.parametrize("args", [
+    ["dynamics", "--length", "2"],
+    ["switch", "--omega4", "150:160:3", "--length", "2"],
+    ["gainmap", "--omega4", "150:160:3", "--length", "1:2:2"],
+], ids=["dynamics", "switch-omega4", "gainmap"])
+def test_lone_runaway_trajectory_is_a_numerical_failure(tmp_path, args):
     # the probe lifts the drives far above the cache's grid; the trajectory
-    # fails there instead of overflowing a direct average
+    # fails there instead of overflowing a direct average.  A switching
+    # curve or a map left with no valid point is a failure too
     cfg = tmp_path / "runaway.json"
     cfg.write_text(json.dumps({"fields": {"E40": 1e150, "Omega4_MHz": 155.0}}))
-    proc = run_cli(["dynamics", "--config", str(cfg), "--length", "2", "--steps", "256",
-                    "--quad", "301", "--out", str(tmp_path / "dyn.csv")], tmp_path)
+    proc = run_cli([*args, "--config", str(cfg), "--steps", "256", "--quad", "301",
+                    "--out", str(tmp_path / "out.csv")], tmp_path)
     assert proc.returncode == 3, proc.stderr
-    assert "numerical failure: non-finite field amplitude" in proc.stderr
-    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("numerical failure: non-finite field amplitude")
 
 
 def test_zero_coherence_rate_is_a_numerical_failure(tmp_path):
@@ -429,6 +436,8 @@ def test_any_valid_fields_give_finite_csv_or_a_named_error(fields):
         ["dynamics", "--length", "2"],
         ["gainmap", "--omega4", f"{omega4}:{omega4 + 10}:2", "--length", "0:2:2"],
         ["switch", "--g10", "60:100:2", "--length", "2"],
+        ["switch", "--omega4", f"{omega4}:{omega4 + 10}:2", "--length", "2"],
+        ["spectra", "--omega4", f"{omega4}:{omega4 + 10}:2"],
     ]
     with tempfile.TemporaryDirectory() as tmp:
         cfg = Path(tmp) / "fields.json"

@@ -111,11 +111,11 @@ def test_beer_lambert_drives_off(preset, quad):
 
 
 class ConstantRows(pg.CoefficientCache):
-    """A one-column stub cache whose rows are ``mc`` at every drive amplitude."""
+    """A stub cache of one column, ``fields``, whose rows are ``mc`` at every drive amplitude."""
 
-    def __init__(self, mc):
+    def __init__(self, mc, fields):
         self.fallbacks = 0
-        self.columns = [None]
+        self.columns = [fields]
         self.row = mc.to_vector()
 
     def reader(self, col):
@@ -130,7 +130,7 @@ def test_frozen_coefficients_reproduce_closed_form(preset, quad):
                          g10=100.0, g30=40.0, e40=1e-3, e20=2e-4j)
     mc = dp.average_coefficients(sch, relax, medium, fields, 100.0, 40.0, quad)
     trace = pg.integrate(sch, relax, medium, fields, L=10.0, steps=4000,
-                         quad=quad, cache=ConstantRows(mc), error_estimate=False)
+                         quad=quad, cache=ConstantRows(mc, fields), error_estimate=False)
     c = cw.OpaCoefficients.from_macroscopic(mc)
     e4ref, e2cref = cw.opa_solution(
         c, cw.BoundaryAmplitudes(fields.e40, fields.e20), trace.z)
@@ -203,8 +203,17 @@ def test_nonfinite_abort_reports_position(preset, quad):
     with pytest.raises(pg.PropagationError) as err:
         with np.errstate(over="ignore", invalid="ignore"):
             pg.integrate(sch, relax, medium, fields, L=20.0, steps=200,
-                         quad=quad, cache=ConstantRows(RUNAWAY), error_estimate=False)
+                         quad=quad, cache=ConstantRows(RUNAWAY, fields), error_estimate=False)
     assert 0.0 < err.value.z <= 20.0
+
+
+def test_cache_without_a_column_for_the_trajectory_is_refused(preset, quad, dressed_fields,
+                                                              dressed_cache):
+    # the cache holds omega4 = 160 MHz alone; no other column stands in for 155 MHz
+    sch, relax, medium, _ = preset
+    with pytest.raises(ValueError, match="no cache column"):
+        pg.integrate(sch, relax, medium, dressed_fields.with_omega4(155.0), L=5.0, steps=200,
+                     quad=quad, cache=dressed_cache, error_estimate=False)
 
 
 def test_integrate_input_validation(preset, quad, dressed_fields):
@@ -456,6 +465,9 @@ def test_runaway_column_leaves_the_others_alone(preset, coarse_quad, monkeypatch
     keep = [0, 2]
     assert res.valid[keep].all()
     assert np.array_equal(res.ratio[keep], clean.ratio[keep])
+    # a switching curve has no cell to drop: its failed point fails the curve
+    with pytest.raises(pg.PropagationError):
+        scans.switching_curve(sch, relax, medium, fields, L=3.0, sweep=om4, axis="omega4", **kw)
 
 
 # --------------------------------------------------------------------------
@@ -613,8 +625,8 @@ def test_rows_are_read_only_by_rk4_stages(preset, quad, error_estimate):
 
             return counting
 
-    pg.integrate(sch, relax, medium, fields, L=4.0, steps=200, quad=quad, cache=Counting(mc),
-                 error_estimate=error_estimate, min_samples=5)
+    pg.integrate(sch, relax, medium, fields, L=4.0, steps=200, quad=quad,
+                 cache=Counting(mc, fields), error_estimate=error_estimate, min_samples=5)
     assert Counting.calls == 4 * 200 * (3 if error_estimate else 1)
 
 
@@ -631,12 +643,13 @@ def test_rhs_is_called_four_times_per_step(preset, coarse_quad, monkeypatch):
 
     monkeypatch.setattr(pg, "rhs", counting)
     base = fields.with_omega4(155.0)
-    cache = pg.CoefficientCache.build(sch, relax, medium, [base], coarse_quad)
+    batch = [base, base.with_omega4(160.0)]
+    cache = pg.CoefficientCache.build(sch, relax, medium, batch, coarse_quad)
     pg.integrate(sch, relax, medium, base, L=2.0, steps=200, quad=coarse_quad, cache=cache,
                  error_estimate=False, min_samples=5)
     assert len(calls) == 4 * 200
     # 257 trace samples: 512 steps make two per sample interval, 256 one
-    pg.transmission(sch, relax, medium, [base, base.with_omega4(160.0)], np.array([0.0, 2.0]),
+    pg.transmission(sch, relax, medium, batch, np.array([0.0, 2.0]),
                     steps=512, quad=coarse_quad, cache=cache)
     assert len(calls) == 4 * (200 + 512)
     pg.transmission(sch, relax, medium, [base.with_drives(base.g10, 0.0)], np.array([2.0]),
