@@ -29,9 +29,9 @@ point, detected by the eigenvector condition number and the poles'
 separation) the residues grow and cancel, so such a point alone is
 averaged by the velocity rule of :class:`QuadratureSpec` instead,
 :func:`_node_sums`, and counted in the :func:`pole_stats` of the run.  The
-oracle :mod:`lcq.reference` sums the same rule over every class, and
-``lcq validate`` checks the pole sums against it; ``--quad`` sizes it and
-nothing else.  ``threads`` workers split the batches of drive points.
+same rule, summed over every class in memory-bounded chunks, is what the
+tests and ``lcq validate`` check the pole sums against; ``--quad`` sizes it
+and nothing else.  ``threads`` workers split the batches of drive points.
 """
 
 from __future__ import annotations
@@ -108,41 +108,35 @@ class QuadratureSpec:
 def kahan_sum(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Weighted sum over the leading axis, accurate to about one rounding.
 
-    Vectorized, with an order fixed by the array shapes, so results repeat
-    across runs and thread counts.  The name is that of the compensated loop
-    it replaced; the benchmark's tracer wraps this function by name.
-    """
-    return np.add(*_sum_parts(values, weights))
-
-
-def _sum_parts(x: np.ndarray, weights: np.ndarray | None = None) -> tuple:
-    """Weighted sum over the leading axis as a pair adding up to it within (n eps)^2 max|x|.
-
     Error-free extraction (Rump, Ogita and Oishi, SIAM J. Sci. Comput. 31,
     2008): adding and subtracting sigma = 2^k >= (n + 2) max|x| splits each
     term (the rounded product of weight and value) into a part on a common
-    grid, whose sum is exact in any order and comes first, and a remainder
-    below eps * sigma, summed pairwise.  Averages of symmetric integrands
-    that cancel keep no summation noise.  Real and imaginary parts are summed
-    apart; one sigma serves every sum, so a sum whose terms all lie below
-    about n eps max|x| gets plain pairwise accuracy.
+    grid, whose sum is exact in any order, and a remainder below
+    eps * sigma, summed pairwise; the two sums, within (n eps)^2 max|x| of
+    the exact sum, add last.  Averages of symmetric integrands that cancel
+    keep no summation noise.  Real and imaginary parts are summed apart; one
+    sigma serves every sum, so a sum whose terms all lie below about
+    n eps max|x| gets plain pairwise accuracy.  The order is fixed by the
+    array shapes, so results repeat across runs and thread counts.  The
+    name is that of the compensated loop this replaced; the benchmark's
+    tracer wraps this function by name.
     """
-    n = x.shape[0]
-    flat = np.ascontiguousarray(x).reshape(n, -1)
+    n = values.shape[0]
+    flat = np.ascontiguousarray(values).reshape(n, -1)
     if np.iscomplexobj(flat):
         flat = flat.view(np.float64)
     axis = 0
     if flat.shape[1] < n:  # numpy reduces narrow arrays far faster along rows
         flat, axis = flat.T, 1
-    w = 1.0 if weights is None else weights if axis else weights[:, None]
-    terms = np.multiply(flat, w, order="C")
+    terms = np.multiply(flat, weights if axis else weights[:, None], order="C")
     peak = max(float(np.max(terms)), -float(np.min(terms)))
     sigma = math.ldexp(1.0, math.frexp(peak)[1] + math.frexp(n + 2.0)[1])
     high = terms + sigma
     high -= sigma
     terms -= high  # the remainders, exact
-    return tuple(np.sum(part, axis=axis).view(x.dtype).reshape(x.shape[1:])
+    high, low = (np.sum(part, axis=axis).view(values.dtype).reshape(values.shape[1:])
                  for part in (high, terms))
+    return high + low
 
 
 @dataclass(frozen=True)
@@ -389,25 +383,31 @@ def _probe_means(drive: _DriveSector, point: np.ndarray, block, slopes) -> tuple
 
 
 def _node_sums(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
-               rows: slice = slice(None), modulus: bool = False) -> tuple:
-    """Maxwell sums over the velocity nodes ``quad.nodes()[rows]``, as :func:`_average` returns.
+               modulus: bool = False) -> tuple:
+    """Maxwell sums over the velocity nodes of ``quad``, as :func:`_average` returns them.
 
     Each node is one velocity class, solved by
     :func:`lcq.liouville.drive_steady_state_batch` and
-    :func:`lcq.liouville.probe_response_compact` at once for every drive
-    point and column and summed by :func:`kahan_sum`; with ``modulus`` the
-    sums are of the responses' moduli.  Exceptional points and ``u = 0``
-    take this route, and the oracle :mod:`lcq.reference` sums every node.
-    A failed solve raises :class:`AveragingError` naming its velocity node
-    and, if there are drive points, the drive point.
+    :func:`lcq.liouville.probe_response_compact` for every drive point and
+    column.  The classes go in chunks of ``_CHUNK // drive points`` (one
+    chunk for a single drive point at up to ``_CHUNK`` nodes), so that a
+    batch of drive points holds one chunk of classes at a time; each chunk
+    is summed by :func:`kahan_sum` and the chunk sums add in chunk order.
+    With ``modulus`` the sums are of the responses' moduli, the scale
+    against which the pole sums are checked.  Exceptional points and
+    ``u = 0`` take this route, and the tests and ``lcq validate`` check the
+    pole sums against it.  A failed solve raises :class:`AveragingError`
+    naming its velocity node and, if there are drive points, the drive
+    point.
     """
     shape = np.broadcast_shapes(np.shape(G1), np.shape(G3))
-    v, w = (a[rows] for a in quad.nodes())
-    sh1, sh2, sh3, sh4 = (x.reshape(-1, *[1] * len(shape))
-                          for x in liouville.doppler_shifts(scheme, v))
-    om1p, om3p = columns[0].omega1 - sh1, columns[0].omega3 - sh3
+    nodes, weights = quad.nodes()
+    step = max(1, liouville._CHUNK // math.prod(shape))
 
-    def responses():
+    def responses(v):
+        sh1, sh2, sh3, sh4 = (x.reshape(-1, *[1] * len(shape))
+                              for x in liouville.doppler_shifts(scheme, v))
+        om1p, om3p = columns[0].omega1 - sh1, columns[0].omega3 - sh3
         rho0 = liouville.drive_steady_state_batch(relax, medium.p_n, om1p, om3p, G1, G3)
         src = tuple(np.stack(liouville.compact_sources(rho0)))
         yield np.stack(_drive_ratios(rho0, om1p, om3p, relax), axis=1)
@@ -415,17 +415,21 @@ def _node_sums(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
             yield np.stack(liouville.probe_response_compact(
                 src, om1p, f.omega2 - sh2, f.omega4 - sh4, G1, G3, relax), axis=1)
 
-    try:
-        ratios, *means = (kahan_sum(np.abs(x) if modulus else x, w) for x in responses())
-    except liouville.SingularSystemError as exc:
-        where = "batch"
-        if exc.index is not None:
-            node, point = divmod(exc.index, math.prod(shape))
-            where = f"velocity node {(rows.start or 0) + node} (v = {v[node]:.3f} m/s)"
-            if shape:
-                where += f", drive point {tuple(map(int, np.unravel_index(point, shape)))}"
-        raise AveragingError(f"velocity averaging failed at {where}: {exc}") from exc
-    return ratios, means
+    total = None
+    for start in range(0, nodes.size, step):
+        v, w = nodes[start:start + step], weights[start:start + step]
+        try:
+            sums = [kahan_sum(np.abs(x) if modulus else x, w) for x in responses(v)]
+        except liouville.SingularSystemError as exc:
+            where = "batch"
+            if exc.index is not None:
+                node, point = divmod(exc.index, math.prod(shape))
+                where = f"velocity node {start + node} (v = {v[node]:.3f} m/s)"
+                if shape:
+                    where += f", drive point {tuple(map(int, np.unravel_index(point, shape)))}"
+            raise AveragingError(f"velocity averaging failed at {where}: {exc}") from exc
+        total = sums if total is None else [t + x for t, x in zip(total, sums)]
+    return total[0], total[1:]
 
 
 # eigenvector condition number above which poles count as coalescing

@@ -1,11 +1,11 @@
-"""Reference oracles: the 16x16 Liouvillian of one velocity class, and the velocity sum.
+"""Reference oracle: the 16x16 Liouvillian of one velocity class.
 
 Production code never imports this module.  :mod:`lcq.liouville` computes the
 steady state with two closed forms, and the tests and acceptance criterion 5
 compare those against the dense master equation built here.  Basis order is
 (l, n, g, m) = (0, 1, 2, 3) and the density matrix is vectorized row-major.
-:mod:`lcq.doppler` averages over velocity by pole sums, and the tests compare
-those against :func:`velocity_average`, which sums the velocity classes.
+The velocity average has no oracle here: the tests check the pole sums of
+:mod:`lcq.doppler` against its own velocity rule, :func:`lcq.doppler._node_sums`.
 
 Detunings and Rabi amplitudes are in MHz, relaxation rates in 1e6 s^-1; the
 matrices are in rad/us.
@@ -13,11 +13,8 @@ matrices are in rad/us.
 
 from __future__ import annotations
 
-import math
-
 import numpy as np
 
-from . import doppler
 from .liouville import _CHUNK, SingularSystemError
 from .scheme import RAD_PER_MHZ, RelaxationSet
 
@@ -165,26 +162,3 @@ def probe_block_matrix(om1p, om2p, om4p, G1, G3, relax: RelaxationSet) -> np.nda
     L = full_liouvillian(rotating_hamiltonian(om1p, om2p, om4p, G1, G3),
                          relaxation_superop(relax, 0.0))
     return L[..., _PROBE_SECTOR[:, None], _PROBE_SECTOR]
-
-
-def velocity_average(scheme, relax, medium, quad, columns, G1, G3, modulus: bool = False) -> tuple:
-    """Maxwell averages as :func:`lcq.doppler._average` returns them, by the rule of ``quad``.
-
-    Each node of ``quad.nodes()`` is one velocity class, solved by the
-    per-class kernels; the nodes go in chunks of ``_CHUNK // drive points``
-    classes (one chunk for a single drive point), each summed by
-    :func:`lcq.doppler._node_sums`, and the chunk sums add in chunk order.
-    With ``modulus`` it averages the moduli of the responses, the scale
-    against which the pole sums are checked.  A failed solve raises
-    :class:`lcq.doppler.AveragingError` naming its velocity node and, on a
-    grid, its drive point.
-    """
-    points = math.prod(np.broadcast_shapes(np.shape(G1), np.shape(G3)))
-    step = max(1, _CHUNK // points)
-    total = None
-    for start in range(0, quad.nodes()[0].size, step):
-        ratios, means = doppler._node_sums(scheme, relax, medium, quad, columns, G1, G3,
-                                           slice(start, start + step), modulus)
-        parts = [ratios, *means]
-        total = parts if total is None else [t + x for t, x in zip(total, parts)]
-    return total[0], total[1:]

@@ -1,4 +1,4 @@
-"""Velocity averaging by pole sums, normalization, the velocity-sum oracle and the Voigt oracle."""
+"""Velocity averaging by pole sums, normalization, the velocity rule and the Voigt oracle."""
 
 import math
 import re
@@ -13,7 +13,7 @@ from hypothesis import strategies as st
 
 from lcq import doppler as dp
 from lcq import liouville as lv
-from lcq import reference, scans
+from lcq import scans
 from lcq.scheme import RAD_PER_MHZ, FieldConfig, RelaxationSet, na2_preset
 
 
@@ -167,10 +167,9 @@ def test_quadrature_gate_at_preset(preset):
     errors = []
     for n in (1311, 2621):
         quad = dp.QuadratureSpec.for_medium(sch, medium, n=n)
-        oracle = reference.velocity_average(sch, relax, medium, quad, columns,
-                                            fields.g10, fields.g30)
-        scale = reference.velocity_average(sch, relax, medium, quad, columns,
-                                           fields.g10, fields.g30, modulus=True)
+        oracle = dp._node_sums(sch, relax, medium, quad, columns, fields.g10, fields.g30)
+        scale = dp._node_sums(sch, relax, medium, quad, columns,
+                              fields.g10, fields.g30, modulus=True)
         errors.append(_worst(poles, oracle, scale))
     assert errors[0] < 1e-9 and errors[1] < 1e-12, errors
 
@@ -188,8 +187,7 @@ def test_rule_independence_on_preset(preset):
         b = dp.average_coefficients(sch, relax, medium, f, fields.g10, fields.g30, q_trap)
         assert a == b
         for quad, rtol in ((q_sinh, 1e-9), (q_trap, 1e-5)):
-            ratios, (means,) = reference.velocity_average(sch, relax, medium, quad, [f],
-                                                         fields.g10, fields.g30)
+            ratios, (means,) = dp._node_sums(sch, relax, medium, quad, [f], fields.g10, fields.g30)
             poles, (exact,) = dp._average(sch, relax, medium, quad, [f], fields.g10, fields.g30)
             assert abs(means[0] - exact[0]) < rtol * abs(exact[0])
             assert abs(means[2] - exact[2]) < rtol * abs(exact[2])
@@ -227,8 +225,8 @@ def test_pole_sums_match_the_velocity_sum(relax, g1, g3, om):
     quad = dp.QuadratureSpec.for_medium(sch, medium, n=6001, span=6.0)
     columns = [FieldConfig(omega1=om[0], omega3=om[1], omega4=w4) for w4 in om[2:]]
     poles = dp._average(sch, relax, medium, quad, columns, g1, g3)
-    oracle = reference.velocity_average(sch, relax, medium, quad, columns, g1, g3)
-    scale = reference.velocity_average(sch, relax, medium, quad, columns, g1, g3, modulus=True)
+    oracle = dp._node_sums(sch, relax, medium, quad, columns, g1, g3)
+    scale = dp._node_sums(sch, relax, medium, quad, columns, g1, g3, modulus=True)
     assert _worst(poles, oracle, scale) <= 1e-10
 
 
@@ -255,11 +253,11 @@ def test_coalescing_poles_are_averaged_by_the_rule_and_counted(preset, quad):
     assert stats.exceptional == 1 and stats.worst_condition <= dp._COALESCING
     # the probe responses there are the oracle's sum over the same rule,
     # while the drive poles, which do not coalesce, still give the ratios
-    oracle = reference.velocity_average(sch, relax, medium, quad, column, 0.0, g3)
+    oracle = dp._node_sums(sch, relax, medium, quad, column, 0.0, g3)
     assert np.array_equal(got[1][0], oracle[1][0])
     fine = dp.QuadratureSpec.for_medium(sch, medium, n=8001)
-    oracle = reference.velocity_average(sch, relax, medium, fine, column, 0.0, g3)
-    scale = reference.velocity_average(sch, relax, medium, fine, column, 0.0, g3, modulus=True)
+    oracle = dp._node_sums(sch, relax, medium, fine, column, 0.0, g3)
+    scale = dp._node_sums(sch, relax, medium, fine, column, 0.0, g3, modulus=True)
     assert _worst(got, oracle, scale) < 1e-12
     # a little way off, the poles are apart enough for the pole sums, which
     # the fine oracle confirms
@@ -267,10 +265,9 @@ def test_coalescing_poles_are_averaged_by_the_rule_and_counted(preset, quad):
         with dp.pole_stats() as stats:
             got = dp._average(sch, relax, medium, quad, column, 0.0, g3 * (1 + shift))
         assert stats.exceptional == 0
-        oracle = reference.velocity_average(sch, relax, medium, fine, column, 0.0,
-                                            g3 * (1 + shift))
-        scale = reference.velocity_average(sch, relax, medium, fine, column, 0.0,
-                                           g3 * (1 + shift), modulus=True)
+        oracle = dp._node_sums(sch, relax, medium, fine, column, 0.0, g3 * (1 + shift))
+        scale = dp._node_sums(sch, relax, medium, fine, column, 0.0,
+                              g3 * (1 + shift), modulus=True)
         assert _worst(got, oracle, scale) < 1e-10
 
 
@@ -288,8 +285,8 @@ def test_coalescing_drive_poles_are_averaged_by_the_rule(preset, quad):
     assert all(np.array_equal(a, b) for a, b in zip(
         _fields(*got), _fields(*dp._node_sums(sch, twin, medium, quad, columns, 1e-3, 1e-3))))
     fine = dp.QuadratureSpec.for_medium(sch, medium, n=8001, span=6.0)
-    oracle = reference.velocity_average(sch, twin, medium, fine, columns, 1e-3, 1e-3)
-    scale = reference.velocity_average(sch, twin, medium, fine, columns, 1e-3, 1e-3, modulus=True)
+    oracle = dp._node_sums(sch, twin, medium, fine, columns, 1e-3, 1e-3)
+    scale = dp._node_sums(sch, twin, medium, fine, columns, 1e-3, 1e-3, modulus=True)
     assert _worst(got, oracle, scale) < 1e-12
 
 
@@ -302,24 +299,24 @@ def test_averaging_reports_failing_node(preset, quad):
                    sp_gn=0.0, sp_gl=0.0)
     with pytest.raises(dp.AveragingError):
         dp.average_coefficients(sch, dead, medium, fields, 0.0, 0.0, quad)
-    # the oracle names the velocity node where the class solve fails
+    # the velocity rule names the velocity node where the class solve fails
     with pytest.raises(dp.AveragingError, match=r"velocity node \d+"):
-        reference.velocity_average(sch, dead, medium, quad, [fields], 0.0, 0.0)
+        dp._node_sums(sch, dead, medium, quad, [fields], 0.0, 0.0)
 
 
 def test_grid_failure_names_the_velocity_node(preset, quad):
     # without rho_nl coherence decay the probe block is singular where the
-    # Raman detuning vanishes, at v = 0 for omega4 = omega3; the oracle on a
+    # Raman detuning vanishes, at v = 0 for omega4 = omega3; the rule on a
     # drive grid names the same velocity node as at a single drive point
     sch, relax, medium, fields = preset
     dead = replace(relax, coh_nl=0.0)
     raman = fields.with_omega4(fields.omega3)
     with pytest.raises(dp.AveragingError) as point:
-        reference.velocity_average(sch, dead, medium, quad, [raman], 50.0, 20.0)
+        dp._node_sums(sch, dead, medium, quad, [raman], 50.0, 20.0)
     with pytest.raises(dp.AveragingError) as info:
-        reference.velocity_average(sch, dead, medium, quad, [raman],
-                                   np.array([0.0, 50.0, 100.0])[:, None],
-                                   np.array([0.0, 20.0])[None, :])
+        dp._node_sums(sch, dead, medium, quad, [raman],
+                      np.array([0.0, 50.0, 100.0])[:, None],
+                      np.array([0.0, 20.0])[None, :])
     node = re.search(r"velocity node \d+ \(v = [-0-9.]+ m/s\)", str(point.value)).group()
     assert node in str(info.value)
     assert "drive point (0, 0)" in str(info.value)
@@ -327,33 +324,32 @@ def test_grid_failure_names_the_velocity_node(preset, quad):
 
 def test_singular_drive_sector_names_the_drive_point(preset, quad):
     # without decay of level g the drive sector is singular wherever G1 = 0,
-    # from the first velocity node on; the oracle names that drive point
+    # from the first velocity node on; the rule names that drive point
     sch, relax, medium, fields = preset
     no_g_decay = replace(relax, gamma_g=0.0, sp_gn=0.0, sp_gl=0.0)
     with pytest.raises(dp.AveragingError) as info:
-        reference.velocity_average(sch, no_g_decay, medium, quad, [fields],
-                                   np.array([100.0, 50.0, 0.0])[:, None],
-                                   np.array([0.0, 20.0])[None, :])
+        dp._node_sums(sch, no_g_decay, medium, quad, [fields],
+                      np.array([100.0, 50.0, 0.0])[:, None],
+                      np.array([0.0, 20.0])[None, :])
     assert "velocity node 0 (v = " in str(info.value)
     assert "drive point (2, 0)" in str(info.value)
 
 
 def test_failure_in_a_later_chunk_on_a_worker_names_the_same_node(preset, quad):
-    # on a 40 x 24 grid an oracle chunk holds 17 classes, so the singular
-    # probe block at v = 0 lies in a later chunk, and the grid names the
-    # node a single point names.  The pole sums split the grid among
+    # on a 40 x 24 grid a chunk of the velocity rule holds 17 classes, so
+    # the singular probe block at v = 0 lies in a later chunk, and the grid
+    # names the node a single point names.  The pole sums split the grid among
     # workers: every thread count gives the same tables, bit for bit
     sch, relax, medium, fields = preset
     dead = replace(relax, coh_nl=0.0)
     raman = fields.with_omega4(fields.omega3)
     g1, g3 = np.linspace(0.0, 100.0, 40), np.linspace(0.0, 40.0, 24)
     with pytest.raises(dp.AveragingError) as point:
-        reference.velocity_average(sch, dead, medium, quad, [raman], 50.0, 20.0)
+        dp._node_sums(sch, dead, medium, quad, [raman], 50.0, 20.0)
     node = re.search(r"velocity node (\d+) \(v = [-0-9.]+ m/s\)", str(point.value))
     assert int(node.group(1)) // (lv._CHUNK // (40 * 24)) > 3
     with pytest.raises(dp.AveragingError) as info:
-        reference.velocity_average(sch, dead, medium, quad, [fields, raman],
-                                   g1[:, None], g3[None, :])
+        dp._node_sums(sch, dead, medium, quad, [fields, raman], g1[:, None], g3[None, :])
     assert node.group() in str(info.value) and "drive point (0, 0)" in str(info.value)
     grid = dp.DriveGrid(sch, relax, medium, fields, g1, g3, quad)
     tables = [grid.tables([fields, raman], threads=threads) for threads in (1, 2, 3)]
@@ -361,8 +357,9 @@ def test_failure_in_a_later_chunk_on_a_worker_names_the_same_node(preset, quad):
 
 
 def test_grid_memory_stays_bounded_as_nodes_double(preset):
-    # the oracle keeps one chunk of classes at a time: the probe sources of
-    # every class at every drive point would take 6 nv n1 n3 complex numbers
+    # the velocity rule keeps one chunk of classes at a time: the probe
+    # sources of every class at every drive point would take 6 nv n1 n3
+    # complex numbers
     sch, relax, medium, fields = preset
     columns = [fields.with_omega4(150.0), fields.with_omega4(160.0)]
     g1, g3 = np.linspace(0.0, 105.0, 40)[:, None], np.linspace(0.0, 42.0, 24)[None, :]
@@ -371,7 +368,7 @@ def test_grid_memory_stays_bounded_as_nodes_double(preset):
         quad = dp.QuadratureSpec.for_medium(sch, medium, n=n)
         tracemalloc.start()
         try:
-            reference.velocity_average(sch, relax, medium, quad, columns, g1, g3)
+            dp._node_sums(sch, relax, medium, quad, columns, g1, g3)
             peaks[n] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -403,7 +400,7 @@ def test_fixed_order_summation_reproducible(preset, quad):
 
 def test_sweep_solves_the_drive_sector_once(preset, quad, monkeypatch):
     # the pole sums find the drive poles once for the whole sweep and once
-    # for the normalization; the oracle solves each velocity class once
+    # for the normalization; the velocity rule solves each velocity class once
     sch, relax, medium, fields = preset
     dp._norm_constant.cache_clear()
     sector = dp._drive_sector
@@ -426,8 +423,8 @@ def test_sweep_solves_the_drive_sector_once(preset, quad, monkeypatch):
         return solve(relax, p_n, om1p, om3p, G1, G3)
 
     monkeypatch.setattr(lv, "drive_steady_state_batch", solved)
-    reference.velocity_average(sch, relax, medium, quad,
-                               [fields.with_omega4(x) for x in sweep], fields.g10, fields.g30)
+    dp._node_sums(sch, relax, medium, quad,
+                  [fields.with_omega4(x) for x in sweep], fields.g10, fields.g30)
     assert sum(systems) == quad.nodes()[0].size
 
 
