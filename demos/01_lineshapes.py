@@ -18,8 +18,7 @@ OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
 
 scheme, relax, medium, fields = na2_preset()
-u = medium.thermal_speed(scheme)
-quad = QuadratureSpec(u=u, rule="trapezoid", n=6001, span=5.0)
+quad = QuadratureSpec.for_medium(scheme, medium)
 
 fwhm = doppler_fwhm(medium.temperature, scheme.wavelengths[3], scheme.mass)
 print(f"Doppler FWHM of the 480 nm transition: {fwhm/1e9:.3f} GHz")

@@ -685,7 +685,7 @@ def gain_map(
     columns step together.  The columns read the :func:`cache_for` cache,
     tabulated on ``threads`` worker threads, or average directly.  A
     column whose fields turn non-finite keeps only its L = 0 cell valid;
-    a map without a single valid cell raises :class:`PropagationError`.
+    a map whose every column failed raises :class:`PropagationError`.
     """
     omega4_grid = np.asarray(omega4_grid, dtype=float)
     length_grid = np.asarray(length_grid, dtype=float)
@@ -703,9 +703,9 @@ def gain_map(
     cache = cache_for(scheme, relax, medium, columns, quad, threads)
     ratio, failed_at = transmission(scheme, relax, medium, columns, length_grid,
                                     steps=steps, quad=quad, cache=cache)
-    valid = np.isnan(failed_at)[:, None] | (length_grid == 0.0)[None, :]
-    if not valid.any():
+    if not np.isnan(failed_at).any():
         raise PropagationError(float(failed_at[0]))
+    valid = np.isnan(failed_at)[:, None] | (length_grid == 0.0)[None, :]
     return GainMapResult(
         omega4=omega4_grid, lengths=length_grid, ratio=ratio, valid=valid,
         cache_fallbacks=cache.fallbacks if cache is not None else 0,

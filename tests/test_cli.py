@@ -248,11 +248,13 @@ def test_numerical_error_exit_code(tmp_path):
     ["dynamics", "--length", "2"],
     ["switch", "--omega4", "150:160:3", "--length", "2"],
     ["gainmap", "--omega4", "150:160:3", "--length", "1:2:2"],
-], ids=["dynamics", "switch-omega4", "gainmap"])
+    ["gainmap", "--omega4", "150:160:3", "--length", "0:2:3"],
+], ids=["dynamics", "switch-omega4", "gainmap", "gainmap-from-0"])
 def test_lone_runaway_trajectory_is_a_numerical_failure(tmp_path, args):
     # the probe lifts the drives far above the cache's grid; the trajectory
     # fails there instead of overflowing a direct average.  A switching
-    # curve or a map left with no valid point is a failure too
+    # curve is a failure too, and so is a map whose every column failed,
+    # even if its L = 0 cells are valid
     cfg = tmp_path / "runaway.json"
     cfg.write_text(json.dumps({"fields": {"E40": 1e150, "Omega4_MHz": 155.0}}))
     proc = run_cli([*args, "--config", str(cfg), "--steps", "256", "--quad", "301",
@@ -422,26 +424,11 @@ def _probe():
 _DETUNING = st.floats(-300.0, 300.0)
 
 
-@settings(max_examples=4, deadline=None, derandomize=True,
-          suppress_health_check=[HealthCheck.too_slow])
-@given(fields=st.fixed_dictionaries({
-    "Omega1_MHz": _DETUNING, "Omega3_MHz": _DETUNING, "Omega4_MHz": _DETUNING,
-    "G10_MHz": _drive(), "G30_MHz": _drive(), "E40": _probe(), "E20": _probe(),
-}))
-def test_any_valid_fields_give_finite_csv_or_a_named_error(fields):
-    # every configuration that passes validation either runs to a finite CSV
-    # or fails with exit 2 or 3 and one named error line, never a traceback
-    omega4 = fields["Omega4_MHz"]
-    runs = [
-        ["dynamics", "--length", "2"],
-        ["gainmap", "--omega4", f"{omega4}:{omega4 + 10}:2", "--length", "0:2:2"],
-        ["switch", "--g10", "60:100:2", "--length", "2"],
-        ["switch", "--omega4", f"{omega4}:{omega4 + 10}:2", "--length", "2"],
-        ["spectra", "--omega4", f"{omega4}:{omega4 + 10}:2"],
-    ]
+def _finite_csv_or_a_named_error(config: dict, runs: list[list[str]]) -> None:
+    """Each run of ``runs`` under ``config`` writes a finite CSV or exits 2 or 3 with one line."""
     with tempfile.TemporaryDirectory() as tmp:
-        cfg = Path(tmp) / "fields.json"
-        cfg.write_text(json.dumps({"fields": fields}))
+        cfg = Path(tmp) / "config.json"
+        cfg.write_text(json.dumps(config))
         for args in runs:
             out = Path(tmp) / "out.csv"
             out.unlink(missing_ok=True)
@@ -458,6 +445,53 @@ def test_any_valid_fields_give_finite_csv_or_a_named_error(fields):
                 prefix = "configuration error:" if rc == 2 else "numerical failure:"
                 assert rc in (2, 3) and len(lines) == 1 and lines[0].startswith(prefix), \
                     (args, rc, lines)
+
+
+@settings(max_examples=4, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(fields=st.fixed_dictionaries({
+    "Omega1_MHz": _DETUNING, "Omega3_MHz": _DETUNING, "Omega4_MHz": _DETUNING,
+    "G10_MHz": _drive(), "G30_MHz": _drive(), "E40": _probe(), "E20": _probe(),
+}))
+def test_any_valid_fields_give_finite_csv_or_a_named_error(fields):
+    # every configuration that passes validation either runs to a finite CSV
+    # or fails with exit 2 or 3 and one named error line, never a traceback
+    omega4 = fields["Omega4_MHz"]
+    _finite_csv_or_a_named_error({"fields": fields}, [
+        ["dynamics", "--length", "2"],
+        ["gainmap", "--omega4", f"{omega4}:{omega4 + 10}:2", "--length", "0:2:2"],
+        ["switch", "--g10", "60:100:2", "--length", "2"],
+        ["switch", "--omega4", f"{omega4}:{omega4 + 10}:2", "--length", "2"],
+        ["spectra", "--omega4", f"{omega4}:{omega4 + 10}:2"],
+    ])
+
+
+@st.composite
+def _relaxation(draw):
+    """Positive rates in [1, 300] MHz whose spontaneous branches fit inside their level's decay."""
+    pop = {k: draw(st.floats(1.0, 300.0)) for k in ("m", "g", "n")}
+    coh = {k: draw(st.floats(1.0, 300.0)) for k in ("ml", "gl", "mn", "gn", "nl", "gm")}
+    spont = {}
+    for level, (a, b) in (("m", ("mn", "ml")), ("g", ("gn", "gl"))):
+        spont[a] = draw(st.floats(0.0, 1.0)) * pop[level]
+        spont[b] = draw(st.floats(0.0, 1.0)) * (pop[level] - spont[a])
+    return {"gamma_pop_MHz": pop, "gamma_coh_MHz": coh, "gamma_spont_MHz": spont}
+
+
+@settings(max_examples=6, deadline=None, derandomize=True,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(relaxation=_relaxation(), medium=st.fixed_dictionaries({
+    "temperature_C": st.floats(100.0, 800.0), "p_n": st.floats(0.0, 0.5),
+    "alpha40_per_L4": st.floats(0.1, 10.0),
+}), omega4=_DETUNING)
+def test_any_relaxation_and_medium_give_finite_csv_or_a_named_error(relaxation, medium, omega4):
+    # the same holds for any rates the configuration accepts and any medium:
+    # the coefficient cache's grid is sized for the preset's rates, so a
+    # cache that fails its validation is a named numerical failure
+    _finite_csv_or_a_named_error({"relaxation": relaxation, "medium": medium}, [
+        ["spectra", "--omega4", f"{omega4}:{omega4 + 10}:2"],
+        ["gainmap", "--omega4", f"{omega4}:{omega4 + 10}:2", "--length", "0:2:2"],
+    ])
 
 
 def test_gainmap_manifest_reports_cache_validation_error(tmp_path):
