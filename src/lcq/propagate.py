@@ -84,7 +84,7 @@ class PropagationTrace:
 # spacing and reach, and the probes and tolerance of every column's check
 _GRID_N1_PER_MHZ = 0.9
 _GRID_N1_MIN = 90
-_GRID_N3 = 28
+_GRID_N3 = 32
 _GRID_POWER = 1.2
 _GRID_MARGIN = 1.05
 _VALIDATION_PROBES = 50
@@ -241,7 +241,7 @@ class CoefficientCache:
         trajectories share the drives' detunings, hence one
         :class:`DriveGrid` pass over the drive points, which ``threads``
         worker threads split.  One policy, with no settings:
-        max(90, ceil(0.9 |G10| / 1 MHz)) |G1| by 28 |G3| nodes, power-spaced
+        max(90, ceil(0.9 |G10| / 1 MHz)) |G1| by 32 |G3| nodes, power-spaced
         with exponent 1.2 (denser toward zero amplitude, where the
         coefficients curve most as the drives die out; uniform spacing fails
         the trace-level accuracy target by two orders of magnitude), and

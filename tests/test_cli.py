@@ -506,10 +506,12 @@ def test_gainmap_manifest_reports_cache_validation_error(tmp_path):
 @pytest.mark.parametrize("fields, args", [
     (None, ["--omega4", "170:172:2"]),
     ({"G10_MHz": 150.0}, ["--omega4=-5:5:2"]),
-], ids=["170MHz", "G10-150MHz"])
+    ({"G10_MHz": 60.0}, ["--omega4", "80.5:81:2"]),
+], ids=["170MHz", "G10-150MHz", "G10-60MHz"])
 def test_gainmap_whose_first_column_curves_hard_passes_validation(tmp_path, fields, args):
     # first columns where an 80 x 32 grid missed the tolerance (errors 5.6e-4
-    # and 1.6e-3); the grid sized from the drives passes every column
+    # and 1.6e-3), and one where 90 x 28 nodes did (1.01e-4 at 80.5 MHz and
+    # G10 = 60 MHz); the grid sized from the drives passes every column
     config = []
     if fields is not None:
         (tmp_path / "fields.json").write_text(json.dumps({"fields": fields}))
