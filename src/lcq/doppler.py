@@ -401,8 +401,9 @@ def _node_sums(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
     point.
     """
     shape = np.broadcast_shapes(np.shape(G1), np.shape(G3))
+    points = math.prod(shape)
     nodes, weights = quad.nodes()
-    step = max(1, liouville._CHUNK // math.prod(shape))
+    step = max(1, liouville._CHUNK // points)
 
     def responses(v):
         sh1, sh2, sh3, sh4 = (x.reshape(-1, *[1] * len(shape))
@@ -423,7 +424,7 @@ def _node_sums(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
         except liouville.SingularSystemError as exc:
             where = "batch"
             if exc.index is not None:
-                node, point = divmod(exc.index, math.prod(shape))
+                node, point = divmod(exc.index, points)
                 where = f"velocity node {start + node} (v = {v[node]:.3f} m/s)"
                 if shape:
                     where += f", drive point {tuple(map(int, np.unravel_index(point, shape)))}"

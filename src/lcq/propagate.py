@@ -703,9 +703,10 @@ def gain_map(
     cache = cache_for(scheme, relax, medium, columns, quad, threads)
     ratio, failed_at = transmission(scheme, relax, medium, columns, length_grid,
                                     steps=steps, quad=quad, cache=cache)
-    if not np.isnan(failed_at).any():
+    finished = np.isnan(failed_at)
+    if not finished.any():
         raise PropagationError(float(failed_at[0]))
-    valid = np.isnan(failed_at)[:, None] | (length_grid == 0.0)[None, :]
+    valid = finished[:, None] | (length_grid == 0.0)[None, :]
     return GainMapResult(
         omega4=omega4_grid, lengths=length_grid, ratio=ratio, valid=valid,
         cache_fallbacks=cache.fallbacks if cache is not None else 0,
