@@ -22,8 +22,10 @@ with the frequency-closure condition w4 + w2 = w1 + w3.
 
 from __future__ import annotations
 
+import dataclasses
 import json
 import math
+import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
@@ -71,10 +73,8 @@ class LevelScheme:
         l1, l2, l3, l4 = self.wavelengths
         lhs = 1.0 / l1 + 1.0 / l3
         rhs = 1.0 / l2 + 1.0 / l4
-        _require(
-            abs(lhs - rhs) <= CLOSURE_RTOL * abs(lhs),
-            f"frequency closure violated: 1/l1+1/l3 = {lhs:.9e}, 1/l2+1/l4 = {rhs:.9e}",
-        )
+        _require(abs(lhs - rhs) <= CLOSURE_RTOL * abs(lhs),
+                 f"frequency closure violated: 1/l1+1/l3 = {lhs:.9e}, 1/l2+1/l4 = {rhs:.9e}")
 
     def wavenumber(self, j: int) -> float:
         """Vacuum wavenumber k_j = 2*pi/lambda_j in rad/m (j = 1..4)."""
@@ -112,20 +112,12 @@ class RelaxationSet:
     sp_gl: float = 40.0
 
     def __post_init__(self) -> None:
-        for name in (
-            "gamma_m", "gamma_g", "gamma_n",
-            "coh_ml", "coh_gl", "coh_mn", "coh_gn", "coh_nl", "coh_gm",
-            "sp_mn", "sp_ml", "sp_gn", "sp_gl",
-        ):
-            _require(getattr(self, name) >= 0, f"{name} must be >= 0")
-        _require(
-            self.sp_mn + self.sp_ml <= self.gamma_m * (1 + 1e-12),
-            "branching sum of level m exceeds its population rate",
-        )
-        _require(
-            self.sp_gn + self.sp_gl <= self.gamma_g * (1 + 1e-12),
-            "branching sum of level g exceeds its population rate",
-        )
+        for f in dataclasses.fields(self):
+            _require(getattr(self, f.name) >= 0, f"{f.name} must be >= 0")
+        _require(self.sp_mn + self.sp_ml <= self.gamma_m * (1 + 1e-12),
+                 "branching sum of level m exceeds its population rate")
+        _require(self.sp_gn + self.sp_gl <= self.gamma_g * (1 + 1e-12),
+                 "branching sum of level g exceeds its population rate")
 
     @property
     def reservoir_m(self) -> float:
@@ -214,12 +206,8 @@ def na2_preset() -> tuple[LevelScheme, RelaxationSet, MediumParams, FieldConfig]
     giving 755.81 nm.
     """
     l1, l3, l4 = 655e-9, 532e-9, 480e-9
-    l2 = closed_lambda2(l1, l3, l4)
-    scheme = LevelScheme(wavelengths=(l1, l2, l3, l4))
-    relax = RelaxationSet()
-    medium = MediumParams()
-    fields = FieldConfig()
-    return scheme, relax, medium, fields
+    scheme = LevelScheme(wavelengths=(l1, closed_lambda2(l1, l3, l4), l3, l4))
+    return scheme, RelaxationSet(), MediumParams(), FieldConfig()
 
 
 def doppler_fwhm(temperature: float, wavelength: float, mass: float) -> float:
@@ -239,172 +227,142 @@ def boltzmann_fraction(temperature: float, splitting_hz: float) -> float:
     return math.exp(-H_PLANCK * splitting_hz / (K_BOLTZMANN * temperature))
 
 
-# ---------------------------------------------------------------------------
-# Configuration file handling (JSON data model).  Missing keys fall back to
-# the sodium-dimer preset.
-# ---------------------------------------------------------------------------
+# Configuration (JSON data model).  ``_SCHEMA`` declares each entry once: the
+# parameter class and attribute it sets, and a unit (write, read) that turns
+# the attribute into the entry's value and a value (with the entry's dotted
+# name, for errors) back.  Missing keys fall back to the sodium-dimer preset.
 
-def _complex_from(value) -> complex:
-    if isinstance(value, (int, float)):
-        return complex(value)
-    if isinstance(value, (list, tuple)) and len(value) == 2:
-        return complex(float(value[0]), float(value[1]))
-    raise ConfigError(f"cannot parse complex value from {value!r}")
+def _number(value, where: str) -> float:
+    """A configuration number: a finite JSON int or float, never a bool or a string."""
+    if isinstance(value, bool) or not isinstance(value, (int, float)) \
+            or not abs(value) <= sys.float_info.max:  # false for NaN and for a huge int
+        raise ConfigError(f"{where} must be a finite number, not {value!r}")
+    return float(value)
 
 
-def _complex_to(value: complex):
-    if value.imag == 0.0:
-        return value.real
-    return [value.real, value.imag]
+def _numbers(value, n: int, where: str) -> list[float]:
+    if not isinstance(value, (list, tuple)) or len(value) != n:
+        raise ConfigError(f"{where} must be a list of {n} numbers, not {value!r}")
+    return [_number(v, f"{where}[{i}]") for i, v in enumerate(value)]
+
+
+# Units.  A complex amplitude is written as a number when it is real, and
+# read from a number or a [real, imag] pair.
+_PLAIN = (lambda x: x, _number)
+_NM = (lambda ws: [w * 1e9 for w in ws],
+       lambda v, where: tuple(w * 1e-9 for w in _numbers(v, 4, where)))
+_FOUR = (list, lambda v, where: tuple(_numbers(v, 4, where)))
+_AMU = (lambda m: m / atomic_mass, lambda v, where: _number(v, where) * atomic_mass)
+_CELSIUS = (lambda t: t - 273.15, lambda v, where: _number(v, where) + 273.15)
+_COMPLEX = (lambda z: z.real if z.imag == 0.0 else [z.real, z.imag],
+            lambda v, where: complex(*_numbers(v, 2, where)) if isinstance(v, (list, tuple))
+            else complex(_number(v, where)))
+_PARAMS = (LevelScheme, RelaxationSet, MediumParams, FieldConfig)
+# relaxation.<section>.<key> sets RelaxationSet.<prefix>_<key>
+_RATE_SECTIONS = {"gamma": "gamma_pop_MHz", "coh": "gamma_coh_MHz", "sp": "gamma_spont_MHz"}
+
+_SCHEMA = {
+    "scheme": {
+        "wavelengths_nm": (LevelScheme, "wavelengths", _NM),
+        "dipoles_rel": (LevelScheme, "dipoles", _FOUR),
+        "mass_amu": (LevelScheme, "mass", _AMU),
+    },
+    "relaxation": {
+        section: {f.name.partition("_")[2]: (RelaxationSet, f.name, _PLAIN)
+                  for f in dataclasses.fields(RelaxationSet) if f.name.startswith(prefix + "_")}
+        for prefix, section in _RATE_SECTIONS.items()
+    },
+    "medium": {
+        "temperature_C": (MediumParams, "temperature", _CELSIUS),
+        "alpha40_per_L4": (MediumParams, "alpha40", _PLAIN),
+        "p_n": (MediumParams, "p_n", _PLAIN),
+    },
+    "fields": {
+        "Omega1_MHz": (FieldConfig, "omega1", _PLAIN),
+        "Omega3_MHz": (FieldConfig, "omega3", _PLAIN),
+        "Omega4_MHz": (FieldConfig, "omega4", _PLAIN),
+        "G10_MHz": (FieldConfig, "g10", _COMPLEX),
+        "G30_MHz": (FieldConfig, "g30", _COMPLEX),
+        "E40": (FieldConfig, "e40", _COMPLEX),
+        "E20": (FieldConfig, "e20", _COMPLEX),
+    },
+}
+
+
+def _at(where: str, key: str) -> str:
+    return f"{where}.{key}" if where else key
+
+
+def _merge(defaults, given, where: str):
+    """``given`` laid over ``defaults``: objects key by key, anything else replaced whole."""
+    if not isinstance(defaults, dict):
+        return given
+    if not isinstance(given, dict):
+        raise ConfigError(f"{where or 'the configuration'} must be an object")
+    unknown = sorted(set(given) - set(defaults))
+    if unknown:
+        raise ConfigError(f"unknown keys in {where or 'the configuration'}: {unknown}")
+    return {key: _merge(value, given[key], _at(where, key)) if key in given else value
+            for key, value in defaults.items()}
 
 
 def preset_config() -> dict:
     """The sodium-dimer preset as a plain configuration dictionary."""
-    scheme, relax, medium, fields = na2_preset()
-    return params_to_config(scheme, relax, medium, fields)
+    return params_to_config(*na2_preset())
 
 
-def params_to_config(
-    scheme: LevelScheme,
-    relax: RelaxationSet,
-    medium: MediumParams,
-    fields: FieldConfig,
-) -> dict:
-    return {
-        "scheme": {
-            "wavelengths_nm": [w * 1e9 for w in scheme.wavelengths],
-            "dipoles_rel": list(scheme.dipoles),
-            "mass_amu": scheme.mass / atomic_mass,
-        },
-        "relaxation": {
-            "gamma_pop_MHz": {"m": relax.gamma_m, "g": relax.gamma_g, "n": relax.gamma_n},
-            "gamma_coh_MHz": {
-                "ml": relax.coh_ml, "gl": relax.coh_gl, "mn": relax.coh_mn,
-                "gn": relax.coh_gn, "nl": relax.coh_nl, "gm": relax.coh_gm,
-            },
-            "gamma_spont_MHz": {
-                "mn": relax.sp_mn, "ml": relax.sp_ml,
-                "gn": relax.sp_gn, "gl": relax.sp_gl,
-            },
-        },
-        "medium": {
-            "temperature_C": medium.temperature - 273.15,
-            "alpha40_per_L4": medium.alpha40,
-            "p_n": medium.p_n,
-        },
-        "fields": {
-            "Omega1_MHz": fields.omega1,
-            "Omega3_MHz": fields.omega3,
-            "Omega4_MHz": fields.omega4,
-            "G10_MHz": _complex_to(complex(fields.g10)),
-            "G30_MHz": _complex_to(complex(fields.g30)),
-            "E40": _complex_to(complex(fields.e40)),
-            "E20": _complex_to(complex(fields.e20)),
-        },
-    }
+def params_to_config(scheme: LevelScheme, relax: RelaxationSet, medium: MediumParams,
+                     fields: FieldConfig) -> dict:
+    """The configuration dictionary of four parameter objects, entries in schema order."""
+    params = dict(zip(_PARAMS, (scheme, relax, medium, fields)))
+
+    def write(node):
+        if isinstance(node, dict):
+            return {key: write(sub) for key, sub in node.items()}
+        cls, attr, (to_config, _) = node
+        return to_config(getattr(params[cls], attr))
+
+    return write(_SCHEMA)
 
 
-def config_to_params(
-    config: dict,
-) -> tuple[LevelScheme, RelaxationSet, MediumParams, FieldConfig]:
-    """Build validated parameter objects from a configuration dictionary.
+def config_to_params(config: dict) -> tuple[LevelScheme, RelaxationSet, MediumParams, FieldConfig]:
+    """Validated parameter objects from a configuration dictionary laid over the preset.
 
-    The Stokes wavelength is always recomputed from frequency closure so
-    that rounded wavelength inputs remain usable.
+    A malformed entry is a ConfigError that names it.  The Stokes wavelength is
+    always recomputed from frequency closure, so rounded wavelengths are usable.
     """
-    base = preset_config()
-    if not isinstance(config, dict):
-        raise ConfigError("configuration root must be an object")
-    unknown = set(config) - set(base)
-    if unknown:
-        raise ConfigError(f"unknown configuration sections: {sorted(unknown)}")
+    kwargs = {cls: {} for cls in _PARAMS}
 
-    merged = {}
-    for section, defaults in base.items():
-        given = config.get(section, {})
-        if not isinstance(given, dict):
-            raise ConfigError(f"section {section!r} must be an object")
-        bad = set(given) - set(defaults)
-        if bad:
-            raise ConfigError(f"unknown keys in section {section!r}: {sorted(bad)}")
-        entry = dict(defaults)
-        for key, value in given.items():
-            if isinstance(defaults[key], dict):
-                if not isinstance(value, dict):
-                    raise ConfigError(f"{section}.{key} must be an object")
-                sub = dict(defaults[key])
-                badsub = set(value) - set(sub)
-                if badsub:
-                    raise ConfigError(
-                        f"unknown keys in {section}.{key}: {sorted(badsub)}"
-                    )
-                sub.update(value)
-                entry[key] = sub
-            else:
-                entry[key] = value
-        merged[section] = entry
+    def read(node, value, where):
+        if isinstance(node, dict):
+            for key, sub in node.items():
+                read(sub, value[key], _at(where, key))
+        else:
+            cls, attr, (_, from_config) = node
+            kwargs[cls][attr] = from_config(value, where)
 
+    read(_SCHEMA, _merge(preset_config(), config, ""), "")
+    l1, _, l3, l4 = kwargs[LevelScheme]["wavelengths"]
     try:
-        wl_nm = [float(w) for w in merged["scheme"]["wavelengths_nm"]]
-        if len(wl_nm) != 4:
-            raise ConfigError("scheme.wavelengths_nm must have four entries")
-        l1, _, l3, l4 = (w * 1e-9 for w in wl_nm)
-        l2 = closed_lambda2(l1, l3, l4)
-        dipoles = tuple(float(d) for d in merged["scheme"]["dipoles_rel"])
-        if len(dipoles) != 4:
-            raise ConfigError("scheme.dipoles_rel must have four entries")
-        scheme = LevelScheme(
-            wavelengths=(l1, l2, l3, l4),
-            dipoles=dipoles,
-            mass=float(merged["scheme"]["mass_amu"]) * atomic_mass,
-        )
-        pop = merged["relaxation"]["gamma_pop_MHz"]
-        coh = merged["relaxation"]["gamma_coh_MHz"]
-        spont = merged["relaxation"]["gamma_spont_MHz"]
-        relax = RelaxationSet(
-            gamma_m=float(pop["m"]), gamma_g=float(pop["g"]), gamma_n=float(pop["n"]),
-            coh_ml=float(coh["ml"]), coh_gl=float(coh["gl"]), coh_mn=float(coh["mn"]),
-            coh_gn=float(coh["gn"]), coh_nl=float(coh["nl"]), coh_gm=float(coh["gm"]),
-            sp_mn=float(spont["mn"]), sp_ml=float(spont["ml"]),
-            sp_gn=float(spont["gn"]), sp_gl=float(spont["gl"]),
-        )
-        medium = MediumParams(
-            temperature=float(merged["medium"]["temperature_C"]) + 273.15,
-            alpha40=float(merged["medium"]["alpha40_per_L4"]),
-            p_n=float(merged["medium"]["p_n"]),
-        )
-        f = merged["fields"]
-        fields = FieldConfig(
-            omega1=float(f["Omega1_MHz"]),
-            omega3=float(f["Omega3_MHz"]),
-            omega4=float(f["Omega4_MHz"]),
-            g10=_complex_from(f["G10_MHz"]),
-            g30=_complex_from(f["G30_MHz"]),
-            e40=_complex_from(f["E40"]),
-            e20=_complex_from(f["E20"]),
-        )
-    except ConfigError:
-        raise
-    except (KeyError, TypeError, ValueError) as exc:
+        kwargs[LevelScheme]["wavelengths"] = (l1, closed_lambda2(l1, l3, l4), l3, l4)
+        return tuple(cls(**kwargs[cls]) for cls in _PARAMS)
+    except ValueError as exc:
         raise ConfigError(str(exc)) from exc
-    return scheme, relax, medium, fields
 
 
 def finite_float(text: str) -> float:
-    """A number read from input: ``float(text)``, or ConfigError unless finite."""
-    value = float(text)
-    if not math.isfinite(value):
+    """A number from a command-line flag: ``float(text)``, or ConfigError unless finite."""
+    if not math.isfinite(value := float(text)):
         raise ConfigError(f"not a finite number: {text}")
     return value
 
 
 def load_config(path: str | Path) -> tuple[LevelScheme, RelaxationSet, MediumParams, FieldConfig]:
+    """Validated parameter objects from a JSON configuration file (see config_to_params)."""
     try:
-        text = Path(path).read_text(encoding="utf-8")
+        data = json.loads(Path(path).read_text(encoding="utf-8"))
     except OSError as exc:
         raise ConfigError(f"cannot read configuration file {path}: {exc}") from exc
-    try:
-        data = json.loads(text, parse_constant=finite_float, parse_float=finite_float)
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # malformed JSON or text that is not UTF-8
         raise ConfigError(f"invalid JSON in {path}: {exc}") from exc
     return config_to_params(data)
