@@ -139,21 +139,25 @@ def build_parser() -> argparse.ArgumentParser:
     parser.add_argument("--version", action="version", version=__version__)
     sub = parser.add_subparsers(dest="command", required=True)
 
-    def common(p):
+    def common(p, integrates=True, writes=True):
+        """The flags a subcommand reads: RK4 steps and threads if it integrates."""
         p.add_argument("--config", help="configuration file (JSON); defaults to the preset")
         p.add_argument("--quad", type=int,
                        help="velocity nodes of the sinh rule that checks the exact average "
                             "and averages exceptional points")
-        p.add_argument("--steps", type=int, default=2000, help="integration steps")
-        p.add_argument("--threads", type=int, help="worker threads (default LCQ_THREADS or 1)")
-        p.add_argument("--out", help="output CSV path (default stdout)")
-        p.add_argument("--manifest", help="manifest path (default OUT.manifest.json)")
+        if integrates:
+            p.add_argument("--steps", type=int, default=2000, help="integration steps")
+            p.add_argument("--threads", type=int,
+                           help="worker threads (default LCQ_THREADS or 1)")
+        if writes:
+            p.add_argument("--out", help="output CSV path (default stdout)")
+            p.add_argument("--manifest", help="manifest path (default OUT.manifest.json)")
 
     p = sub.add_parser("preset", help="dump the sodium-dimer preset configuration")
     p.add_argument("--out", help="output path (default stdout)")
 
     p = sub.add_parser("spectra", help="coefficient spectra versus probe detuning")
-    common(p)
+    common(p, integrates=False)
     p.add_argument("--omega4", default="-400:400:801", help="probe detuning sweep MIN:MAX:N")
     p.add_argument("--g1", type=finite_float, help="override drive amplitude G1 (MHz)")
     p.add_argument("--g3", type=finite_float, help="override drive amplitude G3 (MHz)")
@@ -176,7 +180,8 @@ def build_parser() -> argparse.ArgumentParser:
                    help="fixed optical length (L4); the transmission-map optimum is a good choice")
 
     p = sub.add_parser("validate", help="run the invariant self-checks")
-    common(p)
+    common(p, integrates=False, writes=False)
+    parser.set_defaults(out=None, manifest=None)  # validate writes no file
     return parser
 
 
@@ -235,16 +240,16 @@ def _dispatch(args, argv: list[str], t_start: float, stats: doppler.PoleStats) -
         return 0 if ok else 3
 
     quad = _quad(args, sch, medium)
-    threads = _threads(args)
     manifest = {
         "argv": argv,
         "config": config_snapshot,
         "quadrature": {"method": "pole sums of Faddeeva functions", "rule": quad.rule,
                        "n": quad.n, "wing_n": quad.wing_n, "u_m_per_s": quad.u},
-        "steps": args.steps,
-        "threads": threads,
-        "warnings": [],
     }
+    if args.command != "spectra":  # every other scan integrates
+        threads = _threads(args)
+        manifest.update(steps=args.steps, threads=threads)
+    manifest["warnings"] = []
 
     if args.command == "spectra":
         sweep = _parse_grid(args.omega4)
@@ -312,11 +317,19 @@ def run_validation(sch, relax, medium, fields, quad) -> bool:
     closure = abs(1 / lam[0] + 1 / lam[2] - 1 / lam[1] - 1 / lam[3]) * lam[3]
     check("frequency closure", closure < 1e-6, f"residual {closure:.2e}")
 
-    fwhm = scheme.doppler_fwhm(medium.temperature, lam[3], sch.mass)
-    check("doppler fwhm in band", 1.5e9 < fwhm < 2.0e9, f"{fwhm/1e9:.3f} GHz")
+    # the tabulated Doppler width and thermal population describe the preset
+    # medium; any medium's width must match the one the averages use
+    preset, _, preset_medium, _ = scheme.na2_preset()
+    fwhm = scheme.doppler_fwhm(preset_medium.temperature, preset.wavelengths[3], preset.mass)
+    check("preset doppler fwhm in band", 1.5e9 < fwhm < 2.0e9, f"{fwhm/1e9:.3f} GHz")
 
-    boltz = scheme.boltzmann_fraction(medium.temperature, sch.splitting_hz())
-    check("thermal population of n", 0.01 < boltz < 0.03, f"{boltz:.4f}")
+    boltz = scheme.boltzmann_fraction(preset_medium.temperature, preset.splitting_hz())
+    check("preset thermal population of n", 0.01 < boltz < 0.03, f"{boltz:.4f}")
+
+    fwhm = scheme.doppler_fwhm(medium.temperature, lam[3], sch.mass)
+    width = medium.doppler_width(sch, 4)
+    rel = abs(fwhm - 2 * math.sqrt(math.log(2)) * width * 1e6 / (2 * math.pi)) / fwhm
+    check("doppler fwhm of the medium", rel < 1e-12, f"{fwhm/1e9:.3f} GHz, rel {rel:.1e}")
 
     # the velocity class at rest, through the production kernels
     def drive_state(g1, g3):
@@ -344,7 +357,6 @@ def run_validation(sch, relax, medium, fields, quad) -> bool:
           f"alpha4 = {mc0.alpha4!r}")
 
     rad = scheme.RAD_PER_MHZ
-    width = medium.doppler_width(sch, 4)
     worst = 0.0
     v0 = doppler.voigt_reference(0.0, relax.coh_ml, width)
     for om4 in (50.0, 150.0, 300.0):

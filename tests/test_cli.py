@@ -100,8 +100,13 @@ def test_manifest_written_alongside_output(tmp_path):
     manifest = json.loads((tmp_path / "s.csv.manifest.json").read_text())
     assert manifest["config"] == scheme.preset_config()
     assert manifest["quadrature"]["n"] == 301
-    assert manifest["steps"] == 2000
     assert "wall_time_s" in manifest
+    # spectra integrates nothing, so only a propagating scan records its steps
+    assert "steps" not in manifest and "threads" not in manifest
+    out = tmp_path / "d.csv"
+    assert cli.main(["dynamics", "--length", "1", "--quad", "301", "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "d.csv.manifest.json").read_text())
+    assert manifest["steps"] == 2000
 
 
 def test_dynamics_subcommand(tmp_path):
@@ -196,9 +201,14 @@ def test_out_of_range_flag_is_a_config_error(tmp_path, args):
     (["spectra", "--omega4", "0:1:2"], '{"fields": {"Omega4_MHz": NaN}}'),
     (["spectra", "--omega4", "0:1:2"], '{"fields": {"G10_MHz": Infinity}}'),
     (["spectra", "--omega4", "0:1:2"], '{"fields": {"G30_MHz": 1e400}}'),
+    (["dynamics", "--length", "1"], '{"fields": {"Omega4_MHz": "nan"}}'),
+    (["spectra", "--omega4", "0:1:2"], '{"medium": {"temperature_C": "inf"}}'),
+    (["spectra", "--omega4", "0:1:2"], '{"fields": {"G10_MHz": true}}'),
+    (["spectra", "--omega4", "0:1:2"], '{"scheme": {"mass_amu": "inf"}}'),
 ], ids=["switch-g10-nan", "dynamics-length-nan", "spectra-omega4-nan", "spectra-omega4-inf",
         "spectra-omega4-span-overflows", "spectra-g1-nan", "gainmap-omega4-nan", "quad-0",
-        "config-nan", "config-infinity", "config-1e400"])
+        "config-nan", "config-infinity", "config-1e400", "config-nan-string",
+        "config-inf-string", "config-true", "config-mass-inf-string"])
 def test_invalid_number_is_a_config_error(tmp_path, args, config):
     if config is not None:
         (tmp_path / "bad.json").write_text(config)
@@ -206,6 +216,12 @@ def test_invalid_number_is_a_config_error(tmp_path, args, config):
     proc = run_cli(args, tmp_path)
     assert proc.returncode == 2, proc.stderr
     assert "configuration error:" in proc.stderr and "Traceback" not in proc.stderr
+    assert "Warning" not in proc.stderr
+    if config is not None:
+        # one error line, and it names the entry
+        ((section, entry),) = json.loads(config).items()
+        (key,) = entry
+        assert len(proc.stderr.splitlines()) == 1 and f"{section}.{key}" in proc.stderr
 
 
 def test_too_few_quadrature_nodes_is_a_config_error(tmp_path):
@@ -433,8 +449,9 @@ def _finite_csv_or_a_named_error(config: dict, runs: list[list[str]]) -> None:
             out = Path(tmp) / "out.csv"
             out.unlink(missing_ok=True)
             err = io.StringIO()
+            steps = [] if args[0] == "spectra" else ["--steps", "100"]
             with contextlib.redirect_stderr(err):
-                rc = cli.main([*args, "--config", str(cfg), "--quad", "101", "--steps", "100",
+                rc = cli.main([*args, "--config", str(cfg), "--quad", "101", *steps,
                                "--out", str(out)])
             lines = err.getvalue().splitlines()
             if rc == 0:
@@ -531,13 +548,34 @@ def test_threads_env_variable(tmp_path):
     assert proc.returncode == 0, proc.stderr
     manifest = json.loads((tmp_path / "env.csv.manifest.json").read_text())
     assert manifest["threads"] == 2
-    proc = run_cli(["spectra", "--omega4", "0:1:2", "--quad", "301"],
+    proc = run_cli(["gainmap", "--omega4", "150:155:2", "--length", "0:6:3", "--quad", "301"],
                    tmp_path, env_extra={"LCQ_THREADS": "many"})
     assert proc.returncode == 2, proc.stderr
 
 
 def test_validate_subcommand_passes():
     assert cli.main(["validate", "--quad", "1311"]) == 0
+
+
+def test_validate_passes_a_medium_unlike_the_preset(tmp_path, capsys):
+    # the Doppler-width and thermal-population bands describe the preset;
+    # a 150 C medium has its own width and still passes every invariant
+    cfg = tmp_path / "warm.json"
+    cfg.write_text(json.dumps({"medium": {"temperature_C": 150.0}}))
+    assert cli.main(["validate", "--config", str(cfg)]) == 0
+    assert "[PASS] doppler fwhm of the medium (1.357 GHz" in capsys.readouterr().out
+
+
+@pytest.mark.parametrize("args", [
+    ["spectra", "--steps", "7"],
+    ["spectra", "--threads", "3"],
+    ["validate", "--steps", "7"],
+    ["validate", "--out", "v.csv"],
+])
+def test_flag_the_command_does_not_read_is_a_usage_error(tmp_path, args):
+    proc = run_cli(args, tmp_path)
+    assert proc.returncode == 2 and "unrecognized arguments" in proc.stderr, proc.stderr
+    assert not (tmp_path / "v.csv").exists()
 
 
 def test_validate_runs_without_the_reference_oracle(tmp_path):

@@ -1,9 +1,13 @@
 """Domain types, preset values and unit helpers."""
 
+import copy
 import json
+import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy.constants import atomic_mass
 
 from lcq import scheme
@@ -14,6 +18,7 @@ from lcq.scheme import (
     MediumParams,
     RelaxationSet,
     boltzmann_fraction,
+    closed_lambda2,
     config_to_params,
     doppler_fwhm,
     na2_preset,
@@ -207,3 +212,76 @@ def test_medium_params_validation():
         MediumParams(p_n=1.0)
     with pytest.raises(ValueError):
         MediumParams(alpha40=0.0)
+
+
+def _complex_entry():
+    """A real amplitude as a number, a complex one as a [real, imag] pair."""
+    pair = st.tuples(st.floats(-1e3, 1e3), st.floats(-1e3, 1e3).filter(bool)).map(list)
+    return st.one_of(st.floats(-1e3, 1e3), pair)
+
+
+@st.composite
+def _configs(draw):
+    """A valid configuration that sets every entry."""
+    # 1/l4 < 2/800 nm <= 1/l1 + 1/l3, so the Stokes frequency is positive
+    l1, l3, l4 = draw(st.floats(400.0, 800.0)), draw(st.floats(400.0, 800.0)), \
+        draw(st.floats(450.0, 900.0))
+    l2 = closed_lambda2(l1 * 1e-9, l3 * 1e-9, l4 * 1e-9) * 1e9
+    rate = st.floats(0.0, 300.0)
+    pop = {k: draw(rate) for k in ("m", "g", "n")}
+    spont = {}
+    for level, (a, b) in (("m", ("mn", "ml")), ("g", ("gn", "gl"))):
+        spont[a] = draw(st.floats(0.0, 1.0)) * pop[level]
+        spont[b] = draw(st.floats(0.0, 1.0)) * (pop[level] - spont[a])
+    return {
+        "scheme": {"wavelengths_nm": [l1, l2, l3, l4],
+                   "dipoles_rel": draw(st.lists(st.floats(0.01, 10.0), min_size=4, max_size=4)),
+                   "mass_amu": draw(st.floats(1.0, 500.0))},
+        "relaxation": {"gamma_pop_MHz": pop, "gamma_spont_MHz": spont,
+                       "gamma_coh_MHz": {k: draw(rate)
+                                         for k in ("ml", "gl", "mn", "gn", "nl", "gm")}},
+        "medium": {"temperature_C": draw(st.floats(-200.0, 2000.0)),
+                   "alpha40_per_L4": draw(st.floats(0.01, 100.0)),
+                   "p_n": draw(st.floats(0.0, 0.99))},
+        "fields": {**{k: draw(st.floats(-1e3, 1e3))
+                      for k in ("Omega1_MHz", "Omega3_MHz", "Omega4_MHz")},
+                   **{k: draw(_complex_entry()) for k in ("G10_MHz", "G30_MHz", "E40", "E20")}},
+    }
+
+
+def _entries(config, path=()):
+    """The path of every entry of ``config``, and of each number in a list entry."""
+    for key, value in config.items():
+        if isinstance(value, dict):
+            yield from _entries(value, (*path, key))
+        else:
+            yield (*path, key)
+            if isinstance(value, list):
+                yield from ((*path, key, i) for i in range(len(value)))
+
+
+@settings(max_examples=40, deadline=None, derandomize=True)
+@given(config=_configs(), data=st.data())
+def test_every_entry_round_trips_and_a_malformed_one_is_named(config, data):
+    back = params_to_config(*config_to_params(config))
+    got, want = back["scheme"], config["scheme"]
+    assert got["wavelengths_nm"] == pytest.approx(want["wavelengths_nm"], rel=1e-14)
+    assert got["mass_amu"] == pytest.approx(want["mass_amu"], rel=1e-14)
+    # the Celsius offset costs at most a few ulps of the kelvin value
+    t = config["medium"]["temperature_C"]
+    assert back["medium"]["temperature_C"] == pytest.approx(t, abs=1e-15 * (t + 273.15))
+    expected = copy.deepcopy(config)
+    expected["scheme"].update(wavelengths_nm=got["wavelengths_nm"], mass_amu=got["mass_amu"])
+    expected["medium"]["temperature_C"] = back["medium"]["temperature_C"]
+    assert back == expected
+
+    path = data.draw(st.sampled_from(list(_entries(config))))
+    bad = data.draw(st.sampled_from(["1.0", "nan", True, False, math.nan, math.inf, -math.inf]))
+    broken = copy.deepcopy(config)
+    node = broken
+    for key in path[:-1]:
+        node = node[key]
+    node[path[-1]] = bad
+    name = ".".join(k for k in path if isinstance(k, str))
+    with pytest.raises(ConfigError, match=name.replace(".", r"\.")):
+        config_to_params(broken)
