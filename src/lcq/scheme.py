@@ -250,7 +250,7 @@ def _numbers(value, n: int, where: str) -> list[float]:
 # read from a number or a [real, imag] pair.
 _PLAIN = (lambda x: x, _number)
 _NM = (lambda ws: [w * 1e9 for w in ws],
-       lambda v, where: tuple(w * 1e-9 for w in _numbers(v, 4, where)))
+       lambda v, where: tuple(w / 1e9 for w in _numbers(v, 4, where)))
 _FOUR = (list, lambda v, where: tuple(_numbers(v, 4, where)))
 _AMU = (lambda m: m / atomic_mass, lambda v, where: _number(v, where) * atomic_mass)
 _CELSIUS = (lambda t: t - 273.15, lambda v, where: _number(v, where) + 273.15)
