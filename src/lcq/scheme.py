@@ -1,4 +1,5 @@
-"""Domain types, unit conventions, validation and the sodium-dimer preset.
+"""Domain types, unit conventions, validation, the sodium-dimer preset and its
+configuration schema (one table, ``_SCHEMA``, read and written through).
 
 Unit conventions used throughout the package:
 
@@ -249,6 +250,7 @@ def _numbers(value, n: int, where: str) -> list[float]:
 # Units.  A complex amplitude is written as a number when it is real, and
 # read from a number or a [real, imag] pair.
 _PLAIN = (lambda x: x, _number)
+# nm / 1e9 gives back 655e-9 itself, where 655.0 * 1e-9 is an ulp above it
 _NM = (lambda ws: [w * 1e9 for w in ws],
        lambda v, where: tuple(w / 1e9 for w in _numbers(v, 4, where)))
 _FOUR = (list, lambda v, where: tuple(_numbers(v, 4, where)))

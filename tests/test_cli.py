@@ -205,10 +205,11 @@ def test_out_of_range_flag_is_a_config_error(tmp_path, args):
     (["spectra", "--omega4", "0:1:2"], '{"medium": {"temperature_C": "inf"}}'),
     (["spectra", "--omega4", "0:1:2"], '{"fields": {"G10_MHz": true}}'),
     (["spectra", "--omega4", "0:1:2"], '{"scheme": {"mass_amu": "inf"}}'),
+    (["spectra", "--omega4", "0:1:2"], '{"fields": {"E40": 1%s}}' % ("0" * 400)),
 ], ids=["switch-g10-nan", "dynamics-length-nan", "spectra-omega4-nan", "spectra-omega4-inf",
         "spectra-omega4-span-overflows", "spectra-g1-nan", "gainmap-omega4-nan", "quad-0",
         "config-nan", "config-infinity", "config-1e400", "config-nan-string",
-        "config-inf-string", "config-true", "config-mass-inf-string"])
+        "config-inf-string", "config-true", "config-mass-inf-string", "config-huge-int"])
 def test_invalid_number_is_a_config_error(tmp_path, args, config):
     if config is not None:
         (tmp_path / "bad.json").write_text(config)

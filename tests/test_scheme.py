@@ -205,6 +205,15 @@ def test_load_config_file(tmp_path):
         scheme.load_config(tmp_path / "missing.json")
 
 
+def test_unparsable_configuration_file_is_a_config_error(tmp_path):
+    # text that is not UTF-8, and an integer too long for Python to convert
+    for name, raw in (("latin.json", b'{"fields": {"E40": \xff}}'),
+                      ("digits.json", b'{"fields": {"E40": 1' + b"0" * 5000 + b"}}")):
+        (tmp_path / name).write_bytes(raw)
+        with pytest.raises(ConfigError, match="invalid JSON"):
+            scheme.load_config(tmp_path / name)
+
+
 def test_medium_params_validation():
     with pytest.raises(ValueError):
         MediumParams(temperature=-1.0)
