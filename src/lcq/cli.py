@@ -140,7 +140,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, integrates=True, writes=True):
-        """The flags a subcommand reads: RK4 steps and threads if it integrates."""
+        """The flags a subcommand reads: steps and threads if it integrates, paths if it writes."""
         p.add_argument("--config", help="configuration file (JSON); defaults to the preset")
         p.add_argument("--quad", type=int,
                        help="velocity nodes of the sinh rule that checks the exact average "

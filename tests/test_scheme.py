@@ -269,7 +269,7 @@ def _entries(config, path=()):
                 yield from ((*path, key, i) for i in range(len(value)))
 
 
-@settings(max_examples=40, deadline=None, derandomize=True)
+@settings(max_examples=40, deadline=None, derandomize=True, report_multiple_bugs=False)
 @given(config=_configs(), data=st.data())
 def test_every_entry_round_trips_and_a_malformed_one_is_named(config, data):
     back = params_to_config(*config_to_params(config))
