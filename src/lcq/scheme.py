@@ -30,14 +30,19 @@ import sys
 from dataclasses import dataclass, replace
 from pathlib import Path
 
-from scipy.constants import atomic_mass, c as C_LIGHT, h as H_PLANCK, k as K_BOLTZMANN
+# SI constants.  c, h and k are exact by the 2019 definition of the SI; the
+# atomic mass constant is the CODATA 2022 value (as in scipy.constants 1.17).
+C_LIGHT = 299792458.0            # m/s
+H_PLANCK = 6.62607015e-34        # J s
+K_BOLTZMANN = 1.380649e-23       # J/K
+ATOMIC_MASS = 1.66053906892e-27  # kg
 
 # Internal angular units per stored MHz.  Stored detunings/Rabi amplitudes are
 # linear-frequency MHz; multiplying by 2*pi yields rad/us, the unit the rate
 # constants (1e6 s^-1) already carry.
 RAD_PER_MHZ = 2.0 * math.pi
 
-NA2_MASS_KG = 2.0 * 22.98976928 * atomic_mass
+NA2_MASS_KG = 2.0 * 22.98976928 * ATOMIC_MASS
 
 # Closure tolerance on 1/l1 + 1/l3 = 1/l2 + 1/l4 (relative).
 CLOSURE_RTOL = 1e-6
@@ -254,7 +259,7 @@ _PLAIN = (lambda x: x, _number)
 _NM = (lambda ws: [w * 1e9 for w in ws],
        lambda v, where: tuple(w / 1e9 for w in _numbers(v, 4, where)))
 _FOUR = (list, lambda v, where: tuple(_numbers(v, 4, where)))
-_AMU = (lambda m: m / atomic_mass, lambda v, where: _number(v, where) * atomic_mass)
+_AMU = (lambda m: m / ATOMIC_MASS, lambda v, where: _number(v, where) * ATOMIC_MASS)
 _CELSIUS = (lambda t: t - 273.15, lambda v, where: _number(v, where) + 273.15)
 _COMPLEX = (lambda z: z.real if z.imag == 0.0 else [z.real, z.imag],
             lambda v, where: complex(*_numbers(v, 2, where)) if isinstance(v, (list, tuple))

@@ -81,6 +81,44 @@ def test_kahan_sum_is_correctly_rounded_under_cancellation():
 
 
 # --------------------------------------------------------------------------
+# the Faddeeva function
+# --------------------------------------------------------------------------
+
+def _upper_half_plane_points(n, seed):
+    rng = np.random.default_rng(seed)
+    x = rng.uniform(-1.0, 1.0, n) * 10.0 ** rng.uniform(-3.0, 3.0, n)
+    return x + 1j * 10.0 ** rng.uniform(-8.0, 3.0, n)
+
+
+def test_faddeeva_matches_scipy_wofz():
+    from scipy.special import wofz
+
+    rng = np.random.default_rng(11)
+    far = 10.0 ** rng.uniform(3.0, 14.0, 2000) * np.exp(1j * rng.uniform(0.0, math.pi, 2000))
+    z = np.concatenate([[0.0, 1e-8j, 1e-8, -1e-8], np.linspace(-1000.0, 1000.0, 20001),
+                        _upper_half_plane_points(20000, 12), far, [1e14, -1e14, 1e14j]])
+    assert np.all(z.imag >= 0)
+    exact = wofz(z)
+    assert np.max(np.abs(dp._faddeeva(z) - exact) / np.abs(exact)) < 1e-13
+    # below the axis Z is the mirror image, -i sqrt(pi) w(-p), not w's continuation
+    p = np.conj(z[z.imag > 0])
+    expect = -1j * math.sqrt(math.pi) * wofz(-p)
+    assert np.max(np.abs(dp._plasma_z(p) - expect) / np.abs(expect)) < 1e-13
+    assert np.array_equal(dp._plasma_z(np.conj(p)), np.conj(dp._plasma_z(p)))
+
+
+def test_plasma_z_of_a_batch_repeats_each_point_alone_bit_for_bit():
+    # results must not depend on how points are batched (thread counts set
+    # the batches); an in-place Horner step breaks this on SIMD hardware
+    z = _upper_half_plane_points(1001, 13)
+    z[::3] = np.conj(z[::3])
+    alone = np.array([dp._plasma_z(z[k:k + 1])[0] for k in range(z.size)])
+    for n in range(1, 1001):
+        assert np.array_equal(dp._plasma_z(z[:n]).view(np.int64), alone[:n].view(np.int64)), n
+    assert np.array_equal(dp._plasma_z(z[1:]).view(np.int64), alone[1:].view(np.int64))
+
+
+# --------------------------------------------------------------------------
 # averaging
 # --------------------------------------------------------------------------
 

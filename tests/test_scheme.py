@@ -8,6 +8,7 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+import scipy.constants
 from scipy.constants import atomic_mass
 
 from lcq import scheme
@@ -87,6 +88,15 @@ def test_field_config_omega2_is_derived():
     assert f.omega2 == 75.0
     assert f.with_omega4(100.0).omega2 == 10.0
     assert "omega2" not in vars(f)
+
+
+def test_si_constants_match_scipy():
+    # c, h and k are exact in the SI; the atomic mass constant is measured,
+    # and CODATA revisions move it by parts in 1e10
+    assert scheme.C_LIGHT == scipy.constants.c
+    assert scheme.H_PLANCK == scipy.constants.h
+    assert scheme.K_BOLTZMANN == scipy.constants.k
+    assert scheme.ATOMIC_MASS == pytest.approx(atomic_mass, rel=1e-9, abs=0.0)
 
 
 def test_doppler_fwhm_value(preset):
