@@ -495,10 +495,12 @@ def _sample_positions(L: float, steps: int, record_at, min_samples: int) -> np.n
     check_run(L, steps)
     sample_z = np.linspace(0.0, L, min_samples)
     if record_at is not None:
-        record = np.asarray(record_at, dtype=float)
-        if np.any(record < 0) or np.any(record > L * (1 + 1e-12)):
-            raise ValueError("record positions must lie in [0, L]")
-        sample_z = np.union1d(sample_z, record)
+        record = np.asarray(record_at, dtype=float).ravel()
+        if not np.all((record >= 0) & (record <= L * (1 + 1e-12))):  # NaN fails both
+            raise ValueError("record positions must be finite and lie in [0, L]")
+        # np.union1d would do, but its np.unique imports numpy.ma on first use
+        sample_z = np.sort(np.concatenate((sample_z, record)))
+        sample_z = sample_z[np.concatenate(([True], sample_z[1:] != sample_z[:-1]))]
     return sample_z
 
 

@@ -224,6 +224,15 @@ def test_integrate_input_validation(preset, quad, dressed_fields):
         pg.integrate(sch, relax, medium, dressed_fields, L=5.0, steps=50, quad=quad)
 
 
+def test_record_positions_join_the_samples_once_and_must_be_finite():
+    z = pg._sample_positions(10.0, 200, [5.0, 1.0, 5.0, 10.0, 0.0], 5)
+    assert np.array_equal(z, [0.0, 1.0, 2.5, 5.0, 7.5, 10.0])
+    assert np.array_equal(z, np.union1d(np.linspace(0.0, 10.0, 5), [5.0, 1.0, 5.0, 10.0, 0.0]))
+    for bad in (np.nan, np.inf, -np.inf, -1.0, 11.0):
+        with pytest.raises(ValueError, match="record positions"):
+            pg._sample_positions(10.0, 200, [bad, 5.0], 5)
+
+
 # --------------------------------------------------------------------------
 # cache
 # --------------------------------------------------------------------------
