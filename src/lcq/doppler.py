@@ -228,7 +228,7 @@ def _weideman(n: int) -> tuple[float, np.ndarray]:
     t = scale * np.tan(np.arange(1 - m, m) * (math.pi / (2 * m)))
     f = np.concatenate(([0.0], np.exp(-t * t) * (scale * scale + t * t)))
     a = np.fft.fft(np.fft.fftshift(f)).real / (2 * m)
-    return scale, a[n:0:-1].copy()
+    return scale, a[n:0:-1]
 
 
 _W_SCALE, _W_COEFFS = _weideman(40)
@@ -246,7 +246,7 @@ def _faddeeva(z: np.ndarray) -> np.ndarray:
     """
     r = 1.0 / (_W_SCALE - 1j * z)
     big_z = 2.0 * _W_SCALE * r - 1.0
-    p = np.zeros(big_z.shape, dtype=complex) + _W_COEFFS[0]
+    p = np.full(big_z.shape, _W_COEFFS[0], dtype=complex)
     for a in _W_COEFFS[1:]:
         p = p * big_z + a
     return (2.0 * p * r + 1.0 / _SQRT_PI) * r
