@@ -10,10 +10,12 @@ or through a tensor-product cubic-spline cache over (|G1|, |G3|).
 :func:`cache_for` decides whether a run gets one, and only
 :meth:`CoefficientCache.build` makes it: one column per probe detuning,
 its grid sized from the run's largest drives.  :func:`_row_source` gives
-each trajectory the column of its detunings.  One fixed-step RK4 engine
-advances n trajectories in lockstep as an (n, 4) complex state
-[G1, G3, E4, E2]: a single integration, the columns of a gain map and the
-points of a switching curve on either axis all run on it.
+each trajectory the column of its detunings.  One fixed-step RK4 runner
+(:func:`_run`) advances n trajectories in lockstep as an (n, 4) complex
+state [G1, G3, E4, E2]: a single integration, the columns of a gain map and
+the points of a switching curve on either axis all run on it.  It steps
+only through z = 0, the positions a run records and the medium's end, each
+interval taking its rounded share of the run's steps.
 
 At the batch sizes of a map or sweep the fixed cost of a numpy call, not
 the arithmetic, sets the time of a stage, so a stage makes as few calls
@@ -60,7 +62,7 @@ class PropagationError(RuntimeError):
 
 @dataclass
 class PropagationTrace:
-    """Sampled field amplitudes along the medium.
+    """Field amplitudes at the recorded positions along the medium.
 
     ``error_estimate`` is the maximum relative deviation of |E4| between the
     nominal and a doubled step count, when requested.
@@ -84,6 +86,7 @@ class PropagationTrace:
 # spacing and reach, and the probes and tolerance of every column's check
 _GRID_N1_PER_MHZ = 0.9
 _GRID_N1_MIN = 90
+_GRID_N1_MAX = 2048  # a dense n1 x n1 collocation solve stays bounded
 _GRID_N3 = 32
 _GRID_POWER = 1.2
 _GRID_MARGIN = 1.05
@@ -241,7 +244,7 @@ class CoefficientCache:
         trajectories share the drives' detunings, hence one
         :class:`DriveGrid` pass over the drive points, which ``threads``
         worker threads split.  One policy, with no settings:
-        max(90, ceil(0.9 |G10| / 1 MHz)) |G1| by 32 |G3| nodes, power-spaced
+        min(2048, max(90, ceil(0.9 |G10| / 1 MHz))) |G1| by 32 |G3| nodes, power-spaced
         with exponent 1.2 (denser toward zero amplitude, where the
         coefficients curve most as the drives die out; uniform spacing fails
         the trace-level accuracy target by two orders of magnitude), and
@@ -251,7 +254,7 @@ class CoefficientCache:
         columns = list({f.omega4: f for f in trajectories}.values())
         g10 = max(abs(f.g10) for f in trajectories)
         g30 = max(abs(f.g30) for f in trajectories)
-        n1 = max(_GRID_N1_MIN, math.ceil(_GRID_N1_PER_MHZ * g10))
+        n1 = min(_GRID_N1_MAX, max(_GRID_N1_MIN, math.ceil(_GRID_N1_PER_MHZ * g10)))
         g1_grid = _GRID_MARGIN * g10 * np.linspace(0.0, 1.0, n1) ** _GRID_POWER
         g3_grid = _GRID_MARGIN * g30 * np.linspace(0.0, 1.0, _GRID_N3) ** _GRID_POWER
         grid = DriveGrid(scheme, relax, medium, columns[0], g1_grid, g3_grid, quad)
@@ -491,30 +494,18 @@ def check_run(L: float, steps: int) -> None:
         raise ConfigError("need at least 100 integration steps")
 
 
-def _sample_positions(L: float, steps: int, record_at, min_samples: int) -> np.ndarray:
-    check_run(L, steps)
-    sample_z = np.linspace(0.0, L, min_samples)
-    if record_at is not None:
-        record = np.asarray(record_at, dtype=float).ravel()
-        if not np.all((record >= 0) & (record <= L * (1 + 1e-12))):  # NaN fails both
-            raise ValueError("record positions must be finite and lie in [0, L]")
-        # np.union1d would do, but its np.unique imports numpy.ma on first use
-        sample_z = np.sort(np.concatenate((sample_z, record)))
-        sample_z = sample_z[np.concatenate(([True], sample_z[1:] != sample_z[:-1]))]
-    return sample_z
+def _lockstep(y0: np.ndarray, positions: np.ndarray, steps: int, source, scheme):
+    """Fixed-step RK4 of the (n, 4) states ``y0`` from z = 0 through ``positions``.
 
-
-def _lockstep(y0: np.ndarray, sample_z: np.ndarray, steps: int, source, scheme):
-    """Fixed-step RK4 of the (n, 4) states ``y0`` from z = 0 through ``sample_z``.
-
-    ``source`` is a :func:`_row_source` binder.  Each RK4 stage reads its
-    (n, 12) coefficient rows with one call of the batch's reader, and
-    nothing else reads them.  Returns the states (samples, n, 4) at the
-    samples and where each trajectory turned non-finite (NaN if it never
-    did).  A failed trajectory leaves the batch; its later samples are NaN.
+    Each interval between the ascending ``positions`` takes its rounded
+    share of ``steps``, at least one.  ``source`` is a :func:`_row_source`
+    binder; each RK4 stage reads its (n, 12) rows with one call of the
+    batch's reader, and nothing else reads them.  Returns the states
+    (positions, n, 4) and where each trajectory turned non-finite (NaN if
+    it never did); a failed trajectory leaves the batch, its later states NaN.
     """
     n = y0.shape[0]
-    states = np.full((sample_z.size, n, 4), np.nan, dtype=complex)
+    states = np.full((positions.size, n, 4), np.nan, dtype=complex)
     failed_at = np.full(n, np.nan)
 
     def f(y):
@@ -535,14 +526,14 @@ def _lockstep(y0: np.ndarray, sample_z: np.ndarray, steps: int, source, scheme):
     live = np.arange(n)
     read = source(live)
     y = np.array(y0, dtype=complex, order="F")  # each component one contiguous run
-    h_target = sample_z[-1] / steps
+    h_target = positions[-1] / steps
     z = 0.0
     # non-finite states are detected after every step and reported, so the
     # overflow that produces them raises no floating-point warning
     with np.errstate(over="ignore", invalid="ignore"):
         states[0] = y
-        for k in range(1, sample_z.size):
-            seg = sample_z[k] - sample_z[k - 1]
+        for k in range(1, positions.size):
+            seg = positions[k] - positions[k - 1]
             n_sub = max(1, int(round(seg / h_target)))
             h = seg / n_sub
             for _ in range(n_sub):
@@ -563,6 +554,30 @@ def _lockstep(y0: np.ndarray, sample_z: np.ndarray, steps: int, source, scheme):
     return states, failed_at
 
 
+def _run(scheme, relax, medium, fields: list[FieldConfig], y0: np.ndarray, L: float, record_at,
+         steps: int, quad: QuadratureSpec | None, cache: CoefficientCache | None,
+         doubled: bool = False):
+    """The one runner: trajectories ``fields`` from the states ``y0`` (n, 4) at z = 0 to L.
+
+    It steps through z = 0, ``record_at`` and L alone (:func:`_lockstep`),
+    after :func:`check_run` and a ``ValueError`` for a record position not
+    in [0, L]; ``quad`` defaults to :meth:`QuadratureSpec.for_medium`.
+    Returns the positions and the :func:`_lockstep` results at ``steps``
+    and, with ``doubled``, at twice the steps over the same row source.
+    """
+    check_run(L, steps)
+    record = np.asarray(record_at, dtype=float).ravel()
+    if not np.all((record >= 0) & (record <= L * (1 + 1e-12))):  # NaN fails both
+        raise ValueError("record positions must be finite and lie in [0, L]")
+    # np.union1d would do, but its np.unique imports numpy.ma on first use
+    z = np.sort(np.concatenate(([0.0, L], record)))
+    z = z[np.concatenate(([True], z[1:] != z[:-1]))]
+    if quad is None:
+        quad = QuadratureSpec.for_medium(scheme, medium)
+    source = _row_source(scheme, relax, medium, fields, quad, cache)
+    return z, [_lockstep(y0, z, m * steps, source, scheme) for m in ((1, 2) if doubled else (1,))]
+
+
 def integrate(
     scheme: LevelScheme,
     relax: RelaxationSet,
@@ -574,44 +589,32 @@ def integrate(
     cache: CoefficientCache | None = None,
     error_estimate: bool = True,
     record_at: np.ndarray | None = None,
-    min_samples: int = 257,
 ) -> PropagationTrace:
     """Fixed-step 4th-order integration of the four coupled waves to z = L.
 
     Coefficients are re-evaluated at every stage from the local drive
-    amplitudes, through ``cache`` or directly.  The trace records at least
-    ``min_samples`` evenly spaced positions plus every entry of
-    ``record_at``.  With ``error_estimate`` the run is repeated at twice the
-    step count and the maximum relative deviation of |E4| is attached.
-    A cache is read at the column of the fields' detunings.
+    amplitudes, through ``cache`` (at the column of the fields' detunings)
+    or directly.  The run records and steps through z = 0, ``record_at``
+    and L alone (:func:`_run`), or 257 evenly spaced positions where
+    ``record_at`` is None.  With ``error_estimate`` a second run at twice
+    the step count gives the maximum relative deviation of |E4|.
     """
-    sample_z = _sample_positions(L, steps, record_at, min_samples)
-    if quad is None:
-        quad = QuadratureSpec.for_medium(scheme, medium)
-    source = _row_source(scheme, relax, medium, [fields], quad, cache)
+    if record_at is None:
+        check_run(L, steps)  # before the positions are spaced over L
+        record_at = np.linspace(0.0, L, 257)
     y0 = np.array([[fields.g10, fields.g30, fields.e40, fields.e20]], dtype=complex)
-
-    def run(n_steps: int) -> np.ndarray:
-        states, failed_at = _lockstep(y0, sample_z, n_steps, source, scheme)
+    z, runs = _run(scheme, relax, medium, [fields], y0, L, record_at, steps, quad, cache,
+                   doubled=error_estimate)
+    for _, failed_at in runs:
         if not np.isnan(failed_at[0]):
             raise PropagationError(float(failed_at[0]))
-        return states[:, 0]
-
-    solution = run(steps)
+    solution = runs[0][0][:, 0]
     err = None
     if error_estimate:
-        fine = run(2 * steps)
-        scale = np.max(np.abs(solution[:, 2]))
-        if scale > 0:
-            err = float(np.max(np.abs(np.abs(solution[:, 2]) - np.abs(fine[:, 2]))) / scale)
-        else:
-            err = 0.0
-    return PropagationTrace(
-        z=sample_z,
-        g1=solution[:, 0], g3=solution[:, 1],
-        e4=solution[:, 2], e2=solution[:, 3],
-        error_estimate=err,
-    )
+        e4, fine = np.abs(solution[:, 2]), np.abs(runs[1][0][:, 0, 2])
+        scale = np.max(e4)
+        err = float(np.max(np.abs(e4 - fine)) / scale) if scale > 0 else 0.0
+    return PropagationTrace(z, *solution.T, error_estimate=err)
 
 
 def transmission(
@@ -620,30 +623,26 @@ def transmission(
     medium: MediumParams,
     fields: list[FieldConfig],
     lengths: np.ndarray,
-    steps: int = 2000,
-    quad: QuadratureSpec | None = None,
+    steps: int,
+    quad: QuadratureSpec | None,
     cache: CoefficientCache | None = None,
 ) -> tuple[np.ndarray, np.ndarray]:
     """Probe transmission I4(L)/I40 of the trajectories ``fields``, integrated in lockstep.
 
-    ``lengths`` ascends to the end of the medium.  A zero probe input E40 is
-    replaced by the small-signal probe 1e-3 |G10|.  Returns the
-    (n, len(lengths)) ratios and the position where each trajectory turned
-    non-finite (NaN where it stayed finite); a failed trajectory's ratios
-    beyond z = 0 are NaN.
+    ``lengths`` ascends to the end of the medium, and the run records
+    them alone (:func:`_run`).  A zero probe input E40 is replaced by the
+    small-signal probe 1e-3 |G10|.  Returns the (n, len(lengths)) ratios
+    and the position where each trajectory turned non-finite (NaN where it
+    stayed finite); a failed trajectory's ratios beyond z = 0 are NaN.
     """
     lengths = np.asarray(lengths, dtype=float)
-    positive = lengths[lengths > 0]
-    sample_z = _sample_positions(float(lengths[-1]), steps, positive, 257)
-    if quad is None:
-        quad = QuadratureSpec.for_medium(scheme, medium)
     e40 = np.array([f.e40 if f.e40 != 0 else 1e-3 * abs(f.g10) for f in fields], dtype=complex)
     if np.any(e40 == 0):
         raise ConfigError("transmission needs a non-zero probe input E40 or drive G10")
     y0 = np.array([[f.g10, f.g30, e, f.e20] for f, e in zip(fields, e40)], dtype=complex)
-    source = _row_source(scheme, relax, medium, fields, quad, cache)
-    states, failed_at = _lockstep(y0, sample_z, steps, source, scheme)
-    e4 = states[np.searchsorted(sample_z, lengths), :, 2].T
+    z, [(states, failed_at)] = _run(scheme, relax, medium, fields, y0, float(lengths[-1]),
+                                    lengths, steps, quad, cache)
+    e4 = states[np.searchsorted(z, lengths), :, 2].T
     e4[~np.isnan(failed_at)[:, None] & (lengths > 0)] = np.nan
     return np.abs(e4) ** 2 / (np.abs(e40) ** 2)[:, None], failed_at
 

@@ -363,7 +363,8 @@ def test_criterion_10_spatial_dynamics_shape(preset, quad):
     f = fields.with_omega4(160.0)
     cache = pg.CoefficientCache.build(sch, relax, medium, [f], quad)
     trace = pg.integrate(sch, relax, medium, f, L=20.0, steps=2000, quad=quad,
-                         cache=cache, error_estimate=False, min_samples=801)
+                         cache=cache, error_estimate=False,
+                         record_at=np.linspace(0.0, 20.0, 801))
     i4 = np.abs(trace.e4) ** 2 / abs(f.e40) ** 2
     imin = int(np.argmin(i4[: i4.size // 2]))
     dip = i4[imin]

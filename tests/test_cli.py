@@ -282,6 +282,17 @@ def test_lone_runaway_trajectory_is_a_numerical_failure(tmp_path, args):
     assert lines[0].startswith("numerical failure: non-finite field amplitude")
 
 
+def test_drive_far_above_the_cache_grid_cap_is_a_numerical_failure(tmp_path):
+    # the |G1| axis of the cache stops at 2048 nodes, so G10 = 1e200 MHz
+    # builds a bounded grid and fails as a named numerical error instead of
+    # asking for an array no machine holds
+    proc = run_cli(["switch", "--g10=1e200:1e200:1", "--length", "1", "--steps", "100",
+                    "--out", str(tmp_path / "out.csv")], tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("numerical failure:"), proc.stderr
+
+
 def test_zero_coherence_rate_is_a_numerical_failure(tmp_path):
     # gamma_nl = 0 passes validation but leaves the probe block singular for
     # the v = 0 class at zero drives, where the normalization is computed
@@ -509,6 +520,9 @@ def test_any_relaxation_and_medium_give_finite_csv_or_a_named_error(relaxation, 
     _finite_csv_or_a_named_error({"relaxation": relaxation, "medium": medium}, [
         ["spectra", "--omega4", f"{omega4}:{omega4 + 10}:2"],
         ["gainmap", "--omega4", f"{omega4}:{omega4 + 10}:2", "--length", "0:2:2"],
+        ["dynamics", "--omega4", f"{omega4}", "--length", "2"],
+        ["switch", "--g10", "60:100:2", "--length", "2"],
+        ["switch", "--omega4", f"{omega4}:{omega4 + 10}:2", "--length", "2"],
     ])
 
 

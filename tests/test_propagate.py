@@ -148,8 +148,7 @@ def test_trace_structure(preset, quad, dressed_fields, dressed_cache):
                          quad=quad, cache=dressed_cache, error_estimate=False,
                          record_at=np.array([1.25, 3.3]))
     assert trace.z[0] == 0.0 and trace.z[-1] == 5.0
-    assert np.all(np.diff(trace.z) > 0)
-    assert trace.z.size >= 257
+    assert np.array_equal(trace.z, [0.0, 1.25, 3.3, 5.0])
     assert trace.g1[0] == dressed_fields.g10
     assert trace.e4[0] == dressed_fields.e40
     for amplitudes in (trace.g1, trace.g3, trace.e4, trace.e2):
@@ -224,18 +223,47 @@ def test_integrate_input_validation(preset, quad, dressed_fields):
         pg.integrate(sch, relax, medium, dressed_fields, L=5.0, steps=50, quad=quad)
 
 
-def test_record_positions_join_the_samples_once_and_must_be_finite():
-    z = pg._sample_positions(10.0, 200, [5.0, 1.0, 5.0, 10.0, 0.0], 5)
-    assert np.array_equal(z, [0.0, 1.0, 2.5, 5.0, 7.5, 10.0])
-    assert np.array_equal(z, np.union1d(np.linspace(0.0, 10.0, 5), [5.0, 1.0, 5.0, 10.0, 0.0]))
+def test_record_positions_join_the_samples_once_and_must_be_finite(preset, quad):
+    # the runner's positions are z = 0, the record positions and L, each once
+    sch, relax, medium, fields = preset
+    cache = ConstantRows(dp.MacroscopicCoefficients(0, 0, 0, 0, 0, 0, 0, 0, 0j, 0j), fields)
+    y0 = np.array([[fields.g10, fields.g30, fields.e40, fields.e20]], dtype=complex)
+    record = [5.0, 1.0, 5.0, 10.0, 0.0]
+    z, [(states, failed_at)] = pg._run(sch, relax, medium, [fields], y0, 10.0, record, 200,
+                                       quad, cache)
+    assert np.array_equal(z, [0.0, 1.0, 5.0, 10.0])
+    assert np.array_equal(z, np.union1d([0.0, 10.0], record))
+    assert states.shape == (4, 1, 4) and np.isnan(failed_at).all()
     for bad in (np.nan, np.inf, -np.inf, -1.0, 11.0):
         with pytest.raises(ValueError, match="record positions"):
-            pg._sample_positions(10.0, 200, [bad, 5.0], 5)
+            pg._run(sch, relax, medium, [fields], y0, 10.0, [bad, 5.0], 200, quad, cache)
 
 
 # --------------------------------------------------------------------------
 # cache
 # --------------------------------------------------------------------------
+
+def test_cache_grid_stops_at_2048_g1_nodes(preset, coarse_quad, monkeypatch):
+    # 0.9 nodes per MHz would ask 2700 |G1| nodes at 3000 MHz; the grid is
+    # sized without tabulating it
+    sch, relax, medium, fields = preset
+    grids = []
+
+    class Sized(Exception):
+        pass
+
+    def drive_grid(scheme, relax, medium, field, g1_grid, g3_grid, quad):
+        grids.append((g1_grid, g3_grid))
+        raise Sized
+
+    monkeypatch.setattr(pg, "DriveGrid", drive_grid)
+    with pytest.raises(Sized):
+        pg.CoefficientCache.build(sch, relax, medium, [fields.with_drives(3000.0, fields.g30)],
+                                  coarse_quad)
+    (g1_grid, g3_grid), = grids
+    assert g1_grid.size == 2048 and g3_grid.size == 32
+    assert g1_grid[-1] == pytest.approx(1.05 * 3000.0)
+
 
 def test_cache_validation_passes(preset, quad, dressed_fields):
     sch, relax, medium, _ = preset
@@ -363,10 +391,10 @@ def test_cache_on_off_trace_agreement(preset, quad, dressed_fields, dressed_cach
     sch, relax, medium, _ = preset
     on = pg.integrate(sch, relax, medium, dressed_fields, L=20.0, steps=600,
                       quad=quad, cache=dressed_cache, error_estimate=False,
-                      min_samples=41)
+                      record_at=np.linspace(0.0, 20.0, 41))
     off = pg.integrate(sch, relax, medium, dressed_fields, L=20.0, steps=600,
                        quad=quad, cache=None, error_estimate=False,
-                       min_samples=41)
+                       record_at=np.linspace(0.0, 20.0, 41))
     rel = np.abs(np.abs(on.e4) - np.abs(off.e4)) / np.maximum(np.abs(off.e4), 1e-300)
     assert np.max(rel) < 1e-3
 
@@ -444,7 +472,7 @@ def test_g10_sweep_point_matches_lone_trajectory(preset, coarse_quad):
     for rec, g10 in zip(recs, sweep):
         f = base.with_drives(g10, base.g30)
         trace = pg.integrate(sch, relax, medium, f, L=4.0, steps=300, quad=coarse_quad,
-                             cache=cache, error_estimate=False)
+                             cache=cache, error_estimate=False, record_at=[4.0])
         alone = abs(trace.e4[-1]) ** 2 / abs(f.e40) ** 2
         assert rec.values["i4_ratio"] == pytest.approx(alone, rel=1e-12, abs=0.0)
 
@@ -635,7 +663,8 @@ def test_rows_are_read_only_by_rk4_stages(preset, quad, error_estimate):
             return counting
 
     pg.integrate(sch, relax, medium, fields, L=4.0, steps=200, quad=quad,
-                 cache=Counting(mc, fields), error_estimate=error_estimate, min_samples=5)
+                 cache=Counting(mc, fields), error_estimate=error_estimate,
+                 record_at=np.linspace(0.0, 4.0, 5))
     assert Counting.calls == 4 * 200 * (3 if error_estimate else 1)
 
 
@@ -655,15 +684,18 @@ def test_rhs_is_called_four_times_per_step(preset, coarse_quad, monkeypatch):
     batch = [base, base.with_omega4(160.0)]
     cache = pg.CoefficientCache.build(sch, relax, medium, batch, coarse_quad)
     pg.integrate(sch, relax, medium, base, L=2.0, steps=200, quad=coarse_quad, cache=cache,
-                 error_estimate=False, min_samples=5)
+                 error_estimate=False, record_at=np.linspace(0.0, 2.0, 5))
     assert len(calls) == 4 * 200
-    # 257 trace samples: 512 steps make two per sample interval, 256 one
+    # transmission steps through its lengths alone, so steps is the step count
     pg.transmission(sch, relax, medium, batch, np.array([0.0, 2.0]),
                     steps=512, quad=coarse_quad, cache=cache)
     assert len(calls) == 4 * (200 + 512)
     pg.transmission(sch, relax, medium, [base.with_drives(base.g10, 0.0)], np.array([2.0]),
                     steps=256, quad=coarse_quad)
     assert len(calls) == 4 * (200 + 512 + 256)
+    pg.transmission(sch, relax, medium, batch, np.array([2.0]),
+                    steps=100, quad=coarse_quad, cache=cache)
+    assert len(calls) == 4 * (200 + 512 + 256 + 100)
 
 
 def _assert_lone_runs_equal_the_batch(preset, quad, batch, cache):
@@ -792,13 +824,13 @@ def test_zero_drive_run_averages_once(preset, coarse_quad, monkeypatch):
 
 def test_cache_free_run_averages_once_per_stage(preset, coarse_quad, monkeypatch):
     # with G30 = 0 there is no cache: every stage is one pass for the whole
-    # batch.  The map's 257 trace samples make 256 steps
+    # batch.  The map steps through its lengths alone, so 100 steps
     sch, relax, medium, fields = preset
     base = fields.with_drives(fields.g10, 0.0)
     passes = count_passes(monkeypatch)
     pg.gain_map(sch, relax, medium, base, np.array([150.0, 155.0, 160.0]),
                 np.array([0.0, 2.0]), steps=100, quad=coarse_quad)
-    assert len(passes) == 4 * 256
+    assert len(passes) == 4 * 100
     assert all(np.shape(args[5]) == (3,) for args in passes)
 
 
