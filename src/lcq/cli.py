@@ -109,8 +109,28 @@ def _write_manifest(args, payload: dict) -> None:
         Path(path).write_text(json.dumps(payload, indent=2) + "\n", encoding="utf-8")
 
 
+def _step_manifest(reports: list) -> dict:
+    """The manifest's "steps" and "rk4_error" of the runs in ``reports``.
+
+    The steps are the fewest and most of any trajectory's result, and the
+    estimate the worst of the trajectories that finished, with the probe
+    detuning and drive of its trajectory (None at a requested count).
+    """
+    fields = [f for batch, _ in reports for f in batch]
+    steps = np.concatenate([r.steps for _, r in reports])
+    error = np.concatenate([np.where(np.isnan(r.failed_at), r.error, np.nan) for _, r in reports])
+    worst = None
+    if not np.isnan(error).all():
+        k = int(np.nanargmax(error))
+        worst = {"estimate": float(error[k]), "omega4_MHz": fields[k].omega4,
+                 "g10_MHz": abs(fields[k].g10)}
+    return {"steps": {"requested": reports[0][1].requested, "min": int(steps.min()),
+                      "max": int(steps.max())},
+            "rk4_error": worst}
+
+
 def _emit(args, records, manifest_extra: dict, t_start: float,
-          stats: doppler.PoleStats) -> None:
+          stats: doppler.PoleStats, reports: list) -> None:
     if args.out:
         with _writing(args.out):
             scans.records_to_csv(records, args.out)
@@ -125,6 +145,8 @@ def _emit(args, records, manifest_extra: dict, t_start: float,
     }
     payload["quadrature"].update(exceptional_points=stats.exceptional,
                                  worst_pole_condition=stats.worst_condition)
+    if reports:
+        payload.update(_step_manifest(reports))
     _write_manifest(args, payload)
 
 
@@ -146,7 +168,9 @@ def build_parser() -> argparse.ArgumentParser:
                        help="velocity nodes of the sinh rule that checks the exact average "
                             "and averages exceptional points")
         if integrates:
-            p.add_argument("--steps", type=int, default=2000, help="integration steps")
+            p.add_argument("--steps", type=int,
+                           help="RK4 steps over the medium (default: sized per trajectory by "
+                                "step doubling to 1e-6 of its peak)")
             p.add_argument("--threads", type=int,
                            help="worker threads (default LCQ_THREADS or 1)")
         if writes:
@@ -208,8 +232,8 @@ def main(argv=None) -> int:
     t_start = time.perf_counter()
     try:
         args = build_parser().parse_args(_merge_negative_values(argv))
-        with doppler.pole_stats() as stats:
-            return _dispatch(args, argv, t_start, stats)
+        with doppler.pole_stats() as stats, propagate.step_reports() as reports:
+            return _dispatch(args, argv, t_start, stats, reports)
     except SystemExit as exc:  # --help and --version
         return 0 if exc.code in (0, None) else 2
     except ConfigError as exc:
@@ -221,7 +245,8 @@ def main(argv=None) -> int:
         return 3
 
 
-def _dispatch(args, argv: list[str], t_start: float, stats: doppler.PoleStats) -> int:
+def _dispatch(args, argv: list[str], t_start: float, stats: doppler.PoleStats,
+              reports: list) -> int:
     _check_output_dirs(args)
     if args.command == "preset":
         text = json.dumps(scheme.preset_config(), indent=2) + "\n"
@@ -248,7 +273,7 @@ def _dispatch(args, argv: list[str], t_start: float, stats: doppler.PoleStats) -
     }
     if args.command != "spectra":  # every other scan integrates
         threads = _threads(args)
-        manifest.update(steps=args.steps, threads=threads)
+        manifest.update(threads=threads)
     manifest["warnings"] = []
 
     if args.command == "spectra":
@@ -257,7 +282,7 @@ def _dispatch(args, argv: list[str], t_start: float, stats: doppler.PoleStats) -
             sch, relax, medium, fields, sweep,
             G1=args.g1, G3=args.g3, quad=quad,
         )
-        _emit(args, records, manifest, t_start, stats)
+        _emit(args, records, manifest, t_start, stats, reports)
         return 0
 
     if args.command == "dynamics":
@@ -265,7 +290,7 @@ def _dispatch(args, argv: list[str], t_start: float, stats: doppler.PoleStats) -
         records = scans.spatial_dynamics(
             sch, relax, medium, f, L=args.length, steps=args.steps, quad=quad, threads=threads,
         )
-        _emit(args, records, manifest, t_start, stats)
+        _emit(args, records, manifest, t_start, stats, reports)
         return 0
 
     if args.command == "gainmap":
@@ -286,7 +311,7 @@ def _dispatch(args, argv: list[str], t_start: float, stats: doppler.PoleStats) -
         manifest["max_gain"] = result.max_gain
         manifest["cache_validation_error"] = result.validation_error
         manifest["argmax"] = dict(zip(("omega4_MHz", "length_L4"), result.argmax()))
-        _emit(args, records, manifest, t_start, stats)
+        _emit(args, records, manifest, t_start, stats, reports)
         return 0
 
     if args.command == "switch":
@@ -300,7 +325,7 @@ def _dispatch(args, argv: list[str], t_start: float, stats: doppler.PoleStats) -
         )
         crossings = scans.transparency_crossings(records, axis)
         manifest["transparency_crossings"] = crossings
-        _emit(args, records, manifest, t_start, stats)
+        _emit(args, records, manifest, t_start, stats, reports)
         return 0
 
     raise ConfigError(f"unknown command {args.command!r}")

@@ -358,6 +358,11 @@ def _drive_sector(relax: RelaxationSet, p_n: float, alpha, beta, G1, G3) -> _Dri
     companion = np.zeros((P, 4, 4))
     companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
     companion[:, :, 3] = -Q[:, :4] / Q[:, 4:] * scale[:, None] ** np.arange(-4, 0)
+    over = ~np.isfinite(companion).all(axis=(1, 2))
+    if over.any():  # |G|^2 and its products overflow long before a drive does
+        k = int(np.argmax(over))
+        raise AveragingError(f"drive amplitudes |G1| = {abs(G1[k]):.6g} MHz, |G3| = "
+                             f"{abs(G3[k]):.6g} MHz overflow the drive sector")
     roots, V = np.linalg.eig(companion)
     condition = _condition(V)
     dQ = Q[:, 1:] * np.arange(1, 5)

@@ -10,12 +10,14 @@ or through a tensor-product cubic-spline cache over (|G1|, |G3|).
 :func:`cache_for` decides whether a run gets one, and only
 :meth:`CoefficientCache.build` makes it: one column per probe detuning,
 its grid sized from the run's largest drives.  :func:`_row_source` gives
-each trajectory the column of its detunings.  One fixed-step RK4 runner
+each trajectory the column of its detunings.  One RK4 runner
 (:func:`_run`) advances n trajectories in lockstep as an (n, 4) complex
 state [G1, G3, E4, E2]: a single integration, the columns of a gain map and
 the points of a switching curve on either axis all run on it.  It steps
-only through z = 0, the positions a run records and the medium's end, each
-interval taking its rounded share of the run's steps.
+only through z = 0, the positions a run records and the medium's end.
+Given a step count, each interval takes its rounded share of it; given
+none, the runner sizes each trajectory's steps by step doubling, until
+its estimated error falls to 1e-6 of its peak (:class:`StepReport`).
 
 At the batch sizes of a map or sweep the fixed cost of a numpy call, not
 the arithmetic, sets the time of a stage, so a stage makes as few calls
@@ -41,6 +43,8 @@ of G1 G3 to the cross couplings.
 
 from __future__ import annotations
 
+import contextlib
+import contextvars
 import math
 from dataclasses import dataclass
 from functools import lru_cache
@@ -53,10 +57,10 @@ from .scheme import ConfigError, FieldConfig, LevelScheme, MediumParams, Relaxat
 
 
 class PropagationError(RuntimeError):
-    """Field amplitudes became non-finite during integration."""
+    """A trajectory failed at ``z``: its fields turned non-finite, or step doubling hit the cap."""
 
-    def __init__(self, z: float):
-        super().__init__(f"non-finite field amplitude at z = {z:.6g} L4")
+    def __init__(self, z: float, message: str | None = None):
+        super().__init__(message or f"non-finite field amplitude at z = {z:.6g} L4")
         self.z = z
 
 
@@ -64,8 +68,9 @@ class PropagationError(RuntimeError):
 class PropagationTrace:
     """Field amplitudes at the recorded positions along the medium.
 
-    ``error_estimate`` is the maximum relative deviation of |E4| between the
-    nominal and a doubled step count, when requested.
+    ``error_estimate``, when requested, is the maximum relative deviation
+    of |E4| between the nominal and a doubled step count, or, for a run
+    sized by step doubling, the estimate that sized it (:class:`StepReport`).
     """
 
     z: np.ndarray
@@ -95,6 +100,13 @@ _VALIDATION_RTOL = 1e-4
 # Drives this many times the grid's top are runaways: their rows stay NaN, as
 # at a non-finite drive, since a direct average there overflows
 _RUNAWAY = 1e6
+# A run given no step count doubles each trajectory's steps, from a first
+# fine run of _STEPS_START, until its step-doubling estimate is at most
+# _RK4_RTOL of its peak, and fails a trajectory that would need more than
+# _STEPS_MAX
+_RK4_RTOL = 1e-6
+_STEPS_START = 256
+_STEPS_MAX = 65536
 
 
 class CacheValidationError(RuntimeError):
@@ -483,26 +495,74 @@ def _row_source(scheme, relax, medium, fields, quad, cache):
     return bind
 
 
-def check_run(L: float, steps: int) -> None:
+def check_run(L: float, steps: int | None) -> None:
     """Reject a medium length or step count no integration accepts, with ``ConfigError``.
 
     Callers that build a cache check first, so a bad flag costs no build.
     """
     if not (math.isfinite(L) and L > 0):
         raise ConfigError("medium length must be positive and finite")
-    if steps < 100:
+    if steps is not None and steps < 100:
         raise ConfigError("need at least 100 integration steps")
 
 
-def _lockstep(y0: np.ndarray, positions: np.ndarray, steps: int, source, scheme):
+@dataclass
+class StepReport:
+    """The RK4 steps a run took for each of its n trajectories.
+
+    ``requested`` is the run's step count, or None for a run sized by step
+    doubling.  ``steps`` (n,) are the steps of each trajectory's result,
+    and ``error`` (n,) its step-doubling estimate: the largest
+    |fine - coarse| / 15 over the recorded positions and the four
+    components, each over its largest modulus along the trajectory.  It is
+    NaN at a requested count and where the trajectory turned non-finite.
+    ``failed_at`` (n,) is where a trajectory failed, NaN where it did not.
+    """
+
+    requested: int | None
+    steps: np.ndarray
+    error: np.ndarray
+    failed_at: np.ndarray
+
+    def failure(self, k: int) -> PropagationError:
+        """The :class:`PropagationError` of failed trajectory ``k``."""
+        z = float(self.failed_at[k])
+        if self.error[k] > _RK4_RTOL:
+            return PropagationError(z, (
+                f"RK4 step-doubling error {self.error[k]:.3g} of the trajectory's peak exceeds "
+                f"{_RK4_RTOL:g} from z = {z:.6g} L4 at {self.steps[k]} steps, and doubling them "
+                f"would pass the cap of {_STEPS_MAX} steps"))
+        return PropagationError(z)
+
+
+_REPORTS = contextvars.ContextVar("lcq_step_reports", default=None)
+
+
+@contextlib.contextmanager
+def step_reports():
+    """A list that every run made inside the block appends its (fields, :class:`StepReport`) to."""
+    reports = []
+    token = _REPORTS.set(reports)
+    try:
+        yield reports
+    finally:
+        _REPORTS.reset(token)
+
+
+def _substeps(positions: np.ndarray, steps: int) -> np.ndarray:
+    """Each interval's rounded share of ``steps`` over ``positions``, at least one."""
+    return np.maximum(1, np.round(np.diff(positions) / (positions[-1] / steps))).astype(int)
+
+
+def _lockstep(y0: np.ndarray, positions: np.ndarray, counts: np.ndarray, source, scheme):
     """Fixed-step RK4 of the (n, 4) states ``y0`` from z = 0 through ``positions``.
 
-    Each interval between the ascending ``positions`` takes its rounded
-    share of ``steps``, at least one.  ``source`` is a :func:`_row_source`
-    binder; each RK4 stage reads its (n, 12) rows with one call of the
-    batch's reader, and nothing else reads them.  Returns the states
-    (positions, n, 4) and where each trajectory turned non-finite (NaN if
-    it never did); a failed trajectory leaves the batch, its later states NaN.
+    Interval k between the ascending ``positions`` takes ``counts[k]``
+    equal steps.  ``source`` is a :func:`_row_source` binder; each RK4
+    stage reads its (n, 12) rows with one call of the batch's reader, and
+    nothing else reads them.  Returns the states (positions, n, 4) and
+    where each trajectory turned non-finite (NaN if it never did); a failed
+    trajectory leaves the batch, its later states NaN.
     """
     n = y0.shape[0]
     states = np.full((positions.size, n, 4), np.nan, dtype=complex)
@@ -526,16 +586,14 @@ def _lockstep(y0: np.ndarray, positions: np.ndarray, steps: int, source, scheme)
     live = np.arange(n)
     read = source(live)
     y = np.array(y0, dtype=complex, order="F")  # each component one contiguous run
-    h_target = positions[-1] / steps
     z = 0.0
     # non-finite states are detected after every step and reported, so the
     # overflow that produces them raises no floating-point warning
     with np.errstate(over="ignore", invalid="ignore"):
         states[0] = y
         for k in range(1, positions.size):
-            seg = positions[k] - positions[k - 1]
-            n_sub = max(1, int(round(seg / h_target)))
-            h = seg / n_sub
+            n_sub = int(counts[k - 1])
+            h = (positions[k] - positions[k - 1]) / n_sub
             for _ in range(n_sub):
                 k1 = f(y)
                 k2 = f(y + 0.5 * h * k1)
@@ -554,16 +612,70 @@ def _lockstep(y0: np.ndarray, positions: np.ndarray, steps: int, source, scheme)
     return states, failed_at
 
 
+def _doubling_error(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
+    """Step-doubling estimates (positions, n) of the RK4 states ``fine`` and ``coarse`` (positions, n, 4).
+
+    |fine - coarse| / 15, the fine run's error, over each component's
+    largest modulus along its trajectory's fine run (zero for a component
+    that stays zero), the largest of the four components.
+    """
+    peak = np.max(np.abs(fine), axis=0)
+    err = np.abs(fine - coarse) / 15.0
+    return np.divide(err, peak, out=np.zeros_like(err), where=peak > 0).max(axis=2)
+
+
+def _step_doubling(y0: np.ndarray, z: np.ndarray, source, scheme):
+    """RK4 of the states ``y0`` through ``z``, each trajectory's steps sized by step doubling.
+
+    Every trajectory runs at the coarse counts m_k = max(1, round(seg_k /
+    (2 L / _STEPS_START))) per interval and then at the fine counts 2 m_k.
+    While a trajectory's estimate (:func:`_doubling_error`) exceeds
+    _RK4_RTOL it runs again at twice its fine counts, against its previous
+    fine run, in a batch of the trajectories that still exceed it.  Its
+    last fine run is the result.  A trajectory that would pass _STEPS_MAX
+    fails at the first position whose estimate exceeds the tolerance, its
+    states NaN from there on; one that turns non-finite fails there and
+    runs no more.  Rows do not depend on the batch, so a trajectory's steps
+    and bits are those of its lone run.  Returns the states and the
+    :class:`StepReport`.
+    """
+    counts = _substeps(z, _STEPS_START // 2)
+    states, failed_at = _lockstep(y0, z, counts, source, scheme)
+    n = y0.shape[0]
+    steps, error = np.full(n, counts.sum()), np.full(n, np.nan)
+    todo = np.flatnonzero(np.isnan(failed_at))
+    while todo.size:
+        counts = 2 * counts
+        fine, fine_failed = _lockstep(y0[todo], z, counts,
+                                      lambda idx, todo=todo: source(todo[idx]), scheme)
+        per_z = _doubling_error(fine, states[:, todo])
+        finished = np.isnan(fine_failed)
+        states[:, todo], failed_at[todo], steps[todo] = fine, fine_failed, counts.sum()
+        error[todo] = np.where(finished, per_z.max(axis=0), np.nan)
+        over = (per_z > _RK4_RTOL) & finished
+        again = over.any(axis=0)
+        if again.any() and 2 * counts.sum() > _STEPS_MAX:
+            for k, first in zip(todo[again], over[:, again].argmax(axis=0)):
+                failed_at[k], states[first:, k] = z[first], np.nan
+            break
+        todo = todo[again]
+    return states, StepReport(None, steps, error, failed_at)
+
+
 def _run(scheme, relax, medium, fields: list[FieldConfig], y0: np.ndarray, L: float, record_at,
-         steps: int, quad: QuadratureSpec | None, cache: CoefficientCache | None,
+         steps: int | None, quad: QuadratureSpec | None, cache: CoefficientCache | None,
          doubled: bool = False):
     """The one runner: trajectories ``fields`` from the states ``y0`` (n, 4) at z = 0 to L.
 
     It steps through z = 0, ``record_at`` and L alone (:func:`_lockstep`),
     after :func:`check_run` and a ``ValueError`` for a record position not
     in [0, L]; ``quad`` defaults to :meth:`QuadratureSpec.for_medium`.
-    Returns the positions and the :func:`_lockstep` results at ``steps``
-    and, with ``doubled``, at twice the steps over the same row source.
+    Returns the positions, the runs' (states, failed_at) and the run's
+    :class:`StepReport`, which a :func:`step_reports` block also receives.
+    A run at ``steps`` gives each interval its rounded share of them, and
+    with ``doubled`` runs again at twice each interval's steps over the
+    same row source.  A run given no ``steps`` is sized by step doubling
+    (:func:`_step_doubling`) and is one run.
     """
     check_run(L, steps)
     record = np.asarray(record_at, dtype=float).ravel()
@@ -575,7 +687,20 @@ def _run(scheme, relax, medium, fields: list[FieldConfig], y0: np.ndarray, L: fl
     if quad is None:
         quad = QuadratureSpec.for_medium(scheme, medium)
     source = _row_source(scheme, relax, medium, fields, quad, cache)
-    return z, [_lockstep(y0, z, m * steps, source, scheme) for m in ((1, 2) if doubled else (1,))]
+    if steps is None:
+        states, report = _step_doubling(y0, z, source, scheme)
+        runs = [(states, report.failed_at)]
+    else:
+        counts = _substeps(z, steps)
+        runs = [_lockstep(y0, z, m * counts, source, scheme) for m in ((1, 2) if doubled else (1,))]
+        # where the nominal run failed, else where the doubled one did
+        failed_at = np.where(np.isnan(runs[0][1]), runs[-1][1], runs[0][1])
+        n = y0.shape[0]
+        report = StepReport(steps, np.full(n, counts.sum()), np.full(n, np.nan), failed_at)
+    reports = _REPORTS.get()
+    if reports is not None:
+        reports.append((fields, report))
+    return z, runs, report
 
 
 def integrate(
@@ -584,33 +709,36 @@ def integrate(
     medium: MediumParams,
     fields: FieldConfig,
     L: float,
-    steps: int = 2000,
+    steps: int | None = None,
     quad: QuadratureSpec | None = None,
     cache: CoefficientCache | None = None,
     error_estimate: bool = True,
     record_at: np.ndarray | None = None,
 ) -> PropagationTrace:
-    """Fixed-step 4th-order integration of the four coupled waves to z = L.
+    """4th-order Runge-Kutta integration of the four coupled waves to z = L.
 
     Coefficients are re-evaluated at every stage from the local drive
     amplitudes, through ``cache`` (at the column of the fields' detunings)
     or directly.  The run records and steps through z = 0, ``record_at``
     and L alone (:func:`_run`), or 257 evenly spaced positions where
-    ``record_at`` is None.  With ``error_estimate`` a second run at twice
-    the step count gives the maximum relative deviation of |E4|.
+    ``record_at`` is None, at ``steps`` or, where that is None, sized by
+    step doubling.  With ``error_estimate`` a run at ``steps`` runs again
+    at twice each interval's steps for the maximum relative deviation of
+    |E4|; a run sized by step doubling reports the estimate that sized it.
     """
     if record_at is None:
         check_run(L, steps)  # before the positions are spaced over L
         record_at = np.linspace(0.0, L, 257)
     y0 = np.array([[fields.g10, fields.g30, fields.e40, fields.e20]], dtype=complex)
-    z, runs = _run(scheme, relax, medium, [fields], y0, L, record_at, steps, quad, cache,
-                   doubled=error_estimate)
-    for _, failed_at in runs:
-        if not np.isnan(failed_at[0]):
-            raise PropagationError(float(failed_at[0]))
+    z, runs, report = _run(scheme, relax, medium, [fields], y0, L, record_at, steps, quad, cache,
+                           doubled=error_estimate)
+    if not np.isnan(report.failed_at[0]):
+        raise report.failure(0)
     solution = runs[0][0][:, 0]
     err = None
-    if error_estimate:
+    if error_estimate and steps is None:
+        err = float(report.error[0])
+    elif error_estimate:
         e4, fine = np.abs(solution[:, 2]), np.abs(runs[1][0][:, 0, 2])
         scale = np.max(e4)
         err = float(np.max(np.abs(e4 - fine)) / scale) if scale > 0 else 0.0
@@ -623,28 +751,30 @@ def transmission(
     medium: MediumParams,
     fields: list[FieldConfig],
     lengths: np.ndarray,
-    steps: int,
-    quad: QuadratureSpec | None,
+    steps: int | None = None,
+    quad: QuadratureSpec | None = None,
     cache: CoefficientCache | None = None,
-) -> tuple[np.ndarray, np.ndarray]:
+) -> tuple[np.ndarray, np.ndarray, StepReport]:
     """Probe transmission I4(L)/I40 of the trajectories ``fields``, integrated in lockstep.
 
     ``lengths`` ascends to the end of the medium, and the run records
-    them alone (:func:`_run`).  A zero probe input E40 is replaced by the
-    small-signal probe 1e-3 |G10|.  Returns the (n, len(lengths)) ratios
-    and the position where each trajectory turned non-finite (NaN where it
-    stayed finite); a failed trajectory's ratios beyond z = 0 are NaN.
+    them alone (:func:`_run`), at ``steps`` or sized by step doubling.  A
+    zero probe input E40 is replaced by the small-signal probe 1e-3 |G10|.
+    Returns the (n, len(lengths)) ratios, the position where each
+    trajectory failed (NaN where it did not; a failed trajectory's ratios
+    beyond z = 0 are NaN) and the run's :class:`StepReport`, whose
+    :meth:`StepReport.failure` names a failure.
     """
     lengths = np.asarray(lengths, dtype=float)
     e40 = np.array([f.e40 if f.e40 != 0 else 1e-3 * abs(f.g10) for f in fields], dtype=complex)
     if np.any(e40 == 0):
         raise ConfigError("transmission needs a non-zero probe input E40 or drive G10")
     y0 = np.array([[f.g10, f.g30, e, f.e20] for f, e in zip(fields, e40)], dtype=complex)
-    z, [(states, failed_at)] = _run(scheme, relax, medium, fields, y0, float(lengths[-1]),
-                                    lengths, steps, quad, cache)
+    z, [(states, failed_at)], report = _run(scheme, relax, medium, fields, y0,
+                                            float(lengths[-1]), lengths, steps, quad, cache)
     e4 = states[np.searchsorted(z, lengths), :, 2].T
     e4[~np.isnan(failed_at)[:, None] & (lengths > 0)] = np.nan
-    return np.abs(e4) ** 2 / (np.abs(e40) ** 2)[:, None], failed_at
+    return np.abs(e4) ** 2 / (np.abs(e40) ** 2)[:, None], failed_at, report
 
 
 @dataclass
@@ -676,17 +806,19 @@ def gain_map(
     base: FieldConfig,
     omega4_grid: np.ndarray,
     length_grid: np.ndarray,
-    steps: int = 2000,
+    steps: int | None = None,
     quad: QuadratureSpec | None = None,
     threads: int = 1,
 ) -> GainMapResult:
     """Probe transmission over a (probe detuning, optical length) grid.
 
     Each detuning column is one trajectory to max(length_grid), and all
-    columns step together.  The columns read the :func:`cache_for` cache,
+    columns step together, at ``steps`` or sized by step doubling
+    (:func:`transmission`).  The columns read the :func:`cache_for` cache,
     tabulated on ``threads`` worker threads, or average directly.  A
-    column whose fields turn non-finite keeps only its L = 0 cell valid;
-    a map whose every column failed raises :class:`PropagationError`.
+    column that fails (its fields turn non-finite, or step doubling would
+    pass the cap) keeps only its L = 0 cell valid; a map whose every
+    column failed raises :class:`PropagationError`.
     """
     omega4_grid = np.asarray(omega4_grid, dtype=float)
     length_grid = np.asarray(length_grid, dtype=float)
@@ -702,11 +834,11 @@ def gain_map(
 
     columns = [base.with_omega4(float(om)) for om in omega4_grid]
     cache = cache_for(scheme, relax, medium, columns, quad, threads)
-    ratio, failed_at = transmission(scheme, relax, medium, columns, length_grid,
-                                    steps=steps, quad=quad, cache=cache)
+    ratio, failed_at, report = transmission(scheme, relax, medium, columns, length_grid,
+                                            steps=steps, quad=quad, cache=cache)
     finished = np.isnan(failed_at)
     if not finished.any():
-        raise PropagationError(float(failed_at[0]))
+        raise report.failure(0)
     valid = finished[:, None] | (length_grid == 0.0)[None, :]
     return GainMapResult(
         omega4=omega4_grid, lengths=length_grid, ratio=ratio, valid=valid,

@@ -113,14 +113,16 @@ def spatial_dynamics(
     medium: MediumParams,
     fields: FieldConfig,
     L: float,
-    steps: int = 2000,
+    steps: int | None = None,
     quad: QuadratureSpec | None = None,
     threads: int = 1,
 ) -> list[ScanRecord]:
     """Intensity evolution of all four waves along the medium.
 
     Emits I_j(z)/I_j(0) for the waves with non-zero input and the generated
-    Stokes intensity normalized to the probe input I2(z)/I40.  The
+    Stokes intensity normalized to the probe input I2(z)/I40, at 257
+    evenly spaced positions, integrated at ``steps`` or sized by step
+    doubling (:func:`propagate.integrate`).  The
     :func:`propagate.cache_for` build, if any, runs on ``threads`` worker
     threads.
     """
@@ -157,7 +159,7 @@ def switching_curve(
     L: float,
     sweep: np.ndarray,
     axis: str = "omega4",
-    steps: int = 2000,
+    steps: int | None = None,
     quad: QuadratureSpec | None = None,
     threads: int = 1,
 ) -> list[ScanRecord]:
@@ -167,7 +169,7 @@ def switching_curve(
     boundary amplitude G10.  Either way the sweep points are trajectories
     of one :func:`propagate.transmission` run, which reads the
     :func:`propagate.cache_for` cache built on ``threads`` worker threads,
-    and a point whose fields turn non-finite raises
+    at ``steps`` or sized by step doubling, and a point that fails raises
     :class:`propagate.PropagationError`.  Use :func:`transparency_crossings`
     to locate the points where the curve passes through unity.
     """
@@ -184,11 +186,11 @@ def switching_curve(
     if quad is None:
         quad = QuadratureSpec.for_medium(scheme, medium)
     cache = propagate.cache_for(scheme, relax, medium, points, quad, threads)
-    ratio, failed_at = propagate.transmission(
+    ratio, failed_at, report = propagate.transmission(
         scheme, relax, medium, points, np.array([L]), steps=steps, quad=quad, cache=cache)
-    failed = failed_at[~np.isnan(failed_at)]
+    failed = np.flatnonzero(~np.isnan(failed_at))
     if failed.size:
-        raise propagate.PropagationError(float(failed[0]))
+        raise report.failure(int(failed[0]))
     return [ScanRecord("switch", {axis: float(value), "i4_ratio": float(r)})
             for value, r in zip(sweep, ratio[:, 0])]
 

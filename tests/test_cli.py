@@ -106,7 +106,16 @@ def test_manifest_written_alongside_output(tmp_path):
     out = tmp_path / "d.csv"
     assert cli.main(["dynamics", "--length", "1", "--quad", "301", "--out", str(out)]) == 0
     manifest = json.loads((tmp_path / "d.csv.manifest.json").read_text())
-    assert manifest["steps"] == 2000
+    # the default run is sized by step doubling: 257 positions give 256
+    # intervals of one coarse and two fine steps, and the fine run is the result
+    assert manifest["steps"] == {"requested": None, "min": 512, "max": 512}
+    assert 0 < manifest["rk4_error"]["estimate"] <= 1e-6
+    assert cli.main(["dynamics", "--length", "1", "--steps", "300", "--quad", "301",
+                     "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "d.csv.manifest.json").read_text())
+    # 300 steps over 256 intervals round to one step each
+    assert manifest["steps"] == {"requested": 300, "min": 256, "max": 256}
+    assert manifest["rk4_error"] is None
 
 
 def test_dynamics_subcommand(tmp_path):
@@ -291,6 +300,19 @@ def test_drive_far_above_the_cache_grid_cap_is_a_numerical_failure(tmp_path):
     assert proc.returncode == 3, proc.stderr
     lines = proc.stderr.splitlines()
     assert len(lines) == 1 and lines[0].startswith("numerical failure:"), proc.stderr
+
+
+def test_drive_that_overflows_the_drive_sector_is_named(tmp_path):
+    # |G1|^2 of the grid's nodes near 1e200 MHz overflows; the failure names
+    # the drive amplitudes instead of the pole search's NaN check
+    proc = run_cli(["switch", "--g10=1e200:1e200:1", "--length", "1", "--steps", "100",
+                    "--quad", "101", "--out", str(tmp_path / "out.csv")], tmp_path)
+    assert proc.returncode == 3, proc.stderr
+    assert "Traceback" not in proc.stderr
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1, proc.stderr
+    assert lines[0].startswith("numerical failure: drive amplitudes |G1| = ")
+    assert lines[0].endswith("overflow the drive sector")
 
 
 def test_zero_coherence_rate_is_a_numerical_failure(tmp_path):

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from scipy.interpolate import CubicSpline
 
+from lcq import cli
 from lcq import coupledwave as cw
 from lcq import doppler as dp
 from lcq import propagate as pg
@@ -229,8 +230,8 @@ def test_record_positions_join_the_samples_once_and_must_be_finite(preset, quad)
     cache = ConstantRows(dp.MacroscopicCoefficients(0, 0, 0, 0, 0, 0, 0, 0, 0j, 0j), fields)
     y0 = np.array([[fields.g10, fields.g30, fields.e40, fields.e20]], dtype=complex)
     record = [5.0, 1.0, 5.0, 10.0, 0.0]
-    z, [(states, failed_at)] = pg._run(sch, relax, medium, [fields], y0, 10.0, record, 200,
-                                       quad, cache)
+    z, [(states, failed_at)], _ = pg._run(sch, relax, medium, [fields], y0, 10.0, record,
+                                          200, quad, cache)
     assert np.array_equal(z, [0.0, 1.0, 5.0, 10.0])
     assert np.array_equal(z, np.union1d([0.0, 10.0], record))
     assert states.shape == (4, 1, 4) and np.isnan(failed_at).all()
@@ -698,14 +699,134 @@ def test_rhs_is_called_four_times_per_step(preset, coarse_quad, monkeypatch):
     assert len(calls) == 4 * (200 + 512 + 256 + 100)
 
 
+def test_error_estimate_doubles_each_interval_exactly(preset, quad):
+    # 2000 steps over 30 intervals of 1 L4 give each interval 67 steps; the
+    # doubled run takes 134 in each, not its own rounded share round(133.3)
+    sch, relax, medium, fields = preset
+    mc = dp.average_coefficients(sch, relax, medium, fields, 100.0, 40.0, quad)
+    calls = []
+
+    class Counting(ConstantRows):
+        def reader(self, col):
+            read = super().reader(col)
+            return lambda a: (calls.append(None), read(a))[1]
+
+    trace = pg.integrate(sch, relax, medium, fields, L=30.0, steps=2000, quad=quad,
+                         cache=Counting(mc, fields), error_estimate=True,
+                         record_at=np.linspace(0.0, 30.0, 31))
+    assert len(calls) == 4 * (30 * 67 + 30 * 134)
+    assert 0.0 < trace.error_estimate < 1e-8
+
+
+# --------------------------------------------------------------------------
+# step doubling: the default step count
+# --------------------------------------------------------------------------
+
+# on the dressed cache's column at 80 L4, G10 = 100 MHz needs 512 steps for
+# an estimate of 1e-6 of its peak and G10 = 50 MHz does with the first 256;
+# the probe input 1e150 lifts the drives off the grid in the coarse pass
+DOUBLING_LENGTHS = np.array([0.0, 40.0, 80.0])
+
+
+@pytest.fixture(scope="module")
+def doubling_batch(dressed_fields):
+    return [dressed_fields.with_drives(50.0, 40.0), dressed_fields,
+            replace(dressed_fields, e40=1e150)]
+
+
+def test_step_doubling_sizes_each_trajectory_as_its_lone_run(preset, quad, dressed_cache,
+                                                              doubling_batch, monkeypatch):
+    sch, relax, medium, _ = preset
+    batches = []
+    lockstep = pg._lockstep
+
+    def spy(y0, *args):
+        batches.append(len(y0))
+        return lockstep(y0, *args)
+
+    monkeypatch.setattr(pg, "_lockstep", spy)
+    ratio, failed_at, report = pg.transmission(sch, relax, medium, doubling_batch,
+                                               DOUBLING_LENGTHS, quad=quad, cache=dressed_cache)
+    # the coarse pass, the fine pass of the two that stayed finite, and the
+    # one whose estimate exceeded the tolerance at twice its fine steps
+    assert batches == [3, 2, 1]
+    assert report.requested is None and report.steps.tolist() == [256, 512, 128]
+    assert (report.error[:2] <= pg._RK4_RTOL).all() and np.isnan(report.error[2])
+    assert np.isnan(failed_at[:2]).all() and 0.0 < failed_at[2] <= 40.0
+    for k, f in enumerate(doubling_batch):
+        lone, lone_failed_at, lone_report = pg.transmission(
+            sch, relax, medium, [f], DOUBLING_LENGTHS, quad=quad, cache=dressed_cache)
+        assert np.array_equal(ratio[k], lone[0], equal_nan=True)
+        assert np.array_equal(failed_at[k], lone_failed_at[0], equal_nan=True)
+        assert report.steps[k] == lone_report.steps[0]
+        assert np.array_equal(report.error[k], lone_report.error[0], equal_nan=True)
+
+
+def test_step_doubling_estimate_bounds_the_error(preset, quad, dressed_cache, doubling_batch):
+    # against 16000 steps, whose own error is about 1e-13 of the peak
+    sch, relax, medium, _ = preset
+    batch = doubling_batch[:2]
+    y0 = np.array([[f.g10, f.g30, f.e40, f.e20] for f in batch], dtype=complex)
+    _, [(states, _)], report = pg._run(sch, relax, medium, batch, y0, 80.0, DOUBLING_LENGTHS,
+                                       None, quad, dressed_cache)
+    _, [(ref, _)], _ = pg._run(sch, relax, medium, batch, y0, 80.0, DOUBLING_LENGTHS, 16000,
+                               quad, dressed_cache)
+    error = (np.abs(states - ref) / np.max(np.abs(ref), axis=0)).max(axis=(0, 2))
+    assert (report.error <= pg._RK4_RTOL).all()
+    assert (error <= 3.0 * report.error).all()
+
+
+def test_step_doubling_past_the_cap_is_a_named_failure(preset, coarse_quad, dressed_fields,
+                                                       monkeypatch, tmp_path, capsys):
+    # with the cap at 256 steps, a trajectory that needs 512 fails
+    sch, relax, medium, fields = preset
+    monkeypatch.setattr(pg, "_STEPS_MAX", 256)
+    cache = pg.CoefficientCache.build(sch, relax, medium, [dressed_fields], coarse_quad)
+    with pytest.raises(pg.PropagationError, match="cap of 256 steps") as err:
+        pg.integrate(sch, relax, medium, dressed_fields, L=80.0, quad=coarse_quad, cache=cache,
+                     record_at=DOUBLING_LENGTHS)
+    assert err.value.z in (40.0, 80.0)
+    # at 160 MHz the preset's column needs 512 steps, at 100 MHz 256
+    res = pg.gain_map(sch, relax, medium, fields, np.array([100.0, 160.0]), DOUBLING_LENGTHS,
+                      quad=coarse_quad)
+    assert res.valid.tolist() == [[True, True, True], [True, False, False]]
+    assert cli.main(["switch", "--omega4", "100:160:2", "--length", "80", "--quad", "301",
+                     "--out", str(tmp_path / "switch.csv")]) == 3
+    message = capsys.readouterr().err
+    assert message.startswith("numerical failure: RK4 step-doubling error") and "256" in message
+
+
+def test_default_dynamics_coarse_pass_takes_half_the_fine_steps(preset, coarse_quad,
+                                                                monkeypatch):
+    # 257 positions: one coarse step per interval, then two
+    sch, relax, medium, fields = preset
+    calls, passes = [], []
+    rhs, lockstep = pg.rhs, pg._lockstep
+
+    def counting(*args):
+        calls.append(None)
+        return rhs(*args)
+
+    def spy(*args):
+        before = len(calls)
+        out = lockstep(*args)
+        passes.append(len(calls) - before)
+        return out
+
+    monkeypatch.setattr(pg, "rhs", counting)
+    monkeypatch.setattr(pg, "_lockstep", spy)
+    scans.spatial_dynamics(sch, relax, medium, fields.with_omega4(155.0), L=2.0, quad=coarse_quad)
+    assert passes == [4 * 256, 4 * 512]
+
+
 def _assert_lone_runs_equal_the_batch(preset, quad, batch, cache):
     sch, relax, medium, _ = preset
     lengths = np.array([0.0, 1.0, 2.0])
-    ratio, failed_at = pg.transmission(sch, relax, medium, batch, lengths, steps=256,
-                                       quad=quad, cache=cache)
+    ratio, failed_at, _ = pg.transmission(sch, relax, medium, batch, lengths, steps=256,
+                                          quad=quad, cache=cache)
     for k, f in enumerate(batch):
-        lone, lone_failed_at = pg.transmission(sch, relax, medium, [f], lengths, steps=256,
-                                               quad=quad, cache=cache)
+        lone, lone_failed_at, _ = pg.transmission(sch, relax, medium, [f], lengths, steps=256,
+                                                  quad=quad, cache=cache)
         assert np.array_equal(ratio[k], lone[0], equal_nan=True)
         assert np.array_equal(failed_at[k], lone_failed_at[0], equal_nan=True)
     return ratio, failed_at
@@ -777,8 +898,8 @@ def test_reader_gives_the_rows_of_rows_along_a_trajectory(preset, coarse_quad, m
 
     monkeypatch.setattr(cache, "reader", recording)
     f = replace(base.with_drives(cache.g1_grid[-1], base.g30), e40=150.0)
-    _, failed_at = pg.transmission(sch, relax, medium, [f], np.array([10.0]), steps=256,
-                                   quad=coarse_quad, cache=cache)
+    _, failed_at, _ = pg.transmission(sch, relax, medium, [f], np.array([10.0]), steps=256,
+                                      quad=coarse_quad, cache=cache)
     assert np.isnan(failed_at).all()
     monkeypatch.undo()
     a, got = np.concatenate(points), np.concatenate(reads)
