@@ -408,6 +408,14 @@ def run_validation(sch, relax, medium, fields, quad) -> bool:
           f"worst condition number {stats.worst_condition:.1e}, "
           f"{stats.exceptional} exceptional points")
 
+    # the closed-form poles against LAPACK at the drive points above
+    agreement = pole_agreement(sch, relax, medium, quad, columns, np.array([0.0, fields.g10,
+                               fields.g10]), np.array([0.0, fields.g30, 0.0]))
+    check("closed-form poles vs eig",
+          agreement["pole_error"] <= 1e-12 and agreement["condition_error"] <= 1e-8,
+          f"poles {agreement['pole_error']:.1e} of the largest, "
+          f"condition numbers {agreement['condition_error']:.1e} relative")
+
     rng = np.random.default_rng(11)
     worst = 0.0
     for _ in range(5):
@@ -441,6 +449,80 @@ def run_validation(sch, relax, medium, fields, quad) -> bool:
         print(line)
         all_ok = all_ok and ok
     return all_ok
+
+
+def _eig_poles(matrices: np.ndarray) -> tuple:
+    """LAPACK eigenvalues (P, 4) of ``matrices`` (P, 4, 4), and the Frobenius condition
+    numbers (P,) of their unit-column eigenvector matrices, inf where one is singular."""
+    values, vectors = np.linalg.eig(matrices)
+    return values, np.linalg.cond(vectors, "fro")
+
+
+def _mismatch(got: np.ndarray, ref: np.ndarray) -> np.ndarray:
+    """Distance (P,) between root sets (P, 4): each root to its nearest in the other set,
+    the largest of these, over the reference's largest modulus."""
+    gap = np.abs(got[:, :, None] - ref[:, None, :])
+    worst = np.maximum(gap.min(axis=1).max(axis=1), gap.min(axis=2).max(axis=1))
+    return worst / np.abs(ref).max(axis=1)
+
+
+def pole_agreement(sch, relax, medium, quad, columns, G1, G3) -> dict:
+    """The closed-form poles of :mod:`lcq.doppler` against LAPACK's ``eig``.
+
+    At the drive points ``G1``, ``G3`` (P,) of every column, as
+    :func:`lcq.doppler._average` sets them up: the drive sector's roots are
+    the eigenvalues of the companion matrix of its scaled monic quartic, and
+    each column's probe poles those of K = -M1^-1 M0; the drive roots take
+    a Newton step on the quartic, as the closed form's do.  Both errors are
+    over the points whose LAPACK condition number is at most
+    :data:`lcq.doppler._COALESCING`, the poles the pole sums would use:
+    ``pole_error`` is the largest distance of a root to the nearest root of
+    the other set, relative to the point's largest pole, and
+    ``condition_error`` the largest relative difference of the condition
+    numbers; a closed-form value there that is not finite makes them NaN or
+    inf.  ``closed_form_s`` and ``eig_s`` are the times of the two: the
+    drive sector and the pencil poles, against ``eig`` and the condition
+    numbers.
+    """
+    rad = scheme.RAD_PER_MHZ
+    top = columns[0]
+    d1, d2, d3, d4 = liouville.doppler_shifts(sch, quad.u)
+    slopes = np.array(liouville.probe_block(-d1, -d2, -d4, 0.0, 0.0, (0.0,) * 4)[:4])
+    rates = liouville.probe_rates(relax)
+    G1, G3 = np.asarray(G1, dtype=complex), np.asarray(G3, dtype=complex)
+    omega4 = [np.full(G1.shape, f.omega4) for f in columns]
+    blocks = [liouville.probe_block(top.omega1, top.omega1 + top.omega3 - w4, w4, G1, G3, rates)
+              for w4 in omega4]
+    start = time.perf_counter()
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        drive = doppler._drive_sector(relax, medium.p_n, (rad * top.omega1, rad * top.omega3),
+                                      (rad * d1, rad * d3), G1, G3)
+        got = [(drive.poles, drive.condition)]
+        got += [doppler._pencil_poles(block, slopes) for block in blocks]
+    closed_form_s = time.perf_counter() - start
+    start = time.perf_counter()
+    Q = drive.Q
+    scale = (Q[:, 0] / Q[:, 4]) ** 0.25
+    companion = np.zeros((len(Q), 4, 4))
+    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
+    companion[:, :, 3] = -Q[:, :4] / Q[:, 4:] * scale[:, None] ** np.arange(-4, 0)
+    roots, condition = _eig_poles(companion)
+    roots = scale[:, None] * roots
+    slope = Q[:, 1:] * np.arange(1, 5)
+    ref = [(roots - doppler._polyval(Q, roots) / doppler._polyval(slope, roots), condition)]
+    ref += [_eig_poles(-liouville.probe_matrix(*block) / slopes[:, None]) for block in blocks]
+    eig_s = time.perf_counter() - start
+    # only poles that the pole sums would use count: where LAPACK's condition
+    # number exceeds the coalescing threshold, the velocity rule averages
+    pole_errors, condition_errors = [], []
+    for (poles, condition), (ref_poles, ref_condition) in zip(got, ref):
+        summed = ref_condition <= doppler._COALESCING
+        pole_errors.append(np.max(_mismatch(poles, ref_poles), where=summed, initial=0.0))
+        condition_errors.append(np.max(np.abs(condition - ref_condition) / ref_condition,
+                                       where=summed, initial=0.0))
+    return {"pole_error": float(np.max(pole_errors)),   # NaN if any is
+            "condition_error": float(np.max(condition_errors)),
+            "closed_form_s": closed_form_s, "eig_s": eig_s}
 
 
 def _ode_reference(c, b, L):

@@ -18,18 +18,22 @@ Weideman's 40-term rational series, SIAM J. Numer. Anal. 31, 1994,
 drive sector has four poles per drive point, the roots of the quartic
 D P1 P3 of :func:`lcq.liouville.drive_steady_state_batch`'s closed form,
 with residues from partial fractions.  The probe block adds four per drive
-point and probe column, the eigenvalues of its pencil M0 + x M1, with
-residues from Cramer's rule.
+point and probe column, the roots of the quartic det(M0 + x M1), with
+residues from Cramer's rule.  Both quartics are solved by Ferrari's formula
+and a Newton step (:func:`_quartic_roots`), and each root's eigenvector
+condition number comes in closed form from its left and right null vectors
+(:func:`_condition`); LAPACK's ``eig`` is only ``lcq validate``'s oracle.
 
 Every average is one pass, :func:`_average`: the drive poles of every drive
 point once, then the probe poles of every column.  A single point
 (:func:`average_coefficients`), a probe-detuning sweep (one column per
 point) and the coefficient-cache grid (:class:`DriveGrid`) all go through
 it, and so does the normalization.  Where poles coalesce (an exceptional
-point, detected by the eigenvector condition number and the poles'
-separation) the residues grow and cancel, so such a point alone is
-averaged by the velocity rule of :class:`QuadratureSpec` instead,
-:func:`_node_sums`, and counted in the :func:`pole_stats` of the run.  The
+point, detected by the closed-form condition number and the poles'
+separation, or a root the formula cannot give) the residues grow and
+cancel, so such a point alone is averaged by the velocity rule of
+:class:`QuadratureSpec` instead, :func:`_node_sums`, and counted in the
+:func:`pole_stats` of the run.  The
 same rule, summed over every class in memory-bounded chunks, is what the
 tests and ``lcq validate`` check the pole sums against; ``--quad`` sizes it
 and nothing else.  ``threads`` workers split the batches of drive points.
@@ -41,7 +45,6 @@ import contextlib
 import contextvars
 import math
 import threading
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -280,14 +283,67 @@ def _pole_sum(terms: np.ndarray) -> np.ndarray:
             + 1j * np.where(np.abs(total.imag) > noise, total.imag, 0.0))
 
 
-def _condition(V: np.ndarray) -> np.ndarray:
-    """Frobenius condition numbers of eigenvector matrices V (P, n, n); inf where V is singular."""
-    try:
-        return np.linalg.norm(V, axis=(1, 2)) * np.linalg.norm(np.linalg.inv(V), axis=(1, 2))
-    except np.linalg.LinAlgError:  # an exactly defective pole set: one matrix at a time
-        if len(V) == 1:
-            return np.array([np.inf])
-        return np.concatenate([_condition(V[k:k + 1]) for k in range(len(V))])
+_CUBE_ROOTS_OF_UNITY = np.exp(2j * np.pi / 3 * np.arange(3))
+
+
+def _quartic_roots(poly: np.ndarray) -> tuple:
+    """Roots (N, 4) of the quartics ``poly`` (N, 5), lowest coefficient first.
+
+    Ferrari's formula on the monic quartic z^4 + c3 z^3 + c2 z^2 + c1 z + c0
+    whose roots are those of ``poly`` over ``scale`` = |poly_0 / poly_4|^(1/4),
+    so that they are of order one.  With z = t - c3 / 4 the depressed
+    quartic t^4 + p t^2 + q t + r is (t^2 + (p + y) / 2)^2 - y (t - q / 2y)^2
+    for a root y of the resolvent cubic y^3 + 2p y^2 + (p^2 - 4r) y - q^2,
+    found by Cardano's formula, the largest in modulus of its three; the
+    difference of squares splits into two quadratics, each solved without
+    cancellation.  Every root then takes a Newton step on ``poly``.  A root
+    the formula cannot give (a quadruple one) is NaN.
+    Each step writes a fresh array, as in :func:`_faddeeva`, so a point's
+    roots do not depend on its batch.  Returns the roots, ``scale`` (N,) and
+    the monic coefficients c (N, 4).
+    """
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        scale = np.abs(poly[:, 0] / poly[:, 4]) ** 0.25
+        monic = poly[:, :4] / poly[:, 4:] * scale[:, None] ** np.arange(-4.0, 0.0)
+        c0, c1, c2, c3 = (monic[:, k].astype(complex) for k in range(4))
+        a = 0.25 * c3
+        a2 = a * a
+        p = c2 - 6.0 * a2
+        q = c1 - 2.0 * a * c2 + 8.0 * a * a2
+        r = c0 - a * c1 + a2 * c2 - 3.0 * a2 * a2
+        # the resolvent y^3 + B y^2 + C y + D, depressed by y = w - B / 3
+        B, C, D = 2.0 * p, p * p - 4.0 * r, -q * q
+        P = C - B * B / 3.0
+        R = D - B * C / 3.0 + 2.0 * B * B * B / 27.0
+        half = -0.5 * R
+        root = np.sqrt(half * half + P * P * P / 27.0)
+        u3 = np.where(np.abs(half + root) >= np.abs(half - root), half + root, half - root)
+        u = np.power(u3, 1.0 / 3.0)[:, None] * _CUBE_ROOTS_OF_UNITY
+        y = np.where(u == 0, 0.0, u - P[:, None] / (3.0 * u)) - (B / 3.0)[:, None]
+        y = np.take_along_axis(y, np.argmax(np.abs(y), axis=1)[:, None], axis=1)[:, 0]
+        s = np.sqrt(y)
+        # t^2 -+ s t + (p + y) / 2 +- q / 2s, each root pair from the larger
+        b = np.stack([-s, s], axis=1)
+        c = (0.5 * (p + y))[:, None] + np.stack([0.5 * q / s, -0.5 * q / s], axis=1)
+        disc = np.sqrt(b * b - 4.0 * c)
+        big = -0.5 * np.where(np.abs(b + disc) >= np.abs(b - disc), b + disc, b - disc)
+        small = np.where(big == 0, 0.0, c / big)
+        roots = scale[:, None] * (np.concatenate([big, small], axis=1) - a[:, None])
+        roots = roots - _polyval(poly, roots) / _polyval(poly[:, 1:] * np.arange(1, 5), roots)
+    return roots, scale, monic
+
+
+def _condition(kappa: np.ndarray) -> np.ndarray:
+    """Frobenius condition numbers (N,) of unit-column eigenvector matrices, from kappa (N, 4).
+
+    kappa_i = |x_i| |y_i| / |y_i . x_i| for the right and left eigenvectors
+    x_i, y_i of root i.  Row i of the inverse of the unit-column matrix is
+    y_i / (y_i . x_i / |x_i|), so the number is 2 sqrt(sum_i kappa_i^2),
+    what LAPACK's eigenvectors give.  A non-finite one is inf: the poles
+    are not certified.
+    """
+    condition = 2.0 * np.sqrt(np.sum(kappa * kappa, axis=1))
+    return np.where(np.isfinite(condition), condition, np.inf)
 
 
 @dataclass
@@ -319,9 +375,9 @@ def _drive_sector(relax: RelaxationSet, p_n: float, alpha, beta, G1, G3) -> _Dri
     and P1 = Gamma_g (Gamma_gl^2 + Omega_1'^2) + K1 (likewise K3, P3), and
     P1 P3 cancels from every element, which leaves the quartic
     Q = D P1 P3.  It is positive on the real axis, so its roots come in
-    conjugate pairs off it.  They are the eigenvalues of its companion
-    matrix, scaled so that they are of order one, and polished by a Newton
-    step; the residues are partial fractions.
+    conjugate pairs off it (:func:`_quartic_roots`), and the residues are
+    partial fractions.  The condition number is that of the eigenvectors of
+    the companion matrix of the scaled monic quartic.
     """
     r = relax
     P = len(G1)
@@ -354,22 +410,83 @@ def _drive_sector(relax: RelaxationSet, p_n: float, alpha, beta, G1, G3) -> _Dri
     sources[4, :, :4] = np.conj(g3) * ratio3.conj()     # rho_nm
     sources[5, :, :4] = g3 * ratio3                     # rho_mn
 
-    scale = (Q[:, 0] / Q[:, 4]) ** 0.25
-    companion = np.zeros((P, 4, 4))
-    companion[:, [1, 2, 3], [0, 1, 2]] = 1.0
-    companion[:, :, 3] = -Q[:, :4] / Q[:, 4:] * scale[:, None] ** np.arange(-4, 0)
-    over = ~np.isfinite(companion).all(axis=(1, 2))
+    roots, scale, monic = _quartic_roots(Q)
+    over = ~np.isfinite(monic).all(axis=1)
     if over.any():  # |G|^2 and its products overflow long before a drive does
         k = int(np.argmax(over))
         raise AveragingError(f"drive amplitudes |G1| = {abs(G1[k]):.6g} MHz, |G3| = "
                              f"{abs(G3[k]):.6g} MHz overflow the drive sector")
-    roots, V = np.linalg.eig(companion)
-    condition = _condition(V)
-    dQ = Q[:, 1:] * np.arange(1, 5)
-    poles = scale[:, None] * roots
-    poles = poles - _polyval(Q, poles) / _polyval(dQ, poles)
-    weights = _plasma_z(poles) / _polyval(dQ, poles)
-    return _DriveSector(Q, sources, np.stack([ratio1, ratio3]), poles, weights, condition)
+    # the companion matrix of the monic quartic has the left eigenvector
+    # (1, z, z^2, z^3) at a root z, and the right one (b0, b1, b2, 1) of the
+    # Horner coefficients of the quartic over (x - z)
+    z = roots / scale[:, None]
+    b2 = monic[:, 3:] + z
+    b1 = monic[:, 2:3] + z * b2
+    b0 = monic[:, 1:2] + z * b1
+    size = np.abs(z) ** 2
+    right = np.sqrt(np.abs(b0) ** 2 + np.abs(b1) ** 2 + np.abs(b2) ** 2 + 1.0)
+    left = np.sqrt(1.0 + size * (1.0 + size * (1.0 + size)))
+    condition = _condition(right * left / np.abs(b0 + z * (b1 + z * (b2 + z))))
+    weights = _plasma_z(roots) / _polyval(Q[:, 1:] * np.arange(1, 5), roots)
+    return _DriveSector(Q, sources, np.stack([ratio1, ratio3]), roots, weights, condition)
+
+
+def _cofactors(m0, m1, m2, m3, p, q, r, s) -> tuple:
+    """Rows 1 and 2 of the adjugate of the probe block, the cofactors C_j1 and C_j2.
+
+    The block has the diagonal m0..m3 and the couplings of
+    :func:`lcq.liouville.probe_block`, written out for its structural zeros,
+    so that an entry that vanishes with a drive carries that drive as a
+    factor.
+    """
+    pq, rs = p * q, r * s
+    return (
+        (-q * (m2 * m3 - pq + rs), m0 * (m2 * m3 - pq) - rs * m3,
+         r * q * (m0 + m3), -r * (m0 * m2 + pq - rs)),
+        (-s * (m1 * m3 + pq - rs), p * s * (m0 + m3),
+         m0 * (m1 * m3 - rs) - pq * m3, -p * (m0 * m1 - pq + rs)),
+    )
+
+
+def _pencil_poles(block, slopes) -> tuple:
+    """Poles (B, 4) of B probe blocks M(x) = M0 + x M1, and their condition numbers (B,).
+
+    ``block`` holds :func:`lcq.liouville.probe_block`'s parts at x = 0 and
+    ``slopes`` the diagonal of M1.  With m_j = M0_jj + x slope_j,
+    det M(x) = (m0 m1 - pq)(m2 m3 - pq) - rs (m0 m2 + m1 m3 + 2pq) + (rs)^2,
+    whose roots lambda_i (:func:`_quartic_roots`) are the eigenvalues of
+    K = -M1^-1 M0, with the right eigenvector x and the left one M1 y for
+    the right and left null vectors x, y of M(lambda_i).  There adj M is
+    their outer product x y^T times a scalar, even where a drive is zero
+    and the block decouples, so kappa_i = |x| |M1 y| / |y^T M1 x| is
+    |adj M M1|_F / |tr(adj M M1)|, and the trace is det' M(lambda_i)
+    (Jacobi's formula), det M1 prod_k (lambda_i - lambda_k).
+    """
+    m0, m1, m2, m3, p, q, r, s = block
+    s0, s1, s2, s3 = slopes
+    pq, rs = p * q, r * s
+    # det M(x) = A C - rs X + (rs)^2, with the coefficients of the quadratics
+    A = (m0 * m1 - pq, m0 * s1 + m1 * s0, s0 * s1)
+    C = (m2 * m3 - pq, m2 * s3 + m3 * s2, s2 * s3)
+    X = (m0 * m2 + m1 * m3 + 2.0 * pq, m0 * s2 + m2 * s0 + m1 * s3 + m3 * s1, s0 * s2 + s1 * s3)
+    det = np.stack(np.broadcast_arrays(
+        A[0] * C[0] - rs * X[0] + rs * rs, A[0] * C[1] + A[1] * C[0] - rs * X[1],
+        A[0] * C[2] + A[1] * C[1] + A[2] * C[0] - rs * X[2], A[1] * C[2] + A[2] * C[1],
+        A[2] * C[2]), axis=1)
+    lam, _, _ = _quartic_roots(det)
+    mm = [block[j][:, None] + slopes[j] * lam for j in range(4)]
+    p, q, r, s = (c[:, None] for c in block[4:])
+    # swapping rows and columns 0 <-> 1 and 2 <-> 3 gives a block of the same
+    # form with m0 <-> m1, m2 <-> m3 and p <-> q, whose adjugate rows 1 and 2,
+    # their entries swapped alike, are rows 0 and 3 of this one's
+    row1, row2 = _cofactors(*mm, p, q, r, s)
+    swap1, swap2 = _cofactors(mm[1], mm[0], mm[3], mm[2], q, p, r, s)
+    adj = np.stack([swap1[1], swap1[0], swap1[3], swap1[2], *row1, *row2,
+                    swap2[1], swap2[0], swap2[3], swap2[2]], axis=-1)        # (B, 4, 16)
+    norm = np.sqrt(np.sum(np.abs(adj) ** 2 * np.tile(np.abs(slopes) ** 2, 4), axis=-1))
+    gap = lam[:, :, None] - lam[:, None, :]
+    derivative = np.prod(slopes) * np.prod(np.where(np.eye(4, dtype=bool), 1.0, gap), axis=2)
+    return lam, _condition(norm / np.abs(derivative))
 
 
 def _probe_means(drive: _DriveSector, point: np.ndarray, block, slopes) -> tuple:
@@ -379,29 +496,20 @@ def _probe_means(drive: _DriveSector, point: np.ndarray, block, slopes) -> tuple
     ``block`` holds :func:`lcq.liouville.probe_block`'s parts at x = 0 and
     ``slopes`` the derivatives of its diagonal in x, so that the block is
     the pencil M(x) = M0 + x M1 with M1 = diag(slopes).  Its poles are the
-    eigenvalues lambda_k of K = -M1^-1 M0, and det M(x) = det M1
-    prod_k (x - lambda_k).  By Cramer's rule, row i of M^-1 b for a source
+    roots lambda_k of det M(x) = det M1 prod_k (x - lambda_k)
+    (:func:`_pencil_poles`).  By Cramer's rule, row i of M^-1 b for a source
     b = n / Q is N_i / (det M Q) with N_i = sum_j n_j C_ji over the
-    cofactors C of M, written out for the block's structural zeros, so
-    that a response that vanishes with a drive carries that drive as a
-    factor.  Its residue at lambda_k is N_i / (det' M Q) there and at a
-    drive pole q_j N_i / (det M Q') there.  The condition number is that of
-    the eigenvectors of K, or, if larger, the largest (|Im p| + |Im p'|) /
-    |p - p'| over the eight poles: coalescing poles have residues that grow
-    as they approach and cancel.
+    cofactors C of M (:func:`_cofactors`).  Its residue at lambda_k is
+    N_i / (det' M Q) there and at a drive pole q_j N_i / (det M Q') there.
+    The condition number is that of the eigenvectors of K = -M1^-1 M0, or,
+    if larger, the largest (|Im p| + |Im p'|) / |p - p'| over the eight
+    poles: coalescing poles have residues that grow as they approach and
+    cancel.
     """
-    lam, V = np.linalg.eig(-liouville.probe_matrix(*block) / slopes[:, None])
-    condition = _condition(V)
+    lam, condition = _pencil_poles(block, slopes)
     poles = np.concatenate([lam, drive.poles[point]], axis=1)               # (B, 8)
     m0, m1, m2, m3 = (block[j][:, None] + slopes[j] * poles for j in range(4))
-    p, q, r, s = (c[:, None] for c in block[4:])
-    pq, rs = p * q, r * s
-    cofactors = (
-        (-q * (m2 * m3 - pq + rs), m0 * (m2 * m3 - pq) - rs * m3,           # C_j1
-         r * q * (m0 + m3), -r * (m0 * m2 + pq - rs)),
-        (-s * (m1 * m3 + pq - rs), p * s * (m0 + m3),                       # C_j2
-         m0 * (m1 * m3 - rs) - pq * m3, -p * (m0 * m1 - pq + rs)),
-    )
+    cofactors = _cofactors(m0, m1, m2, m3, *(c[:, None] for c in block[4:]))
     gap = poles[:, :, None] - poles[:, None, :]                              # (B, 8, 8)
     width = np.abs(poles.imag)
     eye = np.eye(8, dtype=bool)
@@ -604,14 +712,13 @@ def _average(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
     count = -(-g1.size // _POINTS_PER_BATCH)           # batches, a multiple of the workers
     edges = np.linspace(0, g1.size, threads * -(-count // threads) + 1)
     batches = [slice(a, b) for a, b in zip(edges[:-1].astype(int), edges[1:].astype(int)) if b > a]
-    try:
-        if threads > 1 and len(batches) > 1:
-            with ThreadPoolExecutor(threads) as pool:
-                list(pool.map(batch, batches))
-        else:
-            list(map(batch, batches))
-    except np.linalg.LinAlgError as exc:
-        raise AveragingError(f"pole search failed: {exc}") from exc
+    if threads > 1 and len(batches) > 1:
+        from concurrent.futures import ThreadPoolExecutor  # its import loads logging
+
+        with ThreadPoolExecutor(threads) as pool:
+            list(pool.map(batch, batches))
+    else:
+        list(map(batch, batches))
     return ratios.reshape(2, *shape), means
 
 

@@ -101,12 +101,20 @@ _VALIDATION_RTOL = 1e-4
 # at a non-finite drive, since a direct average there overflows
 _RUNAWAY = 1e6
 # A run given no step count doubles each trajectory's steps, from a first
-# fine run of _STEPS_START, until its step-doubling estimate is at most
-# _RK4_RTOL of its peak, and fails a trajectory that would need more than
-# _STEPS_MAX
+# fine run of _STEPS_START steps but none finer than _STEP_START_MIN L4,
+# until its step-doubling estimate is at most _RK4_RTOL of its peak, and
+# fails a trajectory that would need more than _STEPS_MAX
 _RK4_RTOL = 1e-6
 _STEPS_START = 256
+_STEP_START_MIN = 0.125
 _STEPS_MAX = 65536
+
+
+def _drive_nodes(g10: float, g30: float) -> tuple[np.ndarray, np.ndarray]:
+    """The |G1| and |G3| nodes of :meth:`CoefficientCache.build` for boundary drives |G10|, |G30|."""
+    n1 = min(_GRID_N1_MAX, max(_GRID_N1_MIN, math.ceil(_GRID_N1_PER_MHZ * g10)))
+    return (_GRID_MARGIN * g10 * np.linspace(0.0, 1.0, n1) ** _GRID_POWER,
+            _GRID_MARGIN * g30 * np.linspace(0.0, 1.0, _GRID_N3) ** _GRID_POWER)
 
 
 class CacheValidationError(RuntimeError):
@@ -266,9 +274,7 @@ class CoefficientCache:
         columns = list({f.omega4: f for f in trajectories}.values())
         g10 = max(abs(f.g10) for f in trajectories)
         g30 = max(abs(f.g30) for f in trajectories)
-        n1 = min(_GRID_N1_MAX, max(_GRID_N1_MIN, math.ceil(_GRID_N1_PER_MHZ * g10)))
-        g1_grid = _GRID_MARGIN * g10 * np.linspace(0.0, 1.0, n1) ** _GRID_POWER
-        g3_grid = _GRID_MARGIN * g30 * np.linspace(0.0, 1.0, _GRID_N3) ** _GRID_POWER
+        g1_grid, g3_grid = _drive_nodes(g10, g30)
         grid = DriveGrid(scheme, relax, medium, columns[0], g1_grid, g3_grid, quad)
         cache = cls(scheme, relax, medium, columns, quad, g1_grid, g3_grid,
                     grid.tables(columns, threads))
@@ -549,7 +555,7 @@ def step_reports():
         _REPORTS.reset(token)
 
 
-def _substeps(positions: np.ndarray, steps: int) -> np.ndarray:
+def _substeps(positions: np.ndarray, steps: float) -> np.ndarray:
     """Each interval's rounded share of ``steps`` over ``positions``, at least one."""
     return np.maximum(1, np.round(np.diff(positions) / (positions[-1] / steps))).astype(int)
 
@@ -628,7 +634,8 @@ def _step_doubling(y0: np.ndarray, z: np.ndarray, source, scheme):
     """RK4 of the states ``y0`` through ``z``, each trajectory's steps sized by step doubling.
 
     Every trajectory runs at the coarse counts m_k = max(1, round(seg_k /
-    (2 L / _STEPS_START))) per interval and then at the fine counts 2 m_k.
+    2h)) per interval and then at the fine counts 2 m_k, with the first
+    fine step h = max(L / _STEPS_START, _STEP_START_MIN).
     While a trajectory's estimate (:func:`_doubling_error`) exceeds
     _RK4_RTOL it runs again at twice its fine counts, against its previous
     fine run, in a batch of the trajectories that still exceed it.  Its
@@ -639,7 +646,7 @@ def _step_doubling(y0: np.ndarray, z: np.ndarray, source, scheme):
     and bits are those of its lone run.  Returns the states and the
     :class:`StepReport`.
     """
-    counts = _substeps(z, _STEPS_START // 2)
+    counts = _substeps(z, z[-1] / (2.0 * max(z[-1] / _STEPS_START, _STEP_START_MIN)))
     states, failed_at = _lockstep(y0, z, counts, source, scheme)
     n = y0.shape[0]
     steps, error = np.full(n, counts.sum()), np.full(n, np.nan)

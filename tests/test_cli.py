@@ -639,6 +639,35 @@ def test_cli_import_loads_no_scipy_module(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_cli_import_loads_no_thread_pool(tmp_path):
+    # concurrent.futures imports logging; only an average on several threads
+    # makes a pool, and imports it there
+    code = ("import sys\n"
+            "import lcq.cli\n"
+            "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures was imported'\n")
+    proc = run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_validate_fails_when_a_closed_form_pole_is_off(monkeypatch, capsys):
+    # LAPACK stays the oracle of the closed-form poles: one probe pole of one
+    # drive point moved by 1e-9 of its size fails that check alone
+    pencil_poles = doppler._pencil_poles
+
+    def corrupted(block, slopes):
+        lam, condition = pencil_poles(block, slopes)
+        lam = lam.copy()
+        lam[0, 0] *= 1.0 + 1e-9
+        return lam, condition
+
+    monkeypatch.setattr(doppler, "_pencil_poles", corrupted)
+    rc = cli.main(["validate"])
+    out = capsys.readouterr().out
+    failed = [line for line in out.splitlines() if line.startswith("[FAIL]")]
+    assert rc == 3
+    assert len(failed) == 1 and failed[0].startswith("[FAIL] closed-form poles vs eig"), out
+
+
 def test_validate_fails_when_301_velocity_nodes_cannot_confirm_the_pole_sums(tmp_path, capsys):
     # at 100 C the Doppler width is 1.27 GHz against the preset's 1.77 GHz,
     # and a velocity rule of 301 nodes misses the pole sums by 3.5e-6 of a

@@ -11,6 +11,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from lcq import cli
 from lcq import doppler as dp
 from lcq import liouville as lv
 from lcq import scans
@@ -266,6 +267,73 @@ def test_pole_sums_match_the_velocity_sum(relax, g1, g3, om):
     oracle = dp._node_sums(sch, relax, medium, quad, columns, g1, g3)
     scale = dp._node_sums(sch, relax, medium, quad, columns, g1, g3, modulus=True)
     assert _worst(poles, oracle, scale) <= 1e-10
+
+
+@settings(max_examples=25, deadline=None)
+@given(relax=damped_relaxation_sets(), temperature=st.floats(300.0, 1200.0),
+       p_n=st.floats(0.0, 0.5), g1=st.lists(_drive, min_size=1, max_size=6),
+       g3=st.lists(_drive, min_size=1, max_size=6),
+       om=st.tuples(_detuning, _detuning, _detuning, _detuning))
+def test_closed_form_poles_match_lapack(relax, temperature, p_n, g1, g3, om):
+    # Ferrari's roots and the closed-form condition numbers against LAPACK's
+    # eig of the companion matrix and of K = -M1^-1 M0, at drive points that
+    # include G1 = 0, G3 = 0 and both, where the probe block decouples
+    sch, _, medium, _ = na2_preset()
+    medium = replace(medium, temperature=temperature, p_n=p_n)
+    quad = dp.QuadratureSpec.for_medium(sch, medium)
+    G1, G3 = (np.array(x, dtype=complex).ravel()
+              for x in np.meshgrid([0.0, *g1], [0.0, *g3], indexing="ij"))
+    columns = [FieldConfig(omega1=om[0], omega3=om[1], omega4=w4) for w4 in om[2:]]
+    agreement = cli.pole_agreement(sch, relax, medium, quad, columns, G1, G3)
+    assert agreement["pole_error"] <= 1e-12, agreement
+    assert agreement["condition_error"] <= 1e-8, agreement
+
+
+def test_pole_kernel_repeats_each_point_alone_bit_for_bit(preset, quad):
+    # the drive sector, the pencil poles and the averages of 1000 paired
+    # points, against the same points in batches of 1 to 999 and as a view
+    # at an offset
+    sch, relax, medium, fields = preset
+    rng = np.random.default_rng(24)
+    n = 1000
+    g1 = rng.uniform(0.0, 150.0, n) * np.exp(2j * np.pi * rng.random(n))
+    g3 = rng.uniform(0.0, 60.0, n) * np.exp(2j * np.pi * rng.random(n))
+    g1[::7], g3[::11] = 0.0, 0.0
+    w4 = rng.uniform(-300.0, 300.0, n)
+    d1, d2, d3, d4 = lv.doppler_shifts(sch, quad.u)
+    slopes = np.array(lv.probe_block(-d1, -d2, -d4, 0.0, 0.0, (0.0,) * 4)[:4])
+    rad = RAD_PER_MHZ
+
+    def kernel(k):
+        with np.errstate(all="ignore"):
+            drive = dp._drive_sector(relax, medium.p_n, (rad * fields.omega1, rad * fields.omega3),
+                                     (rad * d1, rad * d3), g1[k], g3[k])
+            block = lv.probe_block(fields.omega1, fields.omega1 + fields.omega3 - w4[k], w4[k],
+                                   g1[k], g3[k], lv.probe_rates(relax))
+            lam, condition = dp._pencil_poles(block, slopes)
+        return drive.poles, drive.weights, drive.condition, lam, condition
+
+    def average(k):
+        ratios, (means,) = dp._average(sch, relax, medium, quad, [fields.with_omega4(w4[k])],
+                                       g1[k], g3[k])
+        return ratios, means
+
+    whole = kernel(slice(None))
+    whole_means = average(slice(None))
+    for size in (1, 2, 3, 10, 64, 333, 999):
+        stop = 40 if size == 1 else n
+        parts = [kernel(slice(a, min(a + size, stop))) for a in range(0, stop, size)]
+        for got, ref in zip(zip(*parts), whole):
+            assert np.array_equal(np.concatenate(got), ref[:stop], equal_nan=True), size
+        parts = [average(slice(a, min(a + size, stop))) for a in range(0, stop, size)]
+        for got, ref in zip(zip(*parts), whole_means):
+            assert np.array_equal(np.concatenate(got, axis=1), ref[:, :stop]), size
+    offset = slice(1, n)
+    assert g1[offset].base is not None  # a view that starts one element in
+    for got, ref in zip(kernel(offset), whole):
+        assert np.array_equal(got, ref[1:], equal_nan=True)
+    for got, ref in zip(average(offset), whole_means):
+        assert np.array_equal(got, ref[:, 1:])
 
 
 def _exceptional_point(sch, relax, medium, fields):

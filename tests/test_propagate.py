@@ -768,17 +768,20 @@ def test_step_doubling_sizes_each_trajectory_as_its_lone_run(preset, quad, dress
 
 
 def test_step_doubling_estimate_bounds_the_error(preset, quad, dressed_cache, doubling_batch):
-    # against 16000 steps, whose own error is about 1e-13 of the peak
+    # against 200 steps per L4, whose own error is about 1e-13 of the peak.
+    # At 10 L4 the first fine step is 1/8 L4, not L / 256: 40 + 80 steps
     sch, relax, medium, _ = preset
     batch = doubling_batch[:2]
     y0 = np.array([[f.g10, f.g30, f.e40, f.e20] for f in batch], dtype=complex)
-    _, [(states, _)], report = pg._run(sch, relax, medium, batch, y0, 80.0, DOUBLING_LENGTHS,
-                                       None, quad, dressed_cache)
-    _, [(ref, _)], _ = pg._run(sch, relax, medium, batch, y0, 80.0, DOUBLING_LENGTHS, 16000,
-                               quad, dressed_cache)
-    error = (np.abs(states - ref) / np.max(np.abs(ref), axis=0)).max(axis=(0, 2))
-    assert (report.error <= pg._RK4_RTOL).all()
-    assert (error <= 3.0 * report.error).all()
+    for L, record, first in ((80.0, DOUBLING_LENGTHS, 256), (10.0, np.linspace(0.0, 10.0, 5), 80)):
+        _, [(states, _)], report = pg._run(sch, relax, medium, batch, y0, L, record,
+                                           None, quad, dressed_cache)
+        _, [(ref, _)], _ = pg._run(sch, relax, medium, batch, y0, L, record, int(200 * L),
+                                   quad, dressed_cache)
+        error = (np.abs(states - ref) / np.max(np.abs(ref), axis=0)).max(axis=(0, 2))
+        assert (report.error <= pg._RK4_RTOL).all()
+        assert (error <= 3.0 * report.error).all()
+        assert report.steps.min() == first
 
 
 def test_step_doubling_past_the_cap_is_a_named_failure(preset, coarse_quad, dressed_fields,
