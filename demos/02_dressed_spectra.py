@@ -30,12 +30,9 @@ depleted = spectra_scan(scheme, relax, medium, fields, sweep,
                         G1=43.0, G3=39.0, quad=quad)
 records_to_csv(depleted, OUT / "spectra_depleted.csv")
 
-alpha2 = np.array([r.values["alpha2"] for r in boundary])
-alpha4 = np.array([r.values["alpha4"] for r in boundary])
-g4 = np.array([np.hypot(r.values["re_gamma4"], r.values["im_gamma4"])
-               for r in boundary])
-g2 = np.array([np.hypot(r.values["re_gamma2"], r.values["im_gamma2"])
-               for r in boundary])
+alpha2, alpha4 = boundary["alpha2"], boundary["alpha4"]
+g4 = np.hypot(boundary["re_gamma4"], boundary["im_gamma4"])
+g2 = np.hypot(boundary["re_gamma2"], boundary["im_gamma2"])
 
 i = int(np.argmin(alpha2))
 print(f"strongest Stokes gain: alpha2 = {alpha2[i]:.3f}/L4 at "

@@ -22,15 +22,12 @@ scheme, relax, medium, fields = na2_preset()
 quad = QuadratureSpec.for_medium(scheme, medium)
 f = fields.with_omega4(160.0)
 
-records = spatial_dynamics(scheme, relax, medium, f, L=40.0, steps=2000,
-                           quad=quad)
-records_to_csv(records, OUT / "dynamics_160MHz.csv")
+dynamics = spatial_dynamics(scheme, relax, medium, f, L=40.0, steps=2000,
+                            quad=quad)
+records_to_csv(dynamics, OUT / "dynamics_160MHz.csv")
 
-z = np.array([r.values["z"] for r in records])
-i4 = np.array([r.values["i4_ratio"] for r in records])
-i2 = np.array([r.values["i2_over_i40"] for r in records])
-i1 = np.array([r.values["i1_ratio"] for r in records])
-i3 = np.array([r.values["i3_ratio"] for r in records])
+z, i4, i2 = dynamics["z"], dynamics["i4_ratio"], dynamics["i2_over_i40"]
+i1, i3 = dynamics["i1_ratio"], dynamics["i3_ratio"]
 
 imin = int(np.argmin(i4[: i4.size // 3]))
 imax = int(np.argmax(i4))
@@ -48,7 +45,7 @@ resonant = spatial_dynamics(
                 g10=f.g10, g30=f.g30, e40=f.e40, e20=f.e20),
     L=40.0, steps=2000, quad=quad)
 records_to_csv(resonant, OUT / "dynamics_resonant.csv")
-res_max = max(r.values["i4_ratio"] for r in resonant)
+res_max = resonant["i4_ratio"].max()
 print(f"fully resonant configuration for comparison: I4 never exceeds "
       f"{res_max:.3g} I40 (detuning wins by a factor {i4[imax]/res_max:.0f})")
 print(f"wrote {OUT/'dynamics_160MHz.csv'} and {OUT/'dynamics_resonant.csv'}")

@@ -39,8 +39,7 @@ sweep = np.linspace(130.0, 175.0, 19)
 curve = switching_curve(scheme, relax, medium, fields, L=L_fix, sweep=sweep,
                         axis="omega4", steps=1200, quad=quad, threads=threads)
 records_to_csv(curve, OUT / "switching_omega4.csv")
-ys = np.array([r.values["i4_ratio"] for r in curve])
-xs = np.array([r.values["omega4"] for r in curve])
+ys = curve["i4_ratio"]
 crossings = transparency_crossings(curve, "omega4")
 print(f"detuning switching at L = {L_fix:.0f} L4: transmission spans "
       f"{ys.min():.2e} .. {ys.max():.1f}; transparency crossings at "
@@ -51,7 +50,7 @@ gcurve = switching_curve(scheme, relax, medium, fields.with_omega4(om_star),
                          L=L_fix, sweep=gsweep, axis="g10", steps=1200,
                          quad=quad)
 records_to_csv(gcurve, OUT / "switching_g10.csv")
-gy = np.array([r.values["i4_ratio"] for r in gcurve])
+gy = gcurve["i4_ratio"]
 print(f"drive switching: I4/I40 rises from {gy[0]:.2e} at G10 = {gsweep[0]:.0f} MHz "
       f"to {gy[-1]:.1f} at {gsweep[-1]:.0f} MHz")
 print(f"wrote gain_map.csv, switching_omega4.csv, switching_g10.csv under {OUT}")

@@ -11,7 +11,7 @@ __version__ = "0.1.0"
 from .coupledwave import BoundaryAmplitudes, OpaCoefficients, eta4_conversion, fwm_gain_limit, opa_solution, oscillation_threshold
 from .doppler import MacroscopicCoefficients, QuadratureSpec, average_coefficients, voigt_reference
 from .propagate import CoefficientCache, PropagationTrace, gain_map, integrate
-from .scans import ScanRecord, spatial_dynamics, spectra_scan, switching_curve
+from .scans import spatial_dynamics, spectra_scan, switching_curve
 from .scheme import (
     FieldConfig,
     LevelScheme,
@@ -27,7 +27,7 @@ __all__ = [
     "opa_solution", "oscillation_threshold",
     "MacroscopicCoefficients", "QuadratureSpec", "average_coefficients", "voigt_reference",
     "CoefficientCache", "PropagationTrace", "gain_map", "integrate",
-    "ScanRecord", "spatial_dynamics", "spectra_scan", "switching_curve",
+    "spatial_dynamics", "spectra_scan", "switching_curve",
     "FieldConfig", "LevelScheme", "MediumParams", "RelaxationSet",
     "boltzmann_fraction", "doppler_fwhm", "na2_preset",
 ]

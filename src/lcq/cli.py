@@ -129,13 +129,13 @@ def _step_manifest(reports: list) -> dict:
             "rk4_error": worst}
 
 
-def _emit(args, records, manifest_extra: dict, t_start: float,
+def _emit(args, table, manifest_extra: dict, t_start: float,
           stats: doppler.PoleStats, reports: list) -> None:
     if args.out:
         with _writing(args.out):
-            scans.records_to_csv(records, args.out)
+            scans.records_to_csv(table, args.out)
     else:
-        sys.stdout.write(scans.csv_text(records))
+        sys.stdout.write(scans.csv_text(table))
     payload = {
         "version": __version__,
         "argv": manifest_extra.pop("argv"),
@@ -278,19 +278,19 @@ def _dispatch(args, argv: list[str], t_start: float, stats: doppler.PoleStats,
 
     if args.command == "spectra":
         sweep = _parse_grid(args.omega4)
-        records = scans.spectra_scan(
+        table = scans.spectra_scan(
             sch, relax, medium, fields, sweep,
             G1=args.g1, G3=args.g3, quad=quad,
         )
-        _emit(args, records, manifest, t_start, stats, reports)
+        _emit(args, table, manifest, t_start, stats, reports)
         return 0
 
     if args.command == "dynamics":
         f = fields if args.omega4 is None else fields.with_omega4(args.omega4)
-        records = scans.spatial_dynamics(
+        table = scans.spatial_dynamics(
             sch, relax, medium, f, L=args.length, steps=args.steps, quad=quad, threads=threads,
         )
-        _emit(args, records, manifest, t_start, stats, reports)
+        _emit(args, table, manifest, t_start, stats, reports)
         return 0
 
     if args.command == "gainmap":
@@ -300,7 +300,7 @@ def _dispatch(args, argv: list[str], t_start: float, stats: doppler.PoleStats,
             sch, relax, medium, fields, omega4, lengths,
             steps=args.steps, quad=quad, threads=threads,
         )
-        records = scans.gain_map_records(result)
+        table = scans.gain_map_records(result)
         if result.cache_fallbacks:
             manifest["warnings"].append(
                 f"{result.cache_fallbacks} cache lookups fell back to direct evaluation"
@@ -311,7 +311,7 @@ def _dispatch(args, argv: list[str], t_start: float, stats: doppler.PoleStats,
         manifest["max_gain"] = result.max_gain
         manifest["cache_validation_error"] = result.validation_error
         manifest["argmax"] = dict(zip(("omega4_MHz", "length_L4"), result.argmax()))
-        _emit(args, records, manifest, t_start, stats, reports)
+        _emit(args, table, manifest, t_start, stats, reports)
         return 0
 
     if args.command == "switch":
@@ -319,13 +319,13 @@ def _dispatch(args, argv: list[str], t_start: float, stats: doppler.PoleStats,
             raise ConfigError("switch needs exactly one of --omega4 or --g10")
         axis = "omega4" if args.omega4 is not None else "g10"
         sweep = _parse_grid(args.omega4 if axis == "omega4" else args.g10)
-        records = scans.switching_curve(
+        table = scans.switching_curve(
             sch, relax, medium, fields, L=args.length, sweep=sweep, axis=axis,
             steps=args.steps, quad=quad, threads=threads,
         )
-        crossings = scans.transparency_crossings(records, axis)
+        crossings = scans.transparency_crossings(table, axis)
         manifest["transparency_crossings"] = crossings
-        _emit(args, records, manifest, t_start, stats, reports)
+        _emit(args, table, manifest, t_start, stats, reports)
         return 0
 
     raise ConfigError(f"unknown command {args.command!r}")

@@ -175,6 +175,15 @@ class MacroscopicCoefficients:
         return cls(*(2.0 * x for x in im[:4]), *re[:4],
                    complex(re[4], im[4]), complex(re[5], im[5]))
 
+    @staticmethod
+    def columns(rows: np.ndarray) -> dict[str, np.ndarray]:
+        """Table rows (:meth:`from_vector`'s layout) as named columns, alphas first."""
+        re, im = rows[..., 0::2], rows[..., 1::2]
+        return {**{f"alpha{j + 1}": 2.0 * im[..., j] for j in range(4)},
+                **{f"deltak{j + 1}": re[..., j] for j in range(4)},
+                "re_gamma4": re[..., 4], "im_gamma4": im[..., 4],
+                "re_gamma2": re[..., 5], "im_gamma2": im[..., 5]}
+
     def to_vector(self) -> np.ndarray:
         """The table row, which :meth:`from_vector` maps back exactly."""
         s = [self.sigma(j) for j in (1, 2, 3, 4)] + [self.gamma4, self.gamma2]

@@ -1,14 +1,13 @@
-"""Scan layer: spectra, spatial dynamics and switching curves as records.
+"""Scan layer: spectra, spatial dynamics and switching curves as column tables.
 
-Each scan returns a list of :class:`ScanRecord` carrying only physical
-ratios and coefficients (absolute field scales are not physical in this
-model).  Records are plain numbers, reproducible bit-for-bit across runs and
-thread counts, and carry their column units for CSV emission.
+Each scan returns a table, a dict of float64 columns in CSV order, carrying
+only physical ratios and coefficients (absolute field scales are not
+physical in this model).  Tables are reproducible bit-for-bit across runs
+and thread counts, and :data:`UNITS` gives each column's unit for CSV
+emission.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -42,17 +41,15 @@ UNITS = {
 }
 
 
-@dataclass(frozen=True)
-class ScanRecord:
-    """One row of a scan table: scan id plus named numeric columns."""
-
-    scan: str
-    values: dict[str, float]
-
-    def __post_init__(self) -> None:
-        for name, val in self.values.items():
-            if not np.isfinite(val):
-                raise ValueError(f"non-finite value in column {name!r} of scan {self.scan!r}")
+def scan_table(scan: str, **columns) -> dict[str, np.ndarray]:
+    """The columns of ``scan`` as float64 arrays, checked to be finite and of one length."""
+    out = {name: np.asarray(values, dtype=float) for name, values in columns.items()}
+    if len({col.shape for col in out.values()}) > 1:
+        raise ValueError(f"columns of scan {scan!r} differ in length")
+    for name, col in out.items():
+        if not np.isfinite(col).all():
+            raise ValueError(f"non-finite value in column {name!r} of scan {scan!r}")
+    return out
 
 
 def column_header(name: str) -> str:
@@ -68,7 +65,7 @@ def spectra_scan(
     G1: complex | None = None,
     G3: complex | None = None,
     quad: QuadratureSpec | None = None,
-) -> list[ScanRecord]:
+) -> dict[str, np.ndarray]:
     """Macroscopic coefficient spectra along a probe-detuning (omega4) sweep.
 
     The Stokes detuning is slaved to omega2 = omega1 + omega3 - omega4.
@@ -85,26 +82,8 @@ def spectra_scan(
     tables = doppler.coefficient_tables(
         scheme, relax, medium, quad, columns,
         complex(base.g10 if G1 is None else G1), complex(base.g30 if G3 is None else G3))
-    records = []
-    for fields, row in zip(columns, tables):
-        mc = doppler.MacroscopicCoefficients.from_vector(row)
-        records.append(ScanRecord("spectra", {
-            "omega4": fields.omega4,
-            "omega2": fields.omega2,
-            "alpha1": mc.alpha1,
-            "alpha2": mc.alpha2,
-            "alpha3": mc.alpha3,
-            "alpha4": mc.alpha4,
-            "deltak1": mc.deltak1,
-            "deltak2": mc.deltak2,
-            "deltak3": mc.deltak3,
-            "deltak4": mc.deltak4,
-            "re_gamma4": mc.gamma4.real,
-            "im_gamma4": mc.gamma4.imag,
-            "re_gamma2": mc.gamma2.real,
-            "im_gamma2": mc.gamma2.imag,
-        }))
-    return records
+    return scan_table("spectra", omega4=sweep, omega2=base.omega1 + base.omega3 - sweep,
+                      **doppler.MacroscopicCoefficients.columns(tables))
 
 
 def spatial_dynamics(
@@ -116,7 +95,7 @@ def spatial_dynamics(
     steps: int | None = None,
     quad: QuadratureSpec | None = None,
     threads: int = 1,
-) -> list[ScanRecord]:
+) -> dict[str, np.ndarray]:
     """Intensity evolution of all four waves along the medium.
 
     Emits I_j(z)/I_j(0) for the waves with non-zero input and the generated
@@ -139,16 +118,12 @@ def spatial_dynamics(
     i40 = abs(fields.e40) ** 2
     g10 = abs(fields.g10) ** 2
     g30 = abs(fields.g30) ** 2
-    records = []
-    for i in range(trace.z.size):
-        records.append(ScanRecord("dynamics", {
-            "z": float(trace.z[i]),
-            "i1_ratio": abs(trace.g1[i]) ** 2 / g10 if g10 else 0.0,
-            "i3_ratio": abs(trace.g3[i]) ** 2 / g30 if g30 else 0.0,
-            "i4_ratio": abs(trace.e4[i]) ** 2 / i40,
-            "i2_over_i40": abs(trace.e2[i]) ** 2 / i40,
-        }))
-    return records
+    i1, i3, i4, i2 = ([abs(a) ** 2 for a in w.tolist()] for w in (trace.g1, trace.g3, trace.e4, trace.e2))
+    zero = np.zeros(trace.z.size)
+    return scan_table("dynamics", z=trace.z,
+                      i1_ratio=np.divide(i1, g10) if g10 else zero,
+                      i3_ratio=np.divide(i3, g30) if g30 else zero,
+                      i4_ratio=np.divide(i4, i40), i2_over_i40=np.divide(i2, i40))
 
 
 def switching_curve(
@@ -162,7 +137,7 @@ def switching_curve(
     steps: int | None = None,
     quad: QuadratureSpec | None = None,
     threads: int = 1,
-) -> list[ScanRecord]:
+) -> dict[str, np.ndarray]:
     """Transmission I4(L)/I40 at fixed optical length versus a control knob.
 
     ``axis`` selects the swept control: the probe detuning or the drive
@@ -191,57 +166,45 @@ def switching_curve(
     failed = np.flatnonzero(~np.isnan(failed_at))
     if failed.size:
         raise report.failure(int(failed[0]))
-    return [ScanRecord("switch", {axis: float(value), "i4_ratio": float(r)})
-            for value, r in zip(sweep, ratio[:, 0])]
+    return scan_table("switch", **{axis: sweep, "i4_ratio": ratio[:, 0]})
 
 
-def transparency_crossings(records: list[ScanRecord], column: str) -> list[float]:
-    """Interpolated control values where I4(L)/I40 crosses unity."""
-    xs = np.array([r.values[column] for r in records])
-    ys = np.array([r.values["i4_ratio"] for r in records])
+def transparency_crossings(table: dict[str, np.ndarray], column: str) -> list[float]:
+    """Interpolated values of ``column`` where the table's I4(L)/I40 crosses unity."""
+    xs, ys = table[column].tolist(), table["i4_ratio"].tolist()
     crossings = []
-    for i in range(xs.size - 1):
+    for i in range(len(xs) - 1):
         lo, hi = ys[i] - 1.0, ys[i + 1] - 1.0
         if lo == 0.0:
-            crossings.append(float(xs[i]))
+            crossings.append(xs[i])
         elif lo * hi < 0.0:
             t = lo / (lo - hi)
-            crossings.append(float(xs[i] + t * (xs[i + 1] - xs[i])))
+            crossings.append(xs[i] + t * (xs[i + 1] - xs[i]))
     if ys[-1] == 1.0:
-        crossings.append(float(xs[-1]))
+        crossings.append(xs[-1])
     return crossings
 
 
-def gain_map_records(result: propagate.GainMapResult) -> list[ScanRecord]:
-    """Flatten a gain map into records, skipping invalid cells."""
-    records = []
-    for i, omega4 in enumerate(result.omega4):
-        for j, length in enumerate(result.lengths):
-            if result.valid[i, j]:
-                records.append(ScanRecord("gainmap", {
-                    "omega4": float(omega4),
-                    "length": float(length),
-                    "gain": float(result.ratio[i, j]),
-                }))
-    return records
+def gain_map_records(result: propagate.GainMapResult) -> dict[str, np.ndarray]:
+    """A gain map as a table of its valid cells, detuning-major."""
+    omega4, length = np.meshgrid(result.omega4, result.lengths, indexing="ij")
+    v = result.valid
+    return scan_table("gainmap", omega4=omega4[v], length=length[v], gain=result.ratio[v])
 
 
-def csv_text(records: list[ScanRecord]) -> str:
-    """Records as CSV text with name[unit] headers and 17 significant digits."""
-    if not records:
-        raise ValueError("no records to write")
-    columns = list(records[0].values.keys())
-    for r in records:
-        if list(r.values.keys()) != columns:
-            raise ValueError("inconsistent record columns")
-    lines = [",".join(column_header(c) for c in columns)]
-    for r in records:
-        lines.append(",".join(f"{r.values[c]:.17g}" for c in columns))
+def csv_text(table: dict[str, np.ndarray]) -> str:
+    """A table as CSV text with name[unit] headers and 17 significant digits."""
+    columns = [col.tolist() for col in table.values()]
+    if not columns or not columns[0]:
+        raise ValueError("no rows to write")
+    row = ",".join(["{:.17g}"] * len(columns))
+    lines = [",".join(column_header(c) for c in table)]
+    lines += [row.format(*values) for values in zip(*columns)]
     return "\n".join(lines) + "\n"
 
 
-def records_to_csv(records: list[ScanRecord], path) -> None:
-    """Write :func:`csv_text` of the records to ``path``."""
-    text = csv_text(records)
+def records_to_csv(table: dict[str, np.ndarray], path) -> None:
+    """Write :func:`csv_text` of the table to ``path``."""
+    text = csv_text(table)
     with open(path, "w", encoding="utf-8", newline="\n") as fh:
         fh.write(text)

@@ -311,10 +311,9 @@ def test_criterion_09_switching_steepness(preset, quad, awi_map):
             r = np.maximum(cut[1:] / cut[:-1], cut[:-1] / cut[1:])
         center = om_grid[int(np.nanargmax(r))]
         sweep = np.arange(center - 12.0, center + 18.0 + 1e-9, 2.0)
-        recs = scans.switching_curve(
+        ys = scans.switching_curve(
             sch, relax, medium, fields, L=float(L), sweep=sweep,
-            axis="omega4", steps=1200, quad=quad, threads=THREADS)
-        ys = np.array([r.values["i4_ratio"] for r in recs])
+            axis="omega4", steps=1200, quad=quad, threads=THREADS)["i4_ratio"]
         best = 1.0
         for k in range(1, 6):  # windows of 2..10 MHz
             rr = np.maximum(ys[k:] / ys[:-k], ys[:-k] / ys[k:])
@@ -333,11 +332,10 @@ def test_criterion_09_switching_steepness(preset, quad, awi_map):
         if omega_ratio < 10.0:
             continue
         sweep = np.linspace(60.0, 105.0, 31)
-        recs = scans.switching_curve(
+        curve = scans.switching_curve(
             sch, relax, medium, fields.with_omega4(om_star), L=float(L),
             sweep=sweep, axis="g10", steps=1200, quad=quad)
-        xs = np.array([r.values["g10"] for r in recs])
-        ys = np.array([r.values["i4_ratio"] for r in recs])
+        xs, ys = curve["g10"], curve["i4_ratio"]
         drive_ratio = 1.0
         for i in range(xs.size):
             j15 = int(np.searchsorted(xs, xs[i] * 1.15, side="right")) - 1

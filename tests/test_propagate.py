@@ -465,17 +465,17 @@ def test_g10_sweep_point_matches_lone_trajectory(preset, coarse_quad):
     sch, relax, medium, fields = preset
     base = fields.with_omega4(155.0)
     sweep = np.array([70.0, 85.0, 100.0])
-    recs = scans.switching_curve(sch, relax, medium, base, L=4.0, sweep=sweep,
-                                 axis="g10", steps=300, quad=coarse_quad)
+    curve = scans.switching_curve(sch, relax, medium, base, L=4.0, sweep=sweep,
+                                  axis="g10", steps=300, quad=coarse_quad)
     # the sweep's own cache, built for the largest swept drive
     top = base.with_drives(100.0, base.g30)
     cache = pg.CoefficientCache.build(sch, relax, medium, [top], coarse_quad)
-    for rec, g10 in zip(recs, sweep):
+    for ratio, g10 in zip(curve["i4_ratio"], sweep):
         f = base.with_drives(g10, base.g30)
         trace = pg.integrate(sch, relax, medium, f, L=4.0, steps=300, quad=coarse_quad,
                              cache=cache, error_estimate=False, record_at=[4.0])
         alone = abs(trace.e4[-1]) ** 2 / abs(f.e40) ** 2
-        assert rec.values["i4_ratio"] == pytest.approx(alone, rel=1e-12, abs=0.0)
+        assert ratio == pytest.approx(alone, rel=1e-12, abs=0.0)
 
 
 def test_runaway_column_leaves_the_others_alone(preset, coarse_quad, monkeypatch):
@@ -564,10 +564,10 @@ def test_negative_g10_sweep_mirrors_positive(preset, coarse_quad, monkeypatch):
     monkeypatch.setattr(pg.CoefficientCache, "build", classmethod(spy))
     ratios = {}
     for sweep in (np.array([50.0, 100.0]), np.array([-100.0, -50.0])):
-        recs = scans.switching_curve(sch, relax, medium, base, L=1.0, sweep=sweep,
-                                     axis="g10", steps=100, quad=coarse_quad)
-        for rec in recs:
-            ratios.setdefault(abs(rec.values["g10"]), []).append(rec.values["i4_ratio"])
+        curve = scans.switching_curve(sch, relax, medium, base, L=1.0, sweep=sweep,
+                                      axis="g10", steps=100, quad=coarse_quad)
+        for g10, ratio in zip(curve["g10"], curve["i4_ratio"]):
+            ratios.setdefault(abs(g10), []).append(ratio)
     assert [c.fallbacks for c in caches] == [0, 0]
     for positive, negative in ratios.values():
         assert negative == pytest.approx(positive, rel=1e-12, abs=0.0)
