@@ -779,9 +779,10 @@ def transmission(
     y0 = np.array([[f.g10, f.g30, e, f.e20] for f, e in zip(fields, e40)], dtype=complex)
     z, [(states, failed_at)], report = _run(scheme, relax, medium, fields, y0,
                                             float(lengths[-1]), lengths, steps, quad, cache)
-    e4 = states[np.searchsorted(z, lengths), :, 2].T
-    e4[~np.isnan(failed_at)[:, None] & (lengths > 0)] = np.nan
-    return np.abs(e4) ** 2 / (np.abs(e40) ** 2)[:, None], failed_at, report
+    e4 = np.abs(states[:, :, 2])  # ratios of amplitudes, squared, do not underflow
+    ratio = ((e4[np.searchsorted(z, lengths)] / e4[0]) ** 2).T
+    ratio[~np.isnan(failed_at)[:, None] & (lengths > 0)] = np.nan
+    return ratio, failed_at, report
 
 
 @dataclass

@@ -115,15 +115,13 @@ def spatial_dynamics(
         cache=propagate.cache_for(scheme, relax, medium, [fields], quad, threads),
         error_estimate=False,
     )
-    i40 = abs(fields.e40) ** 2
-    g10 = abs(fields.g10) ** 2
-    g30 = abs(fields.g30) ** 2
-    i1, i3, i4, i2 = ([abs(a) ** 2 for a in w.tolist()] for w in (trace.g1, trace.g3, trace.e4, trace.e2))
-    zero = np.zeros(trace.z.size)
-    return scan_table("dynamics", z=trace.z,
-                      i1_ratio=np.divide(i1, g10) if g10 else zero,
-                      i3_ratio=np.divide(i3, g30) if g30 else zero,
-                      i4_ratio=np.divide(i4, i40), i2_over_i40=np.divide(i2, i40))
+    g1, g3, e4, e2 = (np.abs(w) for w in (trace.g1, trace.g3, trace.e4, trace.e2))
+
+    def ratio(a, a0):  # of amplitudes, squared, so that it does not underflow
+        return (a / a0) ** 2 if a0 else np.zeros_like(a)
+
+    return scan_table("dynamics", z=trace.z, i1_ratio=ratio(g1, g1[0]), i3_ratio=ratio(g3, g3[0]),
+                      i4_ratio=ratio(e4, e4[0]), i2_over_i40=ratio(e2, e4[0]))
 
 
 def switching_curve(

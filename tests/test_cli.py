@@ -186,6 +186,27 @@ def test_zero_boundary_drive_gives_finite_csv(tmp_path, fields, args):
 
 
 @pytest.mark.parametrize("args", [
+    ["dynamics", "--length", "1"],
+    ["switch", "--omega4", "150:160:3", "--length", "1"],
+    ["gainmap", "--omega4", "150:160:2", "--length", "0:1:2"],
+], ids=["dynamics", "switch", "gainmap"])
+def test_tiny_probe_input_gives_finite_ratios(tmp_path, args):
+    # |E40|² underflows to 0, the ratio of the amplitudes does not
+    cfg = tmp_path / "probe.json"
+    cfg.write_text(json.dumps({"fields": {"E40": 1e-200}}))
+    out = tmp_path / "out.csv"
+    assert cli.main([*args, "--config", str(cfg), "--steps", "100", "--out", str(out)]) == 0
+    header, *rows = out.read_text().splitlines()
+    table = dict(zip(header.split(","), np.array([row.split(",") for row in rows], float).T))
+    assert all(np.isfinite(col).all() for col in table.values())
+    ratio = table.get("i4_ratio[1]", table.get("gain[1]"))
+    assert 0.0 < ratio.min() and ratio.max() < 10.0
+    z = table.get("z[L4]", table.get("length[L4]"))
+    if z is not None:  # cells at z = 0 are the input itself
+        assert np.all(ratio[z == 0.0] == 1.0)
+
+
+@pytest.mark.parametrize("args", [
     ["gainmap", "--omega4", "150:155:2", "--length", "0:4:3", "--steps", "50"],
     ["dynamics", "--length", "2", "--steps", "50"],
     ["switch", "--omega4", "150:155:2", "--length", "2", "--steps", "50"],

@@ -134,6 +134,18 @@ def test_dynamics_drives_off_beer_lambert(preset, quad):
     assert np.all(dynamics["i2_over_i40"] == 0)
 
 
+def test_dynamics_ratios_start_at_one_however_small_the_inputs(preset, quad):
+    # |G10|² = 1e-400 underflows to 0; an exactly zero drive keeps a zero ratio
+    sch, relax, medium, fields = preset
+    tiny = fields.with_drives(1e-200, 1e-200)
+    dynamics = scans.spatial_dynamics(sch, relax, medium, tiny, L=1.0, steps=100, quad=quad)
+    assert dynamics["i1_ratio"][0] == 1.0 and dynamics["i3_ratio"][0] == 1.0
+    assert dynamics["i4_ratio"][0] == 1.0 and dynamics["i2_over_i40"][0] == 0.0
+    off = scans.spatial_dynamics(sch, relax, medium, fields.with_drives(0.0, 0.0), L=1.0,
+                                 steps=100, quad=quad)
+    assert np.all(off["i1_ratio"] == 0.0) and np.all(off["i3_ratio"] == 0.0)
+
+
 def test_dynamics_preset_dip_then_growth(preset, quad):
     # anti-Stokes transmission first falls well below unity, then grows far
     # above it once the generated Stokes wave has built up
