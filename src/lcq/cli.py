@@ -36,6 +36,8 @@ def _parse_grid(text: str) -> np.ndarray:
             return np.linspace(lo, hi, n)
     except ValueError:
         pass
+    except MemoryError:
+        raise ConfigError(f"sweep specification {text!r} has more points than memory holds") from None
     raise ConfigError(f"cannot parse sweep specification {text!r} (want MIN:MAX:N)")
 
 

@@ -255,6 +255,13 @@ def test_invalid_number_is_a_config_error(tmp_path, args, config):
         assert len(proc.stderr.splitlines()) == 1 and f"{section}.{key}" in proc.stderr
 
 
+def test_sweep_too_large_to_allocate_is_a_config_error(capsys):
+    # 8 PB of grid: no 64-bit address space holds it, so nothing is allocated
+    assert cli.main(["spectra", "--omega4", f"0:1:{10**15}"]) == 2
+    err = capsys.readouterr().err
+    assert "configuration error:" in err and f"'0:1:{10**15}'" in err
+
+
 def test_too_few_quadrature_nodes_is_a_config_error(tmp_path):
     proc = run_cli(["spectra", "--omega4", "0:1:2", "--quad", "5"], tmp_path)
     assert proc.returncode == 2, proc.stderr
