@@ -758,7 +758,8 @@ def coefficient_tables(scheme, relax, medium, quad, columns: list[FieldConfig], 
                        threads: int = 1) -> np.ndarray:
     """Coefficient tables (len(columns), *shape, 12) from one :func:`_average` pass.
 
-    Rows are read by :meth:`MacroscopicCoefficients.from_vector`.  Raises
+    Rows are read by :meth:`MacroscopicCoefficients.from_vector`, or as
+    named columns by :meth:`MacroscopicCoefficients.columns`.  Raises
     :class:`AveragingError` if a solve fails or a coefficient is not finite.
     """
     ratios, means = _average(scheme, relax, medium, quad, columns, G1, G3, threads)
