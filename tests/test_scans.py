@@ -186,7 +186,7 @@ def test_transparency_crossings_interpolation():
     assert 20.0 < crossings[1] < 30.0
 
 
-def test_tables_reproducible(preset, quad):
+def test_records_reproducible(preset, quad):
     sch, relax, medium, fields = preset
     sweep = np.linspace(-50.0, 50.0, 5)
     a = scans.spectra_scan(sch, relax, medium, fields, sweep, quad=quad)
