@@ -395,15 +395,13 @@ def run_validation(sch, relax, medium, fields, quad) -> bool:
 
     # the pole sums against the velocity rule, relative to each field's
     # Maxwell-averaged modulus, at the preset drives
-    columns = [fields.with_omega4(om4) for om4 in (50.0, 150.0, 300.0)]
+    omega4 = np.array([50.0, 150.0, 300.0])
     with doppler.pole_stats() as stats:
-        poles = doppler._average(sch, relax, medium, quad, columns, fields.g10, fields.g30)
-    rule = doppler._node_sums(sch, relax, medium, quad, columns, fields.g10, fields.g30)
-    scale = doppler._node_sums(sch, relax, medium, quad, columns, fields.g10, fields.g30,
+        poles = doppler._average(sch, relax, medium, quad, fields, omega4, fields.g10, fields.g30)
+    rule = doppler._node_sums(sch, relax, medium, quad, fields, omega4, fields.g10, fields.g30)
+    scale = doppler._node_sums(sch, relax, medium, quad, fields, omega4, fields.g10, fields.g30,
                                modulus=True)
-    worst = max(float(np.max(np.abs(a - b) / s.real))
-                for a, b, s in zip((poles[0], *poles[1]), (rule[0], *rule[1]),
-                                   (scale[0], *scale[1])))
+    worst = max(float(np.max(np.abs(a - b) / s.real)) for a, b, s in zip(poles, rule, scale))
     check("pole sums vs velocity rule", worst < 1e-8,
           f"worst {worst:.1e} of a field's scale, {quad.n} nodes")
     check("pole conditioning", stats.exceptional == 0,
@@ -411,8 +409,9 @@ def run_validation(sch, relax, medium, fields, quad) -> bool:
           f"{stats.exceptional} exceptional points")
 
     # the closed-form poles against LAPACK at the drive points above
-    agreement = pole_agreement(sch, relax, medium, quad, columns, np.array([0.0, fields.g10,
-                               fields.g10]), np.array([0.0, fields.g30, 0.0]))
+    agreement = pole_agreement(sch, relax, medium, quad, fields, omega4[:, None],
+                               np.array([0.0, fields.g10, fields.g10]),
+                               np.array([0.0, fields.g30, 0.0]))
     check("closed-form poles vs eig",
           agreement["pole_error"] <= 1e-12 and agreement["condition_error"] <= 1e-8,
           f"poles {agreement['pole_error']:.1e} of the largest, "
@@ -468,13 +467,14 @@ def _mismatch(got: np.ndarray, ref: np.ndarray) -> np.ndarray:
     return worst / np.abs(ref).max(axis=1)
 
 
-def pole_agreement(sch, relax, medium, quad, columns, G1, G3) -> dict:
+def pole_agreement(sch, relax, medium, quad, fields, omega4, G1, G3) -> dict:
     """The closed-form poles of :mod:`lcq.doppler` against LAPACK's ``eig``.
 
-    At the drive points ``G1``, ``G3`` (P,) of every column, as
+    At the drive points ``G1``, ``G3`` (P,) and probe detunings ``omega4``
+    (``w[:, None]`` for every column at each point), as
     :func:`lcq.doppler._average` sets them up: the drive sector's roots are
     the eigenvalues of the companion matrix of its scaled monic quartic, and
-    each column's probe poles those of K = -M1^-1 M0; the drive roots take
+    each probe block's poles those of K = -M1^-1 M0; the drive roots take
     a Newton step on the quartic, as the closed form's do.  Both errors are
     over the points whose LAPACK condition number is at most
     :data:`lcq.doppler._COALESCING`, the poles the pole sums would use:
@@ -487,20 +487,18 @@ def pole_agreement(sch, relax, medium, quad, columns, G1, G3) -> dict:
     numbers.
     """
     rad = scheme.RAD_PER_MHZ
-    top = columns[0]
     d1, d2, d3, d4 = liouville.doppler_shifts(sch, quad.u)
     slopes = np.array(liouville.probe_block(-d1, -d2, -d4, 0.0, 0.0, (0.0,) * 4)[:4])
     rates = liouville.probe_rates(relax)
     G1, G3 = np.asarray(G1, dtype=complex), np.asarray(G3, dtype=complex)
-    omega4 = [np.full(G1.shape, f.omega4) for f in columns]
-    blocks = [liouville.probe_block(top.omega1, top.omega1 + top.omega3 - w4, w4, G1, G3, rates)
-              for w4 in omega4]
+    w4, point = (a.ravel() for a in np.broadcast_arrays(omega4, np.arange(G1.size)))
+    block = liouville.probe_block(fields.omega1, fields.omega1 + fields.omega3 - w4, w4,
+                                  G1[point], G3[point], rates)
     start = time.perf_counter()
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-        drive = doppler._drive_sector(relax, medium.p_n, (rad * top.omega1, rad * top.omega3),
-                                      (rad * d1, rad * d3), G1, G3)
-        got = [(drive.poles, drive.condition)]
-        got += [doppler._pencil_poles(block, slopes) for block in blocks]
+        drive = doppler._drive_sector(relax, medium.p_n, (rad * fields.omega1,
+                                      rad * fields.omega3), (rad * d1, rad * d3), G1, G3)
+        got = [(drive.poles, drive.condition), doppler._pencil_poles(block, slopes)]
     closed_form_s = time.perf_counter() - start
     start = time.perf_counter()
     Q = drive.Q
@@ -512,7 +510,7 @@ def pole_agreement(sch, relax, medium, quad, columns, G1, G3) -> dict:
     roots = scale[:, None] * roots
     slope = Q[:, 1:] * np.arange(1, 5)
     ref = [(roots - doppler._polyval(Q, roots) / doppler._polyval(slope, roots), condition)]
-    ref += [_eig_poles(-liouville.probe_matrix(*block) / slopes[:, None]) for block in blocks]
+    ref.append(_eig_poles(-liouville.probe_matrix(*block) / slopes[:, None]))
     eig_s = time.perf_counter() - start
     # only poles that the pole sums would use count: where LAPACK's condition
     # number exceeds the coalescing threshold, the velocity rule averages

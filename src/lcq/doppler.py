@@ -25,16 +25,15 @@ condition number comes in closed form from its left and right null vectors
 (:func:`_condition`); LAPACK's ``eig`` is only ``lcq validate``'s oracle.
 
 Every average is one pass, :func:`_average`: the drive poles of every drive
-point once, then the probe poles of every column.  A single point
-(:func:`average_coefficients`), a probe-detuning sweep (one column per
-point) and the coefficient-cache grid (:class:`DriveGrid`) all go through
-it, and so does the normalization.  Where poles coalesce (an exceptional
-point, detected by the closed-form condition number and the poles'
+point once, then the probe poles of every column.  The probe detunings are
+one array, the probe axis, that broadcasts against the drive amplitudes: a
+single point (:func:`average_coefficients`), a sweep, the coefficient-cache
+grid (:class:`DriveGrid`) and paired points all go through it, and so does
+the normalization.  Where poles coalesce (an exceptional point, detected by the closed-form condition number and the poles'
 separation, or a root the formula cannot give) the residues grow and
 cancel, so such a point alone is averaged by the velocity rule of
 :class:`QuadratureSpec` instead, :func:`_node_sums`, and counted in the
-:func:`pole_stats` of the run.  The
-same rule, summed over every class in memory-bounded chunks, is what the
+:func:`pole_stats` of the run.  The same rule, summed over every class in memory-bounded chunks, is what the
 tests and ``lcq validate`` check the pole sums against; ``--quad`` sizes it
 and nothing else.  ``threads`` workers split the batches of drive points.
 """
@@ -535,15 +534,25 @@ def _probe_means(drive: _DriveSector, point: np.ndarray, block, slopes) -> tuple
     return np.stack([x2_4, x2_2, np.conj(x1_2), np.conj(x1_4)]), condition
 
 
-def _node_sums(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
+def _probe_axis(omega4, shape: tuple) -> tuple:
+    """The shape of the probe detunings ``omega4`` broadcast against the drive ``shape``,
+    which must be its trailing part, and omega4 as (columns, drive points)."""
+    full = np.broadcast_shapes(np.shape(omega4), shape)
+    if full[len(full) - len(shape):] != shape:
+        raise ValueError(f"probe detunings of shape {np.shape(omega4)} do not end in {shape}")
+    omega4 = np.broadcast_to(np.asarray(omega4, dtype=float), full)
+    return full, omega4.reshape(-1, math.prod(shape))
+
+
+def _node_sums(scheme, relax, medium, quad, fields: FieldConfig, omega4, G1, G3,
                modulus: bool = False) -> tuple:
     """Maxwell sums over the velocity nodes of ``quad``, as :func:`_average` returns them.
 
     Each node is one velocity class, solved by
     :func:`lcq.liouville.drive_steady_state_batch` and
     :func:`lcq.liouville.probe_response_compact` for every drive point and
-    column.  The classes go in chunks of ``_CHUNK // drive points`` (one
-    chunk for a single drive point at up to ``_CHUNK`` nodes), so that a
+    probe column.  The classes go in chunks of ``_CHUNK // drive points``
+    (one chunk for a single drive point at up to ``_CHUNK`` nodes), so that a
     batch of drive points holds one chunk of classes at a time; each chunk
     is summed by :func:`kahan_sum` and the chunk sums add in chunk order.
     With ``modulus`` the sums are of the responses' moduli, the scale
@@ -554,6 +563,7 @@ def _node_sums(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
     point.
     """
     shape = np.broadcast_shapes(np.shape(G1), np.shape(G3))
+    full, columns = _probe_axis(omega4, shape)
     points = math.prod(shape)
     nodes, weights = quad.nodes()
     step = max(1, liouville._CHUNK // points)
@@ -561,13 +571,14 @@ def _node_sums(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
     def responses(v):
         sh1, sh2, sh3, sh4 = (x.reshape(-1, *[1] * len(shape))
                               for x in liouville.doppler_shifts(scheme, v))
-        om1p, om3p = columns[0].omega1 - sh1, columns[0].omega3 - sh3
+        om1p, om3p = fields.omega1 - sh1, fields.omega3 - sh3
         rho0 = liouville.drive_steady_state_batch(relax, medium.p_n, om1p, om3p, G1, G3)
         src = tuple(np.stack(liouville.compact_sources(rho0)))
         yield np.stack(_drive_ratios(rho0, om1p, om3p, relax), axis=1)
-        for f in columns:
+        for w4 in columns.reshape(-1, *shape):
             yield np.stack(liouville.probe_response_compact(
-                src, om1p, f.omega2 - sh2, f.omega4 - sh4, G1, G3, relax), axis=1)
+                src, om1p, fields.omega1 + fields.omega3 - w4 - sh2, w4 - sh4, G1, G3, relax),
+                axis=1)
 
     total = None
     for start in range(0, nodes.size, step):
@@ -583,7 +594,7 @@ def _node_sums(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
                     where += f", drive point {tuple(map(int, np.unravel_index(point, shape)))}"
             raise AveragingError(f"velocity averaging failed at {where}: {exc}") from exc
         total = sums if total is None else [t + x for t, x in zip(total, sums)]
-    return total[0], total[1:]
+    return total[0], np.stack(total[1:], axis=1).reshape(4, *full)
 
 
 # eigenvector condition number above which poles count as coalescing
@@ -632,50 +643,46 @@ def pole_stats():
         _POLE_STATS.reset(token)
 
 
-def _average(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
+def _average(scheme, relax, medium, quad, fields: FieldConfig, omega4, G1, G3,
              threads: int = 1) -> tuple:
-    """Maxwell averages at the drives ``G1``, ``G3`` for every probe column, in one pass.
+    """Maxwell averages at the drives ``G1``, ``G3`` and probe detunings ``omega4``, in one pass.
 
     The amplitudes (MHz, real or complex) broadcast to the drive shape: a
     scalar for one point, ``g1[:, None]`` and ``g3[None, :]`` for a grid.
-    The drive detunings are those of ``columns[0]``; the columns differ only
-    in omega4 (and the slaved omega2).  A column's omega4 may itself be an
-    array of the drive shape: it broadcasts against the drive amplitudes
-    element by element, so n points that each carry their own probe
-    detuning make one paired column, omega4 and G1, G3 all of shape (n,).
+    The drive detunings are those of ``fields``.  omega4 (and the slaved
+    omega2) broadcasts against the drive shape as its trailing part
+    (:func:`_probe_axis`); a leading part is the probe columns: a (c,) sweep
+    at one point, ``omega4[:, None, None]`` on a grid.  omega4 and G1, G3
+    all of shape (n,) pair n points element by element.
     The drive points go in batches, split among ``threads`` workers; each
     batch finds its drive poles once and then every column's probe poles,
     and every point's averages depend on that point alone.
-    Returns the averaged drive ratios (2, *shape) and, per column, the
-    averaged probe responses (a4, b4, a2, b2) as (4, *shape).
+    Returns the averaged drive ratios (2, *drive shape) and the averaged
+    probe responses (a4, b4, a2, b2) as (4, *broadcast shape).
     """
     shape = np.broadcast_shapes(np.shape(G1), np.shape(G3))
+    full, w4 = _probe_axis(omega4, shape)
     if quad.u == 0.0:
-        return _node_sums(scheme, relax, medium, quad, columns, G1, G3)
+        return _node_sums(scheme, relax, medium, quad, fields, omega4, G1, G3)
     undamped = [name for name in _DAMPING if getattr(relax, name) == 0]
     if undamped:
         raise AveragingError(
             f"velocity averaging needs positive rates, not {', '.join(undamped)} = 0")
     g1, g3 = (np.broadcast_to(np.asarray(g, dtype=complex), shape).ravel() for g in (G1, G3))
-
-    def omega4(c: int) -> np.ndarray:
-        return np.broadcast_to(np.asarray(columns[c].omega4, dtype=float), shape).reshape(-1)
-
-    top, p_n = columns[0], medium.p_n
+    n_col, p_n = len(w4), medium.p_n
     d1, d2, d3, d4 = liouville.doppler_shifts(scheme, quad.u)   # MHz per unit x
     slopes = np.array(liouville.probe_block(-d1, -d2, -d4, 0.0, 0.0, (0.0,) * 4)[:4])
     rad, rates = RAD_PER_MHZ, liouville.probe_rates(relax)
     stats = _POLE_STATS.get() or PoleStats()
     ratios = np.empty((2, g1.size), dtype=complex)
-    means = [np.empty((4, *shape), dtype=complex) for _ in columns]
+    means = np.empty((4, n_col, g1.size), dtype=complex)
 
-    def by_rule(k: np.ndarray, cols: list[int], drive: bool) -> None:
+    def by_rule(k: np.ndarray, cols: np.ndarray, drive: bool) -> None:
         # the exceptional drive points k of the columns cols, and of the drive ratios
         if k.size:
-            r, m = _node_sums(scheme, relax, medium, quad,
-                              [columns[c].with_omega4(omega4(c)[k]) for c in cols], g1[k], g3[k])
-            for c, value in zip(cols, m):
-                means[c].reshape(4, -1)[:, k] = value
+            r, m = _node_sums(scheme, relax, medium, quad, fields, w4[cols[:, None], k],
+                              g1[k], g3[k])
+            means[:, cols[:, None], k] = m
             if drive:
                 ratios[:, k] = r
             stats.add((), k.size)
@@ -683,7 +690,7 @@ def _average(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
     def batch(rows: slice) -> None:
         # coalescing poles leave infinite or NaN residues, which the velocity rule replaces
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            drive = _drive_sector(relax, p_n, (rad * top.omega1, rad * top.omega3),
+            drive = _drive_sector(relax, p_n, (rad * fields.omega1, rad * fields.omega3),
                                   (rad * d1, rad * d3), g1[rows], g3[rows])
             ratios[:, rows] = _pole_sum(_polyval(drive.ratios, drive.poles) * drive.weights)
             # without drives each response is a single Lorentzian, with a pole of its own
@@ -691,32 +698,33 @@ def _average(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
             if idle.any():
                 ratios[:, rows][:, idle] = np.array([
                     _lorentzian(1j * rad * pop, rate - 1j * rad * omega, 1j * rad * d)
-                    for pop, rate, omega, d in ((1 - p_n, relax.coh_gl, top.omega1, d1),
-                                                (p_n, relax.coh_mn, top.omega3, d3))
+                    for pop, rate, omega, d in ((1 - p_n, relax.coh_gl, fields.omega1, d1),
+                                                (p_n, relax.coh_mn, fields.omega3, d3))
                 ])[:, None]
             bad = ~(drive.condition <= _COALESCING) & ~idle
             n = len(idle)
             # columns go in groups of about _GROUP_BLOCKS probe blocks, each a block per drive point
             group = max(1, _GROUP_BLOCKS // n)
-            for first in range(0, len(columns), group):
-                cols = range(first, min(first + group, len(columns)))
-                w4 = np.concatenate([omega4(c)[rows] for c in cols])
-                point = np.tile(np.arange(n), len(cols))
-                block = liouville.probe_block(top.omega1, top.omega1 + top.omega3 - w4, w4,
+            for first in range(0, n_col, group):
+                cols = slice(first, min(first + group, n_col))
+                count = cols.stop - first
+                w = w4[cols, rows].ravel()
+                point = np.tile(np.arange(n), count)
+                block = liouville.probe_block(fields.omega1, fields.omega1 + fields.omega3 - w, w,
                                               g1[rows][point], g3[rows][point], rates)
                 values, condition = _probe_means(drive, point, block, slopes)
-                still = np.tile(idle, len(cols))
+                still = np.tile(idle, count)
                 if still.any():
                     values[:, still] = np.stack(np.broadcast_arrays(
                         _lorentzian(-1j * rad * (1.0 - p_n), block[2][still], slopes[2]), 0.0,
                         np.conj(_lorentzian(1j * rad * p_n, block[1][still], slopes[1])), 0.0))
                 condition = np.where(still, 0.0, np.maximum(drive.condition[point], condition))
                 stats.add(np.where(condition <= _COALESCING, condition, 0.0))
-                for i, c in enumerate(cols):
-                    means[c].reshape(4, -1)[:, rows] = values[:, i * n:(i + 1) * n]
-                    flagged = ~(condition[i * n:(i + 1) * n] <= _COALESCING)
-                    by_rule(rows.start + np.flatnonzero(~bad & flagged), [c], False)
-        by_rule(rows.start + np.flatnonzero(bad), list(range(len(columns))), True)
+                means[:, cols, rows] = values.reshape(4, count, n)
+                flagged = ~bad & ~(condition <= _COALESCING).reshape(count, n)
+                for c in np.flatnonzero(flagged.any(axis=1)):
+                    by_rule(rows.start + np.flatnonzero(flagged[c]), np.array([first + c]), False)
+        by_rule(rows.start + np.flatnonzero(bad), np.arange(n_col), True)
 
     count = -(-g1.size // _POINTS_PER_BATCH)           # batches, a multiple of the workers
     edges = np.linspace(0, g1.size, threads * -(-count // threads) + 1)
@@ -728,7 +736,7 @@ def _average(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
             list(pool.map(batch, batches))
     else:
         list(map(batch, batches))
-    return ratios.reshape(2, *shape), means
+    return ratios.reshape(2, *shape), means.reshape(4, *full)
 
 
 @lru_cache(maxsize=64)
@@ -745,7 +753,7 @@ def _norm_constant(
     by it gives exactly alpha40 there.
     """
     zero = FieldConfig(omega1=0.0, omega3=0.0, omega4=0.0)
-    _, (means,) = _average(scheme, relax, medium, quad, [zero], 0j, 0j)
+    _, means = _average(scheme, relax, medium, quad, zero, 0.0, 0j, 0j)
     k4 = 1.0  # relative wavenumber of wave 4
     d4 = scheme.dipoles[3]
     raw_alpha4 = 2.0 * float(np.imag(k4 * d4 * d4 * means[0]))
@@ -754,36 +762,40 @@ def _norm_constant(
     return raw_alpha4 / medium.alpha40
 
 
-def coefficient_tables(scheme, relax, medium, quad, columns: list[FieldConfig], G1, G3,
+def coefficient_tables(scheme, relax, medium, quad, fields: FieldConfig, omega4, G1, G3,
                        threads: int = 1) -> np.ndarray:
-    """Coefficient tables (len(columns), *shape, 12) from one :func:`_average` pass.
+    """Coefficient tables (*shape, 12) from one :func:`_average` pass.
 
-    Rows are read by :meth:`MacroscopicCoefficients.from_vector`, or as
-    named columns by :meth:`MacroscopicCoefficients.columns`.  Raises
-    :class:`AveragingError` if a solve fails or a coefficient is not finite.
+    ``shape`` is the probe detunings' broadcast against the drives, as in
+    :func:`_average`.  Rows are read by
+    :meth:`MacroscopicCoefficients.from_vector`, or as named columns by
+    :meth:`MacroscopicCoefficients.columns`.  Raises :class:`AveragingError`
+    if a solve fails or a coefficient is not finite, naming the first such
+    entry's omega4 and drive point.
     """
-    ratios, means = _average(scheme, relax, medium, quad, columns, G1, G3, threads)
+    ratios, (a4, b4, a2, b2) = _average(scheme, relax, medium, quad, fields, omega4, G1, G3,
+                                        threads)
     norm = _norm_constant(scheme, relax, medium, quad)
     l1, l2, l3, l4 = scheme.wavelengths
     k1, k2, k3 = l4 / l1, l4 / l2, l4 / l3  # relative wavenumbers, k4 = 1
     d1, d2, d3, d4 = scheme.dipoles
-    gl_ratio, mn_ratio = ratios
-    tables = []
-    for a4, b4, a2, b2 in means:
-        table = np.stack([
-            k1 * d1 * d1 * gl_ratio,  # sigma1
-            k2 * d2 * d2 * a2,        # sigma2
-            k3 * d3 * d3 * mn_ratio,  # sigma3
-            1.0 * d4 * d4 * a4,       # sigma4
-            1.0 * d4 * d2 * b4,       # gamma4
-            k2 * d2 * d4 * b2,        # gamma2
-        ], axis=-1).view(np.float64) / norm
-        bad = np.argwhere(~np.isfinite(table))
-        if bad.size:
-            where = f" at drive point {tuple(bad[0, :-1].tolist())}" if table.ndim > 1 else ""
-            raise AveragingError(f"non-finite averaged coefficient{where}")
-        tables.append(table)
-    return np.stack(tables)
+    gl_ratio, mn_ratio = (np.broadcast_to(r, a4.shape) for r in ratios)
+    table = np.stack([
+        k1 * d1 * d1 * gl_ratio,  # sigma1
+        k2 * d2 * d2 * a2,        # sigma2
+        k3 * d3 * d3 * mn_ratio,  # sigma3
+        1.0 * d4 * d4 * a4,       # sigma4
+        1.0 * d4 * d2 * b4,       # gamma4
+        k2 * d2 * d4 * b2,        # gamma2
+    ], axis=-1).view(np.float64) / norm
+    finite = np.isfinite(table)
+    if not finite.all():
+        index = np.unravel_index(int(np.argmin(finite)), table.shape)[:-1]
+        point = tuple(map(int, index[a4.ndim - ratios.ndim + 1:]))
+        raise AveragingError(f"non-finite averaged coefficient at omega4 = "
+                             f"{np.broadcast_to(omega4, a4.shape)[index]:.6g} MHz"
+                             + (f", drive point {point}" if point else ""))
+    return table
 
 
 def average_coefficients(
@@ -805,7 +817,7 @@ def average_coefficients(
     coefficient is not finite.
     """
     return MacroscopicCoefficients.from_vector(coefficient_tables(
-        scheme, relax, medium, quad, [fields], complex(G1), complex(G3))[0])
+        scheme, relax, medium, quad, fields, fields.omega4, complex(G1), complex(G3)))
 
 
 class DriveGrid:
@@ -834,23 +846,23 @@ class DriveGrid:
         self.g3_grid = np.asarray(g3_grid, dtype=float)
         self.src = np.empty((6, 0, self.g1_grid.size, self.g3_grid.size), dtype=complex)
 
-    def tables(self, columns: list[FieldConfig], threads: int = 1) -> np.ndarray:
-        """Coefficient tables (len(columns), n1, n3, 12) on the drive grid, one per probe detuning.
+    def tables(self, omega4: np.ndarray, threads: int = 1) -> np.ndarray:
+        """Coefficient tables (len(omega4), n1, n3, 12) on the drive grid, one per probe detuning.
 
-        Rows are read by :meth:`MacroscopicCoefficients.from_vector`.  The
-        columns must share the drive detunings of the grid; only the probe
-        detuning omega4 (and the slaved omega2) may differ.  One pass over
-        batches of drive points, split among ``threads`` workers, finds each
-        point's drive poles and then every column's probe poles.
+        Rows are read by :meth:`MacroscopicCoefficients.from_vector`.  One
+        pass over batches of drive points, split among ``threads`` workers,
+        finds each point's drive poles and then every column's probe poles.
         """
-        if any((f.omega1, f.omega3) != (self.fields.omega1, self.fields.omega3) for f in columns):
-            raise ValueError("drive detunings differ from the tabulated grid")
-        return coefficient_tables(self.scheme, self.relax, self.medium, self.quad, columns,
+        return coefficient_tables(self.scheme, self.relax, self.medium, self.quad, self.fields,
+                                  np.asarray(omega4, dtype=float)[:, None, None],
                                   self.g1_grid[:, None], self.g3_grid[None, :], threads)
 
     def coefficients_for(self, fields: FieldConfig) -> np.ndarray:
-        """Coefficient table (n1, n3, 12) for one probe detuning, as :meth:`tables` gives it."""
-        return self.tables([fields])[0]
+        """Coefficient table (n1, n3, 12) at the grid's drive detunings, which ``fields``
+        must share, and its probe detuning, as :meth:`tables` gives it."""
+        if (fields.omega1, fields.omega3) != (self.fields.omega1, self.fields.omega3):
+            raise ValueError("drive detunings differ from the tabulated grid")
+        return self.tables([fields.omega4])[0]
 
 
 # ---------------------------------------------------------------------------

@@ -10,7 +10,7 @@ or through a tensor-product cubic-spline cache over (|G1|, |G3|).
 :func:`cache_for` decides whether a run gets one, and only
 :meth:`CoefficientCache.build` makes it: one column per probe detuning,
 its grid sized from the run's largest drives.  :func:`_row_source` gives
-each trajectory the column of its detunings.  One RK4 runner
+each trajectory the column of its omega4.  One RK4 runner
 (:func:`_run`) advances n trajectories in lockstep as an (n, 4) complex
 state [G1, G3, E4, E2]: a single integration, the columns of a gain map and
 the points of a switching curve on either axis all run on it.  It steps
@@ -188,8 +188,8 @@ def _evaluate(u: np.ndarray, poly: np.ndarray) -> np.ndarray:
 class CoefficientCache:
     """Cubic-spline interpolation of macroscopic coefficients over drive amplitudes.
 
-    One table per column (probe detuning) ``columns[k]``, all on one
-    rectangular (|G1|, |G3|) grid at fixed drive detunings; ``tables`` is
+    One table per column, the probe detuning ``omega4[k]``, all on one
+    (|G1|, |G3|) grid at the drive detunings of ``fields``; ``tables`` is
     (columns, n1, n3, 12).  Each column is interpolated by the not-a-knot
     tensor-product cubic spline through its table.  Its B-spline
     coefficients, as large as the tables, come from one solve of the
@@ -213,7 +213,8 @@ class CoefficientCache:
         scheme: LevelScheme,
         relax: RelaxationSet,
         medium: MediumParams,
-        columns: list[FieldConfig],
+        fields: FieldConfig,
+        omega4: np.ndarray,
         quad: QuadratureSpec,
         g1_grid: np.ndarray,
         g3_grid: np.ndarray,
@@ -222,7 +223,8 @@ class CoefficientCache:
         self.scheme = scheme
         self.relax = relax
         self.medium = medium
-        self.columns = list(columns)
+        self.fields = fields
+        self.omega4 = np.asarray(omega4, dtype=float)
         self.quad = quad
         self.g1_grid = g1_grid
         self.g3_grid = g3_grid
@@ -261,9 +263,9 @@ class CoefficientCache:
         One column per distinct probe detuning of the trajectories, in order
         of first appearance; |G10| and |G30| are the largest of the
         trajectories, so every trajectory starts on the grid.  The
-        trajectories share the drives' detunings, hence one
-        :class:`DriveGrid` pass over the drive points, which ``threads``
-        worker threads split.  One policy, with no settings:
+        trajectories share the drive detunings of the first, which
+        :func:`_row_source` checks, hence one :class:`DriveGrid` pass over
+        the drive points, which ``threads`` worker threads split.  One policy, with no settings:
         min(2048, max(90, ceil(0.9 |G10| / 1 MHz))) |G1| by 32 |G3| nodes, power-spaced
         with exponent 1.2 (denser toward zero amplitude, where the
         coefficients curve most as the drives die out; uniform spacing fails
@@ -271,13 +273,13 @@ class CoefficientCache:
         every column checked at the same 50 random points, where an error
         over 1e-4 of a coefficient's scale raises :class:`CacheValidationError`.
         """
-        columns = list({f.omega4: f for f in trajectories}.values())
+        omega4 = np.array(list(dict.fromkeys(f.omega4 for f in trajectories)), dtype=float)
         g10 = max(abs(f.g10) for f in trajectories)
         g30 = max(abs(f.g30) for f in trajectories)
         g1_grid, g3_grid = _drive_nodes(g10, g30)
-        grid = DriveGrid(scheme, relax, medium, columns[0], g1_grid, g3_grid, quad)
-        cache = cls(scheme, relax, medium, columns, quad, g1_grid, g3_grid,
-                    grid.tables(columns, threads))
+        grid = DriveGrid(scheme, relax, medium, trajectories[0], g1_grid, g3_grid, quad)
+        cache = cls(scheme, relax, medium, trajectories[0], omega4, quad, g1_grid, g3_grid,
+                    grid.tables(omega4, threads))
         cache._validate()
         return cache
 
@@ -287,12 +289,12 @@ class CoefficientCache:
         # pointwise quotient is ill-conditioned at the cross couplings' zeros
         rng = np.random.default_rng(20230817)
         probes = rng.uniform(0.0, self._top, (_VALIDATION_PROBES, 2))
-        n_col = len(self.columns)
+        n_col = self.omega4.size
         cols = np.repeat(np.arange(n_col), _VALIDATION_PROBES)
         g1, g3 = np.tile(probes, (n_col, 1)).T
         interp = self.rows(cols, g1, g3)
-        direct = _direct_rows(self.scheme, self.relax, self.medium, self.quad, self.columns,
-                              cols, g1, g3)
+        direct = _direct_rows(self.scheme, self.relax, self.medium, self.quad, self.fields,
+                              self.omega4[cols], g1, g3)
         scale = np.maximum(np.max(np.abs(self.tables), axis=(1, 2)), 1e-12)[cols]
         errors = np.max(np.abs(interp - direct) / scale, axis=1).reshape(n_col, -1).max(axis=1)
         worst = int(np.argmax(errors))
@@ -300,7 +302,7 @@ class CoefficientCache:
         if self.validation_error > _VALIDATION_RTOL:
             raise CacheValidationError(
                 f"cache interpolation error {self.validation_error:.3e} exceeds "
-                f"{_VALIDATION_RTOL:.1e} at omega4 = {self.columns[worst].omega4:.6g} MHz"
+                f"{_VALIDATION_RTOL:.1e} at omega4 = {self.omega4[worst]:.6g} MHz"
             )
 
     def rows(self, col: np.ndarray, g1_abs: np.ndarray, g3_abs: np.ndarray) -> np.ndarray:
@@ -377,7 +379,8 @@ class CoefficientCache:
         if direct.any():
             self.fallbacks += int(np.count_nonzero(direct))
             out[direct] = _direct_rows(self.scheme, self.relax, self.medium, self.quad,
-                                       self.columns, col[direct], a[direct, 0], a[direct, 1])
+                                       self.fields, self.omega4[col[direct]],
+                                       a[direct, 0], a[direct, 1])
         return out
 
     def lookup(self, g1_abs: float, g3_abs: float) -> MacroscopicCoefficients:
@@ -430,19 +433,17 @@ def _backaction(scheme: LevelScheme) -> np.ndarray:
                           [(l4 / l3) * d3 * d3 / ((l4 / l2) * d2 * d4)]])
 
 
-def _direct_rows(scheme, relax, medium, quad, fields: list[FieldConfig], idx: np.ndarray,
+def _direct_rows(scheme, relax, medium, quad, fields: FieldConfig, omega4: np.ndarray,
                  g1_abs: np.ndarray, g3_abs: np.ndarray) -> np.ndarray:
     """Rows (n, 12) of n points averaged directly, in one Doppler-averaging pass.
 
-    Point k is at the drives (``g1_abs[k]``, ``g3_abs[k]``) and the probe
-    detuning of ``fields[idx[k]]``; the drive detunings are those of
-    ``fields[0]``.  The points make one paired column of
-    :func:`doppler.coefficient_tables`: its omega4 is the array of the
-    points' detunings, which broadcasts point by point against the drive
-    arrays, so each row equals a one-point average at that point bit for bit.
+    Point k is at the drives (``g1_abs[k]``, ``g3_abs[k]``), the probe
+    detuning ``omega4[k]`` and the drive detunings of ``fields``.  The
+    three (n,) arrays pair up point by point in
+    :func:`doppler.coefficient_tables`, so each row equals a one-point
+    average at that point bit for bit.
     """
-    column = fields[0].with_omega4(np.array([fields[k].omega4 for k in idx.tolist()]))
-    return doppler.coefficient_tables(scheme, relax, medium, quad, [column], g1_abs, g3_abs)[0]
+    return doppler.coefficient_tables(scheme, relax, medium, quad, fields, omega4, g1_abs, g3_abs)
 
 
 def cache_for(scheme, relax, medium, trajectories: list[FieldConfig], quad,
@@ -464,27 +465,30 @@ def _row_source(scheme, relax, medium, fields, quad, cache):
     at the drive amplitudes ``a`` = (|G1|, |G3|), shape (len(idx), 2), and
     NaN rows where an amplitude is not finite (with a cache, also where it
     is over a million times the grid's top).  ``bind`` does the per-batch
-    work, so a reader is made once per batch, not per stage.  With a cache
-    each trajectory of ``fields`` reads the column of its (omega1, omega3,
-    omega4), and ``ValueError`` is raised where no column has them; the
-    reader is the cache's :meth:`CoefficientCache.reader`, which keeps each
-    trajectory's spline cell from stage to stage.  Without a cache each
-    read is one :func:`_direct_rows` pass over the whole batch.  When every boundary
+    work, so a reader is made once per batch, not per stage.  The
+    trajectories ``fields`` share their drive detunings, with a cache its
+    grid's, and each reads the cache column of its omega4; ``ValueError``
+    is raised where they do not or where no column has it.  The reader is the
+    cache's :meth:`CoefficientCache.reader`, which keeps each trajectory's
+    spline cell from stage to stage.  Without a cache each read is one
+    :func:`_direct_rows` pass over the whole batch.  When every boundary
     drive is zero the drives stay exactly zero, so the trajectories keep
     their boundary rows, averaged once.
     """
-    if cache is not None:
-        column = {(f.omega1, f.omega3, f.omega4): k for k, f in enumerate(cache.columns)}
-        try:
-            cols = np.array([column[f.omega1, f.omega3, f.omega4] for f in fields], dtype=int)
-        except KeyError:
-            raise ValueError("no cache column has a trajectory's detunings") from None
-        return lambda idx: cache.reader(cols[idx])
-    if any((f.omega1, f.omega3) != (fields[0].omega1, fields[0].omega3) for f in fields):
+    top = fields[0] if cache is None else cache.fields
+    if any((f.omega1, f.omega3) != (top.omega1, top.omega3) for f in fields):
         raise ValueError("trajectories differ in their drive detunings")
+    omega4 = np.array([f.omega4 for f in fields], dtype=float)
+    if cache is not None:
+        column = {w: k for k, w in enumerate(cache.omega4.tolist())}
+        try:
+            cols = np.array([column[w] for w in omega4.tolist()], dtype=int)
+        except KeyError:
+            raise ValueError("no cache column has a trajectory's probe detuning") from None
+        return lambda idx: cache.reader(cols[idx])
     if all(f.g10 == 0 and f.g30 == 0 for f in fields):
-        everyone, zero = np.arange(len(fields)), np.zeros(len(fields))
-        boundary = _direct_rows(scheme, relax, medium, quad, fields, everyone, zero, zero)
+        zero = np.zeros(len(fields))
+        boundary = _direct_rows(scheme, relax, medium, quad, top, omega4, zero, zero)
         return lambda idx: lambda a: boundary[idx]
 
     def bind(idx):
@@ -492,8 +496,8 @@ def _row_source(scheme, relax, medium, fields, quad, cache):
             out = np.full((idx.size, 12), np.nan)
             finite = np.isfinite(a).all(axis=1)
             if finite.any():
-                out[finite] = _direct_rows(scheme, relax, medium, quad, fields, idx[finite],
-                                           a[finite, 0], a[finite, 1])
+                out[finite] = _direct_rows(scheme, relax, medium, quad, top,
+                                           omega4[idx[finite]], a[finite, 0], a[finite, 1])
             return out
 
         return read

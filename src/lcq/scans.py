@@ -71,16 +71,15 @@ def spectra_scan(
     The Stokes detuning is slaved to omega2 = omega1 + omega3 - omega4.
     Drive amplitudes default to the boundary values of ``base`` and can be
     overridden (for spectra at partially depleted drives).  The whole sweep
-    is one Doppler-averaging pass with one probe column per point.
+    is one Doppler-averaging pass, with the sweep as its probe axis.
     """
     sweep = np.asarray(sweep, dtype=float)
     if sweep.size == 0:
         raise ValueError("sweep must be non-empty")
     if quad is None:
         quad = QuadratureSpec.for_medium(scheme, medium)
-    columns = [base.with_omega4(float(value)) for value in sweep]
     tables = doppler.coefficient_tables(
-        scheme, relax, medium, quad, columns,
+        scheme, relax, medium, quad, base, sweep,
         complex(base.g10 if G1 is None else G1), complex(base.g30 if G3 is None else G3))
     return scan_table("spectra", omega4=sweep, omega2=base.omega1 + base.omega3 - sweep,
                       **doppler.MacroscopicCoefficients.columns(tables))

@@ -200,14 +200,14 @@ def test_quadrature_gate_at_preset(preset):
     # doubling its nodes moves it from about 1e-10 to below 1e-12 of each
     # field's scale
     sch, relax, medium, fields = preset
-    columns = [fields.with_omega4(om) for om in (0.0, 35.0, 155.0, 300.0)]
+    omega4 = np.array([0.0, 35.0, 155.0, 300.0])
     poles = dp._average(sch, relax, medium, dp.QuadratureSpec.for_medium(sch, medium),
-                        columns, fields.g10, fields.g30)
+                        fields, omega4, fields.g10, fields.g30)
     errors = []
     for n in (1311, 2621):
         quad = dp.QuadratureSpec.for_medium(sch, medium, n=n)
-        oracle = dp._node_sums(sch, relax, medium, quad, columns, fields.g10, fields.g30)
-        scale = dp._node_sums(sch, relax, medium, quad, columns,
+        oracle = dp._node_sums(sch, relax, medium, quad, fields, omega4, fields.g10, fields.g30)
+        scale = dp._node_sums(sch, relax, medium, quad, fields, omega4,
                               fields.g10, fields.g30, modulus=True)
         errors.append(_worst(poles, oracle, scale))
     assert errors[0] < 1e-9 and errors[1] < 1e-12, errors
@@ -226,8 +226,8 @@ def test_rule_independence_on_preset(preset):
         b = dp.average_coefficients(sch, relax, medium, f, fields.g10, fields.g30, q_trap)
         assert a == b
         for quad, rtol in ((q_sinh, 1e-9), (q_trap, 1e-5)):
-            ratios, (means,) = dp._node_sums(sch, relax, medium, quad, [f], fields.g10, fields.g30)
-            poles, (exact,) = dp._average(sch, relax, medium, quad, [f], fields.g10, fields.g30)
+            ratios, means = dp._node_sums(sch, relax, medium, quad, f, om4, fields.g10, fields.g30)
+            poles, exact = dp._average(sch, relax, medium, quad, f, om4, fields.g10, fields.g30)
             assert abs(means[0] - exact[0]) < rtol * abs(exact[0])
             assert abs(means[2] - exact[2]) < rtol * abs(exact[2])
 
@@ -262,10 +262,10 @@ def test_pole_sums_match_the_velocity_sum(relax, g1, g3, om):
     # strongly driven field's scale
     sch, _, medium, _ = na2_preset()
     quad = dp.QuadratureSpec.for_medium(sch, medium, n=6001, span=6.0)
-    columns = [FieldConfig(omega1=om[0], omega3=om[1], omega4=w4) for w4 in om[2:]]
-    poles = dp._average(sch, relax, medium, quad, columns, g1, g3)
-    oracle = dp._node_sums(sch, relax, medium, quad, columns, g1, g3)
-    scale = dp._node_sums(sch, relax, medium, quad, columns, g1, g3, modulus=True)
+    fields, omega4 = FieldConfig(omega1=om[0], omega3=om[1]), np.array(om[2:])
+    poles = dp._average(sch, relax, medium, quad, fields, omega4, g1, g3)
+    oracle = dp._node_sums(sch, relax, medium, quad, fields, omega4, g1, g3)
+    scale = dp._node_sums(sch, relax, medium, quad, fields, omega4, g1, g3, modulus=True)
     assert _worst(poles, oracle, scale) <= 1e-10
 
 
@@ -283,8 +283,8 @@ def test_closed_form_poles_match_lapack(relax, temperature, p_n, g1, g3, om):
     quad = dp.QuadratureSpec.for_medium(sch, medium)
     G1, G3 = (np.array(x, dtype=complex).ravel()
               for x in np.meshgrid([0.0, *g1], [0.0, *g3], indexing="ij"))
-    columns = [FieldConfig(omega1=om[0], omega3=om[1], omega4=w4) for w4 in om[2:]]
-    agreement = cli.pole_agreement(sch, relax, medium, quad, columns, G1, G3)
+    fields, omega4 = FieldConfig(omega1=om[0], omega3=om[1]), np.array(om[2:])
+    agreement = cli.pole_agreement(sch, relax, medium, quad, fields, omega4[:, None], G1, G3)
     assert agreement["pole_error"] <= 1e-12, agreement
     assert agreement["condition_error"] <= 1e-8, agreement
 
@@ -314,8 +314,7 @@ def test_pole_kernel_repeats_each_point_alone_bit_for_bit(preset, quad):
         return drive.poles, drive.weights, drive.condition, lam, condition
 
     def average(k):
-        ratios, (means,) = dp._average(sch, relax, medium, quad, [fields.with_omega4(w4[k])],
-                                       g1[k], g3[k])
+        ratios, means = dp._average(sch, relax, medium, quad, fields, w4[k], g1[k], g3[k])
         return ratios, means
 
     whole = kernel(slice(None))
@@ -353,26 +352,26 @@ def _exceptional_point(sch, relax, medium, fields):
 def test_coalescing_poles_are_averaged_by_the_rule_and_counted(preset, quad):
     sch, relax, medium, fields = preset
     omega4, g3 = _exceptional_point(sch, relax, medium, fields)
-    column = [fields.with_omega4(omega4)]
+    column = (fields, omega4)
     with dp.pole_stats() as stats:
-        got = dp._average(sch, relax, medium, quad, column, 0.0, g3)
+        got = dp._average(sch, relax, medium, quad, *column, 0.0, g3)
     assert stats.exceptional == 1 and stats.worst_condition <= dp._COALESCING
     # the probe responses there are the oracle's sum over the same rule,
     # while the drive poles, which do not coalesce, still give the ratios
-    oracle = dp._node_sums(sch, relax, medium, quad, column, 0.0, g3)
-    assert np.array_equal(got[1][0], oracle[1][0])
+    oracle = dp._node_sums(sch, relax, medium, quad, *column, 0.0, g3)
+    assert np.array_equal(got[1], oracle[1])
     fine = dp.QuadratureSpec.for_medium(sch, medium, n=8001)
-    oracle = dp._node_sums(sch, relax, medium, fine, column, 0.0, g3)
-    scale = dp._node_sums(sch, relax, medium, fine, column, 0.0, g3, modulus=True)
+    oracle = dp._node_sums(sch, relax, medium, fine, *column, 0.0, g3)
+    scale = dp._node_sums(sch, relax, medium, fine, *column, 0.0, g3, modulus=True)
     assert _worst(got, oracle, scale) < 1e-12
     # a little way off, the poles are apart enough for the pole sums, which
     # the fine oracle confirms
     for shift in (1e-3, 1e-5):
         with dp.pole_stats() as stats:
-            got = dp._average(sch, relax, medium, quad, column, 0.0, g3 * (1 + shift))
+            got = dp._average(sch, relax, medium, quad, *column, 0.0, g3 * (1 + shift))
         assert stats.exceptional == 0
-        oracle = dp._node_sums(sch, relax, medium, fine, column, 0.0, g3 * (1 + shift))
-        scale = dp._node_sums(sch, relax, medium, fine, column, 0.0,
+        oracle = dp._node_sums(sch, relax, medium, fine, *column, 0.0, g3 * (1 + shift))
+        scale = dp._node_sums(sch, relax, medium, fine, *column, 0.0,
                               g3 * (1 + shift), modulus=True)
         assert _worst(got, oracle, scale) < 1e-10
 
@@ -384,15 +383,15 @@ def test_coalescing_drive_poles_are_averaged_by_the_rule(preset, quad):
     sch, relax, medium, _ = preset
     d1, _, d3, _ = lv.doppler_shifts(sch, quad.u)
     twin = replace(relax, coh_mn=relax.coh_gl * d3 / d1)
-    columns = [FieldConfig(omega1=30.0, omega3=30.0 * d3 / d1, omega4=w4) for w4 in (50.0, 100.0)]
+    columns = (FieldConfig(omega1=30.0, omega3=30.0 * d3 / d1), np.array([50.0, 100.0]))
     with dp.pole_stats() as stats:
-        got = dp._average(sch, twin, medium, quad, columns, 1e-3, 1e-3)
+        got = dp._average(sch, twin, medium, quad, *columns, 1e-3, 1e-3)
     assert stats.exceptional == 1
     assert all(np.array_equal(a, b) for a, b in zip(
-        _fields(*got), _fields(*dp._node_sums(sch, twin, medium, quad, columns, 1e-3, 1e-3))))
+        _fields(*got), _fields(*dp._node_sums(sch, twin, medium, quad, *columns, 1e-3, 1e-3))))
     fine = dp.QuadratureSpec.for_medium(sch, medium, n=8001, span=6.0)
-    oracle = dp._node_sums(sch, twin, medium, fine, columns, 1e-3, 1e-3)
-    scale = dp._node_sums(sch, twin, medium, fine, columns, 1e-3, 1e-3, modulus=True)
+    oracle = dp._node_sums(sch, twin, medium, fine, *columns, 1e-3, 1e-3)
+    scale = dp._node_sums(sch, twin, medium, fine, *columns, 1e-3, 1e-3, modulus=True)
     assert _worst(got, oracle, scale) < 1e-12
 
 
@@ -407,7 +406,7 @@ def test_averaging_reports_failing_node(preset, quad):
         dp.average_coefficients(sch, dead, medium, fields, 0.0, 0.0, quad)
     # the velocity rule names the velocity node where the class solve fails
     with pytest.raises(dp.AveragingError, match=r"velocity node \d+"):
-        dp._node_sums(sch, dead, medium, quad, [fields], 0.0, 0.0)
+        dp._node_sums(sch, dead, medium, quad, fields, fields.omega4, 0.0, 0.0)
 
 
 def test_grid_failure_names_the_velocity_node(preset, quad):
@@ -416,11 +415,11 @@ def test_grid_failure_names_the_velocity_node(preset, quad):
     # drive grid names the same velocity node as at a single drive point
     sch, relax, medium, fields = preset
     dead = replace(relax, coh_nl=0.0)
-    raman = fields.with_omega4(fields.omega3)
+    raman = fields.omega3
     with pytest.raises(dp.AveragingError) as point:
-        dp._node_sums(sch, dead, medium, quad, [raman], 50.0, 20.0)
+        dp._node_sums(sch, dead, medium, quad, fields, raman, 50.0, 20.0)
     with pytest.raises(dp.AveragingError) as info:
-        dp._node_sums(sch, dead, medium, quad, [raman],
+        dp._node_sums(sch, dead, medium, quad, fields, raman,
                       np.array([0.0, 50.0, 100.0])[:, None],
                       np.array([0.0, 20.0])[None, :])
     node = re.search(r"velocity node \d+ \(v = [-0-9.]+ m/s\)", str(point.value)).group()
@@ -434,7 +433,7 @@ def test_singular_drive_sector_names_the_drive_point(preset, quad):
     sch, relax, medium, fields = preset
     no_g_decay = replace(relax, gamma_g=0.0, sp_gn=0.0, sp_gl=0.0)
     with pytest.raises(dp.AveragingError) as info:
-        dp._node_sums(sch, no_g_decay, medium, quad, [fields],
+        dp._node_sums(sch, no_g_decay, medium, quad, fields, fields.omega4,
                       np.array([100.0, 50.0, 0.0])[:, None],
                       np.array([0.0, 20.0])[None, :])
     assert "velocity node 0 (v = " in str(info.value)
@@ -448,17 +447,18 @@ def test_failure_in_a_later_chunk_on_a_worker_names_the_same_node(preset, quad):
     # workers: every thread count gives the same tables, bit for bit
     sch, relax, medium, fields = preset
     dead = replace(relax, coh_nl=0.0)
-    raman = fields.with_omega4(fields.omega3)
+    omega4 = np.array([fields.omega4, fields.omega3])   # the second at the Raman resonance
     g1, g3 = np.linspace(0.0, 100.0, 40), np.linspace(0.0, 40.0, 24)
     with pytest.raises(dp.AveragingError) as point:
-        dp._node_sums(sch, dead, medium, quad, [raman], 50.0, 20.0)
+        dp._node_sums(sch, dead, medium, quad, fields, omega4[1], 50.0, 20.0)
     node = re.search(r"velocity node (\d+) \(v = [-0-9.]+ m/s\)", str(point.value))
     assert int(node.group(1)) // (lv._CHUNK // (40 * 24)) > 3
     with pytest.raises(dp.AveragingError) as info:
-        dp._node_sums(sch, dead, medium, quad, [fields, raman], g1[:, None], g3[None, :])
+        dp._node_sums(sch, dead, medium, quad, fields, omega4[:, None, None],
+                      g1[:, None], g3[None, :])
     assert node.group() in str(info.value) and "drive point (0, 0)" in str(info.value)
     grid = dp.DriveGrid(sch, relax, medium, fields, g1, g3, quad)
-    tables = [grid.tables([fields, raman], threads=threads) for threads in (1, 2, 3)]
+    tables = [grid.tables(omega4, threads=threads) for threads in (1, 2, 3)]
     assert all(np.array_equal(t, tables[0]) for t in tables)
 
 
@@ -467,14 +467,14 @@ def test_grid_memory_stays_bounded_as_nodes_double(preset):
     # sources of every class at every drive point would take 6 nv n1 n3
     # complex numbers
     sch, relax, medium, fields = preset
-    columns = [fields.with_omega4(150.0), fields.with_omega4(160.0)]
+    omega4 = np.array([150.0, 160.0])[:, None, None]
     g1, g3 = np.linspace(0.0, 105.0, 40)[:, None], np.linspace(0.0, 42.0, 24)[None, :]
     peaks = {}
     for n in (1311, 2621):
         quad = dp.QuadratureSpec.for_medium(sch, medium, n=n)
         tracemalloc.start()
         try:
-            dp._node_sums(sch, relax, medium, quad, columns, g1, g3)
+            dp._node_sums(sch, relax, medium, quad, fields, omega4, g1, g3)
             peaks[n] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -529,8 +529,7 @@ def test_sweep_solves_the_drive_sector_once(preset, quad, monkeypatch):
         return solve(relax, p_n, om1p, om3p, G1, G3)
 
     monkeypatch.setattr(lv, "drive_steady_state_batch", solved)
-    dp._node_sums(sch, relax, medium, quad,
-                  [fields.with_omega4(x) for x in sweep], fields.g10, fields.g30)
+    dp._node_sums(sch, relax, medium, quad, fields, sweep, fields.g10, fields.g30)
     assert sum(systems) == quad.nodes()[0].size
 
 
@@ -540,19 +539,19 @@ def test_pass_memory_does_not_grow_with_the_columns(preset, quad):
     sch, relax, medium, fields = preset
 
     def columns(n):
-        return [fields.with_omega4(float(x)) for x in np.linspace(-400.0, 400.0, n)]
+        return np.linspace(-400.0, 400.0, n)
 
-    dp._average(sch, relax, medium, quad, columns(800), fields.g10, fields.g30)  # warm caches
+    dp._average(sch, relax, medium, quad, fields, columns(800), fields.g10, fields.g30)  # warm
     peaks, out = {}, {}
     for n in (100, 800):
         cols = columns(n)
         tracemalloc.start()
         try:
-            _, means = dp._average(sch, relax, medium, quad, cols, fields.g10, fields.g30)
+            _, means = dp._average(sch, relax, medium, quad, fields, cols, fields.g10, fields.g30)
             peaks[n] = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        out[n] = sum(sys.getsizeof(m) for m in means)
+        out[n] = means.nbytes
     assert peaks[800] <= 1.1 * peaks[100] + out[800], (peaks, out)
 
 
@@ -566,6 +565,25 @@ def test_non_finite_coefficient_raises(preset, quad, monkeypatch):
     monkeypatch.setattr(dp, "_probe_means", nan_means)
     with pytest.raises(dp.AveragingError, match="non-finite"):
         dp.average_coefficients(sch, relax, medium, fields, 100.0, 40.0, quad)
+
+    # three columns on a 3 x 4 grid make one group of probe blocks, column
+    # after column; one block, column 1 at drive point (1, 2), and the one
+    # after it turn NaN, and the error names the first
+    monkeypatch.undo()
+    means = dp._probe_means
+
+    def nan_blocks(drive, point, block, slopes):
+        values, condition = means(drive, point, block, slopes)
+        values[:, 12 + 6:12 + 8] = np.nan
+        return values, condition
+
+    monkeypatch.setattr(dp, "_probe_means", nan_blocks)
+    grid = dp.DriveGrid(sch, relax, medium, fields, np.linspace(0.0, 100.0, 3),
+                        np.linspace(0.0, 40.0, 4), quad)
+    with pytest.raises(dp.AveragingError,
+                       match=r"non-finite averaged coefficient at omega4 = 155 MHz, "
+                             r"drive point \(1, 2\)$"):
+        grid.tables(np.array([150.0, 155.0, 160.0]))
 
 
 # --------------------------------------------------------------------------

@@ -116,7 +116,7 @@ class ConstantRows(pg.CoefficientCache):
 
     def __init__(self, mc, fields):
         self.fallbacks = 0
-        self.columns = [fields]
+        self.fields, self.omega4 = fields, np.array([fields.omega4])
         self.row = mc.to_vector()
 
     def reader(self, col):
@@ -276,7 +276,7 @@ def test_cache_validation_passes(preset, quad, dressed_fields):
 def test_unvalidated_cache_reports_no_error(dressed_cache):
     # only build validates; a cache made from its tables reports no error
     c = dressed_cache
-    cache = pg.CoefficientCache(c.scheme, c.relax, c.medium, c.columns, c.quad,
+    cache = pg.CoefficientCache(c.scheme, c.relax, c.medium, c.fields, c.omega4, c.quad,
                                 c.g1_grid, c.g3_grid, c.tables)
     assert cache.validation_error is None
 
@@ -333,7 +333,7 @@ def test_rows_are_the_tensor_product_cubic_spline(three_column_cache):
         np.column_stack([np.zeros(10), edge3]), np.column_stack([np.full(10, g1[-1]), edge3]),
         [(0.0, 0.0), (0.0, g3[-1]), (g1[-1], 0.0), (g1[-1], g3[-1])],
     ])
-    for col in range(len(cache.columns)):
+    for col in range(cache.omega4.size):
         scale = np.max(np.abs(cache.tables[col]), axis=(0, 1))
         got = cache.rows(np.full(len(points), col), points[:, 0], points[:, 1])
         want = spline_oracle(cache, col, points[:, 0], points[:, 1])
@@ -344,11 +344,11 @@ def test_rows_are_the_tensor_product_cubic_spline(three_column_cache):
 def test_rows_of_a_batch_equal_lone_rows_bitwise(three_column_cache):
     cache = three_column_cache
     rng = np.random.default_rng(6)
-    col = rng.integers(0, len(cache.columns), 40)
+    col = rng.integers(0, cache.omega4.size, 40)
     g1 = rng.uniform(0.0, cache.g1_grid[-1], 40)
     g3 = rng.uniform(0.0, cache.g3_grid[-1], 40)
     batch = cache.rows(col, g1, g3)
-    assert len(set(col.tolist())) == len(cache.columns)
+    assert len(set(col.tolist())) == cache.omega4.size
     for k in range(40):
         assert np.array_equal(batch[k], cache.rows(col[k:k + 1], g1[k:k + 1], g3[k:k + 1])[0])
 
@@ -358,11 +358,11 @@ def test_rows_do_not_depend_on_the_grid_scale(three_column_cache, scale):
     # the cells' polynomials are in coordinates from 0 to 1 across a cell,
     # so drives of 1e-200 MHz neither overflow nor lose the spline
     cache = three_column_cache
-    scaled = pg.CoefficientCache(cache.scheme, cache.relax, cache.medium, cache.columns,
-                                 cache.quad, scale * cache.g1_grid, scale * cache.g3_grid,
-                                 cache.tables)
+    scaled = pg.CoefficientCache(cache.scheme, cache.relax, cache.medium, cache.fields,
+                                 cache.omega4, cache.quad, scale * cache.g1_grid,
+                                 scale * cache.g3_grid, cache.tables)
     rng = np.random.default_rng(7)
-    col = rng.integers(0, len(cache.columns), 100)
+    col = rng.integers(0, cache.omega4.size, 100)
     g1 = rng.uniform(0.0, cache.g1_grid[-1], 100)
     g3 = rng.uniform(0.0, cache.g3_grid[-1], 100)
     field_scale = np.max(np.abs(cache.tables), axis=(0, 1, 2))
@@ -489,10 +489,10 @@ def test_runaway_column_leaves_the_others_alone(preset, coarse_quad, monkeypatch
     monkeypatch.setattr(pg.CoefficientCache, "_validate", lambda cache: None)
     tabulate = dp.DriveGrid.tables
 
-    def runaway_at_155(grid, columns, threads=1):
-        tables = tabulate(grid, columns, threads)
-        for table, f in zip(tables, columns):
-            if f.omega4 == 155.0:
+    def runaway_at_155(grid, omega4, threads=1):
+        tables = tabulate(grid, omega4, threads)
+        for table, w in zip(tables, omega4):
+            if w == 155.0:
                 table[...] = RUNAWAY.to_vector()
         return tables
 
@@ -526,8 +526,8 @@ def test_build_validates_columns_in_order(preset, coarse_quad, monkeypatch):
     monkeypatch.setattr(pg, "_direct_rows", spy)
     res = pg.gain_map(sch, relax, medium, fields, np.array([150.0, 155.0, 160.0]),
                       np.array([0.0, 2.0]), steps=100, quad=coarse_quad)
-    idx, g1, g3 = calls[0]
-    assert np.array_equal(idx, np.repeat(np.arange(3), 50))
+    omega4, g1, g3 = calls[0]
+    assert np.array_equal(omega4, np.repeat([150.0, 155.0, 160.0], 50))
     points = np.column_stack((g1, g3)).reshape(3, 50, 2)
     assert np.array_equal(points, np.broadcast_to(points[0], points.shape))
     assert 0.0 < res.validation_error < 1e-4
@@ -544,7 +544,8 @@ def test_build_tables_match_drive_grid(preset, coarse_quad, threads):
     assert cache.g1_grid[-1] == pytest.approx(1.05 * abs(fields.g10), rel=1e-15)
     assert cache.g3_grid[-1] == pytest.approx(1.05 * abs(fields.g30), rel=1e-15)
     grid = dp.DriveGrid(sch, relax, medium, fields, cache.g1_grid, cache.g3_grid, coarse_quad)
-    assert np.array_equal(cache.tables, grid.tables(columns, threads=threads))
+    omega4 = [f.omega4 for f in columns]
+    assert np.array_equal(cache.tables, grid.tables(omega4, threads=threads))
     for table, f in zip(cache.tables, columns):
         assert np.array_equal(table, grid.coefficients_for(f))
 
@@ -638,7 +639,7 @@ def test_paired_column_matches_pointwise_average_bitwise(preset, quad, n, drives
     om4 = rng.uniform(-300.0, 300.0, n)
     g1, g3 = rng.uniform(0.0, 150.0, (2, n)) * drives
     g1[1::7], g3[2::5] = 0.0, 0.0
-    paired = dp.coefficient_tables(sch, relax, medium, quad, [fields.with_omega4(om4)], g1, g3)[0]
+    paired = dp.coefficient_tables(sch, relax, medium, quad, fields, om4, g1, g3)
     for k in range(n):
         lone = dp.average_coefficients(sch, relax, medium, fields.with_omega4(float(om4[k])),
                                        float(g1[k]), float(g3[k]), quad)
@@ -960,7 +961,7 @@ def test_cache_free_run_averages_once_per_stage(preset, coarse_quad, monkeypatch
     pg.gain_map(sch, relax, medium, base, np.array([150.0, 155.0, 160.0]),
                 np.array([0.0, 2.0]), steps=100, quad=coarse_quad)
     assert len(passes) == 4 * 100
-    assert all(np.shape(args[5]) == (3,) for args in passes)
+    assert all(np.shape(args[6]) == (3,) for args in passes)
 
 
 def test_g30_zero_gain_map_column_matches_lone_direct_run(preset, coarse_quad):
