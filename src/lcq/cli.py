@@ -112,11 +112,12 @@ def _write_manifest(args, payload: dict) -> None:
 
 
 def _step_manifest(reports: list) -> dict:
-    """The manifest's "steps" and "rk4_error" of the runs in ``reports``.
+    """The manifest's "steps", "rk4_error" and "cache_validation_error" of the runs in ``reports``.
 
     The steps are the fewest and most of any trajectory's result, and the
     estimate the worst of the trajectories that finished, with the probe
-    detuning and drive of its trajectory (None at a requested count).
+    detuning and drive of its trajectory (None at a requested count).  The
+    cache error is the worst of the runs' caches, None without one.
     """
     fields = [f for batch, _ in reports for f in batch]
     steps = np.concatenate([r.steps for _, r in reports])
@@ -126,9 +127,10 @@ def _step_manifest(reports: list) -> dict:
         k = int(np.nanargmax(error))
         worst = {"estimate": float(error[k]), "omega4_MHz": fields[k].omega4,
                  "g10_MHz": abs(fields[k].g10)}
+    errors = [r.validation_error for _, r in reports if r.validation_error is not None]
     return {"steps": {"requested": reports[0][1].requested, "min": int(steps.min()),
                       "max": int(steps.max())},
-            "rk4_error": worst}
+            "rk4_error": worst, "cache_validation_error": max(errors, default=None)}
 
 
 def _emit(args, table, manifest_extra: dict, t_start: float,
@@ -149,6 +151,9 @@ def _emit(args, table, manifest_extra: dict, t_start: float,
                                  worst_pole_condition=stats.worst_condition)
     if reports:
         payload.update(_step_manifest(reports))
+        fallbacks = sum(r.fallbacks for _, r in reports)
+        if fallbacks:
+            payload["warnings"].append(f"{fallbacks} cache lookups fell back to direct evaluation")
     _write_manifest(args, payload)
 
 
@@ -303,15 +308,10 @@ def _dispatch(args, argv: list[str], t_start: float, stats: doppler.PoleStats,
             steps=args.steps, quad=quad, threads=threads,
         )
         table = scans.gain_map_records(result)
-        if result.cache_fallbacks:
-            manifest["warnings"].append(
-                f"{result.cache_fallbacks} cache lookups fell back to direct evaluation"
-            )
         n_invalid = int(np.size(result.valid) - np.count_nonzero(result.valid))
         if n_invalid:
             manifest["warnings"].append(f"{n_invalid} grid cells invalid")
         manifest["max_gain"] = result.max_gain
-        manifest["cache_validation_error"] = result.validation_error
         manifest["argmax"] = dict(zip(("omega4_MHz", "length_L4"), result.argmax()))
         _emit(args, table, manifest, t_start, stats, reports)
         return 0

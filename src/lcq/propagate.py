@@ -527,12 +527,16 @@ class StepReport:
     components, each over its largest modulus along the trajectory.  It is
     NaN at a requested count and where the trajectory turned non-finite.
     ``failed_at`` (n,) is where a trajectory failed, NaN where it did not.
+    ``fallbacks`` counts the run's cache reads off the grid, and
+    ``validation_error`` is its cache's; None for a run without a cache.
     """
 
     requested: int | None
     steps: np.ndarray
     error: np.ndarray
     failed_at: np.ndarray
+    fallbacks: int = 0
+    validation_error: float | None = None
 
     def failure(self, k: int) -> PropagationError:
         """The :class:`PropagationError` of failed trajectory ``k``."""
@@ -682,7 +686,8 @@ def _run(scheme, relax, medium, fields: list[FieldConfig], y0: np.ndarray, L: fl
     after :func:`check_run` and a ``ValueError`` for a record position not
     in [0, L]; ``quad`` defaults to :meth:`QuadratureSpec.for_medium`.
     Returns the positions, the runs' (states, failed_at) and the run's
-    :class:`StepReport`, which a :func:`step_reports` block also receives.
+    :class:`StepReport`, with its cache's evidence, which a
+    :func:`step_reports` block also receives.
     A run at ``steps`` gives each interval its rounded share of them, and
     with ``doubled`` runs again at twice each interval's steps over the
     same row source.  A run given no ``steps`` is sized by step doubling
@@ -698,6 +703,7 @@ def _run(scheme, relax, medium, fields: list[FieldConfig], y0: np.ndarray, L: fl
     if quad is None:
         quad = QuadratureSpec.for_medium(scheme, medium)
     source = _row_source(scheme, relax, medium, fields, quad, cache)
+    fallbacks = cache.fallbacks if cache is not None else 0
     if steps is None:
         states, report = _step_doubling(y0, z, source, scheme)
         runs = [(states, report.failed_at)]
@@ -708,6 +714,9 @@ def _run(scheme, relax, medium, fields: list[FieldConfig], y0: np.ndarray, L: fl
         failed_at = np.where(np.isnan(runs[0][1]), runs[-1][1], runs[0][1])
         n = y0.shape[0]
         report = StepReport(steps, np.full(n, counts.sum()), np.full(n, np.nan), failed_at)
+    if cache is not None:
+        report.fallbacks = cache.fallbacks - fallbacks
+        report.validation_error = cache.validation_error
     reports = _REPORTS.get()
     if reports is not None:
         reports.append((fields, report))
@@ -797,8 +806,6 @@ class GainMapResult:
     lengths: np.ndarray
     ratio: np.ndarray          # (n_omega4, n_lengths)
     valid: np.ndarray          # bool mask, False where integration aborted
-    cache_fallbacks: int = 0
-    validation_error: float | None = None  # worst over the columns' cache validations
 
     @property
     def max_gain(self) -> float:
@@ -852,8 +859,4 @@ def gain_map(
     if not finished.any():
         raise report.failure(0)
     valid = finished[:, None] | (length_grid == 0.0)[None, :]
-    return GainMapResult(
-        omega4=omega4_grid, lengths=length_grid, ratio=ratio, valid=valid,
-        cache_fallbacks=cache.fallbacks if cache is not None else 0,
-        validation_error=cache.validation_error if cache is not None else None,
-    )
+    return GainMapResult(omega4=omega4_grid, lengths=length_grid, ratio=ratio, valid=valid)

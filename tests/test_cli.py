@@ -585,6 +585,45 @@ def test_gainmap_manifest_reports_cache_validation_error(tmp_path):
     assert isinstance(error, float) and math.isfinite(error) and error < 1e-4
 
 
+@pytest.mark.parametrize("args, fields", [
+    (["dynamics", "--omega4", "160", "--length", "1"], None),
+    (["switch", "--omega4", "150:160:2", "--length", "1"], None),
+    (["switch", "--g10", "60:100:2", "--length", "1"], None),
+    (["switch", "--g10", "60:100:2", "--length", "1"], {"G30_MHz": 0.0}),
+], ids=["dynamics", "switch-omega4", "switch-g10", "G30-zero"])
+def test_propagating_manifests_report_the_cache_of_their_run(tmp_path, args, fields):
+    # every command that propagates records the validation error of the cache
+    # its run read, and a run without a cache (G30 = 0) records null
+    config = []
+    if fields is not None:
+        (tmp_path / "fields.json").write_text(json.dumps({"fields": fields}))
+        config = ["--config", str(tmp_path / "fields.json")]
+    out = tmp_path / "run.csv"
+    assert cli.main([*args, "--steps", "100", "--quad", "301", *config, "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+    error = manifest["cache_validation_error"]
+    if fields is None:
+        assert isinstance(error, float) and 0.0 < error < 1e-4
+    else:
+        assert error is None
+    assert not [w for w in manifest["warnings"] if "fell back" in w]
+
+
+@pytest.mark.parametrize("command", [["dynamics", "--omega4", "160"],
+                                     ["switch", "--omega4", "150:160:2"]])
+def test_manifest_warns_of_cache_fallbacks(tmp_path, monkeypatch, command):
+    # a grid that stops at half the boundary G10 sends the first reads off it
+    nodes = propagate._drive_nodes
+    monkeypatch.setattr(propagate, "_drive_nodes", lambda g10, g30: nodes(g10 / 2, g30))
+    out = tmp_path / "run.csv"
+    assert cli.main([*command, "--length", "1", "--steps", "100", "--quad", "301",
+                     "--out", str(out)]) == 0
+    manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
+    [warning] = [w for w in manifest["warnings"] if "fell back" in w]
+    assert int(warning.split()[0]) > 0 and warning.endswith(
+        "cache lookups fell back to direct evaluation")
+
+
 @pytest.mark.parametrize("fields, args", [
     (None, ["--omega4", "170:172:2"]),
     ({"G10_MHz": 150.0}, ["--omega4=-5:5:2"]),

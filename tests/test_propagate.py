@@ -115,7 +115,7 @@ class ConstantRows(pg.CoefficientCache):
     """A stub cache of one column, ``fields``, whose rows are ``mc`` at every drive amplitude."""
 
     def __init__(self, mc, fields):
-        self.fallbacks = 0
+        self.fallbacks, self.validation_error = 0, None
         self.fields, self.omega4 = fields, np.array([fields.omega4])
         self.row = mc.to_vector()
 
@@ -524,13 +524,15 @@ def test_build_validates_columns_in_order(preset, coarse_quad, monkeypatch):
         return direct(*args)
 
     monkeypatch.setattr(pg, "_direct_rows", spy)
-    res = pg.gain_map(sch, relax, medium, fields, np.array([150.0, 155.0, 160.0]),
-                      np.array([0.0, 2.0]), steps=100, quad=coarse_quad)
+    with pg.step_reports() as reports:
+        pg.gain_map(sch, relax, medium, fields, np.array([150.0, 155.0, 160.0]),
+                    np.array([0.0, 2.0]), steps=100, quad=coarse_quad)
     omega4, g1, g3 = calls[0]
     assert np.array_equal(omega4, np.repeat([150.0, 155.0, 160.0], 50))
     points = np.column_stack((g1, g3)).reshape(3, 50, 2)
     assert np.array_equal(points, np.broadcast_to(points[0], points.shape))
-    assert 0.0 < res.validation_error < 1e-4
+    [(_, report)] = reports
+    assert 0.0 < report.validation_error < 1e-4
 
 
 @pytest.mark.parametrize("threads", [1, 2, 3])
@@ -969,8 +971,9 @@ def test_g30_zero_gain_map_column_matches_lone_direct_run(preset, coarse_quad):
     base = fields.with_drives(fields.g10, 0.0)
     om4 = np.array([150.0, 155.0, 160.0])
     lengths = np.array([0.0, 1.5, 3.0])
-    res = pg.gain_map(sch, relax, medium, base, om4, lengths, steps=200, quad=coarse_quad)
-    assert res.valid.all() and res.validation_error is None
+    with pg.step_reports() as reports:
+        res = pg.gain_map(sch, relax, medium, base, om4, lengths, steps=200, quad=coarse_quad)
+    assert res.valid.all() and reports[0][1].validation_error is None
     for i, om in enumerate(om4):
         f = base.with_omega4(float(om))
         trace = pg.integrate(sch, relax, medium, f, L=3.0, steps=200, quad=coarse_quad,
