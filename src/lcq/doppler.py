@@ -29,11 +29,12 @@ point once, then the probe poles of every column.  The probe detunings are
 one array, the probe axis, that broadcasts against the drive amplitudes: a
 single point (:func:`average_coefficients`), a sweep, the coefficient-cache
 grid (:class:`DriveGrid`) and paired points all go through it, and so does
-the normalization.  Where poles coalesce (an exceptional point, detected by the closed-form condition number and the poles'
-separation, or a root the formula cannot give) the residues grow and
-cancel, so such a point alone is averaged by the velocity rule of
-:class:`QuadratureSpec` instead, :func:`_node_sums`, and counted in the
-:func:`pole_stats` of the run.  The same rule, summed over every class in memory-bounded chunks, is what the
+the normalization.  Where poles coalesce (an exceptional point, detected
+by the closed-form condition number and the poles' separation, or a root
+the formula cannot give) the residues grow and cancel, so such a point
+alone is averaged by the velocity rule of :class:`QuadratureSpec` instead,
+:func:`_node_sums`, and counted in the :func:`pole_stats` of the run.  The
+same rule, summed over every class in memory-bounded chunks, is what the
 tests and ``lcq validate`` check the pole sums against; ``--quad`` sizes it
 and nothing else.  ``threads`` workers split the batches of drive points.
 """

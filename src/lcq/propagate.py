@@ -438,10 +438,8 @@ def _direct_rows(scheme, relax, medium, quad, fields: FieldConfig, omega4: np.nd
     """Rows (n, 12) of n points averaged directly, in one Doppler-averaging pass.
 
     Point k is at the drives (``g1_abs[k]``, ``g3_abs[k]``), the probe
-    detuning ``omega4[k]`` and the drive detunings of ``fields``.  The
-    three (n,) arrays pair up point by point in
-    :func:`doppler.coefficient_tables`, so each row equals a one-point
-    average at that point bit for bit.
+    detuning ``omega4[k]`` and the drive detunings of ``fields``, paired
+    point by point, so each row equals a one-point average bit for bit.
     """
     return doppler.coefficient_tables(scheme, relax, medium, quad, fields, omega4, g1_abs, g3_abs)
 
@@ -480,12 +478,10 @@ def _row_source(scheme, relax, medium, fields, quad, cache):
         raise ValueError("trajectories differ in their drive detunings")
     omega4 = np.array([f.omega4 for f in fields], dtype=float)
     if cache is not None:
-        column = {w: k for k, w in enumerate(cache.omega4.tolist())}
-        try:
-            cols = np.array([column[w] for w in omega4.tolist()], dtype=int)
-        except KeyError:
-            raise ValueError("no cache column has a trajectory's probe detuning") from None
-        return lambda idx: cache.reader(cols[idx])
+        match = omega4[:, None] == cache.omega4
+        if not match.any(axis=1).all():
+            raise ValueError("no cache column has a trajectory's probe detuning")
+        return lambda idx: cache.reader(match.argmax(axis=1)[idx])
     if all(f.g10 == 0 and f.g30 == 0 for f in fields):
         zero = np.zeros(len(fields))
         boundary = _direct_rows(scheme, relax, medium, quad, top, omega4, zero, zero)
