@@ -1,15 +1,15 @@
 """Alternating parent/change pairs of the benchmark, summarised as ``BENCH_<PR>.json``.
 
-    python3 tools/bench_pairs.py --pr 26 --parent a7ad2d0 [--change HEAD] [--pairs 20]
+    python3 tools/bench_pairs.py --pr 26 --parent a7ad2d0
 
-Each side is a clean ``git archive`` copy of its commit in a scratch
-directory, so neither side sees the working tree or the other's files.
+The change is ``HEAD``.  Each side is a clean ``git archive`` copy of its
+commit in a scratch directory, so neither side sees the working tree or the other's files.
 Every run is ``python3 perfbench/run.py --workload all --seconds 0 --seed S``
 in a copy, with ``PYTHONDONTWRITEBYTECODE=1``, so that every run compiles
-``lcq`` from source.  One warm-up run per side is discarded; then pair k
-runs both sides at seed ``--seed0 + k``, the parent first in even pairs and
-the change first in odd ones, so that a drift of the machine's speed
-weighs on both alike.
+``lcq`` from source.  One warm-up run per side is discarded; then each of
+the ``PAIRS`` pairs k runs both sides at seed 100 PR + 1 + k, the parent
+first in even pairs and the change first in odd ones, so that a drift of
+the machine's speed weighs on both alike.
 
 For each workload and end-to-end metric of ``BENCHMARK.json`` the summary
 holds each side's median and quartiles (``statistics.quantiles``, n = 4),
@@ -32,6 +32,7 @@ import tarfile
 import tempfile
 from pathlib import Path
 
+PAIRS = 20
 METHOD = ("alternating parent/change pairs (parent first in even pairs) of `python3 "
           "perfbench/run.py --workload all --seconds 0 --seed S`, one discarded warm-up per "
           "side, clean `git archive` copies, {cores}-core machine, PYTHONDONTWRITEBYTECODE=1 "
@@ -106,10 +107,7 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description="alternating parent/change benchmark pairs")
     p.add_argument("--pr", type=int, required=True, help="number in the output name")
-    p.add_argument("--parent", required=True, help="parent commit")
-    p.add_argument("--change", default="HEAD", help="changed commit (default HEAD)")
-    p.add_argument("--pairs", type=int, default=20)
-    p.add_argument("--seed0", type=int, help="seed of pair 0 (default 100 PR + 1)")
+    p.add_argument("--parent", required=True, help="parent commit; the change is HEAD")
     p.add_argument("--claim", default="none; no end-to-end metric worse than its "
                                       "BENCHMARK.json bound")
     p.add_argument("--work", help="scratch directory (default a fresh temporary one)")
@@ -119,23 +117,23 @@ def main(argv=None) -> int:
                                text=True, check=True).stdout.strip())
     work = Path(args.work or tempfile.mkdtemp(prefix="bench_pairs_"))
     copies = {"parent": work / "parent", "change": work / "change"}
-    for side, rev in (("parent", args.parent), ("change", args.change)):
+    for side, rev in (("parent", args.parent), ("change", "HEAD")):
         archive(repo, rev, copies[side])
-    seed0 = args.seed0 if args.seed0 is not None else 100 * args.pr + 1
+    seed0 = 100 * args.pr + 1
     for side in ("parent", "change"):
         run_once(copies[side], seed0 - 1)          # warm-up, discarded
     pairs = []
-    for k in range(args.pairs):
+    for k in range(PAIRS):
         order = ("parent", "change") if k % 2 == 0 else ("change", "parent")
         result = {side: run_once(copies[side], seed0 + k) for side in order}
         pairs.append((result["parent"], result["change"]))
-        print(f"pair {k + 1}/{args.pairs} done", file=sys.stderr)
+        print(f"pair {k + 1}/{PAIRS} done", file=sys.stderr)
     (work / "runs.json").write_text(json.dumps(pairs, indent=1) + "\n", encoding="utf-8")
     spec = json.loads((copies["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
     short = subprocess.run(["git", "-C", str(repo), "rev-parse", "--short", args.parent],
                            capture_output=True, text=True, check=True).stdout.strip()
     session = {"change": "the committed change",
-               "seeds": f"{seed0}-{seed0 + args.pairs - 1}",
+               "seeds": f"{seed0}-{seed0 + PAIRS - 1}",
                **summarize(pairs, spec["end_to_end"])}
     bench = {"pr": args.pr, "parent_commit": short, "claim": args.claim,
              "method": METHOD.format(cores=os.cpu_count()), "sessions": [session]}
