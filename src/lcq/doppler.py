@@ -564,7 +564,7 @@ def _node_sums(scheme, relax, medium, quad, fields: FieldConfig, omega4, G1, G3,
     point.
     """
     shape = np.broadcast_shapes(np.shape(G1), np.shape(G3))
-    full, columns = _probe_axis(omega4, shape)
+    full, w4 = _probe_axis(omega4, shape)
     points = math.prod(shape)
     nodes, weights = quad.nodes()
     step = max(1, liouville._CHUNK // points)
@@ -576,10 +576,10 @@ def _node_sums(scheme, relax, medium, quad, fields: FieldConfig, omega4, G1, G3,
         rho0 = liouville.drive_steady_state_batch(relax, medium.p_n, om1p, om3p, G1, G3)
         src = tuple(np.stack(liouville.compact_sources(rho0)))
         yield np.stack(_drive_ratios(rho0, om1p, om3p, relax), axis=1)
-        for w4 in columns.reshape(-1, *shape):
+        for column in w4.reshape(-1, *shape):
             yield np.stack(liouville.probe_response_compact(
-                src, om1p, fields.omega1 + fields.omega3 - w4 - sh2, w4 - sh4, G1, G3, relax),
-                axis=1)
+                src, om1p, fields.omega1 + fields.omega3 - column - sh2, column - sh4, G1, G3,
+                relax), axis=1)
 
     total = None
     for start in range(0, nodes.size, step):

@@ -2,7 +2,6 @@
 
 import math
 import re
-import sys
 import tracemalloc
 from dataclasses import replace
 
