@@ -112,12 +112,14 @@ def _write_manifest(args, payload: dict) -> None:
 
 
 def _step_manifest(reports: list) -> dict:
-    """The manifest's "steps", "rk4_error" and "cache_validation_error" of the runs in ``reports``.
+    """The manifest's "steps", "step_error" and "cache_validation_error" of the runs in ``reports``.
 
-    The steps are the fewest and most of any trajectory's result, and the
-    estimate the worst of the trajectories that finished, with the probe
-    detuning and drive of its trajectory (None at a requested count).  The
-    cache error is the worst of the runs' caches, None without one.
+    The steps are the fewest and most accepted steps of any trajectory,
+    with the rejected steps and the right-hand-side rows (stages) summed
+    over the trajectories; the estimate is the worst local one of the
+    trajectories that finished, with the probe detuning and drive of its
+    trajectory (None at a requested count).  The cache error is the worst
+    of the runs' caches, None without one.
     """
     fields = [f for batch, _ in reports for f in batch]
     steps = np.concatenate([r.steps for _, r in reports])
@@ -129,8 +131,10 @@ def _step_manifest(reports: list) -> dict:
                  "g10_MHz": abs(fields[k].g10)}
     errors = [r.validation_error for _, r in reports if r.validation_error is not None]
     return {"steps": {"requested": reports[0][1].requested, "min": int(steps.min()),
-                      "max": int(steps.max())},
-            "rk4_error": worst, "cache_validation_error": max(errors, default=None)}
+                      "max": int(steps.max()),
+                      "rejected": int(sum(r.rejected.sum() for _, r in reports)),
+                      "stages": int(sum(r.stages.sum() for _, r in reports))},
+            "step_error": worst, "cache_validation_error": max(errors, default=None)}
 
 
 def _emit(args, table, manifest_extra: dict, t_start: float,
@@ -177,7 +181,7 @@ def build_parser() -> argparse.ArgumentParser:
         if integrates:
             p.add_argument("--steps", type=int,
                            help="RK4 steps over the medium (default: sized per trajectory by "
-                                "step doubling to 1e-6 of its peak)")
+                                "a Dormand-Prince 5(4) pair to 1e-7 of its peak per step)")
             p.add_argument("--threads", type=int,
                            help="worker threads (default LCQ_THREADS or 1)")
         if writes:

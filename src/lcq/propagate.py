@@ -10,14 +10,15 @@ or through a tensor-product cubic-spline cache over (|G1|, |G3|).
 :func:`cache_for` decides whether a run gets one, and only
 :meth:`CoefficientCache.build` makes it: one column per probe detuning,
 its grid sized from the run's largest drives.  :func:`_row_source` gives
-each trajectory the column of its omega4.  One RK4 runner
-(:func:`_run`) advances n trajectories in lockstep as an (n, 4) complex
-state [G1, G3, E4, E2]: a single integration, the columns of a gain map and
-the points of a switching curve on either axis all run on it.  It steps
-only through z = 0, the positions a run records and the medium's end.
-Given a step count, each interval takes its rounded share of it; given
-none, the runner sizes each trajectory's steps by step doubling, until
-its estimated error falls to 1e-6 of its peak (:class:`StepReport`).
+each trajectory the column of its omega4.  One runner (:func:`_run`)
+advances n trajectories in lockstep as an (n, 4) complex state [G1, G3,
+E4, E2]: a single integration, the columns of a gain map and the points of
+a switching curve on either axis all run on it.  It records z = 0, the
+positions a run asks for and the medium's end.  Given a step count, it
+runs fixed-step RK4 (:func:`_lockstep`), each interval its rounded share
+of the count; given none, an embedded Dormand-Prince 5(4) pair
+(:func:`_embedded`) gives each trajectory its own steps, each step's local
+error estimate at most 1e-7 of the trajectory's peak (:class:`StepReport`).
 
 At the batch sizes of a map or sweep the fixed cost of a numpy call, not
 the arithmetic, sets the time of a stage, so a stage makes as few calls
@@ -57,7 +58,7 @@ from .scheme import ConfigError, FieldConfig, LevelScheme, MediumParams, Relaxat
 
 
 class PropagationError(RuntimeError):
-    """A trajectory failed at ``z``: its fields turned non-finite, or step doubling hit the cap."""
+    """A trajectory failed at ``z``: its fields turned non-finite, or its adaptive steps hit the cap or underflowed."""
 
     def __init__(self, z: float, message: str | None = None):
         super().__init__(message or f"non-finite field amplitude at z = {z:.6g} L4")
@@ -70,7 +71,8 @@ class PropagationTrace:
 
     ``error_estimate``, when requested, is the maximum relative deviation
     of |E4| between the nominal and a doubled step count, or, for a run
-    sized by step doubling, the estimate that sized it (:class:`StepReport`).
+    sized by the embedded pair, its worst accepted local estimate
+    (:class:`StepReport`).
     """
 
     z: np.ndarray
@@ -100,14 +102,24 @@ _VALIDATION_RTOL = 1e-4
 # Drives this many times the grid's top are runaways: their rows stay NaN, as
 # at a non-finite drive, since a direct average there overflows
 _RUNAWAY = 1e6
-# A run given no step count doubles each trajectory's steps, from a first
-# fine run of _STEPS_START steps but none finer than _STEP_START_MIN L4,
-# until its step-doubling estimate is at most _RK4_RTOL of its peak, and
-# fails a trajectory that would need more than _STEPS_MAX
-_RK4_RTOL = 1e-6
-_STEPS_START = 256
-_STEP_START_MIN = 0.125
+# A run given no step count sizes each trajectory's steps by an embedded
+# Dormand-Prince 5(4) pair: a step is accepted where its local error
+# estimate, each component over its running peak, is at most _STEP_TOL, and
+# a trajectory fails past _STEPS_MAX accepted steps
+_STEP_TOL = 1e-7
 _STEPS_MAX = 65536
+# Dormand and Prince, J. Comput. Appl. Math. 6, 19 (1980): the stage rows
+# (the last one the fifth-order weights, whose state is the next step's
+# first stage) and the error weights, fifth- less fourth-order, by stage
+_DP_A = (
+    (1 / 5,),
+    (3 / 40, 9 / 40),
+    (44 / 45, -56 / 15, 32 / 9),
+    (19372 / 6561, -25360 / 2187, 64448 / 6561, -212 / 729),
+    (9017 / 3168, -355 / 33, 46732 / 5247, 49 / 176, -5103 / 18656),
+    (35 / 384, 0.0, 500 / 1113, 125 / 192, -2187 / 6784, 11 / 84),
+)
+_DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
 def _drive_nodes(g10: float, g30: float) -> tuple[np.ndarray, np.ndarray]:
@@ -514,35 +526,35 @@ def check_run(L: float, steps: int | None) -> None:
 
 @dataclass
 class StepReport:
-    """The RK4 steps a run took for each of its n trajectories.
+    """The steps a run took for each of its n trajectories.
 
-    ``requested`` is the run's step count, or None for a run sized by step
-    doubling.  ``steps`` (n,) are the steps of each trajectory's result,
-    and ``error`` (n,) its step-doubling estimate: the largest
-    |fine - coarse| / 15 over the recorded positions and the four
-    components, each over its largest modulus along the trajectory.  It is
-    NaN at a requested count and where the trajectory turned non-finite.
-    ``failed_at`` (n,) is where a trajectory failed, NaN where it did not.
-    ``fallbacks`` counts the run's cache reads off the grid, and
-    ``validation_error`` is its cache's; None for a run without a cache.
+    ``requested`` is the run's RK4 step count, or None for a run sized by
+    the embedded pair.  ``steps`` (n,) are each trajectory's accepted
+    steps, ``rejected`` (n,) its rejected ones and ``stages`` (n,) the
+    right-hand sides it evaluated.  ``error`` (n,) is the worst local
+    estimate of its accepted steps: |h sum e_i k_i| of each component over
+    its peak along the trajectory, the largest of the four.  It is NaN at a
+    requested count and where the trajectory failed.  ``failed_at`` (n,) is
+    where a trajectory failed, NaN where it did not, and ``cause`` (n,)
+    names a failure other than non-finite fields.  ``fallbacks`` counts the
+    run's cache reads off the grid, and ``validation_error`` is its cache's;
+    None for a run without a cache.
     """
 
     requested: int | None
     steps: np.ndarray
     error: np.ndarray
     failed_at: np.ndarray
+    rejected: np.ndarray
+    stages: np.ndarray
+    cause: list[str | None]
     fallbacks: int = 0
     validation_error: float | None = None
 
     def failure(self, k: int) -> PropagationError:
         """The :class:`PropagationError` of failed trajectory ``k``."""
         z = float(self.failed_at[k])
-        if self.error[k] > _RK4_RTOL:
-            return PropagationError(z, (
-                f"RK4 step-doubling error {self.error[k]:.3g} of the trajectory's peak exceeds "
-                f"{_RK4_RTOL:g} from z = {z:.6g} L4 at {self.steps[k]} steps, and doubling them "
-                f"would pass the cap of {_STEPS_MAX} steps"))
-        return PropagationError(z)
+        return PropagationError(z, self.cause[k] and f"{self.cause[k]} at z = {z:.6g} L4")
 
 
 _REPORTS = contextvars.ContextVar("lcq_step_reports", default=None)
@@ -564,39 +576,47 @@ def _substeps(positions: np.ndarray, steps: float) -> np.ndarray:
     return np.maximum(1, np.round(np.diff(positions) / (positions[-1] / steps))).astype(int)
 
 
+def _derivative(read, y: np.ndarray, scheme) -> np.ndarray:
+    """:func:`rhs` of the states ``y`` (n, 4), their rows from one ``read`` call.
+
+    The drive phase of G1 G3, 1 where a drive is zero, goes onto the cross
+    couplings first.  numpy rounds a complex product differently in
+    different kernels; an (n, 2) block times an (n, 1) column takes the
+    same one at every n, so a row's bits do not depend on the batch size.
+    """
+    out = read(np.abs(y[:, :2]))
+    prod = y[:, :1] * y[:, 1:2]
+    mag = np.abs(prod)
+    if mag.all():
+        phase = prod / mag
+    else:
+        phase = np.divide(prod, mag, out=np.ones_like(prod), where=mag > 0)
+    out.view(complex)[:, 4:] *= phase
+    return rhs(y, out, scheme)
+
+
 def _lockstep(y0: np.ndarray, positions: np.ndarray, counts: np.ndarray, source, scheme):
     """Fixed-step RK4 of the (n, 4) states ``y0`` from z = 0 through ``positions``.
 
     Interval k between the ascending ``positions`` takes ``counts[k]``
     equal steps.  ``source`` is a :func:`_row_source` binder; each RK4
     stage reads its (n, 12) rows with one call of the batch's reader, and
-    nothing else reads them.  Returns the states (positions, n, 4) and
-    where each trajectory turned non-finite (NaN if it never did); a failed
-    trajectory leaves the batch, its later states NaN.
+    nothing else reads them.  Returns the states (positions, n, 4), where
+    each trajectory turned non-finite (NaN if it never did) and the steps
+    each took; a failed trajectory leaves the batch, its later states NaN.
     """
     n = y0.shape[0]
     states = np.full((positions.size, n, 4), np.nan, dtype=complex)
     failed_at = np.full(n, np.nan)
+    taken = np.full(n, int(counts.sum()))
 
     def f(y):
-        out = read(np.abs(y[:, :2]))
-        # the drive phase of G1 G3, 1 where a drive is zero.  numpy rounds a
-        # complex product differently in different kernels; an (n, 2) block
-        # times an (n, 1) column takes the same one at every n, so a row's
-        # bits do not depend on the batch size
-        prod = y[:, :1] * y[:, 1:2]
-        mag = np.abs(prod)
-        if mag.all():
-            phase = prod / mag
-        else:
-            phase = np.divide(prod, mag, out=np.ones_like(prod), where=mag > 0)
-        out.view(complex)[:, 4:] *= phase
-        return rhs(y, out, scheme)
+        return _derivative(read, y, scheme)
 
     live = np.arange(n)
     read = source(live)
     y = np.array(y0, dtype=complex, order="F")  # each component one contiguous run
-    z = 0.0
+    z, done = 0.0, 0
     # non-finite states are detected after every step and reported, so the
     # overflow that produces them raises no floating-point warning
     with np.errstate(over="ignore", invalid="ignore"):
@@ -611,66 +631,123 @@ def _lockstep(y0: np.ndarray, positions: np.ndarray, counts: np.ndarray, source,
                 k4 = f(y + h * k3)
                 y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
                 z += h
+                done += 1
                 if not np.isfinite(y).all():
                     bad = ~np.isfinite(y).all(axis=1)
-                    failed_at[live[bad]] = z
+                    failed_at[live[bad]], taken[live[bad]] = z, done
                     live, y = live[~bad], np.asfortranarray(y[~bad])
                     if not live.size:
-                        return states, failed_at
+                        return states, failed_at, taken
                     read = source(live)
             states[k, live] = y
-    return states, failed_at
+    return states, failed_at, taken
 
 
-def _doubling_error(fine: np.ndarray, coarse: np.ndarray) -> np.ndarray:
-    """Step-doubling estimates (positions, n) of the RK4 states ``fine`` and ``coarse`` (positions, n, 4).
+def _embedded(y0: np.ndarray, positions: np.ndarray, source, scheme):
+    """The (n, 4) states ``y0`` from z = 0 through ``positions``, each trajectory with its own steps.
 
-    |fine - coarse| / 15, the fine run's error, over each component's
-    largest modulus along its trajectory's fine run (zero for a component
-    that stays zero), the largest of the four components.
+    Dormand-Prince 5(4) in lockstep, with the step control of Hairer,
+    Norsett and Wanner, *Solving Ordinary Differential Equations I*, II.4.
+    Each trajectory carries its position, its step and its next record
+    position, and each stage reads the rows of every live trajectory with
+    one call of the batch's reader.  The last stage's state is the
+    fifth-order result and its derivative the next step's first stage, so
+    an accepted step costs six stages.
+    - A step is accepted where its estimate |h sum e_i k_i|, each component
+      over its peak along the trajectory up to the result (zero for a
+      component that stays zero), is at most _STEP_TOL in all four.
+    - The next step is the last one times clip(0.9 (estimate /
+      _STEP_TOL)**(-1/5), 0.2, 5), and no larger right after a rejection.
+    - A step that would pass the next record position is clipped to land
+      on it; when accepted, the step it was clipped from stays the next.
+    - The first step is _STEP_TOL**(1/5) over the fastest relative rate
+      |k1| / |y0| of the components, and no longer than the medium.
+    A trajectory ends at the last position, or fails: where a result or
+    estimate is not finite, at the position the step would have reached;
+    past _STEPS_MAX accepted steps; or where its step no longer moves it.
+    The stage sums are scalars times arrays in a fixed order and each
+    step's factor is taken row by row, so a trajectory's steps and bits
+    are those of its lone run.  Returns the states (positions, n, 4), the
+    later ones of a failed trajectory NaN, and the :class:`StepReport`.
     """
-    peak = np.max(np.abs(fine), axis=0)
-    err = np.abs(fine - coarse) / 15.0
-    return np.divide(err, peak, out=np.zeros_like(err), where=peak > 0).max(axis=2)
-
-
-def _step_doubling(y0: np.ndarray, z: np.ndarray, source, scheme):
-    """RK4 of the states ``y0`` through ``z``, each trajectory's steps sized by step doubling.
-
-    Every trajectory runs at the coarse counts m_k = max(1, round(seg_k /
-    2h)) per interval and then at the fine counts 2 m_k, with the first
-    fine step h = max(L / _STEPS_START, _STEP_START_MIN).
-    While a trajectory's estimate (:func:`_doubling_error`) exceeds
-    _RK4_RTOL it runs again at twice its fine counts, against its previous
-    fine run, in a batch of the trajectories that still exceed it.  Its
-    last fine run is the result.  A trajectory that would pass _STEPS_MAX
-    fails at the first position whose estimate exceeds the tolerance, its
-    states NaN from there on; one that turns non-finite fails there and
-    runs no more.  Rows do not depend on the batch, so a trajectory's steps
-    and bits are those of its lone run.  Returns the states and the
-    :class:`StepReport`.
-    """
-    counts = _substeps(z, z[-1] / (2.0 * max(z[-1] / _STEPS_START, _STEP_START_MIN)))
-    states, failed_at = _lockstep(y0, z, counts, source, scheme)
     n = y0.shape[0]
-    steps, error = np.full(n, counts.sum()), np.full(n, np.nan)
-    todo = np.flatnonzero(np.isnan(failed_at))
-    while todo.size:
-        counts = 2 * counts
-        fine, fine_failed = _lockstep(y0[todo], z, counts,
-                                      lambda idx, todo=todo: source(todo[idx]), scheme)
-        per_z = _doubling_error(fine, states[:, todo])
-        finished = np.isnan(fine_failed)
-        states[:, todo], failed_at[todo], steps[todo] = fine, fine_failed, counts.sum()
-        error[todo] = np.where(finished, per_z.max(axis=0), np.nan)
-        over = (per_z > _RK4_RTOL) & finished
-        again = over.any(axis=0)
-        if again.any() and 2 * counts.sum() > _STEPS_MAX:
-            for k, first in zip(todo[again], over[:, again].argmax(axis=0)):
-                failed_at[k], states[first:, k] = z[first], np.nan
-            break
-        todo = todo[again]
-    return states, StepReport(None, steps, error, failed_at)
+    states = np.full((positions.size, n, 4), np.nan, dtype=complex)
+    failed_at, error, cause = np.full(n, np.nan), np.zeros(n), [None] * n
+    steps, rejected, stages = np.zeros(n, int), np.zeros(n, int), np.zeros(n, int)
+    live = np.arange(n)
+    read = source(live)
+    y = np.array(y0, dtype=complex, order="F")
+    z, nxt, peak = np.zeros(n), np.ones(n, int), np.abs(y)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        states[0] = y
+        k1 = _derivative(read, y, scheme)
+        calls = 1
+        rate = np.divide(np.abs(k1), peak, out=np.zeros(peak.shape), where=peak > 0).max(axis=1)
+        h = _STEP_TOL ** 0.2 / rate
+        h = np.where((h > 0) & (h < positions[-1]), h, positions[-1])  # NaN fails both
+        grow = np.ones(n, bool)  # False right after a rejection
+        while live.size:
+            target = positions[nxt]
+            clip = z + h >= target
+            step = np.where(clip, target - z, h)
+            z_new = np.where(clip, target, z + step)
+            h_col = step[:, None]
+            k = [k1]
+            for a in _DP_A:
+                acc = a[0] * k[0]
+                for aj, kj in zip(a[1:], k[1:]):
+                    if aj:
+                        acc += aj * kj
+                trial = y + h_col * acc
+                k.append(_derivative(read, trial, scheme))
+            calls += len(_DP_A)
+            acc = _DP_E[0] * k[0]
+            for ej, kj in zip(_DP_E[1:], k[1:]):
+                if ej:
+                    acc += ej * kj
+            local = np.abs(h_col * acc)
+            top = np.maximum(peak, np.abs(trial))
+            est = np.divide(local, top, out=np.zeros(top.shape), where=top > 0).max(axis=1)
+            bad = ~(np.isfinite(local).all(axis=1) & np.isfinite(trial).all(axis=1))
+            ok = (est <= _STEP_TOL) & ~bad
+            # row by row: numpy's vector and scalar power kernels may round differently
+            fac = np.array([min(5.0, max(0.2, 0.9 * (e / _STEP_TOL) ** -0.2)) if e > 0 else 5.0
+                            for e in est.tolist()])
+            fac[ok & ~grow] = np.minimum(fac[ok & ~grow], 1.0)
+            h = np.where(ok & clip, np.maximum(h, fac * step), fac * step)
+            grow = ok
+            steps[live] += ok
+            rejected[live] += ~ok
+            error[live] = np.where(ok, np.maximum(error[live], est), error[live])
+            if ok.all():
+                y, k1, z, peak = trial, k[-1], z_new, top
+            else:
+                y[ok], k1[ok], z[ok], peak[ok] = trial[ok], k[-1][ok], z_new[ok], top[ok]
+            landed = ok & clip
+            states[nxt[landed], live[landed]] = trial[landed]
+            nxt = nxt + landed
+            done = nxt == positions.size
+            capped = ~done & (steps[live] >= _STEPS_MAX)
+            stuck = ~(done | capped | bad) & (z + h == z)
+            ended = done | bad | capped | stuck
+            if not ended.any():
+                continue
+            stages[live] += calls
+            calls = 0
+            failed_at[live[bad]] = z_new[bad]
+            failed_at[live[capped | stuck]] = z[capped | stuck]
+            for j in live[capped]:
+                cause[j] = f"adaptive steps reach the cap of {_STEPS_MAX} steps"
+            for j in live[stuck]:
+                cause[j] = (f"step size underflow: no step keeps the local error within "
+                            f"{_STEP_TOL:g} of the trajectory's peak")
+            keep = ~ended
+            live, z, h, nxt, peak, grow = (a[keep] for a in (live, z, h, nxt, peak, grow))
+            y, k1 = np.asfortranarray(y[keep]), np.asfortranarray(k1[keep])
+            if live.size:
+                read = source(live)
+    error[~np.isnan(failed_at)] = np.nan
+    return states, StepReport(None, steps, error, failed_at, rejected, stages, cause)
 
 
 def _run(scheme, relax, medium, fields: list[FieldConfig], y0: np.ndarray, L: float, record_at,
@@ -678,16 +755,17 @@ def _run(scheme, relax, medium, fields: list[FieldConfig], y0: np.ndarray, L: fl
          doubled: bool = False):
     """The one runner: trajectories ``fields`` from the states ``y0`` (n, 4) at z = 0 to L.
 
-    It steps through z = 0, ``record_at`` and L alone (:func:`_lockstep`),
-    after :func:`check_run` and a ``ValueError`` for a record position not
-    in [0, L]; ``quad`` defaults to :meth:`QuadratureSpec.for_medium`.
+    It steps through z = 0, ``record_at`` and L alone, after
+    :func:`check_run` and a ``ValueError`` for a record position not in
+    [0, L]; ``quad`` defaults to :meth:`QuadratureSpec.for_medium`.
     Returns the positions, the runs' (states, failed_at) and the run's
     :class:`StepReport`, with its cache's evidence, which a
     :func:`step_reports` block also receives.
-    A run at ``steps`` gives each interval its rounded share of them, and
-    with ``doubled`` runs again at twice each interval's steps over the
-    same row source.  A run given no ``steps`` is sized by step doubling
-    (:func:`_step_doubling`) and is one run.
+    A run at ``steps`` is fixed-step RK4 (:func:`_lockstep`), each interval
+    its rounded share of them, and with ``doubled`` runs again at twice each
+    interval's steps over the same row source.  A run given no ``steps``
+    sizes each trajectory's steps by the embedded pair (:func:`_embedded`)
+    and is one run.
     """
     check_run(L, steps)
     record = np.asarray(record_at, dtype=float).ravel()
@@ -701,15 +779,17 @@ def _run(scheme, relax, medium, fields: list[FieldConfig], y0: np.ndarray, L: fl
     source = _row_source(scheme, relax, medium, fields, quad, cache)
     fallbacks = cache.fallbacks if cache is not None else 0
     if steps is None:
-        states, report = _step_doubling(y0, z, source, scheme)
+        states, report = _embedded(y0, z, source, scheme)
         runs = [(states, report.failed_at)]
     else:
         counts = _substeps(z, steps)
-        runs = [_lockstep(y0, z, m * counts, source, scheme) for m in ((1, 2) if doubled else (1,))]
+        passes = [_lockstep(y0, z, m * counts, source, scheme) for m in ((1, 2) if doubled else (1,))]
+        runs = [(states, failed_at) for states, failed_at, _ in passes]
         # where the nominal run failed, else where the doubled one did
         failed_at = np.where(np.isnan(runs[0][1]), runs[-1][1], runs[0][1])
         n = y0.shape[0]
-        report = StepReport(steps, np.full(n, counts.sum()), np.full(n, np.nan), failed_at)
+        report = StepReport(steps, np.full(n, counts.sum()), np.full(n, np.nan), failed_at,
+                            np.zeros(n, int), 4 * sum(taken for *_, taken in passes), [None] * n)
     if cache is not None:
         report.fallbacks = cache.fallbacks - fallbacks
         report.validation_error = cache.validation_error
@@ -731,16 +811,17 @@ def integrate(
     error_estimate: bool = True,
     record_at: np.ndarray | None = None,
 ) -> PropagationTrace:
-    """4th-order Runge-Kutta integration of the four coupled waves to z = L.
+    """Runge-Kutta integration of the four coupled waves to z = L.
 
     Coefficients are re-evaluated at every stage from the local drive
     amplitudes, through ``cache`` (at the column of the fields' detunings)
     or directly.  The run records and steps through z = 0, ``record_at``
     and L alone (:func:`_run`), or 257 evenly spaced positions where
     ``record_at`` is None, at ``steps`` or, where that is None, sized by
-    step doubling.  With ``error_estimate`` a run at ``steps`` runs again
-    at twice each interval's steps for the maximum relative deviation of
-    |E4|; a run sized by step doubling reports the estimate that sized it.
+    the embedded pair.  With ``error_estimate`` a run at ``steps`` runs
+    again at twice each interval's steps for the maximum relative deviation
+    of |E4|; a run sized by the pair reports its worst accepted local
+    estimate.
     """
     if record_at is None:
         check_run(L, steps)  # before the positions are spaced over L
@@ -774,7 +855,7 @@ def transmission(
     """Probe transmission I4(L)/I40 of the trajectories ``fields``, integrated in lockstep.
 
     ``lengths`` ascends to the end of the medium, and the run records
-    them alone (:func:`_run`), at ``steps`` or sized by step doubling.  A
+    them alone (:func:`_run`), at ``steps`` or sized by the embedded pair.  A
     zero probe input E40 is replaced by the small-signal probe 1e-3 |G10|.
     Returns the (n, len(lengths)) ratios, the position where each
     trajectory failed (NaN where it did not; a failed trajectory's ratios
@@ -828,12 +909,12 @@ def gain_map(
     """Probe transmission over a (probe detuning, optical length) grid.
 
     Each detuning column is one trajectory to max(length_grid), and all
-    columns step together, at ``steps`` or sized by step doubling
+    columns step together, at ``steps`` or sized by the embedded pair
     (:func:`transmission`).  The columns read the :func:`cache_for` cache,
     tabulated on ``threads`` worker threads, or average directly.  A
-    column that fails (its fields turn non-finite, or step doubling would
-    pass the cap) keeps only its L = 0 cell valid; a map whose every
-    column failed raises :class:`PropagationError`.
+    column that fails (its fields turn non-finite, or its adaptive steps
+    pass the cap or underflow) keeps only its L = 0 cell valid; a map whose
+    every column failed raises :class:`PropagationError`.
     """
     omega4_grid = np.asarray(omega4_grid, dtype=float)
     length_grid = np.asarray(length_grid, dtype=float)

@@ -99,8 +99,8 @@ def spatial_dynamics(
 
     Emits I_j(z)/I_j(0) for the waves with non-zero input and the generated
     Stokes intensity normalized to the probe input I2(z)/I40, at 257
-    evenly spaced positions, integrated at ``steps`` or sized by step
-    doubling (:func:`propagate.integrate`).  The
+    evenly spaced positions, integrated at ``steps`` or sized by the
+    embedded pair (:func:`propagate.integrate`).  The
     :func:`propagate.cache_for` build, if any, runs on ``threads`` worker
     threads.
     """
@@ -141,7 +141,7 @@ def switching_curve(
     boundary amplitude G10.  Either way the sweep points are trajectories
     of one :func:`propagate.transmission` run, which reads the
     :func:`propagate.cache_for` cache built on ``threads`` worker threads,
-    at ``steps`` or sized by step doubling, and a point that fails raises
+    at ``steps`` or sized by the embedded pair, and a point that fails raises
     :class:`propagate.PropagationError`.  Use :func:`transparency_crossings`
     to locate the points where the curve passes through unity.
     """

@@ -2,6 +2,7 @@
 
 import importlib.util
 import json
+import subprocess
 from pathlib import Path
 
 import pytest
@@ -57,3 +58,23 @@ def test_summary_of_one_pair():
     rss = out["workloads"]["spectra"]["peak_rss_mib"]
     assert rss["parent_quartiles"] == [40.0, 40.0] and rss["pairs_won"] == 1
     assert out["correct"] is True
+
+
+def test_header_names_the_parent_and_the_change_commit(tmp_path):
+    # a repository of two commits: the parent is the first, the change HEAD
+    def git(*args):
+        return subprocess.run(["git", "-C", str(tmp_path), "-c", "user.name=t",
+                               "-c", "user.email=t@example.com", *args],
+                              capture_output=True, text=True, check=True).stdout.strip()
+
+    git("init", "-q")
+    for text in ("one", "two"):
+        (tmp_path / "f.txt").write_text(text)
+        git("add", "f.txt")
+        git("commit", "-q", "-m", text)
+    out = bench_pairs.header(tmp_path, 27, "HEAD~1", "a claim")
+    assert out["parent_commit"] == git("rev-parse", "--short", "HEAD~1")
+    assert out["change_commit"] == git("rev-parse", "--short", "HEAD")
+    assert out["parent_commit"] != out["change_commit"]
+    assert out["pr"] == 27 and out["claim"] == "a claim" and "core machine" in out["method"]
+    assert list(out) == ["pr", "parent_commit", "change_commit", "claim", "method"]

@@ -106,16 +106,37 @@ def test_manifest_written_alongside_output(tmp_path):
     out = tmp_path / "d.csv"
     assert cli.main(["dynamics", "--length", "1", "--quad", "301", "--out", str(out)]) == 0
     manifest = json.loads((tmp_path / "d.csv.manifest.json").read_text())
-    # the default run is sized by step doubling: 257 positions give 256
-    # intervals of one coarse and two fine steps, and the fine run is the result
-    assert manifest["steps"] == {"requested": None, "min": 512, "max": 512}
-    assert 0 < manifest["rk4_error"]["estimate"] <= 1e-6
+    # the default run is sized by the embedded pair: 257 positions give 256
+    # intervals of one step each, each clipped to land on its position, and
+    # six stages per step after the first at z = 0
+    assert manifest["steps"] == {"requested": None, "min": 256, "max": 256, "rejected": 0,
+                                 "stages": 1 + 6 * 256}
+    assert 0 < manifest["step_error"]["estimate"] <= 1e-7
     assert cli.main(["dynamics", "--length", "1", "--steps", "300", "--quad", "301",
                      "--out", str(out)]) == 0
     manifest = json.loads((tmp_path / "d.csv.manifest.json").read_text())
-    # 300 steps over 256 intervals round to one step each
-    assert manifest["steps"] == {"requested": 300, "min": 256, "max": 256}
-    assert manifest["rk4_error"] is None
+    # 300 steps over 256 intervals round to one step each, of four stages
+    assert manifest["steps"] == {"requested": 300, "min": 256, "max": 256, "rejected": 0,
+                                 "stages": 4 * 256}
+    assert manifest["step_error"] is None
+
+
+@pytest.mark.parametrize("steps", [None, "200"])
+def test_manifest_stages_count_the_right_hand_side_rows(tmp_path, monkeypatch, steps):
+    # every row that propagate.rhs evaluates, summed over a sweep's trajectories
+    rows = []
+    rhs = propagate.rhs
+
+    def counting(y, *args):
+        rows.append(len(y))
+        return rhs(y, *args)
+
+    monkeypatch.setattr(propagate, "rhs", counting)
+    out = tmp_path / "sw.csv"
+    argv = ["switch", "--omega4", "150:160:3", "--length", "4", "--quad", "301", "--out", str(out)]
+    assert cli.main(argv + (["--steps", steps] if steps else [])) == 0
+    manifest = json.loads((tmp_path / "sw.csv.manifest.json").read_text())
+    assert manifest["steps"]["stages"] == sum(rows) > 0
 
 
 def test_dynamics_subcommand(tmp_path):

@@ -727,107 +727,171 @@ def test_error_estimate_doubles_each_interval_exactly(preset, quad):
 
 
 # --------------------------------------------------------------------------
-# step doubling: the default step count
+# the embedded pair: the default step count
 # --------------------------------------------------------------------------
 
-# on the dressed cache's column at 80 L4, G10 = 100 MHz needs 512 steps for
-# an estimate of 1e-6 of its peak and G10 = 50 MHz does with the first 256;
-# the probe input 1e150 lifts the drives off the grid in the coarse pass
-DOUBLING_LENGTHS = np.array([0.0, 40.0, 80.0])
+# on the dressed cache's column at 80 L4, G10 = 50 MHz takes fewer steps
+# than G10 = 100 MHz, which rejects one on the way; the probe input 1e150
+# lifts the drives off the grid in the first step
+EMBEDDED_LENGTHS = np.array([0.0, 40.0, 80.0])
 
 
 @pytest.fixture(scope="module")
-def doubling_batch(dressed_fields):
+def embedded_batch(dressed_fields):
     return [dressed_fields.with_drives(50.0, 40.0), dressed_fields,
             replace(dressed_fields, e40=1e150)]
 
 
-def test_step_doubling_sizes_each_trajectory_as_its_lone_run(preset, quad, dressed_cache,
-                                                              doubling_batch, monkeypatch):
+def test_embedded_pair_sizes_each_trajectory_as_its_lone_run(preset, quad, dressed_cache,
+                                                             embedded_batch):
     sch, relax, medium, _ = preset
-    batches = []
-    lockstep = pg._lockstep
-
-    def spy(y0, *args):
-        batches.append(len(y0))
-        return lockstep(y0, *args)
-
-    monkeypatch.setattr(pg, "_lockstep", spy)
-    ratio, failed_at, report = pg.transmission(sch, relax, medium, doubling_batch,
-                                               DOUBLING_LENGTHS, quad=quad, cache=dressed_cache)
-    # the coarse pass, the fine pass of the two that stayed finite, and the
-    # one whose estimate exceeded the tolerance at twice its fine steps
-    assert batches == [3, 2, 1]
-    assert report.requested is None and report.steps.tolist() == [256, 512, 128]
-    assert (report.error[:2] <= pg._RK4_RTOL).all() and np.isnan(report.error[2])
+    ratio, failed_at, report = pg.transmission(sch, relax, medium, embedded_batch,
+                                               EMBEDDED_LENGTHS, quad=quad, cache=dressed_cache)
+    assert report.requested is None
+    assert 0 < report.steps[0] < report.steps[1] and report.rejected[1] > 0
+    assert (report.error[:2] <= pg._STEP_TOL).all() and np.isnan(report.error[2])
+    # the runaway's first step turns non-finite: one stage at z = 0, six in the step
     assert np.isnan(failed_at[:2]).all() and 0.0 < failed_at[2] <= 40.0
-    for k, f in enumerate(doubling_batch):
+    assert report.steps[2] == 0 and report.stages[2] == 7
+    for k, f in enumerate(embedded_batch):
         lone, lone_failed_at, lone_report = pg.transmission(
-            sch, relax, medium, [f], DOUBLING_LENGTHS, quad=quad, cache=dressed_cache)
+            sch, relax, medium, [f], EMBEDDED_LENGTHS, quad=quad, cache=dressed_cache)
         assert np.array_equal(ratio[k], lone[0], equal_nan=True)
         assert np.array_equal(failed_at[k], lone_failed_at[0], equal_nan=True)
-        assert report.steps[k] == lone_report.steps[0]
-        assert np.array_equal(report.error[k], lone_report.error[0], equal_nan=True)
+        for name in ("steps", "rejected", "stages", "error"):
+            assert np.array_equal(getattr(report, name)[k], getattr(lone_report, name)[0],
+                                  equal_nan=True)
 
 
-def test_step_doubling_estimate_bounds_the_error(preset, quad, dressed_cache, doubling_batch):
-    # against 200 steps per L4, whose own error is about 1e-13 of the peak.
-    # At 10 L4 the first fine step is 1/8 L4, not L / 256: 40 + 80 steps
+def test_embedded_pair_estimate_bounds_the_error(preset, quad, dressed_cache, embedded_batch):
+    # against 200 steps per L4, whose own error is about 1e-13 of the peak
     sch, relax, medium, _ = preset
-    batch = doubling_batch[:2]
+    batch = embedded_batch[:2]
     y0 = np.array([[f.g10, f.g30, f.e40, f.e20] for f in batch], dtype=complex)
-    for L, record, first in ((80.0, DOUBLING_LENGTHS, 256), (10.0, np.linspace(0.0, 10.0, 5), 80)):
+    for L, record in ((80.0, EMBEDDED_LENGTHS), (10.0, np.linspace(0.0, 10.0, 5))):
         _, [(states, _)], report = pg._run(sch, relax, medium, batch, y0, L, record,
                                            None, quad, dressed_cache)
         _, [(ref, _)], _ = pg._run(sch, relax, medium, batch, y0, L, record, int(200 * L),
                                    quad, dressed_cache)
         error = (np.abs(states - ref) / np.max(np.abs(ref), axis=0)).max(axis=(0, 2))
-        assert (report.error <= pg._RK4_RTOL).all()
+        assert (report.error <= pg._STEP_TOL).all()
         assert (error <= 3.0 * report.error).all()
-        assert report.steps.min() == first
+        # first same as last: one stage at z = 0, then six per step tried
+        assert (report.stages == 1 + 6 * (report.steps + report.rejected)).all()
 
 
-def test_step_doubling_past_the_cap_is_a_named_failure(preset, coarse_quad, dressed_fields,
+def test_embedded_pair_past_the_cap_is_a_named_failure(preset, coarse_quad, dressed_fields,
                                                        monkeypatch, tmp_path, capsys):
-    # with the cap at 256 steps, a trajectory that needs 512 fails
+    # to 80 L4 the dressed trajectory and the preset's 160 MHz column take
+    # 80 steps, the preset's 100 MHz column 67; the cap is 72
     sch, relax, medium, fields = preset
-    monkeypatch.setattr(pg, "_STEPS_MAX", 256)
+    monkeypatch.setattr(pg, "_STEPS_MAX", 72)
     cache = pg.CoefficientCache.build(sch, relax, medium, [dressed_fields], coarse_quad)
-    with pytest.raises(pg.PropagationError, match="cap of 256 steps") as err:
+    with pytest.raises(pg.PropagationError, match="cap of 72 steps") as err:
         pg.integrate(sch, relax, medium, dressed_fields, L=80.0, quad=coarse_quad, cache=cache,
-                     record_at=DOUBLING_LENGTHS)
-    assert err.value.z in (40.0, 80.0)
-    # at 160 MHz the preset's column needs 512 steps, at 100 MHz 256
-    res = pg.gain_map(sch, relax, medium, fields, np.array([100.0, 160.0]), DOUBLING_LENGTHS,
+                     record_at=EMBEDDED_LENGTHS)
+    assert 0.0 < err.value.z < 80.0
+    res = pg.gain_map(sch, relax, medium, fields, np.array([100.0, 160.0]), EMBEDDED_LENGTHS,
                       quad=coarse_quad)
     assert res.valid.tolist() == [[True, True, True], [True, False, False]]
     assert cli.main(["switch", "--omega4", "100:160:2", "--length", "80", "--quad", "301",
                      "--out", str(tmp_path / "switch.csv")]) == 3
     message = capsys.readouterr().err
-    assert message.startswith("numerical failure: RK4 step-doubling error") and "256" in message
+    assert message.startswith("numerical failure: adaptive steps reach the cap of 72 steps")
 
 
-def test_default_dynamics_coarse_pass_takes_half_the_fine_steps(preset, coarse_quad,
-                                                                monkeypatch):
-    # 257 positions: one coarse step per interval, then two
+class DriveRows(pg.CoefficientCache):
+    """A stub cache of one column whose only non-zero entry is sigma1, ``sigma1(|G1|)``."""
+
+    def __init__(self, fields, sigma1):
+        self.fallbacks, self.validation_error = 0, None
+        self.fields, self.omega4 = fields, np.array([fields.omega4])
+        self.sigma1 = sigma1
+
+    def reader(self, col):
+        def read(a):
+            rows = np.zeros((len(col), 6), dtype=complex)
+            rows[:, 0] = self.sigma1(a[:, 0])
+            return rows.view(float)
+
+        return read
+
+
+def test_embedded_pair_ends_a_trajectory_at_a_non_finite_trial(preset, dressed_fields):
+    # |G1| decays as exp(-z / 20) and its rows turn NaN below 90 MHz, from
+    # z = 20 ln(100 / 90) = 2.1 L4 at G10 = 100 MHz; at G10 = 200 MHz they never do
+    sch, relax, medium, _ = preset
+    cache = DriveRows(dressed_fields, lambda g1: np.where(g1 > 90.0, 0.05j, np.nan))
+    batch = [dressed_fields.with_drives(g10, 40.0) for g10 in (100.0, 200.0)]
+    lengths = np.array([0.0, 1.0, 10.0])
+    ratio, failed_at, report = pg.transmission(sch, relax, medium, batch, lengths, cache=cache)
+    # the trial that turned NaN ends its trajectory where it would have
+    # landed; it is not tried again with a shorter step
+    assert 20.0 * np.log(100.0 / 90.0) < failed_at[0] < 10.0 and np.isnan(failed_at[1])
+    assert report.rejected[0] == 1 and report.cause[0] is None
+    assert np.isnan(ratio[0, 1:]).all() and np.isfinite(ratio[1]).all()
+    assert str(report.failure(0)).startswith("non-finite field amplitude at z =")
+    lone, _, lone_report = pg.transmission(sch, relax, medium, batch[1:], lengths, cache=cache)
+    assert np.array_equal(ratio[1], lone[0]) and report.steps[1] == lone_report.steps[0]
+
+
+def test_embedded_pair_names_a_step_size_underflow(preset, dressed_fields, tmp_path):
+    # |G1|' = |G1|**2 / 200 runs to infinity at z = 200 / |G10|: at G10 =
+    # 100 MHz the steps shrink toward z = 2 until one no longer moves z;
+    # at G10 = 10 MHz, |G1|(10 L4) = 20 MHz
+    sch, relax, medium, _ = preset
+    cache = DriveRows(dressed_fields, lambda g1: -1j * g1 / 200.0)
+    with pytest.raises(pg.PropagationError, match="step size underflow") as err:
+        pg.integrate(sch, relax, medium, dressed_fields, L=10.0, cache=cache,
+                     record_at=np.array([0.0, 10.0]))
+    assert err.value.z == pytest.approx(2.0, rel=1e-6)
+    assert "at z = 2 L4" in str(err.value)
+    gentle = dressed_fields.with_drives(10.0, 40.0)
+    trace = pg.integrate(sch, relax, medium, gentle, L=10.0, cache=cache,
+                         record_at=np.array([0.0, 10.0]))
+    assert abs(trace.g1[-1]) == pytest.approx(20.0, rel=1e-6)
+
+
+@pytest.mark.parametrize("run", ["gainmap", "switch --g10"])
+def test_benchmark_runs_stay_within_1e6_of_their_peaks_against_16000_steps(preset, quad, run):
+    # the benchmark's gain map (four columns, 0-30 L4) and G10 sweep (25
+    # points at 155 MHz, 10 L4): a gain-map column against its peak over
+    # the lengths, a sweep point against its own value
     sch, relax, medium, fields = preset
-    calls, passes = [], []
-    rhs, lockstep = pg.rhs, pg._lockstep
+    if run == "gainmap":
+        batch = [fields.with_omega4(om) for om in np.linspace(150.0, 160.0, 4)]
+        lengths = np.linspace(0.0, 30.0, 31)
+    else:
+        batch = [fields.with_omega4(155.0).with_drives(g10, fields.g30)
+                 for g10 in np.linspace(60.0, 105.0, 25)]
+        lengths = np.array([10.0])
+    cache = pg.cache_for(sch, relax, medium, batch, quad, threads=2)
+    ratio, _, report = pg.transmission(sch, relax, medium, batch, lengths, quad=quad, cache=cache)
+    ref, _, _ = pg.transmission(sch, relax, medium, batch, lengths, steps=16000, quad=quad,
+                                cache=cache)
+    peak = np.max(np.abs(ref), axis=1, keepdims=True)
+    assert (np.abs(ratio - ref) <= 1e-6 * peak).all()
+    assert (report.error <= pg._STEP_TOL).all()
 
-    def counting(*args):
-        calls.append(None)
-        return rhs(*args)
 
-    def spy(*args):
-        before = len(calls)
-        out = lockstep(*args)
-        passes.append(len(calls) - before)
-        return out
+def test_default_dynamics_stages_are_one_plus_six_per_step(preset, coarse_quad, monkeypatch):
+    # 257 positions 1/128 L4 apart: each step is clipped to land on the next,
+    # none is rejected, and each costs six stages after the first at z = 0
+    sch, relax, medium, fields = preset
+    calls = []
+    rhs = pg.rhs
+
+    def counting(y, *args):
+        calls.append(len(y))
+        return rhs(y, *args)
 
     monkeypatch.setattr(pg, "rhs", counting)
-    monkeypatch.setattr(pg, "_lockstep", spy)
-    scans.spatial_dynamics(sch, relax, medium, fields.with_omega4(155.0), L=2.0, quad=coarse_quad)
-    assert passes == [4 * 256, 4 * 512]
+    with pg.step_reports() as reports:
+        scans.spatial_dynamics(sch, relax, medium, fields.with_omega4(155.0), L=2.0,
+                               quad=coarse_quad)
+    [(_, report)] = reports
+    assert report.steps.tolist() == [256] and report.rejected.tolist() == [0]
+    assert len(calls) == 1 + 6 * 256 and report.stages.tolist() == [sum(calls)]
 
 
 def _assert_lone_runs_equal_the_batch(preset, quad, batch, cache):

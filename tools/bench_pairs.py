@@ -2,8 +2,10 @@
 
     python3 tools/bench_pairs.py --pr 26 --parent a7ad2d0
 
-The change is ``HEAD``.  Each side is a clean ``git archive`` copy of its
-commit in a scratch directory, so neither side sees the working tree or the other's files.
+The change is ``HEAD``; the output names both commits by their short
+hashes, ``parent_commit`` and ``change_commit``.  Each side is a clean
+``git archive`` copy of its commit in a scratch directory, so neither side
+sees the working tree or the other's files.
 Every run is ``python3 perfbench/run.py --workload all --seconds 0 --seed S``
 in a copy, with ``PYTHONDONTWRITEBYTECODE=1``, so that every run compiles
 ``lcq`` from source.  One warm-up run per side is discarded; then each of
@@ -104,6 +106,20 @@ def summarize(pairs: list[tuple[dict, dict]], end_to_end: list[dict]) -> dict:
             "workloads": summary}
 
 
+def header(repo: Path, pr: int, parent: str, claim: str) -> dict:
+    """The fields of ``BENCH_<PR>.json`` before its sessions.
+
+    ``parent_commit`` and ``change_commit`` are the short hashes of
+    ``parent`` and of ``HEAD`` in ``repo``, the two commits the pairs ran.
+    """
+    def short(rev):
+        return subprocess.run(["git", "-C", str(repo), "rev-parse", "--short", rev],
+                              capture_output=True, text=True, check=True).stdout.strip()
+
+    return {"pr": pr, "parent_commit": short(parent), "change_commit": short("HEAD"),
+            "claim": claim, "method": METHOD.format(cores=os.cpu_count())}
+
+
 def main(argv=None) -> int:
     p = argparse.ArgumentParser(description="alternating parent/change benchmark pairs")
     p.add_argument("--pr", type=int, required=True, help="number in the output name")
@@ -117,8 +133,9 @@ def main(argv=None) -> int:
                                text=True, check=True).stdout.strip())
     work = Path(args.work or tempfile.mkdtemp(prefix="bench_pairs_"))
     copies = {"parent": work / "parent", "change": work / "change"}
-    for side, rev in (("parent", args.parent), ("change", "HEAD")):
-        archive(repo, rev, copies[side])
+    head = header(repo, args.pr, args.parent, args.claim)
+    for side in ("parent", "change"):
+        archive(repo, head[f"{side}_commit"], copies[side])
     seed0 = 100 * args.pr + 1
     for side in ("parent", "change"):
         run_once(copies[side], seed0 - 1)          # warm-up, discarded
@@ -130,13 +147,10 @@ def main(argv=None) -> int:
         print(f"pair {k + 1}/{PAIRS} done", file=sys.stderr)
     (work / "runs.json").write_text(json.dumps(pairs, indent=1) + "\n", encoding="utf-8")
     spec = json.loads((copies["change"] / "BENCHMARK.json").read_text(encoding="utf-8"))
-    short = subprocess.run(["git", "-C", str(repo), "rev-parse", "--short", args.parent],
-                           capture_output=True, text=True, check=True).stdout.strip()
     session = {"change": "the committed change",
                "seeds": f"{seed0}-{seed0 + PAIRS - 1}",
                **summarize(pairs, spec["end_to_end"])}
-    bench = {"pr": args.pr, "parent_commit": short, "claim": args.claim,
-             "method": METHOD.format(cores=os.cpu_count()), "sessions": [session]}
+    bench = {**head, "sessions": [session]}
     out = Path(args.out) if args.out else repo / f"BENCH_{args.pr}.json"
     out.write_text(json.dumps(bench, indent=1) + "\n", encoding="utf-8")
     print(f"wrote {out}")
