@@ -58,7 +58,7 @@ from .scheme import ConfigError, FieldConfig, LevelScheme, MediumParams, Relaxat
 
 
 class PropagationError(RuntimeError):
-    """A trajectory failed at ``z``: its fields turned non-finite, or its adaptive steps hit the cap or underflowed."""
+    """A trajectory failed at ``z``: non-finite fields, or adaptive steps capped or underflowed."""
 
     def __init__(self, z: float, message: str | None = None):
         super().__init__(message or f"non-finite field amplitude at z = {z:.6g} L4")
@@ -644,7 +644,7 @@ def _lockstep(y0: np.ndarray, positions: np.ndarray, counts: np.ndarray, source,
 
 
 def _embedded(y0: np.ndarray, positions: np.ndarray, source, scheme):
-    """The (n, 4) states ``y0`` from z = 0 through ``positions``, each trajectory with its own steps.
+    """The (n, 4) states ``y0`` from z = 0 through ``positions``, each with its own steps.
 
     Dormand-Prince 5(4) in lockstep, with the step control of Hairer,
     Norsett and Wanner, *Solving Ordinary Differential Equations I*, II.4.
@@ -783,7 +783,8 @@ def _run(scheme, relax, medium, fields: list[FieldConfig], y0: np.ndarray, L: fl
         runs = [(states, report.failed_at)]
     else:
         counts = _substeps(z, steps)
-        passes = [_lockstep(y0, z, m * counts, source, scheme) for m in ((1, 2) if doubled else (1,))]
+        passes = [_lockstep(y0, z, m * counts, source, scheme)
+                  for m in ((1, 2) if doubled else (1,))]
         runs = [(states, failed_at) for states, failed_at, _ in passes]
         # where the nominal run failed, else where the doubled one did
         failed_at = np.where(np.isnan(runs[0][1]), runs[-1][1], runs[0][1])
