@@ -5,31 +5,30 @@ under its own intensity-dependent sigma coefficient, the probe pair is
 cross-coupled through gamma4/gamma2 (which include the drive product), and
 the drives carry the quadratic probe back-action term.  Coefficients are
 re-evaluated from the local drive amplitudes at every integration stage,
-either directly (one Doppler-averaging pass per stage for the whole batch)
-or through a tensor-product cubic-spline cache over (|G1|, |G3|).
-:func:`cache_for` decides whether a run gets one, and only
-:meth:`CoefficientCache.build` makes it: one column per probe detuning,
-its grid sized from the run's largest drives.  :func:`_row_source` gives
-each trajectory the column of its omega4.  One runner (:func:`_run`)
-advances n trajectories in lockstep as an (n, 4) complex state [G1, G3,
-E4, E2]: a single integration, the columns of a gain map and the points of
-a switching curve on either axis all run on it.  It records z = 0, the
-positions a run asks for and the medium's end.  Given a step count, it
-runs fixed-step RK4 (:func:`_lockstep`), each interval its rounded share
-of the count; given none, an embedded Dormand-Prince 5(4) pair
-(:func:`_embedded`) gives each trajectory its own steps, each step's local
-error estimate at most 1e-7 of the trajectory's peak (:class:`StepReport`).
+through a tensor Chebyshev interpolant over (|G1|, |G3|), or, as the
+reference, directly (one Doppler-averaging pass per stage for the whole
+batch).  Every run builds its cache with :meth:`CoefficientCache.build`:
+one column per probe detuning, its grid sized from the run's largest
+drives, and one node on the axis of a zero drive, which stays zero.
+:func:`_row_source` gives each trajectory the column of its omega4.  One
+runner (:func:`_run`) advances n trajectories in lockstep as an (n, 4)
+complex state [G1, G3, E4, E2]: a single integration, the columns of a
+gain map and the points of a switching curve on either axis all run on
+it.  It records z = 0, the positions a run asks for and the medium's end.
+Given a step count, it runs fixed-step RK4 (:func:`_lockstep`), each
+interval its rounded share of the count; given none, an embedded
+Dormand-Prince 5(4) pair (:func:`_embedded`) gives each trajectory its
+own steps, each step's local error estimate at most 1e-7 of the
+trajectory's peak (:class:`StepReport`).
 
 At the batch sizes of a map or sweep the fixed cost of a numpy call, not
 the arithmetic, sets the time of a stage, so a stage makes as few calls
 as its arithmetic needs.  What stays fixed for a batch (each trajectory's
-cache column and the reader of its rows) is built once, and again only
-when a trajectory leaves the batch.  The reader
-(:meth:`CoefficientCache.reader`) keeps each trajectory's spline cell, so
-while every trajectory stays in its cell a stage's rows cost one
-subtraction, one in-cell check, one division by the cell widths and one
-evaluation of the cells' local polynomials; only the trajectories that
-left their cells are located again.  The drive phase and the back-action divide without masks when
+cache column and the reader of its rows, which groups the batch by
+column) is built once, and again only when a trajectory leaves the batch.
+A read (:meth:`CoefficientCache.reader`) keeps no state: two barycentric
+bases, one product with the table of each distinct column and one along
+|G3|.  The drive phase and the back-action divide without masks when
 every drive is non-zero, and the state is kept in column-major order, so
 :func:`rhs` works on contiguous (k, n) component blocks.  Points off the
 grid, non-finite drives and zero drives take the general branch, row by
@@ -69,10 +68,9 @@ class PropagationError(RuntimeError):
 class PropagationTrace:
     """Field amplitudes at the recorded positions along the medium.
 
-    ``error_estimate``, when requested, is the maximum relative deviation
-    of |E4| between the nominal and a doubled step count, or, for a run
-    sized by the embedded pair, its worst accepted local estimate
-    (:class:`StepReport`).
+    ``error_estimate`` is the worst accepted local estimate of a run sized
+    by the embedded pair (:class:`StepReport`), and None for a run at a
+    step count.
     """
 
     z: np.ndarray
@@ -89,16 +87,18 @@ class PropagationTrace:
         return i
 
 
-# The one cache policy, which CoefficientCache.build states: grid size, power
-# spacing and reach, and the probes and tolerance of every column's check
-_GRID_N1_PER_MHZ = 0.9
-_GRID_N1_MIN = 90
-_GRID_N1_MAX = 2048  # a dense n1 x n1 collocation solve stays bounded
-_GRID_N3 = 32
-_GRID_POWER = 1.2
+# The one cache policy, which CoefficientCache.build states: node counts and
+# reach, and the probes and tolerance of every column's check
+_GRID_N1_PER_MHZ = 0.8
+_GRID_N1_MIN = 80
+_GRID_N1_MAX = 2048  # a column's tables stay within 4 MB
+_GRID_N3 = 20
 _GRID_MARGIN = 1.05
 _VALIDATION_PROBES = 50
 _VALIDATION_RTOL = 1e-4
+# The probes are the R2 sequence (Roberts, 2018), frac(1/2 + k (1/g, 1/g**2))
+# for k = 1, 2, ..., with g the plastic number, the real root of g**3 = g + 1
+_PLASTIC = 1.324717957244746
 # Drives this many times the grid's top are runaways: their rows stay NaN, as
 # at a non-finite drive, since a direct average there overflows
 _RUNAWAY = 1e6
@@ -123,101 +123,69 @@ _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 
 
 
 def _drive_nodes(g10: float, g30: float) -> tuple[np.ndarray, np.ndarray]:
-    """The |G1| and |G3| nodes of :meth:`CoefficientCache.build` for boundary drives |G10|, |G30|."""
-    n1 = min(_GRID_N1_MAX, max(_GRID_N1_MIN, math.ceil(_GRID_N1_PER_MHZ * g10)))
-    return (_GRID_MARGIN * g10 * np.linspace(0.0, 1.0, n1) ** _GRID_POWER,
-            _GRID_MARGIN * g30 * np.linspace(0.0, 1.0, _GRID_N3) ** _GRID_POWER)
+    """The |G1| and |G3| nodes of :meth:`CoefficientCache.build` for boundary drives |G10|, |G30|.
+
+    Chebyshev points of the second kind on [0, 1.05 |G10|] and
+    [0, 1.05 |G30|], ascending.  A zero drive stays exactly zero, so its
+    axis is the one node 0.
+    """
+    n1 = min(_GRID_N1_MAX, max(_GRID_N1_MIN, math.ceil(_GRID_N1_PER_MHZ * g10))) if g10 else 1
+    return (_chebyshev(_GRID_MARGIN * g10, n1),
+            _chebyshev(_GRID_MARGIN * g30, _GRID_N3 if g30 else 1))
+
+
+def _chebyshev(top: float, n: int) -> np.ndarray:
+    """n Chebyshev points of the second kind on [0, ``top``], from 0 to ``top``."""
+    return 0.5 * top * (1.0 - np.cos(np.pi / max(n - 1, 1) * np.arange(n)))
+
+
+def _weights(m: int) -> np.ndarray:
+    """Barycentric weights of m second-kind Chebyshev points: (-1)**j, halved at both ends."""
+    w = np.where(np.arange(m) % 2, -1.0, 1.0)
+    w[[0, -1]] = 0.5 * w[[0, -1]]
+    return w
+
+
+def _basis(x: np.ndarray, nodes: np.ndarray, w: np.ndarray) -> np.ndarray:
+    """The barycentric basis (n, m) of ``nodes`` (m,), weights ``w``, at the points ``x`` (n,).
+
+    Row k is w_j / (x_k - x_j) over its sum (Berrut and Trefethen, SIAM
+    Review 46, 501 (2004)); where a quotient is infinite, x_k on a node, it
+    is that node's unit row, and on a one-node axis every row is 1.  Every
+    step is elementwise or along a row, so each row's bits are its own.
+    Call it with division warnings off.
+    """
+    if nodes.size == 1:
+        return np.ones((x.size, 1))
+    q = w / (x[:, None] - nodes)
+    s = q.sum(axis=1, keepdims=True)
+    basis = q / s
+    if not np.isfinite(s).all():
+        hit = np.isinf(q)
+        on = hit.any(axis=1)
+        basis[on] = hit[on]
+    return basis
 
 
 class CacheValidationError(RuntimeError):
     """Cache interpolation disagrees with direct evaluation beyond tolerance."""
 
 
-def _cubic_cells(grid: np.ndarray):
-    """The not-a-knot cubic B-splines on ``grid``, cell by cell.
-
-    The knots are the first and last grid points four times each and the
-    inner points but the second and second last once (de Boor, *A Practical
-    Guide to Splines*, 1978), so the cells, the spline's polynomial pieces,
-    are [x0, x2], [x2, x3], ..., [x(n-3), x(n-1)].  Returns the cells'
-    lower bounds and widths, the (cells, 4, 4) matrices whose [j, r, p]
-    entry is the coefficient of u**p, u = (x - lower[j]) / width[j], in
-    B-spline j + r on cell j (the Cox-de Boor recursion on polynomial
-    coefficients; in u they do not scale with the grid), and the (n, n)
-    collocation matrix of the B-splines at the grid points.
-    """
-    n = grid.size
-    if n < 4:
-        raise ValueError("a cubic spline needs at least 4 grid points")
-    t = np.concatenate([np.repeat(grid[0], 4), grid[2:-2], np.repeat(grid[-1], 4)])
-    lower, width, j = t[3:n], t[4:n + 1] - t[3:n], np.arange(n - 3)
-
-    def ratio(num, den):  # a term over a zero-length knot span is dropped
-        return np.divide(num, den, out=np.zeros(n - 3), where=den > 0)[:, None]
-
-    # poly[j, r, p]: the u**p coefficient of B-spline j + r of the current
-    # degree on cell j; slot r = 4 stays zero
-    poly = np.zeros((n - 3, 5, 4))
-    poly[:, 3, 0] = 1.0
-    for k in (1, 2, 3):
-        up = np.zeros_like(poly)  # times u
-        up[:, :, 1:] = poly[:, :, :3]
-        nxt = np.zeros_like(poly)
-        for r in range(3 - k, 4):
-            i = j + r
-            left, right = t[i + k] - t[i], t[i + k + 1] - t[i + 1]
-            # (x - t_i) / left B(i, k-1) + (t_(i+k+1) - x) / right B(i+1, k-1)
-            # with x = lower + width u
-            nxt[:, r] = (ratio(lower - t[i], left) * poly[:, r] + ratio(width, left) * up[:, r]
-                         + ratio(t[i + k + 1] - lower, right) * poly[:, r + 1]
-                         - ratio(width, right) * up[:, r + 1])
-        poly = nxt
-    to_powers = poly[:, :4]
-    cell = np.searchsorted(lower, grid, "right") - 1
-    powers = ((grid - lower[cell]) / width[cell])[:, None] ** np.arange(4)
-    colloc = np.zeros((n, n))
-    colloc[np.arange(n)[:, None], cell[:, None] + np.arange(4)] = np.einsum(
-        "krp,kp->kr", to_powers[cell], powers)
-    return lower, width, to_powers, colloc
-
-
-def _evaluate(u: np.ndarray, poly: np.ndarray) -> np.ndarray:
-    """Rows (n, 12) of local polynomials ``poly`` (n, 16, 12) at local coordinates ``u`` (n, 2).
-
-    Powers by repeated products, not ``**``, whose vector and scalar
-    kernels may round differently, so each row's bits are its own.
-    """
-    n = len(u)
-    powers = np.empty((4, 2, n))  # [p, axis, point]: u**p
-    powers[0] = 1.0
-    powers[1] = u.T
-    np.multiply(powers[1], powers[1], out=powers[2])
-    np.multiply(powers[2], powers[1], out=powers[3])
-    basis = powers[:, 0, None] * powers[None, :, 1]  # [p, q, point]: u1**p u3**q
-    return (basis.reshape(16, n).T[:, None] @ poly).reshape(n, 12)
-
-
 class CoefficientCache:
-    """Cubic-spline interpolation of macroscopic coefficients over drive amplitudes.
+    """Tensor Chebyshev interpolation of macroscopic coefficients over drive amplitudes.
 
     One table per column, the probe detuning ``omega4[k]``, all on one
-    (|G1|, |G3|) grid at the drive detunings of ``fields``; ``tables`` is
-    (columns, n1, n3, 12).  Each column is interpolated by the not-a-knot
-    tensor-product cubic spline through its table.  Its B-spline
-    coefficients, as large as the tables, come from one solve of the
-    collocation system along each axis (:func:`_cubic_cells`); a point is
-    read from the polynomial of its cell, 16 x 12 coefficients of the
-    powers of its local coordinates (0 at the cell's lower corner, 1 at
-    the upper), which one 4 x 4 matrix per axis makes from the cell's
-    4 x 4 B-spline coefficients.
-    :meth:`rows` locates and reads a batch of points at once, and
-    :meth:`reader` keeps each trajectory's cell from one read to the
-    next; either keeps a lookup far cheaper than a velocity average.
-    Queries outside the grid fall back to direct evaluation and are
-    counted in ``fallbacks``.
-    ``validation_error`` is the worst scaled error of the validation probes
-    over the columns after :meth:`build`, and None for a cache made
-    directly from its tables, which nothing validates.
+    (|G1|, |G3|) grid of Chebyshev points of the second kind at the drive
+    detunings of ``fields``; ``tables`` is (columns, n1, n3, 12), and it is
+    all the cache holds.  Each column is read as the tensor-product
+    polynomial through its table, in barycentric form (:func:`_basis`), so
+    a point on a node reads that node's row.  :meth:`rows` reads a batch of
+    points at once and :meth:`reader` binds a read to a batch's columns;
+    either keeps a lookup far cheaper than a velocity average.  Queries
+    outside the grid fall back to direct evaluation and are counted in
+    ``fallbacks``.  ``validation_error`` is the worst scaled error of the
+    validation probes over the columns after :meth:`build`, and None for a
+    cache made directly from its tables, which nothing validates.
     """
 
     def __init__(
@@ -238,27 +206,13 @@ class CoefficientCache:
         self.fields = fields
         self.omega4 = np.asarray(omega4, dtype=float)
         self.quad = quad
-        self.g1_grid = g1_grid
-        self.g3_grid = g3_grid
+        self.g1_grid = np.asarray(g1_grid, dtype=float)
+        self.g3_grid = np.asarray(g3_grid, dtype=float)
         self.tables = tables
         self.fallbacks = 0
         self.validation_error: float | None = None
-        (lo1, w1, m1, colloc1), (lo3, w3, m3, colloc3) = (
-            _cubic_cells(np.asarray(g, dtype=float)) for g in (g1_grid, g3_grid))
-        self._lower, self._width = (lo1, lo3), (w1, w3)
-        # (cells, power, B-spline): they multiply a cell's coefficients from the left
-        self._to_powers = (np.ascontiguousarray(m1.transpose(0, 2, 1)),
-                           np.ascontiguousarray(m3.transpose(0, 2, 1)))
-        self._top = np.array([g1_grid[-1], g3_grid[-1]], dtype=float)
-        # B-spline coefficients (columns, n1, n3, 12): interpolate along
-        # |G1|, then along |G3|, each one solve of a collocation system
-        n_col, n1, n3, n_f = tables.shape
-        coef = np.linalg.solve(colloc1, tables.transpose(1, 0, 2, 3).reshape(n1, -1))
-        coef = coef.reshape(n1, n_col, n3, n_f).transpose(2, 1, 0, 3).reshape(n3, -1)
-        coef = np.linalg.solve(colloc3, coef).reshape(n3, n_col, n1, n_f)
-        self._coef = np.ascontiguousarray(coef.transpose(1, 2, 0, 3))
-        # flat-row offsets of a cell's 4 x 4 coefficients from its corner
-        self._block = np.arange(4)[:, None] * n3 + np.arange(4)
+        self._top = np.array([self.g1_grid[-1], self.g3_grid[-1]])
+        self._weights = (_weights(self.g1_grid.size), _weights(self.g3_grid.size))
 
     @classmethod
     def build(
@@ -277,13 +231,13 @@ class CoefficientCache:
         trajectories, so every trajectory starts on the grid.  The
         trajectories share the drive detunings of the first, which
         :func:`_row_source` checks, hence one :class:`DriveGrid` pass over
-        the drive points, which ``threads`` worker threads split.  One policy, with no settings:
-        min(2048, max(90, ceil(0.9 |G10| / 1 MHz))) |G1| by 32 |G3| nodes, power-spaced
-        with exponent 1.2 (denser toward zero amplitude, where the
-        coefficients curve most as the drives die out; uniform spacing fails
-        the trace-level accuracy target by two orders of magnitude), and
-        every column checked at the same 50 random points, where an error
-        over 1e-4 of a coefficient's scale raises :class:`CacheValidationError`.
+        the drive points, which ``threads`` worker threads split.  One
+        policy, with no settings (:func:`_drive_nodes`): Chebyshev points
+        of the second kind, min(2048, max(80, ceil(0.8 |G10| / 1 MHz)))
+        along |G1| by 20 along |G3|, and one node, 0, on the axis of a zero
+        drive; every column is checked at the same 50 points of the R2
+        sequence over the grid, where an error over 1e-4 of a coefficient's
+        scale raises :class:`CacheValidationError`.
         """
         omega4 = np.array(list(dict.fromkeys(f.omega4 for f in trajectories)), dtype=float)
         g10 = max(abs(f.g10) for f in trajectories)
@@ -299,8 +253,8 @@ class CoefficientCache:
         # every column at the same points, in one direct pass; errors are
         # relative to each coefficient's scale over its column's table, as a
         # pointwise quotient is ill-conditioned at the cross couplings' zeros
-        rng = np.random.default_rng(20230817)
-        probes = rng.uniform(0.0, self._top, (_VALIDATION_PROBES, 2))
+        k = np.arange(1.0, _VALIDATION_PROBES + 1.0)[:, None]
+        probes = (0.5 + k / _PLASTIC ** np.array([1.0, 2.0])) % 1.0 * self._top
         n_col = self.omega4.size
         cols = np.repeat(np.arange(n_col), _VALIDATION_PROBES)
         g1, g3 = np.tile(probes, (n_col, 1)).T
@@ -320,72 +274,59 @@ class CoefficientCache:
     def rows(self, col: np.ndarray, g1_abs: np.ndarray, g3_abs: np.ndarray) -> np.ndarray:
         """Table rows (n, 12) of columns ``col`` at real drive amplitudes.
 
-        The first read of a fresh :meth:`reader`: each point is located in
-        its cell of its own column and read from that cell's polynomial, so
-        each row is independent of the rest of the batch.  Points outside
-        the grid are averaged directly, all in one :func:`_direct_rows`
-        pass, and counted in ``fallbacks``; points with a non-finite
-        amplitude, or one over a million times the grid's top, keep NaN
-        rows.
+        Each point is read from its own column, and its row is independent
+        of the rest of the batch.  Points outside the grid are averaged
+        directly, all in one :func:`_direct_rows` pass, and counted in
+        ``fallbacks``; points with a non-finite amplitude, or one over a
+        million times the grid's top, keep NaN rows.
         """
-        return self.reader(col)(np.column_stack((g1_abs, g3_abs)).astype(float, copy=False))
+        return self.reader(np.asarray(col))(
+            np.column_stack((g1_abs, g3_abs)).astype(float, copy=False))
 
     def reader(self, col: np.ndarray):
         """``read(a)``: the rows of :meth:`rows` for trajectories in columns ``col``.
 
-        ``a`` is (len(col), 2), the trajectories' current (|G1|, |G3|).  The
-        reader keeps each trajectory's cell, its bounds and its local
-        polynomial, so a read while every trajectory stays in its cell is
-        one subtraction, one check, one division by the cell widths and one
-        :func:`_evaluate`; only the trajectories that left their cells are
-        located again.  A cell is half-open, [lower, lower + width), so a
-        kept cell is the one :meth:`rows` would locate, and a read gives the
-        bits of :meth:`rows`; a point on the grid's top is located at every
-        read.
+        ``a`` is (len(col), 2), the trajectories' current (|G1|, |G3|).  A
+        read keeps no state.  It takes the basis along each axis, then, for
+        each distinct column of the batch, the batched product
+        (m, 1, n1) @ (n1, n3 12) with that column's table (one stacked
+        product over a view of the tables where each trajectory reads its
+        own column and the columns are consecutive), then the product
+        (n, 1, n3) @ (n, n3, 12) along |G3|.  Every product is one row's,
+        so a row has the same bits in any batch, and no stage gathers
+        tables.
         """
-        n = len(col)
-        lower, width, poly = np.full((n, 2), np.nan), np.zeros((n, 2)), np.zeros((n, 16, 12))
+        n, (n_col, n1, n3, n_f) = len(col), self.tables.shape
+        flat = self.tables.reshape(n_col, n1, n3 * n_f)
+        if n > 1 and np.array_equal(col, np.arange(col[0], col[0] + n)):
+            # one trajectory per column, consecutive, as a gain map's: a stack, a view
+            groups = [(flat[col[0]:col[0] + n], slice(None))]
+        else:
+            groups = []
+            for c in dict.fromkeys(col.tolist()):
+                idx = np.flatnonzero(col == c)
+                if idx[-1] - idx[0] == idx.size - 1:  # a run of the batch reads as a view
+                    idx = slice(idx[0], idx[-1] + 1)
+                groups.append((flat[c], idx))
 
         def read(a):
-            d = a - lower
-            inside = (d >= 0.0) & (d < width)
-            if np.count_nonzero(inside) == inside.size:
-                return _evaluate(d / width, poly)
-            moved = ~inside.all(axis=1)
-            lower[moved], width[moved], poly[moved] = self._cells(col[moved], a[moved])
-            return self._off_grid(col, a, lower, _evaluate((a - lower) / width, poly))
+            along = np.empty((n, 1, n3 * n_f))
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                l1 = _basis(a[:, 0], self.g1_grid, self._weights[0])[:, None]
+                for table, idx in groups:
+                    along[idx] = l1[idx] @ table
+                l3 = _basis(a[:, 1], self.g3_grid, self._weights[1])[:, None]
+                out = (l3 @ along.reshape(n, n3, n_f)).reshape(n, n_f)
+            return self._off_grid(col, a, out)
 
         return read
 
-    def _cells(self, col: np.ndarray, a: np.ndarray):
-        """Cells of the points ``a`` (n, 2) in columns ``col``.
-
-        Returns their lower bounds and widths (n, 2), NaN bounds for points
-        off the grid or not finite, and their polynomials (n, 16, 12) in
-        the local coordinates u = (a - lower) / width: entry [4p + q] is
-        the coefficient of u1**p u3**q.
-        """
-        n = len(col)
-        (lo1, lo3), (w1, w3) = self._lower, self._width
-        # the number of inner cell bounds at or below a point is its cell:
-        # the last one at the grid's top, above it and at NaN
-        i1 = np.searchsorted(lo1[1:], a[:, 0], "right")
-        i3 = np.searchsorted(lo3[1:], a[:, 1], "right")
-        lower = np.where((a >= 0.0) & (a <= self._top), np.column_stack((lo1[i1], lo3[i3])), np.nan)
-        # the cell's 4 x 4 B-spline coefficients, as rows of the flat table
-        _, n1, n3, _ = self._coef.shape
-        corner = (col * n1 + i1) * n3 + i3
-        block = self._coef.reshape(-1, 12)[corner[:, None, None] + self._block]  # (n, 4, 4, 12)
-        m1, m3 = self._to_powers
-        poly = m1[i1] @ (m3[i3][:, None] @ block).reshape(n, 4, 48)  # (n, p, 12 q + k)
-        return lower, np.column_stack((w1[i1], w3[i3])), poly.reshape(n, 16, 12)
-
-    def _off_grid(self, col: np.ndarray, a: np.ndarray, lower: np.ndarray,
-                  out: np.ndarray) -> np.ndarray:
-        """``out`` with the rows of the points off the grid (a NaN ``lower``) replaced."""
-        off = np.isnan(lower).any(axis=1)
-        if not off.any():
+    def _off_grid(self, col: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+        """``out`` with the rows of the points ``a`` off the grid, or not finite, replaced."""
+        inside = (a >= 0.0) & (a <= self._top)  # NaN fails both
+        if inside.all():
             return out
+        off = ~inside.all(axis=1)
         out[off] = np.nan
         direct = off & (a <= _RUNAWAY * self._top).all(axis=1)
         if direct.any():
@@ -456,18 +397,6 @@ def _direct_rows(scheme, relax, medium, quad, fields: FieldConfig, omega4: np.nd
     return doppler.coefficient_tables(scheme, relax, medium, quad, fields, omega4, g1_abs, g3_abs)
 
 
-def cache_for(scheme, relax, medium, trajectories: list[FieldConfig], quad,
-              threads: int) -> CoefficientCache | None:
-    """The :meth:`CoefficientCache.build` cache of a run of ``trajectories``, built on ``threads``.
-
-    None, and the run averages directly, where the largest |G10| or |G30|
-    of the trajectories is zero: such a drive would give the grid no width.
-    """
-    if max(abs(f.g10) for f in trajectories) and max(abs(f.g30) for f in trajectories):
-        return CoefficientCache.build(scheme, relax, medium, trajectories, quad, threads=threads)
-    return None
-
-
 def _row_source(scheme, relax, medium, fields, quad, cache):
     """Readers of rows without drive phase: ``bind(idx)`` gives ``read(a)``.
 
@@ -479,11 +408,8 @@ def _row_source(scheme, relax, medium, fields, quad, cache):
     trajectories ``fields`` share their drive detunings, with a cache its
     grid's, and each reads the cache column of its omega4; ``ValueError``
     is raised where they do not or where no column has it.  The reader is the
-    cache's :meth:`CoefficientCache.reader`, which keeps each trajectory's
-    spline cell from stage to stage.  Without a cache each read is one
-    :func:`_direct_rows` pass over the whole batch.  When every boundary
-    drive is zero the drives stay exactly zero, so the trajectories keep
-    their boundary rows, averaged once.
+    cache's :meth:`CoefficientCache.reader`.  Without a cache, the reference,
+    each read is one :func:`_direct_rows` pass over the whole batch.
     """
     top = fields[0] if cache is None else cache.fields
     if any((f.omega1, f.omega3) != (top.omega1, top.omega3) for f in fields):
@@ -494,10 +420,6 @@ def _row_source(scheme, relax, medium, fields, quad, cache):
         if not match.any(axis=1).all():
             raise ValueError("no cache column has a trajectory's probe detuning")
         return lambda idx: cache.reader(match.argmax(axis=1)[idx])
-    if all(f.g10 == 0 and f.g30 == 0 for f in fields):
-        zero = np.zeros(len(fields))
-        boundary = _direct_rows(scheme, relax, medium, quad, top, omega4, zero, zero)
-        return lambda idx: lambda a: boundary[idx]
 
     def bind(idx):
         def read(a):
@@ -751,21 +673,18 @@ def _embedded(y0: np.ndarray, positions: np.ndarray, source, scheme):
 
 
 def _run(scheme, relax, medium, fields: list[FieldConfig], y0: np.ndarray, L: float, record_at,
-         steps: int | None, quad: QuadratureSpec | None, cache: CoefficientCache | None,
-         doubled: bool = False):
+         steps: int | None, quad: QuadratureSpec | None, cache: CoefficientCache | None):
     """The one runner: trajectories ``fields`` from the states ``y0`` (n, 4) at z = 0 to L.
 
     It steps through z = 0, ``record_at`` and L alone, after
     :func:`check_run` and a ``ValueError`` for a record position not in
     [0, L]; ``quad`` defaults to :meth:`QuadratureSpec.for_medium`.
-    Returns the positions, the runs' (states, failed_at) and the run's
-    :class:`StepReport`, with its cache's evidence, which a
-    :func:`step_reports` block also receives.
-    A run at ``steps`` is fixed-step RK4 (:func:`_lockstep`), each interval
-    its rounded share of them, and with ``doubled`` runs again at twice each
-    interval's steps over the same row source.  A run given no ``steps``
-    sizes each trajectory's steps by the embedded pair (:func:`_embedded`)
-    and is one run.
+    Returns the positions, the states (positions, n, 4) and the run's
+    :class:`StepReport`, with where each trajectory failed and its cache's
+    evidence, which a :func:`step_reports` block also receives.  A run at
+    ``steps`` is fixed-step RK4 (:func:`_lockstep`), each interval its
+    rounded share of them; a run given no ``steps`` sizes each trajectory's
+    steps by the embedded pair (:func:`_embedded`).
     """
     check_run(L, steps)
     record = np.asarray(record_at, dtype=float).ravel()
@@ -780,24 +699,19 @@ def _run(scheme, relax, medium, fields: list[FieldConfig], y0: np.ndarray, L: fl
     fallbacks = cache.fallbacks if cache is not None else 0
     if steps is None:
         states, report = _embedded(y0, z, source, scheme)
-        runs = [(states, report.failed_at)]
     else:
         counts = _substeps(z, steps)
-        passes = [_lockstep(y0, z, m * counts, source, scheme)
-                  for m in ((1, 2) if doubled else (1,))]
-        runs = [(states, failed_at) for states, failed_at, _ in passes]
-        # where the nominal run failed, else where the doubled one did
-        failed_at = np.where(np.isnan(runs[0][1]), runs[-1][1], runs[0][1])
+        states, failed_at, taken = _lockstep(y0, z, counts, source, scheme)
         n = y0.shape[0]
         report = StepReport(steps, np.full(n, counts.sum()), np.full(n, np.nan), failed_at,
-                            np.zeros(n, int), 4 * sum(taken for *_, taken in passes), [None] * n)
+                            np.zeros(n, int), 4 * taken, [None] * n)
     if cache is not None:
         report.fallbacks = cache.fallbacks - fallbacks
         report.validation_error = cache.validation_error
     reports = _REPORTS.get()
     if reports is not None:
         reports.append((fields, report))
-    return z, runs, report
+    return z, states, report
 
 
 def integrate(
@@ -809,38 +723,27 @@ def integrate(
     steps: int | None = None,
     quad: QuadratureSpec | None = None,
     cache: CoefficientCache | None = None,
-    error_estimate: bool = True,
     record_at: np.ndarray | None = None,
 ) -> PropagationTrace:
     """Runge-Kutta integration of the four coupled waves to z = L.
 
     Coefficients are re-evaluated at every stage from the local drive
     amplitudes, through ``cache`` (at the column of the fields' detunings)
-    or directly.  The run records and steps through z = 0, ``record_at``
-    and L alone (:func:`_run`), or 257 evenly spaced positions where
-    ``record_at`` is None, at ``steps`` or, where that is None, sized by
-    the embedded pair.  With ``error_estimate`` a run at ``steps`` runs
-    again at twice each interval's steps for the maximum relative deviation
-    of |E4|; a run sized by the pair reports its worst accepted local
-    estimate.
+    or, where it is None, directly.  The run records and steps through
+    z = 0, ``record_at`` and L alone (:func:`_run`), or 257 evenly spaced
+    positions where ``record_at`` is None, at ``steps`` or, where that is
+    None, sized by the embedded pair, whose worst accepted local estimate
+    is the trace's ``error_estimate``.
     """
     if record_at is None:
         check_run(L, steps)  # before the positions are spaced over L
         record_at = np.linspace(0.0, L, 257)
     y0 = np.array([[fields.g10, fields.g30, fields.e40, fields.e20]], dtype=complex)
-    z, runs, report = _run(scheme, relax, medium, [fields], y0, L, record_at, steps, quad, cache,
-                           doubled=error_estimate)
+    z, states, report = _run(scheme, relax, medium, [fields], y0, L, record_at, steps, quad, cache)
     if not np.isnan(report.failed_at[0]):
         raise report.failure(0)
-    solution = runs[0][0][:, 0]
-    err = None
-    if error_estimate and steps is None:
-        err = float(report.error[0])
-    elif error_estimate:
-        e4, fine = np.abs(solution[:, 2]), np.abs(runs[1][0][:, 0, 2])
-        scale = np.max(e4)
-        err = float(np.max(np.abs(e4 - fine)) / scale) if scale > 0 else 0.0
-    return PropagationTrace(z, *solution.T, error_estimate=err)
+    err = float(report.error[0]) if steps is None else None
+    return PropagationTrace(z, *states[:, 0].T, error_estimate=err)
 
 
 def transmission(
@@ -868,8 +771,9 @@ def transmission(
     if np.any(e40 == 0):
         raise ConfigError("transmission needs a non-zero probe input E40 or drive G10")
     y0 = np.array([[f.g10, f.g30, e, f.e20] for f, e in zip(fields, e40)], dtype=complex)
-    z, [(states, failed_at)], report = _run(scheme, relax, medium, fields, y0,
-                                            float(lengths[-1]), lengths, steps, quad, cache)
+    z, states, report = _run(scheme, relax, medium, fields, y0, float(lengths[-1]), lengths,
+                             steps, quad, cache)
+    failed_at = report.failed_at
     e4 = np.abs(states[:, :, 2])  # ratios of amplitudes, squared, do not underflow
     ratio = ((e4[np.searchsorted(z, lengths)] / e4[0]) ** 2).T
     ratio[~np.isnan(failed_at)[:, None] & (lengths > 0)] = np.nan
@@ -911,8 +815,9 @@ def gain_map(
 
     Each detuning column is one trajectory to max(length_grid), and all
     columns step together, at ``steps`` or sized by the embedded pair
-    (:func:`transmission`).  The columns read the :func:`cache_for` cache,
-    tabulated on ``threads`` worker threads, or average directly.  A
+    (:func:`transmission`).  The columns read the
+    :meth:`CoefficientCache.build` cache, tabulated on ``threads`` worker
+    threads.  A
     column that fails (its fields turn non-finite, or its adaptive steps
     pass the cap or underflow) keeps only its L = 0 cell valid; a map whose
     every column failed raises :class:`PropagationError`.
@@ -930,7 +835,7 @@ def gain_map(
         quad = QuadratureSpec.for_medium(scheme, medium)
 
     columns = [base.with_omega4(float(om)) for om in omega4_grid]
-    cache = cache_for(scheme, relax, medium, columns, quad, threads)
+    cache = CoefficientCache.build(scheme, relax, medium, columns, quad, threads=threads)
     ratio, failed_at, report = transmission(scheme, relax, medium, columns, length_grid,
                                             steps=steps, quad=quad, cache=cache)
     finished = np.isnan(failed_at)

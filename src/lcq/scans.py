@@ -101,8 +101,8 @@ def spatial_dynamics(
     Stokes intensity normalized to the probe input I2(z)/I40, at 257
     evenly spaced positions, integrated at ``steps`` or sized by the
     embedded pair (:func:`propagate.integrate`).  The
-    :func:`propagate.cache_for` build, if any, runs on ``threads`` worker
-    threads.
+    :meth:`propagate.CoefficientCache.build` build runs on ``threads``
+    worker threads.
     """
     if fields.e40 == 0:
         raise ConfigError("spatial dynamics needs a non-zero probe input E40")
@@ -111,8 +111,8 @@ def spatial_dynamics(
         quad = QuadratureSpec.for_medium(scheme, medium)
     trace = propagate.integrate(
         scheme, relax, medium, fields, L, steps=steps, quad=quad,
-        cache=propagate.cache_for(scheme, relax, medium, [fields], quad, threads),
-        error_estimate=False,
+        cache=propagate.CoefficientCache.build(scheme, relax, medium, [fields], quad,
+                                               threads=threads),
     )
     g1, g3, e4, e2 = (np.abs(w) for w in (trace.g1, trace.g3, trace.e4, trace.e2))
 
@@ -140,7 +140,7 @@ def switching_curve(
     ``axis`` selects the swept control: the probe detuning or the drive
     boundary amplitude G10.  Either way the sweep points are trajectories
     of one :func:`propagate.transmission` run, which reads the
-    :func:`propagate.cache_for` cache built on ``threads`` worker threads,
+    :meth:`propagate.CoefficientCache.build` cache built on ``threads`` worker threads,
     at ``steps`` or sized by the embedded pair, and a point that fails raises
     :class:`propagate.PropagationError`.  Use :func:`transparency_crossings`
     to locate the points where the curve passes through unity.
@@ -157,7 +157,8 @@ def switching_curve(
     propagate.check_run(L, steps)
     if quad is None:
         quad = QuadratureSpec.for_medium(scheme, medium)
-    cache = propagate.cache_for(scheme, relax, medium, points, quad, threads)
+    cache = propagate.CoefficientCache.build(scheme, relax, medium, points, quad,
+                                             threads=threads)
     ratio, failed_at, report = propagate.transmission(
         scheme, relax, medium, points, np.array([L]), steps=steps, quad=quad, cache=cache)
     failed = np.flatnonzero(~np.isnan(failed_at))

@@ -65,8 +65,8 @@ def test_criterion_01_beer_lambert(preset, quad):
                          g10=0.0, g30=0.0, e40=0.1, e20=0.0)
     t0 = time.perf_counter()
     mc = dp.average_coefficients(sch, relax, medium, fields, 0.0, 0.0, quad)
-    trace = pg.integrate(sch, relax, medium, fields, L=20.0, steps=2000,
-                         quad=quad, error_estimate=False,
+    cache = pg.CoefficientCache.build(sch, relax, medium, [fields], quad)
+    trace = pg.integrate(sch, relax, medium, fields, L=20.0, steps=2000, quad=quad, cache=cache,
                          record_at=np.array([1.0, 5.0, 20.0]))
     worst = 0.0
     for L in (1.0, 5.0, 20.0):
@@ -361,8 +361,7 @@ def test_criterion_10_spatial_dynamics_shape(preset, quad):
     f = fields.with_omega4(160.0)
     cache = pg.CoefficientCache.build(sch, relax, medium, [f], quad)
     trace = pg.integrate(sch, relax, medium, f, L=20.0, steps=2000, quad=quad,
-                         cache=cache, error_estimate=False,
-                         record_at=np.linspace(0.0, 20.0, 801))
+                         cache=cache, record_at=np.linspace(0.0, 20.0, 801))
     i4 = np.abs(trace.e4) ** 2 / abs(f.e40) ** 2
     imin = int(np.argmin(i4[: i4.size // 2]))
     dip = i4[imin]

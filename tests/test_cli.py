@@ -193,9 +193,8 @@ def test_dynamics_without_probe_input_is_a_config_error(tmp_path, capsys):
     ({"G10_MHz": 0.0}, ["switch", "--g10", "60:80:2", "--length", "4"]),
 ])
 def test_zero_boundary_drive_gives_finite_csv(tmp_path, fields, args):
-    # a zero drive leaves no cache grid and the trajectories average
-    # directly; a G10 sweep from a zero configured G10 keeps the default
-    # G1 node count
+    # a zero drive gives its cache axis the one node 0; a G10 sweep from a
+    # zero configured G10 keeps the default G1 node count
     cfg = tmp_path / "drives.json"
     cfg.write_text(json.dumps({"fields": fields}))
     out = tmp_path / "out.csv"
@@ -614,7 +613,7 @@ def test_gainmap_manifest_reports_cache_validation_error(tmp_path):
 ], ids=["dynamics", "switch-omega4", "switch-g10", "G30-zero"])
 def test_propagating_manifests_report_the_cache_of_their_run(tmp_path, args, fields):
     # every command that propagates records the validation error of the cache
-    # its run read, and a run without a cache (G30 = 0) records null
+    # its run read, G30 = 0 too, whose cache has the one |G3| node 0
     config = []
     if fields is not None:
         (tmp_path / "fields.json").write_text(json.dumps({"fields": fields}))
@@ -623,10 +622,7 @@ def test_propagating_manifests_report_the_cache_of_their_run(tmp_path, args, fie
     assert cli.main([*args, "--steps", "100", "--quad", "301", *config, "--out", str(out)]) == 0
     manifest = json.loads((tmp_path / "run.csv.manifest.json").read_text())
     error = manifest["cache_validation_error"]
-    if fields is None:
-        assert isinstance(error, float) and 0.0 < error < 1e-4
-    else:
-        assert error is None
+    assert isinstance(error, float) and 0.0 < error < 1e-4
     assert not [w for w in manifest["warnings"] if "fell back" in w]
 
 

@@ -5,7 +5,6 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from scipy.interpolate import CubicSpline
 
 from lcq import cli
 from lcq import coupledwave as cw
@@ -101,8 +100,8 @@ def test_beer_lambert_drives_off(preset, quad):
     fields = FieldConfig(omega1=0, omega3=100, omega4=37.0,
                          g10=0.0, g30=0.0, e40=0.1, e20=0.05)
     mc = dp.average_coefficients(sch, relax, medium, fields, 0.0, 0.0, quad)
-    trace = pg.integrate(sch, relax, medium, fields, L=20.0, steps=2000,
-                         quad=quad, error_estimate=False)
+    cache = pg.CoefficientCache.build(sch, relax, medium, [fields], quad)
+    trace = pg.integrate(sch, relax, medium, fields, L=20.0, steps=2000, quad=quad, cache=cache)
     for ratio, alpha, amp0 in (
         (np.abs(trace.e4) ** 2 / abs(fields.e40) ** 2, mc.alpha4, fields.e40),
         (np.abs(trace.e2) ** 2 / abs(fields.e20) ** 2, mc.alpha2, fields.e20),
@@ -131,7 +130,7 @@ def test_frozen_coefficients_reproduce_closed_form(preset, quad):
                          g10=100.0, g30=40.0, e40=1e-3, e20=2e-4j)
     mc = dp.average_coefficients(sch, relax, medium, fields, 100.0, 40.0, quad)
     trace = pg.integrate(sch, relax, medium, fields, L=10.0, steps=4000,
-                         quad=quad, cache=ConstantRows(mc, fields), error_estimate=False)
+                         quad=quad, cache=ConstantRows(mc, fields))
     c = cw.OpaCoefficients.from_macroscopic(mc)
     e4ref, e2cref = cw.opa_solution(
         c, cw.BoundaryAmplitudes(fields.e40, fields.e20), trace.z)
@@ -146,7 +145,7 @@ def test_frozen_coefficients_reproduce_closed_form(preset, quad):
 def test_trace_structure(preset, quad, dressed_fields, dressed_cache):
     sch, relax, medium, _ = preset
     trace = pg.integrate(sch, relax, medium, dressed_fields, L=5.0, steps=500,
-                         quad=quad, cache=dressed_cache, error_estimate=False,
+                         quad=quad, cache=dressed_cache,
                          record_at=np.array([1.25, 3.3]))
     assert trace.z[0] == 0.0 and trace.z[-1] == 5.0
     assert np.array_equal(trace.z, [0.0, 1.25, 3.3, 5.0])
@@ -162,11 +161,13 @@ def test_trace_structure(preset, quad, dressed_fields, dressed_cache):
 
 
 def test_step_halving_convergence(preset, quad, dressed_fields, dressed_cache):
+    # |E4| at 2000 steps against 4000, twice each interval's steps, over its peak
     sch, relax, medium, _ = preset
-    trace = pg.integrate(sch, relax, medium, dressed_fields, L=40.0, steps=2000,
-                         quad=quad, cache=dressed_cache, error_estimate=True)
-    assert trace.error_estimate is not None
-    assert trace.error_estimate < 1e-4
+    coarse, fine = (pg.integrate(sch, relax, medium, dressed_fields, L=40.0, steps=steps,
+                                 quad=quad, cache=dressed_cache) for steps in (2000, 4000))
+    assert coarse.error_estimate is None
+    e4 = np.abs(coarse.e4)
+    assert np.max(np.abs(e4 - np.abs(fine.e4))) / np.max(e4) < 1e-4
 
 
 def test_probe_scale_linearity(preset, quad, dressed_fields, dressed_cache):
@@ -180,9 +181,9 @@ def test_probe_scale_linearity(preset, quad, dressed_fields, dressed_cache):
     f2 = FieldConfig(omega1=0.0, omega3=100.0, omega4=160.0,
                      g10=100.0, g30=40.0, e40=9e-6, e20=18e-7)
     t1 = pg.integrate(sch, relax, medium, f1, L=11.0, steps=1000, quad=quad,
-                      cache=dressed_cache, error_estimate=False)
+                      cache=dressed_cache)
     t2 = pg.integrate(sch, relax, medium, f2, L=11.0, steps=1000, quad=quad,
-                      cache=dressed_cache, error_estimate=False)
+                      cache=dressed_cache)
     rel = np.abs(t2.e4 - 3.0 * t1.e4) / np.maximum(np.abs(t2.e4), 1e-300)
     assert np.max(rel) < 1e-10
 
@@ -203,7 +204,7 @@ def test_nonfinite_abort_reports_position(preset, quad):
     with pytest.raises(pg.PropagationError) as err:
         with np.errstate(over="ignore", invalid="ignore"):
             pg.integrate(sch, relax, medium, fields, L=20.0, steps=200,
-                         quad=quad, cache=ConstantRows(RUNAWAY, fields), error_estimate=False)
+                         quad=quad, cache=ConstantRows(RUNAWAY, fields))
     assert 0.0 < err.value.z <= 20.0
 
 
@@ -213,7 +214,7 @@ def test_cache_without_a_column_for_the_trajectory_is_refused(preset, quad, dres
     sch, relax, medium, _ = preset
     with pytest.raises(ValueError, match="no cache column"):
         pg.integrate(sch, relax, medium, dressed_fields.with_omega4(155.0), L=5.0, steps=200,
-                     quad=quad, cache=dressed_cache, error_estimate=False)
+                     quad=quad, cache=dressed_cache)
 
 
 def test_integrate_input_validation(preset, quad, dressed_fields):
@@ -230,11 +231,10 @@ def test_record_positions_join_the_samples_once_and_must_be_finite(preset, quad)
     cache = ConstantRows(dp.MacroscopicCoefficients(0, 0, 0, 0, 0, 0, 0, 0, 0j, 0j), fields)
     y0 = np.array([[fields.g10, fields.g30, fields.e40, fields.e20]], dtype=complex)
     record = [5.0, 1.0, 5.0, 10.0, 0.0]
-    z, [(states, failed_at)], _ = pg._run(sch, relax, medium, [fields], y0, 10.0, record,
-                                          200, quad, cache)
+    z, states, report = pg._run(sch, relax, medium, [fields], y0, 10.0, record, 200, quad, cache)
     assert np.array_equal(z, [0.0, 1.0, 5.0, 10.0])
     assert np.array_equal(z, np.union1d([0.0, 10.0], record))
-    assert states.shape == (4, 1, 4) and np.isnan(failed_at).all()
+    assert states.shape == (4, 1, 4) and np.isnan(report.failed_at).all()
     for bad in (np.nan, np.inf, -np.inf, -1.0, 11.0):
         with pytest.raises(ValueError, match="record positions"):
             pg._run(sch, relax, medium, [fields], y0, 10.0, [bad, 5.0], 200, quad, cache)
@@ -245,7 +245,7 @@ def test_record_positions_join_the_samples_once_and_must_be_finite(preset, quad)
 # --------------------------------------------------------------------------
 
 def test_cache_grid_stops_at_2048_g1_nodes(preset, coarse_quad, monkeypatch):
-    # 0.9 nodes per MHz would ask 2700 |G1| nodes at 3000 MHz; the grid is
+    # 0.8 nodes per MHz would ask 2400 |G1| nodes at 3000 MHz; the grid is
     # sized without tabulating it
     sch, relax, medium, fields = preset
     grids = []
@@ -262,7 +262,7 @@ def test_cache_grid_stops_at_2048_g1_nodes(preset, coarse_quad, monkeypatch):
         pg.CoefficientCache.build(sch, relax, medium, [fields.with_drives(3000.0, fields.g30)],
                                   coarse_quad)
     (g1_grid, g3_grid), = grids
-    assert g1_grid.size == 2048 and g3_grid.size == 32
+    assert g1_grid.size == 2048 and g3_grid.size == 20
     assert g1_grid[-1] == pytest.approx(1.05 * 3000.0)
 
 
@@ -311,34 +311,51 @@ def three_column_cache(preset, coarse_quad):
     return pg.CoefficientCache.build(sch, relax, medium, columns, coarse_quad)
 
 
-def spline_oracle(cache, col, g1_abs, g3_abs):
-    """Not-a-knot cubic spline of column ``col`` through |G1|, then through |G3|, per point."""
-    along_g1 = CubicSpline(cache.g1_grid, cache.tables[col], axis=0)(g1_abs)  # (n, n3, 12)
-    return np.array([CubicSpline(cache.g3_grid, rows, axis=0)(y)
-                     for rows, y in zip(along_g1, g3_abs)])
+def chebyshev_tables(cache, rng):
+    """Tables (3, n1, n3, 12) of polynomials of degree n1 - 1 in |G1| and n3 - 1 in |G3|, and
+    the polynomials, sums of c T_k(2 |G1| / top1 - 1) T_l(2 |G3| / top3 - 1) with random c."""
+    g1, g3 = cache.g1_grid, cache.g3_grid
+    k = np.array([0, 1, 7, g1.size - 1])
+    ll = np.array([0, 2, g3.size - 1])
+    c = rng.normal(size=(3, k.size, ll.size, 12))
+
+    def poly(col, x1, x3):
+        t1 = np.cos(k * np.arccos(np.clip(2.0 * np.asarray(x1)[:, None] / g1[-1] - 1.0, -1, 1)))
+        t3 = np.cos(ll * np.arccos(np.clip(2.0 * np.asarray(x3)[:, None] / g3[-1] - 1.0, -1, 1)))
+        return np.einsum("nk,nl,nklf->nf", t1, t3, c[col])
+
+    x1, x3 = (a.ravel() for a in np.meshgrid(g1, g3, indexing="ij"))
+    tables = np.stack([poly(np.full(x1.size, col), x1, x3) for col in range(3)])
+    return tables.reshape(3, g1.size, g3.size, 12), poly
 
 
-def test_rows_are_the_tensor_product_cubic_spline(three_column_cache):
-    # random points, every node, the grid's edges and its corners, each
-    # within 1e-13 of each field's scale over its column
+def test_rows_are_the_tensor_chebyshev_interpolant(three_column_cache):
+    # every node reads its table row exactly; for tables that are
+    # polynomials of degree below n1 by n3, random points, the grid's edges
+    # and its corners read the polynomial within 1e-13 of each field's scale
     cache = three_column_cache
     g1, g3 = cache.g1_grid, cache.g3_grid
+    nodes1, nodes3 = (a.ravel() for a in np.meshgrid(g1, g3, indexing="ij"))
+    for col in range(cache.omega4.size):
+        got = cache.rows(np.full(nodes1.size, col), nodes1, nodes3)
+        assert np.array_equal(got, cache.tables[col].reshape(-1, 12))
     rng = np.random.default_rng(5)
-    nodes1, nodes3 = np.meshgrid(g1, g3, indexing="ij")
+    tables, poly = chebyshev_tables(cache, rng)
+    exact = pg.CoefficientCache(cache.scheme, cache.relax, cache.medium, cache.fields,
+                                cache.omega4, cache.quad, g1, g3, tables)
     edge1, edge3 = rng.uniform(0.0, g1[-1], 10), rng.uniform(0.0, g3[-1], 10)
     points = np.concatenate([
         np.column_stack([rng.uniform(0.0, g1[-1], 200), rng.uniform(0.0, g3[-1], 200)]),
-        np.column_stack([nodes1.ravel(), nodes3.ravel()]),
         np.column_stack([edge1, np.zeros(10)]), np.column_stack([edge1, np.full(10, g3[-1])]),
         np.column_stack([np.zeros(10), edge3]), np.column_stack([np.full(10, g1[-1]), edge3]),
         [(0.0, 0.0), (0.0, g3[-1]), (g1[-1], 0.0), (g1[-1], g3[-1])],
     ])
     for col in range(cache.omega4.size):
-        scale = np.max(np.abs(cache.tables[col]), axis=(0, 1))
-        got = cache.rows(np.full(len(points), col), points[:, 0], points[:, 1])
-        want = spline_oracle(cache, col, points[:, 0], points[:, 1])
-        assert np.all(np.abs(got - want) <= 1e-13 * scale)
-    assert cache.fallbacks == 0
+        scale = np.max(np.abs(tables[col]), axis=(0, 1))
+        cols = np.full(len(points), col)
+        got = exact.rows(cols, points[:, 0], points[:, 1])
+        assert np.all(np.abs(got - poly(cols, points[:, 0], points[:, 1])) <= 1e-13 * scale)
+    assert cache.fallbacks == 0 and exact.fallbacks == 0
 
 
 def test_rows_of_a_batch_equal_lone_rows_bitwise(three_column_cache):
@@ -353,10 +370,23 @@ def test_rows_of_a_batch_equal_lone_rows_bitwise(three_column_cache):
         assert np.array_equal(batch[k], cache.rows(col[k:k + 1], g1[k:k + 1], g3[k:k + 1])[0])
 
 
+def test_consecutive_columns_read_their_lone_rows_bitwise(three_column_cache):
+    # one trajectory per column, consecutive, as a gain map's batch: the
+    # stacked product over the tables gives each row the bits of its lone read
+    cache = three_column_cache
+    rng = np.random.default_rng(9)
+    for col in (np.arange(3), np.arange(1, 3)):
+        g1 = rng.uniform(0.0, cache.g1_grid[-1], col.size)
+        g3 = rng.uniform(0.0, cache.g3_grid[-1], col.size)
+        batch = cache.rows(col, g1, g3)
+        for k in range(col.size):
+            assert np.array_equal(batch[k], cache.rows(col[k:k + 1], g1[k:k + 1], g3[k:k + 1])[0])
+
+
 @pytest.mark.parametrize("scale", [1e-200, 1e200])
 def test_rows_do_not_depend_on_the_grid_scale(three_column_cache, scale):
-    # the cells' polynomials are in coordinates from 0 to 1 across a cell,
-    # so drives of 1e-200 MHz neither overflow nor lose the spline
+    # the barycentric weights do not scale with the grid, so drives of
+    # 1e-200 MHz neither overflow nor lose the interpolant
     cache = three_column_cache
     scaled = pg.CoefficientCache(cache.scheme, cache.relax, cache.medium, cache.fields,
                                  cache.omega4, cache.quad, scale * cache.g1_grid,
@@ -372,7 +402,7 @@ def test_rows_do_not_depend_on_the_grid_scale(three_column_cache, scale):
 
 
 def test_cache_retains_little_beyond_its_tables(preset, coarse_quad):
-    # the interpolant's coefficients have the size of the node tables; a
+    # the interpolant reads the node tables themselves; a
     # piecewise-polynomial layout would keep 16 coefficients per cell
     sch, relax, medium, fields = preset
     columns = [fields.with_omega4(om) for om in np.linspace(140.0, 170.0, 16)]
@@ -391,10 +421,10 @@ def test_cache_on_off_trace_agreement(preset, quad, dressed_fields, dressed_cach
     # of the direct (uncached) integration
     sch, relax, medium, _ = preset
     on = pg.integrate(sch, relax, medium, dressed_fields, L=20.0, steps=600,
-                      quad=quad, cache=dressed_cache, error_estimate=False,
+                      quad=quad, cache=dressed_cache,
                       record_at=np.linspace(0.0, 20.0, 41))
     off = pg.integrate(sch, relax, medium, dressed_fields, L=20.0, steps=600,
-                       quad=quad, cache=None, error_estimate=False,
+                       quad=quad, cache=None,
                        record_at=np.linspace(0.0, 20.0, 41))
     rel = np.abs(np.abs(on.e4) - np.abs(off.e4)) / np.maximum(np.abs(off.e4), 1e-300)
     assert np.max(rel) < 1e-3
@@ -455,7 +485,7 @@ def test_gain_map_column_matches_lone_trajectory(preset, coarse_quad):
         f = fields.with_omega4(float(om))
         cache = pg.CoefficientCache.build(sch, relax, medium, [f], coarse_quad)
         trace = pg.integrate(sch, relax, medium, f, L=6.0, steps=400, quad=coarse_quad,
-                             cache=cache, error_estimate=False, record_at=lengths[1:])
+                             cache=cache, record_at=lengths[1:])
         for j, L in enumerate(lengths):
             alone = abs(trace.e4[trace.index_of(float(L))]) ** 2 / abs(f.e40) ** 2
             assert res.ratio[i, j] == pytest.approx(alone, rel=1e-12, abs=0.0)
@@ -473,7 +503,7 @@ def test_g10_sweep_point_matches_lone_trajectory(preset, coarse_quad):
     for ratio, g10 in zip(curve["i4_ratio"], sweep):
         f = base.with_drives(g10, base.g30)
         trace = pg.integrate(sch, relax, medium, f, L=4.0, steps=300, quad=coarse_quad,
-                             cache=cache, error_estimate=False, record_at=[4.0])
+                             cache=cache, record_at=[4.0])
         alone = abs(trace.e4[-1]) ** 2 / abs(f.e40) ** 2
         assert ratio == pytest.approx(alone, rel=1e-12, abs=0.0)
 
@@ -604,8 +634,8 @@ def test_bad_steps_or_length_fail_before_the_cache_is_built(preset, coarse_quad,
 
 @pytest.mark.parametrize("g10_config", [0.001, 0.0, 100.0])
 def test_g10_sweep_node_count_follows_the_sweep(preset, coarse_quad, monkeypatch, g10_config):
-    # the configured G10 plays no part in a G10 sweep: the cache has 0.9 G1
-    # nodes per MHz of the largest swept |G10|, at least 90.  The spy reads
+    # the configured G10 plays no part in a G10 sweep: the cache has 0.8 G1
+    # nodes per MHz of the largest swept |G10|, at least 80.  The spy reads
     # the count from the built cache and stops before the propagation
     sch, relax, medium, fields = preset
     asked = []
@@ -625,7 +655,7 @@ def test_g10_sweep_node_count_follows_the_sweep(preset, coarse_quad, monkeypatch
         with pytest.raises(Stop):
             scans.switching_curve(sch, relax, medium, base, L=10.0, sweep=sweep,
                                   axis="g10", quad=coarse_quad)
-    assert asked == [90, 95, 108, 90]
+    assert asked == [80, 84, 96, 80]
 
 
 # --------------------------------------------------------------------------
@@ -648,8 +678,7 @@ def test_paired_column_matches_pointwise_average_bitwise(preset, quad, n, drives
         assert np.array_equal(paired[k], lone.to_vector())
 
 
-@pytest.mark.parametrize("error_estimate", [False, True])
-def test_rows_are_read_only_by_rk4_stages(preset, quad, error_estimate):
+def test_rows_are_read_only_by_rk4_stages(preset, quad):
     # four reads per RK4 step and none at the trace samples
     sch, relax, medium, fields = preset
     mc = dp.average_coefficients(sch, relax, medium, fields, 100.0, 40.0, quad)
@@ -667,9 +696,8 @@ def test_rows_are_read_only_by_rk4_stages(preset, quad, error_estimate):
             return counting
 
     pg.integrate(sch, relax, medium, fields, L=4.0, steps=200, quad=quad,
-                 cache=Counting(mc, fields), error_estimate=error_estimate,
-                 record_at=np.linspace(0.0, 4.0, 5))
-    assert Counting.calls == 4 * 200 * (3 if error_estimate else 1)
+                 cache=Counting(mc, fields), record_at=np.linspace(0.0, 4.0, 5))
+    assert Counting.calls == 4 * 200
 
 
 def test_rhs_is_called_four_times_per_step(preset, coarse_quad, monkeypatch):
@@ -688,7 +716,7 @@ def test_rhs_is_called_four_times_per_step(preset, coarse_quad, monkeypatch):
     batch = [base, base.with_omega4(160.0)]
     cache = pg.CoefficientCache.build(sch, relax, medium, batch, coarse_quad)
     pg.integrate(sch, relax, medium, base, L=2.0, steps=200, quad=coarse_quad, cache=cache,
-                 error_estimate=False, record_at=np.linspace(0.0, 2.0, 5))
+                 record_at=np.linspace(0.0, 2.0, 5))
     assert len(calls) == 4 * 200
     # transmission steps through its lengths alone, so steps is the step count
     pg.transmission(sch, relax, medium, batch, np.array([0.0, 2.0]),
@@ -702,9 +730,8 @@ def test_rhs_is_called_four_times_per_step(preset, coarse_quad, monkeypatch):
     assert len(calls) == 4 * (200 + 512 + 256 + 100)
 
 
-def test_error_estimate_doubles_each_interval_exactly(preset, quad):
-    # 2000 steps over 30 intervals of 1 L4 give each interval 67 steps; the
-    # doubled run takes 134 in each, not its own rounded share round(133.3)
+def test_each_interval_takes_its_rounded_share_of_the_steps(preset, quad):
+    # 2000 steps over 30 intervals of 1 L4 give each interval round(66.7) = 67
     sch, relax, medium, fields = preset
     mc = dp.average_coefficients(sch, relax, medium, fields, 100.0, 40.0, quad)
     calls = []
@@ -720,10 +747,9 @@ def test_error_estimate_doubles_each_interval_exactly(preset, quad):
             return counting
 
     trace = pg.integrate(sch, relax, medium, fields, L=30.0, steps=2000, quad=quad,
-                         cache=Counting(mc, fields), error_estimate=True,
-                         record_at=np.linspace(0.0, 30.0, 31))
-    assert len(calls) == 4 * (30 * 67 + 30 * 134)
-    assert 0.0 < trace.error_estimate < 1e-8
+                         cache=Counting(mc, fields), record_at=np.linspace(0.0, 30.0, 31))
+    assert len(calls) == 4 * 30 * 67
+    assert trace.error_estimate is None
 
 
 # --------------------------------------------------------------------------
@@ -769,10 +795,10 @@ def test_embedded_pair_estimate_bounds_the_error(preset, quad, dressed_cache, em
     batch = embedded_batch[:2]
     y0 = np.array([[f.g10, f.g30, f.e40, f.e20] for f in batch], dtype=complex)
     for L, record in ((80.0, EMBEDDED_LENGTHS), (10.0, np.linspace(0.0, 10.0, 5))):
-        _, [(states, _)], report = pg._run(sch, relax, medium, batch, y0, L, record,
-                                           None, quad, dressed_cache)
-        _, [(ref, _)], _ = pg._run(sch, relax, medium, batch, y0, L, record, int(200 * L),
-                                   quad, dressed_cache)
+        _, states, report = pg._run(sch, relax, medium, batch, y0, L, record, None, quad,
+                                    dressed_cache)
+        _, ref, _ = pg._run(sch, relax, medium, batch, y0, L, record, int(200 * L), quad,
+                            dressed_cache)
         error = (np.abs(states - ref) / np.max(np.abs(ref), axis=0)).max(axis=(0, 2))
         assert (report.error <= pg._STEP_TOL).all()
         assert (error <= 3.0 * report.error).all()
@@ -865,7 +891,7 @@ def test_benchmark_runs_stay_within_1e6_of_their_peaks_against_16000_steps(prese
         batch = [fields.with_omega4(155.0).with_drives(g10, fields.g30)
                  for g10 in np.linspace(60.0, 105.0, 25)]
         lengths = np.array([10.0])
-    cache = pg.cache_for(sch, relax, medium, batch, quad, threads=2)
+    cache = pg.CoefficientCache.build(sch, relax, medium, batch, quad, threads=2)
     ratio, _, report = pg.transmission(sch, relax, medium, batch, lengths, quad=quad, cache=cache)
     ref, _, _ = pg.transmission(sch, relax, medium, batch, lengths, steps=16000, quad=quad,
                                 cache=cache)
@@ -930,7 +956,7 @@ def test_general_branches_leave_each_trajectory_its_lone_run(preset, coarse_quad
     assert cache.fallbacks > before
     assert np.isnan(failed_at[:4]).all() and np.isfinite(ratio[:4]).all()
     assert 0.0 < failed_at[4] <= 2.0 and np.isnan(ratio[4, 1:]).all()
-    # without a cache (G30 = 0) every row is a direct average, and a drive is zero
+    # without a cache, the reference, every row is a direct average, and a drive is zero
     free = base.with_drives(base.g10, 0.0)
     ratio, failed_at = _assert_lone_runs_equal_the_batch(
         preset, coarse_quad, [free, replace(free.with_omega4(160.0), e40=0.0)], None)
@@ -950,50 +976,6 @@ def test_runaway_drive_leaves_the_batch_as_failed(preset, coarse_quad):
     assert 0.0 < failed_at[1] <= 2.0 and np.isnan(ratio[1, 1:]).all()
 
 
-def test_reader_gives_the_rows_of_rows_along_a_trajectory(preset, coarse_quad, monkeypatch):
-    # G1 starts on the grid's top; the strong probe drains G1 and G3 across
-    # their cell lines, then lifts G3 off the grid.  A kept cell is the one
-    # rows locates, so every read has the bits of the stateless rows
-    sch, relax, medium, fields = preset
-    base = fields.with_omega4(155.0)
-    cache = pg.CoefficientCache.build(sch, relax, medium, [base], coarse_quad)
-    points, reads = [], []
-    reader = cache.reader
-
-    def recording(col):
-        read = reader(col)
-
-        def record(a):
-            rows = read(a)
-            points.append(a.copy())
-            reads.append(rows.copy())
-            return rows
-
-        return record
-
-    monkeypatch.setattr(cache, "reader", recording)
-    f = replace(base.with_drives(cache.g1_grid[-1], base.g30), e40=150.0)
-    _, failed_at, _ = pg.transmission(sch, relax, medium, [f], np.array([10.0]), steps=256,
-                                      quad=coarse_quad, cache=cache)
-    assert np.isnan(failed_at).all()
-    monkeypatch.undo()
-    a, got = np.concatenate(points), np.concatenate(reads)
-    # the cells' lower bounds are the grid points but the second and the last two
-    cells = [np.searchsorted(grid[[0, *range(2, grid.size - 2)]], a[:, axis], "right")
-             for axis, grid in enumerate((cache.g1_grid, cache.g3_grid))]
-    assert a[0, 0] == cache.g1_grid[-1]
-    assert min(np.count_nonzero(np.diff(c)) for c in cells) > 10
-    assert np.any(a[:, 1] > cache.g3_grid[-1])
-    before = cache.fallbacks
-    want = cache.rows(np.zeros(len(a), int), a[:, 0], a[:, 1])
-    assert cache.fallbacks - before == np.count_nonzero(a[:, 1] > cache.g3_grid[-1])
-    assert np.array_equal(got, want)
-    # a kept cell is half-open: its upper bound is the next cell's lower one
-    read, col = cache.reader(np.zeros(1, int)), np.zeros(1, int)
-    for g1 in (cache.g1_grid[2:4].mean(), cache.g1_grid[3]):
-        assert np.array_equal(read(np.array([[g1, 10.0]])), cache.rows(col, [g1], [10.0]))
-
-
 def count_passes(monkeypatch):
     passes = []
     tabulate = dp.coefficient_tables
@@ -1006,45 +988,70 @@ def count_passes(monkeypatch):
     return passes
 
 
-def test_zero_drive_run_averages_once(preset, coarse_quad, monkeypatch):
-    # zero drives stay exactly zero, so a cache-free run keeps its boundary rows
+def test_zero_drive_run_averages_only_to_build_its_cache(preset, coarse_quad, monkeypatch):
+    # zero drives stay exactly zero: the cache is the one node (0, 0), which
+    # one pass tabulates and one validates, and the propagation averages nothing
     sch, relax, medium, _ = preset
     base = FieldConfig(omega1=0, omega3=100, omega4=0.0, g10=0.0, g30=0.0, e40=0.1, e20=0.05)
     passes = count_passes(monkeypatch)
-    pg.integrate(sch, relax, medium, base, L=5.0, steps=200, quad=coarse_quad)
-    assert len(passes) == 1
-    res = pg.gain_map(sch, relax, medium, base, np.array([0.0, 150.0, 300.0]),
-                      np.array([0.0, 5.0]), steps=200, quad=coarse_quad)
+    with pg.step_reports() as reports:
+        res = pg.gain_map(sch, relax, medium, base, np.array([0.0, 150.0, 300.0]),
+                          np.array([0.0, 5.0]), steps=200, quad=coarse_quad)
     assert len(passes) == 2 and res.valid.all()
+    assert reports[0][1].validation_error <= 1e-12
 
 
 def test_cache_free_run_averages_once_per_stage(preset, coarse_quad, monkeypatch):
-    # with G30 = 0 there is no cache: every stage is one pass for the whole
-    # batch.  The map steps through its lengths alone, so 100 steps
+    # without a cache, the reference, every stage is one pass for the whole
+    # batch.  The run steps through its lengths alone, so 100 steps
     sch, relax, medium, fields = preset
-    base = fields.with_drives(fields.g10, 0.0)
+    batch = [fields.with_omega4(om) for om in (150.0, 155.0, 160.0)]
     passes = count_passes(monkeypatch)
-    pg.gain_map(sch, relax, medium, base, np.array([150.0, 155.0, 160.0]),
-                np.array([0.0, 2.0]), steps=100, quad=coarse_quad)
+    pg.transmission(sch, relax, medium, batch, np.array([0.0, 2.0]), steps=100,
+                    quad=coarse_quad, cache=None)
     assert len(passes) == 4 * 100
     assert all(np.shape(args[6]) == (3,) for args in passes)
 
 
-def test_g30_zero_gain_map_column_matches_lone_direct_run(preset, coarse_quad):
+@pytest.fixture(scope="module")
+def g30_zero_map(preset, coarse_quad):
     sch, relax, medium, fields = preset
     base = fields.with_drives(fields.g10, 0.0)
     om4 = np.array([150.0, 155.0, 160.0])
     lengths = np.array([0.0, 1.5, 3.0])
     with pg.step_reports() as reports:
         res = pg.gain_map(sch, relax, medium, base, om4, lengths, steps=200, quad=coarse_quad)
-    assert res.valid.all() and reports[0][1].validation_error is None
-    for i, om in enumerate(om4):
-        f = base.with_omega4(float(om))
+    return base, res, reports[0][1]
+
+
+def test_g30_zero_gain_map_column_matches_lone_trajectory(preset, coarse_quad, g30_zero_map):
+    # G30 = 0 gives the |G3| axis the one node 0; a column steps in the
+    # batch exactly as it would alone on the same cache
+    sch, relax, medium, _ = preset
+    base, res, report = g30_zero_map
+    assert res.valid.all() and 0.0 < report.validation_error <= 1e-4
+    columns = [base.with_omega4(float(om)) for om in res.omega4]
+    cache = pg.CoefficientCache.build(sch, relax, medium, columns, coarse_quad)
+    assert cache.g3_grid.tolist() == [0.0]
+    for i, f in enumerate(columns):
         trace = pg.integrate(sch, relax, medium, f, L=3.0, steps=200, quad=coarse_quad,
-                             cache=None, error_estimate=False, record_at=lengths[1:])
-        for j, L in enumerate(lengths):
+                             cache=cache, record_at=res.lengths[1:])
+        for j, L in enumerate(res.lengths):
             alone = abs(trace.e4[trace.index_of(float(L))]) ** 2 / abs(f.e40) ** 2
             assert res.ratio[i, j] == pytest.approx(alone, rel=1e-12, abs=0.0)
+    assert report.fallbacks == 0
+
+
+def test_g30_zero_gain_map_agrees_with_direct_averages(preset, coarse_quad, g30_zero_map):
+    # the cache's tolerance, 1e-4 of each column's peak, against the
+    # reference run that averages at every stage
+    sch, relax, medium, _ = preset
+    base, res, _ = g30_zero_map
+    columns = [base.with_omega4(float(om)) for om in res.omega4]
+    direct, _, _ = pg.transmission(sch, relax, medium, columns, res.lengths, steps=200,
+                                   quad=coarse_quad, cache=None)
+    peak = np.max(direct, axis=1, keepdims=True)
+    assert (np.abs(res.ratio - direct) <= 1e-4 * peak).all()
 
 
 def test_out_of_grid_points_fall_back_in_one_pass(preset, quad, dressed_fields, dressed_cache,
