@@ -600,7 +600,7 @@ def _node_sums(scheme, relax, medium, quad, fields: FieldConfig, omega4, G1, G3,
 
 # eigenvector condition number above which poles count as coalescing
 _COALESCING = 1e4
-_POINTS_PER_BATCH = 1024
+_POINTS_PER_BATCH = 512
 _GROUP_BLOCKS = 64
 # The rates the pole sums need positive.  Without Gamma_m, Gamma_g or Gamma_n
 # the zero-drive steady state is not unique, and a zero coherence rate puts a
