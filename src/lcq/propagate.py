@@ -817,10 +817,9 @@ def gain_map(
     columns step together, at ``steps`` or sized by the embedded pair
     (:func:`transmission`).  The columns read the
     :meth:`CoefficientCache.build` cache, tabulated on ``threads`` worker
-    threads.  A
-    column that fails (its fields turn non-finite, or its adaptive steps
-    pass the cap or underflow) keeps only its L = 0 cell valid; a map whose
-    every column failed raises :class:`PropagationError`.
+    threads.  A column that fails (its fields turn non-finite, or its
+    adaptive steps pass the cap or underflow) keeps only its L = 0 cell
+    valid; a map whose every column failed raises :class:`PropagationError`.
     """
     omega4_grid = np.asarray(omega4_grid, dtype=float)
     length_grid = np.asarray(length_grid, dtype=float)

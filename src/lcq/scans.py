@@ -100,8 +100,8 @@ def spatial_dynamics(
     Emits I_j(z)/I_j(0) for the waves with non-zero input and the generated
     Stokes intensity normalized to the probe input I2(z)/I40, at 257
     evenly spaced positions, integrated at ``steps`` or sized by the
-    embedded pair (:func:`propagate.integrate`).  The
-    :meth:`propagate.CoefficientCache.build` build runs on ``threads``
+    embedded pair (:func:`propagate.integrate`), through the
+    :meth:`propagate.CoefficientCache.build` cache built on ``threads``
     worker threads.
     """
     if fields.e40 == 0:
