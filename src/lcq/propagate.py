@@ -289,25 +289,14 @@ class CoefficientCache:
         ``a`` is (len(col), 2), the trajectories' current (|G1|, |G3|).  A
         read keeps no state.  It takes the basis along each axis, then, for
         each distinct column of the batch, the batched product
-        (m, 1, n1) @ (n1, n3 12) with that column's table (one stacked
-        product over a view of the tables where each trajectory reads its
-        own column and the columns are consecutive), then the product
-        (n, 1, n3) @ (n, n3, 12) along |G3|.  Every product is one row's,
+        (m, 1, n1) @ (n1, n3 12) of its m trajectories with that column's
+        table, then the product (n, 1, n3) @ (n, n3, 12) along |G3|.  Every product is one row's,
         so a row has the same bits in any batch, and no stage gathers
         tables.
         """
         n, (n_col, n1, n3, n_f) = len(col), self.tables.shape
         flat = self.tables.reshape(n_col, n1, n3 * n_f)
-        if n > 1 and np.array_equal(col, np.arange(col[0], col[0] + n)):
-            # one trajectory per column, consecutive, as a gain map's: a stack, a view
-            groups = [(flat[col[0]:col[0] + n], slice(None))]
-        else:
-            groups = []
-            for c in dict.fromkeys(col.tolist()):
-                idx = np.flatnonzero(col == c)
-                if idx[-1] - idx[0] == idx.size - 1:  # a run of the batch reads as a view
-                    idx = slice(idx[0], idx[-1] + 1)
-                groups.append((flat[c], idx))
+        groups = [(flat[c], np.flatnonzero(col == c)) for c in dict.fromkeys(col.tolist())]
 
         def read(a):
             along = np.empty((n, 1, n3 * n_f))
@@ -328,7 +317,8 @@ class CoefficientCache:
             return out
         off = ~inside.all(axis=1)
         out[off] = np.nan
-        direct = off & (a <= _RUNAWAY * self._top).all(axis=1)
+        # a one-node axis, a zero drive's, has top 0 and judges no runaway
+        direct = off & ((a <= _RUNAWAY * self._top) | (self._top == 0.0)).all(axis=1)
         if direct.any():
             self.fallbacks += int(np.count_nonzero(direct))
             out[direct] = _direct_rows(self.scheme, self.relax, self.medium, self.quad,
@@ -729,7 +719,9 @@ def integrate(
 
     Coefficients are re-evaluated at every stage from the local drive
     amplitudes, through ``cache`` (at the column of the fields' detunings)
-    or, where it is None, directly.  The run records and steps through
+    or, where it is None, directly: one Doppler average per stage, zero
+    drives too, so a run of many steps wants the cache of
+    :meth:`CoefficientCache.build`, as every scan builds.  The run records and steps through
     z = 0, ``record_at`` and L alone (:func:`_run`), or 257 evenly spaced
     positions where ``record_at`` is None, at ``steps`` or, where that is
     None, sized by the embedded pair, whose worst accepted local estimate

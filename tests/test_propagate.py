@@ -370,19 +370,6 @@ def test_rows_of_a_batch_equal_lone_rows_bitwise(three_column_cache):
         assert np.array_equal(batch[k], cache.rows(col[k:k + 1], g1[k:k + 1], g3[k:k + 1])[0])
 
 
-def test_consecutive_columns_read_their_lone_rows_bitwise(three_column_cache):
-    # one trajectory per column, consecutive, as a gain map's batch: the
-    # stacked product over the tables gives each row the bits of its lone read
-    cache = three_column_cache
-    rng = np.random.default_rng(9)
-    for col in (np.arange(3), np.arange(1, 3)):
-        g1 = rng.uniform(0.0, cache.g1_grid[-1], col.size)
-        g3 = rng.uniform(0.0, cache.g3_grid[-1], col.size)
-        batch = cache.rows(col, g1, g3)
-        for k in range(col.size):
-            assert np.array_equal(batch[k], cache.rows(col[k:k + 1], g1[k:k + 1], g3[k:k + 1])[0])
-
-
 @pytest.mark.parametrize("scale", [1e-200, 1e200])
 def test_rows_do_not_depend_on_the_grid_scale(three_column_cache, scale):
     # the barycentric weights do not scale with the grid, so drives of
@@ -1052,6 +1039,18 @@ def test_g30_zero_gain_map_agrees_with_direct_averages(preset, coarse_quad, g30_
                                    quad=coarse_quad, cache=None)
     peak = np.max(direct, axis=1, keepdims=True)
     assert (np.abs(res.ratio - direct) <= 1e-4 * peak).all()
+
+
+def test_one_node_axis_reads_nonzero_amplitudes_directly(preset, coarse_quad):
+    # a zero drive's axis has top 0, which judges no runaway: a non-zero
+    # |G3| on a G30 = 0 cache is off the grid and averaged directly
+    sch, relax, medium, fields = preset
+    base = fields.with_drives(fields.g10, 0.0)
+    cache = pg.CoefficientCache.build(sch, relax, medium, [base], coarse_quad)
+    got = cache.lookup(50.0, 1.0).to_vector()
+    direct = pg._direct_rows(sch, relax, medium, coarse_quad, base, np.array([base.omega4]),
+                             np.array([50.0]), np.array([1.0]))[0]
+    assert np.array_equal(got, direct) and cache.fallbacks == 1
 
 
 def test_out_of_grid_points_fall_back_in_one_pass(preset, quad, dressed_fields, dressed_cache,
