@@ -290,9 +290,9 @@ class CoefficientCache:
         read keeps no state.  It takes the basis along each axis, then, for
         each distinct column of the batch, the batched product
         (m, 1, n1) @ (n1, n3 12) of its m trajectories with that column's
-        table, then the product (n, 1, n3) @ (n, n3, 12) along |G3|.  Every product is one row's,
-        so a row has the same bits in any batch, and no stage gathers
-        tables.
+        table, then the product (n, 1, n3) @ (n, n3, 12) along |G3|.
+        Every product is one row's, so a row has the same bits in any
+        batch, and no stage gathers tables.
         """
         n, (n_col, n1, n3, n_f) = len(col), self.tables.shape
         flat = self.tables.reshape(n_col, n1, n3 * n_f)
