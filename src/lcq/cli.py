@@ -112,14 +112,15 @@ def _write_manifest(args, payload: dict) -> None:
 
 
 def _step_manifest(reports: list) -> dict:
-    """The manifest's "steps", "step_error" and "cache_validation_error" of the runs in ``reports``.
+    """The manifest's "steps", "step_error" and cache evidence of the runs in ``reports``.
 
     The steps are the fewest and most accepted steps of any trajectory,
     with the rejected steps and the right-hand-side rows (stages) summed
     over the trajectories; the estimate is the worst local one of the
     trajectories that finished, with the probe detuning and drive of its
     trajectory (None at a requested count).  The cache error is the worst
-    of the runs' caches, None without one.
+    of the runs' caches, the grid the first run's cache's (both None
+    without one), and the reruns on a full |G3| axis are summed.
     """
     fields = [f for batch, _ in reports for f in batch]
     steps = np.concatenate([r.steps for _, r in reports])
@@ -130,11 +131,14 @@ def _step_manifest(reports: list) -> dict:
         worst = {"estimate": float(error[k]), "omega4_MHz": fields[k].omega4,
                  "g10_MHz": abs(fields[k].g10)}
     errors = [r.validation_error for _, r in reports if r.validation_error is not None]
+    grids = [r.cache_grid for _, r in reports if r.cache_grid is not None]
     return {"steps": {"requested": reports[0][1].requested, "min": int(steps.min()),
                       "max": int(steps.max()),
                       "rejected": int(sum(r.rejected.sum() for _, r in reports)),
                       "stages": int(sum(r.stages.sum() for _, r in reports))},
-            "step_error": worst, "cache_validation_error": max(errors, default=None)}
+            "step_error": worst, "cache_validation_error": max(errors, default=None),
+            "cache_grid": grids[0] if grids else None,
+            "cache_reruns": sum(r.reruns for _, r in reports)}
 
 
 def _emit(args, table, manifest_extra: dict, t_start: float,

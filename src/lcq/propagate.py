@@ -9,17 +9,19 @@ through a tensor Chebyshev interpolant over (|G1|, |G3|), or, as the
 reference, directly (one Doppler-averaging pass per stage for the whole
 batch).  Every run builds its cache with :meth:`CoefficientCache.build`:
 one column per probe detuning, its grid sized from the run's largest
-drives, and one node on the axis of a zero drive, which stays zero.
-:func:`_row_source` gives each trajectory the column of its omega4.  One
-runner (:func:`_run`) advances n trajectories in lockstep as an (n, 4)
-complex state [G1, G3, E4, E2]: a single integration, the columns of a
-gain map and the points of a switching curve on either axis all run on
-it.  It records z = 0, the positions a run asks for and the medium's end.
-Given a step count, it runs fixed-step RK4 (:func:`_lockstep`), each
-interval its rounded share of the count; given none, an embedded
-Dormand-Prince 5(4) pair (:func:`_embedded`) gives each trajectory its
-own steps, each step's local error estimate at most 1e-7 of the
-trajectory's peak (:class:`StepReport`).
+drives, its |G3| axis fitted to [1/2, 1.05] |G30| where the trajectories
+share one |G30|, and one node on the axis of a zero drive, which stays
+zero.  :func:`_row_source` gives each trajectory the column of its
+omega4.  One runner (:func:`_run`) advances n trajectories in lockstep as
+an (n, 4) complex state [G1, G3, E4, E2]: a single integration, the
+columns of a gain map and the points of a switching curve on either axis
+all run on it.  It records z = 0, the positions a run asks for and the
+medium's end.  Given a step count, it runs fixed-step RK4
+(:func:`_lockstep`), each interval its rounded share of the count; given
+none, an embedded Dormand-Prince 5(4) pair (:func:`_embedded`) gives each
+trajectory its own steps, each step's local error estimate at most 1e-7
+of the trajectory's peak (:class:`StepReport`).  Trajectories that fall
+below a fitted axis run again from z = 0 on the full one.
 
 At the batch sizes of a map or sweep the fixed cost of a numpy call, not
 the arithmetic, sets the time of a stage, so a stage makes as few calls
@@ -94,6 +96,11 @@ _GRID_N1_MIN = 80
 _GRID_N1_MAX = 2048  # a column's tables stay within 4 MB
 _GRID_N3 = 20
 _GRID_MARGIN = 1.05
+# In the scans at the preset, drive 3 stays above 0.76 |G30|, so where the
+# trajectories share one non-zero |G30| its axis starts at half of it
+# (_drive_nodes), with fewer nodes
+_GRID_N3_FITTED = 12
+_GRID_FLOOR = 0.5
 _VALIDATION_PROBES = 50
 _VALIDATION_RTOL = 1e-4
 # The probes are the R2 sequence (Roberts, 2018), frac(1/2 + k (1/g, 1/g**2))
@@ -122,21 +129,23 @@ _DP_A = (
 _DP_E = (71 / 57600, 0.0, -71 / 16695, 71 / 1920, -17253 / 339200, 22 / 525, -1 / 40)
 
 
-def _drive_nodes(g10: float, g30: float) -> tuple[np.ndarray, np.ndarray]:
+def _drive_nodes(g10: float, g30: float, fitted: bool) -> tuple[np.ndarray, np.ndarray]:
     """The |G1| and |G3| nodes of :meth:`CoefficientCache.build` for boundary drives |G10|, |G30|.
 
-    Chebyshev points of the second kind on [0, 1.05 |G10|] and
-    [0, 1.05 |G30|], ascending.  A zero drive stays exactly zero, so its
-    axis is the one node 0.
+    Chebyshev points of the second kind, ascending: on [0, 1.05 |G10|],
+    and on [0, 1.05 |G30|], or, ``fitted``, 12 on [1/2, 1.05] |G30|, the
+    axis of runs that share one |G30|.  A zero drive stays exactly zero,
+    so its axis is the one node 0.
     """
     n1 = min(_GRID_N1_MAX, max(_GRID_N1_MIN, math.ceil(_GRID_N1_PER_MHZ * g10))) if g10 else 1
-    return (_chebyshev(_GRID_MARGIN * g10, n1),
-            _chebyshev(_GRID_MARGIN * g30, _GRID_N3 if g30 else 1))
+    n3 = (_GRID_N3_FITTED if fitted else _GRID_N3) if g30 else 1
+    return (_chebyshev(0.0, _GRID_MARGIN * g10, n1),
+            _chebyshev(_GRID_FLOOR * g30 if fitted else 0.0, _GRID_MARGIN * g30, n3))
 
 
-def _chebyshev(top: float, n: int) -> np.ndarray:
-    """n Chebyshev points of the second kind on [0, ``top``], from 0 to ``top``."""
-    return 0.5 * top * (1.0 - np.cos(np.pi / max(n - 1, 1) * np.arange(n)))
+def _chebyshev(bottom: float, top: float, n: int) -> np.ndarray:
+    """n Chebyshev points of the second kind on [``bottom``, ``top``], ascending."""
+    return bottom + 0.5 * (top - bottom) * (1.0 - np.cos(np.pi / max(n - 1, 1) * np.arange(n)))
 
 
 def _weights(m: int) -> np.ndarray:
@@ -182,10 +191,12 @@ class CoefficientCache:
     a point on a node reads that node's row.  :meth:`rows` reads a batch of
     points at once and :meth:`reader` binds a read to a batch's columns;
     either keeps a lookup far cheaper than a velocity average.  Queries
-    outside the grid fall back to direct evaluation and are counted in
-    ``fallbacks``.  ``validation_error`` is the worst scaled error of the
-    validation probes over the columns after :meth:`build`, and None for a
-    cache made directly from its tables, which nothing validates.
+    outside the grid, below a fitted |G3| axis too, fall back to direct
+    evaluation and are counted in ``fallbacks``; inside a run, a point
+    below the axis sends its trajectory to the full axis (:func:`_run`).
+    ``validation_error`` is the worst scaled error of the validation probes
+    over the columns after :meth:`build`, and None for a cache made
+    directly from its tables, which nothing validates.
     """
 
     def __init__(
@@ -211,6 +222,8 @@ class CoefficientCache:
         self.tables = tables
         self.fallbacks = 0
         self.validation_error: float | None = None
+        self.threads = 1
+        self._bottom = np.array([self.g1_grid[0], self.g3_grid[0]])
         self._top = np.array([self.g1_grid[-1], self.g3_grid[-1]])
         self._weights = (_weights(self.g1_grid.size), _weights(self.g3_grid.size))
 
@@ -224,7 +237,7 @@ class CoefficientCache:
         quad: QuadratureSpec,
         threads: int = 1,
     ) -> "CoefficientCache":
-        """Validated cache for ``trajectories`` over [0, 1.05|G10|] x [0, 1.05|G30|].
+        """Validated cache for ``trajectories`` over [0, 1.05|G10|] x [0 or 1/2, 1.05] |G30|.
 
         One column per distinct probe detuning of the trajectories, in order
         of first appearance; |G10| and |G30| are the largest of the
@@ -234,27 +247,47 @@ class CoefficientCache:
         the drive points, which ``threads`` worker threads split.  One
         policy, with no settings (:func:`_drive_nodes`): Chebyshev points
         of the second kind, min(2048, max(80, ceil(0.8 |G10| / 1 MHz)))
-        along |G1| by 20 along |G3|, and one node, 0, on the axis of a zero
-        drive; every column is checked at the same 50 points of the R2
+        along |G1|; along |G3|, 12 on [1/2, 1.05] |G30| where the
+        trajectories share one non-zero |G30|, as every scan's do, and 20
+        on [0, 1.05 |G30|] otherwise; one node, 0, on the axis of a zero
+        drive.  Every column is checked at the same 50 points of the R2
         sequence over the grid, where an error over 1e-4 of a coefficient's
         scale raises :class:`CacheValidationError`.
         """
         omega4 = np.array(list(dict.fromkeys(f.omega4 for f in trajectories)), dtype=float)
         g10 = max(abs(f.g10) for f in trajectories)
-        g30 = max(abs(f.g30) for f in trajectories)
-        g1_grid, g3_grid = _drive_nodes(g10, g30)
-        grid = DriveGrid(scheme, relax, medium, trajectories[0], g1_grid, g3_grid, quad)
-        cache = cls(scheme, relax, medium, trajectories[0], omega4, quad, g1_grid, g3_grid,
+        g30 = {abs(f.g30) for f in trajectories}
+        g1_grid, g3_grid = _drive_nodes(g10, max(g30), len(g30) == 1 and max(g30) > 0)
+        return cls._tabulated(scheme, relax, medium, trajectories[0], omega4, quad,
+                              g1_grid, g3_grid, threads)
+
+    @classmethod
+    def _tabulated(cls, scheme, relax, medium, fields, omega4, quad, g1_grid, g3_grid,
+                   threads) -> "CoefficientCache":
+        grid = DriveGrid(scheme, relax, medium, fields, g1_grid, g3_grid, quad)
+        cache = cls(scheme, relax, medium, fields, omega4, quad, g1_grid, g3_grid,
                     grid.tables(omega4, threads))
+        cache.threads = threads
         cache._validate()
         return cache
+
+    def widened(self) -> "CoefficientCache":
+        """A new validated cache of the same columns, |G1| nodes and threads on the full |G3| axis.
+
+        The axis is the one :meth:`build` gives trajectories of different
+        |G30|: 20 nodes on [0, 1.05 |G30|], for the |G30| of ``fields``.
+        """
+        g3_grid = _drive_nodes(0.0, abs(self.fields.g30), False)[1]
+        return self._tabulated(self.scheme, self.relax, self.medium, self.fields, self.omega4,
+                               self.quad, self.g1_grid, g3_grid, self.threads)
 
     def _validate(self) -> None:
         # every column at the same points, in one direct pass; errors are
         # relative to each coefficient's scale over its column's table, as a
         # pointwise quotient is ill-conditioned at the cross couplings' zeros
         k = np.arange(1.0, _VALIDATION_PROBES + 1.0)[:, None]
-        probes = (0.5 + k / _PLASTIC ** np.array([1.0, 2.0])) % 1.0 * self._top
+        span = self._top - self._bottom
+        probes = self._bottom + (0.5 + k / _PLASTIC ** np.array([1.0, 2.0])) % 1.0 * span
         n_col = self.omega4.size
         cols = np.repeat(np.arange(n_col), _VALIDATION_PROBES)
         g1, g3 = np.tile(probes, (n_col, 1)).T
@@ -275,18 +308,21 @@ class CoefficientCache:
         """Table rows (n, 12) of columns ``col`` at real drive amplitudes.
 
         Each point is read from its own column, and its row is independent
-        of the rest of the batch.  Points outside the grid are averaged
-        directly, all in one :func:`_direct_rows` pass, and counted in
-        ``fallbacks``; points with a non-finite amplitude, or one over a
-        million times the grid's top, keep NaN rows.
+        of the rest of the batch.  Points outside the grid, below its bottom
+        or above its top, are averaged directly, all in one
+        :func:`_direct_rows` pass, and counted in ``fallbacks``; points with
+        a non-finite amplitude, or one over a million times the grid's top,
+        keep NaN rows.
         """
         return self.reader(np.asarray(col))(
             np.column_stack((g1_abs, g3_abs)).astype(float, copy=False))
 
-    def reader(self, col: np.ndarray):
+    def reader(self, col: np.ndarray, leave=None):
         """``read(a)``: the rows of :meth:`rows` for trajectories in columns ``col``.
 
-        ``a`` is (len(col), 2), the trajectories' current (|G1|, |G3|).  A
+        ``a`` is (len(col), 2), the trajectories' current (|G1|, |G3|).
+        Given ``leave``, points below the grid's bottom keep NaN rows and
+        ``leave`` is called with their mask instead of averaging them.  A
         read keeps no state.  It takes the basis along each axis, then, for
         each distinct column of the batch, the batched product
         (m, 1, n1) @ (n1, n3 12) of its m trajectories with that column's
@@ -306,19 +342,24 @@ class CoefficientCache:
                     along[idx] = l1[idx] @ table
                 l3 = _basis(a[:, 1], self.g3_grid, self._weights[1])[:, None]
                 out = (l3 @ along.reshape(n, n3, n_f)).reshape(n, n_f)
-            return self._off_grid(col, a, out)
+            return self._off_grid(col, a, out, leave)
 
         return read
 
-    def _off_grid(self, col: np.ndarray, a: np.ndarray, out: np.ndarray) -> np.ndarray:
+    def _off_grid(self, col: np.ndarray, a: np.ndarray, out: np.ndarray, leave) -> np.ndarray:
         """``out`` with the rows of the points ``a`` off the grid, or not finite, replaced."""
-        inside = (a >= 0.0) & (a <= self._top)  # NaN fails both
+        inside = (a >= self._bottom) & (a <= self._top)  # NaN fails both
         if inside.all():
             return out
         off = ~inside.all(axis=1)
         out[off] = np.nan
         # a one-node axis, a zero drive's, has top 0 and judges no runaway
         direct = off & ((a <= _RUNAWAY * self._top) | (self._top == 0.0)).all(axis=1)
+        if leave is not None:
+            below = direct & (a < self._bottom).any(axis=1)
+            if below.any():
+                leave(below)
+                direct &= ~below
         if direct.any():
             self.fallbacks += int(np.count_nonzero(direct))
             out[direct] = _direct_rows(self.scheme, self.relax, self.medium, self.quad,
@@ -387,7 +428,7 @@ def _direct_rows(scheme, relax, medium, quad, fields: FieldConfig, omega4: np.nd
     return doppler.coefficient_tables(scheme, relax, medium, quad, fields, omega4, g1_abs, g3_abs)
 
 
-def _row_source(scheme, relax, medium, fields, quad, cache):
+def _row_source(scheme, relax, medium, fields, quad, cache, left):
     """Readers of rows without drive phase: ``bind(idx)`` gives ``read(a)``.
 
     ``read(a)`` returns fresh (len(idx), 12) rows of trajectories ``idx``
@@ -398,8 +439,10 @@ def _row_source(scheme, relax, medium, fields, quad, cache):
     trajectories ``fields`` share their drive detunings, with a cache its
     grid's, and each reads the cache column of its omega4; ``ValueError``
     is raised where they do not or where no column has it.  The reader is the
-    cache's :meth:`CoefficientCache.reader`.  Without a cache, the reference,
-    each read is one :func:`_direct_rows` pass over the whole batch.
+    cache's :meth:`CoefficientCache.reader`, which sets ``left[k]`` where
+    trajectory k reads below the grid's bottom and gives it NaN rows.
+    Without a cache, the reference, each read is one :func:`_direct_rows`
+    pass over the whole batch.
     """
     top = fields[0] if cache is None else cache.fields
     if any((f.omega1, f.omega3) != (top.omega1, top.omega3) for f in fields):
@@ -409,7 +452,15 @@ def _row_source(scheme, relax, medium, fields, quad, cache):
         match = omega4[:, None] == cache.omega4
         if not match.any(axis=1).all():
             raise ValueError("no cache column has a trajectory's probe detuning")
-        return lambda idx: cache.reader(match.argmax(axis=1)[idx])
+        columns = match.argmax(axis=1)
+
+        def bind_cache(idx):
+            def leave(below):
+                left[idx[below]] = True
+
+            return cache.reader(columns[idx], leave)
+
+        return bind_cache
 
     def bind(idx):
         def read(a):
@@ -449,8 +500,11 @@ class StepReport:
     requested count and where the trajectory failed.  ``failed_at`` (n,) is
     where a trajectory failed, NaN where it did not, and ``cause`` (n,)
     names a failure other than non-finite fields.  ``fallbacks`` counts the
-    run's cache reads off the grid, and ``validation_error`` is its cache's;
-    None for a run without a cache.
+    run's cache reads off the grid, ``validation_error`` is the worst of its
+    caches' and ``cache_grid`` the node counts of the cache it was given,
+    with the span of its |G3| axis; None for a run without a cache.
+    ``reruns`` is 1 where trajectories left a fitted |G3| axis and ran
+    again on the full one (:func:`_run`), whose pass gives their entries.
     """
 
     requested: int | None
@@ -462,6 +516,8 @@ class StepReport:
     cause: list[str | None]
     fallbacks: int = 0
     validation_error: float | None = None
+    cache_grid: dict | None = None
+    reruns: int = 0
 
     def failure(self, k: int) -> PropagationError:
         """The :class:`PropagationError` of failed trajectory ``k``."""
@@ -674,7 +730,11 @@ def _run(scheme, relax, medium, fields: list[FieldConfig], y0: np.ndarray, L: fl
     evidence, which a :func:`step_reports` block also receives.  A run at
     ``steps`` is fixed-step RK4 (:func:`_lockstep`), each interval its
     rounded share of them; a run given no ``steps`` sizes each trajectory's
-    steps by the embedded pair (:func:`_embedded`).
+    steps by the embedded pair (:func:`_embedded`).  A trajectory that
+    reads below the cache's fitted |G3| axis (:func:`_drive_nodes`) leaves
+    the batch; when the batch is done, those trajectories run again from
+    z = 0, in one batch, on :meth:`CoefficientCache.widened`, once.  Each
+    trajectory thus gives the bits of its lone run.
     """
     check_run(L, steps)
     record = np.asarray(record_at, dtype=float).ravel()
@@ -685,7 +745,28 @@ def _run(scheme, relax, medium, fields: list[FieldConfig], y0: np.ndarray, L: fl
     z = z[np.concatenate(([True], z[1:] != z[:-1]))]
     if quad is None:
         quad = QuadratureSpec.for_medium(scheme, medium)
-    source = _row_source(scheme, relax, medium, fields, quad, cache)
+    states, report, left = _pass(scheme, relax, medium, fields, y0, z, steps, quad, cache)
+    if left.any():
+        idx = np.flatnonzero(left)
+        states[:, idx], again, _ = _pass(scheme, relax, medium, [fields[k] for k in idx],
+                                         y0[idx], z, steps, quad, cache.widened())
+        for name in ("steps", "error", "failed_at", "rejected", "stages"):
+            getattr(report, name)[idx] = getattr(again, name)
+        for k, cause in zip(idx, again.cause):
+            report.cause[k] = cause
+        report.fallbacks += again.fallbacks
+        report.validation_error = max(report.validation_error or 0.0, again.validation_error)
+        report.reruns = 1
+    reports = _REPORTS.get()
+    if reports is not None:
+        reports.append((fields, report))
+    return z, states, report
+
+
+def _pass(scheme, relax, medium, fields, y0, z, steps, quad, cache):
+    """One integration of :func:`_run` through ``z``: the states, the report and who left."""
+    left = np.zeros(len(fields), bool)
+    source = _row_source(scheme, relax, medium, fields, quad, cache, left)
     fallbacks = cache.fallbacks if cache is not None else 0
     if steps is None:
         states, report = _embedded(y0, z, source, scheme)
@@ -698,10 +779,9 @@ def _run(scheme, relax, medium, fields: list[FieldConfig], y0: np.ndarray, L: fl
     if cache is not None:
         report.fallbacks = cache.fallbacks - fallbacks
         report.validation_error = cache.validation_error
-    reports = _REPORTS.get()
-    if reports is not None:
-        reports.append((fields, report))
-    return z, states, report
+        report.cache_grid = {"g1_nodes": cache.g1_grid.size, "g3_nodes": cache.g3_grid.size,
+                             "g3_span_MHz": [float(cache.g3_grid[0]), float(cache.g3_grid[-1])]}
+    return states, report, left
 
 
 def integrate(
@@ -721,11 +801,13 @@ def integrate(
     amplitudes, through ``cache`` (at the column of the fields' detunings)
     or, where it is None, directly: one Doppler average per stage, zero
     drives too, so a run of many steps wants the cache of
-    :meth:`CoefficientCache.build`, as every scan builds.  The run records and steps through
-    z = 0, ``record_at`` and L alone (:func:`_run`), or 257 evenly spaced
-    positions where ``record_at`` is None, at ``steps`` or, where that is
-    None, sized by the embedded pair, whose worst accepted local estimate
-    is the trace's ``error_estimate``.
+    :meth:`CoefficientCache.build`, as every scan builds; where the
+    trajectory falls below that cache's fitted |G3| axis, the run goes
+    again on :meth:`CoefficientCache.widened`.  The run records and steps
+    through z = 0, ``record_at`` and L alone (:func:`_run`), or 257 evenly
+    spaced positions where ``record_at`` is None, at ``steps`` or, where
+    that is None, sized by the embedded pair, whose worst accepted local
+    estimate is the trace's ``error_estimate``.
     """
     if record_at is None:
         check_run(L, steps)  # before the positions are spaced over L
@@ -751,7 +833,9 @@ def transmission(
     """Probe transmission I4(L)/I40 of the trajectories ``fields``, integrated in lockstep.
 
     ``lengths`` ascends to the end of the medium, and the run records
-    them alone (:func:`_run`), at ``steps`` or sized by the embedded pair.  A
+    them alone (:func:`_run`), at ``steps`` or sized by the embedded pair;
+    trajectories that fall below a fitted |G3| axis of ``cache`` go again
+    on :meth:`CoefficientCache.widened`.  A
     zero probe input E40 is replaced by the small-signal probe 1e-3 |G10|.
     Returns the (n, len(lengths)) ratios, the position where each
     trajectory failed (NaN where it did not; a failed trajectory's ratios

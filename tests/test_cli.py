@@ -605,15 +605,18 @@ def test_gainmap_manifest_reports_cache_validation_error(tmp_path):
     assert isinstance(error, float) and math.isfinite(error) and error < 1e-4
 
 
-@pytest.mark.parametrize("args, fields", [
-    (["dynamics", "--omega4", "160", "--length", "1"], None),
-    (["switch", "--omega4", "150:160:2", "--length", "1"], None),
-    (["switch", "--g10", "60:100:2", "--length", "1"], None),
-    (["switch", "--g10", "60:100:2", "--length", "1"], {"G30_MHz": 0.0}),
-], ids=["dynamics", "switch-omega4", "switch-g10", "G30-zero"])
-def test_propagating_manifests_report_the_cache_of_their_run(tmp_path, args, fields):
-    # every command that propagates records the validation error of the cache
-    # its run read, G30 = 0 too, whose cache has the one |G3| node 0
+@pytest.mark.parametrize("args, fields, grid", [
+    (["dynamics", "--omega4", "160", "--length", "1"], None, [80, 12, 20.0, 42.0]),
+    (["switch", "--omega4", "150:160:2", "--length", "1"], None, [80, 12, 20.0, 42.0]),
+    (["switch", "--g10", "60:100:2", "--length", "1"], None, [80, 12, 20.0, 42.0]),
+    (["switch", "--g10", "60:100:2", "--length", "1"], {"G30_MHz": 0.0}, [80, 1, 0.0, 0.0]),
+    (["gainmap", "--omega4", "150:160:2", "--length", "0:1:2"], None, [80, 12, 20.0, 42.0]),
+], ids=["dynamics", "switch-omega4", "switch-g10", "G30-zero", "gainmap"])
+def test_propagating_manifests_report_the_cache_of_their_run(tmp_path, args, fields, grid):
+    # every command that propagates records the validation error, the grid
+    # and the reruns of the cache its run read, G30 = 0 too, whose cache has
+    # the one |G3| node 0; at the preset's G30 = 40 MHz the fitted |G3| axis
+    # is 12 nodes on [20, 42] MHz
     config = []
     if fields is not None:
         (tmp_path / "fields.json").write_text(json.dumps({"fields": fields}))
@@ -624,6 +627,31 @@ def test_propagating_manifests_report_the_cache_of_their_run(tmp_path, args, fie
     error = manifest["cache_validation_error"]
     assert isinstance(error, float) and 0.0 < error < 1e-4
     assert not [w for w in manifest["warnings"] if "fell back" in w]
+    cache_grid = manifest["cache_grid"]
+    assert [cache_grid["g1_nodes"], cache_grid["g3_nodes"], *cache_grid["g3_span_MHz"]] == grid
+    assert manifest["cache_reruns"] == 0
+
+
+def test_weak_drive_3_reruns_once_on_the_full_axis(tmp_path, monkeypatch):
+    # at G30 = 5 MHz drive 3 falls to 0.41 |G30| by 20 L4, below the fitted
+    # axis's 0.5 |G30|: the run goes again on the full axis, once, and its
+    # CSV is that of a run whose cache had the full axis from the start
+    (tmp_path / "g30.json").write_text(json.dumps({"fields": {"G30_MHz": 5.0}}))
+    args = ["dynamics", "--omega4", "155", "--length", "20", "--config",
+            str(tmp_path / "g30.json")]
+    manifests = {}
+    for name in ("fitted", "full"):
+        if name == "full":
+            nodes = propagate._drive_nodes
+            monkeypatch.setattr(propagate, "_drive_nodes",
+                                lambda g10, g30, fitted: nodes(g10, g30, False))
+        assert cli.main([*args, "--out", str(tmp_path / f"{name}.csv")]) == 0
+        manifests[name] = json.loads((tmp_path / f"{name}.csv.manifest.json").read_text())
+        assert not [w for w in manifests[name]["warnings"] if "fell back" in w]
+    assert manifests["fitted"]["cache_reruns"] == 1 and manifests["full"]["cache_reruns"] == 0
+    assert manifests["fitted"]["cache_grid"]["g3_span_MHz"] == [2.5, 5.25]
+    assert manifests["full"]["cache_grid"]["g3_span_MHz"] == [0.0, 5.25]
+    assert (tmp_path / "fitted.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
 
 
 @pytest.mark.parametrize("command", [["dynamics", "--omega4", "160"],
@@ -631,7 +659,8 @@ def test_propagating_manifests_report_the_cache_of_their_run(tmp_path, args, fie
 def test_manifest_warns_of_cache_fallbacks(tmp_path, monkeypatch, command):
     # a grid that stops at half the boundary G10 sends the first reads off it
     nodes = propagate._drive_nodes
-    monkeypatch.setattr(propagate, "_drive_nodes", lambda g10, g30: nodes(g10 / 2, g30))
+    monkeypatch.setattr(propagate, "_drive_nodes",
+                        lambda g10, g30, fitted: nodes(g10 / 2, g30, fitted))
     out = tmp_path / "run.csv"
     assert cli.main([*command, "--length", "1", "--steps", "100", "--quad", "301",
                      "--out", str(out)]) == 0

@@ -116,9 +116,10 @@ class ConstantRows(pg.CoefficientCache):
     def __init__(self, mc, fields):
         self.fallbacks, self.validation_error = 0, None
         self.fields, self.omega4 = fields, np.array([fields.omega4])
+        self.g1_grid = self.g3_grid = np.zeros(1)
         self.row = mc.to_vector()
 
-    def reader(self, col):
+    def reader(self, col, leave=None):
         return lambda a: np.tile(self.row, (len(col), 1))
 
 
@@ -262,8 +263,9 @@ def test_cache_grid_stops_at_2048_g1_nodes(preset, coarse_quad, monkeypatch):
         pg.CoefficientCache.build(sch, relax, medium, [fields.with_drives(3000.0, fields.g30)],
                                   coarse_quad)
     (g1_grid, g3_grid), = grids
-    assert g1_grid.size == 2048 and g3_grid.size == 20
+    assert g1_grid.size == 2048 and g3_grid.size == 12
     assert g1_grid[-1] == pytest.approx(1.05 * 3000.0)
+    assert g3_grid[[0, -1]] == pytest.approx([0.5 * fields.g30, 1.05 * fields.g30])
 
 
 def test_cache_validation_passes(preset, quad, dressed_fields):
@@ -313,16 +315,19 @@ def three_column_cache(preset, coarse_quad):
 
 def chebyshev_tables(cache, rng):
     """Tables (3, n1, n3, 12) of polynomials of degree n1 - 1 in |G1| and n3 - 1 in |G3|, and
-    the polynomials, sums of c T_k(2 |G1| / top1 - 1) T_l(2 |G3| / top3 - 1) with random c."""
+    the polynomials, sums of c T_k(s1) T_l(s3) with random c, s the amplitude mapped from the
+    axis's span onto [-1, 1]."""
     g1, g3 = cache.g1_grid, cache.g3_grid
     k = np.array([0, 1, 7, g1.size - 1])
     ll = np.array([0, 2, g3.size - 1])
     c = rng.normal(size=(3, k.size, ll.size, 12))
 
+    def chebyshev(degrees, x, nodes):
+        s = 2.0 * (np.asarray(x)[:, None] - nodes[0]) / (nodes[-1] - nodes[0]) - 1.0
+        return np.cos(degrees * np.arccos(np.clip(s, -1, 1)))
+
     def poly(col, x1, x3):
-        t1 = np.cos(k * np.arccos(np.clip(2.0 * np.asarray(x1)[:, None] / g1[-1] - 1.0, -1, 1)))
-        t3 = np.cos(ll * np.arccos(np.clip(2.0 * np.asarray(x3)[:, None] / g3[-1] - 1.0, -1, 1)))
-        return np.einsum("nk,nl,nklf->nf", t1, t3, c[col])
+        return np.einsum("nk,nl,nklf->nf", chebyshev(k, x1, g1), chebyshev(ll, x3, g3), c[col])
 
     x1, x3 = (a.ravel() for a in np.meshgrid(g1, g3, indexing="ij"))
     tables = np.stack([poly(np.full(x1.size, col), x1, x3) for col in range(3)])
@@ -343,12 +348,13 @@ def test_rows_are_the_tensor_chebyshev_interpolant(three_column_cache):
     tables, poly = chebyshev_tables(cache, rng)
     exact = pg.CoefficientCache(cache.scheme, cache.relax, cache.medium, cache.fields,
                                 cache.omega4, cache.quad, g1, g3, tables)
-    edge1, edge3 = rng.uniform(0.0, g1[-1], 10), rng.uniform(0.0, g3[-1], 10)
+    edge1, edge3 = rng.uniform(0.0, g1[-1], 10), rng.uniform(g3[0], g3[-1], 10)
     points = np.concatenate([
-        np.column_stack([rng.uniform(0.0, g1[-1], 200), rng.uniform(0.0, g3[-1], 200)]),
-        np.column_stack([edge1, np.zeros(10)]), np.column_stack([edge1, np.full(10, g3[-1])]),
+        np.column_stack([rng.uniform(0.0, g1[-1], 200), rng.uniform(g3[0], g3[-1], 200)]),
+        np.column_stack([edge1, np.full(10, g3[0])]),
+        np.column_stack([edge1, np.full(10, g3[-1])]),
         np.column_stack([np.zeros(10), edge3]), np.column_stack([np.full(10, g1[-1]), edge3]),
-        [(0.0, 0.0), (0.0, g3[-1]), (g1[-1], 0.0), (g1[-1], g3[-1])],
+        [(0.0, g3[0]), (0.0, g3[-1]), (g1[-1], g3[0]), (g1[-1], g3[-1])],
     ])
     for col in range(cache.omega4.size):
         scale = np.max(np.abs(tables[col]), axis=(0, 1))
@@ -363,7 +369,7 @@ def test_rows_of_a_batch_equal_lone_rows_bitwise(three_column_cache):
     rng = np.random.default_rng(6)
     col = rng.integers(0, cache.omega4.size, 40)
     g1 = rng.uniform(0.0, cache.g1_grid[-1], 40)
-    g3 = rng.uniform(0.0, cache.g3_grid[-1], 40)
+    g3 = rng.uniform(cache.g3_grid[0], cache.g3_grid[-1], 40)
     batch = cache.rows(col, g1, g3)
     assert len(set(col.tolist())) == cache.omega4.size
     for k in range(40):
@@ -381,7 +387,7 @@ def test_rows_do_not_depend_on_the_grid_scale(three_column_cache, scale):
     rng = np.random.default_rng(7)
     col = rng.integers(0, cache.omega4.size, 100)
     g1 = rng.uniform(0.0, cache.g1_grid[-1], 100)
-    g3 = rng.uniform(0.0, cache.g3_grid[-1], 100)
+    g3 = rng.uniform(cache.g3_grid[0], cache.g3_grid[-1], 100)
     field_scale = np.max(np.abs(cache.tables), axis=(0, 1, 2))
     got = scaled.rows(col, scale * g1, scale * g3)
     assert np.all(np.abs(got - cache.rows(col, g1, g3)) <= 1e-13 * field_scale)
@@ -673,8 +679,8 @@ def test_rows_are_read_only_by_rk4_stages(preset, quad):
     class Counting(ConstantRows):
         calls = 0
 
-        def reader(self, col):
-            read = super().reader(col)
+        def reader(self, col, leave=None):
+            read = super().reader(col, leave)
 
             def counting(a):
                 Counting.calls += 1
@@ -724,8 +730,8 @@ def test_each_interval_takes_its_rounded_share_of_the_steps(preset, quad):
     calls = []
 
     class Counting(ConstantRows):
-        def reader(self, col):
-            read = super().reader(col)
+        def reader(self, col, leave=None):
+            read = super().reader(col, leave)
 
             def counting(a):
                 calls.append(None)
@@ -819,9 +825,10 @@ class DriveRows(pg.CoefficientCache):
     def __init__(self, fields, sigma1):
         self.fallbacks, self.validation_error = 0, None
         self.fields, self.omega4 = fields, np.array([fields.omega4])
+        self.g1_grid = self.g3_grid = np.zeros(1)
         self.sigma1 = sigma1
 
-    def reader(self, col):
+    def reader(self, col, leave=None):
         def read(a):
             rows = np.zeros((len(col), 6), dtype=complex)
             rows[:, 0] = self.sigma1(a[:, 0])
@@ -1055,9 +1062,10 @@ def test_one_node_axis_reads_nonzero_amplitudes_directly(preset, coarse_quad):
 
 def test_out_of_grid_points_fall_back_in_one_pass(preset, quad, dressed_fields, dressed_cache,
                                                   monkeypatch):
+    # above the |G1| top, on the grid, above the |G3| top and below its bottom
     sch, relax, medium, _ = preset
     g1 = np.array([150.0, 50.0, 120.0, 10.0])
-    g3 = np.array([10.0, 20.0, 60.0, 50.0])
+    g3 = np.array([30.0, 20.0, 60.0, 5.0])
     before = dressed_cache.fallbacks
     passes = count_passes(monkeypatch)
     rows = dressed_cache.rows(np.zeros(4, int), g1, g3)
@@ -1066,3 +1074,79 @@ def test_out_of_grid_points_fall_back_in_one_pass(preset, quad, dressed_fields, 
         direct = dp.average_coefficients(sch, relax, medium, dressed_fields,
                                          float(g1[k]), float(g3[k]), quad)
         assert np.array_equal(rows[k], direct.to_vector())
+
+
+def test_reads_below_a_fitted_axis_fall_back_or_leave(preset, quad, dressed_fields,
+                                                      dressed_cache):
+    # the dressed trajectories share G30 = 40 MHz, so |G3| starts at 20 MHz;
+    # outside a run a point below it is averaged directly and counted, and
+    # a run's reader gives it a NaN row and names it instead
+    sch, relax, medium, _ = preset
+    assert dressed_cache.g3_grid[[0, -1]].tolist() == [20.0, 42.0]
+    before = dressed_cache.fallbacks
+    direct = dp.average_coefficients(sch, relax, medium, dressed_fields, 50.0, 5.0, quad)
+    assert np.array_equal(dressed_cache.lookup(50.0, 5.0).to_vector(), direct.to_vector())
+    assert dressed_cache.fallbacks == before + 1
+    left = []
+    read = dressed_cache.reader(np.zeros(2, int), left.append)
+    rows = read(np.array([[50.0, 30.0], [50.0, 5.0]]))
+    [mask] = left
+    assert mask.tolist() == [False, True] and np.isnan(rows[1]).all()
+    assert np.isfinite(rows[0]).all() and dressed_cache.fallbacks == before + 1
+
+
+def test_validation_probes_span_the_fitted_grid(preset, coarse_quad, monkeypatch):
+    sch, relax, medium, fields = preset
+    calls = []
+    direct = pg._direct_rows
+
+    def spy(*args):
+        calls.append(args[6:])
+        return direct(*args)
+
+    monkeypatch.setattr(pg, "_direct_rows", spy)
+    cache = pg.CoefficientCache.build(sch, relax, medium, [fields.with_omega4(155.0)],
+                                      coarse_quad)
+    [(g1, g3)] = calls
+    for probes, nodes in ((g1, cache.g1_grid), (g3, cache.g3_grid)):
+        span = nodes[-1] - nodes[0]
+        assert nodes[0] <= probes.min() < nodes[0] + 0.05 * span
+        assert nodes[-1] - 0.05 * span < probes.max() <= nodes[-1]
+    assert cache.g3_grid[0] == 0.5 * abs(fields.g30)
+
+
+@pytest.mark.parametrize("steps", [None, 400])
+def test_a_trajectory_that_leaves_a_fitted_axis_reruns_on_the_full_one(preset, coarse_quad,
+                                                                      steps):
+    # at G30 = 5 MHz and 155 MHz, drive 3 falls to 0.41 |G30| by 20 L4 under
+    # G10 = 100 MHz and to 0.65 |G30| under 60 MHz: the first leaves the
+    # fitted axis [2.5, 5.25] MHz and runs again on the full one, the second
+    # stays, and each gives the bits of its lone run
+    sch, relax, medium, fields = preset
+    base = fields.with_omega4(155.0)
+    batch = [base.with_drives(60.0, 5.0), base.with_drives(100.0, 5.0)]
+    lengths = np.array([0.0, 10.0, 20.0])
+    cache = pg.CoefficientCache.build(sch, relax, medium, batch, coarse_quad)
+    wide = cache.widened()
+    # the full axis is the one of trajectories that do not share one |G30|
+    full = pg.CoefficientCache.build(sch, relax, medium, [*batch, base.with_drives(60.0, 0.0)],
+                                     coarse_quad)
+    assert cache.g3_grid.size == 12 and wide.g3_grid.size == 20
+    for a, b in ((wide.g1_grid, cache.g1_grid), (wide.g3_grid, full.g3_grid),
+                 (wide.tables, full.tables)):
+        assert np.array_equal(a, b)
+
+    def run(trajectories, on):
+        return pg.transmission(sch, relax, medium, trajectories, lengths, steps=steps,
+                               quad=coarse_quad, cache=on)
+
+    ratio, failed_at, report = run(batch, cache)
+    assert np.isnan(failed_at).all() and np.isfinite(ratio).all()
+    assert report.reruns == 1 and report.fallbacks == 0
+    assert report.validation_error == max(cache.validation_error, wide.validation_error)
+    for k, on, reruns in ((0, cache, 0), (1, cache, 1), (1, wide, 0)):
+        lone, _, lone_report = run(batch[k:k + 1], on)
+        assert np.array_equal(ratio[k], lone[0]) and lone_report.reruns == reruns
+        for name in ("steps", "rejected", "stages", "error"):
+            assert np.array_equal(getattr(report, name)[k], getattr(lone_report, name)[0],
+                                  equal_nan=True)
