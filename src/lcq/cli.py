@@ -116,7 +116,7 @@ def _step_manifest(reports: list) -> dict:
 
     The steps are the fewest and most accepted steps of any trajectory,
     with the rejected steps and the right-hand-side rows (stages) summed
-    over the trajectories; the estimate is the worst local one of the
+    over the trajectories, both passes of a rerun's; the estimate is the worst local one of the
     trajectories that finished, with the probe detuning and drive of its
     trajectory (None at a requested count).  The cache error is the worst
     of the runs' caches, the grid the first run's cache's (both None

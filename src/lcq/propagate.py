@@ -196,7 +196,8 @@ class CoefficientCache:
     below the axis sends its trajectory to the full axis (:func:`_run`).
     ``validation_error`` is the worst scaled error of the validation probes
     over the columns after :meth:`build`, and None for a cache made
-    directly from its tables, which nothing validates.
+    directly from its tables, which nothing validates.  ``threads`` is the
+    worker threads :meth:`widened` tabulates with.
     """
 
     def __init__(
@@ -210,6 +211,7 @@ class CoefficientCache:
         g1_grid: np.ndarray,
         g3_grid: np.ndarray,
         tables: np.ndarray,
+        threads: int = 1,
     ):
         self.scheme = scheme
         self.relax = relax
@@ -222,7 +224,7 @@ class CoefficientCache:
         self.tables = tables
         self.fallbacks = 0
         self.validation_error: float | None = None
-        self.threads = 1
+        self.threads = threads
         self._bottom = np.array([self.g1_grid[0], self.g3_grid[0]])
         self._top = np.array([self.g1_grid[-1], self.g3_grid[-1]])
         self._weights = (_weights(self.g1_grid.size), _weights(self.g3_grid.size))
@@ -266,8 +268,7 @@ class CoefficientCache:
                    threads) -> "CoefficientCache":
         grid = DriveGrid(scheme, relax, medium, fields, g1_grid, g3_grid, quad)
         cache = cls(scheme, relax, medium, fields, omega4, quad, g1_grid, g3_grid,
-                    grid.tables(omega4, threads))
-        cache.threads = threads
+                    grid.tables(omega4, threads), threads)
         cache._validate()
         return cache
 
@@ -276,6 +277,9 @@ class CoefficientCache:
 
         The axis is the one :meth:`build` gives trajectories of different
         |G30|: 20 nodes on [0, 1.05 |G30|], for the |G30| of ``fields``.
+        It tabulates without calling :meth:`build`, so a tracer that wraps
+        :meth:`build` counts this build's time under the run that asks for
+        it, not as a cache build.
         """
         g3_grid = _drive_nodes(0.0, abs(self.fields.g30), False)[1]
         return self._tabulated(self.scheme, self.relax, self.medium, self.fields, self.omega4,
@@ -504,7 +508,10 @@ class StepReport:
     caches' and ``cache_grid`` the node counts of the cache it was given,
     with the span of its |G3| axis; None for a run without a cache.
     ``reruns`` is 1 where trajectories left a fitted |G3| axis and ran
-    again on the full one (:func:`_run`), whose pass gives their entries.
+    again on the full one (:func:`_run`): their ``steps``, ``error``,
+    ``failed_at`` and ``cause`` are the second pass's, and their
+    ``rejected``, ``stages`` and the run's ``fallbacks`` count the work of
+    both passes.
     """
 
     requested: int | None
@@ -750,8 +757,10 @@ def _run(scheme, relax, medium, fields: list[FieldConfig], y0: np.ndarray, L: fl
         idx = np.flatnonzero(left)
         states[:, idx], again, _ = _pass(scheme, relax, medium, [fields[k] for k in idx],
                                          y0[idx], z, steps, quad, cache.widened())
-        for name in ("steps", "error", "failed_at", "rejected", "stages"):
+        for name in ("steps", "error", "failed_at"):
             getattr(report, name)[idx] = getattr(again, name)
+        report.rejected[idx] += again.rejected  # the work of both passes counts
+        report.stages[idx] += again.stages
         for k, cause in zip(idx, again.cause):
             report.cause[k] = cause
         report.fallbacks += again.fallbacks

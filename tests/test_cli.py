@@ -649,6 +649,10 @@ def test_weak_drive_3_reruns_once_on_the_full_axis(tmp_path, monkeypatch):
         manifests[name] = json.loads((tmp_path / f"{name}.csv.manifest.json").read_text())
         assert not [w for w in manifests[name]["warnings"] if "fell back" in w]
     assert manifests["fitted"]["cache_reruns"] == 1 and manifests["full"]["cache_reruns"] == 0
+    # the same accepted steps, but the stages count the first pass too
+    fitted, full = manifests["fitted"]["steps"], manifests["full"]["steps"]
+    assert [fitted["min"], fitted["max"]] == [full["min"], full["max"]]
+    assert fitted["stages"] > full["stages"]
     assert manifests["fitted"]["cache_grid"]["g3_span_MHz"] == [2.5, 5.25]
     assert manifests["full"]["cache_grid"]["g3_span_MHz"] == [0.0, 5.25]
     assert (tmp_path / "fitted.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()

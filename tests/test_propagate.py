@@ -1117,11 +1117,12 @@ def test_validation_probes_span_the_fitted_grid(preset, coarse_quad, monkeypatch
 
 @pytest.mark.parametrize("steps", [None, 400])
 def test_a_trajectory_that_leaves_a_fitted_axis_reruns_on_the_full_one(preset, coarse_quad,
-                                                                      steps):
+                                                                      monkeypatch, steps):
     # at G30 = 5 MHz and 155 MHz, drive 3 falls to 0.41 |G30| by 20 L4 under
     # G10 = 100 MHz and to 0.65 |G30| under 60 MHz: the first leaves the
     # fitted axis [2.5, 5.25] MHz and runs again on the full one, the second
-    # stays, and each gives the bits of its lone run
+    # stays, and each gives the bits of its lone run; the report counts the
+    # work of both passes
     sch, relax, medium, fields = preset
     base = fields.with_omega4(155.0)
     batch = [base.with_drives(60.0, 5.0), base.with_drives(100.0, 5.0)]
@@ -1140,13 +1141,30 @@ def test_a_trajectory_that_leaves_a_fitted_axis_reruns_on_the_full_one(preset, c
         return pg.transmission(sch, relax, medium, trajectories, lengths, steps=steps,
                                quad=coarse_quad, cache=on)
 
+    names = ("steps", "rejected", "stages", "error")
+    passes = []
+    one_pass = pg._pass
+
+    def spy(*args):
+        out = one_pass(*args)
+        passes.append({name: getattr(out[1], name).copy() for name in names})
+        return out
+
+    monkeypatch.setattr(pg, "_pass", spy)
     ratio, failed_at, report = run(batch, cache)
     assert np.isnan(failed_at).all() and np.isfinite(ratio).all()
     assert report.reruns == 1 and report.fallbacks == 0
     assert report.validation_error == max(cache.validation_error, wide.validation_error)
+    first, second = passes  # the batch, then trajectory 1 on the full axis
+    for name in ("rejected", "stages"):
+        assert getattr(report, name)[1] == first[name][1] + second[name][0]
+    assert 0 < first["stages"][1] and report.stages[0] == first["stages"][0]
     for k, on, reruns in ((0, cache, 0), (1, cache, 1), (1, wide, 0)):
         lone, _, lone_report = run(batch[k:k + 1], on)
         assert np.array_equal(ratio[k], lone[0]) and lone_report.reruns == reruns
-        for name in ("steps", "rejected", "stages", "error"):
-            assert np.array_equal(getattr(report, name)[k], getattr(lone_report, name)[0],
-                                  equal_nan=True)
+        got = {name: second[name][0] for name in names} if on is wide else {
+            name: getattr(report, name)[k] for name in names}
+        for name in names:
+            assert np.array_equal(got[name], getattr(lone_report, name)[0], equal_nan=True)
+    for name in ("steps", "error"):
+        assert np.array_equal(getattr(report, name)[1], second[name][0], equal_nan=True)
