@@ -10,7 +10,6 @@ A reduced grid keeps the demo quick; the CLI form
 ``lcq gainmap --omega4 0:300:61 --length 0:60:61`` runs the full map.
 """
 
-import os
 from pathlib import Path
 
 import numpy as np
@@ -21,14 +20,13 @@ from lcq.scans import gain_map_records, records_to_csv, transparency_crossings
 OUT = Path(__file__).parent / "out"
 OUT.mkdir(exist_ok=True)
 
-threads = int(os.environ.get("LCQ_THREADS", "2"))
 scheme, relax, medium, fields = na2_preset()
 quad = QuadratureSpec.for_medium(scheme, medium)
 
 omega4 = np.linspace(100.0, 240.0, 15)
 lengths = np.linspace(0.0, 24.0, 25)
 result = gain_map(scheme, relax, medium, fields, omega4, lengths,
-                  steps=1200, quad=quad, threads=threads)
+                  steps=1200, quad=quad)
 records_to_csv(gain_map_records(result), OUT / "gain_map.csv")
 om_star, l_star = result.argmax()
 print(f"map maximum: I4/I40 = {result.max_gain:.1f} at "
@@ -37,7 +35,7 @@ print(f"map maximum: I4/I40 = {result.max_gain:.1f} at "
 L_fix = 10.0
 sweep = np.linspace(130.0, 175.0, 19)
 curve = switching_curve(scheme, relax, medium, fields, L=L_fix, sweep=sweep,
-                        axis="omega4", steps=1200, quad=quad, threads=threads)
+                        axis="omega4", steps=1200, quad=quad)
 records_to_csv(curve, OUT / "switching_omega4.csv")
 ys = curve["i4_ratio"]
 crossings = transparency_crossings(curve, "omega4")

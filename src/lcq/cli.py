@@ -11,9 +11,9 @@ import argparse
 import contextlib
 import json
 import math
-import os
 import sys
 import time
+from functools import cache
 from pathlib import Path
 
 import numpy as np
@@ -60,18 +60,6 @@ def _quad(args, sch, med) -> QuadratureSpec:
     if args.quad is not None:
         kwargs["n"] = args.quad
     return QuadratureSpec.for_medium(sch, med, **kwargs)
-
-
-def _threads(args) -> int:
-    if args.threads is not None:
-        return max(1, args.threads)
-    env = os.environ.get("LCQ_THREADS")
-    if env:
-        try:
-            return max(1, int(env))
-        except ValueError as exc:
-            raise ConfigError(f"bad LCQ_THREADS value {env!r}") from exc
-    return 1
 
 
 def _check_output_dirs(args) -> None:
@@ -165,6 +153,7 @@ def _emit(args, table, manifest_extra: dict, t_start: float,
     _write_manifest(args, payload)
 
 
+@cache  # one parser per process: parsing leaves it as it was
 def build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="lcq",
@@ -177,7 +166,7 @@ def build_parser() -> argparse.ArgumentParser:
     sub = parser.add_subparsers(dest="command", required=True)
 
     def common(p, integrates=True, writes=True):
-        """The flags a subcommand reads: steps and threads if it integrates, paths if it writes."""
+        """The flags a subcommand reads: steps if it integrates, paths if it writes."""
         p.add_argument("--config", help="configuration file (JSON); defaults to the preset")
         p.add_argument("--quad", type=int,
                        help="velocity nodes of the sinh rule that checks the exact average "
@@ -186,8 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
             p.add_argument("--steps", type=int,
                            help="RK4 steps over the medium (default: sized per trajectory by "
                                 "a Dormand-Prince 5(4) pair to 1e-7 of its peak per step)")
-            p.add_argument("--threads", type=int,
-                           help="worker threads (default LCQ_THREADS or 1)")
+            # an old flag, still parsed so that old command lines run; it has no effect
+            p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
         if writes:
             p.add_argument("--out", help="output CSV path (default stdout)")
             p.add_argument("--manifest", help="manifest path (default OUT.manifest.json)")
@@ -286,9 +275,6 @@ def _dispatch(args, argv: list[str], t_start: float, stats: doppler.PoleStats,
         "quadrature": {"method": "pole sums of Faddeeva functions", "rule": quad.rule,
                        "n": quad.n, "wing_n": quad.wing_n, "u_m_per_s": quad.u},
     }
-    if args.command != "spectra":  # every other scan integrates
-        threads = _threads(args)
-        manifest.update(threads=threads)
     manifest["warnings"] = []
 
     if args.command == "spectra":
@@ -303,7 +289,7 @@ def _dispatch(args, argv: list[str], t_start: float, stats: doppler.PoleStats,
     if args.command == "dynamics":
         f = fields if args.omega4 is None else fields.with_omega4(args.omega4)
         table = scans.spatial_dynamics(
-            sch, relax, medium, f, L=args.length, steps=args.steps, quad=quad, threads=threads,
+            sch, relax, medium, f, L=args.length, steps=args.steps, quad=quad,
         )
         _emit(args, table, manifest, t_start, stats, reports)
         return 0
@@ -313,7 +299,7 @@ def _dispatch(args, argv: list[str], t_start: float, stats: doppler.PoleStats,
         lengths = _parse_grid(args.length)
         result = propagate.gain_map(
             sch, relax, medium, fields, omega4, lengths,
-            steps=args.steps, quad=quad, threads=threads,
+            steps=args.steps, quad=quad,
         )
         table = scans.gain_map_records(result)
         n_invalid = int(np.size(result.valid) - np.count_nonzero(result.valid))
@@ -331,7 +317,7 @@ def _dispatch(args, argv: list[str], t_start: float, stats: doppler.PoleStats,
         sweep = _parse_grid(args.omega4 if axis == "omega4" else args.g10)
         table = scans.switching_curve(
             sch, relax, medium, fields, L=args.length, sweep=sweep, axis=axis,
-            steps=args.steps, quad=quad, threads=threads,
+            steps=args.steps, quad=quad,
         )
         crossings = scans.transparency_crossings(table, axis)
         manifest["transparency_crossings"] = crossings

@@ -36,7 +36,7 @@ alone is averaged by the velocity rule of :class:`QuadratureSpec` instead,
 :func:`_node_sums`, and counted in the :func:`pole_stats` of the run.  The
 same rule, summed over every class in memory-bounded chunks, is what the
 tests and ``lcq validate`` check the pole sums against; ``--quad`` sizes it
-and nothing else.  ``threads`` workers split the batches of drive points.
+and nothing else.
 """
 
 from __future__ import annotations
@@ -44,7 +44,6 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-import threading
 from dataclasses import dataclass
 from functools import lru_cache
 
@@ -120,9 +119,9 @@ def kahan_sum(values: np.ndarray, weights: np.ndarray) -> np.ndarray:
     keep no summation noise.  Real and imaginary parts are summed apart; one
     sigma serves every sum, so a sum whose terms all lie below about
     n eps max|x| gets plain pairwise accuracy.  The order is fixed by the
-    array shapes, so results repeat across runs and thread counts.  The
-    name is that of the compensated loop this replaced; the benchmark's
-    tracer wraps this function by name.
+    array shapes, so results repeat across runs.  The name is that of the
+    compensated loop this replaced; the benchmark's tracer wraps this
+    function by name.
     """
     n = values.shape[0]
     flat = np.ascontiguousarray(values).reshape(n, -1)
@@ -620,14 +619,11 @@ class PoleStats:
     """
 
     def __init__(self):
-        self.lock = threading.Lock()
         self.exceptional, self.worst_condition = 0, 0.0
 
     def add(self, condition: np.ndarray, exceptional: int = 0) -> None:
-        worst = float(np.max(condition, initial=0.0))
-        with self.lock:
-            self.exceptional += exceptional
-            self.worst_condition = max(self.worst_condition, worst)
+        self.exceptional += exceptional
+        self.worst_condition = max(self.worst_condition, float(np.max(condition, initial=0.0)))
 
 
 _POLE_STATS = contextvars.ContextVar("lcq_pole_stats", default=None)
@@ -644,8 +640,7 @@ def pole_stats():
         _POLE_STATS.reset(token)
 
 
-def _average(scheme, relax, medium, quad, fields: FieldConfig, omega4, G1, G3,
-             threads: int = 1) -> tuple:
+def _average(scheme, relax, medium, quad, fields: FieldConfig, omega4, G1, G3) -> tuple:
     """Maxwell averages at the drives ``G1``, ``G3`` and probe detunings ``omega4``, in one pass.
 
     The amplitudes (MHz, real or complex) broadcast to the drive shape: a
@@ -655,9 +650,10 @@ def _average(scheme, relax, medium, quad, fields: FieldConfig, omega4, G1, G3,
     (:func:`_probe_axis`); a leading part is the probe columns: a (c,) sweep
     at one point, ``omega4[:, None, None]`` on a grid.  omega4 and G1, G3
     all of shape (n,) pair n points element by element.
-    The drive points go in batches, split among ``threads`` workers; each
-    batch finds its drive poles once and then every column's probe poles,
-    and every point's averages depend on that point alone.
+    The drive points go in batches of equal size, at most
+    :data:`_POINTS_PER_BATCH`; each batch finds its drive poles once and
+    then every column's probe poles, and every point's averages depend on
+    that point alone.
     Returns the averaged drive ratios (2, *drive shape) and the averaged
     probe responses (a4, b4, a2, b2) as (4, *broadcast shape).
     """
@@ -688,7 +684,8 @@ def _average(scheme, relax, medium, quad, fields: FieldConfig, omega4, G1, G3,
                 ratios[:, k] = r
             stats.add((), k.size)
 
-    def batch(rows: slice) -> None:
+    edges = np.linspace(0, g1.size, -(-g1.size // _POINTS_PER_BATCH) + 1).astype(int)
+    for rows in map(slice, edges[:-1], edges[1:]):
         # coalescing poles leave infinite or NaN residues, which the velocity rule replaces
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
             drive = _drive_sector(relax, p_n, (rad * fields.omega1, rad * fields.omega3),
@@ -726,17 +723,6 @@ def _average(scheme, relax, medium, quad, fields: FieldConfig, omega4, G1, G3,
                 for c in np.flatnonzero(flagged.any(axis=1)):
                     by_rule(rows.start + np.flatnonzero(flagged[c]), np.array([first + c]), False)
         by_rule(rows.start + np.flatnonzero(bad), np.arange(n_col), True)
-
-    count = -(-g1.size // _POINTS_PER_BATCH)           # batches, a multiple of the workers
-    edges = np.linspace(0, g1.size, threads * -(-count // threads) + 1)
-    batches = [slice(a, b) for a, b in zip(edges[:-1].astype(int), edges[1:].astype(int)) if b > a]
-    if threads > 1 and len(batches) > 1:
-        from concurrent.futures import ThreadPoolExecutor  # its import loads logging
-
-        with ThreadPoolExecutor(threads) as pool:
-            list(pool.map(batch, batches))
-    else:
-        list(map(batch, batches))
     return ratios.reshape(2, *shape), means.reshape(4, *full)
 
 
@@ -763,8 +749,8 @@ def _norm_constant(
     return raw_alpha4 / medium.alpha40
 
 
-def coefficient_tables(scheme, relax, medium, quad, fields: FieldConfig, omega4, G1, G3,
-                       threads: int = 1) -> np.ndarray:
+def coefficient_tables(scheme, relax, medium, quad, fields: FieldConfig, omega4, G1,
+                       G3) -> np.ndarray:
     """Coefficient tables (*shape, 12) from one :func:`_average` pass.
 
     ``shape`` is the probe detunings' broadcast against the drives, as in
@@ -774,8 +760,7 @@ def coefficient_tables(scheme, relax, medium, quad, fields: FieldConfig, omega4,
     if a solve fails or a coefficient is not finite, naming the first such
     entry's omega4 and drive point.
     """
-    ratios, (a4, b4, a2, b2) = _average(scheme, relax, medium, quad, fields, omega4, G1, G3,
-                                        threads)
+    ratios, (a4, b4, a2, b2) = _average(scheme, relax, medium, quad, fields, omega4, G1, G3)
     norm = _norm_constant(scheme, relax, medium, quad)
     l1, l2, l3, l4 = scheme.wavelengths
     k1, k2, k3 = l4 / l1, l4 / l2, l4 / l3  # relative wavenumbers, k4 = 1
@@ -847,16 +832,16 @@ class DriveGrid:
         self.g3_grid = np.asarray(g3_grid, dtype=float)
         self.src = np.empty((6, 0, self.g1_grid.size, self.g3_grid.size), dtype=complex)
 
-    def tables(self, omega4: np.ndarray, threads: int = 1) -> np.ndarray:
+    def tables(self, omega4: np.ndarray) -> np.ndarray:
         """Coefficient tables (len(omega4), n1, n3, 12) on the drive grid, one per probe detuning.
 
         Rows are read by :meth:`MacroscopicCoefficients.from_vector`.  One
-        pass over batches of drive points, split among ``threads`` workers,
-        finds each point's drive poles and then every column's probe poles.
+        pass over batches of drive points finds each point's drive poles and
+        then every column's probe poles.
         """
         return coefficient_tables(self.scheme, self.relax, self.medium, self.quad, self.fields,
                                   np.asarray(omega4, dtype=float)[:, None, None],
-                                  self.g1_grid[:, None], self.g3_grid[None, :], threads)
+                                  self.g1_grid[:, None], self.g3_grid[None, :])
 
     def coefficients_for(self, fields: FieldConfig) -> np.ndarray:
         """Coefficient table (n1, n3, 12) at the grid's drive detunings, which ``fields``

@@ -196,8 +196,7 @@ class CoefficientCache:
     below the axis sends its trajectory to the full axis (:func:`_run`).
     ``validation_error`` is the worst scaled error of the validation probes
     over the columns after :meth:`build`, and None for a cache made
-    directly from its tables, which nothing validates.  ``threads`` is the
-    worker threads :meth:`widened` tabulates with.
+    directly from its tables, which nothing validates.
     """
 
     def __init__(
@@ -211,7 +210,6 @@ class CoefficientCache:
         g1_grid: np.ndarray,
         g3_grid: np.ndarray,
         tables: np.ndarray,
-        threads: int = 1,
     ):
         self.scheme = scheme
         self.relax = relax
@@ -224,7 +222,6 @@ class CoefficientCache:
         self.tables = tables
         self.fallbacks = 0
         self.validation_error: float | None = None
-        self.threads = threads
         self._bottom = np.array([self.g1_grid[0], self.g3_grid[0]])
         self._top = np.array([self.g1_grid[-1], self.g3_grid[-1]])
         self._weights = (_weights(self.g1_grid.size), _weights(self.g3_grid.size))
@@ -237,7 +234,6 @@ class CoefficientCache:
         medium: MediumParams,
         trajectories: list[FieldConfig],
         quad: QuadratureSpec,
-        threads: int = 1,
     ) -> "CoefficientCache":
         """Validated cache for ``trajectories`` over [0, 1.05|G10|] x [0 or 1/2, 1.05] |G30|.
 
@@ -246,12 +242,12 @@ class CoefficientCache:
         trajectories, so every trajectory starts on the grid.  The
         trajectories share the drive detunings of the first, which
         :func:`_row_source` checks, hence one :class:`DriveGrid` pass over
-        the drive points, which ``threads`` worker threads split.  One
-        policy, with no settings (:func:`_drive_nodes`): Chebyshev points
-        of the second kind, min(2048, max(80, ceil(0.8 |G10| / 1 MHz)))
-        along |G1|; along |G3|, 12 on [1/2, 1.05] |G30| where the
-        trajectories share one non-zero |G30|, as every scan's do, and 20
-        on [0, 1.05 |G30|] otherwise; one node, 0, on the axis of a zero
+        the drive points.  One policy, with no settings
+        (:func:`_drive_nodes`): Chebyshev points of the second kind,
+        min(2048, max(80, ceil(0.8 |G10| / 1 MHz))) along |G1|; along
+        |G3|, 12 on [1/2, 1.05] |G30| where the trajectories share one
+        non-zero |G30|, as every scan's do, and 20 on [0, 1.05 |G30|]
+        otherwise; one node, 0, on the axis of a zero
         drive.  Every column is checked at the same 50 points of the R2
         sequence over the grid, where an error over 1e-4 of a coefficient's
         scale raises :class:`CacheValidationError`.
@@ -261,19 +257,19 @@ class CoefficientCache:
         g30 = {abs(f.g30) for f in trajectories}
         g1_grid, g3_grid = _drive_nodes(g10, max(g30), len(g30) == 1 and max(g30) > 0)
         return cls._tabulated(scheme, relax, medium, trajectories[0], omega4, quad,
-                              g1_grid, g3_grid, threads)
+                              g1_grid, g3_grid)
 
     @classmethod
-    def _tabulated(cls, scheme, relax, medium, fields, omega4, quad, g1_grid, g3_grid,
-                   threads) -> "CoefficientCache":
+    def _tabulated(cls, scheme, relax, medium, fields, omega4, quad, g1_grid,
+                   g3_grid) -> "CoefficientCache":
         grid = DriveGrid(scheme, relax, medium, fields, g1_grid, g3_grid, quad)
         cache = cls(scheme, relax, medium, fields, omega4, quad, g1_grid, g3_grid,
-                    grid.tables(omega4, threads), threads)
+                    grid.tables(omega4))
         cache._validate()
         return cache
 
     def widened(self) -> "CoefficientCache":
-        """A new validated cache of the same columns, |G1| nodes and threads on the full |G3| axis.
+        """A new validated cache of the same columns and |G1| nodes on the full |G3| axis.
 
         The axis is the one :meth:`build` gives trajectories of different
         |G30|: 20 nodes on [0, 1.05 |G30|], for the |G30| of ``fields``.
@@ -283,7 +279,7 @@ class CoefficientCache:
         """
         g3_grid = _drive_nodes(0.0, abs(self.fields.g30), False)[1]
         return self._tabulated(self.scheme, self.relax, self.medium, self.fields, self.omega4,
-                               self.quad, self.g1_grid, g3_grid, self.threads)
+                               self.quad, self.g1_grid, g3_grid)
 
     def _validate(self) -> None:
         # every column at the same points, in one direct pass; errors are
@@ -894,15 +890,13 @@ def gain_map(
     length_grid: np.ndarray,
     steps: int | None = None,
     quad: QuadratureSpec | None = None,
-    threads: int = 1,
 ) -> GainMapResult:
     """Probe transmission over a (probe detuning, optical length) grid.
 
     Each detuning column is one trajectory to max(length_grid), and all
     columns step together, at ``steps`` or sized by the embedded pair
     (:func:`transmission`).  The columns read the
-    :meth:`CoefficientCache.build` cache, tabulated on ``threads`` worker
-    threads.  A column that fails (its fields turn non-finite, or its
+    :meth:`CoefficientCache.build` cache.  A column that fails (its fields turn non-finite, or its
     adaptive steps pass the cap or underflow) keeps only its L = 0 cell
     valid; a map whose every column failed raises :class:`PropagationError`.
     """
@@ -919,7 +913,7 @@ def gain_map(
         quad = QuadratureSpec.for_medium(scheme, medium)
 
     columns = [base.with_omega4(float(om)) for om in omega4_grid]
-    cache = CoefficientCache.build(scheme, relax, medium, columns, quad, threads=threads)
+    cache = CoefficientCache.build(scheme, relax, medium, columns, quad)
     ratio, failed_at, report = transmission(scheme, relax, medium, columns, length_grid,
                                             steps=steps, quad=quad, cache=cache)
     finished = np.isnan(failed_at)

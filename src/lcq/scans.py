@@ -2,9 +2,8 @@
 
 Each scan returns a table, a dict of float64 columns in CSV order, carrying
 only physical ratios and coefficients (absolute field scales are not
-physical in this model).  Tables are reproducible bit-for-bit across runs
-and thread counts, and :data:`UNITS` gives each column's unit for CSV
-emission.
+physical in this model).  Tables are reproducible bit-for-bit across runs,
+and :data:`UNITS` gives each column's unit for CSV emission.
 """
 
 from __future__ import annotations
@@ -93,7 +92,6 @@ def spatial_dynamics(
     L: float,
     steps: int | None = None,
     quad: QuadratureSpec | None = None,
-    threads: int = 1,
 ) -> dict[str, np.ndarray]:
     """Intensity evolution of all four waves along the medium.
 
@@ -101,8 +99,7 @@ def spatial_dynamics(
     Stokes intensity normalized to the probe input I2(z)/I40, at 257
     evenly spaced positions, integrated at ``steps`` or sized by the
     embedded pair (:func:`propagate.integrate`), through the
-    :meth:`propagate.CoefficientCache.build` cache built on ``threads``
-    worker threads.
+    :meth:`propagate.CoefficientCache.build` cache.
     """
     if fields.e40 == 0:
         raise ConfigError("spatial dynamics needs a non-zero probe input E40")
@@ -111,8 +108,7 @@ def spatial_dynamics(
         quad = QuadratureSpec.for_medium(scheme, medium)
     trace = propagate.integrate(
         scheme, relax, medium, fields, L, steps=steps, quad=quad,
-        cache=propagate.CoefficientCache.build(scheme, relax, medium, [fields], quad,
-                                               threads=threads),
+        cache=propagate.CoefficientCache.build(scheme, relax, medium, [fields], quad),
     )
     g1, g3, e4, e2 = (np.abs(w) for w in (trace.g1, trace.g3, trace.e4, trace.e2))
 
@@ -133,15 +129,14 @@ def switching_curve(
     axis: str = "omega4",
     steps: int | None = None,
     quad: QuadratureSpec | None = None,
-    threads: int = 1,
 ) -> dict[str, np.ndarray]:
     """Transmission I4(L)/I40 at fixed optical length versus a control knob.
 
     ``axis`` selects the swept control: the probe detuning or the drive
     boundary amplitude G10.  Either way the sweep points are trajectories
     of one :func:`propagate.transmission` run, which reads the
-    :meth:`propagate.CoefficientCache.build` cache built on ``threads`` worker threads,
-    at ``steps`` or sized by the embedded pair, and a point that fails raises
+    :meth:`propagate.CoefficientCache.build` cache, at ``steps`` or sized
+    by the embedded pair, and a point that fails raises
     :class:`propagate.PropagationError`.  Use :func:`transparency_crossings`
     to locate the points where the curve passes through unity.
     """
@@ -157,8 +152,7 @@ def switching_curve(
     propagate.check_run(L, steps)
     if quad is None:
         quad = QuadratureSpec.for_medium(scheme, medium)
-    cache = propagate.CoefficientCache.build(scheme, relax, medium, points, quad,
-                                             threads=threads)
+    cache = propagate.CoefficientCache.build(scheme, relax, medium, points, quad)
     ratio, failed_at, report = propagate.transmission(
         scheme, relax, medium, points, np.array([L]), steps=steps, quad=quad, cache=cache)
     failed = np.flatnonzero(~np.isnan(failed_at))

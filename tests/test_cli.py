@@ -3,7 +3,6 @@
 import contextlib
 import io
 import json
-import hashlib
 import math
 import os
 import subprocess
@@ -29,7 +28,6 @@ def run_python(args, tmp_path=None, env_extra=None):
     # the child runs in tmp_path, where a relative PYTHONPATH entry such as
     # `src` resolves to nothing, so hand it the absolute package root first
     env = dict(os.environ)
-    env.pop("LCQ_THREADS", None)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")]))
     if env_extra:
@@ -470,43 +468,6 @@ def test_manifest_records_argv_given_to_main(tmp_path):
     assert manifest["argv"] == argv
 
 
-def test_gainmap_deterministic_across_threads(tmp_path):
-    digests = {}
-    for threads in (1, 4, 8):
-        out = tmp_path / f"gm{threads}.csv"
-        rc = cli.main(["gainmap", "--omega4", "150:160:3", "--length", "0:9:4",
-                       "--steps", "400", "--quad", "301",
-                       "--threads", str(threads), "--out", str(out)])
-        assert rc == 0
-        digests[threads] = hashlib.sha256(out.read_bytes()).hexdigest()
-    assert len(set(digests.values())) == 1
-
-
-@pytest.mark.parametrize("args", [
-    ["dynamics", "--length", "4"],
-    ["switch", "--g10", "60:100:3", "--length", "4"],
-], ids=["dynamics", "switch-g10"])
-def test_threads_reach_one_column_builds(tmp_path, monkeypatch, args):
-    # --threads splits the cache build of dynamics and of a G10 sweep, and
-    # the CSV bytes do not depend on it
-    build = propagate.CoefficientCache.build.__func__
-    asked = []
-
-    def spy(cls, *a, threads=1, **kw):
-        asked.append(threads)
-        return build(cls, *a, threads=threads, **kw)
-
-    monkeypatch.setattr(propagate.CoefficientCache, "build", classmethod(spy))
-    csv = {}
-    for threads in (1, 2):
-        out = tmp_path / f"t{threads}.csv"
-        assert cli.main([*args, "--quad", "101", "--steps", "200", "--threads", str(threads),
-                         "--out", str(out)]) == 0
-        csv[threads] = out.read_bytes()
-    assert asked == [1, 2]
-    assert csv[1] == csv[2]
-
-
 def _drive():
     polar = st.tuples(st.floats(1.0, 150.0), st.floats(0.0, 2 * math.pi))
     return st.one_of(st.just(0.0), polar.map(lambda p: [p[0] * math.cos(p[1]),
@@ -694,19 +655,6 @@ def test_gainmap_whose_first_column_curves_hard_passes_validation(tmp_path, fiel
     assert manifest["cache_validation_error"] <= 1e-4
 
 
-def test_threads_env_variable(tmp_path):
-    out = tmp_path / "env.csv"
-    proc = run_cli(["gainmap", "--omega4", "150:155:2", "--length", "0:6:3",
-                    "--steps", "400", "--quad", "301", "--out", str(out)],
-                   tmp_path, env_extra={"LCQ_THREADS": "2"})
-    assert proc.returncode == 0, proc.stderr
-    manifest = json.loads((tmp_path / "env.csv.manifest.json").read_text())
-    assert manifest["threads"] == 2
-    proc = run_cli(["gainmap", "--omega4", "150:155:2", "--length", "0:6:3", "--quad", "301"],
-                   tmp_path, env_extra={"LCQ_THREADS": "many"})
-    assert proc.returncode == 2, proc.stderr
-
-
 def test_validate_subcommand_passes():
     assert cli.main(["validate", "--quad", "1311"]) == 0
 
@@ -756,14 +704,44 @@ def test_cli_import_loads_no_scipy_module(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
-def test_cli_import_loads_no_thread_pool(tmp_path):
-    # concurrent.futures imports logging; only an average on several threads
-    # makes a pool, and imports it there
+def test_threads_flag_is_ignored_and_loads_no_thread_pool(tmp_path):
+    # the benchmark's tiny gain map still passes --threads; it parses, makes
+    # no pool (concurrent.futures would import logging), leaves the manifest
+    # as it is and the CSV byte for byte that of the call without it
+    args = ["gainmap", "--omega4=150:155:2", "--length=0:12:13", "--quad", "101",
+            "--steps", "400"]
     code = ("import sys\n"
-            "import lcq.cli\n"
+            "from lcq import cli\n"
+            f"rc = cli.main({[*args, '--threads', '2', '--out', 'two.csv']!r})\n"
+            "assert rc == 0, rc\n"
             "assert 'concurrent.futures' not in sys.modules, 'concurrent.futures was imported'\n")
     proc = run_python(["-c", code], tmp_path)
     assert proc.returncode == 0, proc.stdout + proc.stderr
+    assert run_cli([*args, "--out", "one.csv"], tmp_path).returncode == 0
+    manifest = json.loads((tmp_path / "two.csv.manifest.json").read_text())
+    assert "threads" not in manifest
+    assert (tmp_path / "two.csv").read_bytes() == (tmp_path / "one.csv").read_bytes()
+
+
+def test_one_parser_serves_a_usage_error_then_a_valid_call(tmp_path):
+    # main builds its parser once per process; a call that fails to parse
+    # leaves nothing behind for the next
+    bad, good = ["spectra", "--threads", "3"], ["spectra", "--omega4", "0:10:3", "--quad", "301"]
+    code = ("import contextlib, io, sys\n"
+            "from lcq import cli\n"
+            "err = io.StringIO()\n"
+            "with contextlib.redirect_stderr(err):\n"
+            f"    bad = cli.main({bad!r})\n"
+            f"good = cli.main({[*good, '--out', 'both.csv']!r})\n"
+            "assert cli.build_parser() is cli.build_parser()\n"
+            "print(bad, good)\n"
+            "print(err.getvalue(), end='', file=sys.stderr)\n")
+    both = run_python(["-c", code], tmp_path)
+    assert both.stdout == "2 0\n", both.stdout + both.stderr
+    alone = run_cli(bad, tmp_path)
+    assert alone.returncode == 2 and both.stderr == alone.stderr, both.stderr
+    assert run_cli([*good, "--out", "alone.csv"], tmp_path).returncode == 0
+    assert (tmp_path / "both.csv").read_bytes() == (tmp_path / "alone.csv").read_bytes()
 
 
 def test_validate_fails_when_a_closed_form_pole_is_off(monkeypatch, capsys):

@@ -451,16 +451,6 @@ def test_gain_map_grid_validation(preset, quad):
                     np.array([1.0]), quad=quad)
 
 
-def test_gain_map_threads_deterministic(preset, quad):
-    sch, relax, medium, fields = preset
-    om4 = np.array([140.0, 160.0])
-    lengths = np.array([0.0, 5.0, 11.0])
-    kw = dict(steps=400, quad=quad)
-    a = pg.gain_map(sch, relax, medium, fields, om4, lengths, threads=1, **kw)
-    b = pg.gain_map(sch, relax, medium, fields, om4, lengths, threads=2, **kw)
-    assert np.array_equal(a.ratio, b.ratio)
-
-
 @pytest.fixture(scope="module")
 def coarse_quad(preset):
     sch, _, medium, _ = preset
@@ -512,8 +502,8 @@ def test_runaway_column_leaves_the_others_alone(preset, coarse_quad, monkeypatch
     monkeypatch.setattr(pg.CoefficientCache, "_validate", lambda cache: None)
     tabulate = dp.DriveGrid.tables
 
-    def runaway_at_155(grid, omega4, threads=1):
-        tables = tabulate(grid, omega4, threads)
+    def runaway_at_155(grid, omega4):
+        tables = tabulate(grid, omega4)
         for table, w in zip(tables, omega4):
             if w == 155.0:
                 table[...] = RUNAWAY.to_vector()
@@ -558,19 +548,16 @@ def test_build_validates_columns_in_order(preset, coarse_quad, monkeypatch):
     assert 0.0 < report.validation_error < 1e-4
 
 
-@pytest.mark.parametrize("threads", [1, 2, 3])
-def test_build_tables_match_drive_grid(preset, coarse_quad, threads):
-    # five columns divide by neither 2 nor 3 threads; every thread count
-    # gives the tables of a lone column on one thread, bit for bit
+def test_build_tables_match_drive_grid(preset, coarse_quad):
+    # the cache of five columns holds the tables of each lone column, bit for bit
     sch, relax, medium, fields = preset
     columns = [fields.with_omega4(om) for om in (150.0, 152.5, 155.0, 157.5, 160.0)]
-    cache = pg.CoefficientCache.build(sch, relax, medium, columns, coarse_quad,
-                                      threads=threads)
+    cache = pg.CoefficientCache.build(sch, relax, medium, columns, coarse_quad)
     assert cache.g1_grid[-1] == pytest.approx(1.05 * abs(fields.g10), rel=1e-15)
     assert cache.g3_grid[-1] == pytest.approx(1.05 * abs(fields.g30), rel=1e-15)
     grid = dp.DriveGrid(sch, relax, medium, fields, cache.g1_grid, cache.g3_grid, coarse_quad)
     omega4 = [f.omega4 for f in columns]
-    assert np.array_equal(cache.tables, grid.tables(omega4, threads=threads))
+    assert np.array_equal(cache.tables, grid.tables(omega4))
     for table, f in zip(cache.tables, columns):
         assert np.array_equal(table, grid.coefficients_for(f))
 
@@ -885,7 +872,7 @@ def test_benchmark_runs_stay_within_1e6_of_their_peaks_against_16000_steps(prese
         batch = [fields.with_omega4(155.0).with_drives(g10, fields.g30)
                  for g10 in np.linspace(60.0, 105.0, 25)]
         lengths = np.array([10.0])
-    cache = pg.CoefficientCache.build(sch, relax, medium, batch, quad, threads=2)
+    cache = pg.CoefficientCache.build(sch, relax, medium, batch, quad)
     ratio, _, report = pg.transmission(sch, relax, medium, batch, lengths, quad=quad, cache=cache)
     ref, _, _ = pg.transmission(sch, relax, medium, batch, lengths, steps=16000, quad=quad,
                                 cache=cache)
