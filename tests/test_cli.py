@@ -24,14 +24,12 @@ from lcq.scheme import RAD_PER_MHZ, na2_preset
 PACKAGE_ROOT = Path(lcq.__file__).resolve().parent.parent
 
 
-def run_python(args, tmp_path=None, env_extra=None):
+def run_python(args, tmp_path=None):
     # the child runs in tmp_path, where a relative PYTHONPATH entry such as
     # `src` resolves to nothing, so hand it the absolute package root first
     env = dict(os.environ)
     env["PYTHONPATH"] = os.pathsep.join(
         filter(None, [str(PACKAGE_ROOT), env.get("PYTHONPATH")]))
-    if env_extra:
-        env.update(env_extra)
     return subprocess.run(
         [sys.executable, *args],
         capture_output=True, text=True, env=env,
@@ -39,8 +37,8 @@ def run_python(args, tmp_path=None, env_extra=None):
     )
 
 
-def run_cli(args, tmp_path=None, env_extra=None):
-    return run_python(["-m", "lcq.cli", *args], tmp_path, env_extra)
+def run_cli(args, tmp_path=None):
+    return run_python(["-m", "lcq.cli", *args], tmp_path)
 
 
 def test_preset_dump_matches_serialization(tmp_path):
@@ -727,17 +725,11 @@ def test_one_parser_serves_a_usage_error_then_a_valid_call(tmp_path):
     # main builds its parser once per process; a call that fails to parse
     # leaves nothing behind for the next
     bad, good = ["spectra", "--threads", "3"], ["spectra", "--omega4", "0:10:3", "--quad", "301"]
-    code = ("import contextlib, io, sys\n"
-            "from lcq import cli\n"
-            "err = io.StringIO()\n"
-            "with contextlib.redirect_stderr(err):\n"
-            f"    bad = cli.main({bad!r})\n"
-            f"good = cli.main({[*good, '--out', 'both.csv']!r})\n"
-            "assert cli.build_parser() is cli.build_parser()\n"
-            "print(bad, good)\n"
-            "print(err.getvalue(), end='', file=sys.stderr)\n")
+    code = ("from lcq import cli\n"
+            f"print(cli.main({bad!r}), cli.main({[*good, '--out', 'both.csv']!r}),\n"
+            "      cli.build_parser() is cli.build_parser())\n")
     both = run_python(["-c", code], tmp_path)
-    assert both.stdout == "2 0\n", both.stdout + both.stderr
+    assert both.stdout == "2 0 True\n", both.stdout + both.stderr
     alone = run_cli(bad, tmp_path)
     assert alone.returncode == 2 and both.stderr == alone.stderr, both.stderr
     assert run_cli([*good, "--out", "alone.csv"], tmp_path).returncode == 0
