@@ -548,11 +548,19 @@ def test_build_validates_columns_in_order(preset, coarse_quad, monkeypatch):
     assert 0.0 < report.validation_error < 1e-4
 
 
-def test_build_tables_match_drive_grid(preset, coarse_quad):
-    # the cache of five columns holds the tables of each lone column, bit for bit
+@pytest.mark.parametrize("group", [1, 2, 3])
+def test_build_tables_match_drive_grid(preset, coarse_quad, monkeypatch, group):
+    # the probe columns go through each batch of drive points in groups of
+    # 1, 2 or 3; five columns divide by neither 2 nor 3, and every grouping
+    # gives the tables of a lone column, bit for bit
     sch, relax, medium, fields = preset
     columns = [fields.with_omega4(om) for om in (150.0, 152.5, 155.0, 157.5, 160.0)]
+    g1, g3 = pg._drive_nodes(abs(fields.g10), abs(fields.g30), True)
+    batches = -(-g1.size * g3.size // dp._POINTS_PER_BATCH)
+    assert g1.size * g3.size % batches == 0
+    monkeypatch.setattr(dp, "_GROUP_BLOCKS", group * (g1.size * g3.size // batches))
     cache = pg.CoefficientCache.build(sch, relax, medium, columns, coarse_quad)
+    assert np.array_equal(cache.g1_grid, g1) and np.array_equal(cache.g3_grid, g3)
     assert cache.g1_grid[-1] == pytest.approx(1.05 * abs(fields.g10), rel=1e-15)
     assert cache.g3_grid[-1] == pytest.approx(1.05 * abs(fields.g30), rel=1e-15)
     grid = dp.DriveGrid(sch, relax, medium, fields, cache.g1_grid, cache.g3_grid, coarse_quad)
