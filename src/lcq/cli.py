@@ -104,8 +104,9 @@ def _step_manifest(reports: list) -> dict:
 
     The steps are the fewest and most accepted steps of any trajectory,
     with the rejected steps and the right-hand-side rows (stages) summed
-    over the trajectories, both passes of a rerun's; the estimate is the worst local one of the
-    trajectories that finished, with the probe detuning and drive of its
+    over the trajectories, both passes of a rerun's; the estimate is the
+    worst local one of the trajectories that finished, with the tolerance
+    the steps were sized to and the probe detuning and drive of its
     trajectory (None at a requested count).  The cache error is the worst
     of the runs' caches, the grid the first run's cache's (both None
     without one), and the reruns on a full |G3| axis are summed.
@@ -116,8 +117,8 @@ def _step_manifest(reports: list) -> dict:
     worst = None
     if not np.isnan(error).all():
         k = int(np.nanargmax(error))
-        worst = {"estimate": float(error[k]), "omega4_MHz": fields[k].omega4,
-                 "g10_MHz": abs(fields[k].g10)}
+        worst = {"estimate": float(error[k]), "tolerance": propagate._STEP_TOL,
+                 "omega4_MHz": fields[k].omega4, "g10_MHz": abs(fields[k].g10)}
     errors = [r.validation_error for _, r in reports if r.validation_error is not None]
     grids = [r.cache_grid for _, r in reports if r.cache_grid is not None]
     return {"steps": {"requested": reports[0][1].requested, "min": int(steps.min()),
@@ -174,7 +175,8 @@ def build_parser() -> argparse.ArgumentParser:
         if integrates:
             p.add_argument("--steps", type=int,
                            help="RK4 steps over the medium (default: sized per trajectory by "
-                                "a Dormand-Prince 5(4) pair to 1e-7 of its peak per step)")
+                                f"a Dormand-Prince 5(4) pair to {propagate._STEP_TOL:g} of its "
+                                "peak per step)")
             # an old flag, still parsed so that old command lines run; it has no effect
             p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
         if writes:

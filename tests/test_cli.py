@@ -135,6 +135,17 @@ def test_manifest_stages_count_the_right_hand_side_rows(tmp_path, monkeypatch, s
     assert manifest["steps"]["stages"] == sum(rows) > 0
 
 
+def test_manifest_step_error_states_its_tolerance(tmp_path, capsys):
+    out = tmp_path / "sw.csv"
+    argv = ["switch", "--omega4", "150:160:3", "--length", "4", "--quad", "301", "--out", str(out)]
+    assert cli.main(argv) == 0
+    error = json.loads((tmp_path / "sw.csv.manifest.json").read_text())["step_error"]
+    assert 0 < error["estimate"] <= error["tolerance"] == propagate._STEP_TOL
+    # --help names the same tolerance
+    assert cli.main(["switch", "--help"]) == 0
+    assert f"to {propagate._STEP_TOL:g} of" in " ".join(capsys.readouterr().out.split())
+
+
 def test_dynamics_subcommand(tmp_path):
     out = tmp_path / "dyn.csv"
     rc = cli.main(["dynamics", "--omega4", "160", "--length", "6",
