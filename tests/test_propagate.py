@@ -797,8 +797,8 @@ def test_embedded_pair_estimate_bounds_the_error(preset, quad, dressed_cache, em
 def test_embedded_pair_past_the_cap_is_a_named_failure(preset, coarse_quad, dressed_fields,
                                                        monkeypatch, tmp_path, capsys):
     # to 80 L4 the dressed trajectory and the preset's 160 MHz column take
-    # 61 steps, the preset's 100 MHz column 52 (60 and 51 recording 80 L4
-    # alone); the cap is 56
+    # 61 steps, the preset's 100 MHz column 52 (60 and 51 in the switch
+    # call, which records 80 L4 alone); the cap is 56
     sch, relax, medium, fields = preset
     monkeypatch.setattr(pg, "_STEPS_MAX", 56)
     cache = pg.CoefficientCache.build(sch, relax, medium, [dressed_fields], coarse_quad)
