@@ -363,7 +363,11 @@ class _DriveSector:
     :func:`lcq.liouville.compact_sources` in ``sources`` (6, P, 5) and the
     drive ratios rho_gl / G1 and rho_mn / G3 in ``ratios`` (2, P, 4).
     ``poles`` (P, 4) are the roots of Q, ``weights`` = Z(pole) / Q'(pole)
-    and ``condition`` the eigenvector condition number of the roots.
+    and ``condition`` the eigenvector condition number of the roots.  What
+    every probe column of a point shares is kept too: ``pole_sources``
+    (6, P, 4), the sources at the poles, and ``spread`` (P,), the largest
+    (|Im q_i| + |Im q_j|) / |q_i - q_j| over pairs of the poles, their part
+    of :func:`_probe_means`' coalescence test.
     """
 
     Q: np.ndarray
@@ -372,6 +376,8 @@ class _DriveSector:
     poles: np.ndarray
     weights: np.ndarray
     condition: np.ndarray
+    pole_sources: np.ndarray
+    spread: np.ndarray
 
 
 def _drive_sector(relax: RelaxationSet, p_n: float, alpha, beta, G1, G3) -> _DriveSector:
@@ -436,7 +442,21 @@ def _drive_sector(relax: RelaxationSet, p_n: float, alpha, beta, G1, G3) -> _Dri
     left = np.sqrt(1.0 + size * (1.0 + size * (1.0 + size)))
     condition = _condition(right * left / np.abs(b0 + z * (b1 + z * (b2 + z))))
     weights = _plasma_z(roots) / _polyval(Q[:, 1:] * np.arange(1, 5), roots)
-    return _DriveSector(Q, sources, np.stack([ratio1, ratio3]), roots, weights, condition)
+    gap = np.where(np.eye(4, dtype=bool), np.inf, roots[:, :, None] - roots[:, None, :])
+    spread = _spread(roots, roots, gap)
+    return _DriveSector(Q, sources, np.stack([ratio1, ratio3]), roots, weights, condition,
+                        _polyval(sources, roots), spread)
+
+
+def _spread(a: np.ndarray, b: np.ndarray, gap: np.ndarray) -> np.ndarray:
+    """The largest (|Im a_i| + |Im b_j|) / |gap_ij| (N,) over pairs of poles a, b (N, 4).
+
+    ``gap`` (N, 4, 4) is a_i - b_j, and inf where a pole would pair with
+    itself.  Coalescing poles have residues that grow as they approach and
+    cancel, and this ratio grows with them.
+    """
+    return np.max((np.abs(a.imag)[:, :, None] + np.abs(b.imag)[:, None, :]) / np.abs(gap),
+                  axis=(1, 2))
 
 
 def _cofactors(m0, m1, m2, m3, p, q, r, s) -> tuple:
@@ -457,7 +477,14 @@ def _cofactors(m0, m1, m2, m3, p, q, r, s) -> tuple:
 
 
 def _pencil_poles(block, slopes) -> tuple:
-    """Poles (B, 4) of B probe blocks M(x) = M0 + x M1, and their condition numbers (B,).
+    """Poles (B, 4) of B probe blocks and their condition numbers (B,), as :func:`_pencil`
+    gives them: what ``lcq validate`` checks against LAPACK."""
+    return _pencil(block, slopes)[:2]
+
+
+def _pencil(block, slopes) -> tuple:
+    """Poles (B, 4) of B probe blocks M(x) = M0 + x M1, their condition numbers (B,), and
+    the parts of the pole sums that depend on the poles alone.
 
     ``block`` holds :func:`lcq.liouville.probe_block`'s parts at x = 0 and
     ``slopes`` the diagonal of M1.  With m_j = M0_jj + x slope_j,
@@ -468,7 +495,10 @@ def _pencil_poles(block, slopes) -> tuple:
     their outer product x y^T times a scalar, even where a drive is zero
     and the block decouples, so kappa_i = |x| |M1 y| / |y^T M1 x| is
     |adj M M1|_F / |tr(adj M M1)|, and the trace is det' M(lambda_i)
-    (Jacobi's formula), det M1 prod_k (lambda_i - lambda_k).
+    (Jacobi's formula), det M1 prod_k (lambda_i - lambda_k).  Returns
+    lambda, the condition numbers, then what :func:`_probe_means` reuses:
+    rows 1 and 2 of adj M(lambda_i) (:func:`_cofactors`, each entry (B, 4)),
+    the gaps lambda_i - lambda_k (B, 4, 4) and det' M(lambda_i) (B, 4).
     """
     m0, m1, m2, m3, p, q, r, s = block
     s0, s1, s2, s3 = slopes
@@ -494,7 +524,15 @@ def _pencil_poles(block, slopes) -> tuple:
     norm = np.sqrt(np.sum(np.abs(adj) ** 2 * np.tile(np.abs(slopes) ** 2, 4), axis=-1))
     gap = lam[:, :, None] - lam[:, None, :]
     derivative = np.prod(slopes) * np.prod(np.where(np.eye(4, dtype=bool), 1.0, gap), axis=2)
-    return lam, _condition(norm / np.abs(derivative))
+    return lam, _condition(norm / np.abs(derivative)), (row1, row2), gap, derivative
+
+
+def _numerators(src, cofactors) -> np.ndarray:
+    """N_i = sum_j n_j C_ji (4, B, poles) of the two unit probe sources n, rows i = 1, 2 each,
+    from the drive sources ``src`` (6, B, poles) and cofactor rows 1 and 2 at the poles."""
+    # the unit sources have a structural zero each, a scalar 0.0
+    return np.stack([sum(n * c for n, c in zip(unit, cof) if np.ndim(n))
+                     for unit in liouville.probe_sources(*src) for cof in cofactors])
 
 
 def _probe_means(drive: _DriveSector, point: np.ndarray, block, slopes) -> tuple:
@@ -505,32 +543,35 @@ def _probe_means(drive: _DriveSector, point: np.ndarray, block, slopes) -> tuple
     ``slopes`` the derivatives of its diagonal in x, so that the block is
     the pencil M(x) = M0 + x M1 with M1 = diag(slopes).  Its poles are the
     roots lambda_k of det M(x) = det M1 prod_k (x - lambda_k)
-    (:func:`_pencil_poles`).  By Cramer's rule, row i of M^-1 b for a source
+    (:func:`_pencil`).  By Cramer's rule, row i of M^-1 b for a source
     b = n / Q is N_i / (det M Q) with N_i = sum_j n_j C_ji over the
     cofactors C of M (:func:`_cofactors`).  Its residue at lambda_k is
     N_i / (det' M Q) there and at a drive pole q_j N_i / (det M Q') there.
     The condition number is that of the eigenvectors of K = -M1^-1 M0, or,
     if larger, the largest (|Im p| + |Im p'|) / |p - p'| over the eight
-    poles: coalescing poles have residues that grow as they approach and
-    cancel.
+    poles (:func:`_spread`): coalescing poles have residues that grow as
+    they approach and cancel.  Each part is computed once where it is
+    known: the drive point's sources at its poles and its drive-drive
+    spread come with ``drive``, and the cofactors, gaps and det' M at the
+    lambda_k from :func:`_pencil`; only the cofactors at the q_j, det M
+    there and the pairs (q_j, lambda_k) are new.  The terms go [lambda, q]
+    into each sum.
     """
-    lam, condition = _pencil_poles(block, slopes)
-    poles = np.concatenate([lam, drive.poles[point]], axis=1)               # (B, 8)
-    m0, m1, m2, m3 = (block[j][:, None] + slopes[j] * poles for j in range(4))
-    cofactors = _cofactors(m0, m1, m2, m3, *(c[:, None] for c in block[4:]))
-    gap = poles[:, :, None] - poles[:, None, :]                              # (B, 8, 8)
-    width = np.abs(poles.imag)
-    eye = np.eye(8, dtype=bool)
-    spread = (width[:, :, None] + width[:, None, :]) / np.abs(np.where(eye, np.inf, gap))
-    condition = np.maximum(condition, np.max(spread, axis=(1, 2)))
-    det = np.prod(slopes) * np.prod(np.where(eye[:, :4], 1.0, gap[:, :, :4]), axis=2)
+    lam, condition, cofactors, gap, derivative = _pencil(block, slopes)
+    poles = drive.poles[point]                                               # (B, 4)
+    cross = poles[:, :, None] - lam[:, None, :]                              # q_j - lambda_k
+    condition = np.maximum(condition, np.maximum.reduce([
+        _spread(lam, lam, np.where(np.eye(4, dtype=bool), np.inf, gap)),
+        _spread(poles, lam, cross), drive.spread[point]]))
+    det = np.concatenate([derivative, np.prod(slopes) * np.prod(cross, axis=2)], axis=1)
     weights = np.concatenate([_plasma_z(lam) / _polyval(drive.Q[point], lam),
                               drive.weights[point]], axis=1) / det
-    src = _polyval(drive.sources[:, point], poles)
-    # the unit sources have a structural zero each, a scalar 0.0
-    x1_4, x2_4, x1_2, x2_2 = _pole_sum(np.stack([
-        sum(n * c for n, c in zip(unit, cof) if np.ndim(n))
-        for unit in liouville.probe_sources(*src) for cof in cofactors]) * weights)
+    m0, m1, m2, m3 = (block[j][:, None] + slopes[j] * poles for j in range(4))
+    numerators = np.concatenate([
+        _numerators(_polyval(drive.sources[:, point], lam), cofactors),
+        _numerators(drive.pole_sources[:, point],
+                    _cofactors(m0, m1, m2, m3, *(c[:, None] for c in block[4:])))], axis=-1)
+    x1_4, x2_4, x1_2, x2_2 = _pole_sum(numerators * weights)
     return np.stack([x2_4, x2_2, np.conj(x1_2), np.conj(x1_4)]), condition
 
 
@@ -651,9 +692,10 @@ def _average(scheme, relax, medium, quad, fields: FieldConfig, omega4, G1, G3) -
     at one point, ``omega4[:, None, None]`` on a grid.  omega4 and G1, G3
     all of shape (n,) pair n points element by element.
     The drive points go in batches of equal size, at most
-    :data:`_POINTS_PER_BATCH`; each batch finds its drive poles once and
-    then every column's probe poles, and every point's averages depend on
-    that point alone.
+    :data:`_POINTS_PER_BATCH`; each batch finds its drive poles, and what
+    every column shares at them (:class:`_DriveSector`), once and then
+    every column's probe poles, and every point's averages depend on that
+    point alone.
     Returns the averaged drive ratios (2, *drive shape) and the averaged
     probe responses (a4, b4, a2, b2) as (4, *broadcast shape).
     """

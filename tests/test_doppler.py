@@ -334,6 +334,62 @@ def test_pole_kernel_repeats_each_point_alone_bit_for_bit(preset, quad):
         assert np.array_equal(got, ref[:, 1:])
 
 
+def _eight_pole_means(drive, point, block, slopes):
+    """:func:`lcq.doppler._probe_means` over one set of eight poles [lambda, q]: the 8 x 8
+    spread, and the cofactors, the sources and det' M or det M at every pole."""
+    lam, condition = dp._pencil_poles(block, slopes)
+    poles = np.concatenate([lam, drive.poles[point]], axis=1)
+    m = [block[j][:, None] + slopes[j] * poles for j in range(4)]
+    cofactors = dp._cofactors(*m, *(c[:, None] for c in block[4:]))
+    gap = poles[:, :, None] - poles[:, None, :]
+    width = np.abs(poles.imag)
+    eye = np.eye(8, dtype=bool)
+    spread = (width[:, :, None] + width[:, None, :]) / np.abs(np.where(eye, np.inf, gap))
+    condition = np.maximum(condition, np.max(spread, axis=(1, 2)))
+    det = np.prod(slopes) * np.prod(np.where(eye[:, :4], 1.0, gap[:, :, :4]), axis=2)
+    weights = np.concatenate([dp._plasma_z(lam) / dp._polyval(drive.Q[point], lam),
+                              drive.weights[point]], axis=1) / det
+    src = dp._polyval(drive.sources[:, point], poles)
+    x1_4, x2_4, x1_2, x2_2 = dp._pole_sum(np.stack([
+        sum(n * c for n, c in zip(unit, cof) if np.ndim(n))
+        for unit in lv.probe_sources(*src) for cof in cofactors]) * weights)
+    return np.stack([x2_4, x2_2, np.conj(x1_2), np.conj(x1_4)]), condition
+
+
+def test_probe_means_equal_the_eight_pole_sums_bit_for_bit(preset, quad):
+    # the parts a drive point's columns share, and those the pencil already
+    # has at its poles, are computed once; means and condition numbers are
+    # those of the eight-pole form, bit for bit.  The preset's points include
+    # zero drives and the probe poles' exceptional point; the twin rates
+    # put the drive poles close, where their spread sets the condition
+    sch, relax, medium, fields = preset
+    d1, d2, d3, d4 = lv.doppler_shifts(sch, quad.u)
+    slopes = np.array(lv.probe_block(-d1, -d2, -d4, 0.0, 0.0, (0.0,) * 4)[:4])
+    omega4, g3_ep = _exceptional_point(sch, relax, medium, fields)
+    twin = replace(relax, coh_mn=relax.coh_gl * d3 / d1)
+    weak = [1e-3, 0.1, 1.0, 5.0]
+    cases = [(relax, fields, [0.0, 0.0, 0.0, 100.0, 100.0, 1e-3],
+              [0.0, g3_ep, g3_ep * (1 + 1e-5), 0.0, 40.0, 40.0], [omega4, 155.0, -80.0]),
+             (twin, FieldConfig(omega1=30.0, omega3=30.0 * d3 / d1), weak, weak, [50.0, 100.0])]
+    for rates, f, g1, g3, columns in cases:
+        g1, g3 = np.array(g1, dtype=complex), np.array(g3, dtype=complex)
+        point = np.tile(np.arange(g1.size), len(columns))
+        w4 = np.repeat(columns, g1.size)
+        with np.errstate(all="ignore"):
+            drive = dp._drive_sector(rates, medium.p_n,
+                                     (RAD_PER_MHZ * f.omega1, RAD_PER_MHZ * f.omega3),
+                                     (RAD_PER_MHZ * d1, RAD_PER_MHZ * d3), g1, g3)
+            block = lv.probe_block(f.omega1, f.omega1 + f.omega3 - w4, w4, g1[point], g3[point],
+                                   lv.probe_rates(rates))
+            got, ref = dp._probe_means(drive, point, block, slopes), _eight_pole_means(
+                drive, point, block, slopes)
+        assert np.isfinite(ref[0]).all()
+        for a, b in zip(got, ref):
+            assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
+    # in the twin case the drive poles' spread is what the condition reports
+    assert (ref[1] == drive.spread[point]).all() and (ref[1] > 10.0).all()
+
+
 def _exceptional_point(sch, relax, medium, fields):
     """Probe detuning and G3 at which, with G1 = 0, the poles of rho_nl and rho_ml coalesce.
 

@@ -1,5 +1,6 @@
 """Four-wave integration, coefficient cache and gain map plumbing."""
 
+import json
 import tracemalloc
 from dataclasses import replace
 
@@ -374,6 +375,28 @@ def test_rows_of_a_batch_equal_lone_rows_bitwise(three_column_cache):
     assert len(set(col.tolist())) == cache.omega4.size
     for k in range(40):
         assert np.array_equal(batch[k], cache.rows(col[k:k + 1], g1[k:k + 1], g3[k:k + 1])[0])
+
+
+def test_reader_over_interleaved_columns_gives_each_row_its_lone_read(three_column_cache):
+    # a reader orders its batch by column once and reads each column as one
+    # run; a batch out of order, with columns twice, gets its rows and the
+    # mask of the point that leaves below the grid in its own order, and
+    # each row has the bits of its lone read
+    cache = three_column_cache
+    before = cache.fallbacks
+    rng = np.random.default_rng(8)
+    col = np.array([2, 0, 2, 1, 0])
+    a = np.column_stack([rng.uniform(0.0, cache.g1_grid[-1], col.size),
+                         rng.uniform(cache.g3_grid[0], cache.g3_grid[-1], col.size)])
+    a[2, 1] = 0.5 * cache.g3_grid[0]
+    left = []
+    rows = cache.reader(col, left.append)(a)
+    [mask] = left
+    assert mask.tolist() == [False, False, True, False, False] and np.isnan(rows[2]).all()
+    for k in (0, 1, 3, 4):
+        lone = cache.reader(col[k:k + 1])(a[k:k + 1])
+        assert np.array_equal(rows[k].view(np.uint8), lone[0].view(np.uint8)), k
+    assert cache.fallbacks == before
 
 
 @pytest.mark.parametrize("scale", [1e-200, 1e200])
@@ -796,23 +819,37 @@ def test_embedded_pair_estimate_bounds_the_error(preset, quad, dressed_cache, em
 
 def test_embedded_pair_past_the_cap_is_a_named_failure(preset, coarse_quad, dressed_fields,
                                                        monkeypatch, tmp_path, capsys):
-    # to 80 L4 the dressed trajectory and the preset's 160 MHz column take
-    # 61 steps, the preset's 100 MHz column 52 (60 and 51 in the switch
-    # call, which records 80 L4 alone); the cap is 56
+    # the cap sits strictly between the steps the runs take uncapped: to
+    # 80 L4 the preset's 100 MHz column is short (alone in the map and in
+    # the switch call, which records 80 L4 alone), the dressed trajectory
+    # and the 160 MHz column are long
     sch, relax, medium, fields = preset
-    monkeypatch.setattr(pg, "_STEPS_MAX", 56)
     cache = pg.CoefficientCache.build(sch, relax, medium, [dressed_fields], coarse_quad)
-    with pytest.raises(pg.PropagationError, match="cap of 56 steps") as err:
+    switch = ["switch", "--omega4", "100:160:2", "--length", "80", "--quad", "301"]
+
+    with pg.step_reports() as reports:
+        pg.integrate(sch, relax, medium, dressed_fields, L=80.0, quad=coarse_quad, cache=cache,
+                     record_at=EMBEDDED_LENGTHS)
+        pg.gain_map(sch, relax, medium, fields, np.array([100.0, 160.0]), EMBEDDED_LENGTHS,
+                    quad=coarse_quad)
+    [dressed], [short, long] = (report.steps.tolist() for _, report in reports)
+    assert cli.main([*switch, "--out", str(tmp_path / "free.csv")]) == 0
+    steps = json.loads((tmp_path / "free.csv.manifest.json").read_text())["steps"]
+    short, long = max(short, steps["min"]), min(dressed, long, steps["max"])
+    cap = (short + long) // 2
+    assert short < cap < long, (dressed, reports, steps)
+    capsys.readouterr()
+    monkeypatch.setattr(pg, "_STEPS_MAX", cap)
+    with pytest.raises(pg.PropagationError, match=f"cap of {cap} steps") as err:
         pg.integrate(sch, relax, medium, dressed_fields, L=80.0, quad=coarse_quad, cache=cache,
                      record_at=EMBEDDED_LENGTHS)
     assert 0.0 < err.value.z < 80.0
     res = pg.gain_map(sch, relax, medium, fields, np.array([100.0, 160.0]), EMBEDDED_LENGTHS,
                       quad=coarse_quad)
     assert res.valid.tolist() == [[True, True, True], [True, False, False]]
-    assert cli.main(["switch", "--omega4", "100:160:2", "--length", "80", "--quad", "301",
-                     "--out", str(tmp_path / "switch.csv")]) == 3
+    assert cli.main([*switch, "--out", str(tmp_path / "switch.csv")]) == 3
     message = capsys.readouterr().err
-    assert message.startswith("numerical failure: adaptive steps reach the cap of 56 steps")
+    assert message.startswith(f"numerical failure: adaptive steps reach the cap of {cap} steps")
 
 
 class DriveRows(pg.CoefficientCache):
