@@ -45,7 +45,7 @@ import contextlib
 import contextvars
 import math
 from dataclasses import dataclass
-from functools import lru_cache
+from functools import cached_property, lru_cache
 
 import numpy as np
 
@@ -363,11 +363,7 @@ class _DriveSector:
     :func:`lcq.liouville.compact_sources` in ``sources`` (6, P, 5) and the
     drive ratios rho_gl / G1 and rho_mn / G3 in ``ratios`` (2, P, 4).
     ``poles`` (P, 4) are the roots of Q, ``weights`` = Z(pole) / Q'(pole)
-    and ``condition`` the eigenvector condition number of the roots.  What
-    every probe column of a point shares is kept too: ``pole_sources``
-    (6, P, 4), the sources at the poles, and ``spread`` (P,), the largest
-    (|Im q_i| + |Im q_j|) / |q_i - q_j| over pairs of the poles, their part
-    of :func:`_probe_means`' coalescence test.
+    and ``condition`` the eigenvector condition number of the roots.
     """
 
     Q: np.ndarray
@@ -376,8 +372,22 @@ class _DriveSector:
     poles: np.ndarray
     weights: np.ndarray
     condition: np.ndarray
-    pole_sources: np.ndarray
-    spread: np.ndarray
+
+    # what every probe column of a point shares, computed at the first
+    # column's :func:`_probe_means` and kept for the rest
+
+    @cached_property
+    def pole_sources(self) -> np.ndarray:
+        """The sources at the poles (6, P, 4)."""
+        return _polyval(self.sources, self.poles)
+
+    @cached_property
+    def spread(self) -> np.ndarray:
+        """The largest (|Im q_i| + |Im q_j|) / |q_i - q_j| (P,) over pairs of the poles,
+        their part of :func:`_probe_means`' coalescence test."""
+        q = self.poles
+        return _spread(q, q, np.where(np.eye(4, dtype=bool), np.inf,
+                                      q[:, :, None] - q[:, None, :]))
 
 
 def _drive_sector(relax: RelaxationSet, p_n: float, alpha, beta, G1, G3) -> _DriveSector:
@@ -442,10 +452,7 @@ def _drive_sector(relax: RelaxationSet, p_n: float, alpha, beta, G1, G3) -> _Dri
     left = np.sqrt(1.0 + size * (1.0 + size * (1.0 + size)))
     condition = _condition(right * left / np.abs(b0 + z * (b1 + z * (b2 + z))))
     weights = _plasma_z(roots) / _polyval(Q[:, 1:] * np.arange(1, 5), roots)
-    gap = np.where(np.eye(4, dtype=bool), np.inf, roots[:, :, None] - roots[:, None, :])
-    spread = _spread(roots, roots, gap)
-    return _DriveSector(Q, sources, np.stack([ratio1, ratio3]), roots, weights, condition,
-                        _polyval(sources, roots), spread)
+    return _DriveSector(Q, sources, np.stack([ratio1, ratio3]), roots, weights, condition)
 
 
 def _spread(a: np.ndarray, b: np.ndarray, gap: np.ndarray) -> np.ndarray:
@@ -553,9 +560,9 @@ def _probe_means(drive: _DriveSector, point: np.ndarray, block, slopes) -> tuple
     they approach and cancel.  Each part is computed once where it is
     known: the drive point's sources at its poles and its drive-drive
     spread come with ``drive``, and the cofactors, gaps and det' M at the
-    lambda_k from :func:`_pencil`; only the cofactors at the q_j, det M
-    there and the pairs (q_j, lambda_k) are new.  The terms go [lambda, q]
-    into each sum.
+    lambda_k from :func:`_pencil`; only the sources at the lambda_k, the
+    cofactors at the q_j, det M there and the pairs (q_j, lambda_k) are
+    new.  The terms go [lambda, q] into each sum.
     """
     lam, condition, cofactors, gap, derivative = _pencil(block, slopes)
     poles = drive.poles[point]                                               # (B, 4)

@@ -26,15 +26,16 @@ that fall below a fitted axis run again from z = 0 on the full one.
 At the batch sizes of a map or sweep the fixed cost of a numpy call, not
 the arithmetic, sets the time of a stage, so a stage makes as few calls
 as its arithmetic needs.  What stays fixed for a batch (each trajectory's
-cache column and the reader of its rows, which orders the batch by
-column) is built once, and again only when a trajectory leaves the batch.
-A read (:meth:`CoefficientCache.reader`) keeps no state: two barycentric
-bases, one product with the table of each column's run of trajectories
-and one along |G3|.  The drive phase and the back-action divide without masks when
-every drive is non-zero, and the state is kept in column-major order, so
-:func:`rhs` works on contiguous (k, n) component blocks.  Points off the
-grid, non-finite drives and zero drives take the general branch, row by
-row, so each row depends on its own trajectory alone.
+cache column and the reader of its rows, which splits the batch into
+runs of one column) is built once, and again only when a trajectory
+leaves the batch.  A read (:meth:`CoefficientCache.reader`) keeps no
+state: two barycentric bases, one product with the table of each run's
+column and one along |G3|.  The drive phase and the back-action divide
+without masks when every drive is non-zero, and the state is kept in
+column-major order, so :func:`rhs` works on contiguous (k, n) component
+blocks.  Points off the grid, non-finite drives and zero drives take the
+general branch, row by row, so each row depends on its own trajectory
+alone.
 
 Because the microscopic response at complex drive amplitudes equals the
 response at real amplitudes times the drive-product phase (a gauge
@@ -326,35 +327,28 @@ class CoefficientCache:
         ``a`` is (len(col), 2), the trajectories' current (|G1|, |G3|).
         Given ``leave``, points below the grid's bottom keep NaN rows and
         ``leave`` is called with their mask instead of averaging them.  A
-        read keeps no state.  The batch is ordered by column once, here:
-        a batch already in order, as every scan's is, is read as it comes,
-        and any other is read in a stable order by column and its rows put
-        back in the batch's order.  Each column's trajectories are then one
-        run of the ordered batch.  A read takes the basis along each axis,
-        then, for each run, the product (m, n1) x (n1, n3 12) of its m
-        trajectories with that column's table, one vector-matrix product a
-        row (``np.vecmat``), then the product (n, 1, n3) @ (n, n3, 12) along
-        |G3|.  Every product is one row's, so a row has the same bits in
-        any batch, and a batch in order gathers neither tables nor rows.
+        read keeps no state.  The batch is split once, here, into runs of
+        trajectories in the same column, as it comes: a scan's batch is in
+        column order, one run a column.  A read takes the basis along each
+        axis, then, for each run, the batched product (m, 1, n1) @
+        (n1, n3 12) of its m trajectories with that column's table, written
+        in place, then the product (n, 1, n3) @ (n, n3, 12) along |G3|.
+        Every product is one row's, so a row has the same bits in any
+        batch, and no stage gathers tables or rows.
         """
         n, (n_col, n1, n3, n_f) = len(col), self.tables.shape
         flat = self.tables.reshape(n_col, n1, n3 * n_f)
-        order = None if (col[1:] >= col[:-1]).all() else np.argsort(col, kind="stable")
-        ordered, back = (col, None) if order is None else (col[order], np.argsort(order))
-        starts = np.flatnonzero(np.diff(ordered, prepend=-1))
-        runs = [(flat[ordered[a]], slice(a, b)) for a, b in zip(starts, [*starts[1:], n])]
+        starts = np.flatnonzero(np.diff(col, prepend=-1))
+        runs = [(flat[col[a]], slice(a, b)) for a, b in zip(starts, [*starts[1:], n])]
 
         def read(a):
-            along = np.empty((n, n3 * n_f))
-            b = a if order is None else a[order]
+            along = np.empty((n, 1, n3 * n_f))
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                l1 = _basis(b[:, 0], self.g1_grid, self._weights[0])
+                l1 = _basis(a[:, 0], self.g1_grid, self._weights[0])[:, None]
                 for table, run in runs:
-                    np.vecmat(l1[run], table, out=along[run])
-                l3 = _basis(b[:, 1], self.g3_grid, self._weights[1])[:, None]
+                    np.matmul(l1[run], table, out=along[run])
+                l3 = _basis(a[:, 1], self.g3_grid, self._weights[1])[:, None]
                 out = (l3 @ along.reshape(n, n3, n_f)).reshape(n, n_f)
-            if order is not None:
-                out = out[back]
             return self._off_grid(col, a, out, leave)
 
         return read

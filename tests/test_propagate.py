@@ -378,8 +378,8 @@ def test_rows_of_a_batch_equal_lone_rows_bitwise(three_column_cache):
 
 
 def test_reader_over_interleaved_columns_gives_each_row_its_lone_read(three_column_cache):
-    # a reader orders its batch by column once and reads each column as one
-    # run; a batch out of order, with columns twice, gets its rows and the
+    # a reader splits its batch, as it comes, into runs of one column; a
+    # batch with its columns interleaved and repeated gets its rows and the
     # mask of the point that leaves below the grid in its own order, and
     # each row has the bits of its lone read
     cache = three_column_cache
