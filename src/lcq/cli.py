@@ -399,17 +399,15 @@ def run_validation(sch, relax, medium, fields, quad) -> bool:
     check("pole sums vs velocity rule", worst < 1e-8,
           f"worst {worst:.1e} of a field's scale, {quad.n} nodes")
     check("pole conditioning", stats.exceptional == 0,
-          f"worst condition number {stats.worst_condition:.1e}, "
+          f"largest pole spread {stats.worst_condition:.1e}, "
           f"{stats.exceptional} exceptional points")
 
     # the closed-form poles against LAPACK at the drive points above
     agreement = pole_agreement(sch, relax, medium, quad, fields, omega4[:, None],
                                np.array([0.0, fields.g10, fields.g10]),
                                np.array([0.0, fields.g30, 0.0]))
-    check("closed-form poles vs eig",
-          agreement["pole_error"] <= 1e-12 and agreement["condition_error"] <= 1e-8,
-          f"poles {agreement['pole_error']:.1e} of the largest, "
-          f"condition numbers {agreement['condition_error']:.1e} relative")
+    check("closed-form poles vs eig", agreement["pole_error"] <= 1e-12,
+          f"poles {agreement['pole_error']:.1e} of the largest")
 
     rng = np.random.default_rng(11)
     worst = 0.0
@@ -469,16 +467,14 @@ def pole_agreement(sch, relax, medium, quad, fields, omega4, G1, G3) -> dict:
     :func:`lcq.doppler._average` sets them up: the drive sector's roots are
     the eigenvalues of the companion matrix of its scaled monic quartic, and
     each probe block's poles those of K = -M1^-1 M0; the drive roots take
-    a Newton step on the quartic, as the closed form's do.  Both errors are
-    over the points whose LAPACK condition number is at most
-    :data:`lcq.doppler._COALESCING`, the poles the pole sums would use:
-    ``pole_error`` is the largest distance of a root to the nearest root of
-    the other set, relative to the point's largest pole, and
-    ``condition_error`` the largest relative difference of the condition
-    numbers; a closed-form value there that is not finite makes them NaN or
-    inf.  ``closed_form_s`` and ``eig_s`` are the times of the two: the
-    drive sector and the pencil poles, against ``eig`` and the condition
-    numbers.
+    a Newton step on the quartic, as the closed form's do.  ``pole_error``
+    is the largest distance of a root to the nearest root of the other set,
+    relative to the point's largest pole, over the points whose LAPACK
+    eigenvector condition number is at most :data:`lcq.doppler._COALESCING`,
+    where ``eig`` itself is accurate; a closed-form pole there that is not
+    finite makes it NaN.  ``closed_form_s`` and ``eig_s`` are the times of
+    the two: the drive sector and the pencil poles, against ``eig`` and its
+    condition numbers.
     """
     rad = scheme.RAD_PER_MHZ
     d1, d2, d3, d4 = liouville.doppler_shifts(sch, quad.u)
@@ -492,7 +488,7 @@ def pole_agreement(sch, relax, medium, quad, fields, omega4, G1, G3) -> dict:
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         drive = doppler._drive_sector(relax, medium.p_n, (rad * fields.omega1,
                                       rad * fields.omega3), (rad * d1, rad * d3), G1, G3)
-        got = [(drive.poles, drive.condition), doppler._pencil_poles(block, slopes)]
+        got = [drive.poles, doppler._pencil_poles(block, slopes)]
     closed_form_s = time.perf_counter() - start
     start = time.perf_counter()
     Q = drive.Q
@@ -506,16 +502,11 @@ def pole_agreement(sch, relax, medium, quad, fields, omega4, G1, G3) -> dict:
     ref = [(roots - doppler._polyval(Q, roots) / doppler._polyval(slope, roots), condition),
            _eig_poles(-liouville.probe_matrix(*block) / slopes[:, None])]
     eig_s = time.perf_counter() - start
-    # only poles that the pole sums would use count: where LAPACK's condition
-    # number exceeds the coalescing threshold, the velocity rule averages
-    pole_errors, condition_errors = [], []
-    for (poles, condition), (ref_poles, ref_condition) in zip(got, ref):
-        summed = ref_condition <= doppler._COALESCING
-        pole_errors.append(np.max(_mismatch(poles, ref_poles), where=summed, initial=0.0))
-        condition_errors.append(np.max(np.abs(condition - ref_condition) / ref_condition,
-                                       where=summed, initial=0.0))
+    # near an exceptional point eig's own poles lose digits, and the oracle
+    # there is no check of the closed form
+    pole_errors = [np.max(_mismatch(poles, ref_poles), where=ref_condition <= doppler._COALESCING,
+                          initial=0.0) for poles, (ref_poles, ref_condition) in zip(got, ref)]
     return {"pole_error": float(np.max(pole_errors)),   # NaN if any is
-            "condition_error": float(np.max(condition_errors)),
             "closed_form_s": closed_form_s, "eig_s": eig_s}
 
 

@@ -20,9 +20,8 @@ D P1 P3 of :func:`lcq.liouville.drive_steady_state_batch`'s closed form,
 with residues from partial fractions.  The probe block adds four per drive
 point and probe column, the roots of the quartic det(M0 + x M1), with
 residues from Cramer's rule.  Both quartics are solved by Ferrari's formula
-and a Newton step (:func:`_quartic_roots`), and each root's eigenvector
-condition number comes in closed form from its left and right null vectors
-(:func:`_condition`); LAPACK's ``eig`` is only ``lcq validate``'s oracle.
+and a Newton step (:func:`_quartic_roots`); LAPACK's ``eig`` is only
+``lcq validate``'s oracle.
 
 Every average is one pass, :func:`_average`: the drive poles of every drive
 point once, then the probe poles of every column.  The probe detunings are
@@ -30,9 +29,9 @@ one array, the probe axis, that broadcasts against the drive amplitudes: a
 single point (:func:`average_coefficients`), a sweep, the coefficient-cache
 grid (:class:`DriveGrid`) and paired points all go through it, and so does
 the normalization.  Where poles coalesce (an exceptional point, detected
-by the closed-form condition number and the poles' separation, or a root
-the formula cannot give) the residues grow and cancel, so such a point
-alone is averaged by the velocity rule of :class:`QuadratureSpec` instead,
+by the poles' spread, :func:`_spread`, or a root the formula cannot give)
+the residues grow and cancel, so such a point alone is averaged by the
+velocity rule of :class:`QuadratureSpec` instead,
 :func:`_node_sums`, and counted in the :func:`pole_stats` of the run.  The
 same rule, summed over every class in memory-bounded chunks, is what the
 tests and ``lcq validate`` check the pole sums against; ``--quad`` sizes it
@@ -307,8 +306,8 @@ def _quartic_roots(poly: np.ndarray) -> tuple:
     cancellation.  Every root then takes a Newton step on ``poly``.  A root
     the formula cannot give (a quadruple one) is NaN.
     Each step writes a fresh array, as in :func:`_faddeeva`, so a point's
-    roots do not depend on its batch.  Returns the roots, ``scale`` (N,) and
-    the monic coefficients c (N, 4).
+    roots do not depend on its batch.  Returns the roots and the monic
+    coefficients c (N, 4).
     """
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         scale = np.abs(poly[:, 0] / poly[:, 4]) ** 0.25
@@ -338,20 +337,7 @@ def _quartic_roots(poly: np.ndarray) -> tuple:
         small = np.where(big == 0, 0.0, c / big)
         roots = scale[:, None] * (np.concatenate([big, small], axis=1) - a[:, None])
         roots = roots - _polyval(poly, roots) / _polyval(poly[:, 1:] * np.arange(1, 5), roots)
-    return roots, scale, monic
-
-
-def _condition(kappa: np.ndarray) -> np.ndarray:
-    """Frobenius condition numbers (N,) of unit-column eigenvector matrices, from kappa (N, 4).
-
-    kappa_i = |x_i| |y_i| / |y_i . x_i| for the right and left eigenvectors
-    x_i, y_i of root i.  Row i of the inverse of the unit-column matrix is
-    y_i / (y_i . x_i / |x_i|), so the number is 2 sqrt(sum_i kappa_i^2),
-    what LAPACK's eigenvectors give.  A non-finite one is inf: the poles
-    are not certified.
-    """
-    condition = 2.0 * np.sqrt(np.sum(kappa * kappa, axis=1))
-    return np.where(np.isfinite(condition), condition, np.inf)
+    return roots, monic
 
 
 @dataclass
@@ -362,8 +348,7 @@ class _DriveSector:
     sources (d4pop, d2pop, rho_lg, rho_gl, rho_nm, rho_mn) of
     :func:`lcq.liouville.compact_sources` in ``sources`` (6, P, 5) and the
     drive ratios rho_gl / G1 and rho_mn / G3 in ``ratios`` (2, P, 4).
-    ``poles`` (P, 4) are the roots of Q, ``weights`` = Z(pole) / Q'(pole)
-    and ``condition`` the eigenvector condition number of the roots.
+    ``poles`` (P, 4) are the roots of Q and ``weights`` = Z(pole) / Q'(pole).
     """
 
     Q: np.ndarray
@@ -371,10 +356,9 @@ class _DriveSector:
     ratios: np.ndarray
     poles: np.ndarray
     weights: np.ndarray
-    condition: np.ndarray
 
-    # what every probe column of a point shares, computed at the first
-    # column's :func:`_probe_means` and kept for the rest
+    # what every probe column of a point shares, computed at first use and
+    # kept for the rest
 
     @cached_property
     def pole_sources(self) -> np.ndarray:
@@ -383,8 +367,8 @@ class _DriveSector:
 
     @cached_property
     def spread(self) -> np.ndarray:
-        """The largest (|Im q_i| + |Im q_j|) / |q_i - q_j| (P,) over pairs of the poles,
-        their part of :func:`_probe_means`' coalescence test."""
+        """The largest (|Im q_i| + |Im q_j|) / |q_i - q_j| (P,) over pairs of the poles:
+        the drive point's coalescence test, and its part of each probe block's."""
         q = self.poles
         return _spread(q, q, np.where(np.eye(4, dtype=bool), np.inf,
                                       q[:, :, None] - q[:, None, :]))
@@ -400,8 +384,7 @@ def _drive_sector(relax: RelaxationSet, p_n: float, alpha, beta, G1, G3) -> _Dri
     P1 P3 cancels from every element, which leaves the quartic
     Q = D P1 P3.  It is positive on the real axis, so its roots come in
     conjugate pairs off it (:func:`_quartic_roots`), and the residues are
-    partial fractions.  The condition number is that of the eigenvectors of
-    the companion matrix of the scaled monic quartic.
+    partial fractions.
     """
     r = relax
     P = len(G1)
@@ -434,25 +417,14 @@ def _drive_sector(relax: RelaxationSet, p_n: float, alpha, beta, G1, G3) -> _Dri
     sources[4, :, :4] = np.conj(g3) * ratio3.conj()     # rho_nm
     sources[5, :, :4] = g3 * ratio3                     # rho_mn
 
-    roots, scale, monic = _quartic_roots(Q)
+    roots, monic = _quartic_roots(Q)
     over = ~np.isfinite(monic).all(axis=1)
     if over.any():  # |G|^2 and its products overflow long before a drive does
         k = int(np.argmax(over))
         raise AveragingError(f"drive amplitudes |G1| = {abs(G1[k]):.6g} MHz, |G3| = "
                              f"{abs(G3[k]):.6g} MHz overflow the drive sector")
-    # the companion matrix of the monic quartic has the left eigenvector
-    # (1, z, z^2, z^3) at a root z, and the right one (b0, b1, b2, 1) of the
-    # Horner coefficients of the quartic over (x - z)
-    z = roots / scale[:, None]
-    b2 = monic[:, 3:] + z
-    b1 = monic[:, 2:3] + z * b2
-    b0 = monic[:, 1:2] + z * b1
-    size = np.abs(z) ** 2
-    right = np.sqrt(np.abs(b0) ** 2 + np.abs(b1) ** 2 + np.abs(b2) ** 2 + 1.0)
-    left = np.sqrt(1.0 + size * (1.0 + size * (1.0 + size)))
-    condition = _condition(right * left / np.abs(b0 + z * (b1 + z * (b2 + z))))
     weights = _plasma_z(roots) / _polyval(Q[:, 1:] * np.arange(1, 5), roots)
-    return _DriveSector(Q, sources, np.stack([ratio1, ratio3]), roots, weights, condition)
+    return _DriveSector(Q, sources, np.stack([ratio1, ratio3]), roots, weights)
 
 
 def _spread(a: np.ndarray, b: np.ndarray, gap: np.ndarray) -> np.ndarray:
@@ -460,7 +432,8 @@ def _spread(a: np.ndarray, b: np.ndarray, gap: np.ndarray) -> np.ndarray:
 
     ``gap`` (N, 4, 4) is a_i - b_j, and inf where a pole would pair with
     itself.  Coalescing poles have residues that grow as they approach and
-    cancel, and this ratio grows with them.
+    cancel, and this ratio grows with them; above :data:`_COALESCING`, or
+    where a pole is not finite, the pole sums are not trusted.
     """
     return np.max((np.abs(a.imag)[:, :, None] + np.abs(b.imag)[:, None, :]) / np.abs(gap),
                   axis=(1, 2))
@@ -483,29 +456,24 @@ def _cofactors(m0, m1, m2, m3, p, q, r, s) -> tuple:
     )
 
 
-def _pencil_poles(block, slopes) -> tuple:
-    """Poles (B, 4) of B probe blocks and their condition numbers (B,), as :func:`_pencil`
-    gives them: what ``lcq validate`` checks against LAPACK."""
-    return _pencil(block, slopes)[:2]
+def _pencil_poles(block, slopes) -> np.ndarray:
+    """Poles (B, 4) of B probe blocks, as :func:`_pencil` gives them: what ``lcq validate``
+    checks against LAPACK."""
+    return _pencil(block, slopes)[0]
 
 
 def _pencil(block, slopes) -> tuple:
-    """Poles (B, 4) of B probe blocks M(x) = M0 + x M1, their condition numbers (B,), and
-    the parts of the pole sums that depend on the poles alone.
+    """Poles (B, 4) of B probe blocks M(x) = M0 + x M1, and the parts of the pole sums
+    that depend on the poles alone.
 
     ``block`` holds :func:`lcq.liouville.probe_block`'s parts at x = 0 and
     ``slopes`` the diagonal of M1.  With m_j = M0_jj + x slope_j,
     det M(x) = (m0 m1 - pq)(m2 m3 - pq) - rs (m0 m2 + m1 m3 + 2pq) + (rs)^2,
     whose roots lambda_i (:func:`_quartic_roots`) are the eigenvalues of
-    K = -M1^-1 M0, with the right eigenvector x and the left one M1 y for
-    the right and left null vectors x, y of M(lambda_i).  There adj M is
-    their outer product x y^T times a scalar, even where a drive is zero
-    and the block decouples, so kappa_i = |x| |M1 y| / |y^T M1 x| is
-    |adj M M1|_F / |tr(adj M M1)|, and the trace is det' M(lambda_i)
-    (Jacobi's formula), det M1 prod_k (lambda_i - lambda_k).  Returns
-    lambda, the condition numbers, then what :func:`_probe_means` reuses:
+    K = -M1^-1 M0.  Returns lambda, then what :func:`_probe_means` reuses:
     rows 1 and 2 of adj M(lambda_i) (:func:`_cofactors`, each entry (B, 4)),
-    the gaps lambda_i - lambda_k (B, 4, 4) and det' M(lambda_i) (B, 4).
+    the gaps lambda_i - lambda_k (B, 4, 4) and det' M(lambda_i) =
+    det M1 prod_k (lambda_i - lambda_k) (B, 4).
     """
     m0, m1, m2, m3, p, q, r, s = block
     s0, s1, s2, s3 = slopes
@@ -518,20 +486,12 @@ def _pencil(block, slopes) -> tuple:
         A[0] * C[0] - rs * X[0] + rs * rs, A[0] * C[1] + A[1] * C[0] - rs * X[1],
         A[0] * C[2] + A[1] * C[1] + A[2] * C[0] - rs * X[2], A[1] * C[2] + A[2] * C[1],
         A[2] * C[2]), axis=1)
-    lam, _, _ = _quartic_roots(det)
+    lam, _ = _quartic_roots(det)
     mm = [block[j][:, None] + slopes[j] * lam for j in range(4)]
-    p, q, r, s = (c[:, None] for c in block[4:])
-    # swapping rows and columns 0 <-> 1 and 2 <-> 3 gives a block of the same
-    # form with m0 <-> m1, m2 <-> m3 and p <-> q, whose adjugate rows 1 and 2,
-    # their entries swapped alike, are rows 0 and 3 of this one's
-    row1, row2 = _cofactors(*mm, p, q, r, s)
-    swap1, swap2 = _cofactors(mm[1], mm[0], mm[3], mm[2], q, p, r, s)
-    adj = np.stack([swap1[1], swap1[0], swap1[3], swap1[2], *row1, *row2,
-                    swap2[1], swap2[0], swap2[3], swap2[2]], axis=-1)        # (B, 4, 16)
-    norm = np.sqrt(np.sum(np.abs(adj) ** 2 * np.tile(np.abs(slopes) ** 2, 4), axis=-1))
+    cofactors = _cofactors(*mm, *(c[:, None] for c in block[4:]))
     gap = lam[:, :, None] - lam[:, None, :]
     derivative = np.prod(slopes) * np.prod(np.where(np.eye(4, dtype=bool), 1.0, gap), axis=2)
-    return lam, _condition(norm / np.abs(derivative)), (row1, row2), gap, derivative
+    return lam, cofactors, gap, derivative
 
 
 def _numerators(src, cofactors) -> np.ndarray:
@@ -543,7 +503,7 @@ def _numerators(src, cofactors) -> np.ndarray:
 
 
 def _probe_means(drive: _DriveSector, point: np.ndarray, block, slopes) -> tuple:
-    """Averaged probe responses (4, B) of B probe blocks, and their condition numbers (B,).
+    """Averaged probe responses (4, B) of B probe blocks, and their pole spreads (B,).
 
     Block k is at the drive point ``point[k]`` of ``drive``.
     ``block`` holds :func:`lcq.liouville.probe_block`'s parts at x = 0 and
@@ -554,8 +514,7 @@ def _probe_means(drive: _DriveSector, point: np.ndarray, block, slopes) -> tuple
     b = n / Q is N_i / (det M Q) with N_i = sum_j n_j C_ji over the
     cofactors C of M (:func:`_cofactors`).  Its residue at lambda_k is
     N_i / (det' M Q) there and at a drive pole q_j N_i / (det M Q') there.
-    The condition number is that of the eigenvectors of K = -M1^-1 M0, or,
-    if larger, the largest (|Im p| + |Im p'|) / |p - p'| over the eight
+    The spread is the largest (|Im p| + |Im p'|) / |p - p'| over the eight
     poles (:func:`_spread`): coalescing poles have residues that grow as
     they approach and cancel.  Each part is computed once where it is
     known: the drive point's sources at its poles and its drive-drive
@@ -564,12 +523,11 @@ def _probe_means(drive: _DriveSector, point: np.ndarray, block, slopes) -> tuple
     cofactors at the q_j, det M there and the pairs (q_j, lambda_k) are
     new.  The terms go [lambda, q] into each sum.
     """
-    lam, condition, cofactors, gap, derivative = _pencil(block, slopes)
+    lam, cofactors, gap, derivative = _pencil(block, slopes)
     poles = drive.poles[point]                                               # (B, 4)
     cross = poles[:, :, None] - lam[:, None, :]                              # q_j - lambda_k
-    condition = np.maximum(condition, np.maximum.reduce([
-        _spread(lam, lam, np.where(np.eye(4, dtype=bool), np.inf, gap)),
-        _spread(poles, lam, cross), drive.spread[point]]))
+    spread = np.maximum.reduce([_spread(lam, lam, np.where(np.eye(4, dtype=bool), np.inf, gap)),
+                                _spread(poles, lam, cross), drive.spread[point]])
     det = np.concatenate([derivative, np.prod(slopes) * np.prod(cross, axis=2)], axis=1)
     weights = np.concatenate([_plasma_z(lam) / _polyval(drive.Q[point], lam),
                               drive.weights[point]], axis=1) / det
@@ -579,7 +537,7 @@ def _probe_means(drive: _DriveSector, point: np.ndarray, block, slopes) -> tuple
         _numerators(drive.pole_sources[:, point],
                     _cofactors(m0, m1, m2, m3, *(c[:, None] for c in block[4:])))], axis=-1)
     x1_4, x2_4, x1_2, x2_2 = _pole_sum(numerators * weights)
-    return np.stack([x2_4, x2_2, np.conj(x1_2), np.conj(x1_4)]), condition
+    return np.stack([x2_4, x2_2, np.conj(x1_2), np.conj(x1_4)]), spread
 
 
 def _probe_axis(omega4, shape: tuple) -> tuple:
@@ -645,7 +603,7 @@ def _node_sums(scheme, relax, medium, quad, fields: FieldConfig, omega4, G1, G3,
     return total[0], np.stack(total[1:], axis=1).reshape(4, *full)
 
 
-# eigenvector condition number above which poles count as coalescing
+# pole spread (:func:`_spread`) above which poles count as coalescing
 _COALESCING = 1e4
 _POINTS_PER_BATCH = 512
 _GROUP_BLOCKS = 64
@@ -659,19 +617,20 @@ _DAMPING = ("gamma_m", "gamma_g", "gamma_n", "coh_ml", "coh_gl", "coh_mn", "coh_
 
 
 class PoleStats:
-    """Exceptional points, and the worst condition number of the poles summed, in `pole_stats`.
+    """Exceptional points, and the largest spread of the poles summed, in `pole_stats`.
 
     An exceptional point is a drive point, or a drive point of one probe
     column, whose poles coalesce, and which the velocity rule averages
-    instead; ``worst_condition`` is over the poles the pole sums used.
+    instead; ``worst_condition`` is the largest pole spread (:func:`_spread`)
+    over the poles the pole sums used.
     """
 
     def __init__(self):
         self.exceptional, self.worst_condition = 0, 0.0
 
-    def add(self, condition: np.ndarray, exceptional: int = 0) -> None:
+    def add(self, spread: np.ndarray, exceptional: int = 0) -> None:
         self.exceptional += exceptional
-        self.worst_condition = max(self.worst_condition, float(np.max(condition, initial=0.0)))
+        self.worst_condition = max(self.worst_condition, float(np.max(spread, initial=0.0)))
 
 
 _POLE_STATS = contextvars.ContextVar("lcq_pole_stats", default=None)
@@ -748,7 +707,7 @@ def _average(scheme, relax, medium, quad, fields: FieldConfig, omega4, G1, G3) -
                     for pop, rate, omega, d in ((1 - p_n, relax.coh_gl, fields.omega1, d1),
                                                 (p_n, relax.coh_mn, fields.omega3, d3))
                 ])[:, None]
-            bad = ~(drive.condition <= _COALESCING) & ~idle
+            bad = ~(drive.spread <= _COALESCING) & ~idle
             n = len(idle)
             # columns go in groups of about _GROUP_BLOCKS probe blocks, each a block per drive point
             group = max(1, _GROUP_BLOCKS // n)
@@ -759,16 +718,16 @@ def _average(scheme, relax, medium, quad, fields: FieldConfig, omega4, G1, G3) -
                 point = np.tile(np.arange(n), count)
                 block = liouville.probe_block(fields.omega1, fields.omega1 + fields.omega3 - w, w,
                                               g1[rows][point], g3[rows][point], rates)
-                values, condition = _probe_means(drive, point, block, slopes)
+                values, spread = _probe_means(drive, point, block, slopes)
                 still = np.tile(idle, count)
                 if still.any():
                     values[:, still] = np.stack(np.broadcast_arrays(
                         _lorentzian(-1j * rad * (1.0 - p_n), block[2][still], slopes[2]), 0.0,
                         np.conj(_lorentzian(1j * rad * p_n, block[1][still], slopes[1])), 0.0))
-                condition = np.where(still, 0.0, np.maximum(drive.condition[point], condition))
-                stats.add(np.where(condition <= _COALESCING, condition, 0.0))
+                spread = np.where(still, 0.0, spread)
+                stats.add(np.where(spread <= _COALESCING, spread, 0.0))
                 means[:, cols, rows] = values.reshape(4, count, n)
-                flagged = ~bad & ~(condition <= _COALESCING).reshape(count, n)
+                flagged = ~bad & ~(spread <= _COALESCING).reshape(count, n)
                 for c in np.flatnonzero(flagged.any(axis=1)):
                     by_rule(rows.start + np.flatnonzero(flagged[c]), np.array([first + c]), False)
         by_rule(rows.start + np.flatnonzero(bad), np.arange(n_col), True)

@@ -94,7 +94,7 @@ class PropagationTrace:
 # reach, and the probes and tolerance of every column's check
 _GRID_N1_PER_MHZ = 0.8
 _GRID_N1_MIN = 80
-_GRID_N1_MAX = 2048  # a column's tables stay within 4 MB
+_GRID_N1_MAX = 2048
 _GRID_N3 = 20
 _GRID_MARGIN = 1.05
 # In the scans at the preset, drive 3 stays above 0.76 |G30|, so where the
@@ -102,6 +102,10 @@ _GRID_MARGIN = 1.05
 # (_drive_nodes), with fewer nodes
 _GRID_N3_FITTED = 12
 _GRID_FLOOR = 0.5
+# Either |G3| count resolves |G30| up to 40 MHz and grows in proportion above
+# it, as long as a column's tables (12 doubles a node) stay within 4 MB
+_GRID_N3_MHZ = 40.0
+_GRID_NODES_MAX = 2048 * 20
 _VALIDATION_PROBES = 50
 _VALIDATION_RTOL = 1e-4
 # The probes are the R2 sequence (Roberts, 2018), frac(1/2 + k (1/g, 1/g**2))
@@ -137,14 +141,22 @@ def _drive_nodes(g10: float, g30: float, fitted: bool) -> tuple[np.ndarray, np.n
     """The |G1| and |G3| nodes of :meth:`CoefficientCache.build` for boundary drives |G10|, |G30|.
 
     Chebyshev points of the second kind, ascending: on [0, 1.05 |G10|],
-    and on [0, 1.05 |G30|], or, ``fitted``, 12 on [1/2, 1.05] |G30|, the
-    axis of runs that share one |G30|.  A zero drive stays exactly zero,
-    so its axis is the one node 0.
+    and on the |G3| axis of :func:`_g3_nodes`.  A zero drive stays exactly
+    zero, so its axis is the one node 0.
     """
     n1 = min(_GRID_N1_MAX, max(_GRID_N1_MIN, math.ceil(_GRID_N1_PER_MHZ * g10))) if g10 else 1
-    n3 = (_GRID_N3_FITTED if fitted else _GRID_N3) if g30 else 1
-    return (_chebyshev(0.0, _GRID_MARGIN * g10, n1),
-            _chebyshev(_GRID_FLOOR * g30 if fitted else 0.0, _GRID_MARGIN * g30, n3))
+    return _chebyshev(0.0, _GRID_MARGIN * g10, n1), _g3_nodes(g30, fitted, n1)
+
+
+def _g3_nodes(g30: float, fitted: bool, n1: int) -> np.ndarray:
+    """The |G3| nodes beside n1 |G1| nodes: on [0, 1.05 |G30|], 20 up to |G30| = 40 MHz,
+    or, ``fitted``, on [1/2, 1.05] |G30|, 12 up to 40 MHz, the axis of runs that
+    share one |G30|.  Above 40 MHz the count grows in proportion to |G30|, to at
+    most 40960 / n1 nodes.
+    """
+    base = _GRID_N3_FITTED if fitted else _GRID_N3
+    n3 = max(base, min(math.ceil(base * g30 / _GRID_N3_MHZ), _GRID_NODES_MAX // n1)) if g30 else 1
+    return _chebyshev(_GRID_FLOOR * g30 if fitted else 0.0, _GRID_MARGIN * g30, n3)
 
 
 def _chebyshev(bottom: float, top: float, n: int) -> np.ndarray:
@@ -251,10 +263,11 @@ class CoefficientCache:
         min(2048, max(80, ceil(0.8 |G10| / 1 MHz))) along |G1|; along
         |G3|, 12 on [1/2, 1.05] |G30| where the trajectories share one
         non-zero |G30|, as every scan's do, and 20 on [0, 1.05 |G30|]
-        otherwise; one node, 0, on the axis of a zero
-        drive.  Every column is checked at the same 50 points of the R2
-        sequence over the grid, where an error over 1e-4 of a coefficient's
-        scale raises :class:`CacheValidationError`.
+        otherwise, both up to |G30| = 40 MHz and in proportion above it;
+        one node, 0, on the axis of a zero drive.  Every column is checked
+        at the same 50 points of the R2 sequence over the grid, where an
+        error over 1e-4 of a coefficient's scale raises
+        :class:`CacheValidationError`.
         """
         omega4 = np.array(list(dict.fromkeys(f.omega4 for f in trajectories)), dtype=float)
         g10 = max(abs(f.g10) for f in trajectories)
@@ -276,12 +289,12 @@ class CoefficientCache:
         """A new validated cache of the same columns and |G1| nodes on the full |G3| axis.
 
         The axis is the one :meth:`build` gives trajectories of different
-        |G30|: 20 nodes on [0, 1.05 |G30|], for the |G30| of ``fields``.
+        |G30|: [0, 1.05 |G30|] (:func:`_g3_nodes`), for the |G30| of ``fields``.
         It tabulates without calling :meth:`build`, so a tracer that wraps
         :meth:`build` counts this build's time under the run that asks for
         it, not as a cache build.
         """
-        g3_grid = _drive_nodes(0.0, abs(self.fields.g30), False)[1]
+        g3_grid = _g3_nodes(abs(self.fields.g30), False, self.g1_grid.size)
         return self._tabulated(self.scheme, self.relax, self.medium, self.fields, self.omega4,
                                self.quad, self.g1_grid, g3_grid)
 

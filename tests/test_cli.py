@@ -628,7 +628,27 @@ def test_weak_drive_3_reruns_once_on_the_full_axis(tmp_path, monkeypatch):
     assert (tmp_path / "fitted.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
 
 
-@pytest.mark.parametrize("command", [["dynamics", "--omega4", "160"],
+@pytest.mark.parametrize("g30, fitted_nodes, full_nodes", [(80.0, 24, 40), (150.0, 45, 75)])
+def test_a_strong_drive_3_gets_its_g3_nodes_in_proportion(tmp_path, monkeypatch, g30,
+                                                          fitted_nodes, full_nodes):
+    # the benchmark-size gain map at G30 above 40 MHz: 12 fitted |G3| nodes
+    # missed the validation bound (4.1e-4 at 80 MHz, 9.4e-3 at 150 MHz), and
+    # 20 on the full axis 8.8e-4 at 80 MHz; both counts now grow with |G30|
+    (tmp_path / "g30.json").write_text(json.dumps({"fields": {"G30_MHz": g30}}))
+    args = ["gainmap", "--omega4=150:160:4", "--length=0:30:31", "--config",
+            str(tmp_path / "g30.json")]
+    nodes = propagate._drive_nodes
+    for name, n3 in (("fitted", fitted_nodes), ("full", full_nodes)):
+        if name == "full":
+            monkeypatch.setattr(propagate, "_drive_nodes",
+                                lambda g10, g30, fitted: nodes(g10, g30, False))
+        assert cli.main([*args, "--out", str(tmp_path / f"{name}.csv")]) == 0
+        manifest = json.loads((tmp_path / f"{name}.csv.manifest.json").read_text())
+        assert manifest["cache_grid"]["g3_nodes"] == n3
+        assert manifest["cache_validation_error"] < 1e-5
+
+
+@pytest.mark.parametrize("command",[["dynamics", "--omega4", "160"],
                                      ["switch", "--omega4", "150:160:2"]])
 def test_manifest_warns_of_cache_fallbacks(tmp_path, monkeypatch, command):
     # a grid that stops at half the boundary G10 sends the first reads off it
@@ -753,10 +773,9 @@ def test_validate_fails_when_a_closed_form_pole_is_off(monkeypatch, capsys):
     pencil_poles = doppler._pencil_poles
 
     def corrupted(block, slopes):
-        lam, condition = pencil_poles(block, slopes)
-        lam = lam.copy()
+        lam = pencil_poles(block, slopes).copy()
         lam[0, 0] *= 1.0 + 1e-9
-        return lam, condition
+        return lam
 
     monkeypatch.setattr(doppler, "_pencil_poles", corrupted)
     rc = cli.main(["validate"])

@@ -274,9 +274,9 @@ def test_pole_sums_match_the_velocity_sum(relax, g1, g3, om):
        g3=st.lists(_drive, min_size=1, max_size=6),
        om=st.tuples(_detuning, _detuning, _detuning, _detuning))
 def test_closed_form_poles_match_lapack(relax, temperature, p_n, g1, g3, om):
-    # Ferrari's roots and the closed-form condition numbers against LAPACK's
-    # eig of the companion matrix and of K = -M1^-1 M0, at drive points that
-    # include G1 = 0, G3 = 0 and both, where the probe block decouples
+    # Ferrari's roots against LAPACK's eig of the companion matrix and of
+    # K = -M1^-1 M0, at drive points that include G1 = 0, G3 = 0 and both,
+    # where the probe block decouples
     sch, _, medium, _ = na2_preset()
     medium = replace(medium, temperature=temperature, p_n=p_n)
     quad = dp.QuadratureSpec.for_medium(sch, medium)
@@ -285,7 +285,6 @@ def test_closed_form_poles_match_lapack(relax, temperature, p_n, g1, g3, om):
     fields, omega4 = FieldConfig(omega1=om[0], omega3=om[1]), np.array(om[2:])
     agreement = cli.pole_agreement(sch, relax, medium, quad, fields, omega4[:, None], G1, G3)
     assert agreement["pole_error"] <= 1e-12, agreement
-    assert agreement["condition_error"] <= 1e-8, agreement
 
 
 def test_pole_kernel_repeats_each_point_alone_bit_for_bit(preset, quad):
@@ -309,8 +308,8 @@ def test_pole_kernel_repeats_each_point_alone_bit_for_bit(preset, quad):
                                      (rad * d1, rad * d3), g1[k], g3[k])
             block = lv.probe_block(fields.omega1, fields.omega1 + fields.omega3 - w4[k], w4[k],
                                    g1[k], g3[k], lv.probe_rates(relax))
-            lam, condition = dp._pencil_poles(block, slopes)
-        return drive.poles, drive.weights, drive.condition, lam, condition
+            lam = dp._pencil_poles(block, slopes)
+        return drive.poles, drive.weights, lam
 
     def average(k):
         ratios, means = dp._average(sch, relax, medium, quad, fields, w4[k], g1[k], g3[k])
@@ -337,15 +336,15 @@ def test_pole_kernel_repeats_each_point_alone_bit_for_bit(preset, quad):
 def _eight_pole_means(drive, point, block, slopes):
     """:func:`lcq.doppler._probe_means` over one set of eight poles [lambda, q]: the 8 x 8
     spread, and the cofactors, the sources and det' M or det M at every pole."""
-    lam, condition = dp._pencil_poles(block, slopes)
+    lam = dp._pencil_poles(block, slopes)
     poles = np.concatenate([lam, drive.poles[point]], axis=1)
     m = [block[j][:, None] + slopes[j] * poles for j in range(4)]
     cofactors = dp._cofactors(*m, *(c[:, None] for c in block[4:]))
     gap = poles[:, :, None] - poles[:, None, :]
     width = np.abs(poles.imag)
     eye = np.eye(8, dtype=bool)
-    spread = (width[:, :, None] + width[:, None, :]) / np.abs(np.where(eye, np.inf, gap))
-    condition = np.maximum(condition, np.max(spread, axis=(1, 2)))
+    spread = np.max((width[:, :, None] + width[:, None, :]) / np.abs(np.where(eye, np.inf, gap)),
+                    axis=(1, 2))
     det = np.prod(slopes) * np.prod(np.where(eye[:, :4], 1.0, gap[:, :, :4]), axis=2)
     weights = np.concatenate([dp._plasma_z(lam) / dp._polyval(drive.Q[point], lam),
                               drive.weights[point]], axis=1) / det
@@ -353,15 +352,15 @@ def _eight_pole_means(drive, point, block, slopes):
     x1_4, x2_4, x1_2, x2_2 = dp._pole_sum(np.stack([
         sum(n * c for n, c in zip(unit, cof) if np.ndim(n))
         for unit in lv.probe_sources(*src) for cof in cofactors]) * weights)
-    return np.stack([x2_4, x2_2, np.conj(x1_2), np.conj(x1_4)]), condition
+    return np.stack([x2_4, x2_2, np.conj(x1_2), np.conj(x1_4)]), spread
 
 
 def test_probe_means_equal_the_eight_pole_sums_bit_for_bit(preset, quad):
     # the parts a drive point's columns share, and those the pencil already
-    # has at its poles, are computed once; means and condition numbers are
-    # those of the eight-pole form, bit for bit.  The preset's points include
-    # zero drives and the probe poles' exceptional point; the twin rates
-    # put the drive poles close, where their spread sets the condition
+    # has at its poles, are computed once; means and spreads are those of
+    # the eight-pole form, bit for bit.  The preset's points include zero
+    # drives and the probe poles' exceptional point; the twin rates put the
+    # drive poles close, where their spread is the block's
     sch, relax, medium, fields = preset
     d1, d2, d3, d4 = lv.doppler_shifts(sch, quad.u)
     slopes = np.array(lv.probe_block(-d1, -d2, -d4, 0.0, 0.0, (0.0,) * 4)[:4])
@@ -386,7 +385,7 @@ def test_probe_means_equal_the_eight_pole_sums_bit_for_bit(preset, quad):
         assert np.isfinite(ref[0]).all()
         for a, b in zip(got, ref):
             assert np.array_equal(a.view(np.uint8), b.view(np.uint8))
-    # in the twin case the drive poles' spread is what the condition reports
+    # in the twin case the drive poles' spread is what the block reports
     assert (ref[1] == drive.spread[point]).all() and (ref[1] > 10.0).all()
 
 
@@ -448,6 +447,27 @@ def test_coalescing_drive_poles_are_averaged_by_the_rule(preset, quad):
     oracle = dp._node_sums(sch, twin, medium, fine, *columns, 1e-3, 1e-3)
     scale = dp._node_sums(sch, twin, medium, fine, *columns, 1e-3, 1e-3, modulus=True)
     assert _worst(got, oracle, scale) < 1e-12
+
+
+def test_far_apart_poles_are_summed_whatever_their_eigenvector_conditioning(preset):
+    # with G3 = 0 and a weak G1 two drive poles are close for their modulus,
+    # and the companion matrix's eigenvector condition number is 2.2e4, yet
+    # they lie more than their widths apart (spread 1): the pole sums hold,
+    # where the 1311-node rule misses by 7e-4 of a field's scale
+    sch, _, medium, _ = preset
+    relax = RelaxationSet(gamma_m=50.0, gamma_g=212.0, gamma_n=231.0, coh_ml=174.0, coh_gl=184.0,
+                          coh_mn=20.0, coh_gn=76.0, coh_nl=20.0, coh_gm=84.0, sp_mn=31.0,
+                          sp_ml=4.0, sp_gn=0.0, sp_gl=189.0)
+    medium = replace(medium, temperature=1006.0, p_n=0.18)
+    quad = dp.QuadratureSpec.for_medium(sch, medium)
+    column = (FieldConfig(omega1=-284.0, omega3=-299.0), np.array([239.0, 2.6]))
+    with dp.pole_stats() as stats:
+        got = dp._average(sch, relax, medium, quad, *column, 20.0, 0.0)
+    assert stats.exceptional == 0 and stats.worst_condition <= 1.1
+    fine = dp.QuadratureSpec.for_medium(sch, medium, n=60001, span=6.0)
+    oracle = dp._node_sums(sch, relax, medium, fine, *column, 20.0, 0.0)
+    scale = dp._node_sums(sch, relax, medium, fine, *column, 20.0, 0.0, modulus=True)
+    assert _worst(got, oracle, scale) < 1e-10
 
 
 def test_averaging_reports_failing_node(preset, quad):
@@ -628,9 +648,9 @@ def test_non_finite_coefficient_raises(preset, quad, monkeypatch):
     means = dp._probe_means
 
     def nan_blocks(drive, point, block, slopes):
-        values, condition = means(drive, point, block, slopes)
+        values, spread = means(drive, point, block, slopes)
         values[:, 12 + 6:12 + 8] = np.nan
-        return values, condition
+        return values, spread
 
     monkeypatch.setattr(dp, "_probe_means", nan_blocks)
     grid = dp.DriveGrid(sch, relax, medium, fields, np.linspace(0.0, 100.0, 3),
