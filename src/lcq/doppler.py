@@ -532,9 +532,10 @@ def _probe_means(drive: _DriveSector, point: np.ndarray, block, slopes) -> tuple
     weights = np.concatenate([_plasma_z(lam) / _polyval(drive.Q[point], lam),
                               drive.weights[point]], axis=1) / det
     m0, m1, m2, m3 = (block[j][:, None] + slopes[j] * poles for j in range(4))
+    # np.take keeps the gathered (6, B, k) sources C-ordered, where [:, point] puts B outermost
     numerators = np.concatenate([
-        _numerators(_polyval(drive.sources[:, point], lam), cofactors),
-        _numerators(drive.pole_sources[:, point],
+        _numerators(_polyval(np.take(drive.sources, point, axis=1), lam), cofactors),
+        _numerators(np.take(drive.pole_sources, point, axis=1),
                     _cofactors(m0, m1, m2, m3, *(c[:, None] for c in block[4:])))], axis=-1)
     x1_4, x2_4, x1_2, x2_2 = _pole_sum(numerators * weights)
     return np.stack([x2_4, x2_2, np.conj(x1_2), np.conj(x1_4)]), spread
@@ -606,7 +607,8 @@ def _node_sums(scheme, relax, medium, quad, fields: FieldConfig, omega4, G1, G3,
 # pole spread (:func:`_spread`) above which poles count as coalescing
 _COALESCING = 1e4
 _POINTS_PER_BATCH = 512
-_GROUP_BLOCKS = 64
+# probe blocks per probe call: as many as one full batch of drive points has
+_GROUP_BLOCKS = _POINTS_PER_BATCH
 # The rates the pole sums need positive.  Without Gamma_m, Gamma_g or Gamma_n
 # the zero-drive steady state is not unique, and a zero coherence rate puts a
 # pole of the per-class response on the real velocity axis, where the Maxwell
@@ -709,7 +711,8 @@ def _average(scheme, relax, medium, quad, fields: FieldConfig, omega4, G1, G3) -
                 ])[:, None]
             bad = ~(drive.spread <= _COALESCING) & ~idle
             n = len(idle)
-            # columns go in groups of about _GROUP_BLOCKS probe blocks, each a block per drive point
+            # columns go in groups of at most _GROUP_BLOCKS probe blocks (at least one column),
+            # each a block per drive point
             group = max(1, _GROUP_BLOCKS // n)
             for first in range(0, n_col, group):
                 cols = slice(first, min(first + group, n_col))

@@ -609,16 +609,18 @@ def test_sweep_solves_the_drive_sector_once(preset, quad, monkeypatch):
 
 
 def test_pass_memory_does_not_grow_with_the_columns(preset, quad):
-    # a sweep's probe detunings and sources live for one chunk, so 800
-    # columns cost what 100 do plus their averages
+    # a sweep's probe detunings and sources live for one group of probe
+    # blocks, so eight times the columns cost what the fewer do plus their
+    # averages; both counts span several groups, whatever their size
     sch, relax, medium, fields = preset
+    small, big = 2 * dp._GROUP_BLOCKS, 16 * dp._GROUP_BLOCKS
 
     def columns(n):
         return np.linspace(-400.0, 400.0, n)
 
-    dp._average(sch, relax, medium, quad, fields, columns(800), fields.g10, fields.g30)  # warm
+    dp._average(sch, relax, medium, quad, fields, columns(big), fields.g10, fields.g30)  # warm
     peaks, out = {}, {}
-    for n in (100, 800):
+    for n in (small, big):
         cols = columns(n)
         tracemalloc.start()
         try:
@@ -627,7 +629,23 @@ def test_pass_memory_does_not_grow_with_the_columns(preset, quad):
         finally:
             tracemalloc.stop()
         out[n] = means.nbytes
-    assert peaks[800] <= 1.1 * peaks[100] + out[800], (peaks, out)
+    assert peaks[big] <= 1.1 * peaks[small] + out[big], (peaks, out)
+
+
+def test_sweep_grouping_keeps_the_bits(preset, quad, monkeypatch):
+    # a sweep at one drive point goes in groups of _GROUP_BLOCKS columns; a
+    # lone column, groups that divide 129 columns or not, and one group
+    # larger than the sweep all give the same averages, bit for bit
+    sch, relax, medium, fields = preset
+    sweep = np.linspace(-400.0, 400.0, 129)
+    results = []
+    for group in (1, 7, 64, 512, 130):
+        monkeypatch.setattr(dp, "_GROUP_BLOCKS", group)
+        results.append(dp._average(sch, relax, medium, quad, fields, sweep, fields.g10,
+                                   fields.g30))
+    for ratios, means in results[1:]:
+        assert np.array_equal(ratios, results[0][0])
+        assert np.array_equal(means, results[0][1])
 
 
 def test_non_finite_coefficient_raises(preset, quad, monkeypatch):
