@@ -607,7 +607,7 @@ def _node_sums(scheme, relax, medium, quad, fields: FieldConfig, omega4, G1, G3,
 # pole spread (:func:`_spread`) above which poles count as coalescing
 _COALESCING = 1e4
 _POINTS_PER_BATCH = 512
-# probe blocks per probe call: as many as one full batch of drive points has
+# probe blocks per probe call: one full batch's worth, so a call's transients stay a batch's
 _GROUP_BLOCKS = _POINTS_PER_BATCH
 # The rates the pole sums need positive.  Without Gamma_m, Gamma_g or Gamma_n
 # the zero-drive steady state is not unique, and a zero coherence rate puts a
@@ -711,8 +711,7 @@ def _average(scheme, relax, medium, quad, fields: FieldConfig, omega4, G1, G3) -
                 ])[:, None]
             bad = ~(drive.spread <= _COALESCING) & ~idle
             n = len(idle)
-            # columns go in groups of at most _GROUP_BLOCKS probe blocks (at least one column),
-            # each a block per drive point
+            # columns go in groups of at most _GROUP_BLOCKS probe blocks, each a block per drive point
             group = max(1, _GROUP_BLOCKS // n)
             for first in range(0, n_col, group):
                 cols = slice(first, min(first + group, n_col))

@@ -634,8 +634,8 @@ def test_pass_memory_does_not_grow_with_the_columns(preset, quad):
 
 def test_sweep_grouping_keeps_the_bits(preset, quad, monkeypatch):
     # a sweep at one drive point goes in groups of _GROUP_BLOCKS columns; a
-    # lone column, groups that divide 129 columns or not, and one group
-    # larger than the sweep all give the same averages, bit for bit
+    # lone column, groups that leave a shorter last group and groups larger
+    # than the sweep all give the same averages, bit for bit
     sch, relax, medium, fields = preset
     sweep = np.linspace(-400.0, 400.0, 129)
     results = []
