@@ -22,8 +22,7 @@ scheme, relax, medium, fields = na2_preset()
 quad = QuadratureSpec.for_medium(scheme, medium)
 f = fields.with_omega4(160.0)
 
-dynamics = spatial_dynamics(scheme, relax, medium, f, L=40.0, steps=2000,
-                            quad=quad)
+dynamics = spatial_dynamics(scheme, relax, medium, f, L=40.0, quad=quad)
 records_to_csv(dynamics, OUT / "dynamics_160MHz.csv")
 
 z, i4, i2 = dynamics["z"], dynamics["i4_ratio"], dynamics["i2_over_i40"]
@@ -43,7 +42,7 @@ resonant = spatial_dynamics(
     scheme, relax, medium,
     f.__class__(omega1=0.0, omega3=0.0, omega4=0.0,
                 g10=f.g10, g30=f.g30, e40=f.e40, e20=f.e20),
-    L=40.0, steps=2000, quad=quad)
+    L=40.0, quad=quad)
 records_to_csv(resonant, OUT / "dynamics_resonant.csv")
 res_max = resonant["i4_ratio"].max()
 print(f"fully resonant configuration for comparison: I4 never exceeds "

@@ -25,8 +25,7 @@ quad = QuadratureSpec.for_medium(scheme, medium)
 
 omega4 = np.linspace(100.0, 240.0, 15)
 lengths = np.linspace(0.0, 24.0, 25)
-result = gain_map(scheme, relax, medium, fields, omega4, lengths,
-                  steps=1200, quad=quad)
+result = gain_map(scheme, relax, medium, fields, omega4, lengths, quad=quad)
 records_to_csv(gain_map_records(result), OUT / "gain_map.csv")
 om_star, l_star = result.argmax()
 print(f"map maximum: I4/I40 = {result.max_gain:.1f} at "
@@ -35,7 +34,7 @@ print(f"map maximum: I4/I40 = {result.max_gain:.1f} at "
 L_fix = 10.0
 sweep = np.linspace(130.0, 175.0, 19)
 curve = switching_curve(scheme, relax, medium, fields, L=L_fix, sweep=sweep,
-                        axis="omega4", steps=1200, quad=quad)
+                        axis="omega4", quad=quad)
 records_to_csv(curve, OUT / "switching_omega4.csv")
 ys = curve["i4_ratio"]
 crossings = transparency_crossings(curve, "omega4")
@@ -45,8 +44,7 @@ print(f"detuning switching at L = {L_fix:.0f} L4: transmission spans "
 
 gsweep = np.linspace(70.0, 105.0, 15)
 gcurve = switching_curve(scheme, relax, medium, fields.with_omega4(om_star),
-                         L=L_fix, sweep=gsweep, axis="g10", steps=1200,
-                         quad=quad)
+                         L=L_fix, sweep=gsweep, axis="g10", quad=quad)
 records_to_csv(gcurve, OUT / "switching_g10.csv")
 gy = gcurve["i4_ratio"]
 print(f"drive switching: I4/I40 rises from {gy[0]:.2e} at G10 = {gsweep[0]:.0f} MHz "

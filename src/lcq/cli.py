@@ -105,28 +105,31 @@ def _step_manifest(reports: list) -> dict:
     The steps are the fewest and most accepted steps of any trajectory,
     with the rejected steps and the right-hand-side rows (stages) summed
     over the trajectories, both passes of a rerun's; the estimate is the
-    worst local one of the trajectories that finished, with the tolerance
-    the steps were sized to and the probe detuning and drive of its
-    trajectory (None at a requested count).  The cache error is the worst
-    of the runs' caches, the grid the first run's cache's (both None
-    without one), and the reruns on a full |G3| axis are summed.
+    worst local one of the trajectories that finished, with the probe
+    detuning and drive of its trajectory and the tolerance the steps were
+    sized to (None at a requested count).  The cache error is the worst of
+    the runs' caches, the grids every grid the runs read, first pass
+    first (None without a cache), and the reruns on a full |G3| axis are
+    summed.
     """
     fields = [f for batch, _ in reports for f in batch]
+    requested = reports[0][1].requested
     steps = np.concatenate([r.steps for _, r in reports])
     error = np.concatenate([np.where(np.isnan(r.failed_at), r.error, np.nan) for _, r in reports])
     worst = None
     if not np.isnan(error).all():
         k = int(np.nanargmax(error))
-        worst = {"estimate": float(error[k]), "tolerance": propagate._STEP_TOL,
+        worst = {"estimate": float(error[k]),
+                 "tolerance": propagate._STEP_TOL if requested is None else None,
                  "omega4_MHz": fields[k].omega4, "g10_MHz": abs(fields[k].g10)}
     errors = [r.validation_error for _, r in reports if r.validation_error is not None]
-    grids = [r.cache_grid for _, r in reports if r.cache_grid is not None]
-    return {"steps": {"requested": reports[0][1].requested, "min": int(steps.min()),
+    grids = [grid for _, r in reports for grid in r.cache_grid]
+    return {"steps": {"requested": requested, "min": int(steps.min()),
                       "max": int(steps.max()),
                       "rejected": int(sum(r.rejected.sum() for _, r in reports)),
                       "stages": int(sum(r.stages.sum() for _, r in reports))},
             "step_error": worst, "cache_validation_error": max(errors, default=None),
-            "cache_grid": grids[0] if grids else None,
+            "cache_grid": grids or None,
             "cache_reruns": sum(r.reruns for _, r in reports)}
 
 
@@ -174,9 +177,9 @@ def build_parser() -> argparse.ArgumentParser:
                             "and averages exceptional points")
         if integrates:
             p.add_argument("--steps", type=int,
-                           help="RK4 steps over the medium (default: sized per trajectory by "
-                                f"a Dormand-Prince 5(4) pair to {propagate._STEP_TOL:g} of its "
-                                "peak per step)")
+                           help="fixed Dormand-Prince 5(4) steps over the medium (default: "
+                                "sized per trajectory by the pair's step control to "
+                                f"{propagate._STEP_TOL:g} of its peak per step)")
             # an old flag, still parsed so that old command lines run; it has no effect
             p.add_argument("--threads", type=int, help=argparse.SUPPRESS)
         if writes:

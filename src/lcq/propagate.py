@@ -16,12 +16,13 @@ omega4.  One runner (:func:`_run`) advances n trajectories in lockstep as
 an (n, 4) complex state [G1, G3, E4, E2]: a single integration, the
 columns of a gain map and the points of a switching curve on either axis
 all run on it.  It records z = 0, the positions a run asks for and the
-medium's end.  Given a step count, it runs fixed-step RK4
-(:func:`_lockstep`), each interval its rounded share of the count; given
-none, an embedded Dormand-Prince 5(4) pair (:func:`_embedded`) gives each
+medium's end, and it has one integrator, the embedded Dormand-Prince 5(4)
+pair (:func:`_embedded`).  Given no step count, the pair gives each
 trajectory its own steps, each step's local error estimate at most
-_STEP_TOL of the trajectory's peak (:class:`StepReport`).  Trajectories
-that fall below a fitted axis run again from z = 0 on the full one.
+_STEP_TOL of the trajectory's peak (:class:`StepReport`); given one, its
+step control is off and each interval takes its rounded share of the
+count.  Trajectories that fall below a fitted axis run again from z = 0
+on the full one.
 
 At the batch sizes of a map or sweep the fixed cost of a numpy call, not
 the arithmetic, sets the time of a stage, so a stage makes as few calls
@@ -49,7 +50,7 @@ from __future__ import annotations
 import contextlib
 import contextvars
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 from functools import lru_cache
 
 import numpy as np
@@ -71,9 +72,8 @@ class PropagationError(RuntimeError):
 class PropagationTrace:
     """Field amplitudes at the recorded positions along the medium.
 
-    ``error_estimate`` is the worst accepted local estimate of a run sized
-    by the embedded pair (:class:`StepReport`), and None for a run at a
-    step count.
+    ``error_estimate`` is the worst local estimate of the embedded pair
+    over the run's accepted steps (:class:`StepReport`).
     """
 
     z: np.ndarray
@@ -119,8 +119,8 @@ _RUNAWAY = 1e6
 # estimate, each component over its running peak, is at most _STEP_TOL, and
 # a trajectory fails past _STEPS_MAX accepted steps.  5e-7 is the loosest of
 # 1e-7, 2e-7, 5e-7 and 1e-6 whose benchmark runs stay within half of 1e-6 of
-# each trajectory's peak against 16000 fixed steps (3.4e-7 at worst; 7.2e-7
-# at 1e-6)
+# each trajectory's peak against a fixed-step reference (3.4e-7 at worst;
+# 7.2e-7 at 1e-6)
 _STEP_TOL = 5e-7
 _STEPS_MAX = 65536
 # Dormand and Prince, J. Comput. Appl. Math. 6, 19 (1980): the stage rows
@@ -409,7 +409,7 @@ def rhs(y: np.ndarray, rows: np.ndarray, scheme: LevelScheme) -> np.ndarray:
 
     The work runs component by component, on (k, n) arrays, and the result
     is the transpose of one: a state array in column-major order, as
-    :func:`_lockstep` keeps its states, makes every operation one
+    :func:`_embedded` keeps its states, makes every operation one
     contiguous run.
     """
     coef = np.ascontiguousarray(rows).view(complex).T.take(_ORDER, axis=0)
@@ -511,21 +511,22 @@ def check_run(L: float, steps: int | None) -> None:
 class StepReport:
     """The steps a run took for each of its n trajectories.
 
-    ``requested`` is the run's RK4 step count, or None for a run sized by
-    the embedded pair.  ``steps`` (n,) are each trajectory's accepted
-    steps, ``rejected`` (n,) its rejected ones and ``stages`` (n,) the
-    right-hand sides it evaluated.  ``error`` (n,) is the worst local
-    estimate of its accepted steps: |h sum e_i k_i| of each component over
-    its peak along the trajectory, the largest of the four.  It is NaN at a
-    requested count and where the trajectory failed.  ``failed_at`` (n,) is
-    where a trajectory failed, NaN where it did not, and ``cause`` (n,)
-    names a failure other than non-finite fields.  ``fallbacks`` counts the
-    run's cache reads off the grid, ``validation_error`` is the worst of its
-    caches' and ``cache_grid`` the node counts of the cache it was given,
-    with the span of its |G3| axis; None for a run without a cache.
-    ``reruns`` is 1 where trajectories left a fitted |G3| axis and ran
-    again on the full one (:func:`_run`): their ``steps``, ``error``,
-    ``failed_at`` and ``cause`` are the second pass's, and their
+    ``requested`` is the run's fixed step count, or None for a run sized by
+    the embedded pair's step control.  ``steps`` (n,) are each trajectory's
+    accepted steps, ``rejected`` (n,) its rejected ones (none at a
+    requested count) and ``stages`` (n,) the right-hand sides it evaluated.
+    ``error`` (n,) is the worst local estimate of its accepted steps:
+    |h sum e_i k_i| of each component over its peak along the trajectory,
+    the largest of the four, at a requested count too.  It is NaN where
+    the trajectory failed.  ``failed_at`` (n,) is where a trajectory
+    failed, NaN where it did not, and ``cause`` (n,) names a failure other
+    than non-finite fields.  ``fallbacks`` counts the run's cache reads off
+    the grid, ``validation_error`` is the worst of its caches' and
+    ``cache_grid`` lists the grids it read, first pass first: the node
+    counts of each cache, with the span of its |G3| axis; empty for a run
+    without a cache.  ``reruns`` is 1 where trajectories left a fitted |G3|
+    axis and ran again on the full one (:func:`_run`): their ``steps``,
+    ``error``, ``failed_at`` and ``cause`` are the second pass's, and their
     ``rejected``, ``stages`` and the run's ``fallbacks`` count the work of
     both passes.
     """
@@ -539,7 +540,7 @@ class StepReport:
     cause: list[str | None]
     fallbacks: int = 0
     validation_error: float | None = None
-    cache_grid: dict | None = None
+    cache_grid: list[dict] = field(default_factory=list)
     reruns: int = 0
 
     def failure(self, k: int) -> PropagationError:
@@ -586,55 +587,7 @@ def _derivative(read, y: np.ndarray, scheme) -> np.ndarray:
     return rhs(y, out, scheme)
 
 
-def _lockstep(y0: np.ndarray, positions: np.ndarray, counts: np.ndarray, source, scheme):
-    """Fixed-step RK4 of the (n, 4) states ``y0`` from z = 0 through ``positions``.
-
-    Interval k between the ascending ``positions`` takes ``counts[k]``
-    equal steps.  ``source`` is a :func:`_row_source` binder; each RK4
-    stage reads its (n, 12) rows with one call of the batch's reader, and
-    nothing else reads them.  Returns the states (positions, n, 4), where
-    each trajectory turned non-finite (NaN if it never did) and the steps
-    each took; a failed trajectory leaves the batch, its later states NaN.
-    """
-    n = y0.shape[0]
-    states = np.full((positions.size, n, 4), np.nan, dtype=complex)
-    failed_at = np.full(n, np.nan)
-    taken = np.full(n, int(counts.sum()))
-
-    def f(y):
-        return _derivative(read, y, scheme)
-
-    live = np.arange(n)
-    read = source(live)
-    y = np.array(y0, dtype=complex, order="F")  # each component one contiguous run
-    z, done = 0.0, 0
-    # non-finite states are detected after every step and reported, so the
-    # overflow that produces them raises no floating-point warning
-    with np.errstate(over="ignore", invalid="ignore"):
-        states[0] = y
-        for k in range(1, positions.size):
-            n_sub = int(counts[k - 1])
-            h = (positions[k] - positions[k - 1]) / n_sub
-            for _ in range(n_sub):
-                k1 = f(y)
-                k2 = f(y + 0.5 * h * k1)
-                k3 = f(y + 0.5 * h * k2)
-                k4 = f(y + h * k3)
-                y = y + (h / 6.0) * (k1 + 2.0 * k2 + 2.0 * k3 + k4)
-                z += h
-                done += 1
-                if not np.isfinite(y).all():
-                    bad = ~np.isfinite(y).all(axis=1)
-                    failed_at[live[bad]], taken[live[bad]] = z, done
-                    live, y = live[~bad], np.asfortranarray(y[~bad])
-                    if not live.size:
-                        return states, failed_at, taken
-                    read = source(live)
-            states[k, live] = y
-    return states, failed_at, taken
-
-
-def _embedded(y0: np.ndarray, positions: np.ndarray, source, scheme):
+def _embedded(y0: np.ndarray, positions: np.ndarray, source, scheme, counts=None):
     """The (n, 4) states ``y0`` from z = 0 through ``positions``, each with its own steps.
 
     Dormand-Prince 5(4) in lockstep, with the step control of Hairer,
@@ -656,6 +609,10 @@ def _embedded(y0: np.ndarray, positions: np.ndarray, source, scheme):
     A trajectory ends at the last position, or fails: where a result or
     estimate is not finite, at the position the step would have reached;
     past _STEPS_MAX accepted steps; or where its step no longer moves it.
+    Given ``counts``, the step control is off: interval k between the
+    ``positions`` takes counts[k] equal steps, the last landing on its
+    end, every step with finite results is accepted and its estimate
+    still taken, and neither the cap nor an underflow ends a trajectory.
     The stage sums are scalars times arrays in a fixed order and each
     step's factor is taken row by row, so a trajectory's steps and bits
     are those of its lone run.  Returns the states (positions, n, 4), the
@@ -669,6 +626,11 @@ def _embedded(y0: np.ndarray, positions: np.ndarray, source, scheme):
     read = source(live)
     y = np.array(y0, dtype=complex, order="F")
     z, nxt, peak = np.zeros(n), np.ones(n, int), np.abs(y)
+    free = counts is None
+    if not free:
+        widths = np.repeat(np.diff(positions) / counts, counts)
+        lands = np.zeros(widths.size, bool)
+        lands[np.cumsum(counts) - 1] = True
     with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
         states[0] = y
         k1 = _derivative(read, y, scheme)
@@ -679,8 +641,12 @@ def _embedded(y0: np.ndarray, positions: np.ndarray, source, scheme):
         grow = np.ones(n, bool)  # False right after a rejection
         while live.size:
             target = positions[nxt]
-            clip = z + h >= target
-            step = np.where(clip, target - z, h)
+            if free:
+                clip = z + h >= target
+                step = np.where(clip, target - z, h)
+            else:  # every live trajectory has taken the same steps
+                i = steps[live[0]]
+                clip, step = lands[i], np.full(live.size, widths[i])
             z_new = np.where(clip, target, z + step)
             h_col = step[:, None]
             k = [k1]
@@ -700,13 +666,14 @@ def _embedded(y0: np.ndarray, positions: np.ndarray, source, scheme):
             top = np.maximum(peak, np.abs(trial))
             est = np.divide(local, top, out=np.zeros(top.shape), where=top > 0).max(axis=1)
             bad = ~(np.isfinite(local).all(axis=1) & np.isfinite(trial).all(axis=1))
-            ok = (est <= _STEP_TOL) & ~bad
-            # row by row: numpy's vector and scalar power kernels may round differently
-            fac = np.array([min(5.0, max(0.2, 0.9 * (e / _STEP_TOL) ** -0.2)) if e > 0 else 5.0
-                            for e in est.tolist()])
-            fac[ok & ~grow] = np.minimum(fac[ok & ~grow], 1.0)
-            h = np.where(ok & clip, np.maximum(h, fac * step), fac * step)
-            grow = ok
+            ok = ((est <= _STEP_TOL) | (not free)) & ~bad
+            if free:
+                # row by row: numpy's vector and scalar power kernels may round differently
+                fac = np.array([min(5.0, max(0.2, 0.9 * (e / _STEP_TOL) ** -0.2)) if e > 0
+                                else 5.0 for e in est.tolist()])
+                fac[ok & ~grow] = np.minimum(fac[ok & ~grow], 1.0)
+                h = np.where(ok & clip, np.maximum(h, fac * step), fac * step)
+                grow = ok
             steps[live] += ok
             rejected[live] += ~ok
             error[live] = np.where(ok, np.maximum(error[live], est), error[live])
@@ -718,8 +685,8 @@ def _embedded(y0: np.ndarray, positions: np.ndarray, source, scheme):
             states[nxt[landed], live[landed]] = trial[landed]
             nxt = nxt + landed
             done = nxt == positions.size
-            capped = ~done & (steps[live] >= _STEPS_MAX)
-            stuck = ~(done | capped | bad) & (z + h == z)
+            capped = ~done & (steps[live] >= _STEPS_MAX) & free
+            stuck = ~(done | capped | bad) & (z + h == z) & free
             ended = done | bad | capped | stuck
             if not ended.any():
                 continue
@@ -750,14 +717,15 @@ def _run(scheme, relax, medium, fields: list[FieldConfig], y0: np.ndarray, L: fl
     [0, L]; ``quad`` defaults to :meth:`QuadratureSpec.for_medium`.
     Returns the positions, the states (positions, n, 4) and the run's
     :class:`StepReport`, with where each trajectory failed and its cache's
-    evidence, which a :func:`step_reports` block also receives.  A run at
-    ``steps`` is fixed-step RK4 (:func:`_lockstep`), each interval its
-    rounded share of them; a run given no ``steps`` sizes each trajectory's
-    steps by the embedded pair (:func:`_embedded`).  A trajectory that
-    reads below the cache's fitted |G3| axis (:func:`_drive_nodes`) leaves
-    the batch; when the batch is done, those trajectories run again from
-    z = 0, in one batch, on :meth:`CoefficientCache.widened`, once.  Each
-    trajectory thus gives the bits of its lone run.
+    evidence, which a :func:`step_reports` block also receives.  Every run
+    takes the embedded pair (:func:`_embedded`): given no ``steps``, its
+    step control sizes each trajectory's steps; given ``steps``, the
+    control is off and each interval takes its rounded share of them
+    (:func:`_substeps`).  A trajectory that reads below the cache's fitted
+    |G3| axis (:func:`_drive_nodes`) leaves the batch; when the batch is
+    done, those trajectories run again from z = 0, in one batch, on
+    :meth:`CoefficientCache.widened`, once.  Each trajectory thus gives
+    the bits of its lone run.
     """
     check_run(L, steps)
     record = np.asarray(record_at, dtype=float).ravel()
@@ -781,6 +749,7 @@ def _run(scheme, relax, medium, fields: list[FieldConfig], y0: np.ndarray, L: fl
             report.cause[k] = cause
         report.fallbacks += again.fallbacks
         report.validation_error = max(report.validation_error or 0.0, again.validation_error)
+        report.cache_grid += again.cache_grid
         report.reruns = 1
     reports = _REPORTS.get()
     if reports is not None:
@@ -793,19 +762,14 @@ def _pass(scheme, relax, medium, fields, y0, z, steps, quad, cache):
     left = np.zeros(len(fields), bool)
     source = _row_source(scheme, relax, medium, fields, quad, cache, left)
     fallbacks = cache.fallbacks if cache is not None else 0
-    if steps is None:
-        states, report = _embedded(y0, z, source, scheme)
-    else:
-        counts = _substeps(z, steps)
-        states, failed_at, taken = _lockstep(y0, z, counts, source, scheme)
-        n = y0.shape[0]
-        report = StepReport(steps, np.full(n, counts.sum()), np.full(n, np.nan), failed_at,
-                            np.zeros(n, int), 4 * taken, [None] * n)
+    counts = None if steps is None else _substeps(z, steps)
+    states, report = _embedded(y0, z, source, scheme, counts)
+    report.requested = steps
     if cache is not None:
         report.fallbacks = cache.fallbacks - fallbacks
         report.validation_error = cache.validation_error
-        report.cache_grid = {"g1_nodes": cache.g1_grid.size, "g3_nodes": cache.g3_grid.size,
-                             "g3_span_MHz": [float(cache.g3_grid[0]), float(cache.g3_grid[-1])]}
+        report.cache_grid = [{"g1_nodes": cache.g1_grid.size, "g3_nodes": cache.g3_grid.size,
+                              "g3_span_MHz": [float(cache.g3_grid[0]), float(cache.g3_grid[-1])]}]
     return states, report, left
 
 
@@ -820,7 +784,7 @@ def integrate(
     cache: CoefficientCache | None = None,
     record_at: np.ndarray | None = None,
 ) -> PropagationTrace:
-    """Runge-Kutta integration of the four coupled waves to z = L.
+    """Dormand-Prince integration of the four coupled waves to z = L.
 
     Coefficients are re-evaluated at every stage from the local drive
     amplitudes, through ``cache`` (at the column of the fields' detunings)
@@ -830,9 +794,10 @@ def integrate(
     trajectory falls below that cache's fitted |G3| axis, the run goes
     again on :meth:`CoefficientCache.widened`.  The run records and steps
     through z = 0, ``record_at`` and L alone (:func:`_run`), or 257 evenly
-    spaced positions where ``record_at`` is None, at ``steps`` or, where
-    that is None, sized by the embedded pair, whose worst accepted local
-    estimate is the trace's ``error_estimate``.
+    spaced positions where ``record_at`` is None, in ``steps`` fixed steps
+    of the embedded pair or, where that is None, in steps its control
+    sizes.  Either way the worst local estimate of its steps is the
+    trace's ``error_estimate``.
     """
     if record_at is None:
         check_run(L, steps)  # before the positions are spaced over L
@@ -841,8 +806,7 @@ def integrate(
     z, states, report = _run(scheme, relax, medium, [fields], y0, L, record_at, steps, quad, cache)
     if not np.isnan(report.failed_at[0]):
         raise report.failure(0)
-    err = float(report.error[0]) if steps is None else None
-    return PropagationTrace(z, *states[:, 0].T, error_estimate=err)
+    return PropagationTrace(z, *states[:, 0].T, error_estimate=float(report.error[0]))
 
 
 def transmission(

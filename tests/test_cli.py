@@ -111,10 +111,13 @@ def test_manifest_written_alongside_output(tmp_path):
     assert cli.main(["dynamics", "--length", "1", "--steps", "300", "--quad", "301",
                      "--out", str(out)]) == 0
     manifest = json.loads((tmp_path / "d.csv.manifest.json").read_text())
-    # 300 steps over 256 intervals round to one step each, of four stages
+    # 300 steps over 256 intervals round to one fixed step each, six stages
+    # per step after the first, as above; the estimate is still reported,
+    # with no tolerance, since no control sized the steps
     assert manifest["steps"] == {"requested": 300, "min": 256, "max": 256, "rejected": 0,
-                                 "stages": 4 * 256}
-    assert manifest["step_error"] is None
+                                 "stages": 1 + 6 * 256}
+    error = manifest["step_error"]
+    assert 0 < error["estimate"] <= 1e-7 and error["tolerance"] is None
 
 
 @pytest.mark.parametrize("steps", [None, "200"])
@@ -149,7 +152,7 @@ def test_manifest_step_error_states_its_tolerance(tmp_path, capsys):
 def test_dynamics_subcommand(tmp_path):
     out = tmp_path / "dyn.csv"
     rc = cli.main(["dynamics", "--omega4", "160", "--length", "6",
-                   "--steps", "600", "--quad", "301", "--out", str(out)])
+                   "--quad", "301", "--out", str(out)])
     assert rc == 0
     rows = out.read_text().splitlines()
     assert rows[0].split(",")[0] == "z[L4]"
@@ -160,8 +163,7 @@ def test_dynamics_subcommand(tmp_path):
 def test_switch_subcommand_and_crossings(tmp_path):
     out = tmp_path / "sw.csv"
     rc = cli.main(["switch", "--omega4", "150:160:3", "--length", "9",
-                   "--steps", "500", "--quad", "301", "--threads", "2",
-                   "--out", str(out)])
+                   "--quad", "301", "--threads", "2", "--out", str(out)])
     assert rc == 0
     manifest = json.loads((tmp_path / "sw.csv.manifest.json").read_text())
     assert "transparency_crossings" in manifest
@@ -176,7 +178,7 @@ def test_g10_switch_without_probe_input(tmp_path):
     cfg.write_text(json.dumps({"fields": {"E40": 0.0}}))
     out = tmp_path / "sw.csv"
     rc = cli.main(["switch", "--config", str(cfg), "--g10", "60:80:3", "--length", "2",
-                   "--steps", "200", "--quad", "101", "--out", str(out)])
+                   "--quad", "101", "--out", str(out)])
     assert rc == 0
     rows = out.read_text().splitlines()
     assert rows[0] == "g10[MHz],i4_ratio[1]" and len(rows) == 4
@@ -205,8 +207,8 @@ def test_zero_boundary_drive_gives_finite_csv(tmp_path, fields, args):
     cfg = tmp_path / "drives.json"
     cfg.write_text(json.dumps({"fields": fields}))
     out = tmp_path / "out.csv"
-    proc = run_cli([*args, "--config", str(cfg), "--quad", "301", "--steps", "200",
-                    "--out", str(out)], tmp_path)
+    proc = run_cli([*args, "--config", str(cfg), "--quad", "301", "--out", str(out)],
+                   tmp_path)
     assert proc.returncode == 0, proc.stderr
     values = [float(x) for row in out.read_text().splitlines()[1:] for x in row.split(",")]
     assert values and all(math.isfinite(v) for v in values)
@@ -338,7 +340,7 @@ def test_lone_runaway_trajectory_is_a_numerical_failure(tmp_path, args):
     # even if its L = 0 cells are valid
     cfg = tmp_path / "runaway.json"
     cfg.write_text(json.dumps({"fields": {"E40": 1e150, "Omega4_MHz": 155.0}}))
-    proc = run_cli([*args, "--config", str(cfg), "--steps", "256", "--quad", "301",
+    proc = run_cli([*args, "--config", str(cfg), "--quad", "301",
                     "--out", str(tmp_path / "out.csv")], tmp_path)
     assert proc.returncode == 3, proc.stderr
     lines = proc.stderr.splitlines()
@@ -569,7 +571,7 @@ def test_any_relaxation_and_medium_give_finite_csv_or_a_named_error(relaxation, 
 def test_gainmap_manifest_reports_cache_validation_error(tmp_path):
     out = tmp_path / "gm.csv"
     assert cli.main(["gainmap", "--omega4", "150:155:2", "--length", "0:6:3",
-                     "--steps", "400", "--quad", "301", "--out", str(out)]) == 0
+                     "--quad", "301", "--out", str(out)]) == 0
     manifest = json.loads((tmp_path / "gm.csv.manifest.json").read_text())
     error = manifest["cache_validation_error"]
     assert isinstance(error, float) and math.isfinite(error) and error < 1e-4
@@ -597,7 +599,7 @@ def test_propagating_manifests_report_the_cache_of_their_run(tmp_path, args, fie
     error = manifest["cache_validation_error"]
     assert isinstance(error, float) and 0.0 < error < 1e-4
     assert not [w for w in manifest["warnings"] if "fell back" in w]
-    cache_grid = manifest["cache_grid"]
+    [cache_grid] = manifest["cache_grid"]
     assert [cache_grid["g1_nodes"], cache_grid["g3_nodes"], *cache_grid["g3_span_MHz"]] == grid
     assert manifest["cache_reruns"] == 0
 
@@ -623,8 +625,10 @@ def test_weak_drive_3_reruns_once_on_the_full_axis(tmp_path, monkeypatch):
     fitted, full = manifests["fitted"]["steps"], manifests["full"]["steps"]
     assert [fitted["min"], fitted["max"]] == [full["min"], full["max"]]
     assert fitted["stages"] > full["stages"]
-    assert manifests["fitted"]["cache_grid"]["g3_span_MHz"] == [2.5, 5.25]
-    assert manifests["full"]["cache_grid"]["g3_span_MHz"] == [0.0, 5.25]
+    # the manifest lists every grid the run read, the fitted one first
+    spans = {name: [grid["g3_span_MHz"] for grid in manifest["cache_grid"]]
+             for name, manifest in manifests.items()}
+    assert spans == {"fitted": [[2.5, 5.25], [0.0, 5.25]], "full": [[0.0, 5.25]]}
     assert (tmp_path / "fitted.csv").read_bytes() == (tmp_path / "full.csv").read_bytes()
 
 
@@ -644,7 +648,8 @@ def test_a_strong_drive_3_gets_its_g3_nodes_in_proportion(tmp_path, monkeypatch,
                                 lambda g10, g30, fitted: nodes(g10, g30, False))
         assert cli.main([*args, "--out", str(tmp_path / f"{name}.csv")]) == 0
         manifest = json.loads((tmp_path / f"{name}.csv.manifest.json").read_text())
-        assert manifest["cache_grid"]["g3_nodes"] == n3
+        [grid] = manifest["cache_grid"]
+        assert grid["g3_nodes"] == n3
         assert manifest["cache_validation_error"] < 1e-5
 
 
@@ -678,7 +683,7 @@ def test_gainmap_whose_first_column_curves_hard_passes_validation(tmp_path, fiel
         (tmp_path / "fields.json").write_text(json.dumps({"fields": fields}))
         config = ["--config", str(tmp_path / "fields.json")]
     out = tmp_path / "gm.csv"
-    assert cli.main(["gainmap", *args, "--length", "0:10:3", "--steps", "200", *config,
+    assert cli.main(["gainmap", *args, "--length", "0:10:3", *config,
                      "--out", str(out)]) == 0
     manifest = json.loads((tmp_path / "gm.csv.manifest.json").read_text())
     assert manifest["cache_validation_error"] <= 1e-4

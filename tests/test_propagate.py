@@ -102,7 +102,9 @@ def test_beer_lambert_drives_off(preset, quad):
                          g10=0.0, g30=0.0, e40=0.1, e20=0.05)
     mc = dp.average_coefficients(sch, relax, medium, fields, 0.0, 0.0, quad)
     cache = pg.CoefficientCache.build(sch, relax, medium, [fields], quad)
-    trace = pg.integrate(sch, relax, medium, fields, L=20.0, steps=2000, quad=quad, cache=cache)
+    # fixed steps: the step control bounds each step against a wave's peak,
+    # not against exp(-alpha L), which falls to about 2e-9 here
+    trace = pg.integrate(sch, relax, medium, fields, L=20.0, steps=500, quad=quad, cache=cache)
     for ratio, alpha, amp0 in (
         (np.abs(trace.e4) ** 2 / abs(fields.e40) ** 2, mc.alpha4, fields.e40),
         (np.abs(trace.e2) ** 2 / abs(fields.e20) ** 2, mc.alpha2, fields.e20),
@@ -131,7 +133,7 @@ def test_frozen_coefficients_reproduce_closed_form(preset, quad):
     fields = FieldConfig(omega1=0.0, omega3=100.0, omega4=160.0,
                          g10=100.0, g30=40.0, e40=1e-3, e20=2e-4j)
     mc = dp.average_coefficients(sch, relax, medium, fields, 100.0, 40.0, quad)
-    trace = pg.integrate(sch, relax, medium, fields, L=10.0, steps=4000,
+    trace = pg.integrate(sch, relax, medium, fields, L=10.0, steps=1000,
                          quad=quad, cache=ConstantRows(mc, fields))
     c = cw.OpaCoefficients.from_macroscopic(mc)
     e4ref, e2cref = cw.opa_solution(
@@ -146,7 +148,7 @@ def test_frozen_coefficients_reproduce_closed_form(preset, quad):
 
 def test_trace_structure(preset, quad, dressed_fields, dressed_cache):
     sch, relax, medium, _ = preset
-    trace = pg.integrate(sch, relax, medium, dressed_fields, L=5.0, steps=500,
+    trace = pg.integrate(sch, relax, medium, dressed_fields, L=5.0,
                          quad=quad, cache=dressed_cache,
                          record_at=np.array([1.25, 3.3]))
     assert trace.z[0] == 0.0 and trace.z[-1] == 5.0
@@ -163,11 +165,12 @@ def test_trace_structure(preset, quad, dressed_fields, dressed_cache):
 
 
 def test_step_halving_convergence(preset, quad, dressed_fields, dressed_cache):
-    # |E4| at 2000 steps against 4000, twice each interval's steps, over its peak
+    # |E4| at 400 fixed steps against 800, twice each interval's steps, over
+    # its peak; a fixed run still reports the pair's worst local estimate
     sch, relax, medium, _ = preset
     coarse, fine = (pg.integrate(sch, relax, medium, dressed_fields, L=40.0, steps=steps,
-                                 quad=quad, cache=dressed_cache) for steps in (2000, 4000))
-    assert coarse.error_estimate is None
+                                 quad=quad, cache=dressed_cache) for steps in (400, 800))
+    assert 0 < fine.error_estimate < coarse.error_estimate < pg._STEP_TOL
     e4 = np.abs(coarse.e4)
     assert np.max(np.abs(e4 - np.abs(fine.e4))) / np.max(e4) < 1e-4
 
@@ -182,9 +185,9 @@ def test_probe_scale_linearity(preset, quad, dressed_fields, dressed_cache):
                      g10=100.0, g30=40.0, e40=3e-6, e20=6e-7)
     f2 = FieldConfig(omega1=0.0, omega3=100.0, omega4=160.0,
                      g10=100.0, g30=40.0, e40=9e-6, e20=18e-7)
-    t1 = pg.integrate(sch, relax, medium, f1, L=11.0, steps=1000, quad=quad,
+    t1 = pg.integrate(sch, relax, medium, f1, L=11.0, steps=500, quad=quad,
                       cache=dressed_cache)
-    t2 = pg.integrate(sch, relax, medium, f2, L=11.0, steps=1000, quad=quad,
+    t2 = pg.integrate(sch, relax, medium, f2, L=11.0, steps=500, quad=quad,
                       cache=dressed_cache)
     rel = np.abs(t2.e4 - 3.0 * t1.e4) / np.maximum(np.abs(t2.e4), 1e-300)
     assert np.max(rel) < 1e-10
@@ -436,10 +439,10 @@ def test_cache_on_off_trace_agreement(preset, quad, dressed_fields, dressed_cach
     # the accuracy contract of the cache: transmitted amplitude within 1e-3
     # of the direct (uncached) integration
     sch, relax, medium, _ = preset
-    on = pg.integrate(sch, relax, medium, dressed_fields, L=20.0, steps=600,
+    on = pg.integrate(sch, relax, medium, dressed_fields, L=20.0,
                       quad=quad, cache=dressed_cache,
                       record_at=np.linspace(0.0, 20.0, 41))
-    off = pg.integrate(sch, relax, medium, dressed_fields, L=20.0, steps=600,
+    off = pg.integrate(sch, relax, medium, dressed_fields, L=20.0,
                        quad=quad, cache=None,
                        record_at=np.linspace(0.0, 20.0, 41))
     rel = np.abs(np.abs(on.e4) - np.abs(off.e4)) / np.maximum(np.abs(off.e4), 1e-300)
@@ -456,7 +459,7 @@ def test_gain_map_drives_off_is_beer_lambert(preset, quad):
                        g10=0.0, g30=0.0, e40=0.1, e20=0.0)
     om4 = np.array([0.0, 150.0, 300.0])
     lengths = np.array([0.0, 2.0, 8.0])
-    res = pg.gain_map(sch, relax, medium, base, om4, lengths, steps=400, quad=quad)
+    res = pg.gain_map(sch, relax, medium, base, om4, lengths, steps=200, quad=quad)
     assert res.valid.all()
     for i, om in enumerate(om4):
         mc = dp.average_coefficients(sch, relax, medium,
@@ -485,12 +488,12 @@ def test_gain_map_column_matches_lone_trajectory(preset, coarse_quad):
     sch, relax, medium, fields = preset
     om4 = np.array([150.0, 155.0, 160.0])
     lengths = np.array([0.0, 3.0, 6.0])
-    res = pg.gain_map(sch, relax, medium, fields, om4, lengths, steps=400, quad=coarse_quad)
+    res = pg.gain_map(sch, relax, medium, fields, om4, lengths, quad=coarse_quad)
     assert res.valid.all()
     for i, om in enumerate(om4):
         f = fields.with_omega4(float(om))
         cache = pg.CoefficientCache.build(sch, relax, medium, [f], coarse_quad)
-        trace = pg.integrate(sch, relax, medium, f, L=6.0, steps=400, quad=coarse_quad,
+        trace = pg.integrate(sch, relax, medium, f, L=6.0, quad=coarse_quad,
                              cache=cache, record_at=lengths[1:])
         for j, L in enumerate(lengths):
             alone = abs(trace.e4[trace.index_of(float(L))]) ** 2 / abs(f.e40) ** 2
@@ -502,13 +505,13 @@ def test_g10_sweep_point_matches_lone_trajectory(preset, coarse_quad):
     base = fields.with_omega4(155.0)
     sweep = np.array([70.0, 85.0, 100.0])
     curve = scans.switching_curve(sch, relax, medium, base, L=4.0, sweep=sweep,
-                                  axis="g10", steps=300, quad=coarse_quad)
+                                  axis="g10", quad=coarse_quad)
     # the sweep's own cache, built for the largest swept drive
     top = base.with_drives(100.0, base.g30)
     cache = pg.CoefficientCache.build(sch, relax, medium, [top], coarse_quad)
     for ratio, g10 in zip(curve["i4_ratio"], sweep):
         f = base.with_drives(g10, base.g30)
-        trace = pg.integrate(sch, relax, medium, f, L=4.0, steps=300, quad=coarse_quad,
+        trace = pg.integrate(sch, relax, medium, f, L=4.0, quad=coarse_quad,
                              cache=cache, record_at=[4.0])
         alone = abs(trace.e4[-1]) ** 2 / abs(f.e40) ** 2
         assert ratio == pytest.approx(alone, rel=1e-12, abs=0.0)
@@ -518,6 +521,8 @@ def test_runaway_column_leaves_the_others_alone(preset, coarse_quad, monkeypatch
     sch, relax, medium, fields = preset
     om4 = np.array([150.0, 155.0, 160.0])
     lengths = np.array([0.0, 3.0, 6.0])
+    # fixed steps: sized by the control, the runaway's steps would shrink
+    # with its exponential growth until it overflows, and the batch's with them
     kw = dict(steps=300, quad=coarse_quad)
     clean = pg.gain_map(sch, relax, medium, fields, om4, lengths, **kw)
     # the runaway table would fail its column's validation; the point here
@@ -689,8 +694,9 @@ def test_paired_column_matches_pointwise_average_bitwise(preset, quad, n, drives
         assert np.array_equal(paired[k], lone.to_vector())
 
 
-def test_rows_are_read_only_by_rk4_stages(preset, quad):
-    # four reads per RK4 step and none at the trace samples
+def test_rows_are_read_only_by_the_stages(preset, quad):
+    # at a requested count, one read at z = 0 and six per step, none at the
+    # trace samples
     sch, relax, medium, fields = preset
     mc = dp.average_coefficients(sch, relax, medium, fields, 100.0, 40.0, quad)
 
@@ -708,12 +714,13 @@ def test_rows_are_read_only_by_rk4_stages(preset, quad):
 
     pg.integrate(sch, relax, medium, fields, L=4.0, steps=200, quad=quad,
                  cache=Counting(mc, fields), record_at=np.linspace(0.0, 4.0, 5))
-    assert Counting.calls == 4 * 200
+    assert Counting.calls == 1 + 6 * 200
 
 
-def test_rhs_is_called_four_times_per_step(preset, coarse_quad, monkeypatch):
-    # the benchmark's tracer counts RK4 steps as the calls of the
-    # module-level rhs over four, with a cache or without one
+def test_rhs_is_called_once_then_six_times_per_fixed_step(preset, coarse_quad, monkeypatch):
+    # the benchmark's tracer counts the calls of the module-level rhs, with
+    # a cache or without one: at a requested count, one call at z = 0 and
+    # six per step
     sch, relax, medium, fields = preset
     calls = []
     rhs = pg.rhs
@@ -728,21 +735,21 @@ def test_rhs_is_called_four_times_per_step(preset, coarse_quad, monkeypatch):
     cache = pg.CoefficientCache.build(sch, relax, medium, batch, coarse_quad)
     pg.integrate(sch, relax, medium, base, L=2.0, steps=200, quad=coarse_quad, cache=cache,
                  record_at=np.linspace(0.0, 2.0, 5))
-    assert len(calls) == 4 * 200
+    assert len(calls) == 1 + 6 * 200
     # transmission steps through its lengths alone, so steps is the step count
     pg.transmission(sch, relax, medium, batch, np.array([0.0, 2.0]),
-                    steps=512, quad=coarse_quad, cache=cache)
-    assert len(calls) == 4 * (200 + 512)
+                    steps=128, quad=coarse_quad, cache=cache)
+    assert len(calls) == 2 + 6 * (200 + 128)
     pg.transmission(sch, relax, medium, [base.with_drives(base.g10, 0.0)], np.array([2.0]),
-                    steps=256, quad=coarse_quad)
-    assert len(calls) == 4 * (200 + 512 + 256)
+                    steps=100, quad=coarse_quad)
+    assert len(calls) == 3 + 6 * (200 + 128 + 100)
     pg.transmission(sch, relax, medium, batch, np.array([2.0]),
                     steps=100, quad=coarse_quad, cache=cache)
-    assert len(calls) == 4 * (200 + 512 + 256 + 100)
+    assert len(calls) == 4 + 6 * (200 + 128 + 100 + 100)
 
 
 def test_each_interval_takes_its_rounded_share_of_the_steps(preset, quad):
-    # 2000 steps over 30 intervals of 1 L4 give each interval round(66.7) = 67
+    # 200 steps over 30 intervals of 1 L4 give each interval round(6.67) = 7
     sch, relax, medium, fields = preset
     mc = dp.average_coefficients(sch, relax, medium, fields, 100.0, 40.0, quad)
     calls = []
@@ -757,10 +764,10 @@ def test_each_interval_takes_its_rounded_share_of_the_steps(preset, quad):
 
             return counting
 
-    trace = pg.integrate(sch, relax, medium, fields, L=30.0, steps=2000, quad=quad,
+    trace = pg.integrate(sch, relax, medium, fields, L=30.0, steps=200, quad=quad,
                          cache=Counting(mc, fields), record_at=np.linspace(0.0, 30.0, 31))
-    assert len(calls) == 4 * 30 * 67
-    assert trace.error_estimate is None
+    assert len(calls) == 1 + 6 * 30 * 7
+    assert np.isfinite(trace.error_estimate)
 
 
 # --------------------------------------------------------------------------
@@ -801,14 +808,14 @@ def test_embedded_pair_sizes_each_trajectory_as_its_lone_run(preset, quad, dress
 
 
 def test_embedded_pair_estimate_bounds_the_error(preset, quad, dressed_cache, embedded_batch):
-    # against 200 steps per L4, whose own error is about 1e-13 of the peak
+    # against 25 fixed steps per L4, whose own error is about 1e-13 of the peak
     sch, relax, medium, _ = preset
     batch = embedded_batch[:2]
     y0 = np.array([[f.g10, f.g30, f.e40, f.e20] for f in batch], dtype=complex)
     for L, record in ((80.0, EMBEDDED_LENGTHS), (10.0, np.linspace(0.0, 10.0, 5))):
         _, states, report = pg._run(sch, relax, medium, batch, y0, L, record, None, quad,
                                     dressed_cache)
-        _, ref, _ = pg._run(sch, relax, medium, batch, y0, L, record, int(200 * L), quad,
+        _, ref, _ = pg._run(sch, relax, medium, batch, y0, L, record, int(25 * L), quad,
                             dressed_cache)
         error = (np.abs(states - ref) / np.max(np.abs(ref), axis=0)).max(axis=(0, 2))
         assert (report.error <= pg._STEP_TOL).all()
@@ -906,10 +913,12 @@ def test_embedded_pair_names_a_step_size_underflow(preset, dressed_fields, tmp_p
 
 
 @pytest.mark.parametrize("run", ["gainmap", "switch --g10"])
-def test_benchmark_runs_stay_within_1e6_of_their_peaks_against_16000_steps(preset, quad, run):
+def test_benchmark_runs_stay_within_1e6_of_their_peaks_against_fixed_steps(preset, quad, run):
     # the benchmark's gain map (four columns, 0-30 L4) and G10 sweep (25
     # points at 155 MHz, 10 L4): a gain-map column against its peak over
-    # the lengths, a sweep point against its own value
+    # the lengths, a sweep point against its own value.  The reference is
+    # 400 fixed steps, whose own error, against 800, is below 1e-9 of the
+    # peak (9e-12 on the map, 8e-14 on the sweep)
     sch, relax, medium, fields = preset
     if run == "gainmap":
         batch = [fields.with_omega4(om) for om in np.linspace(150.0, 160.0, 4)]
@@ -920,9 +929,10 @@ def test_benchmark_runs_stay_within_1e6_of_their_peaks_against_16000_steps(prese
         lengths = np.array([10.0])
     cache = pg.CoefficientCache.build(sch, relax, medium, batch, quad)
     ratio, _, report = pg.transmission(sch, relax, medium, batch, lengths, quad=quad, cache=cache)
-    ref, _, _ = pg.transmission(sch, relax, medium, batch, lengths, steps=16000, quad=quad,
-                                cache=cache)
+    ref, check = (pg.transmission(sch, relax, medium, batch, lengths, steps=steps, quad=quad,
+                                  cache=cache)[0] for steps in (400, 800))
     peak = np.max(np.abs(ref), axis=1, keepdims=True)
+    assert (np.abs(ref - check) <= 1e-9 * peak).all()
     assert (np.abs(ratio - ref) <= 1e-6 * peak).all()
     # the rule that sized _STEP_TOL: half of that bound
     assert (np.abs(ratio - ref) <= 0.5e-6 * peak).all()
@@ -952,11 +962,11 @@ def test_default_dynamics_stages_are_one_plus_six_per_step(preset, coarse_quad, 
 def _assert_lone_runs_equal_the_batch(preset, quad, batch, cache):
     sch, relax, medium, _ = preset
     lengths = np.array([0.0, 1.0, 2.0])
-    ratio, failed_at, _ = pg.transmission(sch, relax, medium, batch, lengths, steps=256,
-                                          quad=quad, cache=cache)
+    ratio, failed_at, _ = pg.transmission(sch, relax, medium, batch, lengths, quad=quad,
+                                          cache=cache)
     for k, f in enumerate(batch):
-        lone, lone_failed_at, _ = pg.transmission(sch, relax, medium, [f], lengths, steps=256,
-                                                  quad=quad, cache=cache)
+        lone, lone_failed_at, _ = pg.transmission(sch, relax, medium, [f], lengths, quad=quad,
+                                                  cache=cache)
         assert np.array_equal(ratio[k], lone[0], equal_nan=True)
         assert np.array_equal(failed_at[k], lone_failed_at[0], equal_nan=True)
     return ratio, failed_at
@@ -1025,21 +1035,24 @@ def test_zero_drive_run_averages_only_to_build_its_cache(preset, coarse_quad, mo
     passes = count_passes(monkeypatch)
     with pg.step_reports() as reports:
         res = pg.gain_map(sch, relax, medium, base, np.array([0.0, 150.0, 300.0]),
-                          np.array([0.0, 5.0]), steps=200, quad=coarse_quad)
+                          np.array([0.0, 5.0]), quad=coarse_quad)
     assert len(passes) == 2 and res.valid.all()
     assert reports[0][1].validation_error <= 1e-12
 
 
 def test_cache_free_run_averages_once_per_stage(preset, coarse_quad, monkeypatch):
     # without a cache, the reference, every stage is one pass for the whole
-    # batch.  The run steps through its lengths alone, so 100 steps
+    # batch: the live trajectories, all three until the first one ends
     sch, relax, medium, fields = preset
     batch = [fields.with_omega4(om) for om in (150.0, 155.0, 160.0)]
     passes = count_passes(monkeypatch)
-    pg.transmission(sch, relax, medium, batch, np.array([0.0, 2.0]), steps=100,
-                    quad=coarse_quad, cache=None)
-    assert len(passes) == 4 * 100
-    assert all(np.shape(args[6]) == (3,) for args in passes)
+    with pg.step_reports() as reports:
+        pg.transmission(sch, relax, medium, batch, np.array([0.0, 2.0]), quad=coarse_quad,
+                        cache=None)
+    [(_, report)] = reports
+    sizes = [np.size(args[6]) for args in passes]
+    assert len(passes) == report.stages.max() and sum(sizes) == report.stages.sum()
+    assert sizes[0] == 3 and sizes == sorted(sizes, reverse=True)
 
 
 @pytest.fixture(scope="module")
@@ -1049,7 +1062,7 @@ def g30_zero_map(preset, coarse_quad):
     om4 = np.array([150.0, 155.0, 160.0])
     lengths = np.array([0.0, 1.5, 3.0])
     with pg.step_reports() as reports:
-        res = pg.gain_map(sch, relax, medium, base, om4, lengths, steps=200, quad=coarse_quad)
+        res = pg.gain_map(sch, relax, medium, base, om4, lengths, quad=coarse_quad)
     return base, res, reports[0][1]
 
 
@@ -1063,7 +1076,7 @@ def test_g30_zero_gain_map_column_matches_lone_trajectory(preset, coarse_quad, g
     cache = pg.CoefficientCache.build(sch, relax, medium, columns, coarse_quad)
     assert cache.g3_grid.tolist() == [0.0]
     for i, f in enumerate(columns):
-        trace = pg.integrate(sch, relax, medium, f, L=3.0, steps=200, quad=coarse_quad,
+        trace = pg.integrate(sch, relax, medium, f, L=3.0, quad=coarse_quad,
                              cache=cache, record_at=res.lengths[1:])
         for j, L in enumerate(res.lengths):
             alone = abs(trace.e4[trace.index_of(float(L))]) ** 2 / abs(f.e40) ** 2
@@ -1077,7 +1090,7 @@ def test_g30_zero_gain_map_agrees_with_direct_averages(preset, coarse_quad, g30_
     sch, relax, medium, _ = preset
     base, res, _ = g30_zero_map
     columns = [base.with_omega4(float(om)) for om in res.omega4]
-    direct, _, _ = pg.transmission(sch, relax, medium, columns, res.lengths, steps=200,
+    direct, _, _ = pg.transmission(sch, relax, medium, columns, res.lengths,
                                    quad=coarse_quad, cache=None)
     peak = np.max(direct, axis=1, keepdims=True)
     assert (np.abs(res.ratio - direct) <= 1e-4 * peak).all()
@@ -1148,6 +1161,19 @@ def test_validation_probes_span_the_fitted_grid(preset, coarse_quad, monkeypatch
         assert nodes[0] <= probes.min() < nodes[0] + 0.05 * span
         assert nodes[-1] - 0.05 * span < probes.max() <= nodes[-1]
     assert cache.g3_grid[0] == 0.5 * abs(fields.g30)
+
+
+def test_a_coarse_g1_axis_fails_the_validation_bound(preset, coarse_quad):
+    # 32 |G1| nodes instead of 80 miss the preset's 155 MHz column by
+    # 1.3e-3 of a coefficient's scale: over the bound, 1e-4, and under a
+    # hundred times it, so a looser bound would pass this cache
+    sch, relax, medium, fields = preset
+    f = fields.with_omega4(155.0)
+    g1, g3 = pg._chebyshev(0.0, 1.05 * abs(f.g10), 32), pg._g3_nodes(abs(f.g30), True, 32)
+    with pytest.raises(pg.CacheValidationError, match=r"exceeds 1\.0e-04 at") as err:
+        pg.CoefficientCache._tabulated(sch, relax, medium, f, np.array([155.0]), coarse_quad,
+                                       g1, g3)
+    assert 2e-4 < float(str(err.value).split()[3]) < 5e-3
 
 
 @pytest.mark.parametrize("steps", [None, 400])

@@ -127,8 +127,7 @@ def test_dynamics_drives_off_beer_lambert(preset, quad):
     fields = FieldConfig(omega1=0, omega3=100, omega4=25.0,
                          g10=0.0, g30=0.0, e40=0.1, e20=0.0)
     mc = dp.average_coefficients(sch, relax, medium, fields, 0.0, 0.0, quad)
-    dynamics = scans.spatial_dynamics(sch, relax, medium, fields, L=10.0,
-                                      steps=500, quad=quad)
+    dynamics = scans.spatial_dynamics(sch, relax, medium, fields, L=10.0, quad=quad)
     z, i4 = dynamics["z"], dynamics["i4_ratio"]
     assert np.max(np.abs(i4 - np.exp(-mc.alpha4 * z))) < 1e-6
     assert np.all(dynamics["i2_over_i40"] == 0)
@@ -138,11 +137,11 @@ def test_dynamics_ratios_start_at_one_however_small_the_inputs(preset, quad):
     # |G10|² = 1e-400 underflows to 0; an exactly zero drive keeps a zero ratio
     sch, relax, medium, fields = preset
     tiny = fields.with_drives(1e-200, 1e-200)
-    dynamics = scans.spatial_dynamics(sch, relax, medium, tiny, L=1.0, steps=100, quad=quad)
+    dynamics = scans.spatial_dynamics(sch, relax, medium, tiny, L=1.0, quad=quad)
     assert dynamics["i1_ratio"][0] == 1.0 and dynamics["i3_ratio"][0] == 1.0
     assert dynamics["i4_ratio"][0] == 1.0 and dynamics["i2_over_i40"][0] == 0.0
     off = scans.spatial_dynamics(sch, relax, medium, fields.with_drives(0.0, 0.0), L=1.0,
-                                 steps=100, quad=quad)
+                                 quad=quad)
     assert np.all(off["i1_ratio"] == 0.0) and np.all(off["i3_ratio"] == 0.0)
 
 
@@ -151,8 +150,7 @@ def test_dynamics_preset_dip_then_growth(preset, quad):
     # above it once the generated Stokes wave has built up
     sch, relax, medium, fields = preset
     f = fields.with_omega4(160.0)
-    dynamics = scans.spatial_dynamics(sch, relax, medium, f, L=12.0,
-                                      steps=1200, quad=quad)
+    dynamics = scans.spatial_dynamics(sch, relax, medium, f, L=12.0, quad=quad)
     i4, i2, i1 = dynamics["i4_ratio"], dynamics["i2_over_i40"], dynamics["i1_ratio"]
     imin = int(np.argmin(i4))
     assert i4[imin] < 0.9
@@ -168,7 +166,7 @@ def test_switching_curve_flat_without_drives(preset, quad):
                        g10=0.0, g30=0.0, e40=0.1, e20=0.0)
     sweep = np.linspace(140.0, 170.0, 4)
     curve = scans.switching_curve(sch, relax, medium, base, L=5.0, sweep=sweep,
-                                  axis="omega4", steps=400, quad=quad)
+                                  axis="omega4", steps=200, quad=quad)
     ratios = curve["i4_ratio"]
     mcs = [dp.average_coefficients(sch, relax, medium, base.with_omega4(float(om)),
                                    0.0, 0.0, quad) for om in sweep]
