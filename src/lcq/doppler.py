@@ -649,6 +649,12 @@ def pole_stats():
         _POLE_STATS.reset(token)
 
 
+def _slopes(scheme: LevelScheme, u: float) -> np.ndarray:
+    """The derivatives (4,) of the probe block's diagonal in x = v / u, in rad/us."""
+    d1, d2, d3, d4 = liouville.doppler_shifts(scheme, u)
+    return np.array(liouville.probe_block(-d1, -d2, -d4, 0.0, 0.0, (0.0,) * 4)[:4])
+
+
 def _average(scheme, relax, medium, quad, fields: FieldConfig, omega4, G1, G3) -> tuple:
     """Maxwell averages at the drives ``G1``, ``G3`` and probe detunings ``omega4``, in one pass.
 
@@ -678,7 +684,7 @@ def _average(scheme, relax, medium, quad, fields: FieldConfig, omega4, G1, G3) -
     g1, g3 = (np.broadcast_to(np.asarray(g, dtype=complex), shape).ravel() for g in (G1, G3))
     n_col, p_n = len(w4), medium.p_n
     d1, d2, d3, d4 = liouville.doppler_shifts(scheme, quad.u)   # MHz per unit x
-    slopes = np.array(liouville.probe_block(-d1, -d2, -d4, 0.0, 0.0, (0.0,) * 4)[:4])
+    slopes = _slopes(scheme, quad.u)
     rad, rates = RAD_PER_MHZ, liouville.probe_rates(relax)
     stats = _POLE_STATS.get() or PoleStats()
     ratios = np.empty((2, g1.size), dtype=complex)
@@ -746,14 +752,23 @@ def _norm_constant(
     """Divisor mapping microscopic responses to alpha40 units.
 
     The averaged weak-field absorption of wave 4 at zero detuning per
-    alpha40, from the same pass as production averages, so that dividing
-    by it gives exactly alpha40 there.
+    alpha40, with the bits of a production average there, so that dividing
+    by it gives exactly alpha40.  At zero drives each response is the
+    single Lorentzian of :func:`_average`'s idle branch, taken here on the
+    same shape-(1,) zero-detuning probe block; at u = 0, where the slopes
+    vanish, :func:`_average` sums the velocity nodes.
     """
-    zero = FieldConfig(omega1=0.0, omega3=0.0, omega4=0.0)
-    _, means = _average(scheme, relax, medium, quad, zero, 0.0, 0j, 0j)
+    if quad.u == 0.0:
+        zero = FieldConfig(omega1=0.0, omega3=0.0, omega4=0.0)
+        mean = _average(scheme, relax, medium, quad, zero, 0.0, 0j, 0j)[1][0]
+    else:
+        w = np.zeros(1)
+        block = liouville.probe_block(0.0, w, w, w, w, liouville.probe_rates(relax))
+        mean = _lorentzian(-1j * RAD_PER_MHZ * (1.0 - medium.p_n), block[2],
+                           _slopes(scheme, quad.u)[2])[0]
     k4 = 1.0  # relative wavenumber of wave 4
     d4 = scheme.dipoles[3]
-    raw_alpha4 = 2.0 * float(np.imag(k4 * d4 * d4 * means[0]))
+    raw_alpha4 = 2.0 * float(np.imag(k4 * d4 * d4 * mean))
     if raw_alpha4 <= 0:
         raise AveragingError("weak-field resonant absorption is not positive")
     return raw_alpha4 / medium.alpha40

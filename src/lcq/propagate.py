@@ -61,7 +61,8 @@ from .scheme import ConfigError, FieldConfig, LevelScheme, MediumParams, Relaxat
 
 
 class PropagationError(RuntimeError):
-    """A trajectory failed at ``z``: non-finite fields, or adaptive steps capped or underflowed."""
+    """A trajectory failed at ``z``: non-finite fields, adaptive steps capped or underflowed,
+    or a probe intensity ratio beyond the largest double."""
 
     def __init__(self, z: float, message: str | None = None):
         super().__init__(message or f"non-finite field amplitude at z = {z:.6g} L4")
@@ -829,7 +830,8 @@ def transmission(
     Returns the (n, len(lengths)) ratios, the position where each
     trajectory failed (NaN where it did not; a failed trajectory's ratios
     beyond z = 0 are NaN) and the run's :class:`StepReport`, whose
-    :meth:`StepReport.failure` names a failure.
+    :meth:`StepReport.failure` names a failure.  A trajectory whose ratio
+    passes the largest double fails at the first such length.
     """
     lengths = np.asarray(lengths, dtype=float)
     e40 = np.array([f.e40 if f.e40 != 0 else 1e-3 * abs(f.g10) for f in fields], dtype=complex)
@@ -840,7 +842,13 @@ def transmission(
                              steps, quad, cache)
     failed_at = report.failed_at
     e4 = np.abs(states[:, :, 2])  # ratios of amplitudes, squared, do not underflow
-    ratio = ((e4[np.searchsorted(z, lengths)] / e4[0]) ** 2).T
+    with np.errstate(over="ignore"):
+        ratio = ((e4[np.searchsorted(z, lengths)] / e4[0]) ** 2).T
+    # a finite probe whose intensity ratio passes the largest double fails there
+    for k, j in zip(*np.nonzero(np.isinf(ratio))):
+        if not failed_at[k] <= lengths[j]:  # the first such length, unless it failed before
+            failed_at[k], report.error[k] = lengths[j], np.nan
+            report.cause[k] = "probe intensity ratio I4/I40 beyond the largest double"
     ratio[~np.isnan(failed_at)[:, None] & (lengths > 0)] = np.nan
     return ratio, failed_at, report
 

@@ -185,14 +185,25 @@ def gain_map_records(result: propagate.GainMapResult) -> dict[str, np.ndarray]:
 
 
 def csv_text(table: dict[str, np.ndarray]) -> str:
-    """A table as CSV text with name[unit] headers and 17 significant digits."""
-    columns = [col.tolist() for col in table.values()]
-    if not columns or not columns[0]:
+    """A table as CSV text with name[unit] headers and 17 significant digits.
+
+    A column whose values all share one bit pattern is written into the
+    row template once; the other columns' values fill every row in one
+    ``%`` formatting, which gives the digits of ``"{:.17g}".format``.
+    """
+    columns = [np.asarray(col, dtype=float) for col in table.values()]
+    if not columns or not columns[0].size:
         raise ValueError("no rows to write")
-    row = ",".join(["{:.17g}"] * len(columns))
-    lines = [",".join(column_header(c) for c in table)]
-    lines += [row.format(*values) for values in zip(*columns)]
-    return "\n".join(lines) + "\n"
+    cells, varying = [], []
+    for col in columns:
+        if (col.view(np.int64) == col[:1].view(np.int64)).all():
+            cells.append("%.17g" % col[0])
+        else:
+            cells.append("%.17g")
+            varying.append(col)
+    header = ",".join(column_header(c) for c in table).replace("%", "%%")
+    values = np.stack(varying, axis=1).ravel().tolist() if varying else []
+    return (header + "\n" + (",".join(cells) + "\n") * columns[0].size) % tuple(values)
 
 
 def records_to_csv(table: dict[str, np.ndarray], path) -> None:

@@ -738,6 +738,23 @@ def test_cli_import_loads_no_scipy_module(tmp_path):
     assert proc.returncode == 0, proc.stdout + proc.stderr
 
 
+def test_cli_import_loads_neither_the_checks_nor_coupledwave(tmp_path):
+    # only `lcq validate` imports lcq.checks and, with it, lcq.coupledwave;
+    # the package's public names load their modules on first use
+    code = ("import sys\n"
+            "import lcq.cli\n"
+            "loaded = [m for m in ('lcq.checks', 'lcq.coupledwave') if m in sys.modules]\n"
+            "assert not loaded, f'{loaded} were imported'\n"
+            "import lcq\n"
+            "missing = [name for name in lcq.__all__ if not hasattr(lcq, name)]\n"
+            "assert not missing, f'{missing} do not resolve'\n"
+            "from lcq import OpaCoefficients, opa_solution\n"
+            "assert opa_solution is sys.modules['lcq.coupledwave'].opa_solution\n"
+            "assert set(lcq.__all__) <= set(dir(lcq))\n")
+    proc = run_python(["-c", code], tmp_path)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
 def test_threads_flag_is_ignored_and_loads_no_thread_pool(tmp_path):
     # the benchmark's tiny gain map still passes --threads; it parses, makes
     # no pool (concurrent.futures would import logging), leaves the manifest

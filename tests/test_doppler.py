@@ -10,7 +10,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from lcq import cli
+from lcq import checks
 from lcq import doppler as dp
 from lcq import liouville as lv
 from lcq import scans
@@ -283,7 +283,7 @@ def test_closed_form_poles_match_lapack(relax, temperature, p_n, g1, g3, om):
     G1, G3 = (np.array(x, dtype=complex).ravel()
               for x in np.meshgrid([0.0, *g1], [0.0, *g3], indexing="ij"))
     fields, omega4 = FieldConfig(omega1=om[0], omega3=om[1]), np.array(om[2:])
-    agreement = cli.pole_agreement(sch, relax, medium, quad, fields, omega4[:, None], G1, G3)
+    agreement = checks.pole_agreement(sch, relax, medium, quad, fields, omega4[:, None], G1, G3)
     assert agreement["pole_error"] <= 1e-12, agreement
 
 
@@ -579,9 +579,44 @@ def test_fixed_order_summation_reproducible(preset, quad):
     assert a == b  # bit-identical dataclasses
 
 
+def _norm_by_average(sch, relax, medium, quad):
+    # the normalization as a production pass at zero fields gives it
+    zero = FieldConfig(omega1=0.0, omega3=0.0, omega4=0.0)
+    _, means = dp._average(sch, relax, medium, quad, zero, 0.0, 0j, 0j)
+    d4 = sch.dipoles[3]
+    return 2.0 * float(np.imag(1.0 * d4 * d4 * means[0])) / medium.alpha40
+
+
+def test_closed_form_normalization_is_the_zero_field_pass_bit_for_bit(preset, quad):
+    # the single Lorentzian of the idle branch, on the preset and on seeded
+    # random media: six coherence rates in 5-300 MHz, p_n in 0.001-0.5
+    sch, relax, medium, _ = preset
+    rng = np.random.default_rng(38)
+    cases = [(relax, medium)]
+    for _ in range(100):
+        rates = dict(zip(("coh_ml", "coh_gl", "coh_mn", "coh_gn", "coh_nl", "coh_gm"),
+                         rng.uniform(5.0, 300.0, 6)))
+        cases.append((replace(relax, **rates), replace(medium, p_n=rng.uniform(0.001, 0.5))))
+    for r, m in cases:
+        q = dp.QuadratureSpec.for_medium(sch, m)
+        assert dp._norm_constant.__wrapped__(sch, r, m, q) == _norm_by_average(sch, r, m, q)
+
+
+def test_normalization_at_rest_sums_the_velocity_nodes(preset, monkeypatch):
+    # at u = 0 the slopes vanish and the normalization is _average's pass
+    sch, relax, medium, _ = preset
+    q0 = dp.QuadratureSpec(u=0.0)
+    expected = _norm_by_average(sch, relax, medium, q0)
+    calls = []
+    average = dp._average
+    monkeypatch.setattr(dp, "_average", lambda *a: calls.append(a) or average(*a))
+    assert dp._norm_constant.__wrapped__(sch, relax, medium, q0) == expected
+    assert len(calls) == 1
+
+
 def test_sweep_solves_the_drive_sector_once(preset, quad, monkeypatch):
-    # the pole sums find the drive poles once for the whole sweep and once
-    # for the normalization; the velocity rule solves each velocity class once
+    # the pole sums find the drive poles once for the whole sweep, and the
+    # normalization none; the velocity rule solves each velocity class once
     sch, relax, medium, fields = preset
     dp._norm_constant.cache_clear()
     sector = dp._drive_sector
@@ -594,7 +629,7 @@ def test_sweep_solves_the_drive_sector_once(preset, quad, monkeypatch):
     monkeypatch.setattr(dp, "_drive_sector", counted)
     sweep = np.linspace(-20.0, 20.0, 5)
     scans.spectra_scan(sch, relax, medium, fields, sweep, quad=quad)
-    assert points == [1, 1]
+    assert points == [1]
 
     solve = lv.drive_steady_state_batch
     systems = []

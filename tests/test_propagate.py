@@ -549,6 +549,41 @@ def test_runaway_column_leaves_the_others_alone(preset, coarse_quad, monkeypatch
         scans.switching_curve(sch, relax, medium, fields, L=3.0, sweep=om4, axis="omega4", **kw)
 
 
+def test_runaway_intensity_ratio_past_the_largest_double_fails_its_column(
+        preset, coarse_quad, monkeypatch):
+    # at 150 fixed steps the runaway's probe stays finite at 3 L4, near
+    # 1e264 of its input, so its squared ratio passes the largest double:
+    # the column fails there, by name and without a warning, and the others
+    # keep their cells
+    sch, relax, medium, fields = preset
+    om4 = np.array([150.0, 155.0, 160.0])
+    lengths = np.array([0.0, 3.0, 6.0])
+    kw = dict(steps=150, quad=coarse_quad)
+    clean = pg.gain_map(sch, relax, medium, fields, om4, lengths, **kw)
+    monkeypatch.setattr(pg.CoefficientCache, "_validate", lambda cache: None)
+    tabulate = dp.DriveGrid.tables
+
+    def runaway_at_155(grid, omega4):
+        tables = tabulate(grid, omega4)
+        for table, w in zip(tables, omega4):
+            if w == 155.0:
+                table[...] = RUNAWAY.to_vector()
+        return tables
+
+    monkeypatch.setattr(dp.DriveGrid, "tables", runaway_at_155)
+    with pg.step_reports() as reports:
+        res = pg.gain_map(sch, relax, medium, fields, om4, lengths, **kw)
+    (_, report), = reports
+    assert report.failed_at[1] == 3.0 and "largest double" in report.cause[1]
+    assert np.isnan(report.error[1]) and np.isnan(report.failed_at[[0, 2]]).all()
+    assert np.array_equal(res.valid[1], [True, False, False])
+    assert res.ratio[1, 0] == 1.0 and np.isnan(res.ratio[1, 1:]).all()
+    assert np.array_equal(res.ratio[[0, 2]], clean.ratio[[0, 2]])
+    # with nothing left the map fails, naming the cause and the length
+    with pytest.raises(pg.PropagationError, match="largest double at z = 3 L4"):
+        pg.gain_map(sch, relax, medium, fields, om4[1:2], lengths, **kw)
+
+
 # --------------------------------------------------------------------------
 # cache builder
 # --------------------------------------------------------------------------

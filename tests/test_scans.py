@@ -193,6 +193,39 @@ def test_records_reproducible(preset, quad):
     assert all(np.array_equal(a[name], b[name]) for name in a)
 
 
+def _csv_by_rows(table):
+    # the per-row "{:.17g}" formatter that csv_text must match byte for byte
+    row = ",".join(["{:.17g}"] * len(table))
+    lines = [",".join(scans.column_header(c) for c in table)]
+    lines += [row.format(*values) for values in zip(*(col.tolist() for col in table.values()))]
+    return "\n".join(lines) + "\n"
+
+
+@pytest.mark.parametrize("table", [
+    {"omega4": np.linspace(-400.0, 400.0, 9), "alpha1": np.full(9, 0.1 + 0.2),
+     "alpha4": np.geomspace(1e-300, 1e300, 9), "gain": np.full(9, -7.0)},
+    {"omega4": np.array([155.0]), "alpha4": np.array([-0.0])},
+    {"z": np.array([0.0, -0.0, 0.0]), "gain": np.array([-0.0, -0.0, -0.0])},
+    {"z": np.array([5e-324, 1.7976931348623157e308]),
+     "gain": np.array([1.7976931348623157e308, 1.7976931348623157e308]),
+     "alpha4": np.array([-5e-324, -5e-324])},
+], ids=["constant-and-mixed", "one-row", "signed-zeros", "extremes"])
+def test_csv_text_is_the_per_row_formatter_byte_for_byte(table):
+    assert scans.csv_text(table) == _csv_by_rows(table)
+
+
+def test_csv_text_of_a_spectra_sweep_and_random_bits(preset_spectra):
+    # the drive coefficients of a sweep are constant columns, written once
+    constant = [name for name, col in preset_spectra.items() if np.all(col.view(np.int64)
+                                                                      == col[:1].view(np.int64))]
+    assert constant == ["alpha1", "alpha3", "deltak1", "deltak3"]
+    assert scans.csv_text(preset_spectra) == _csv_by_rows(preset_spectra)
+    values = np.random.default_rng(38).integers(0, 2**64, 20000, dtype=np.uint64).view(float)
+    values = values[np.isfinite(values)]
+    table = {"z": values, "gain": values[::-1].copy(), "alpha4": np.full(values.size, values[0])}
+    assert scans.csv_text(table) == _csv_by_rows(table)
+
+
 def test_csv_emission_roundtrip(tmp_path, preset, quad):
     sch, relax, medium, fields = preset
     spectra = scans.spectra_scan(sch, relax, medium, fields,
